@@ -55,7 +55,7 @@ from .errors import (
 )
 from .experiments import (
     CoexistenceRecord,
-    LandscapeRecord,
+    LandscapeTable,
     ScalingRecord,
     ScalingStudy,
     coexistence_point,

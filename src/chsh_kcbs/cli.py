@@ -43,6 +43,8 @@ def angle_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be at least 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"grid endpoints must be finite, got {text!r}")
     return np.linspace(start, stop, count)
 
 
@@ -56,10 +58,24 @@ def cycle_range(text: str) -> list[int]:
             start, stop, step = int(parts[0]), int(parts[1]), int(parts[2])
             if step < 1:
                 raise argparse.ArgumentTypeError("step must be positive")
-            return list(range(start, stop + 1, step))
+            sizes = list(range(start, stop + 1, step))
+            if not sizes:
+                raise argparse.ArgumentTypeError(f"empty cycle range {text!r}")
+            return sizes
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(f"expected N or start:stop:step, got {text!r}")
+
+
+def positive_int(text: str) -> int:
+    """Parse a shot count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser():
@@ -103,7 +119,8 @@ def build_parser():
     sub.add_argument("--theta", type=angle_grid, help="theta grid in degrees, start:stop:count")
     sub.add_argument("--phi", type=angle_grid, help="phi grid in degrees, start:stop:count")
     sub.add_argument("--mode", choices=("analytic", "circuit"), default="analytic")
-    sub.add_argument("--shots", type=int, default=None, help="shots per correlator (circuit mode)")
+    sub.add_argument("--shots", type=positive_int, default=None,
+                     help="shots per correlator (circuit mode)")
     sub.add_argument("--seed", type=int, default=None, help="master seed (circuit mode)")
     sub.add_argument("--out", help="output CSV path")
 
@@ -125,7 +142,7 @@ def build_parser():
     sub.add_argument("--alice", choices=("w0", "w2", "id"),
                      help="Alice setting: optimal R(omega0), optimal R(omega2), or identity")
     sub.add_argument("--bob", help="Bob observable: b0, bmbm1, or pair:J for B_J B_J+1")
-    sub.add_argument("--shots", type=int, default=None, help="sample this many shots")
+    sub.add_argument("--shots", type=positive_int, default=None, help="sample this many shots")
     sub.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub.add_argument("--out", help="output JSON path")
 
@@ -149,6 +166,8 @@ def _apply_config(args, parser, sub, argv):
         action = actions.get(dest)
         if action is None or dest in ("help", "config"):
             sub.error(f"config key {key!r} is not a flag of this command")
+        if isinstance(value, list) and not value:
+            sub.error(f"config key {key!r} is an empty list")
         try:
             if action.type is not None and not isinstance(value, (list, np.ndarray)):
                 value = action.type(str(value))
@@ -216,25 +235,24 @@ def _run_threshold(args) -> int:
 
 
 def _run_landscape(args) -> int:
-    records = experiments.landscape_scan(args.n, args.theta, args.phi, mode=args.mode,
-                                         shots=args.shots, seed=args.seed)
-    header = ["n", "theta_deg", "phi_deg", "chsh_margin", "kcbs_margin", "mode", "shots", "seed"]
-    rows = [[r.n, r.theta_deg, r.phi_deg, r.chsh_margin, r.kcbs_margin, r.mode,
-             r.shots if r.shots is not None else "",
-             r.seed if r.seed is not None else ""] for r in records]
-    serialize.write_csv(args.out, header, rows, metadata=_effective_config(args),
+    table = experiments.landscape_scan(args.n, args.theta, args.phi, mode=args.mode,
+                                       shots=args.shots, seed=args.seed)
+    serialize.write_csv(args.out, table.header, table, metadata=_effective_config(args),
                         timestamp=not args.no_timestamp)
     return EXIT_OK
 
 
+def _record_columns(records, header) -> serialize.Columns:
+    """The records' fields named by the header: n as integers, the rest as floats."""
+    return serialize.Columns((int,) + (float,) * (len(header) - 1),
+                             tuple([getattr(r, name) for r in records] for name in header))
+
+
 def _run_coexist(args) -> int:
     header = ["n", "theta_opt_deg", "overlap", "residual"]
-    rows = []
-    for n in args.n:
-        record = experiments.coexistence_point(n)
-        rows.append([record.n, record.theta_opt_deg, record.overlap, record.residual])
-    serialize.write_csv(args.out, header, rows, metadata=_effective_config(args),
-                        timestamp=not args.no_timestamp)
+    records = [experiments.coexistence_point(n) for n in args.n]
+    serialize.write_csv(args.out, header, _record_columns(records, header),
+                        metadata=_effective_config(args), timestamp=not args.no_timestamp)
     return EXIT_OK
 
 
@@ -245,13 +263,11 @@ def _run_scaling(args) -> int:
     wanted = set(args.n)
     header = ["n", "theta_opt_deg", "overlap", "residual",
               "psi_n_kcbs_margin", "psi_n_chsh_margin", "asym_kcbs", "asym_chsh"]
-    rows = [[r.n, r.theta_opt_deg, r.overlap, r.residual,
-             r.psi_n_kcbs_margin, r.psi_n_chsh_margin, r.asym_kcbs, r.asym_chsh]
-            for r in study.records if r.n in wanted]
+    records = [r for r in study.records if r.n in wanted]
     metadata = _effective_config(args)
     if study.loglog_slope is not None:
         metadata["loglog_slope"] = serialize.format_float(study.loglog_slope)
-    serialize.write_csv(args.out, header, rows, metadata=metadata,
+    serialize.write_csv(args.out, header, _record_columns(records, header), metadata=metadata,
                         timestamp=not args.no_timestamp)
     return EXIT_OK
 

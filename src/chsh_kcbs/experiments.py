@@ -9,6 +9,7 @@ phi = 0, found by bisection; its common value is the overlap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,20 +22,8 @@ from .linalg import expectation, tensor
 BISECTION_MAX_ITER = 200
 BISECTION_THETA_TOL = 1e-14
 RESIDUAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LandscapeRecord:
-    """Margins of the minimal state at one grid cell."""
-
-    n: int
-    theta_deg: float
-    phi_deg: float
-    chsh_margin: float
-    kcbs_margin: float
-    mode: str
-    shots: int | None = None
-    seed: int | None = None
+# Cells per landscape block: bounds the memory of a landscape pass.
+BLOCK_CELLS = 65536
 
 
 @dataclass(frozen=True)
@@ -106,48 +95,105 @@ def _circuit_margins(n, theta, phi, shots, cell_seed) -> tuple[float, float]:
     return chsh_sum - 2.0, kcbs_sum - (n - 2.0)
 
 
+@dataclass(frozen=True, eq=False)
+class LandscapeTable:
+    """Margins of the minimal state over a (theta, phi) grid, as columns.
+
+    Cells run theta-major, phi-minor, and ``len`` is the cell count.  The
+    margins are computed when the table is iterated, one block of at most
+    ``BLOCK_CELLS`` cells at a time, so a pass costs O(block)
+    memory however large the grid; :meth:`columns` gathers the whole
+    grid.  Circuit cells are sampled again on every pass, from the same
+    seeds, so every pass gives the same values.
+    """
+
+    n: int
+    thetas_deg: np.ndarray
+    phis_deg: np.ndarray
+    mode: str
+    shots: int | None = None
+    master_seed: int | None = None
+
+    header = ("n", "theta_deg", "phi_deg", "chsh_margin", "kcbs_margin", "mode", "shots", "seed")
+
+    def __len__(self) -> int:
+        return self.thetas_deg.size * self.phis_deg.size
+
+    @property
+    def kinds(self) -> tuple:
+        """Per header field: ``float``/``int`` for a column, else the table's constant value."""
+        seed = int if self.mode == "circuit" else None
+        return (self.n, float, float, float, float, self.mode, self.shots, seed)
+
+    def blocks(self):
+        """Yield (theta_deg, phi_deg, chsh_margin, kcbs_margin[, seed]) column blocks in cell order.
+
+        A block is a run of whole theta rows, or a slice of one row when a
+        single row holds more than a block of cells.
+        """
+        n_phi = self.phis_deg.size
+        rows, cols = max(1, BLOCK_CELLS // n_phi), min(n_phi, BLOCK_CELLS)
+        for i in range(0, self.thetas_deg.size, rows):
+            thetas = self.thetas_deg[i:i + rows]
+            for j in range(0, n_phi, cols):
+                phis = self.phis_deg[j:j + cols]
+                yield (np.repeat(thetas, phis.size), np.tile(phis, thetas.size),
+                       *self._margins(thetas, phis, i * n_phi + j))
+
+    def _margins(self, thetas, phis, first_cell):
+        if self.mode == "analytic":
+            chsh, kcbs = analytic.state1_margins(np.deg2rad(thetas)[:, None],
+                                                 np.deg2rad(phis)[None, :], self.n)
+            return chsh.ravel(), kcbs.ravel()
+        chsh, kcbs, seeds = [], [], []
+        for cell, (t, p) in enumerate(itertools.product(thetas.tolist(), phis.tolist()),
+                                      start=first_cell):
+            cell_seed = _cell_seed(self.master_seed, cell)
+            ch, kc = _circuit_margins(self.n, math.radians(t), math.radians(p),
+                                      self.shots, cell_seed)
+            chsh.append(ch)
+            kcbs.append(kc)
+            seeds.append(cell_seed)
+        return chsh, kcbs, seeds
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every varying column over the whole grid, keyed by header field."""
+        names = [name for name, kind in zip(self.header, self.kinds) if kind in (float, int)]
+        blocks = list(self.blocks())
+        return {name: np.concatenate([block[k] for block in blocks])
+                for k, name in enumerate(names)}
+
+
 def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
-                   shots=None, seed=None) -> list[LandscapeRecord]:
+                   shots=None, seed=None) -> LandscapeTable:
     """Margins of the minimal state over a (theta, phi) grid in degrees.
 
-    Records come back in theta-major, phi-minor order.  Circuit mode
-    needs a shot count; each cell samples with a seed derived from the
-    master seed and the cell index, so results are reproducible and
-    independent of evaluation order.
+    Every input is checked here, before any cell is computed: theta must
+    lie in [0, 180] degrees and phi must be finite.  The returned table
+    computes its cells block by block as it is iterated.  Circuit mode
+    needs a positive shot count; each cell samples with a seed derived
+    from the master seed and the cell index, so results are reproducible
+    and independent of evaluation order.
     """
     observables.cycle_geometry(n)
-    thetas = np.atleast_1d(np.asarray(theta_grid_deg, dtype=float))
-    phis = np.atleast_1d(np.asarray(phi_grid_deg, dtype=float))
+    thetas = np.array(theta_grid_deg, dtype=float, ndmin=1)
+    phis = np.array(phi_grid_deg, dtype=float, ndmin=1)
     if thetas.size == 0 or phis.size == 0:
         raise EmptyGrid("theta and phi grids must both be nonempty")
     if mode not in ("analytic", "circuit"):
         raise ValueError(f"mode must be 'analytic' or 'circuit', got {mode!r}")
-    if mode == "circuit" and not shots:
+    if mode == "circuit" and (shots is None or int(shots) < 1):
         raise ValueError("circuit mode requires a positive shot count")
+    outside = thetas[~((thetas >= 0.0) & (thetas <= 180.0))]
+    if outside.size:
+        raise ValueError(f"theta must lie in [0, 180] degrees, got {float(outside[0])!r}")
+    if not np.all(np.isfinite(phis)):
+        raise ValueError("phi must be finite")
 
-    records = []
     if mode == "analytic":
-        chsh, kcbs = analytic.state1_margins(np.deg2rad(thetas)[:, None],
-                                             np.deg2rad(phis)[None, :], n)
-        for i, t in enumerate(thetas):
-            for j, p in enumerate(phis):
-                records.append(LandscapeRecord(n=n, theta_deg=float(t), phi_deg=float(p),
-                                               chsh_margin=float(chsh[i, j]),
-                                               kcbs_margin=float(kcbs[i, j]),
-                                               mode="analytic"))
-        return records
-
-    master = 0 if seed is None else int(seed)
-    for i, t in enumerate(thetas):
-        for j, p in enumerate(phis):
-            cell = i * phis.size + j
-            cell_seed = _cell_seed(master, cell)
-            ch, kc = _circuit_margins(n, math.radians(float(t)), math.radians(float(p)),
-                                      int(shots), cell_seed)
-            records.append(LandscapeRecord(n=n, theta_deg=float(t), phi_deg=float(p),
-                                           chsh_margin=ch, kcbs_margin=kc,
-                                           mode="circuit", shots=int(shots), seed=cell_seed))
-    return records
+        return LandscapeTable(n=n, thetas_deg=thetas, phis_deg=phis, mode="analytic")
+    return LandscapeTable(n=n, thetas_deg=thetas, phis_deg=phis, mode="circuit",
+                          shots=int(shots), master_seed=0 if seed is None else int(seed))
 
 
 def coexistence_point(n: int) -> CoexistenceRecord:

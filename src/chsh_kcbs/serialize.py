@@ -4,8 +4,11 @@ Matrices and state vectors serialize to ``{"rows", "cols", "entries"}``
 with the entries as a flat row-major list of [re, im] pairs.  CSV files
 start with ``# key: value`` metadata lines (the effective configuration,
 plus a timestamp unless suppressed), then the header row, then data rows
-with 9 significant digits.  All writes go through a temp file and an
-atomic rename so a failure never leaves a partial output behind.
+with 9 significant digits.  Rows come as columns, block by block as the
+table yields them, and each block is formatted in bulk with one row
+template per table, so writing costs O(block) memory however long the
+table.  All writes go through a temp file and an atomic rename so a
+failure never leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -46,12 +50,12 @@ def format_float(value) -> str:
     return f"{value:.9g}"
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -63,26 +67,80 @@ def timestamp_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def write_csv(path: str, header: list[str], rows: list[list], metadata: dict | None = None,
+@dataclass(frozen=True)
+class Columns:
+    """Rows held in memory as columns, for :func:`write_csv`.
+
+    ``kinds`` has one entry per CSV column: ``float`` (9 significant
+    digits) or ``int`` (written verbatim) for a column that varies by row;
+    any other value is a constant written into every row, None as an
+    empty field.  ``data`` holds the varying columns in order, as
+    equal-length numpy arrays or lists.
+    """
+
+    kinds: tuple
+    data: tuple
+
+    def __len__(self) -> int:
+        return len(self.data[0])
+
+    def blocks(self):
+        yield self.data
+
+
+def _row_template(kinds) -> str:
+    """One ``%`` template for a whole row: a field per varying column, literals for constants."""
+    fields = []
+    for kind in kinds:
+        if kind is float:
+            fields.append("%.9g")
+        elif kind is int:
+            fields.append("%d")
+        else:
+            fields.append(("" if kind is None else str(kind)).replace("%", "%%"))
+    return ",".join(fields) + "\n"
+
+
+def _format_block(template: str, block) -> str:
+    """Every row of a block through one ``%``: the row template repeated, values row-major."""
+    size, width = len(block[0]), len(block)
+    values = [None] * (size * width)
+    for k, column in enumerate(block):
+        if len(column) != size:
+            raise ValueError(f"block columns differ in length: {[len(c) for c in block]}")
+        values[k::width] = column.tolist() if isinstance(column, np.ndarray) else column
+    return (template * size) % tuple(values)
+
+
+def write_csv(path: str, header: list[str], rows, metadata: dict | None = None,
               timestamp: bool = True):
-    """Write a CSV with a commented metadata block, atomically."""
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}: {value}")
+    """Write a CSV with a commented metadata block, atomically.
+
+    ``rows`` is a sized column table such as :class:`Columns` or
+    :class:`~chsh_kcbs.experiments.LandscapeTable`: ``len(rows)`` data
+    rows, one entry of ``rows.kinds`` per header field, and
+    ``rows.blocks()`` yielding the varying columns block by block.  Each
+    block is formatted in bulk with one row template built from the kinds,
+    so memory stays O(block) however many blocks the table has.
+    """
+    if len(header) != len(rows.kinds):
+        raise ValueError(f"{len(header)} header fields for {len(rows.kinds)} columns")
+    lines = [f"# {key}: {value}" for key, value in (metadata or {}).items()]
     if timestamp:
         lines.append(f"# timestamp: {timestamp_now()}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    template = _row_template(rows.kinds)
 
+    def chunks():
+        yield "\n".join(lines) + "\n"
+        written = 0
+        for block in rows.blocks():
+            yield _format_block(template, block)
+            written += len(block[0])
+        if written != len(rows):
+            raise ValueError(f"table yielded {written} rows, expected {len(rows)}")
 
-def _format_cell(cell) -> str:
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    return format_float(cell)
+    _atomic_write(path, chunks())
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]], dict]:
@@ -117,4 +175,4 @@ def write_json(path: str, payload: dict, metadata: dict | None = None,
         meta["timestamp"] = timestamp_now()
     if meta:
         body["metadata"] = meta
-    _atomic_write(path, json.dumps(body, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(body, indent=2) + "\n"])

@@ -229,9 +229,9 @@ def test_criterion_8_scaling_properties():
 def test_criterion_9_landscape_structure():
     thetas = np.arange(0.0, 181.0, 1.0)
     phis = np.arange(0.0, 360.0, 1.0)
-    records = landscape_scan(5, thetas, phis, mode="analytic")
-    chsh = np.array([r.chsh_margin for r in records]).reshape(thetas.size, phis.size)
-    kcbs = np.array([r.kcbs_margin for r in records]).reshape(thetas.size, phis.size)
+    columns = landscape_scan(5, thetas, phis, mode="analytic").columns()
+    chsh = columns["chsh_margin"].reshape(thetas.size, phis.size)
+    kcbs = columns["kcbs_margin"].reshape(thetas.size, phis.size)
 
     peak = chsh.max()
     peak_cells = {(float(thetas[i]), float(phis[j]))

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from chsh_kcbs import cli, serialize
+from chsh_kcbs import cli, experiments, serialize
 from chsh_kcbs.analytic import state1_margins
 from chsh_kcbs.observables import b0_closed_form, kcbs_vector, s_operator
 
@@ -107,10 +107,79 @@ def test_landscape_circuit_mode_columns(tmp_path):
                    "--out", str(out)) == 0
     _, rows, _ = serialize.read_csv(str(out))
     assert len(rows) == 2
-    for row in rows:
+    for cell, row in enumerate(rows):
         assert row[5] == "circuit"
         assert int(row[6]) == 2000
         assert int(row[7]) >= 0
+        # Both integer columns are written verbatim: the shot count and the cell seed.
+        assert row[6] == "2000"
+        assert row[7] == str(experiments._cell_seed(3, cell))
+
+
+def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
+    thetas, phis = np.linspace(0, 180, 67), np.linspace(0, 360, 1001)
+    assert thetas.size * phis.size > experiments.BLOCK_CELLS
+    out = tmp_path / "landscape.csv"
+    assert run_cli("landscape", "--n", "7", "--theta", "0:180:67", "--phi", "0:360:1001",
+                   "--out", str(out), "--no-timestamp") == 0
+    _, rows, _ = serialize.read_csv(str(out))
+    chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], 7)
+    expected = [["7", serialize.format_float(t), serialize.format_float(p),
+                 serialize.format_float(c), serialize.format_float(k), "analytic", "", ""]
+                for t, p, c, k in zip(np.repeat(thetas, phis.size).tolist(),
+                                      np.tile(phis, thetas.size).tolist(),
+                                      chsh.ravel().tolist(), kcbs.ravel().tolist())]
+    assert rows == expected
+
+
+@pytest.mark.parametrize("mode", ["analytic", "circuit"])
+def test_landscape_rejects_theta_outside_range(tmp_path, capsys, mode):
+    out = tmp_path / "landscape.csv"
+    assert run_cli("landscape", "--n", "5", "--theta", "200:300:3", "--phi", "0:0:1",
+                   "--mode", mode, "--shots", "100", "--out", str(out)) == cli.EXIT_DOMAIN
+    assert "theta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, grid", [("--theta", "nan:90:2"), ("--theta", "0:inf:2"),
+                                        ("--phi", "nan:0:1"), ("--phi", "0:-inf:3")])
+def test_landscape_rejects_non_finite_grid_endpoints(tmp_path, capsys, flag, grid):
+    out = tmp_path / "landscape.csv"
+    grids = {"--theta": "0:90:2", "--phi": "0:0:1", flag: grid}
+    assert run_cli("landscape", "--n", "5", *(item for pair in grids.items() for item in pair),
+                   "--out", str(out)) == cli.EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["coexist", "scaling"])
+def test_empty_cycle_range_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--n", "7:5:2", "--out", str(out)) == cli.EXIT_USAGE
+    assert "empty cycle range" in capsys.readouterr().err
+    # An empty list in a config file is refused the same way.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": []}))
+    assert run_cli(command, "--config", str(config), "--out", str(out)) == cli.EXIT_USAGE
+    assert "empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_shots_must_be_positive(tmp_path, capsys, shots):
+    out = tmp_path / "out"
+    assert run_cli("landscape", "--n", "5", "--theta", "40:90:2", "--phi", "0:0:1",
+                   "--mode", "circuit", "--shots", shots, "--out", str(out)) == cli.EXIT_USAGE
+    assert run_cli("fourier-test", "--n", "5", "--theta", "90", "--phi", "0", "--alice", "id",
+                   "--bob", "b0", "--shots", shots, "--out", str(out)) == cli.EXIT_USAGE
+    # Config-file values go through the same check.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"shots": int(shots)}))
+    assert run_cli("fourier-test", "--config", str(config), "--n", "5", "--theta", "90",
+                   "--phi", "0", "--alice", "id", "--bob", "b0",
+                   "--out", str(out)) == cli.EXIT_USAGE
+    assert "positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_identical_runs_differ_only_in_timestamp(tmp_path):

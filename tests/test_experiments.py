@@ -24,22 +24,33 @@ from chsh_kcbs.analytic import chsh_coefficients, state1
 TABLE_POINTS = {5: (49.605, 0.343069), 23: (30.381, 0.227717), 55: (20.815, 0.11978)}
 
 
+def _cells(table):
+    """Per-cell dicts of the table's varying columns, in cell order."""
+    columns = table.columns()
+    return [dict(zip(columns, values))
+            for values in zip(*(column.tolist() for column in columns.values()))]
+
+
 def test_landscape_analytic_reference_cells():
-    records = landscape_scan(5, [90.0, 0.0], [0.0, 45.0], mode="analytic")
-    by_cell = {(r.theta_deg, r.phi_deg): r for r in records}
+    table = landscape_scan(5, [90.0, 0.0], [0.0, 45.0], mode="analytic")
+    records = _cells(table)
+    by_cell = {(r["theta_deg"], r["phi_deg"]): r for r in records}
     peak = by_cell[(90.0, 0.0)]
-    assert peak.chsh_margin == pytest.approx(0.7198, abs=1e-4)
-    assert peak.kcbs_margin < 0
+    assert peak["chsh_margin"] == pytest.approx(0.7198, abs=1e-4)
+    assert peak["kcbs_margin"] < 0
     flat = by_cell[(0.0, 0.0)]
-    assert flat.kcbs_margin == pytest.approx(0.944272, abs=1e-6)
-    assert flat.chsh_margin < 0
-    assert flat.kcbs_margin == pytest.approx(by_cell[(0.0, 45.0)].kcbs_margin, abs=1e-12)
-    assert all(r.mode == "analytic" and r.shots is None and r.seed is None for r in records)
+    assert flat["kcbs_margin"] == pytest.approx(0.944272, abs=1e-6)
+    assert flat["chsh_margin"] < 0
+    assert flat["kcbs_margin"] == pytest.approx(by_cell[(0.0, 45.0)]["kcbs_margin"], abs=1e-12)
+    # mode, shots and seed are per-table constants: "analytic" and two empty fields.
+    assert len(table) == len(records) == 4
+    assert table.kinds[5:] == ("analytic", None, None)
+    assert all("seed" not in r for r in records)
 
 
 def test_landscape_record_order_is_theta_major():
-    records = landscape_scan(5, [10.0, 20.0], [0.0, 90.0, 180.0], mode="analytic")
-    cells = [(r.theta_deg, r.phi_deg) for r in records]
+    records = _cells(landscape_scan(5, [10.0, 20.0], [0.0, 90.0, 180.0], mode="analytic"))
+    cells = [(r["theta_deg"], r["phi_deg"]) for r in records]
     assert cells == [(10.0, 0.0), (10.0, 90.0), (10.0, 180.0),
                      (20.0, 0.0), (20.0, 90.0), (20.0, 180.0)]
 
@@ -47,12 +58,12 @@ def test_landscape_record_order_is_theta_major():
 def test_landscape_matches_margin_function():
     thetas = np.linspace(0, 180, 7)
     phis = np.linspace(0, 360, 5)
-    records = landscape_scan(7, thetas, phis, mode="analytic")
+    records = _cells(landscape_scan(7, thetas, phis, mode="analytic"))
     for record in records:
-        chsh, kcbs = state1_margins(math.radians(record.theta_deg),
-                                    math.radians(record.phi_deg), 7)
-        assert record.chsh_margin == pytest.approx(chsh, abs=0)
-        assert record.kcbs_margin == pytest.approx(kcbs, abs=0)
+        chsh, kcbs = state1_margins(math.radians(record["theta_deg"]),
+                                    math.radians(record["phi_deg"]), 7)
+        assert record["chsh_margin"] == pytest.approx(chsh, abs=0)
+        assert record["kcbs_margin"] == pytest.approx(kcbs, abs=0)
 
 
 def test_landscape_input_validation():
@@ -66,6 +77,55 @@ def test_landscape_input_validation():
         landscape_scan(5, [0.0], [0.0], mode="typo")
     with pytest.raises(InvalidCycle):
         landscape_scan(4, [0.0], [0.0])
+    # Shot counts, the theta range and finite angles are checked at the call,
+    # in both modes, before any cell is computed.
+    for shots in (0, -5):
+        with pytest.raises(ValueError):
+            landscape_scan(5, [0.0], [0.0], mode="circuit", shots=shots)
+    for mode in ("analytic", "circuit"):
+        for thetas in ([200.0, 300.0], [-1e-9], [90.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                landscape_scan(5, thetas, [0.0], mode=mode, shots=100)
+        with pytest.raises(ValueError):
+            landscape_scan(5, [90.0], [0.0, math.nan], mode=mode, shots=100)
+    assert len(landscape_scan(5, [0.0, 180.0], [-720.0, 720.0])) == 4
+
+
+def _spy_on_margins(monkeypatch):
+    """Record the cell count of every state1_margins call the landscape makes."""
+    sizes = []
+    kernel = experiments.analytic.state1_margins
+
+    def spy(theta, phi, n):
+        chsh, kcbs = kernel(theta, phi, n)
+        sizes.append(np.size(chsh))
+        return chsh, kcbs
+
+    monkeypatch.setattr(experiments.analytic, "state1_margins", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("block, thetas, phis", [
+    (experiments.BLOCK_CELLS, np.linspace(0, 180, 97), np.linspace(0, 360, 1001)),
+    (7, np.linspace(0, 180, 5), np.linspace(-30, 330, 16)),
+    (7, np.linspace(0, 180, 9), np.linspace(0, 360, 3)),
+    (7, np.array([45.0]), np.array([0.0])),
+])
+def test_landscape_blocks_are_bounded_and_match_full_grid(monkeypatch, block, thetas, phis):
+    monkeypatch.setattr(experiments, "BLOCK_CELLS", block)
+    sizes = _spy_on_margins(monkeypatch)
+    table = landscape_scan(5, thetas, phis, mode="analytic")
+    assert sizes == []  # nothing is computed before the table is iterated
+    columns = table.columns()
+    assert sizes and max(sizes) <= block
+    assert sum(sizes) == len(table) == thetas.size * phis.size
+    assert all(len(b[0]) <= block for b in table.blocks())
+
+    chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], 5)
+    assert np.array_equal(columns["theta_deg"], np.repeat(thetas, phis.size))
+    assert np.array_equal(columns["phi_deg"], np.tile(phis, thetas.size))
+    assert np.array_equal(columns["chsh_margin"], chsh.ravel())
+    assert np.array_equal(columns["kcbs_margin"], kcbs.ravel())
 
 
 def _propagated_margin_stddev(n, theta, phi, shots):
@@ -89,24 +149,39 @@ def test_landscape_circuit_mode_agrees_with_analytic():
     shots = 40_000
     noisy = landscape_scan(5, thetas, phis, mode="circuit", shots=shots, seed=4)
     clean = landscape_scan(5, thetas, phis, mode="analytic")
-    for got, want in zip(noisy, clean):
+    assert noisy.mode == "circuit"
+    assert noisy.shots == shots
+    for got, want in zip(_cells(noisy), _cells(clean), strict=True):
         chsh_sd, kcbs_sd = _propagated_margin_stddev(
-            5, math.radians(got.theta_deg), math.radians(got.phi_deg), shots)
-        assert abs(got.chsh_margin - want.chsh_margin) <= 5 * chsh_sd
-        assert abs(got.kcbs_margin - want.kcbs_margin) <= 5 * kcbs_sd
-        assert got.mode == "circuit"
-        assert got.shots == shots
-        assert got.seed is not None
+            5, math.radians(got["theta_deg"]), math.radians(got["phi_deg"]), shots)
+        assert abs(got["chsh_margin"] - want["chsh_margin"]) <= 5 * chsh_sd
+        assert abs(got["kcbs_margin"] - want["kcbs_margin"]) <= 5 * kcbs_sd
+        assert got["seed"] is not None
+
+
+def _same_columns(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
 
 def test_landscape_circuit_mode_is_deterministic():
-    first = landscape_scan(5, [30.0], [0.0, 180.0], mode="circuit", shots=2000, seed=9)
-    second = landscape_scan(5, [30.0], [0.0, 180.0], mode="circuit", shots=2000, seed=9)
-    assert first == second
+    first = landscape_scan(5, [30.0], [0.0, 180.0], mode="circuit", shots=2000, seed=9).columns()
+    second = landscape_scan(5, [30.0], [0.0, 180.0], mode="circuit", shots=2000, seed=9).columns()
+    assert _same_columns(first, second)
     shifted = landscape_scan(5, [30.0], [0.0, 180.0], mode="circuit", shots=2000, seed=10)
-    assert shifted != first
+    assert not _same_columns(shifted.columns(), first)
     # Distinct cells get distinct derived seeds.
-    assert first[0].seed != first[1].seed
+    assert first["seed"][0] != first["seed"][1]
+
+
+def test_landscape_circuit_seeds_follow_the_cell_index(monkeypatch):
+    # Seeds depend on (master seed, cell index) only, not on how cells are blocked.
+    whole = landscape_scan(5, [30.0, 60.0], [0.0, 90.0, 180.0], mode="circuit",
+                           shots=200, seed=3).columns()
+    monkeypatch.setattr(experiments, "BLOCK_CELLS", 2)
+    split = landscape_scan(5, [30.0, 60.0], [0.0, 90.0, 180.0], mode="circuit",
+                           shots=200, seed=3).columns()
+    assert _same_columns(whole, split)
+    assert whole["seed"].tolist() == [experiments._cell_seed(3, cell) for cell in range(6)]
 
 
 @pytest.mark.parametrize("n", sorted(TABLE_POINTS))
@@ -175,17 +250,17 @@ def test_overlap_ordering_peaks_at_nine():
 def test_phi_symmetry_of_landscape():
     thetas = np.linspace(0, 180, 13)
     phis = np.linspace(0, 360, 25)
-    records = landscape_scan(5, thetas, phis, mode="analytic")
+    records = _cells(landscape_scan(5, thetas, phis, mode="analytic"))
     grid = {}
     for r in records:
-        grid[(round(r.theta_deg, 6), round(r.phi_deg, 6))] = r
+        grid[(round(r["theta_deg"], 6), round(r["phi_deg"], 6))] = r
     for r in records:
-        mirrored = grid[(round(r.theta_deg, 6), round(360.0 - r.phi_deg, 6))]
-        assert r.chsh_margin == pytest.approx(mirrored.chsh_margin, abs=1e-12)
-        shifted_phi = (r.phi_deg + 180.0) % 360.0
-        partner = grid.get((round(r.theta_deg, 6), round(shifted_phi, 6)))
+        mirrored = grid[(round(r["theta_deg"], 6), round(360.0 - r["phi_deg"], 6))]
+        assert r["chsh_margin"] == pytest.approx(mirrored["chsh_margin"], abs=1e-12)
+        shifted_phi = (r["phi_deg"] + 180.0) % 360.0
+        partner = grid.get((round(r["theta_deg"], 6), round(shifted_phi, 6)))
         if partner is not None:
-            assert r.chsh_margin == pytest.approx(partner.chsh_margin, abs=1e-12)
+            assert r["chsh_margin"] == pytest.approx(partner["chsh_margin"], abs=1e-12)
 
 
 def test_validation_suite_passes(capsys):

@@ -43,24 +43,68 @@ def test_format_float_nine_significant_digits():
 
 def test_write_csv_cells_and_metadata(tmp_path):
     path = tmp_path / "table.csv"
-    serialize.write_csv(str(path), ["a", "b", "c"],
-                        [[5, 0.123456789012, ""], [3194799977, None, "text"]],
+    table = serialize.Columns((int, float, None, "text"),
+                              (np.array([5, 3194799977]), [0.123456789012, 2.5]))
+    serialize.write_csv(str(path), ["a", "b", "c", "d"], table,
                         metadata={"key": "value"}, timestamp=False)
     header, rows, metadata = serialize.read_csv(str(path))
-    assert header == ["a", "b", "c"]
-    assert rows[0] == ["5", "0.123456789", ""]
+    assert header == ["a", "b", "c", "d"]
+    assert rows[0] == ["5", "0.123456789", "", "text"]
     # Integers are written verbatim, never in scientific notation.
     assert rows[1][0] == "3194799977"
-    assert rows[1][1] == ""
+    assert rows[1][2] == ""
     assert metadata == {"key": "value"}
     assert "timestamp" not in path.read_text()
 
 
+class _Table:
+    """A column table that yields the given blocks, then raises ``error`` if one is given."""
+
+    def __init__(self, kinds, length, blocks, error=None):
+        self.kinds, self.length, self._blocks, self._error = kinds, length, blocks, error
+
+    def __len__(self):
+        return self.length
+
+    def blocks(self):
+        yield from self._blocks
+        if self._error is not None:
+            raise self._error
+
+
+def test_write_csv_formats_like_format_float_across_blocks(tmp_path):
+    values = [0.1, -2.4721359549995794, 1e-300, 12345678912.0, -0.0, float("nan"), 7.0]
+    index = list(range(len(values)))
+    blocks = [(np.array(values[:3]), index[:3]), (values[3:6], np.array(index[3:6])),
+              (values[6:], index[6:])]
+    path = tmp_path / "table.csv"
+    serialize.write_csv(str(path), ["x", "i", "tag"], _Table((float, int, "m%d"), 7, blocks),
+                        timestamp=False)
+    _, rows, _ = serialize.read_csv(str(path))
+    assert rows == [[serialize.format_float(v), str(i), "m%d"] for i, v in enumerate(values)]
+
+
 def test_write_is_atomic(tmp_path):
     path = tmp_path / "out.csv"
-    serialize.write_csv(str(path), ["x"], [[1.0]], timestamp=True)
+    serialize.write_csv(str(path), ["x"], serialize.Columns((float,), ([1.0],)), timestamp=True)
     assert path.exists()
     leftovers = [name for name in os.listdir(tmp_path) if name != "out.csv"]
     assert leftovers == []
     _, _, metadata = serialize.read_csv(str(path))
     assert "timestamp" in metadata
+
+
+def test_failed_or_short_table_leaves_no_file(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError):
+        serialize.write_csv(str(path), ["x"], _Table(
+            (float,), 3, [([1.0],), ([2.0],)], RuntimeError("third block failed")))
+    with pytest.raises(ValueError):
+        serialize.write_csv(str(path), ["x"], _Table((float,), 3, [([1.0, 2.0],)]))
+    # Columns of different lengths, or more kinds than header fields, are refused.
+    with pytest.raises(ValueError):
+        serialize.write_csv(str(path), ["x", "y"],
+                            serialize.Columns((float, float), ([1.0, 2.0], [3.0])))
+    with pytest.raises(ValueError):
+        serialize.write_csv(str(path), ["x"], serialize.Columns((float, float), ([1.0], [2.0])))
+    assert os.listdir(tmp_path) == []
