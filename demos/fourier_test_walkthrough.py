@@ -30,13 +30,14 @@ overlap = abs(sum(a.conjugate() * b for a, b in
 print(f"preparation fidelity: {overlap:.15f}")
 
 # ------------------------------------------------------------------
-# 2. One CHSH correlator through the ancilla: the three estimator
-#    readouts all equal the direct expectation in exact mode.
+# 2. One CHSH correlator through the ancilla, read from the prepared
+#    state: the three estimator readouts all equal the direct
+#    expectation in exact mode.
 # ------------------------------------------------------------------
 co = chsh_coefficients(target, 5)
 alice = alice_rotation(co.omega0)
 bob = bm_bm1_closed_form(5)
-report = run_hybrid_protocol(theta, phi, alice, bob)
+report = run_hybrid_protocol(circuit_state, alice, bob)
 direct = expectation(target, tensor(alice.matrix, bob.matrix))
 print(f"\nancilla probabilities: P0 = {report.p0:.6f}, "
       f"P1 = {report.p1:.6f}, P2 = {report.p2:.6f}")

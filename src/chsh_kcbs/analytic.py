@@ -81,25 +81,14 @@ def chsh_coefficients(state, n: int) -> ChshCoefficients:
     the minimizing branch whenever x_i < 0.  A branch with x_i = y_i = 0
     contributes nothing and gets angle 0 by convention.
     """
-    geo = cycle_geometry(n)
-    amps = state_vector(state, dim=6, require_normalized=True)
-    c00, c01, c02, c10, c11, c12 = amps
-
-    q0 = (abs(c00) ** 2 - abs(c10) ** 2 - abs(c02) ** 2 + abs(c12) ** 2).real
-    q1 = (abs(c01) ** 2 - abs(c11) ** 2).real
-    r1 = (np.conj(c00) * c02 - np.conj(c10) * c12).real
-    r2 = (np.conj(c10) * c00 - np.conj(c12) * c02).real
-    r3 = (np.conj(c12) * c00 + np.conj(c02) * c10).real
-    r4 = (np.conj(c11) * c01).real
-
-    c = geo.c
-    s_plus, s_minus = _geometry_weights(geo)
+    d = decompose(state, n)
+    c = cycle_geometry(n).c
     coh_scale = 2.0 * math.sqrt(c) / (1 + c)
 
-    x0 = -2.0 * c / (1 + c) * q0 + 2.0 * q1 + coh_scale * r1 * s_minus
-    y0 = -4.0 * c / (1 + c) * r2 + 4.0 * r4 + coh_scale * r3 * s_minus
-    x2 = (2.0 - 4.0 * c) / (1 + c) * q0 + coh_scale * r1 * s_plus
-    y2 = 2.0 * (2.0 - 4.0 * c) / (1 + c) * r2 + coh_scale * r3 * s_plus
+    x0 = -2.0 * c / (1 + c) * d.q0 + 2.0 * d.q1 + coh_scale * d.r1 * d.s_minus
+    y0 = -4.0 * c / (1 + c) * d.r2 + 4.0 * d.r4 + coh_scale * d.r3 * d.s_minus
+    x2 = (2.0 - 4.0 * c) / (1 + c) * d.q0 + coh_scale * d.r1 * d.s_plus
+    y2 = 2.0 * (2.0 - 4.0 * c) / (1 + c) * d.r2 + coh_scale * d.r3 * d.s_plus
 
     return ChshCoefficients(
         x0=x0, y0=y0, x2=x2, y2=y2,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -67,15 +68,33 @@ def cycle_range(text: str) -> list[int]:
     raise argparse.ArgumentTypeError(f"expected N or start:stop:step, got {text!r}")
 
 
-def positive_int(text: str) -> int:
-    """Parse a shot count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _checked(parse, ok, requirement: str):
+    """An argparse type: ``parse`` the text, then refuse a value that fails ``ok``."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return convert
+
+
+positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+finite_float = _checked(float, math.isfinite, "finite")
+
+
+def bob_selector(text: str) -> str:
+    """Check that ``pair:J`` has an integer J; names and J's range are checked per cycle."""
+    if text.startswith("pair:") and not re.fullmatch(r"pair:[+-]?\d+", text):
+        raise argparse.ArgumentTypeError(f"pair:J needs an integer J, got {text!r}")
+    return text
+
+
+# The flag types that yield a list, with the check each entry of a config-file list passes.
+_LIST_ENTRY_OK = {angle_grid: lambda v: type(v) in (int, float) and math.isfinite(v),
+                  cycle_range: lambda v: type(v) is int}
 
 
 def build_parser():
@@ -137,11 +156,12 @@ def build_parser():
     sub = command("fourier-test", requires=("n", "theta", "phi", "alice", "bob", "out"),
                   help="run one Fourier-test correlator on the minimal state")
     sub.add_argument("--n", type=int, help="odd cycle size >= 5")
-    sub.add_argument("--theta", type=float, help="theta in degrees")
-    sub.add_argument("--phi", type=float, help="phi in degrees")
+    sub.add_argument("--theta", type=finite_float, help="theta in degrees")
+    sub.add_argument("--phi", type=finite_float, help="phi in degrees")
     sub.add_argument("--alice", choices=("w0", "w2", "id"),
                      help="Alice setting: optimal R(omega0), optimal R(omega2), or identity")
-    sub.add_argument("--bob", help="Bob observable: b0, bmbm1, or pair:J for B_J B_J+1")
+    sub.add_argument("--bob", type=bob_selector,
+                     help="Bob observable: b0, bmbm1, or pair:J for B_J B_J+1")
     sub.add_argument("--shots", type=positive_int, default=None, help="sample this many shots")
     sub.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub.add_argument("--out", help="output JSON path")
@@ -166,13 +186,19 @@ def _apply_config(args, parser, sub, argv):
         action = actions.get(dest)
         if action is None or dest in ("help", "config"):
             sub.error(f"config key {key!r} is not a flag of this command")
-        if isinstance(value, list) and not value:
-            sub.error(f"config key {key!r} is an empty list")
-        try:
-            if action.type is not None and not isinstance(value, (list, np.ndarray)):
+        if isinstance(value, list):
+            entry_ok = _LIST_ENTRY_OK.get(action.type)
+            if entry_ok is None:
+                sub.error(f"config key {key!r} does not take a list")
+            if not value:
+                sub.error(f"config key {key!r} is an empty list")
+            if not all(map(entry_ok, value)):
+                sub.error(f"config key {key!r} holds an invalid list entry")
+        elif action.type is not None:
+            try:
                 value = action.type(str(value))
-        except (argparse.ArgumentTypeError, ValueError) as exc:
-            sub.error(f"config key {key!r}: {exc}")
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                sub.error(f"config key {key!r}: {exc}")
         if action.choices is not None and value not in action.choices:
             sub.error(f"config key {key!r} must be one of {tuple(action.choices)}")
         sub.set_defaults(**{dest: value})
@@ -282,7 +308,7 @@ def _run_fourier_test(args) -> int:
              "id": observables.Observable(np.eye(2), "I")}[args.alice]
     bob = _bob_observable(args.n, args.bob)
 
-    report = circuits.run_hybrid_protocol(theta, phi, alice, bob)
+    report = circuits.run_hybrid_protocol(circuits.prepare_state1(theta, phi), alice, bob)
     if args.shots:
         report = circuits.sample_shots(report, args.shots, args.seed)
 

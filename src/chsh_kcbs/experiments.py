@@ -62,8 +62,8 @@ def _cell_seed(master_seed: int, cell_index: int) -> int:
     return int(np.random.SeedSequence((int(master_seed), int(cell_index))).generate_state(1)[0])
 
 
-def _sampled_estimate(theta, phi, alice_op, bob_op, shots, cell_seed, term_index) -> float:
-    report = circuits.run_hybrid_protocol(theta, phi, alice_op, bob_op)
+def _sampled_estimate(state, alice_op, bob_op, shots, cell_seed, term_index) -> float:
+    report = circuits.run_hybrid_protocol(state, alice_op, bob_op)
     term_seed = int(np.random.SeedSequence((cell_seed, int(term_index))).generate_state(1)[0])
     return circuits.sample_shots(report, shots, term_seed).estimator_combined
 
@@ -71,27 +71,29 @@ def _sampled_estimate(theta, phi, alice_op, bob_op, shots, cell_seed, term_index
 def _circuit_margins(n, theta, phi, shots, cell_seed) -> tuple[float, float]:
     """Both margins of one cell from sampled Fourier tests.
 
-    CHSH uses the four correlators at the analytic optimal angles; KCBS
-    uses the n adjacent products with the cycle's minus sign on the
-    wraparound term.  Term seeds derive from the cell seed.
+    The state is prepared once by circuit and every correlator is read
+    from it.  CHSH uses the four correlators at the analytic optimal
+    angles; KCBS uses the n adjacent products with the cycle's minus
+    sign on the wraparound term.  Term seeds derive from the cell seed.
     """
-    co = analytic.chsh_coefficients(circuits.prepare_state1(theta, phi), n)
+    state = circuits.prepare_state1(theta, phi)
+    co = analytic.chsh_coefficients(state, n)
     r0 = observables.alice_rotation(co.omega0)
     r2 = observables.alice_rotation(co.omega2)
     b0 = observables.b0_closed_form(n)
     bm = observables.bm_bm1_closed_form(n)
 
-    chsh_sum = (_sampled_estimate(theta, phi, r2, bm, shots, cell_seed, 0)
-                + _sampled_estimate(theta, phi, r2, b0, shots, cell_seed, 1)
-                + _sampled_estimate(theta, phi, r0, bm, shots, cell_seed, 2)
-                - _sampled_estimate(theta, phi, r0, b0, shots, cell_seed, 3))
+    chsh_sum = (_sampled_estimate(state, r2, bm, shots, cell_seed, 0)
+                + _sampled_estimate(state, r2, b0, shots, cell_seed, 1)
+                + _sampled_estimate(state, r0, bm, shots, cell_seed, 2)
+                - _sampled_estimate(state, r0, b0, shots, cell_seed, 3))
 
     eye2 = np.eye(2)
     kcbs_sum = 0.0
     for j in range(n):
         sign = -1.0 if j == n - 1 else 1.0
         pair = observables.kcbs_pair(n, j)
-        kcbs_sum += sign * _sampled_estimate(theta, phi, eye2, pair, shots, cell_seed, 4 + j)
+        kcbs_sum += sign * _sampled_estimate(state, eye2, pair, shots, cell_seed, 4 + j)
     return chsh_sum - 2.0, kcbs_sum - (n - 2.0)
 
 
@@ -359,8 +361,7 @@ def run_validation(report=print) -> bool:
     worst = 0.0
     for n in (5, 7):
         geo = observables.cycle_geometry(n)
-        s_plus = 4 * (-1) ** geo.m * geo.s2 + 2
-        s_minus = s_plus - 4
+        s_plus, s_minus = analytic._geometry_weights(geo)
         for theta in (0.3, 1.1, 2.4):
             for phi in (0.0, math.pi / 3):
                 co = analytic.chsh_coefficients(analytic.state1(theta, phi), n)
@@ -383,14 +384,16 @@ def run_validation(report=print) -> bool:
         alice = observables.alice_rotation(float(rng.choice((co.omega0, co.omega2, 0.0))))
         bob = (observables.b0_closed_form(n) if rng.uniform() < 0.5
                else observables.bm_bm1_closed_form(n))
-        report_exact = circuits.run_hybrid_protocol(theta, phi, alice, bob)
+        report_exact = circuits.run_hybrid_protocol(circuits.prepare_state1(theta, phi),
+                                                    alice, bob)
         direct = expectation(psi, tensor(alice.matrix, bob.matrix))
         worst = max(worst, abs(report_exact.estimator_combined - direct),
                     abs(report_exact.p1 - report_exact.p2))
     add("Fourier test matches analytic correlators <= 1e-10", worst <= 1e-10, f"max gap = {worst:.2e}")
 
     # Sampling determinism.
-    base = circuits.run_hybrid_protocol(0.9, 0.4, observables.alice_rotation(0.3),
+    base = circuits.run_hybrid_protocol(circuits.prepare_state1(0.9, 0.4),
+                                        observables.alice_rotation(0.3),
                                         observables.b0_closed_form(5))
     sample_a = circuits.sample_shots(base, 5000, 11)
     sample_b = circuits.sample_shots(base, 5000, 11)

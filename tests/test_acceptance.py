@@ -24,6 +24,7 @@ from chsh_kcbs import (
     kcbs_value,
     landscape_scan,
     p2_threshold,
+    prepare_state1,
     run_hybrid_protocol,
     sample_shots,
     serialize,
@@ -156,13 +157,13 @@ def test_criterion_5_circuit_analytic_equivalence():
             bob = bm_bm1_closed_form(n)
         else:
             bob = kcbs_pair(n, int(rng.integers(0, n)))
-        exact = run_hybrid_protocol(theta, phi, alice, bob)
+        exact = run_hybrid_protocol(prepare_state1(theta, phi), alice, bob)
         direct = expectation(psi, tensor(alice.matrix, bob.matrix))
         worst = max(worst, abs(exact.estimator_combined - direct))
     exact_ok = worst <= 1e-10
 
     theta = math.radians(49.605)
-    config = run_hybrid_protocol(theta, 0.0, alice_rotation(
+    config = run_hybrid_protocol(prepare_state1(theta, 0.0), alice_rotation(
         chsh_coefficients(state1(theta, 0.0), 5).omega0), bm_bm1_closed_form(5))
     shots = 100_000
     sigma = estimator_stddev(config, shots)

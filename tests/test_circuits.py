@@ -206,6 +206,14 @@ def test_fourier_probabilities_validation():
         fourier_test_probabilities(np.eye(2), np.array([1.0, 1.0]))
 
 
+def test_fourier_test_checks_the_operator_before_the_state():
+    # A non-unitary U is reported even when the state is bad as well.
+    with pytest.raises(NotUnitary):
+        fourier_test_probabilities(np.diag([1.0, 0.0]), np.array([1.0, 1.0]))
+    with pytest.raises(NotHermitian):
+        fourier_test_probabilities(np.array([[0, 1], [0, 0]], dtype=complex), np.ones(3))
+
+
 def test_fourier_estimators_agree_in_exact_mode():
     rng = np.random.default_rng(12)
     for _ in range(10):
@@ -239,17 +247,45 @@ def test_hybrid_protocol_matches_analytic_correlators():
             bob = bm_bm1_closed_form(n)
         else:
             bob = kcbs_pair(n, int(rng.integers(0, n)))
-        report = run_hybrid_protocol(theta, phi, alice, bob)
+        report = run_hybrid_protocol(prepare_state1(theta, phi), alice, bob)
         direct = expectation(psi, tensor(alice.matrix, bob.matrix))
         assert report.estimator_combined == pytest.approx(direct, abs=1e-10)
         assert report.p1 == pytest.approx(report.p2, abs=1e-12)
+
+
+def test_hybrid_protocol_matches_three_register_circuit():
+    # The protocol as one circuit on (ancilla, alice, bob): the three
+    # preparation gates on Alice's register, then F3, C-U^a and F3^dag on
+    # the ancilla, with run_circuit's dead-level guard watching Alice.
+    # Preparing once and Fourier-testing the prepared state gives the
+    # same ancilla probabilities to the bit.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.choice([5, 7, 9]))
+        theta = float(rng.uniform(0, math.pi))
+        phi = float(rng.uniform(0, 2 * math.pi))
+        alice = (alice_rotation(float(rng.uniform(0, 2 * math.pi))) if rng.uniform() < 0.75
+                 else np.eye(2))
+        bob = (b0_closed_form(n), bm_bm1_closed_form(n),
+               kcbs_pair(n, int(rng.integers(0, n))))[int(rng.integers(0, 3))]
+        a2 = alice.matrix if hasattr(alice, "matrix") else alice
+        ops = (GateOp("R01y", rotation((0, 1), "y", math.pi - theta), 1),
+               GateOp("D(phi,0)", phase_gate(phi, 0.0), 1),
+               GateOp("CX02", controlled_power(x02()), 1),
+               GateOp("F3", f3(), 0),
+               GateOp("C-U^a", controlled_power(tensor(embed_alice(a2), bob.matrix)), 0),
+               GateOp("F3_inv", f3().conj().T, 0))
+        final = run_circuit(CircuitSpec(("ancilla", "alice", "bob"), ops))
+        expected = [float(np.sum(np.abs(final[a * 9:(a + 1) * 9]) ** 2)) for a in range(3)]
+        report = run_hybrid_protocol(prepare_state1(theta, phi), alice, bob)
+        assert [report.p0, report.p1, report.p2] == expected
 
 
 def test_identity_alice_setting():
     theta, phi, n = 1.1, 0.7, 5
     psi = state1(theta, phi)
     bob = kcbs_pair(n, 2)
-    report = run_hybrid_protocol(theta, phi, np.eye(2), bob)
+    report = run_hybrid_protocol(prepare_state1(theta, phi), np.eye(2), bob)
     direct = expectation(psi, tensor(np.eye(2), bob.matrix))
     assert report.estimator_combined == pytest.approx(direct, abs=1e-10)
 
@@ -280,7 +316,7 @@ def test_sample_shots_degenerate_and_reproducible():
     assert sampled.shots == 1
     assert sampled.seed == 123
 
-    report = run_hybrid_protocol(0.9, 0.4, alice_rotation(0.3), b0_closed_form(5))
+    report = run_hybrid_protocol(prepare_state1(0.9, 0.4), alice_rotation(0.3), b0_closed_form(5))
     first = sample_shots(report, 4096, 7)
     second = sample_shots(report, 4096, 7)
     assert first.counts == second.counts

@@ -253,6 +253,59 @@ def test_fourier_test_rejects_unknown_bob(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fourier_test_pair_index_must_be_an_integer(tmp_path, capsys):
+    out = tmp_path / "fourier.json"
+    args = ("fourier-test", "--n", "5", "--theta", "90", "--phi", "0", "--alice", "id")
+    assert run_cli(*args, "--bob", "pair:x", "--out", str(out)) == cli.EXIT_USAGE
+    assert "integer J" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bob": "pair:x"}))
+    assert run_cli(*args, "--config", str(config), "--out", str(out)) == cli.EXIT_USAGE
+    assert "integer J" in capsys.readouterr().err
+    # An integer J outside the cycle stays a domain error.
+    assert run_cli(*args, "--bob", "pair:5", "--out", str(out)) == cli.EXIT_DOMAIN
+    assert "pair index" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--phi"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fourier_test_rejects_non_finite_angles(tmp_path, capsys, flag, value):
+    out = tmp_path / "fourier.json"
+    angles = {"--theta": "90", "--phi": "0", flag: value}
+    assert run_cli("fourier-test", "--n", "5", *(f"{k}={v}" for k, v in angles.items()),
+                   "--alice", "w0", "--bob", "b0", "--out", str(out)) == cli.EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["shots", "seed"])
+def test_config_list_is_a_usage_error_for_scalar_flags(tmp_path, capsys, key):
+    out = tmp_path / "fourier.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: [0]}))
+    assert run_cli("fourier-test", "--config", str(config), "--n", "5", "--theta", "90",
+                   "--phi", "0", "--alice", "id", "--bob", "b0",
+                   "--out", str(out)) == cli.EXIT_USAGE
+    assert "does not take a list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_lists_for_grid_flags(tmp_path, capsys):
+    out = tmp_path / "landscape.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"theta": [30, 60], "phi": [0]}))
+    assert run_cli("landscape", "--config", str(config), "--n", "5", "--out", str(out)) == 0
+    _, rows, _ = serialize.read_csv(str(out))
+    assert [(float(r[1]), float(r[2])) for r in rows] == [(30.0, 0.0), (60.0, 0.0)]
+    out.unlink()
+    config.write_text(json.dumps({"theta": [30, "60"], "phi": [0]}))
+    assert run_cli("landscape", "--config", str(config), "--n", "5",
+                   "--out", str(out)) == cli.EXIT_USAGE
+    assert "invalid list entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_leaves_no_partial_file(tmp_path, capsys):
     missing_dir = tmp_path / "not-here" / "out.csv"
     code = run_cli("coexist", "--n", "5:5:1", "--out", str(missing_dir))

@@ -12,6 +12,7 @@ from chsh_kcbs import (
     coexistence_point,
     estimator_stddev,
     landscape_scan,
+    prepare_state1,
     run_hybrid_protocol,
     run_validation,
     scaling_study,
@@ -134,13 +135,36 @@ def _propagated_margin_stddev(n, theta, phi, shots):
     chsh_var = 0.0
     for alice, bob in ((co.omega2, bm_bm1_closed_form(n)), (co.omega2, b0_closed_form(n)),
                        (co.omega0, bm_bm1_closed_form(n)), (co.omega0, b0_closed_form(n))):
-        exact = run_hybrid_protocol(theta, phi, alice_rotation(alice), bob)
+        exact = run_hybrid_protocol(prepare_state1(theta, phi), alice_rotation(alice), bob)
         chsh_var += estimator_stddev(exact, shots) ** 2
     kcbs_var = 0.0
     for j in range(n):
-        exact = run_hybrid_protocol(theta, phi, np.eye(2), kcbs_pair(n, j))
+        exact = run_hybrid_protocol(prepare_state1(theta, phi), np.eye(2), kcbs_pair(n, j))
         kcbs_var += estimator_stddev(exact, shots) ** 2
     return math.sqrt(chsh_var), math.sqrt(kcbs_var)
+
+
+def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
+    # One circuit preparation per cell; all n + 4 correlators of the cell
+    # are Fourier tests on that one prepared state.
+    n, thetas, phis = 5, [30.0, 60.0, 90.0], [0.0, 45.0]
+    prepared, measured = [], []
+    prepare, protocol = experiments.circuits.prepare_state1, experiments.circuits.run_hybrid_protocol
+
+    def prepare_spy(theta, phi):
+        prepared.append(prepare(theta, phi))
+        return prepared[-1]
+
+    def protocol_spy(state, alice_op, bob_op):
+        measured.append(id(state))
+        return protocol(state, alice_op, bob_op)
+
+    monkeypatch.setattr(experiments.circuits, "prepare_state1", prepare_spy)
+    monkeypatch.setattr(experiments.circuits, "run_hybrid_protocol", protocol_spy)
+    table = landscape_scan(n, thetas, phis, mode="circuit", shots=100, seed=3)
+    table.columns()
+    assert len(prepared) == len(table) == len(thetas) * len(phis)
+    assert measured == [id(state) for state in prepared for _ in range(n + 4)]
 
 
 def test_landscape_circuit_mode_agrees_with_analytic():
