@@ -54,11 +54,8 @@ from .errors import (
     NotUnitary,
 )
 from .experiments import (
-    CoexistenceRecord,
     LandscapeTable,
-    ScalingRecord,
-    ScalingStudy,
-    coexistence_point,
+    coexistence_points,
     landscape_scan,
     run_validation,
     scaling_study,

@@ -137,25 +137,30 @@ def state1(theta: float, phi: float) -> JointState:
     return JointState(amps)
 
 
-def state1_margins(theta, phi, n: int):
+def state1_margins(theta, phi, n):
     """Closed-form violation margins of the minimal state family.
 
-    Returns ``(chsh_margin, kcbs_margin)``; both arguments broadcast, so
-    grids of angles evaluate in one call.  The CHSH margin grows with the
-    interference weight sin^2(theta) cos^2(phi); the KCBS margin depends
-    on theta only, through the population cos^2(theta/2).
+    Returns ``(chsh_margin, kcbs_margin)``.  The angles and the cycle
+    size ``n`` all broadcast, so a grid of angles at one size, or one
+    angle per size over an array of sizes, evaluates in one call; each
+    size takes its constants from :func:`cycle_geometry`.  The CHSH
+    margin grows with the interference weight sin^2(theta) cos^2(phi);
+    the KCBS margin depends on theta only, through the population
+    cos^2(theta/2).
     """
-    geo = cycle_geometry(n)
-    c = geo.c
-    s_plus, s_minus = _geometry_weights(geo)
+    sizes = np.asarray(n)
+    constants = [(geo.n, geo.c, *_geometry_weights(geo))
+                 for geo in map(cycle_geometry, sizes.ravel().tolist())]
+    n_values, c, s_plus, s_minus = np.array(constants, dtype=float).T.reshape(
+        (4,) + sizes.shape)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
 
     interference = c * np.sin(theta) ** 2 * np.cos(phi) ** 2
     chsh = (np.sqrt(4 * c**2 + interference * s_minus**2)
             + np.sqrt((2 - 4 * c) ** 2 + interference * s_plus**2)) / (1 + c) - 2.0
-    kcbs = geo.n / (1 + c) * ((4 * c - 2) * np.cos(theta / 2) ** 2 - 2 * c) + 2.0
-    kcbs = np.broadcast_to(kcbs, np.broadcast_shapes(theta.shape, phi.shape)).copy()
+    kcbs = n_values / (1 + c) * ((4 * c - 2) * np.cos(theta / 2) ** 2 - 2 * c) + 2.0
+    kcbs = np.broadcast_to(kcbs, chsh.shape).copy()
     if chsh.ndim == 0:
         return float(chsh), float(kcbs)
     return chsh, kcbs

@@ -194,6 +194,8 @@ def _apply_config(args, parser, sub, argv):
                 sub.error(f"config key {key!r} is an empty list")
             if not all(map(entry_ok, value)):
                 sub.error(f"config key {key!r} holds an invalid list entry")
+            if action.type is angle_grid:
+                value = [float(v) for v in value]
         elif action.type is not None:
             try:
                 value = action.type(str(value))
@@ -206,16 +208,24 @@ def _apply_config(args, parser, sub, argv):
 
 
 def _effective_config(args, skip=("config", "no_timestamp", "out")) -> dict:
+    """The parsed flags as text that reads back as the same values."""
     config = {"command": args.command}
     for key, value in sorted(vars(args).items()):
         if key in skip or key == "command":
             continue
-        if isinstance(value, np.ndarray):
-            value = f"{value[0]:g}:{value[-1]:g}:{value.size}"
-        elif isinstance(value, list):
-            value = _compact_range(value)
+        if isinstance(value, np.ndarray):  # an angle grid
+            value = f"{_echo_float(value[0])}:{_echo_float(value[-1])}:{value.size}"
+        elif isinstance(value, list):  # cycle sizes (int) or a config-file angle list (float)
+            value = (_compact_range(value) if type(value[0]) is int
+                     else ",".join(map(_echo_float, value)))
         config[key] = "" if value is None else value
     return config
+
+
+def _echo_float(value) -> str:
+    """The short ``:g`` text where it reads back as the same float, else the full repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
 
 
 def _compact_range(values: list) -> str:
@@ -268,37 +278,32 @@ def _run_landscape(args) -> int:
     return EXIT_OK
 
 
-def _record_columns(records, header) -> serialize.Columns:
-    """The records' fields named by the header: n as integers, the rest as floats."""
-    return serialize.Columns((int,) + (float,) * (len(header) - 1),
-                             tuple([getattr(r, name) for r in records] for name in header))
+def _write_columns(args, header, columns, metadata):
+    """Write the named columns: n as integers, the rest as floats."""
+    serialize.write_csv(args.out, header,
+                        serialize.Columns((int,) + (float,) * (len(header) - 1),
+                                          tuple(columns[name] for name in header)),
+                        metadata=metadata, timestamp=not args.no_timestamp)
 
 
 def _run_coexist(args) -> int:
-    header = ["n", "theta_opt_deg", "overlap", "residual"]
-    records = [experiments.coexistence_point(n) for n in args.n]
-    serialize.write_csv(args.out, header, _record_columns(records, header),
-                        metadata=_effective_config(args), timestamp=not args.no_timestamp)
+    _write_columns(args, ["n", "theta_opt_deg", "overlap", "residual"],
+                   experiments.coexistence_points(args.n), _effective_config(args))
     return EXIT_OK
 
 
 def _run_scaling(args) -> int:
-    for n in args.n:
-        observables.cycle_geometry(n)
-    study = experiments.scaling_study(min(args.n), max(args.n))
-    wanted = set(args.n)
-    header = ["n", "theta_opt_deg", "overlap", "residual",
-              "psi_n_kcbs_margin", "psi_n_chsh_margin", "asym_kcbs", "asym_chsh"]
-    records = [r for r in study.records if r.n in wanted]
+    columns, slope = experiments.scaling_study(args.n)
     metadata = _effective_config(args)
-    if study.loglog_slope is not None:
-        metadata["loglog_slope"] = serialize.format_float(study.loglog_slope)
-    serialize.write_csv(args.out, header, _record_columns(records, header), metadata=metadata,
-                        timestamp=not args.no_timestamp)
+    if slope is not None:
+        metadata["loglog_slope"] = serialize.format_float(slope)
+    _write_columns(args, ["n", "theta_opt_deg", "overlap", "residual", "psi_n_kcbs_margin",
+                          "psi_n_chsh_margin", "asym_kcbs", "asym_chsh"], columns, metadata)
     return EXIT_OK
 
 
 def _run_fourier_test(args) -> int:
+    experiments.check_theta_deg(args.theta)
     theta = math.radians(args.theta)
     phi = math.radians(args.phi)
     psi = analytic.state1(theta, phi)

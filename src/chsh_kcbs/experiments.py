@@ -4,7 +4,8 @@ Analytic mode evaluates the closed-form margins of the minimal state
 family; circuit mode re-derives every correlator from sampled Fourier
 tests so the two can be compared cell by cell.  The coexistence point at
 cycle size n is the angle where the CHSH and KCBS margins cross at
-phi = 0, found by bisection; its common value is the overlap.
+phi = 0, found by one bisection over all requested sizes at once; its
+common value is the overlap.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, circuits, observables
-from .errors import EmptyGrid, NoIntersection
+from .errors import ChshKcbsError, EmptyGrid, NoIntersection
 from .linalg import expectation, tensor
 
 BISECTION_MAX_ITER = 200
@@ -24,37 +25,6 @@ BISECTION_THETA_TOL = 1e-14
 RESIDUAL_TOL = 1e-9
 # Cells per landscape block: bounds the memory of a landscape pass.
 BLOCK_CELLS = 65536
-
-
-@dataclass(frozen=True)
-class CoexistenceRecord:
-    """Crossing of the two margins at phi = 0 for one cycle size."""
-
-    n: int
-    theta_opt_deg: float
-    overlap: float
-    iterations: int
-    residual: float
-
-
-@dataclass(frozen=True)
-class ScalingRecord:
-    """Coexistence data plus the scaling-family margins and large-n laws."""
-
-    n: int
-    theta_opt_deg: float
-    overlap: float
-    residual: float
-    psi_n_kcbs_margin: float
-    psi_n_chsh_margin: float
-    asym_kcbs: float
-    asym_chsh: float
-
-
-@dataclass(frozen=True)
-class ScalingStudy:
-    records: tuple[ScalingRecord, ...]
-    loglog_slope: float | None
 
 
 def _cell_seed(master_seed: int, cell_index: int) -> int:
@@ -166,6 +136,14 @@ class LandscapeTable:
                 for k, name in enumerate(names)}
 
 
+def check_theta_deg(thetas_deg) -> None:
+    """Refuse any theta outside [0, 180] degrees, NaN included."""
+    thetas = np.array(thetas_deg, dtype=float, ndmin=1)
+    outside = thetas[~((thetas >= 0.0) & (thetas <= 180.0))]
+    if outside.size:
+        raise ValueError(f"theta must lie in [0, 180] degrees, got {float(outside[0])!r}")
+
+
 def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
                    shots=None, seed=None) -> LandscapeTable:
     """Margins of the minimal state over a (theta, phi) grid in degrees.
@@ -186,9 +164,7 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
         raise ValueError(f"mode must be 'analytic' or 'circuit', got {mode!r}")
     if mode == "circuit" and (shots is None or int(shots) < 1):
         raise ValueError("circuit mode requires a positive shot count")
-    outside = thetas[~((thetas >= 0.0) & (thetas <= 180.0))]
-    if outside.size:
-        raise ValueError(f"theta must lie in [0, 180] degrees, got {float(outside[0])!r}")
+    check_theta_deg(thetas)
     if not np.all(np.isfinite(phis)):
         raise ValueError("phi must be finite")
 
@@ -198,66 +174,75 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
                           shots=int(shots), master_seed=0 if seed is None else int(seed))
 
 
-def coexistence_point(n: int) -> CoexistenceRecord:
-    """Angle where the CHSH and KCBS margins cross at phi = 0, by bisection.
+def coexistence_points(sizes) -> dict[str, np.ndarray]:
+    """Angle where the CHSH and KCBS margins cross at phi = 0, for all cycle sizes at once.
 
     The KCBS margin is maximal at theta = 0 and decreasing while the CHSH
     margin rises from negative values, so their difference changes sign
-    exactly once on (0, pi/2) for every valid n.  NoIntersection is
-    raised if the bracket shows no sign change.
+    exactly once on (0, pi/2) for every valid n.  One bisection runs over
+    all sizes, one kernel call per step, each size with its own bracket
+    and stop test.  Returns the columns ``n``, ``theta_opt_deg``,
+    ``overlap``, ``residual`` and ``iterations``.  Raises NoIntersection,
+    naming the size, when a bracket shows no sign change, and
+    ChshKcbsError when a residual |chsh - kcbs| exceeds ``RESIDUAL_TOL``.
     """
-    observables.cycle_geometry(n)
+    n = np.array(sizes, ndmin=1)
+    if n.size == 0:
+        raise EmptyGrid("no cycle sizes given")
 
     def gap(theta):
         chsh, kcbs = analytic.state1_margins(theta, 0.0, n)
         return chsh - kcbs
 
-    lo, hi = 1e-6, math.pi / 2 - 1e-6
+    lo = np.full(n.shape, 1e-6)
+    hi = np.full(n.shape, math.pi / 2 - 1e-6)
     gap_lo = gap(lo)
-    if gap_lo * gap(hi) > 0:
-        raise NoIntersection(f"margins do not cross on (0, pi/2) for n = {n}")
+    no_crossing = gap_lo * gap(hi) > 0
+    if no_crossing.any():
+        raise NoIntersection(f"margins do not cross on (0, pi/2) for n = {n[no_crossing][0]}")
 
-    iterations = 0
-    while hi - lo > BISECTION_THETA_TOL and iterations < BISECTION_MAX_ITER:
+    iterations = np.zeros(n.shape, dtype=int)
+    active = hi - lo > BISECTION_THETA_TOL
+    while active.any():
         mid = 0.5 * (lo + hi)
         gap_mid = gap(mid)
-        if gap_lo * gap_mid <= 0:
-            hi = mid
-        else:
-            lo, gap_lo = mid, gap_mid
-        iterations += 1
+        lower = gap_lo * gap_mid <= 0
+        hi = np.where(active & lower, mid, hi)
+        lo = np.where(active & ~lower, mid, lo)
+        gap_lo = np.where(active & ~lower, gap_mid, gap_lo)
+        iterations += active
+        active &= (hi - lo > BISECTION_THETA_TOL) & (iterations < BISECTION_MAX_ITER)
 
     theta_opt = 0.5 * (lo + hi)
     chsh, kcbs = analytic.state1_margins(theta_opt, 0.0, n)
-    return CoexistenceRecord(n=n, theta_opt_deg=math.degrees(theta_opt),
-                             overlap=0.5 * (chsh + kcbs), iterations=iterations,
-                             residual=abs(chsh - kcbs))
+    residual = np.abs(chsh - kcbs)
+    breach = residual > RESIDUAL_TOL
+    if breach.any():
+        raise ChshKcbsError(f"margins differ by {residual[breach][0]:.3g} at the crossing for "
+                            f"n = {n[breach][0]}, above RESIDUAL_TOL = {RESIDUAL_TOL:g}")
+    return {"n": n, "theta_opt_deg": np.degrees(theta_opt), "overlap": 0.5 * (chsh + kcbs),
+            "residual": residual, "iterations": iterations}
 
 
-def scaling_study(n_min: int, n_max: int) -> ScalingStudy:
-    """Coexistence points, scaling-family margins, and large-n laws per odd n.
+def scaling_study(sizes) -> tuple[dict[str, np.ndarray], float | None]:
+    """Coexistence points, scaling-family margins, and large-n laws per cycle size.
 
-    Also fits the log-log slope of overlap against n over the requested
-    range (None when fewer than two points).
+    Returns the :func:`coexistence_points` columns plus
+    ``psi_n_kcbs_margin``, ``psi_n_chsh_margin``, ``asym_kcbs`` and
+    ``asym_chsh``, and beside them the log-log slope of overlap against
+    n over the given sizes (None when fewer than two).
     """
-    observables.cycle_geometry(n_min)
-    observables.cycle_geometry(n_max)
-    records = []
-    for n in range(int(n_min), int(n_max) + 1, 2):
-        point = coexistence_point(n)
-        theta_n = 2.0 * math.acos(math.sqrt((n + 2.0) / (n + 4.0)))
-        psi_chsh, psi_kcbs = analytic.state1_margins(theta_n, 0.0, n)
-        asym_kcbs, asym_chsh = analytic.asymptotic_margins(n)
-        records.append(ScalingRecord(n=n, theta_opt_deg=point.theta_opt_deg,
-                                     overlap=point.overlap, residual=point.residual,
-                                     psi_n_kcbs_margin=psi_kcbs, psi_n_chsh_margin=psi_chsh,
-                                     asym_kcbs=asym_kcbs, asym_chsh=asym_chsh))
+    columns = coexistence_points(sizes)
+    n = columns["n"]
+    theta_n = np.array([2.0 * math.acos(math.sqrt((k + 2.0) / (k + 4.0))) for k in n.tolist()])
+    columns["psi_n_chsh_margin"], columns["psi_n_kcbs_margin"] = analytic.state1_margins(
+        theta_n, 0.0, n)
+    columns["asym_kcbs"], columns["asym_chsh"] = np.array(
+        [analytic.asymptotic_margins(k) for k in n.tolist()]).T
     slope = None
-    if len(records) >= 2:
-        logs_n = np.log([r.n for r in records])
-        logs_overlap = np.log([r.overlap for r in records])
-        slope = float(np.polyfit(logs_n, logs_overlap, 1)[0])
-    return ScalingStudy(records=tuple(records), loglog_slope=slope)
+    if n.size >= 2:
+        slope = float(np.polyfit(np.log(n), np.log(columns["overlap"]), 1)[0])
+    return columns, slope
 
 
 def _random_states(rng, count: int) -> np.ndarray:
@@ -401,14 +386,13 @@ def run_validation(report=print) -> bool:
         f"counts = {sample_a.counts}")
 
     # Coexistence residuals and the tabulated n = 5 point.
-    ok_residual = True
-    for n in range(5, 17, 2):
-        ok_residual &= coexistence_point(n).residual <= RESIDUAL_TOL
-    point5 = coexistence_point(5)
-    ok_point = abs(point5.theta_opt_deg - 49.605) <= 0.01 and abs(point5.overlap - 0.343069) <= 1e-4
+    points = coexistence_points(range(5, 17, 2))
+    ok_residual = bool(np.all(points["residual"] <= RESIDUAL_TOL))
+    theta5, overlap5 = float(points["theta_opt_deg"][0]), float(points["overlap"][0])
+    ok_point = abs(theta5 - 49.605) <= 0.01 and abs(overlap5 - 0.343069) <= 1e-4
     add("coexistence residuals <= 1e-9", ok_residual)
     add("n = 5 coexistence point", ok_point,
-        f"theta = {point5.theta_opt_deg:.4f} deg, overlap = {point5.overlap:.6f}")
+        f"theta = {theta5:.4f} deg, overlap = {overlap5:.6f}")
 
     # Landscape symmetry in phi.
     thetas = np.deg2rad(np.linspace(0, 180, 13))

@@ -33,7 +33,7 @@ from chsh_kcbs import (
     tensor,
 )
 from chsh_kcbs.analytic import asymptotic_margins
-from chsh_kcbs.experiments import coexistence_point
+from chsh_kcbs.experiments import coexistence_points
 from chsh_kcbs.observables import (
     alice_rotation,
     b0_closed_form,
@@ -215,7 +215,7 @@ def test_criterion_8_scaling_properties():
     positive_ok = min_margin > 0
 
     sizes = np.arange(101, 1000, 2)
-    overlaps = np.array([coexistence_point(int(n)).overlap for n in sizes])
+    overlaps = coexistence_points(sizes)["overlap"]
     slope = float(np.polyfit(np.log(sizes), np.log(overlaps), 1)[0])
     slope_ok = -1.2 <= slope <= -0.85
 

@@ -237,6 +237,19 @@ def test_kcbs_margin_independent_of_phi():
     assert np.max(np.abs(kcbs - kcbs[0])) <= 1e-12
 
 
+def test_state1_margins_broadcast_over_cycle_sizes():
+    thetas = np.linspace(0.0, math.pi, 7)
+    sizes = np.array([5, 9, 101])
+    chsh, kcbs = state1_margins(thetas[:, None], 0.3, sizes[None, :])
+    assert chsh.shape == kcbs.shape == (7, 3)
+    for column, n in enumerate(sizes.tolist()):
+        alone = state1_margins(thetas, 0.3, n)
+        assert np.array_equal(chsh[:, column], alone[0])
+        assert np.array_equal(kcbs[:, column], alone[1])
+    with pytest.raises(InvalidCycle):
+        state1_margins(0.5, 0.0, np.array([5, 6]))
+
+
 def test_decompose_minimal_state():
     for theta, phi in ((0.7, 0.0), (1.3, 2.1), (math.pi / 2, math.pi / 2)):
         parts = decompose(state1(theta, phi), 5)

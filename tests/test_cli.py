@@ -244,6 +244,14 @@ def test_fourier_test_sampled_output(tmp_path):
     assert payload["bob"] == "B_3 B_4"
 
 
+def test_fourier_test_theta_range_is_checked_in_degrees(tmp_path, capsys):
+    out = tmp_path / "fourier.json"
+    assert run_cli("fourier-test", "--n", "5", "--theta", "200", "--phi", "0", "--alice", "id",
+                   "--bob", "b0", "--out", str(out)) == cli.EXIT_DOMAIN
+    assert "theta must lie in [0, 180] degrees, got 200.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fourier_test_rejects_unknown_bob(tmp_path, capsys):
     out = tmp_path / "fourier.json"
     code = run_cli("fourier-test", "--n", "5", "--theta", "90", "--phi", "0",
@@ -306,6 +314,30 @@ def test_config_lists_for_grid_flags(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_angle_list_is_echoed_as_a_list(tmp_path):
+    out = tmp_path / "landscape.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"theta": [30, 60, 90], "phi": [0]}))
+    assert run_cli("landscape", "--config", str(config), "--n", "5", "--out", str(out)) == 0
+    _, rows, metadata = serialize.read_csv(str(out))
+    assert [float(r[1]) for r in rows] == [30.0, 60.0, 90.0]
+    assert metadata["theta"] == "30,60,90"
+    assert metadata["phi"] == "0"
+
+
+@pytest.mark.parametrize("grid, echo", [("0:180:181", "0:180:181"),
+                                        ("0.1234567:90:2", "0.1234567:90:2"),
+                                        ("0.1:1e-07:3", "0.1:1e-07:3"),
+                                        ("1.00000001:2:2", "1.00000001:2:2")])
+def test_grid_echo_reads_back_as_the_same_grid(tmp_path, grid, echo):
+    out = tmp_path / "landscape.csv"
+    assert run_cli("landscape", "--n", "5", "--theta", grid, "--phi", "0:0:1",
+                   "--out", str(out)) == 0
+    metadata = serialize.read_csv(str(out))[2]
+    assert metadata["theta"] == echo
+    assert np.array_equal(cli.angle_grid(metadata["theta"]), cli.angle_grid(grid))
+
+
 def test_io_error_leaves_no_partial_file(tmp_path, capsys):
     missing_dir = tmp_path / "not-here" / "out.csv"
     code = run_cli("coexist", "--n", "5:5:1", "--out", str(missing_dir))
@@ -347,6 +379,45 @@ def test_config_echoed_into_metadata(tmp_path):
     assert [int(r[0]) for r in rows] == [7]
     assert metadata["n"] == "7"
     assert metadata["command"] == "coexist"
+
+
+def test_scaling_solves_all_sizes_in_a_few_kernel_calls(tmp_path, monkeypatch):
+    calls = []
+    kernel = experiments.analytic.state1_margins
+
+    def spy(theta, phi, n):
+        calls.append(np.size(n))
+        return kernel(theta, phi, n)
+
+    monkeypatch.setattr(experiments.analytic, "state1_margins", spy)
+    out = tmp_path / "scaling.csv"
+    assert run_cli("scaling", "--n", "5:999:2", "--out", str(out), "--no-timestamp") == 0
+    assert len(serialize.read_csv(str(out))[1]) == 498
+    assert len(calls) <= 60
+
+
+def test_scaling_slope_is_fitted_over_the_written_rows(tmp_path):
+    out = tmp_path / "scaling.csv"
+    assert run_cli("scaling", "--n", "5:99:4", "--out", str(out)) == 0
+    _, rows, metadata = serialize.read_csv(str(out))
+    sizes = list(range(5, 100, 4))
+    assert [int(r[0]) for r in rows] == sizes and len(rows) == 24
+    overlaps = experiments.coexistence_points(sizes)["overlap"]
+    slope = np.polyfit(np.log(sizes), np.log(overlaps), 1)[0]
+    assert metadata["loglog_slope"] == serialize.format_float(slope)
+    written = np.polyfit(np.log(sizes), np.log([float(r[2]) for r in rows]), 1)[0]
+    assert float(metadata["loglog_slope"]) == pytest.approx(written, rel=1e-7)
+
+
+@pytest.mark.parametrize("command", ["coexist", "scaling"])
+def test_residual_above_tolerance_is_a_domain_error(tmp_path, capsys, command):
+    # At n = 1e8 + 1 the margins lose about n^2 eps to cancellation and
+    # cannot meet to RESIDUAL_TOL at any angle.
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--n", "100000001", "--out", str(out)) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "n = 100000001" in err and "RESIDUAL_TOL" in err
+    assert not out.exists()
 
 
 def test_scaling_rejects_even_cycles(tmp_path, capsys):

@@ -9,7 +9,7 @@ from chsh_kcbs import (
     EmptyGrid,
     InvalidCycle,
     NoIntersection,
-    coexistence_point,
+    coexistence_points,
     estimator_stddev,
     landscape_scan,
     prepare_state1,
@@ -27,9 +27,18 @@ TABLE_POINTS = {5: (49.605, 0.343069), 23: (30.381, 0.227717), 55: (20.815, 0.11
 
 def _cells(table):
     """Per-cell dicts of the table's varying columns, in cell order."""
-    columns = table.columns()
+    return _rows(table.columns())
+
+
+def _rows(columns):
+    """Per-row dicts of a dict of equal-length columns, in row order."""
     return [dict(zip(columns, values))
-            for values in zip(*(column.tolist() for column in columns.values()))]
+            for values in zip(*(np.asarray(column).tolist() for column in columns.values()))]
+
+
+def _point(n):
+    """The coexistence point of one cycle size, as a dict of scalars."""
+    return _rows(coexistence_points([n]))[0]
 
 
 def test_landscape_analytic_reference_cells():
@@ -211,59 +220,84 @@ def test_landscape_circuit_seeds_follow_the_cell_index(monkeypatch):
 @pytest.mark.parametrize("n", sorted(TABLE_POINTS))
 def test_coexistence_reference_points(n):
     theta_ref, overlap_ref = TABLE_POINTS[n]
-    record = coexistence_point(n)
-    assert record.theta_opt_deg == pytest.approx(theta_ref, abs=0.01)
-    assert record.overlap == pytest.approx(overlap_ref, abs=1e-4)
-    assert record.residual <= 1e-9
-    assert record.iterations > 0
+    record = _point(n)
+    assert record["theta_opt_deg"] == pytest.approx(theta_ref, abs=0.01)
+    assert record["overlap"] == pytest.approx(overlap_ref, abs=1e-4)
+    assert record["residual"] <= 1e-9
+    assert record["iterations"] > 0
 
 
 def test_coexistence_margins_match_at_solution():
-    record = coexistence_point(9)
-    chsh, kcbs = state1_margins(math.radians(record.theta_opt_deg), 0.0, 9)
+    record = _point(9)
+    chsh, kcbs = state1_margins(math.radians(record["theta_opt_deg"]), 0.0, 9)
     assert abs(chsh - kcbs) <= 1e-9
     assert chsh > 0 and kcbs > 0
-    assert record.overlap == pytest.approx(0.5 * (chsh + kcbs), abs=1e-12)
+    assert record["overlap"] == pytest.approx(0.5 * (chsh + kcbs), abs=1e-12)
 
 
 def test_coexistence_rejects_bad_cycle():
     with pytest.raises(InvalidCycle):
-        coexistence_point(6)
+        coexistence_points([6])
 
 
 def test_coexistence_surfaces_missing_crossing(monkeypatch):
     def never_crossing(theta, phi, n):
-        return -1.0, 1.0
+        shape = np.broadcast_shapes(np.shape(theta), np.shape(n))
+        return np.full(shape, -1.0), np.full(shape, 1.0)
 
     monkeypatch.setattr(experiments.analytic, "state1_margins", never_crossing)
     with pytest.raises(NoIntersection):
-        coexistence_point(5)
+        coexistence_points([5])
+
+
+def test_coexistence_points_match_single_size_solves():
+    together = coexistence_points([9, 5, 7])
+    assert together["n"].tolist() == [9, 5, 7]
+    for index, n in enumerate([9, 5, 7]):
+        alone = coexistence_points([n])
+        for name, column in together.items():
+            assert column[index] == alone[name][0], (n, name)
+
+
+def test_missing_crossing_names_the_cycle_size(monkeypatch):
+    kernel = experiments.analytic.state1_margins
+
+    def no_crossing_at_seven(theta, phi, n):
+        chsh, kcbs = kernel(theta, phi, n)
+        return np.where(n == 7, -1.0, chsh), np.where(n == 7, 1.0, kcbs)
+
+    monkeypatch.setattr(experiments.analytic, "state1_margins", no_crossing_at_seven)
+    with pytest.raises(NoIntersection, match=r"for n = 7$"):
+        coexistence_points([5, 7, 9])
 
 
 def test_scaling_study_structure():
-    study = scaling_study(5, 15)
-    assert [r.n for r in study.records] == [5, 7, 9, 11, 13, 15]
-    thetas = [r.theta_opt_deg for r in study.records]
+    columns, loglog_slope = scaling_study(range(5, 16, 2))
+    records = _rows(columns)
+    assert [r["n"] for r in records] == [5, 7, 9, 11, 13, 15]
+    thetas = [r["theta_opt_deg"] for r in records]
     assert all(b < a for a, b in zip(thetas, thetas[1:]))
-    for record in study.records:
-        assert record.psi_n_kcbs_margin > 0
-        assert record.psi_n_chsh_margin > 0
-        assert record.asym_kcbs == pytest.approx(8 / (record.n + 4), abs=0)
-        assert record.asym_chsh == pytest.approx(8 * (record.n + 2) / (record.n + 4) ** 2, abs=0)
-        assert record.residual <= 1e-9
-    assert study.loglog_slope is not None
+    for record in records:
+        assert record["psi_n_kcbs_margin"] > 0
+        assert record["psi_n_chsh_margin"] > 0
+        assert record["asym_kcbs"] == pytest.approx(8 / (record["n"] + 4), abs=0)
+        assert record["asym_chsh"] == pytest.approx(8 * (record["n"] + 2) / (record["n"] + 4) ** 2,
+                                                    abs=0)
+        assert record["residual"] <= 1e-9
+    assert loglog_slope is not None
 
 
 def test_scaling_single_point_has_no_slope():
-    study = scaling_study(5, 5)
-    assert len(study.records) == 1
-    assert study.loglog_slope is None
+    columns, loglog_slope = scaling_study([5])
+    assert len(_rows(columns)) == 1
+    assert loglog_slope is None
 
 
 def test_overlap_ordering_peaks_at_nine():
     # Overlap rises from n = 5 to a maximum at n = 9, then decreases, and
     # both margins stay strictly positive at every crossing.
-    overlaps = {n: coexistence_point(n).overlap for n in range(5, 57, 2)}
+    points = coexistence_points(range(5, 57, 2))
+    overlaps = dict(zip(points["n"].tolist(), points["overlap"].tolist()))
     assert overlaps[7] > overlaps[5]
     assert overlaps[9] > overlaps[7]
     tail = [overlaps[n] for n in range(9, 57, 2)]
