@@ -32,12 +32,14 @@ from .circuits import (
     estimator_stddev,
     f3,
     fourier_test_probabilities,
+    fourier_tests,
     gell_mann,
     phase_gate,
     prepare_state1,
     rotation,
     run_circuit,
     run_hybrid_protocol,
+    run_hybrid_tests,
     sample_shots,
     x02,
 )

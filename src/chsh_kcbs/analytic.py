@@ -156,10 +156,14 @@ def state1_margins(theta, phi, n):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
 
-    interference = c * np.sin(theta) ** 2 * np.cos(phi) ** 2
-    chsh = (np.sqrt(4 * c**2 + interference * s_minus**2)
-            + np.sqrt((2 - 4 * c) ** 2 + interference * s_plus**2)) / (1 + c) - 2.0
-    kcbs = n_values / (1 + c) * ((4 * c - 2) * np.cos(theta / 2) ** 2 - 2 * c) + 2.0
+    # Squares multiply: numpy scalars would square through libm pow, which
+    # can differ from an array's exact square in the last bit.
+    sin_theta, cos_phi, cos_half = np.sin(theta), np.cos(phi), np.cos(theta / 2)
+    interference = c * (sin_theta * sin_theta) * (cos_phi * cos_phi)
+    far = 2 - 4 * c
+    chsh = (np.sqrt(4 * (c * c) + interference * (s_minus * s_minus))
+            + np.sqrt(far * far + interference * (s_plus * s_plus))) / (1 + c) - 2.0
+    kcbs = n_values / (1 + c) * ((4 * c - 2) * (cos_half * cos_half) - 2 * c) + 2.0
     kcbs = np.broadcast_to(kcbs, chsh.shape).copy()
     if chsh.ndim == 0:
         return float(chsh), float(kcbs)

@@ -9,6 +9,15 @@ of the hybrid protocol is then a Fourier test on that prepared state,
 with Alice's 2x2 observables embedded into 3x3 by a unit on the dead
 level.
 
+:func:`fourier_tests` is the one Fourier-test readout.  It checks a
+stack of k operators at once and simulates all k tests together on a
+(k, 3 ancilla, d) state: F3 on the ancilla axis, U on ancilla block 1 and
+U U on block 2, then the inverse F3.  :func:`run_hybrid_tests` stacks the
+products A_k (x) B_k of one prepared state's correlators for it, so a
+landscape cell is one simulation over a per-table bank of Bob's
+operators; :func:`fourier_test_probabilities` and
+:func:`run_hybrid_protocol` are the one-operator cases.
+
 The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
 P(0) = (5 + 4<U>)/9 and P(1) = P(2) = (2 - 2<U>)/9, inverted by the
@@ -23,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IndexOutOfRange, NotHermitian, NotUnitary
-from .linalg import JointState, hermiticity_check, state_vector, tensor, unitarity_check
+from .linalg import JointState, hermiticity_check, state_vector, unitarity_check
 from .observables import Observable
 
 GATE_UNITARY_TOL = 1e-10
@@ -127,11 +136,13 @@ def embed_alice(a2) -> np.ndarray:
 
     Alice's level 2 carries no amplitude in the protocol, so the unit
     entry changes no expectation value while keeping the operator both
-    Hermitian and unitary whenever the input is.
+    Hermitian and unitary whenever the input is.  A stack of 2x2
+    operators embeds entry by entry.
     """
     a2 = np.asarray(a2, dtype=complex)
-    out = np.eye(3, dtype=complex)
-    out[:2, :2] = a2
+    out = np.zeros(a2.shape[:-2] + (3, 3), dtype=complex)
+    out[..., :2, :2] = a2
+    out[..., 2, 2] = 1.0
     return out
 
 
@@ -236,6 +247,11 @@ class FourierTestReport:
     counts: tuple[int, int, int] | None = None
     seed: int | None = None
 
+    @classmethod
+    def exact(cls, p0: float, p1: float, p2: float) -> FourierTestReport:
+        """Exact-mode report of the ancilla probabilities, with all three estimators."""
+        return cls(p0, p1, p2, *_estimators(p0, p1, p2))
+
 
 def _estimators(p0: float, p1: float, p2: float) -> tuple[float, float, float]:
     return ((9.0 * (p0 - p1 - p2) - 1.0) / 8.0,
@@ -243,32 +259,65 @@ def _estimators(p0: float, p1: float, p2: float) -> tuple[float, float, float]:
             (2.0 - 9.0 * p1) / 2.0)
 
 
+def fourier_tests(ops, psi) -> np.ndarray:
+    """Exact Fourier tests of a stack of Hermitian unitaries on one normalized state.
+
+    ``ops`` has shape (k, d, d) and ``psi`` length d; row i of the (k, 3)
+    result is the ancilla distribution (p0, p1, p2) of the test of
+    ``ops[i]``.  The whole stack is checked before the state is read,
+    Hermiticity first and then unitarity, and an error names the first
+    failing entry.  The k tests then run as one simulation: F3 on the
+    ancilla axis, U on ancilla block 1 and U U on block 2, then the
+    inverse F3.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim != 3:
+        raise NotHermitian(f"Fourier test needs a stack of square operators, got shape {ops.shape}")
+    _first_failure(hermiticity_check(ops, FOURIER_INPUT_TOL), NotHermitian, "Hermitian")
+    _first_failure(unitarity_check(ops, GATE_UNITARY_TOL), NotUnitary, "unitary")
+    d = ops.shape[-1]
+    vec = state_vector(psi, dim=d, require_normalized=True)
+
+    fourier = f3()
+    state = np.zeros((ops.shape[0], 3, d), dtype=complex)
+    state[:, 0] = vec
+    state = np.einsum("ab,kbi->kai", fourier, state)
+    state[:, 1] = (ops @ state[:, 1, :, None])[..., 0]
+    state[:, 2] = ((ops @ ops) @ state[:, 2, :, None])[..., 0]
+    state = np.einsum("ab,kbi->kai", fourier.conj().T, state)
+    return np.sum(np.abs(state) ** 2, axis=-1)
+
+
+def _first_failure(ok, error, what: str) -> None:
+    bad = np.flatnonzero(~np.asarray(ok))
+    if bad.size:
+        raise error(f"Fourier test needs {what} operators within 1e-10; entry {bad[0]} is not")
+
+
 def fourier_test_probabilities(u, psi) -> FourierTestReport:
     """Exact Fourier test of a Hermitian unitary U on a normalized state.
 
-    Simulates F3 on the ancilla, the controlled power of U, and the
-    inverse F3, then reads off the ancilla distribution.  U is checked
-    before the state: Hermiticity here, unitarity by :func:`controlled_power`.
+    The one-operator case of :func:`fourier_tests`: U is checked before
+    the state, for Hermiticity and then unitarity.
     """
-    u = np.asarray(u, dtype=complex)
-    if not hermiticity_check(u, FOURIER_INPUT_TOL):
-        raise NotHermitian("Fourier test needs a Hermitian operator within 1e-10")
-    controlled = controlled_power(u)
-    d = u.shape[0]
-    vec = state_vector(psi, dim=d, require_normalized=True)
+    probs = fourier_tests(np.asarray(u, dtype=complex)[None], psi)[0]
+    return FourierTestReport.exact(*probs.tolist())
 
-    state = np.zeros(3 * d, dtype=complex)
-    state[:d] = vec
-    fourier = tensor(f3(), np.eye(d))
-    state = fourier @ state
-    state = controlled @ state
-    state = fourier.conj().T @ state
 
-    probs = [float(np.sum(np.abs(state[a * d:(a + 1) * d]) ** 2)) for a in range(3)]
-    combined, from_p0, from_p1 = _estimators(*probs)
-    return FourierTestReport(p0=probs[0], p1=probs[1], p2=probs[2],
-                             estimator_combined=combined,
-                             estimator_p0=from_p0, estimator_p1=from_p1)
+def run_hybrid_tests(state, alice_ops, bob_ops) -> np.ndarray:
+    """Fourier tests of every A_k (x) B_k on one prepared qubit-qutrit state.
+
+    ``alice_ops`` is a (k, 2, 2) stack of qubit operators and ``bob_ops``
+    a (k, 3, 3) stack of qutrit operators.  Each A_k is embedded with a
+    unit on Alice's empty level 2, the k products are stacked in one
+    einsum, and :func:`fourier_tests` reads them all from ``state`` at
+    once.  Returns the (k, 3) ancilla probabilities.
+    """
+    alice = embed_alice(alice_ops)
+    bob = np.asarray(bob_ops, dtype=complex)
+    k = alice.shape[0]
+    ops = np.einsum("kij,kab->kiajb", alice, bob).reshape(k, 9, 9)
+    return fourier_tests(ops, embed_joint_state(state))
 
 
 def run_hybrid_protocol(state, alice_op, bob_op) -> FourierTestReport:
@@ -276,13 +325,13 @@ def run_hybrid_protocol(state, alice_op, bob_op) -> FourierTestReport:
 
     ``state`` is the joint state, typically from :func:`prepare_state1`;
     ``alice_op`` is a 2x2 observable (or matrix) on the qubit side and
-    ``bob_op`` a 3x3 observable on the qutrit side.  Both lift onto the
-    (alice, bob) qutrit pair, Alice's operator with a unit on her empty
-    level 2.
+    ``bob_op`` a 3x3 observable on the qutrit side.  This is the
+    one-term case of :func:`run_hybrid_tests`.
     """
     a2 = alice_op.matrix if isinstance(alice_op, Observable) else alice_op
     b3 = bob_op.matrix if isinstance(bob_op, Observable) else bob_op
-    return fourier_test_probabilities(tensor(embed_alice(a2), b3), embed_joint_state(state))
+    probs = run_hybrid_tests(state, np.asarray(a2)[None], np.asarray(b3)[None])[0]
+    return FourierTestReport.exact(*probs.tolist())
 
 
 def sample_shots(report: FourierTestReport, shots: int, seed: int) -> FourierTestReport:

@@ -86,10 +86,12 @@ finite_float = _checked(float, math.isfinite, "finite")
 
 
 def bob_selector(text: str) -> str:
-    """Check that ``pair:J`` has an integer J; names and J's range are checked per cycle."""
-    if text.startswith("pair:") and not re.fullmatch(r"pair:[+-]?\d+", text):
+    """Accept ``b0``, ``bmbm1`` or ``pair:J`` with an integer J; J's range is checked per cycle."""
+    if text in ("b0", "bmbm1") or re.fullmatch(r"pair:[+-]?\d+", text):
+        return text
+    if text.startswith("pair:"):
         raise argparse.ArgumentTypeError(f"pair:J needs an integer J, got {text!r}")
-    return text
+    raise argparse.ArgumentTypeError(f"unknown Bob observable {text!r}; use b0, bmbm1, or pair:J")
 
 
 # The flag types that yield a list, with the check each entry of a config-file list passes.
@@ -240,9 +242,7 @@ def _bob_observable(n: int, selector: str) -> observables.Observable:
         return observables.b0_closed_form(n)
     if selector == "bmbm1":
         return observables.bm_bm1_closed_form(n)
-    if selector.startswith("pair:"):
-        return observables.kcbs_pair(n, int(selector.split(":", 1)[1]))
-    raise ValueError(f"unknown Bob observable {selector!r}; use b0, bmbm1, or pair:J")
+    return observables.kcbs_pair(n, int(selector.split(":", 1)[1]))
 
 
 def _run_observables(args) -> int:

@@ -32,38 +32,48 @@ def _cell_seed(master_seed: int, cell_index: int) -> int:
     return int(np.random.SeedSequence((int(master_seed), int(cell_index))).generate_state(1)[0])
 
 
-def _sampled_estimate(state, alice_op, bob_op, shots, cell_seed, term_index) -> float:
-    report = circuits.run_hybrid_protocol(state, alice_op, bob_op)
-    term_seed = int(np.random.SeedSequence((cell_seed, int(term_index))).generate_state(1)[0])
-    return circuits.sample_shots(report, shots, term_seed).estimator_combined
+def _bob_bank(n: int) -> np.ndarray:
+    """Bob's operator for each of a cell's n + 4 correlators, in term order.
+
+    The four CHSH terms pair B_m B_{m+1}, B_0, B_m B_{m+1}, B_0 with
+    Alice's R(omega2), R(omega2), R(omega0), R(omega0); the n KCBS terms
+    are the adjacent products B_j B_{j+1} against Alice's identity.
+    """
+    bm = observables.bm_bm1_closed_form(n).matrix
+    b0 = observables.b0_closed_form(n).matrix
+    return np.array([bm, b0, bm, b0] + [observables.kcbs_pair(n, j).matrix for j in range(n)])
 
 
-def _circuit_margins(n, theta, phi, shots, cell_seed) -> tuple[float, float]:
+def _circuit_margins(n, theta, phi, shots, cell_seed, bob_bank) -> tuple[float, float]:
     """Both margins of one cell from sampled Fourier tests.
 
-    The state is prepared once by circuit and every correlator is read
-    from it.  CHSH uses the four correlators at the analytic optimal
-    angles; KCBS uses the n adjacent products with the cycle's minus
-    sign on the wraparound term.  Term seeds derive from the cell seed.
+    The state is prepared once by circuit and all n + 4 correlators are
+    read from it in one stacked Fourier test against ``bob_bank``.  CHSH
+    uses the four correlators at the analytic optimal angles; KCBS uses
+    the n adjacent products with the cycle's minus sign on the
+    wraparound term.  Each term samples its shots with a seed derived
+    from the cell seed and the term index.
     """
     state = circuits.prepare_state1(theta, phi)
     co = analytic.chsh_coefficients(state, n)
-    r0 = observables.alice_rotation(co.omega0)
-    r2 = observables.alice_rotation(co.omega2)
-    b0 = observables.b0_closed_form(n)
-    bm = observables.bm_bm1_closed_form(n)
+    r0 = observables.alice_rotation(co.omega0).matrix
+    r2 = observables.alice_rotation(co.omega2).matrix
+    alice = np.empty((n + 4, 2, 2), dtype=complex)
+    alice[:4] = (r2, r2, r0, r0)
+    alice[4:] = np.eye(2)
+    probs = circuits.run_hybrid_tests(state, alice, bob_bank)
 
-    chsh_sum = (_sampled_estimate(state, r2, bm, shots, cell_seed, 0)
-                + _sampled_estimate(state, r2, b0, shots, cell_seed, 1)
-                + _sampled_estimate(state, r0, bm, shots, cell_seed, 2)
-                - _sampled_estimate(state, r0, b0, shots, cell_seed, 3))
+    estimates = []
+    for term, (p0, p1, p2) in enumerate(probs.tolist()):
+        report = circuits.FourierTestReport.exact(p0, p1, p2)
+        term_seed = int(np.random.SeedSequence((cell_seed, term)).generate_state(1)[0])
+        estimates.append(circuits.sample_shots(report, shots, term_seed).estimator_combined)
 
-    eye2 = np.eye(2)
+    chsh_sum = estimates[0] + estimates[1] + estimates[2] - estimates[3]
     kcbs_sum = 0.0
     for j in range(n):
         sign = -1.0 if j == n - 1 else 1.0
-        pair = observables.kcbs_pair(n, j)
-        kcbs_sum += sign * _sampled_estimate(state, eye2, pair, shots, cell_seed, 4 + j)
+        kcbs_sum += sign * estimates[4 + j]
     return chsh_sum - 2.0, kcbs_sum - (n - 2.0)
 
 
@@ -75,8 +85,8 @@ class LandscapeTable:
     margins are computed when the table is iterated, one block of at most
     ``BLOCK_CELLS`` cells at a time, so a pass costs O(block)
     memory however large the grid; :meth:`columns` gathers the whole
-    grid.  Circuit cells are sampled again on every pass, from the same
-    seeds, so every pass gives the same values.
+    grid.  A circuit pass builds Bob's operator bank once and samples its
+    cells again, from the same seeds, so every pass gives the same values.
     """
 
     n: int
@@ -103,6 +113,7 @@ class LandscapeTable:
         A block is a run of whole theta rows, or a slice of one row when a
         single row holds more than a block of cells.
         """
+        bob_bank = _bob_bank(self.n) if self.mode == "circuit" else None
         n_phi = self.phis_deg.size
         rows, cols = max(1, BLOCK_CELLS // n_phi), min(n_phi, BLOCK_CELLS)
         for i in range(0, self.thetas_deg.size, rows):
@@ -110,9 +121,9 @@ class LandscapeTable:
             for j in range(0, n_phi, cols):
                 phis = self.phis_deg[j:j + cols]
                 yield (np.repeat(thetas, phis.size), np.tile(phis, thetas.size),
-                       *self._margins(thetas, phis, i * n_phi + j))
+                       *self._margins(thetas, phis, i * n_phi + j, bob_bank))
 
-    def _margins(self, thetas, phis, first_cell):
+    def _margins(self, thetas, phis, first_cell, bob_bank):
         if self.mode == "analytic":
             chsh, kcbs = analytic.state1_margins(np.deg2rad(thetas)[:, None],
                                                  np.deg2rad(phis)[None, :], self.n)
@@ -122,7 +133,7 @@ class LandscapeTable:
                                       start=first_cell):
             cell_seed = _cell_seed(self.master_seed, cell)
             ch, kc = _circuit_margins(self.n, math.radians(t), math.radians(p),
-                                      self.shots, cell_seed)
+                                      self.shots, cell_seed, bob_bank)
             chsh.append(ch)
             kcbs.append(kc)
             seeds.append(cell_seed)

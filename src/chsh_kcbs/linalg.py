@@ -33,21 +33,32 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def hermiticity_check(m, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff ``m`` is square and equals its adjoint within ``tol`` (max norm)."""
+def hermiticity_check(m, tol: float = HERMITIAN_TOL):
+    """True iff ``m`` is square and equals its adjoint within ``tol`` (max norm).
+
+    A stack of matrices is checked entry by entry over its last two axes,
+    giving a bool array over the leading axes.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
+    return _within(m, lambda sq: sq - np.swapaxes(sq, -1, -2).conj(), tol)
 
 
-def unitarity_check(m, tol: float = UNITARY_TOL) -> bool:
-    """True iff ``m`` is square and ``m m^dag = I`` within ``tol`` (max norm)."""
+def unitarity_check(m, tol: float = UNITARY_TOL):
+    """True iff ``m`` is square and ``m m^dag = I`` within ``tol`` (max norm).
+
+    A stack of matrices is checked entry by entry over its last two axes,
+    giving a bool array over the leading axes.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    eye = np.eye(m.shape[0])
-    return float(np.max(np.abs(m @ m.conj().T - eye))) <= tol
+    return _within(m, lambda sq: sq @ np.swapaxes(sq, -1, -2).conj() - np.eye(sq.shape[-1]), tol)
+
+
+def _within(m: np.ndarray, residual, tol: float):
+    """Max-norm test of ``residual(m)`` per matrix; False for non-square input."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        return False if m.ndim <= 2 else np.zeros(m.shape[:-2], dtype=bool)
+    ok = np.max(np.abs(residual(m)), axis=(-2, -1)) <= tol
+    return bool(ok) if m.ndim == 2 else ok
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,19 @@ def test_kcbs_margin_independent_of_phi():
     assert np.max(np.abs(kcbs - kcbs[0])) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [5, 21])
+def test_state1_margins_scalar_call_equals_array_call(n):
+    # Squares multiply in both paths, so one cell alone is the same to the
+    # bit as that cell inside an array.
+    rng = np.random.default_rng(n)
+    thetas = rng.uniform(0.0, math.pi, 5000)
+    phis = rng.uniform(0.0, 2 * math.pi, 5000)
+    chsh, kcbs = state1_margins(thetas, phis, n)
+    scalar = [state1_margins(t, p, n) for t, p in zip(thetas.tolist(), phis.tolist())]
+    assert [c for c, _ in scalar] == chsh.tolist()
+    assert [k for _, k in scalar] == kcbs.tolist()
+
+
 def test_state1_margins_broadcast_over_cycle_sizes():
     thetas = np.linspace(0.0, math.pi, 7)
     sizes = np.array([5, 9, 101])

@@ -20,17 +20,20 @@ from chsh_kcbs import (
     expectation,
     f3,
     fourier_test_probabilities,
+    fourier_tests,
     gell_mann,
     phase_gate,
     prepare_state1,
     rotation,
     run_circuit,
     run_hybrid_protocol,
+    run_hybrid_tests,
     sample_shots,
     state1,
     tensor,
     x02,
 )
+from chsh_kcbs.experiments import _bob_bank
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
 
 
@@ -279,6 +282,63 @@ def test_hybrid_protocol_matches_three_register_circuit():
         expected = [float(np.sum(np.abs(final[a * 9:(a + 1) * 9]) ** 2)) for a in range(3)]
         report = run_hybrid_protocol(prepare_state1(theta, phi), alice, bob)
         assert [report.p0, report.p1, report.p2] == expected
+
+
+def _three_register_probabilities(theta, phi, a2, b3):
+    """Ancilla distribution of the whole protocol as one (ancilla, alice, bob) circuit."""
+    ops = (GateOp("R01y", rotation((0, 1), "y", math.pi - theta), 1),
+           GateOp("D(phi,0)", phase_gate(phi, 0.0), 1),
+           GateOp("CX02", controlled_power(x02()), 1),
+           GateOp("F3", f3(), 0),
+           GateOp("C-U^a", controlled_power(tensor(embed_alice(a2), b3)), 0),
+           GateOp("F3_inv", f3().conj().T, 0))
+    final = run_circuit(CircuitSpec(("ancilla", "alice", "bob"), ops))
+    return [float(np.sum(np.abs(final[a * 9:(a + 1) * 9]) ** 2)) for a in range(3)]
+
+
+def test_stacked_cell_matches_three_register_circuit():
+    # Every term of a landscape cell, run as one stack against the Bob
+    # bank, gives the three-register circuit's probabilities to the bit.
+    rng = np.random.default_rng(41)
+    for n in (5, 7, 9, 21):
+        bank = _bob_bank(n)
+        for theta in (0.0, math.pi, *rng.uniform(0, math.pi, 2).tolist()):
+            phi = float(rng.uniform(0, 2 * math.pi))
+            state = prepare_state1(theta, phi)
+            co = chsh_coefficients(state, n)
+            r0, r2 = alice_rotation(co.omega0).matrix, alice_rotation(co.omega2).matrix
+            alice = np.array([r2, r2, r0, r0] + [np.eye(2)] * n)
+            probs = run_hybrid_tests(state, alice, bank)
+            assert probs.shape == (n + 4, 3)
+            for term in range(n + 4):
+                expected = _three_register_probabilities(theta, phi, alice[term], bank[term])
+                assert probs[term].tolist() == expected
+
+
+def test_stack_checks_every_entry_before_the_state():
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    good = 2 * np.outer(v, v.conj()) - np.eye(4)
+    bad_state = np.ones(7)
+    stack = np.array([good, -good, np.eye(4), good])
+    stack[2:, 0, 1] += 0.5
+    with pytest.raises(NotHermitian, match="entry 2 "):
+        fourier_tests(stack, bad_state)
+    stack = np.array([good, -good, np.eye(4), np.diag([1.0, 1.0, 0.5, 1.0])])
+    with pytest.raises(NotUnitary, match="entry 3 "):
+        fourier_tests(stack, bad_state)
+    # A non-unitary Alice entry fails the same check inside the product stack.
+    alice = np.array([np.eye(2), np.diag([1.0, 0.5])])
+    bob = np.array([b0_closed_form(5).matrix] * 2)
+    with pytest.raises(NotUnitary, match="entry 1 "):
+        run_hybrid_tests(prepare_state1(1.0, 0.2), alice, bob)
+    # A good stack gives the one-operator readout row by row.
+    psi = np.full(4, 0.5)
+    rows = fourier_tests(np.array([good, -good]), psi)
+    for row, u in zip(rows, (good, -good)):
+        report = fourier_test_probabilities(u, psi)
+        assert row.tolist() == [report.p0, report.p1, report.p2]
 
 
 def test_identity_alice_setting():

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from chsh_kcbs import cli, experiments, serialize
+from chsh_kcbs.analytic import chsh_coefficients
+from chsh_kcbs.circuits import prepare_state1, run_hybrid_protocol, sample_shots
 from chsh_kcbs.analytic import state1_margins
-from chsh_kcbs.observables import b0_closed_form, kcbs_vector, s_operator
+from chsh_kcbs.observables import (alice_rotation, b0_closed_form, bm_bm1_closed_form,
+                                   kcbs_pair, kcbs_vector, s_operator)
 
 
 def run_cli(*argv):
@@ -114,6 +117,43 @@ def test_landscape_circuit_mode_columns(tmp_path):
         # Both integer columns are written verbatim: the shot count and the cell seed.
         assert row[6] == "2000"
         assert row[7] == str(experiments._cell_seed(3, cell))
+
+
+def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
+    # The CSV of a seeded circuit landscape, rebuilt one Fourier test at a
+    # time: each term through run_hybrid_protocol and sample_shots with the
+    # seed derived from its cell seed and term index.
+    n, shots, master_seed = 7, 500, 11
+    thetas, phis = [0.0, 60.0, 120.0, 180.0], [0.0, 45.0, 90.0]
+    out = tmp_path / "landscape.csv"
+    assert run_cli("landscape", "--n", str(n), "--theta", "0:180:4", "--phi", "0:90:3",
+                   "--mode", "circuit", "--shots", str(shots), "--seed", str(master_seed),
+                   "--out", str(out), "--no-timestamp") == 0
+
+    bm, b0 = bm_bm1_closed_form(n), b0_closed_form(n)
+    lines = ["n,theta_deg,phi_deg,chsh_margin,kcbs_margin,mode,shots,seed\n"]
+    for cell, (theta, phi) in enumerate((t, p) for t in thetas for p in phis):
+        state = prepare_state1(math.radians(theta), math.radians(phi))
+        co = chsh_coefficients(state, n)
+        r0, r2 = alice_rotation(co.omega0), alice_rotation(co.omega2)
+        terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
+        terms += [(np.eye(2), kcbs_pair(n, j)) for j in range(n)]
+        cell_seed = experiments._cell_seed(master_seed, cell)
+        estimates = []
+        for term, (alice, bob) in enumerate(terms):
+            term_seed = int(np.random.SeedSequence((cell_seed, term)).generate_state(1)[0])
+            report = sample_shots(run_hybrid_protocol(state, alice, bob), shots, term_seed)
+            estimates.append(report.estimator_combined)
+        chsh = estimates[0] + estimates[1] + estimates[2] - estimates[3] - 2.0
+        kcbs = 0.0
+        for j in range(n):
+            kcbs += (-1.0 if j == n - 1 else 1.0) * estimates[4 + j]
+        kcbs -= n - 2.0
+        lines.append(f"{n},{theta:.9g},{phi:.9g},{chsh:.9g},{kcbs:.9g},circuit,{shots},"
+                     f"{cell_seed}\n")
+
+    written = out.read_bytes()
+    assert written[written.index(b"n,theta_deg"):] == "".join(lines).encode()
 
 
 def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
@@ -256,9 +296,19 @@ def test_fourier_test_rejects_unknown_bob(tmp_path, capsys):
     out = tmp_path / "fourier.json"
     code = run_cli("fourier-test", "--n", "5", "--theta", "90", "--phi", "0",
                    "--alice", "id", "--bob", "nope", "--out", str(out))
-    assert code == cli.EXIT_DOMAIN
+    assert code == cli.EXIT_USAGE
     assert not out.exists()
     capsys.readouterr()
+
+
+def test_unknown_bob_from_a_config_file_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "fourier.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bob": "nope"}))
+    assert run_cli("fourier-test", "--config", str(config), "--n", "5", "--theta", "90",
+                   "--phi", "0", "--alice", "id", "--out", str(out)) == cli.EXIT_USAGE
+    assert "unknown Bob observable" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fourier_test_pair_index_must_be_an_integer(tmp_path, capsys):

@@ -155,25 +155,42 @@ def _propagated_margin_stddev(n, theta, phi, shots):
 
 def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
     # One circuit preparation per cell; all n + 4 correlators of the cell
-    # are Fourier tests on that one prepared state.
+    # are Fourier tests on that one prepared state, run as one stack.
     n, thetas, phis = 5, [30.0, 60.0, 90.0], [0.0, 45.0]
     prepared, measured = [], []
-    prepare, protocol = experiments.circuits.prepare_state1, experiments.circuits.run_hybrid_protocol
+    prepare, stacked = experiments.circuits.prepare_state1, experiments.circuits.run_hybrid_tests
 
     def prepare_spy(theta, phi):
         prepared.append(prepare(theta, phi))
         return prepared[-1]
 
-    def protocol_spy(state, alice_op, bob_op):
-        measured.append(id(state))
-        return protocol(state, alice_op, bob_op)
+    def stacked_spy(state, alice_ops, bob_ops):
+        measured.extend([id(state)] * len(alice_ops))
+        return stacked(state, alice_ops, bob_ops)
 
     monkeypatch.setattr(experiments.circuits, "prepare_state1", prepare_spy)
-    monkeypatch.setattr(experiments.circuits, "run_hybrid_protocol", protocol_spy)
+    monkeypatch.setattr(experiments.circuits, "run_hybrid_tests", stacked_spy)
     table = landscape_scan(n, thetas, phis, mode="circuit", shots=100, seed=3)
     table.columns()
     assert len(prepared) == len(table) == len(thetas) * len(phis)
     assert measured == [id(state) for state in prepared for _ in range(n + 4)]
+
+
+def test_circuit_table_pass_builds_the_bob_bank_once(monkeypatch):
+    # Bob's n cycle pairs are built once per pass over the table, not per cell.
+    n, calls = 7, []
+    pair = experiments.observables.kcbs_pair
+
+    def pair_spy(size, j):
+        calls.append((size, j))
+        return pair(size, j)
+
+    monkeypatch.setattr(experiments.observables, "kcbs_pair", pair_spy)
+    table = landscape_scan(n, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=1)
+    first = table.columns()
+    assert calls == [(n, j) for j in range(n)]
+    assert _same_columns(table.columns(), first)
+    assert len(calls) == 2 * n
 
 
 def test_landscape_circuit_mode_agrees_with_analytic():

@@ -151,6 +151,20 @@ def test_hermiticity_and_unitarity_checks():
     assert not hermiticity_check(np.ones((2, 3)))
 
 
+def test_checks_run_per_entry_over_a_stack():
+    b0 = b0_closed_form(5).matrix
+    stack = np.array([np.eye(3), b0, np.diag([1.0, 0.0, 1.0]), np.triu(np.ones((3, 3)))])
+    assert hermiticity_check(stack).tolist() == [True, True, True, False]
+    assert unitarity_check(stack).tolist() == [True, True, False, False]
+    # Every entry gets the same verdict as when checked alone.
+    nested = stack.reshape(2, 2, 3, 3)
+    assert hermiticity_check(nested).tolist() == [[True, True], [True, False]]
+    assert [unitarity_check(m) for m in stack] == unitarity_check(stack).tolist()
+    # A stack of non-square matrices fails entry by entry.
+    assert hermiticity_check(np.ones((4, 2, 3))).tolist() == [False] * 4
+    assert unitarity_check(np.ones((4, 2, 3))).tolist() == [False] * 4
+
+
 def test_joint_state_validation():
     amps = np.zeros(6, dtype=complex)
     amps[0] = 1.0
