@@ -13,7 +13,6 @@ from .analytic import (
     asymptotic_margins,
     chsh_coefficients,
     chsh_value,
-    coexistence_window,
     decompose,
     kcbs_value,
     p2_threshold,
@@ -33,7 +32,6 @@ from .circuits import (
     f3,
     fourier_test_probabilities,
     fourier_tests,
-    gell_mann,
     phase_gate,
     prepare_state1,
     rotation,
@@ -62,10 +60,9 @@ from .experiments import (
     run_validation,
     scaling_study,
 )
-from .linalg import JointState, expectation, hermiticity_check, tensor, unitarity_check
+from .linalg import JointState, Observable, expectation, hermiticity_check, tensor, unitarity_check
 from .observables import (
     CycleGeometry,
-    Observable,
     alice_rotation,
     b0_closed_form,
     bm_bm1_closed_form,

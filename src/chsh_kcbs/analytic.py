@@ -207,9 +207,3 @@ def theta_opt_asymptotic(n: int) -> float:
     """Large-n balance angle: theta with theta^2 = 8/(n+4)."""
     cycle_geometry(n)
     return math.sqrt(8.0 / (n + 4))
-
-
-def coexistence_window(n: int) -> float:
-    """Upper edge 2*sqrt(2)/sqrt(n) of the joint-violation window in theta."""
-    cycle_geometry(n)
-    return 2.0 * math.sqrt(2.0) / math.sqrt(n)

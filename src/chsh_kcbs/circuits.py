@@ -1,13 +1,12 @@
 """Exact qutrit circuit simulation and the ancilla Fourier test.
 
-The gate library covers the eight Gell-Mann generators, subspace
-rotations, phase gates, the qutrit Fourier transform, and the
-controlled power gate ``|a>|psi> -> |a> U^a |psi>``.  Circuits run on an
-ordered list of qutrit registers.  The minimal state is prepared once on
-the (alice, bob) pair with Alice's level 2 left empty; every correlator
-of the hybrid protocol is then a Fourier test on that prepared state,
-with Alice's 2x2 observables embedded into 3x3 by a unit on the dead
-level.
+The gate library covers subspace rotations, phase gates, the qutrit
+Fourier transform, and the controlled power gate
+``|a>|psi> -> |a> U^a |psi>``.  Circuits run on an ordered list of
+qutrit registers.  The minimal state is prepared once on the
+(alice, bob) pair with Alice's level 2 left empty; every correlator of
+the hybrid protocol is then a Fourier test on that prepared state, with
+Alice's 2x2 observables embedded into 3x3 by a unit on the dead level.
 
 :func:`fourier_tests` is the one Fourier-test readout.  It checks a
 stack of k operators at once and simulates all k tests together on a
@@ -31,49 +30,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotHermitian, NotUnitary
-from .linalg import JointState, hermiticity_check, state_vector, unitarity_check
-from .observables import Observable
+from .errors import NotHermitian, NotUnitary
+from .linalg import JointState, Observable, hermiticity_check, state_vector, unitarity_check
 
 GATE_UNITARY_TOL = 1e-10
 FOURIER_INPUT_TOL = 1e-10
 DEAD_LEVEL_TOL = 1e-12
 
-_GELL_MANN = (
-    np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
-    np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex),
-    np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex),
-    np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
-    np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex),
-    np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
-    np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex),
-    np.array([[1, 0, 0], [0, 1, 0], [0, 0, -2]], dtype=complex) / math.sqrt(3),
-)
-
 SUBSPACES = ((0, 1), (0, 2), (1, 2))
-
-
-def gell_mann(a: int) -> np.ndarray:
-    """Gell-Mann matrix number a, 1 through 8."""
-    if not 1 <= a <= 8:
-        raise IndexOutOfRange(f"Gell-Mann index must be in [1, 8], got {a}")
-    return _GELL_MANN[a - 1].copy()
-
-
-def subspace_generator(subspace: tuple[int, int], axis: str) -> np.ndarray:
-    """Pauli-like generator acting inside one two-level subspace of the qutrit."""
-    if tuple(subspace) not in SUBSPACES:
-        raise ValueError(f"subspace must be one of {SUBSPACES}, got {subspace!r}")
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    table = {
-        (0, 1): {"x": gell_mann(1), "y": gell_mann(2), "z": gell_mann(3)},
-        (0, 2): {"x": gell_mann(4), "y": gell_mann(5),
-                 "z": 0.5 * (gell_mann(3) + math.sqrt(3) * gell_mann(8))},
-        (1, 2): {"x": gell_mann(6), "y": gell_mann(7),
-                 "z": 0.5 * (-gell_mann(3) + math.sqrt(3) * gell_mann(8))},
-    }
-    return table[tuple(subspace)][axis]
 
 
 def rotation(subspace: tuple[int, int], axis: str, theta: float) -> np.ndarray:
@@ -334,6 +298,13 @@ def run_hybrid_protocol(state, alice_op, bob_op) -> FourierTestReport:
     return FourierTestReport.exact(*probs.tolist())
 
 
+def check_shots(shots) -> int:
+    """A shot count as an int; anything but an integer >= 1 raises ValueError."""
+    if not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    return int(shots)
+
+
 def sample_shots(report: FourierTestReport, shots: int, seed: int) -> FourierTestReport:
     """Draw multinomial counts from the report's exact probabilities.
 
@@ -341,18 +312,17 @@ def sample_shots(report: FourierTestReport, shots: int, seed: int) -> FourierTes
     seed is recorded; identical (seed, shots, probabilities) always give
     identical counts.
     """
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
+    shots = check_shots(shots)
     probs = np.array([report.p0, report.p1, report.p2], dtype=float)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(int(shots), probs)
+    counts = rng.multinomial(shots, probs)
     freqs = counts / float(shots)
     combined, from_p0, from_p1 = _estimators(*freqs)
     return replace(report,
                    estimator_combined=combined, estimator_p0=from_p0,
-                   estimator_p1=from_p1, shots=int(shots),
+                   estimator_p1=from_p1, shots=shots,
                    counts=(int(counts[0]), int(counts[1]), int(counts[2])),
                    seed=int(seed))
 
@@ -364,6 +334,7 @@ def estimator_stddev(report: FourierTestReport, shots: int) -> float:
     f0 - f1 - f2, whose multinomial variance is (1 - (p0 - p1 - p2)^2)/shots
     because the outcome weights (+1, -1, -1) all square to one.
     """
+    shots = check_shots(shots)
     mean = report.p0 - report.p1 - report.p2
     variance = max(0.0, 1.0 - mean ** 2)
     return 9.0 / 8.0 * math.sqrt(variance / shots)

@@ -100,10 +100,11 @@ _LIST_ENTRY_OK = {angle_grid: lambda v: type(v) in (int, float) and math.isfinit
 
 
 def build_parser():
-    """Build the parser plus per-command metadata.
+    """Build the parser plus, per command, its subparser, required flags and flag actions.
 
     Required flags are validated after the optional config file merges in,
-    so they are declared optional here and tracked separately.
+    so they are declared optional here and tracked separately.  The flag
+    actions are the keys a config file may set; ``--config`` is not one.
     """
     parser = argparse.ArgumentParser(
         prog="chsh-kcbs",
@@ -112,69 +113,76 @@ def build_parser():
                "3 domain error, 4 I/O error.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
-    required: dict[str, tuple[str, ...]] = {}
+    commands: dict[str, tuple[argparse.ArgumentParser, tuple[str, ...], dict]] = {}
 
     def command(name, requires=(), **kwargs):
+        """Add a subcommand and return its flag adder, which records each flag's action."""
         sub = subparsers.add_parser(name, **kwargs)
         sub.add_argument("--config", default=None,
                          help="JSON file with default values for this command's flags")
-        sub.add_argument("--no-timestamp", action="store_true",
-                         help="omit the timestamp line from output files")
-        commands[name] = sub
-        required[name] = tuple(requires)
-        return sub
+        actions = {}
+        commands[name] = (sub, tuple(requires), actions)
 
-    sub = command("observables", requires=("n", "out"),
-                  help="dump the n-cycle vectors and observables as JSON")
-    sub.add_argument("--n", type=int, help="odd cycle size >= 5")
-    sub.add_argument("--out", help="output JSON path")
+        def flag(*names, **options):
+            action = sub.add_argument(*names, **options)
+            actions[action.dest] = action
 
-    sub = command("threshold", requires=("n",),
-                  help="print the KCBS-violating population threshold")
-    sub.add_argument("--n", type=int, help="odd cycle size >= 5")
+        flag("--no-timestamp", action="store_true",
+             help="omit the timestamp line from output files")
+        return flag
 
-    sub = command("landscape", requires=("n", "theta", "phi", "out"),
-                  help="scan the minimal-state margins over a (theta, phi) grid")
-    sub.add_argument("--n", type=int, help="odd cycle size >= 5")
-    sub.add_argument("--theta", type=angle_grid, help="theta grid in degrees, start:stop:count")
-    sub.add_argument("--phi", type=angle_grid, help="phi grid in degrees, start:stop:count")
-    sub.add_argument("--mode", choices=("analytic", "circuit"), default="analytic")
-    sub.add_argument("--shots", type=positive_int, default=None,
-                     help="shots per correlator (circuit mode)")
-    sub.add_argument("--seed", type=int, default=None, help="master seed (circuit mode)")
-    sub.add_argument("--out", help="output CSV path")
+    flag = command("observables", requires=("n", "out"),
+                   help="dump the n-cycle vectors and observables as JSON")
+    flag("--n", type=int, help="odd cycle size >= 5")
+    flag("--out", help="output JSON path")
 
-    sub = command("coexist", requires=("n", "out"),
-                  help="solve the margin crossing for each cycle size")
-    sub.add_argument("--n", type=cycle_range, help="cycle sizes, N or start:stop:step")
-    sub.add_argument("--out", help="output CSV path")
+    flag = command("threshold", requires=("n",),
+                   help="print the KCBS-violating population threshold")
+    flag("--n", type=int, help="odd cycle size >= 5")
 
-    sub = command("scaling", requires=("n", "out"),
-                  help="coexistence scaling plus the scaling-family margins")
-    sub.add_argument("--n", type=cycle_range, help="cycle sizes, N or start:stop:step")
-    sub.add_argument("--out", help="output CSV path")
+    flag = command("landscape", requires=("n", "theta", "phi", "out"),
+                   help="scan the minimal-state margins over a (theta, phi) grid")
+    flag("--n", type=int, help="odd cycle size >= 5")
+    flag("--theta", type=angle_grid, help="theta grid in degrees, start:stop:count")
+    flag("--phi", type=angle_grid, help="phi grid in degrees, start:stop:count")
+    flag("--mode", choices=("analytic", "circuit"), default="analytic")
+    flag("--shots", type=positive_int, default=None, help="shots per correlator (circuit mode)")
+    flag("--seed", type=int, default=None, help="master seed (circuit mode)")
+    flag("--out", help="output CSV path")
 
-    sub = command("fourier-test", requires=("n", "theta", "phi", "alice", "bob", "out"),
-                  help="run one Fourier-test correlator on the minimal state")
-    sub.add_argument("--n", type=int, help="odd cycle size >= 5")
-    sub.add_argument("--theta", type=finite_float, help="theta in degrees")
-    sub.add_argument("--phi", type=finite_float, help="phi in degrees")
-    sub.add_argument("--alice", choices=("w0", "w2", "id"),
-                     help="Alice setting: optimal R(omega0), optimal R(omega2), or identity")
-    sub.add_argument("--bob", type=bob_selector,
-                     help="Bob observable: b0, bmbm1, or pair:J for B_J B_J+1")
-    sub.add_argument("--shots", type=positive_int, default=None, help="sample this many shots")
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sub.add_argument("--out", help="output JSON path")
+    flag = command("coexist", requires=("n", "out"),
+                   help="solve the margin crossing for each cycle size")
+    flag("--n", type=cycle_range, help="cycle sizes, N or start:stop:step")
+    flag("--out", help="output CSV path")
+
+    flag = command("scaling", requires=("n", "out"),
+                   help="coexistence scaling plus the scaling-family margins")
+    flag("--n", type=cycle_range, help="cycle sizes, N or start:stop:step")
+    flag("--out", help="output CSV path")
+
+    flag = command("fourier-test", requires=("n", "theta", "phi", "alice", "bob", "out"),
+                   help="run one Fourier-test correlator on the minimal state")
+    flag("--n", type=int, help="odd cycle size >= 5")
+    flag("--theta", type=finite_float, help="theta in degrees")
+    flag("--phi", type=finite_float, help="phi in degrees")
+    flag("--alice", choices=("w0", "w2", "id"),
+         help="Alice setting: optimal R(omega0), optimal R(omega2), or identity")
+    flag("--bob", type=bob_selector, help="Bob observable: b0, bmbm1, or pair:J for B_J B_J+1")
+    flag("--shots", type=positive_int, default=None, help="sample this many shots")
+    flag("--seed", type=int, default=0, help="sampling seed")
+    flag("--out", help="output JSON path")
 
     command("validate", help="run the invariant suite; exit 0 iff everything passes")
 
-    return parser, commands, required
+    return parser, commands
 
 
-def _apply_config(args, parser, sub, argv):
-    """Reparse with config-file values as defaults; explicit flags still win."""
+def _apply_config(args, parser, sub, actions, argv):
+    """Reparse with config-file values as defaults; explicit flags still win.
+
+    ``actions`` maps each flag's dest to its argparse action; any other key
+    is a usage error.
+    """
     try:
         with open(args.config, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -182,11 +190,10 @@ def _apply_config(args, parser, sub, argv):
         sub.error(f"config file {args.config!r} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         sub.error(f"config file {args.config!r} must hold a JSON object")
-    actions = {action.dest: action for action in sub._actions}
     for key, value in payload.items():
         dest = key.replace("-", "_")
         action = actions.get(dest)
-        if action is None or dest in ("help", "config"):
+        if action is None:
             sub.error(f"config key {key!r} is not a flag of this command")
         if isinstance(value, list):
             entry_ok = _LIST_ENTRY_OK.get(action.type)
@@ -247,15 +254,13 @@ def _bob_observable(n: int, selector: str) -> observables.Observable:
 
 def _run_observables(args) -> int:
     n = args.n
+    cycle = [observables.kcbs_observable(n, j) for j in range(n)]
     payload = {
         "n": n,
         "kcbs_vectors": [serialize.matrix_to_json(observables.kcbs_vector(n, j))
                          for j in range(n)],
-        "kcbs_observables": [
-            {"label": observables.kcbs_observable(n, j).label,
-             **serialize.matrix_to_json(observables.kcbs_observable(n, j).matrix)}
-            for j in range(n)
-        ],
+        "kcbs_observables": [{"label": obs.label, **serialize.matrix_to_json(obs.matrix)}
+                             for obs in cycle],
         "b0": serialize.matrix_to_json(observables.b0_closed_form(n).matrix),
         "bm_bm1": serialize.matrix_to_json(observables.bm_bm1_closed_form(n).matrix),
         "s_operator": serialize.matrix_to_json(observables.s_operator(n).matrix),
@@ -353,13 +358,13 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser, commands, required = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-        sub = commands[args.command]
-        if getattr(args, "config", None):
-            args = _apply_config(args, parser, sub, argv)
-        for dest in required.get(args.command, ()):
+        sub, requires, actions = commands[args.command]
+        if args.config:
+            args = _apply_config(args, parser, sub, actions, argv)
+        for dest in requires:
             if getattr(args, dest, None) is None:
                 sub.error(f"the following arguments are required: --{dest}")
     except SystemExit as exc:

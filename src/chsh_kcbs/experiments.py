@@ -66,8 +66,8 @@ def _circuit_margins(n, theta, phi, shots, cell_seed, bob_bank) -> tuple[float, 
     estimates = []
     for term, (p0, p1, p2) in enumerate(probs.tolist()):
         report = circuits.FourierTestReport.exact(p0, p1, p2)
-        term_seed = int(np.random.SeedSequence((cell_seed, term)).generate_state(1)[0])
-        estimates.append(circuits.sample_shots(report, shots, term_seed).estimator_combined)
+        estimates.append(circuits.sample_shots(report, shots, _cell_seed(cell_seed, term))
+                         .estimator_combined)
 
     chsh_sum = estimates[0] + estimates[1] + estimates[2] - estimates[3]
     kcbs_sum = 0.0
@@ -162,7 +162,7 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
     Every input is checked here, before any cell is computed: theta must
     lie in [0, 180] degrees and phi must be finite.  The returned table
     computes its cells block by block as it is iterated.  Circuit mode
-    needs a positive shot count; each cell samples with a seed derived
+    needs an integer shot count >= 1; each cell samples with a seed derived
     from the master seed and the cell index, so results are reproducible
     and independent of evaluation order.
     """
@@ -173,8 +173,6 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
         raise EmptyGrid("theta and phi grids must both be nonempty")
     if mode not in ("analytic", "circuit"):
         raise ValueError(f"mode must be 'analytic' or 'circuit', got {mode!r}")
-    if mode == "circuit" and (shots is None or int(shots) < 1):
-        raise ValueError("circuit mode requires a positive shot count")
     check_theta_deg(thetas)
     if not np.all(np.isfinite(phis)):
         raise ValueError("phi must be finite")
@@ -182,7 +180,8 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
     if mode == "analytic":
         return LandscapeTable(n=n, thetas_deg=thetas, phis_deg=phis, mode="analytic")
     return LandscapeTable(n=n, thetas_deg=thetas, phis_deg=phis, mode="circuit",
-                          shots=int(shots), master_seed=0 if seed is None else int(seed))
+                          shots=circuits.check_shots(shots),
+                          master_seed=0 if seed is None else int(seed))
 
 
 def coexistence_points(sizes) -> dict[str, np.ndarray]:

@@ -1,10 +1,11 @@
 """Dense complex linear algebra at the small fixed dimensions used here.
 
-Matrices are plain numpy arrays, states are numpy vectors or a
-:class:`JointState`, and every operation is a pure function over
-double-precision values.  The joint qubit-qutrit index convention is
-``3*j + k`` with ``j`` the qubit level and ``k`` the qutrit level; every
-tensor product in the package uses the same left-major block ordering.
+Matrices are plain numpy arrays or a checked :class:`Observable`, states
+are numpy vectors or a checked :class:`JointState`, and every operation
+is a pure function over double-precision values.  The joint
+qubit-qutrit index convention is ``3*j + k`` with ``j`` the qubit level
+and ``k`` the qutrit level; every tensor product in the package uses the
+same left-major block ordering.
 """
 
 from __future__ import annotations
@@ -82,51 +83,60 @@ class JointState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def amplitude(self, j: int, k: int) -> complex:
-        """Amplitude on qubit level j, qutrit level k."""
-        return complex(self.amplitudes[3 * j + k])
-
     @property
     def p2(self) -> float:
         """Total population on the qutrit level 2, i.e. |c02|^2 + |c12|^2."""
         return float(abs(self.amplitudes[2]) ** 2 + abs(self.amplitudes[5]) ** 2)
 
 
-def state_vector(psi, dim: int | None = None, require_normalized: bool = False,
-                 tol: float = STATE_INPUT_TOL) -> np.ndarray:
-    """Coerce a JointState or array-like into a complex vector.
+@dataclass(frozen=True)
+class Observable:
+    """A labelled Hermitian matrix; the matrix is stored read-only."""
 
-    ``dim`` pins the expected length; ``require_normalized`` additionally
-    checks the squared norm against 1 within ``tol``.
+    matrix: np.ndarray
+    label: str
+
+    def __post_init__(self):
+        mat = np.array(self.matrix, dtype=complex)
+        if not hermiticity_check(mat, HERMITIAN_TOL):
+            raise NotHermitian(f"observable {self.label!r} is not Hermitian within 1e-12")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+
+
+def state_vector(psi, dim: int, require_normalized: bool = False) -> np.ndarray:
+    """Coerce a JointState or array-like into a complex vector of length ``dim``.
+
+    ``require_normalized`` additionally checks the squared norm against 1
+    within ``STATE_INPUT_TOL``.
     """
     if isinstance(psi, JointState):
         vec = np.array(psi.amplitudes, dtype=complex)
     else:
         vec = np.array(psi, dtype=complex).reshape(-1)
-    if dim is not None and vec.size != dim:
+    if vec.size != dim:
         raise DimensionMismatch(f"expected a vector of length {dim}, got {vec.size}")
     if require_normalized:
         norm_sq = float(np.sum(np.abs(vec) ** 2))
-        if abs(norm_sq - 1.0) > tol:
-            raise NotNormalized(f"|psi|^2 = {norm_sq!r} is not 1 within {tol}")
+        if abs(norm_sq - 1.0) > STATE_INPUT_TOL:
+            raise NotNormalized(f"|psi|^2 = {norm_sq!r} is not 1 within {STATE_INPUT_TOL}")
     return vec
 
 
 def expectation(psi, op) -> float:
     """Expectation value <psi|op|psi> of a Hermitian operator, as a real number.
 
-    Raises NotHermitian if ``op`` fails the 1e-12 Hermiticity tolerance,
-    DimensionMismatch on shape problems, and ImaginaryResidue if the raw
-    value has an imaginary part above 1e-10 in magnitude.
+    An :class:`Observable` was checked when it was built; a raw matrix
+    raises NotHermitian if it fails the 1e-12 Hermiticity tolerance.
+    Raises DimensionMismatch on shape problems and ImaginaryResidue if the
+    raw value has an imaginary part above 1e-10 in magnitude.
     """
-    if isinstance(op, np.ndarray) or not hasattr(op, "matrix"):
-        mat = np.asarray(op, dtype=complex)
-    else:
-        mat = np.asarray(op.matrix, dtype=complex)
+    checked = isinstance(op, Observable)
+    mat = op.matrix if checked else np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
     vec = state_vector(psi, dim=mat.shape[0])
-    if not hermiticity_check(mat):
+    if not checked and not hermiticity_check(mat):
         raise NotHermitian("operator is not Hermitian within 1e-12")
     value = complex(vec.conj() @ (mat @ vec))
     if abs(value.imag) > IMAG_RESIDUE_TOL:

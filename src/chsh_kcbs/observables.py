@@ -14,23 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidCycle, NotHermitian
-from .linalg import HERMITIAN_TOL, hermiticity_check
+from .errors import IndexOutOfRange, InvalidCycle
+from .linalg import Observable
 
 
 @dataclass(frozen=True)
 class CycleGeometry:
     """Derived constants of the odd n-cycle.
 
-    ``c = cos(pi/n)``, ``s2 = sin(pi/2n)``, ``c2 = cos(pi/2n)``,
-    ``m = (n-1)/2``, and the two distinct eigenvalues of the cycle
-    operator, ``lambda1 = n(1-c)/(1+c)`` and ``lambda3 = n(3c-1)/(1+c)``.
+    ``c = cos(pi/n)``, ``s2 = sin(pi/2n)``, ``m = (n-1)/2``, and the two
+    distinct eigenvalues of the cycle operator, ``lambda1 = n(1-c)/(1+c)``
+    and ``lambda3 = n(3c-1)/(1+c)``.
     """
 
     n: int
     c: float
     s2: float
-    c2: float
     m: int
     lambda1: float
     lambda3: float
@@ -46,26 +45,10 @@ def cycle_geometry(n: int) -> CycleGeometry:
         n=n,
         c=c,
         s2=math.sin(math.pi / (2 * n)),
-        c2=math.cos(math.pi / (2 * n)),
         m=(n - 1) // 2,
         lambda1=n * (1 - c) / (1 + c),
         lambda3=n * (3 * c - 1) / (1 + c),
     )
-
-
-@dataclass(frozen=True)
-class Observable:
-    """A labelled Hermitian matrix; the matrix is stored read-only."""
-
-    matrix: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if not hermiticity_check(mat, HERMITIAN_TOL):
-            raise NotHermitian(f"observable {self.label!r} is not Hermitian within 1e-12")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
 
 def kcbs_vector(n: int, j: int) -> np.ndarray:

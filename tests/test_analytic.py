@@ -11,7 +11,6 @@ from chsh_kcbs import (
     asymptotic_margins,
     chsh_coefficients,
     chsh_value,
-    coexistence_window,
     cycle_geometry,
     decompose,
     expectation,
@@ -335,7 +334,6 @@ def test_asymptotic_forms():
         assert kcbs_asym > 0 and chsh_asym > 0
     assert theta_opt_asymptotic(5) == pytest.approx(0.9428, abs=1e-4)
     assert math.degrees(theta_opt_asymptotic(5)) == pytest.approx(54.0, abs=0.1)
-    assert coexistence_window(5) == pytest.approx(2 * math.sqrt(2) / math.sqrt(5), abs=0)
 
 
 def test_tsirelson_ceiling_on_random_states():

@@ -8,7 +8,6 @@ import pytest
 from chsh_kcbs import (
     CircuitSpec,
     GateOp,
-    IndexOutOfRange,
     NotHermitian,
     NotNormalized,
     NotUnitary,
@@ -21,7 +20,7 @@ from chsh_kcbs import (
     f3,
     fourier_test_probabilities,
     fourier_tests,
-    gell_mann,
+    landscape_scan,
     phase_gate,
     prepare_state1,
     rotation,
@@ -37,30 +36,6 @@ from chsh_kcbs.experiments import _bob_bank
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
 
 
-def test_gell_mann_reference_matrices():
-    assert np.array_equal(gell_mann(3), np.diag([1.0, -1.0, 0.0]).astype(complex))
-    assert np.allclose(gell_mann(8), np.diag([1, 1, -2]) / math.sqrt(3), atol=1e-15)
-    assert np.array_equal(gell_mann(1), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex))
-
-
-def test_gell_mann_basis_properties():
-    for a in range(1, 9):
-        mat = gell_mann(a)
-        assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
-        assert abs(np.trace(mat)) <= 1e-12
-    for a in range(1, 9):
-        for b in range(1, 9):
-            overlap = np.trace(gell_mann(a) @ gell_mann(b)).real
-            assert overlap == pytest.approx(2.0 if a == b else 0.0, abs=1e-12)
-
-
-def test_gell_mann_index_bounds():
-    with pytest.raises(IndexOutOfRange):
-        gell_mann(0)
-    with pytest.raises(IndexOutOfRange):
-        gell_mann(9)
-
-
 def test_rotation_identity_and_y_entries():
     for subspace in ((0, 1), (0, 2), (1, 2)):
         for axis in "xyz":
@@ -74,15 +49,16 @@ def test_rotation_identity_and_y_entries():
 
 
 def test_rotation_matches_generator_exponential():
-    # exp(-i theta/2 G) via eigendecomposition of the Hermitian generator.
-    from chsh_kcbs.circuits import subspace_generator
-    for subspace in ((0, 1), (0, 2), (1, 2)):
-        for axis in "xyz":
+    # exp(-i theta/2 G) via eigendecomposition of the Pauli-type generator on levels (i, j).
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        e_ij, e_ji, e_ii, e_jj = (np.zeros((3, 3), dtype=complex) for _ in range(4))
+        e_ij[i, j] = e_ji[j, i] = e_ii[i, i] = e_jj[j, j] = 1.0
+        generators = {"x": e_ij + e_ji, "y": -1j * e_ij + 1j * e_ji, "z": e_ii - e_jj}
+        for axis, gen in generators.items():
             theta = 1.234
-            gen = subspace_generator(subspace, axis)
             vals, vecs = np.linalg.eigh(gen)
             expected = vecs @ np.diag(np.exp(-1j * theta / 2 * vals)) @ vecs.conj().T
-            assert np.max(np.abs(rotation(subspace, axis, theta) - expected)) <= 1e-12
+            assert np.max(np.abs(rotation((i, j), axis, theta) - expected)) <= 1e-12
 
 
 def test_rotation_one_parameter_group():
@@ -410,3 +386,17 @@ def test_estimator_stddev_formula():
     mean = balanced.p0 - balanced.p1 - balanced.p2
     expected = 9 / 8 * math.sqrt((1 - mean**2) / 1000)
     assert estimator_stddev(balanced, 1000) == pytest.approx(expected, abs=1e-15)
+
+
+def test_shot_counts_must_be_integers_of_at_least_one():
+    report = fourier_test_probabilities(np.eye(2), np.array([1.0, 0.0], dtype=complex))
+    for shots in (0.5, 0, -3, 100.0, "100", None):
+        with pytest.raises(ValueError):
+            sample_shots(report, shots, 1)
+        with pytest.raises(ValueError):
+            estimator_stddev(report, shots)
+    assert sample_shots(report, np.int64(3), 1).shots == 3
+    # A circuit landscape refuses the same counts before computing any cell.
+    for shots in (2.5, 0, None):
+        with pytest.raises(ValueError):
+            landscape_scan(5, [0.0], [0.0], mode="circuit", shots=shots)

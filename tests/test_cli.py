@@ -420,6 +420,19 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_keys_are_the_command_flags(tmp_path, capsys):
+    # A config file cannot name --config or --help, but it can set a boolean flag.
+    config = tmp_path / "config.json"
+    for key in ("config", "help"):
+        config.write_text(json.dumps({key: "x"}))
+        assert run_cli("threshold", "--config", str(config), "--n", "5") == cli.EXIT_USAGE
+        assert f"config key {key!r} is not a flag" in capsys.readouterr().err
+    out = tmp_path / "coexist.csv"
+    config.write_text(json.dumps({"no-timestamp": True}))
+    assert run_cli("coexist", "--config", str(config), "--n", "5", "--out", str(out)) == 0
+    assert "# timestamp:" not in out.read_text()
+
+
 def test_config_echoed_into_metadata(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": "7:7:1"}))

