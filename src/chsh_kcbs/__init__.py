@@ -38,6 +38,7 @@ from .circuits import (
     run_circuit,
     run_hybrid_protocol,
     run_hybrid_tests,
+    sample_shot_stack,
     sample_shots,
     x02,
 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import JointState, state_vector
-from .observables import CycleGeometry, cycle_geometry
+from .observables import cycle_geometry
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,6 @@ class ResourceDecomposition:
     r4: float
     s_plus: float
     s_minus: float
-
-
-def _geometry_weights(geo: CycleGeometry) -> tuple[float, float]:
-    """The two geometric couplings 4*(-1)^m*s2 +/- 2."""
-    base = 4.0 * (-1) ** geo.m * geo.s2
-    return base + 2.0, base - 2.0
 
 
 def chsh_coefficients(state, n: int) -> ChshCoefficients:
@@ -142,17 +136,15 @@ def state1_margins(theta, phi, n):
 
     Returns ``(chsh_margin, kcbs_margin)``.  The angles and the cycle
     size ``n`` all broadcast, so a grid of angles at one size, or one
-    angle per size over an array of sizes, evaluates in one call; each
-    size takes its constants from :func:`cycle_geometry`.  The CHSH
-    margin grows with the interference weight sin^2(theta) cos^2(phi);
-    the KCBS margin depends on theta only, through the population
-    cos^2(theta/2).
+    angle per size over an array of sizes, evaluates in one call, with
+    the constants of every size from one :func:`cycle_geometry` call.
+    The CHSH margin grows with the interference weight
+    sin^2(theta) cos^2(phi); the KCBS margin depends on theta only,
+    through the population cos^2(theta/2).
     """
-    sizes = np.asarray(n)
-    constants = [(geo.n, geo.c, *_geometry_weights(geo))
-                 for geo in map(cycle_geometry, sizes.ravel().tolist())]
-    n_values, c, s_plus, s_minus = np.array(constants, dtype=float).T.reshape(
-        (4,) + sizes.shape)
+    geo = cycle_geometry(n)
+    c, s_plus, s_minus = geo.c, geo.s_plus, geo.s_minus
+    n_values = np.asarray(geo.n, dtype=float)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
 
@@ -175,7 +167,6 @@ def decompose(state, n: int) -> ResourceDecomposition:
     geo = cycle_geometry(n)
     amps = state_vector(state, dim=6, require_normalized=True)
     c00, c01, c02, c10, c11, c12 = amps
-    s_plus, s_minus = _geometry_weights(geo)
     return ResourceDecomposition(
         q0=float((abs(c00) ** 2 - abs(c10) ** 2 - abs(c02) ** 2 + abs(c12) ** 2).real),
         q1=float((abs(c01) ** 2 - abs(c11) ** 2).real),
@@ -183,8 +174,8 @@ def decompose(state, n: int) -> ResourceDecomposition:
         r2=float((np.conj(c10) * c00 - np.conj(c12) * c02).real),
         r3=float((np.conj(c12) * c00 + np.conj(c02) * c10).real),
         r4=float((np.conj(c11) * c01).real),
-        s_plus=s_plus,
-        s_minus=s_minus,
+        s_plus=geo.s_plus,
+        s_minus=geo.s_minus,
     )
 
 
@@ -197,10 +188,10 @@ def psi_n_state(n: int, k: int = 0) -> JointState:
     return JointState(amps)
 
 
-def asymptotic_margins(n: int) -> tuple[float, float]:
-    """Leading large-n margins of the scaling family: (kcbs, chsh)."""
-    cycle_geometry(n)
-    return 8.0 / (n + 4), 8.0 * (n + 2) / (n + 4) ** 2
+def asymptotic_margins(n):
+    """Leading large-n margins (kcbs, chsh) of the scaling family, for a size or an array."""
+    size = np.asarray(cycle_geometry(n).n, dtype=float) + 4.0
+    return 8.0 / size, 8.0 * (size - 2.0) / (size * size)
 
 
 def theta_opt_asymptotic(n: int) -> float:

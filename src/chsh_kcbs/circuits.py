@@ -21,12 +21,14 @@ The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
 P(0) = (5 + 4<U>)/9 and P(1) = P(2) = (2 - 2<U>)/9, inverted by the
 estimators (9 P0 - 5)/4, (2 - 9 P1)/2, and (9 (P0 - P1 - P2) - 1)/8.
+:func:`sample_shot_stack` draws the shots of k tests as one stack, one
+seeded draw per row; :func:`sample_shots` is its one-report case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,11 +213,6 @@ class FourierTestReport:
     counts: tuple[int, int, int] | None = None
     seed: int | None = None
 
-    @classmethod
-    def exact(cls, p0: float, p1: float, p2: float) -> FourierTestReport:
-        """Exact-mode report of the ancilla probabilities, with all three estimators."""
-        return cls(p0, p1, p2, *_estimators(p0, p1, p2))
-
 
 def _estimators(p0: float, p1: float, p2: float) -> tuple[float, float, float]:
     return ((9.0 * (p0 - p1 - p2) - 1.0) / 8.0,
@@ -264,8 +261,8 @@ def fourier_test_probabilities(u, psi) -> FourierTestReport:
     The one-operator case of :func:`fourier_tests`: U is checked before
     the state, for Hermiticity and then unitarity.
     """
-    probs = fourier_tests(np.asarray(u, dtype=complex)[None], psi)[0]
-    return FourierTestReport.exact(*probs.tolist())
+    probs = fourier_tests(np.asarray(u, dtype=complex)[None], psi)[0].tolist()
+    return FourierTestReport(*probs, *_estimators(*probs))
 
 
 def run_hybrid_tests(state, alice_ops, bob_ops) -> np.ndarray:
@@ -294,8 +291,8 @@ def run_hybrid_protocol(state, alice_op, bob_op) -> FourierTestReport:
     """
     a2 = alice_op.matrix if isinstance(alice_op, Observable) else alice_op
     b3 = bob_op.matrix if isinstance(bob_op, Observable) else bob_op
-    probs = run_hybrid_tests(state, np.asarray(a2)[None], np.asarray(b3)[None])[0]
-    return FourierTestReport.exact(*probs.tolist())
+    probs = run_hybrid_tests(state, np.asarray(a2)[None], np.asarray(b3)[None])[0].tolist()
+    return FourierTestReport(*probs, *_estimators(*probs))
 
 
 def check_shots(shots) -> int:
@@ -305,26 +302,29 @@ def check_shots(shots) -> int:
     return int(shots)
 
 
-def sample_shots(report: FourierTestReport, shots: int, seed: int) -> FourierTestReport:
-    """Draw multinomial counts from the report's exact probabilities.
+def sample_shot_stack(probs, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial counts for a (k, 3) stack of ancilla distributions, row i seeded by seeds[i].
 
-    The estimators are recomputed from the empirical frequencies and the
-    seed is recorded; identical (seed, shots, probabilities) always give
-    identical counts.
+    Every row is clipped at zero and normalised, then drawn with
+    ``np.random.default_rng(seeds[i])``.  Returns the (k, 3) counts and the
+    (k, 3) estimators (combined, from_p0, from_p1) of their frequencies.
     """
     shots = check_shots(shots)
-    probs = np.array([report.p0, report.p1, report.p2], dtype=float)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    freqs = counts / float(shots)
-    combined, from_p0, from_p1 = _estimators(*freqs)
-    return replace(report,
-                   estimator_combined=combined, estimator_p0=from_p0,
-                   estimator_p1=from_p1, shots=shots,
-                   counts=(int(counts[0]), int(counts[1]), int(counts[2])),
-                   seed=int(seed))
+    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    counts = np.array([np.random.default_rng(seed).multinomial(shots, row)
+                       for seed, row in zip(seeds, probs)])
+    return counts, np.column_stack(_estimators(*(counts / float(shots)).T))
+
+
+def sample_shots(report: FourierTestReport, shots: int, seed: int) -> FourierTestReport:
+    """Draw multinomial counts from the report's exact probabilities, as one row of a stack.
+
+    The estimators are recomputed from the frequencies and the seed is recorded.
+    """
+    counts, estimators = sample_shot_stack([[report.p0, report.p1, report.p2]], shots, [seed])
+    return FourierTestReport(report.p0, report.p1, report.p2, *estimators[0],
+                             shots=int(shots), counts=tuple(counts[0].tolist()), seed=int(seed))
 
 
 def estimator_stddev(report: FourierTestReport, shots: int) -> float:

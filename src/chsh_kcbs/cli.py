@@ -82,6 +82,7 @@ def _checked(parse, ok, requirement: str):
 
 
 positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+seed_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
 finite_float = _checked(float, math.isfinite, "finite")
 
 
@@ -147,7 +148,7 @@ def build_parser():
     flag("--phi", type=angle_grid, help="phi grid in degrees, start:stop:count")
     flag("--mode", choices=("analytic", "circuit"), default="analytic")
     flag("--shots", type=positive_int, default=None, help="shots per correlator (circuit mode)")
-    flag("--seed", type=int, default=None, help="master seed (circuit mode)")
+    flag("--seed", type=seed_int, default=None, help="master seed (circuit mode)")
     flag("--out", help="output CSV path")
 
     flag = command("coexist", requires=("n", "out"),
@@ -169,7 +170,7 @@ def build_parser():
          help="Alice setting: optimal R(omega0), optimal R(omega2), or identity")
     flag("--bob", type=bob_selector, help="Bob observable: b0, bmbm1, or pair:J for B_J B_J+1")
     flag("--shots", type=positive_int, default=None, help="sample this many shots")
-    flag("--seed", type=int, default=0, help="sampling seed")
+    flag("--seed", type=seed_int, default=0, help="sampling seed")
     flag("--out", help="output JSON path")
 
     command("validate", help="run the invariant suite; exit 0 iff everything passes")
@@ -205,6 +206,8 @@ def _apply_config(args, parser, sub, actions, argv):
                 sub.error(f"config key {key!r} holds an invalid list entry")
             if action.type is angle_grid:
                 value = [float(v) for v in value]
+        elif action.nargs == 0 and type(value) is not bool:
+            sub.error(f"config key {key!r} takes true or false")
         elif action.type is not None:
             try:
                 value = action.type(str(value))

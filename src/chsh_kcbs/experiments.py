@@ -51,8 +51,8 @@ def _circuit_margins(n, theta, phi, shots, cell_seed, bob_bank) -> tuple[float, 
     read from it in one stacked Fourier test against ``bob_bank``.  CHSH
     uses the four correlators at the analytic optimal angles; KCBS uses
     the n adjacent products with the cycle's minus sign on the
-    wraparound term.  Each term samples its shots with a seed derived
-    from the cell seed and the term index.
+    wraparound term.  The n + 4 terms sample their shots in one stack,
+    each with a seed derived from the cell seed and the term index.
     """
     state = circuits.prepare_state1(theta, phi)
     co = analytic.chsh_coefficients(state, n)
@@ -62,18 +62,12 @@ def _circuit_margins(n, theta, phi, shots, cell_seed, bob_bank) -> tuple[float, 
     alice[:4] = (r2, r2, r0, r0)
     alice[4:] = np.eye(2)
     probs = circuits.run_hybrid_tests(state, alice, bob_bank)
-
-    estimates = []
-    for term, (p0, p1, p2) in enumerate(probs.tolist()):
-        report = circuits.FourierTestReport.exact(p0, p1, p2)
-        estimates.append(circuits.sample_shots(report, shots, _cell_seed(cell_seed, term))
-                         .estimator_combined)
+    seeds = [_cell_seed(cell_seed, term) for term in range(n + 4)]
+    estimates = circuits.sample_shot_stack(probs, shots, seeds)[1][:, 0]
 
     chsh_sum = estimates[0] + estimates[1] + estimates[2] - estimates[3]
-    kcbs_sum = 0.0
-    for j in range(n):
-        sign = -1.0 if j == n - 1 else 1.0
-        kcbs_sum += sign * estimates[4 + j]
+    # A running sum, in term order: np.sum's pairwise order would move the last bits.
+    kcbs_sum = np.cumsum(np.append(estimates[4:-1], -estimates[-1]))[-1]
     return chsh_sum - 2.0, kcbs_sum - (n - 2.0)
 
 
@@ -247,8 +241,7 @@ def scaling_study(sizes) -> tuple[dict[str, np.ndarray], float | None]:
     theta_n = np.array([2.0 * math.acos(math.sqrt((k + 2.0) / (k + 4.0))) for k in n.tolist()])
     columns["psi_n_chsh_margin"], columns["psi_n_kcbs_margin"] = analytic.state1_margins(
         theta_n, 0.0, n)
-    columns["asym_kcbs"], columns["asym_chsh"] = np.array(
-        [analytic.asymptotic_margins(k) for k in n.tolist()]).T
+    columns["asym_kcbs"], columns["asym_chsh"] = analytic.asymptotic_margins(n)
     slope = None
     if n.size >= 2:
         slope = float(np.polyfit(np.log(n), np.log(columns["overlap"]), 1)[0])
@@ -356,7 +349,6 @@ def run_validation(report=print) -> bool:
     worst = 0.0
     for n in (5, 7):
         geo = observables.cycle_geometry(n)
-        s_plus, s_minus = analytic._geometry_weights(geo)
         for theta in (0.3, 1.1, 2.4):
             for phi in (0.0, math.pi / 3):
                 co = analytic.chsh_coefficients(analytic.state1(theta, phi), n)
@@ -364,8 +356,8 @@ def run_validation(report=print) -> bool:
                 worst = max(worst,
                             abs(co.x0 + 2 * geo.c / (1 + geo.c)),
                             abs(co.x2 - (2 - 4 * geo.c) / (1 + geo.c)),
-                            abs(co.y0 - coh * s_minus),
-                            abs(co.y2 - coh * s_plus))
+                            abs(co.y0 - coh * geo.s_minus),
+                            abs(co.y2 - coh * geo.s_plus))
     add("minimal-state coefficients <= 1e-12", worst <= 1e-12, f"max gap = {worst:.2e}")
 
     # Circuit pipeline: exact Fourier tests reproduce analytic correlators.

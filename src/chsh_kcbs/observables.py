@@ -20,35 +20,48 @@ from .linalg import Observable
 
 @dataclass(frozen=True)
 class CycleGeometry:
-    """Derived constants of the odd n-cycle.
+    """Derived constants of the odd n-cycle: numbers for one size, arrays for an array of sizes.
 
-    ``c = cos(pi/n)``, ``s2 = sin(pi/2n)``, ``m = (n-1)/2``, and the two
-    distinct eigenvalues of the cycle operator, ``lambda1 = n(1-c)/(1+c)``
-    and ``lambda3 = n(3c-1)/(1+c)``.
+    ``c = cos(pi/n)``, ``s2 = sin(pi/2n)``, ``m = (n-1)/2``, the cycle
+    operator's two distinct eigenvalues ``lambda1 = n(1-c)/(1+c)`` and
+    ``lambda3 = n(3c-1)/(1+c)``, and the CHSH couplings
+    ``s_plus, s_minus = 4 (-1)^m s2 +/- 2``.
     """
 
-    n: int
-    c: float
-    s2: float
-    m: int
-    lambda1: float
-    lambda3: float
+    n: int | np.ndarray
+    c: float | np.ndarray
+    s2: float | np.ndarray
+    m: int | np.ndarray
+    lambda1: float | np.ndarray
+    lambda3: float | np.ndarray
+    s_plus: float | np.ndarray
+    s_minus: float | np.ndarray
 
 
-def cycle_geometry(n: int) -> CycleGeometry:
-    """Build the geometry constants for an odd cycle size n >= 5."""
-    if not isinstance(n, (int, np.integer)) or n % 2 == 0 or n < 5:
+def cycle_geometry(n) -> CycleGeometry:
+    """Build the geometry constants for an odd cycle size n >= 5, or for each size in an array.
+
+    Python ints beyond int64 are accepted; floats, strings and an empty
+    array are not.  An error names the first invalid size.
+    """
+    sizes = np.asarray(n)
+    bad = sizes.ravel()
+    if np.issubdtype(sizes.dtype, np.integer) or sizes.dtype == object and all(
+            isinstance(k, (int, np.integer)) for k in bad):
+        bad = bad[(bad % 2 == 0) | (bad < 5)]
+        n = bad.tolist()[0] if bad.size else n
+    if sizes.size == 0 or bad.size:
         raise InvalidCycle(f"cycle size must be an odd integer >= 5, got {n!r}")
-    n = int(n)
-    c = math.cos(math.pi / n)
-    return CycleGeometry(
-        n=n,
-        c=c,
-        s2=math.sin(math.pi / (2 * n)),
-        m=(n - 1) // 2,
-        lambda1=n * (1 - c) / (1 + c),
-        lambda3=n * (3 * c - 1) / (1 + c),
-    )
+    n_float = sizes.astype(float)
+    c = np.cos(np.pi / n_float)
+    s2 = np.sin(np.pi / (2 * n_float))
+    m = (sizes - 1) // 2
+    coupling = np.where(m % 2 == 1, -4.0, 4.0) * s2
+    fields = (sizes, c, s2, m, n_float * (1 - c) / (1 + c), n_float * (3 * c - 1) / (1 + c),
+              coupling + 2.0, coupling - 2.0)
+    if sizes.ndim == 0:
+        fields = [np.asarray(value).item() for value in fields]
+    return CycleGeometry(*fields)
 
 
 def kcbs_vector(n: int, j: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from chsh_kcbs import (
     CircuitSpec,
+    FourierTestReport,
     GateOp,
     NotHermitian,
     NotNormalized,
@@ -27,6 +28,7 @@ from chsh_kcbs import (
     run_circuit,
     run_hybrid_protocol,
     run_hybrid_tests,
+    sample_shot_stack,
     sample_shots,
     state1,
     tensor,
@@ -359,6 +361,30 @@ def test_sample_shots_degenerate_and_reproducible():
     assert sum(first.counts) == 4096
     third = sample_shots(report, 4096, 8)
     assert third.counts != first.counts
+
+
+def test_shot_stack_matches_sample_shots_row_by_row():
+    state = prepare_state1(0.9, 0.4)
+    probs = run_hybrid_tests(state, np.array([alice_rotation(0.3).matrix, np.eye(2)]),
+                             np.array([b0_closed_form(5).matrix, kcbs_pair(5, 1).matrix]))
+    # Add a degenerate row and a row whose tiny negative entry the clip removes.
+    probs = np.vstack([probs, [1.0, 0.0, 0.0], [0.5, 0.5 + 1e-17, -1e-17]])
+    seeds = [11, 2**40 + 3, 0, 97]
+    counts, estimators = sample_shot_stack(probs, 777, seeds)
+    assert counts.shape == estimators.shape == (4, 3)
+    for row, seed, row_counts, row_estimators in zip(probs, seeds, counts, estimators):
+        report = FourierTestReport(*row.tolist(), 0.0, 0.0, 0.0)
+        alone = sample_shots(report, 777, seed)
+        assert tuple(row_counts.tolist()) == alone.counts
+        # Each row is its own seeded draw from the clipped, normalised row.
+        clipped = np.clip(row, 0.0, None)
+        draw = np.random.default_rng(seed).multinomial(777, clipped / clipped.sum())
+        assert row_counts.tolist() == draw.tolist()
+        assert row_estimators.tolist() == [alone.estimator_combined, alone.estimator_p0,
+                                           alone.estimator_p1]
+    assert counts[2].tolist() == [777, 0, 0] and counts[3, 2] == 0
+    with pytest.raises(ValueError):
+        sample_shot_stack(probs, 0, seeds)
 
 
 def test_sampled_estimator_within_five_sigma():

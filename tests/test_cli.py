@@ -433,6 +433,40 @@ def test_config_keys_are_the_command_flags(tmp_path, capsys):
     assert "# timestamp:" not in out.read_text()
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_boolean_config_flag_takes_only_json_booleans(tmp_path, capsys, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"no-timestamp": value}))
+    out = tmp_path / "coexist.csv"
+    assert run_cli("coexist", "--config", str(config), "--n", "5", "--out", str(out)) == \
+        cli.EXIT_USAGE
+    assert "no-timestamp" in capsys.readouterr().err
+    assert not out.exists()
+    # JSON false keeps the timestamp.
+    config.write_text(json.dumps({"no-timestamp": False}))
+    assert run_cli("coexist", "--config", str(config), "--n", "5", "--out", str(out)) == 0
+    assert "timestamp" in serialize.read_csv(str(out))[2]
+
+
+@pytest.mark.parametrize("command, args", [
+    ("landscape", ["--n", "5", "--theta", "30:60:2", "--phi", "0:0:1", "--mode", "circuit",
+                   "--shots", "10"]),
+    ("landscape", ["--n", "5", "--theta", "30:60:2", "--phi", "0:0:1"]),
+    ("fourier-test", ["--n", "5", "--theta", "30", "--phi", "0", "--alice", "w0", "--bob", "b0",
+                      "--shots", "10"]),
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, args):
+    out = tmp_path / "out"
+    assert run_cli(command, *args, "--seed", "-1", "--out", str(out)) == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+    assert run_cli(command, *args, "--config", str(config), "--out", str(out)) == cli.EXIT_USAGE
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(command, *args, "--seed", "0", "--out", str(out), "--no-timestamp") == 0
+
+
 def test_config_echoed_into_metadata(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": "7:7:1"}))

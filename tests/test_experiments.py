@@ -15,6 +15,7 @@ from chsh_kcbs import (
     prepare_state1,
     run_hybrid_protocol,
     run_validation,
+    sample_shots,
     scaling_study,
     state1_margins,
 )
@@ -191,6 +192,66 @@ def test_circuit_table_pass_builds_the_bob_bank_once(monkeypatch):
     assert calls == [(n, j) for j in range(n)]
     assert _same_columns(table.columns(), first)
     assert len(calls) == 2 * n
+
+
+def test_circuit_cell_builds_no_per_term_report(monkeypatch):
+    # A cell reads its n + 4 combined estimates as one column of the shot stack.
+    built = []
+    report_class = experiments.circuits.FourierTestReport
+    init = report_class.__init__
+
+    def init_spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(report_class, "__init__", init_spy)
+    table = landscape_scan(7, [30.0, 60.0], [0.0, 45.0], mode="circuit", shots=100, seed=3)
+    assert len(table.columns()["chsh_margin"]) == 4
+    assert built == []
+
+
+def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
+    # With n + 4 >= 8 terms a pairwise sum would move the last bits; the cell
+    # keeps the running sum of the term-by-term protocol.
+    n, shots, master_seed = 9, 300, 5
+    table = landscape_scan(n, [40.0, 70.0], [30.0], mode="circuit", shots=shots, seed=master_seed)
+    columns = table.columns()
+    bm, b0 = bm_bm1_closed_form(n), b0_closed_form(n)
+    for cell, theta in enumerate([40.0, 70.0]):
+        state = prepare_state1(math.radians(theta), math.radians(30.0))
+        co = chsh_coefficients(state, n)
+        r0, r2 = alice_rotation(co.omega0), alice_rotation(co.omega2)
+        terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
+        terms += [(np.eye(2), kcbs_pair(n, j)) for j in range(n)]
+        cell_seed = experiments._cell_seed(master_seed, cell)
+        estimates = [sample_shots(run_hybrid_protocol(state, a, b), shots,
+                                  experiments._cell_seed(cell_seed, term)).estimator_combined
+                     for term, (a, b) in enumerate(terms)]
+        kcbs = 0.0
+        for j in range(n):
+            kcbs += (-1.0 if j == n - 1 else 1.0) * estimates[4 + j]
+        chsh = estimates[0] + estimates[1] + estimates[2] - estimates[3]
+        assert columns["chsh_margin"][cell] == chsh - 2.0
+        assert columns["kcbs_margin"][cell] == kcbs - (n - 2.0)
+
+
+def test_margin_kernel_builds_the_cycle_constants_once_per_call(monkeypatch):
+    kernel_calls, geometry_calls = [], []
+    kernel, geometry = experiments.analytic.state1_margins, experiments.analytic.cycle_geometry
+
+    def kernel_spy(theta, phi, n):
+        kernel_calls.append(np.size(n))
+        return kernel(theta, phi, n)
+
+    def geometry_spy(n):
+        geometry_calls.append(np.size(n))
+        return geometry(n)
+
+    monkeypatch.setattr(experiments.analytic, "state1_margins", kernel_spy)
+    monkeypatch.setattr(experiments.analytic, "cycle_geometry", geometry_spy)
+    scaling_study(range(5, 200, 2))
+    assert len(kernel_calls) > 2
+    assert geometry_calls == kernel_calls + [len(range(5, 200, 2))]
 
 
 def test_landscape_circuit_mode_agrees_with_analytic():

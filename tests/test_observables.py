@@ -36,10 +36,36 @@ def test_cycle_geometry_values():
     assert geo7.lambda3 > geo7.lambda1 > 0
 
 
-@pytest.mark.parametrize("bad", [4, 3, 1, 0, -5, 6, 5.0, "5"])
+@pytest.mark.parametrize("bad", [4, 3, 1, 0, -5, 6, 5.0, "5", [5, 6], [7, 3], [5, 7.0], [],
+                                 np.array([], dtype=int), np.array([[5, 9], [11, 4]])])
 def test_cycle_geometry_rejects_bad_sizes(bad):
     with pytest.raises(InvalidCycle):
         cycle_geometry(bad)
+
+
+@pytest.mark.parametrize("sizes", [
+    np.arange(5, 20002, 2),
+    np.array(list(range(5, 20002, 2)) + [100000000000000000001], dtype=object),
+])
+def test_cycle_geometry_array_matches_each_size_to_the_bit(sizes):
+    geo = cycle_geometry(sizes)
+    alone = [cycle_geometry(n) for n in sizes.tolist()]
+    for field in ("n", "m"):
+        assert getattr(geo, field).tolist() == [getattr(g, field) for g in alone]
+    for field in ("c", "s2", "lambda1", "lambda3", "s_plus", "s_minus"):
+        column = getattr(geo, field)
+        assert column.dtype == float and column.shape == sizes.shape
+        assert column.tobytes() == np.array([getattr(g, field) for g in alone]).tobytes()
+    # A 2-D array of sizes gives 2-D fields.
+    assert cycle_geometry(np.array([[5, 7], [9, 11]])).lambda3.shape == (2, 2)
+
+
+def test_cycle_geometry_scalar_fields_are_python_numbers():
+    geo = cycle_geometry(100000000000000000001)
+    assert geo.n == 100000000000000000001 and geo.m == 50000000000000000000
+    assert type(geo.n) is int and type(geo.m) is int and type(geo.c) is float
+    assert geo.s_plus == 4 * geo.s2 + 2 and geo.s_minus == 4 * geo.s2 - 2
+    assert cycle_geometry(7).s_plus == -4 * cycle_geometry(7).s2 + 2
 
 
 def test_kcbs_vector_closed_form():
