@@ -68,9 +68,9 @@ from .observables import (
     b0_closed_form,
     bm_bm1_closed_form,
     cycle_geometry,
-    kcbs_observable,
+    kcbs_observables,
     kcbs_pair,
-    kcbs_vector,
+    kcbs_vectors,
     s_operator,
 )
 

@@ -51,18 +51,21 @@ class KcbsReport:
 
 @dataclass(frozen=True)
 class ResourceDecomposition:
-    """Population (q), coherence (r), and geometry (s) pieces of a state.
+    """Population (q, p2), coherence (r), and geometry (c, s) pieces of a state.
 
-    These are exactly the ingredients of the CHSH coefficients:
-    ``x0 = -2c/(1+c) q0 + 2 q1 + 2 sqrt(c)/(1+c) r1 s_minus`` and so on.
+    These are exactly the ingredients of the CHSH coefficients,
+    ``x0 = -2c/(1+c) q0 + 2 q1 + 2 sqrt(c)/(1+c) r1 s_minus`` and so on,
+    and of the KCBS sum, which reads the state through ``p2`` alone.
     """
 
     q0: float
     q1: float
+    p2: float
     r1: float
     r2: float
     r3: float
     r4: float
+    c: float
     s_plus: float
     s_minus: float
 
@@ -76,7 +79,7 @@ def chsh_coefficients(state, n: int) -> ChshCoefficients:
     contributes nothing and gets angle 0 by convention.
     """
     d = decompose(state, n)
-    c = cycle_geometry(n).c
+    c = d.c
     coh_scale = 2.0 * math.sqrt(c) / (1 + c)
 
     x0 = -2.0 * c / (1 + c) * d.q0 + 2.0 * d.q1 + coh_scale * d.r1 * d.s_minus
@@ -101,13 +104,11 @@ def chsh_value(state, n: int, omega0: float, omega2: float) -> float:
 
 def kcbs_value(state, n: int) -> KcbsReport:
     """KCBS cycle sum of a state; driven entirely by the level-2 population."""
-    geo = cycle_geometry(n)
-    amps = state_vector(state, dim=6, require_normalized=True)
-    p2 = float(abs(amps[2]) ** 2 + abs(amps[5]) ** 2)
-    c = geo.c
-    s = geo.n * (4 * c - 2) / (1 + c) * p2 + geo.n * (1 - c) / (1 + c)
-    bound = float(geo.n - 2)
-    return KcbsReport(s_kcbs=s, p2=p2, classical_bound=bound, margin=s - bound)
+    d = decompose(state, n)
+    n, c = int(n), d.c  # decompose checked n
+    s = n * (4 * c - 2) / (1 + c) * d.p2 + n * (1 - c) / (1 + c)
+    bound = float(n - 2)
+    return KcbsReport(s_kcbs=s, p2=d.p2, classical_bound=bound, margin=s - bound)
 
 
 def p2_threshold(n: int) -> float:
@@ -170,10 +171,12 @@ def decompose(state, n: int) -> ResourceDecomposition:
     return ResourceDecomposition(
         q0=float((abs(c00) ** 2 - abs(c10) ** 2 - abs(c02) ** 2 + abs(c12) ** 2).real),
         q1=float((abs(c01) ** 2 - abs(c11) ** 2).real),
+        p2=float(abs(c02) ** 2 + abs(c12) ** 2),
         r1=float((np.conj(c00) * c02 - np.conj(c10) * c12).real),
         r2=float((np.conj(c10) * c00 - np.conj(c12) * c02).real),
         r3=float((np.conj(c12) * c00 + np.conj(c02) * c10).real),
         r4=float((np.conj(c11) * c01).real),
+        c=geo.c,
         s_plus=geo.s_plus,
         s_minus=geo.s_minus,
     )

@@ -296,8 +296,8 @@ def run_hybrid_protocol(state, alice_op, bob_op) -> FourierTestReport:
 
 
 def check_shots(shots) -> int:
-    """A shot count as an int; anything but an integer >= 1 raises ValueError."""
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
+    """A shot count as an int; anything but an integer >= 1, a bool included, raises ValueError."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     return int(shots)
 

@@ -257,13 +257,12 @@ def _bob_observable(n: int, selector: str) -> observables.Observable:
 
 def _run_observables(args) -> int:
     n = args.n
-    cycle = [observables.kcbs_observable(n, j) for j in range(n)]
+    vectors, cycle = observables.kcbs_vectors(n), observables.kcbs_observables(n)
     payload = {
         "n": n,
-        "kcbs_vectors": [serialize.matrix_to_json(observables.kcbs_vector(n, j))
-                         for j in range(n)],
-        "kcbs_observables": [{"label": obs.label, **serialize.matrix_to_json(obs.matrix)}
-                             for obs in cycle],
+        "kcbs_vectors": [serialize.matrix_to_json(vector) for vector in vectors],
+        "kcbs_observables": [{"label": f"B_{j}", **serialize.matrix_to_json(matrix)}
+                             for j, matrix in enumerate(cycle)],
         "b0": serialize.matrix_to_json(observables.b0_closed_form(n).matrix),
         "bm_bm1": serialize.matrix_to_json(observables.bm_bm1_closed_form(n).matrix),
         "s_operator": serialize.matrix_to_json(observables.s_operator(n).matrix),

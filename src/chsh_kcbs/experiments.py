@@ -41,7 +41,8 @@ def _bob_bank(n: int) -> np.ndarray:
     """
     bm = observables.bm_bm1_closed_form(n).matrix
     b0 = observables.b0_closed_form(n).matrix
-    return np.array([bm, b0, bm, b0] + [observables.kcbs_pair(n, j).matrix for j in range(n)])
+    cycle = observables.kcbs_observables(n)
+    return np.concatenate([[bm, b0, bm, b0], cycle @ np.roll(cycle, -1, axis=0)])
 
 
 def _circuit_margins(n, theta, phi, shots, cell_seed, bob_bank) -> tuple[float, float]:
@@ -190,9 +191,9 @@ def coexistence_points(sizes) -> dict[str, np.ndarray]:
     naming the size, when a bracket shows no sign change, and
     ChshKcbsError when a residual |chsh - kcbs| exceeds ``RESIDUAL_TOL``.
     """
-    n = np.array(sizes, ndmin=1)
-    if n.size == 0:
+    if np.size(sizes) == 0:
         raise EmptyGrid("no cycle sizes given")
+    n = np.atleast_1d(observables.cycle_geometry(sizes).n)
 
     def gap(theta):
         chsh, kcbs = analytic.state1_margins(theta, 0.0, n)
@@ -272,39 +273,28 @@ def run_validation(report=print) -> bool:
     def add(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
-    # Cycle geometry: adjacent orthogonality (wraparound included) and
-    # commutation of adjacent observables.
-    worst_dot, worst_comm = 0.0, 0.0
+    # Cycle geometry: adjacent orthogonality and commutation (wraparound
+    # included), the cycle operator identity, and B_j, B_0, B_m B_m+1 as involutions.
+    worst_dot, worst_comm, worst_identity, worst_square = 0.0, 0.0, 0.0, 0.0
     for n in range(5, 23, 2):
-        vecs = [observables.kcbs_vector(n, j) for j in range(n)]
-        obs = [observables.kcbs_observable(n, j).matrix for j in range(n)]
-        for j in range(n):
-            worst_dot = max(worst_dot, abs(float(vecs[j] @ vecs[(j + 1) % n])))
-            comm = obs[j] @ obs[(j + 1) % n] - obs[(j + 1) % n] @ obs[j]
-            worst_comm = max(worst_comm, float(np.max(np.abs(comm))))
+        vectors, cycle = observables.kcbs_vectors(n), observables.kcbs_observables(n)
+        next_vectors, next_cycle = np.roll(vectors, -1, axis=0), np.roll(cycle, -1, axis=0)
+        pairs = cycle @ next_cycle
+        s_mat = observables.s_operator(n).matrix
+        projector_sum = np.sum(vectors[:, :, None] * vectors[:, None, :], axis=0)
+        family = np.concatenate([cycle, [observables.b0_closed_form(n).matrix,
+                                         observables.bm_bm1_closed_form(n).matrix]])
+        worst_dot = max(worst_dot, np.max(np.abs(vectors[:, None] @ next_vectors[..., None])))
+        worst_comm = max(worst_comm, np.max(np.abs(pairs - next_cycle @ cycle)))
+        worst_identity = max(worst_identity,
+                             np.max(np.abs(np.sum(pairs[:-1], axis=0) - pairs[-1] - s_mat)),
+                             np.max(np.abs(4 * projector_sum - n * np.eye(3) - s_mat)))
+        worst_square = max(worst_square, np.max(np.abs(family @ family - np.eye(3))))
     add("adjacent orthogonality <= 1e-12", worst_dot <= 1e-12, f"max |<psi_j|psi_j+1>| = {worst_dot:.2e}")
     add("adjacent commutation <= 1e-12", worst_comm <= 1e-12, f"max commutator entry = {worst_comm:.2e}")
-
-    # Cycle operator identity: assembled sum equals the diagonal closed form.
-    worst = 0.0
-    for n in range(5, 23, 2):
-        assembled = sum(observables.kcbs_pair(n, j).matrix for j in range(n - 1))
-        assembled = assembled - observables.kcbs_pair(n, n - 1).matrix
-        worst = max(worst, float(np.max(np.abs(assembled - observables.s_operator(n).matrix))))
-        projector_sum = sum(np.outer(observables.kcbs_vector(n, j), observables.kcbs_vector(n, j))
-                            for j in range(n))
-        worst = max(worst, float(np.max(np.abs(
-            4 * projector_sum - n * np.eye(3) - observables.s_operator(n).matrix))))
-    add("cycle operator identity <= 1e-10", worst <= 1e-10, f"max entry gap = {worst:.2e}")
-
-    # Involutions: every B_j, B_0, B_m B_m+1 squares to the identity.
-    worst = 0.0
-    for n in (5, 7, 9):
-        mats = [observables.kcbs_observable(n, j).matrix for j in range(n)]
-        mats += [observables.b0_closed_form(n).matrix, observables.bm_bm1_closed_form(n).matrix]
-        for mat in mats:
-            worst = max(worst, float(np.max(np.abs(mat @ mat - np.eye(3)))))
-    add("observable involutions <= 1e-10", worst <= 1e-10, f"max |B^2 - I| = {worst:.2e}")
+    add("cycle operator identity <= 1e-10", worst_identity <= 1e-10,
+        f"max entry gap = {worst_identity:.2e}")
+    add("observable involutions <= 1e-10", worst_square <= 1e-10, f"max |B^2 - I| = {worst_square:.2e}")
 
     # Closed form versus direct matrix expectations on random states.
     worst_chsh, worst_kcbs = 0.0, 0.0

@@ -83,11 +83,6 @@ class JointState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def p2(self) -> float:
-        """Total population on the qutrit level 2, i.e. |c02|^2 + |c12|^2."""
-        return float(abs(self.amplitudes[2]) ** 2 + abs(self.amplitudes[5]) ** 2)
-
 
 @dataclass(frozen=True)
 class Observable:

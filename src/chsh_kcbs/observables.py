@@ -1,10 +1,10 @@
 """Cycle geometry and the observable family of the hybrid scenario.
 
-The odd n-cycle lives on a qutrit: unit vectors ``psi_j`` with adjacent
-pairs orthogonal, sign-alternating reflections ``B_j`` built from their
-projectors, and the closed-form matrices for ``B_0``, the middle product
-``B_m B_{m+1}``, and the diagonal cycle operator ``S``.  Alice's side only
-needs the one-parameter reflection ``R(omega)`` in the XZ plane.
+The odd n-cycle lives on a qutrit.  Its unit vectors ``psi_j`` (adjacent
+pairs orthogonal) and sign-alternating reflections ``B_j`` are built once
+per cycle as an (n, 3) and an (n, 3, 3) array; beside them are the closed
+forms of ``B_0``, the middle product ``B_m B_{m+1}`` and the diagonal cycle
+operator ``S``.  Alice only needs the reflection ``R(omega)`` in the XZ plane.
 """
 
 from __future__ import annotations
@@ -41,10 +41,13 @@ class CycleGeometry:
 def cycle_geometry(n) -> CycleGeometry:
     """Build the geometry constants for an odd cycle size n >= 5, or for each size in an array.
 
-    Python ints beyond int64 are accepted; floats, strings and an empty
-    array are not.  An error names the first invalid size.
+    Python ints beyond int64 are accepted, in an object array when a list
+    mixes them with smaller ones; floats, strings and an empty array are
+    not.  An error names the first invalid size.
     """
     sizes = np.asarray(n)
+    if sizes.dtype.kind == "f" and not isinstance(n, np.ndarray):  # a list of mixed-width ints
+        sizes = np.asarray(n, dtype=object)
     bad = sizes.ravel()
     if np.issubdtype(sizes.dtype, np.integer) or sizes.dtype == object and all(
             isinstance(k, (int, np.integer)) for k in bad):
@@ -64,30 +67,39 @@ def cycle_geometry(n) -> CycleGeometry:
     return CycleGeometry(*fields)
 
 
-def kcbs_vector(n: int, j: int) -> np.ndarray:
-    """Unit vector number j of the n-cycle, angle j*(n-1)*pi/n in the plane."""
+def kcbs_vectors(n: int) -> np.ndarray:
+    """The cycle's unit vectors as a read-only (n, 3) array, adjacent rows orthogonal.
+
+    Row j is ``(cos a_j, sin a_j, sqrt(c)) / sqrt(1 + c)`` with ``a_j = j (n-1) pi / n``.
+    """
     geo = cycle_geometry(n)
-    if not 0 <= j < n:
-        raise IndexOutOfRange(f"vector index must be in [0, {n - 1}], got {j}")
-    angle = j * (n - 1) * math.pi / n
-    return np.array([math.cos(angle), math.sin(angle), math.sqrt(geo.c)]) / math.sqrt(1 + geo.c)
+    angles = np.arange(geo.n) * (geo.n - 1) * math.pi / geo.n
+    vectors = np.stack([np.cos(angles), np.sin(angles), np.full(geo.n, math.sqrt(geo.c))],
+                       axis=1) / math.sqrt(1 + geo.c)
+    vectors.setflags(write=False)
+    return vectors
 
 
-def kcbs_observable(n: int, j: int) -> Observable:
-    """Cycle observable B_j = (-1)^j (2 |psi_j><psi_j| - I)."""
-    v = kcbs_vector(n, j)
-    mat = (-1) ** j * (2.0 * np.outer(v, v) - np.eye(3))
-    return Observable(matrix=mat, label=f"B_{j}")
+def kcbs_observables(n: int) -> np.ndarray:
+    """The cycle observables as a read-only (n, 3, 3) complex stack.
+
+    Entry j is ``B_j = (-1)^j (2 |psi_j><psi_j| - I)``, with ``psi_j`` row j
+    of :func:`kcbs_vectors`.
+    """
+    vectors = kcbs_vectors(n)
+    signs = np.where(np.arange(len(vectors)) % 2 == 1, -1.0, 1.0)[:, None, None]
+    stack = (signs * (2.0 * (vectors[:, :, None] * vectors[:, None, :]) - np.eye(3))).astype(complex)
+    stack.setflags(write=False)
+    return stack
 
 
 def kcbs_pair(n: int, j: int) -> Observable:
     """Product B_j B_{j+1} (indices mod n); Hermitian since the two commute."""
     if not 0 <= j < n:
         raise IndexOutOfRange(f"pair index must be in [0, {n - 1}], got {j}")
-    left = kcbs_observable(n, j)
-    right = kcbs_observable(n, (j + 1) % n)
-    return Observable(matrix=left.matrix @ right.matrix,
-                      label=f"B_{j} B_{(j + 1) % n}")
+    cycle = kcbs_observables(n)
+    k = (j + 1) % n
+    return Observable(matrix=cycle[j] @ cycle[k], label=f"B_{j} B_{k}")
 
 
 def b0_closed_form(n: int) -> Observable:

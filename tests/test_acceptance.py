@@ -38,8 +38,6 @@ from chsh_kcbs.observables import (
     alice_rotation,
     b0_closed_form,
     bm_bm1_closed_form,
-    kcbs_observable,
-    kcbs_vector,
     s_operator,
 )
 

@@ -416,13 +416,13 @@ def test_estimator_stddev_formula():
 
 def test_shot_counts_must_be_integers_of_at_least_one():
     report = fourier_test_probabilities(np.eye(2), np.array([1.0, 0.0], dtype=complex))
-    for shots in (0.5, 0, -3, 100.0, "100", None):
+    for shots in (0.5, 0, -3, 100.0, "100", None, True, False, np.True_):
         with pytest.raises(ValueError):
             sample_shots(report, shots, 1)
         with pytest.raises(ValueError):
             estimator_stddev(report, shots)
     assert sample_shots(report, np.int64(3), 1).shots == 3
     # A circuit landscape refuses the same counts before computing any cell.
-    for shots in (2.5, 0, None):
+    for shots in (2.5, 0, None, True):
         with pytest.raises(ValueError):
             landscape_scan(5, [0.0], [0.0], mode="circuit", shots=shots)

@@ -12,7 +12,7 @@ from chsh_kcbs.analytic import chsh_coefficients
 from chsh_kcbs.circuits import prepare_state1, run_hybrid_protocol, sample_shots
 from chsh_kcbs.analytic import state1_margins
 from chsh_kcbs.observables import (alice_rotation, b0_closed_form, bm_bm1_closed_form,
-                                   kcbs_pair, kcbs_vector, s_operator)
+                                   kcbs_observables, kcbs_pair, kcbs_vectors, s_operator)
 
 
 def run_cli(*argv):
@@ -73,8 +73,10 @@ def test_observables_dump_round_trips(tmp_path):
     assert payload["n"] == 5
     assert len(payload["kcbs_vectors"]) == 5
     assert len(payload["kcbs_observables"]) == 5
-    vec = serialize.matrix_from_json(payload["kcbs_vectors"][0]).reshape(-1)
-    assert np.allclose(vec, kcbs_vector(5, 0), atol=1e-12)
+    vecs = [serialize.matrix_from_json(v).reshape(-1) for v in payload["kcbs_vectors"]]
+    assert np.array_equal(vecs, kcbs_vectors(5))
+    mats = [serialize.matrix_from_json(entry) for entry in payload["kcbs_observables"]]
+    assert np.array_equal(mats, kcbs_observables(5))
     b0 = serialize.matrix_from_json(payload["b0"])
     assert np.allclose(b0, b0_closed_form(5).matrix, atol=1e-12)
     s = serialize.matrix_from_json(payload["s_operator"])

@@ -178,20 +178,20 @@ def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
 
 
 def test_circuit_table_pass_builds_the_bob_bank_once(monkeypatch):
-    # Bob's n cycle pairs are built once per pass over the table, not per cell.
+    # Bob's cycle stack is built once per pass over the table, not per cell or per pair.
     n, calls = 7, []
-    pair = experiments.observables.kcbs_pair
+    stack = experiments.observables.kcbs_observables
 
-    def pair_spy(size, j):
-        calls.append((size, j))
-        return pair(size, j)
+    def stack_spy(size):
+        calls.append(size)
+        return stack(size)
 
-    monkeypatch.setattr(experiments.observables, "kcbs_pair", pair_spy)
+    monkeypatch.setattr(experiments.observables, "kcbs_observables", stack_spy)
     table = landscape_scan(n, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=1)
     first = table.columns()
-    assert calls == [(n, j) for j in range(n)]
+    assert calls == [n]
     assert _same_columns(table.columns(), first)
-    assert len(calls) == 2 * n
+    assert calls == [n, n]
 
 
 def test_circuit_cell_builds_no_per_term_report(monkeypatch):
@@ -316,6 +316,15 @@ def test_coexistence_margins_match_at_solution():
 def test_coexistence_rejects_bad_cycle():
     with pytest.raises(InvalidCycle):
         coexistence_points([6])
+
+
+def test_sizes_beyond_int64_stay_integers():
+    # numpy reads the list [5, 2**63 + 1] as floats; the sizes must stay integers.
+    sizes = [5, 2**63 + 1]
+    assert experiments.observables.cycle_geometry(sizes).n.tolist() == sizes
+    # No crossing lies inside the bisection bracket at so large an n.
+    with pytest.raises(NoIntersection, match=r"for n = 9223372036854775809$"):
+        coexistence_points(sizes)
 
 
 def test_coexistence_surfaces_missing_crossing(monkeypatch):

@@ -16,6 +16,7 @@ from chsh_kcbs import (
     unitarity_check,
 )
 from chsh_kcbs import linalg
+from chsh_kcbs.analytic import decompose, kcbs_value
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, s_operator
 
 
@@ -183,7 +184,7 @@ def test_joint_state_validation():
     amps = np.zeros(6, dtype=complex)
     amps[0] = 1.0
     state = JointState(amps)
-    assert state.p2 == 0.0
+    assert decompose(state, 5).p2 == 0.0
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.5
     with pytest.raises(NotNormalized):
@@ -197,4 +198,6 @@ def test_joint_state_p2():
     amps[2] = math.sqrt(0.25)
     amps[5] = math.sqrt(0.35)
     amps[0] = math.sqrt(0.40)
-    assert JointState(amps).p2 == pytest.approx(0.6, abs=1e-12)
+    # The level-2 population is read from the state in one place, the decomposition.
+    assert decompose(JointState(amps), 5).p2 == pytest.approx(0.6, abs=1e-12)
+    assert kcbs_value(JointState(amps), 5).p2 == decompose(amps, 5).p2

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chsh_kcbs import observables
 from chsh_kcbs import (
     IndexOutOfRange,
     InvalidCycle,
@@ -12,9 +13,9 @@ from chsh_kcbs import (
     b0_closed_form,
     bm_bm1_closed_form,
     cycle_geometry,
-    kcbs_observable,
+    kcbs_observables,
     kcbs_pair,
-    kcbs_vector,
+    kcbs_vectors,
     s_operator,
 )
 
@@ -69,19 +70,48 @@ def test_cycle_geometry_scalar_fields_are_python_numbers():
 
 
 def test_kcbs_vector_closed_form():
-    v = kcbs_vector(5, 0)
+    vecs = kcbs_vectors(5)
     c = math.cos(math.pi / 5)
-    assert v == pytest.approx([1 / math.sqrt(1 + c), 0.0, math.sqrt(c) / math.sqrt(1 + c)], abs=1e-15)
-    assert v == pytest.approx([0.743496, 0.0, 0.668740], abs=1e-6)
-    with pytest.raises(IndexOutOfRange):
-        kcbs_vector(5, 5)
-    with pytest.raises(IndexOutOfRange):
-        kcbs_vector(5, -1)
+    assert vecs.shape == (5, 3)
+    assert vecs[0] == pytest.approx([1 / math.sqrt(1 + c), 0.0, math.sqrt(c) / math.sqrt(1 + c)], abs=1e-15)
+    assert vecs[0] == pytest.approx([0.743496, 0.0, 0.668740], abs=1e-6)
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        kcbs_observables(5)[0, 0, 0] = 0.5
+    with pytest.raises(InvalidCycle):
+        kcbs_vectors(4)
+
+
+@pytest.mark.parametrize("n", [5, 7, 21, 1001])
+def test_cycle_stacks_match_a_per_row_formula_to_the_bit(n):
+    c = math.cos(math.pi / n)
+    vecs, mats = [], []
+    for j in range(n):
+        angle = j * (n - 1) * math.pi / n
+        v = np.array([math.cos(angle), math.sin(angle), math.sqrt(c)]) / math.sqrt(1 + c)
+        vecs.append(v)
+        mats.append((-1) ** j * (2.0 * np.outer(v, v) - np.eye(3)))
+    for stack, reference in ((kcbs_vectors(n), np.array(vecs)),
+                             (kcbs_observables(n), np.array(mats, dtype=complex))):
+        assert stack.dtype == reference.dtype and stack.shape == reference.shape
+        assert np.array_equal(stack, reference)
+        # array_equal takes -0.0 for 0.0; the sign of each zero must match too.
+        assert np.array_equal(np.signbit(stack.real), np.signbit(reference.real))
+        assert np.array_equal(np.signbit(stack.imag), np.signbit(reference.imag))
+
+
+def test_kcbs_observables_build_the_geometry_once(monkeypatch):
+    calls = []
+    geometry = observables.cycle_geometry
+    monkeypatch.setattr(observables, "cycle_geometry", lambda n: calls.append(n) or geometry(n))
+    kcbs_observables(21)
+    assert calls == [21]
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_kcbs_vectors_are_unit_and_adjacent_orthogonal(n):
-    vecs = [kcbs_vector(n, j) for j in range(n)]
+    vecs = kcbs_vectors(n)
     for j in range(n):
         assert np.linalg.norm(vecs[j]) == pytest.approx(1.0, abs=1e-12)
         # Wraparound pair included: same inner-product cancellation applies.
@@ -90,7 +120,7 @@ def test_kcbs_vectors_are_unit_and_adjacent_orthogonal(n):
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_kcbs_observables_square_to_identity_and_commute(n):
-    mats = [kcbs_observable(n, j).matrix for j in range(n)]
+    mats = kcbs_observables(n)
     for j in range(n):
         assert np.max(np.abs(mats[j] @ mats[j] - np.eye(3))) <= 1e-12
         nxt = mats[(j + 1) % n]
@@ -99,7 +129,7 @@ def test_kcbs_observables_square_to_identity_and_commute(n):
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_b0_closed_form_matches_constructor(n):
-    assert np.max(np.abs(b0_closed_form(n).matrix - kcbs_observable(n, 0).matrix)) <= 1e-12
+    assert np.max(np.abs(b0_closed_form(n).matrix - kcbs_observables(n)[0])) <= 1e-12
 
 
 def test_b0_closed_form_entries():
@@ -114,7 +144,7 @@ def test_b0_closed_form_entries():
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_bm_bm1_matches_product_of_constructors(n):
     m = (n - 1) // 2
-    product = kcbs_observable(n, m).matrix @ kcbs_observable(n, m + 1).matrix
+    product = kcbs_observables(n)[m] @ kcbs_observables(n)[m + 1]
     assert np.max(np.abs(bm_bm1_closed_form(n).matrix - product)) <= 1e-12
 
 
@@ -130,10 +160,12 @@ def test_bm_bm1_entries_and_involution():
 
 def test_kcbs_pair_wraps_and_checks_range():
     pair = kcbs_pair(5, 4)
-    product = kcbs_observable(5, 4).matrix @ kcbs_observable(5, 0).matrix
+    product = kcbs_observables(5)[4] @ kcbs_observables(5)[0]
     assert np.max(np.abs(pair.matrix - product)) <= 1e-12
-    with pytest.raises(IndexOutOfRange):
-        kcbs_pair(5, 5)
+    assert pair.label == "B_4 B_0"
+    for j in (5, -1):
+        with pytest.raises(IndexOutOfRange):
+            kcbs_pair(5, j)
 
 
 def test_alice_rotation_limits_and_involution():
@@ -158,14 +190,14 @@ def test_cycle_operator_identity(n):
     assembled = sum(kcbs_pair(n, j).matrix for j in range(n - 1)) - kcbs_pair(n, n - 1).matrix
     diag = s_operator(n).matrix
     assert np.max(np.abs(assembled - diag)) <= 1e-10
-    projectors = sum(np.outer(kcbs_vector(n, j), kcbs_vector(n, j)) for j in range(n))
+    projectors = sum(np.outer(v, v) for v in kcbs_vectors(n))
     assert np.max(np.abs(4 * projectors - n * np.eye(3) - diag)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_cycle_family_eigenvalues_are_unimodular(n):
     # Hermitian + involution forces the spectrum into {-1, +1}.
-    mats = [kcbs_observable(n, j).matrix for j in range(n)]
+    mats = list(kcbs_observables(n))
     mats += [b0_closed_form(n).matrix, bm_bm1_closed_form(n).matrix]
     for mat in mats:
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
