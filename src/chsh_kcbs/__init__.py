@@ -30,7 +30,6 @@ from .circuits import (
     embed_joint_state,
     estimator_stddev,
     f3,
-    fourier_test_probabilities,
     fourier_tests,
     phase_gate,
     prepare_state1,

@@ -14,8 +14,8 @@ stack of k operators at once and simulates all k tests together on a
 U U on block 2, then the inverse F3.  :func:`run_hybrid_tests` stacks the
 products A_k (x) B_k of one prepared state's correlators for it, so a
 landscape cell is one simulation over a per-table bank of Bob's
-operators; :func:`fourier_test_probabilities` and
-:func:`run_hybrid_protocol` are the one-operator cases.
+operators; :func:`run_hybrid_protocol` is the one-product case, returning
+a :class:`FourierTestReport`.
 
 The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
@@ -88,7 +88,7 @@ def controlled_power(u) -> np.ndarray:
     """Controlled power gate: block diagonal (I, U, U^2) in control-level order."""
     u = np.asarray(u, dtype=complex)
     if not unitarity_check(u, GATE_UNITARY_TOL):
-        raise NotUnitary("controlled gate needs a unitary within 1e-10")
+        raise NotUnitary(f"controlled gate needs a unitary within {GATE_UNITARY_TOL:g}")
     d = u.shape[0]
     out = np.zeros((3 * d, 3 * d), dtype=complex)
     out[:d, :d] = np.eye(d)
@@ -165,7 +165,7 @@ def run_circuit(spec: CircuitSpec, initial=None) -> np.ndarray:
     for op in spec.ops:
         gate = np.asarray(op.matrix, dtype=complex)
         if not unitarity_check(gate, GATE_UNITARY_TOL):
-            raise NotUnitary(f"gate {op.label!r} is not unitary within 1e-10")
+            raise NotUnitary(f"gate {op.label!r} is not unitary within {GATE_UNITARY_TOL:g}")
         span = round(math.log(gate.shape[0], 3))
         if 3 ** span != gate.shape[0] or op.first_register + span > n_reg:
             raise ValueError(f"gate {op.label!r} does not fit the register layout")
@@ -234,8 +234,8 @@ def fourier_tests(ops, psi) -> np.ndarray:
     ops = np.asarray(ops, dtype=complex)
     if ops.ndim != 3:
         raise NotHermitian(f"Fourier test needs a stack of square operators, got shape {ops.shape}")
-    _first_failure(hermiticity_check(ops, FOURIER_INPUT_TOL), NotHermitian, "Hermitian")
-    _first_failure(unitarity_check(ops, GATE_UNITARY_TOL), NotUnitary, "unitary")
+    _first_failure(hermiticity_check, ops, FOURIER_INPUT_TOL, NotHermitian, "Hermitian")
+    _first_failure(unitarity_check, ops, GATE_UNITARY_TOL, NotUnitary, "unitary")
     d = ops.shape[-1]
     vec = state_vector(psi, dim=d, require_normalized=True)
 
@@ -249,20 +249,10 @@ def fourier_tests(ops, psi) -> np.ndarray:
     return np.sum(np.abs(state) ** 2, axis=-1)
 
 
-def _first_failure(ok, error, what: str) -> None:
-    bad = np.flatnonzero(~np.asarray(ok))
+def _first_failure(check, ops, tol: float, error, what: str) -> None:
+    bad = np.flatnonzero(~np.asarray(check(ops, tol)))
     if bad.size:
-        raise error(f"Fourier test needs {what} operators within 1e-10; entry {bad[0]} is not")
-
-
-def fourier_test_probabilities(u, psi) -> FourierTestReport:
-    """Exact Fourier test of a Hermitian unitary U on a normalized state.
-
-    The one-operator case of :func:`fourier_tests`: U is checked before
-    the state, for Hermiticity and then unitarity.
-    """
-    probs = fourier_tests(np.asarray(u, dtype=complex)[None], psi)[0].tolist()
-    return FourierTestReport(*probs, *_estimators(*probs))
+        raise error(f"Fourier test needs {what} operators within {tol:g}; entry {bad[0]} is not")
 
 
 def run_hybrid_tests(state, alice_ops, bob_ops) -> np.ndarray:
@@ -308,9 +298,12 @@ def sample_shot_stack(probs, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]
     Every row is clipped at zero and normalised, then drawn with
     ``np.random.default_rng(seeds[i])``.  Returns the (k, 3) counts and the
     (k, 3) estimators (combined, from_p0, from_p1) of their frequencies.
+    Raises ValueError unless there is one seed per row.
     """
     shots = check_shots(shots)
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    if len(seeds) != len(probs):
+        raise ValueError(f"{len(probs)} probability rows need as many seeds, got {len(seeds)}")
     probs /= probs.sum(axis=1, keepdims=True)
     counts = np.array([np.random.default_rng(seed).multinomial(shots, row)
                        for seed, row in zip(seeds, probs)])

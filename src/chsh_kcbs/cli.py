@@ -219,11 +219,15 @@ def _apply_config(args, parser, sub, actions, argv):
     return parser.parse_args(argv)
 
 
-def _effective_config(args, skip=("config", "no_timestamp", "out")) -> dict:
+# Parsed values that are not echoed as flags: the command leads the echo.
+_NOT_ECHOED = ("command", "config", "no_timestamp", "out")
+
+
+def _effective_config(args) -> dict:
     """The parsed flags as text that reads back as the same values."""
     config = {"command": args.command}
     for key, value in sorted(vars(args).items()):
-        if key in skip or key == "command":
+        if key in _NOT_ECHOED:
             continue
         if isinstance(value, np.ndarray):  # an angle grid
             value = f"{_echo_float(value[0])}:{_echo_float(value[-1])}:{value.size}"
@@ -345,7 +349,12 @@ def _run_fourier_test(args) -> int:
 
 
 def _run_validate(args) -> int:
-    return EXIT_OK if experiments.run_validation(report=print) else EXIT_VALIDATION
+    rows = experiments.run_validation()
+    for name, value, tolerance, ok in rows:
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {value:.3g} <= {tolerance:g}")
+    passed = sum(ok for *_, ok in rows)
+    print(f"{passed}/{len(rows)} checks passed")
+    return EXIT_OK if passed == len(rows) else EXIT_VALIDATION
 
 
 _RUNNERS = {

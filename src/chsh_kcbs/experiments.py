@@ -262,20 +262,25 @@ def _chsh_operator(n, omega0, omega2) -> np.ndarray:
     return tensor(r0, bm - b0) + tensor(r2, bm + b0)
 
 
-def run_validation(report=print) -> bool:
-    """Run the cross-module invariant suite; True iff every check passes.
+def run_validation() -> list[tuple[str, float, float, bool]]:
+    """Run the cross-module invariant suite as rows (name, value, tolerance, ok).
 
-    One line per check goes through ``report``.
+    Each value is the largest gap its check measures, taken with
+    ``np.max`` so that a NaN gap makes the value NaN; a row is ok iff
+    value <= tolerance, which a NaN value fails.  The signed values (probe
+    excess, distance above the Tsirelson bound, excursion outside the KCBS
+    range) are negative when the bound holds with room to spare.
     """
     rng = np.random.default_rng(20240917)
-    checks: list[tuple[str, bool, str]] = []
+    rows = []
 
-    def add(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
+    def check(name, gaps, tolerance):
+        value = float(np.max(gaps))
+        rows.append((name, value, tolerance, value <= tolerance))
 
     # Cycle geometry: adjacent orthogonality and commutation (wraparound
     # included), the cycle operator identity, and B_j, B_0, B_m B_m+1 as involutions.
-    worst_dot, worst_comm, worst_identity, worst_square = 0.0, 0.0, 0.0, 0.0
+    dots, comms, identities, squares = [], [], [], []
     for n in range(5, 23, 2):
         vectors, cycle = observables.kcbs_vectors(n), observables.kcbs_observables(n)
         next_vectors, next_cycle = np.roll(vectors, -1, axis=0), np.roll(cycle, -1, axis=0)
@@ -284,74 +289,71 @@ def run_validation(report=print) -> bool:
         projector_sum = np.sum(vectors[:, :, None] * vectors[:, None, :], axis=0)
         family = np.concatenate([cycle, [observables.b0_closed_form(n).matrix,
                                          observables.bm_bm1_closed_form(n).matrix]])
-        worst_dot = max(worst_dot, np.max(np.abs(vectors[:, None] @ next_vectors[..., None])))
-        worst_comm = max(worst_comm, np.max(np.abs(pairs - next_cycle @ cycle)))
-        worst_identity = max(worst_identity,
-                             np.max(np.abs(np.sum(pairs[:-1], axis=0) - pairs[-1] - s_mat)),
-                             np.max(np.abs(4 * projector_sum - n * np.eye(3) - s_mat)))
-        worst_square = max(worst_square, np.max(np.abs(family @ family - np.eye(3))))
-    add("adjacent orthogonality <= 1e-12", worst_dot <= 1e-12, f"max |<psi_j|psi_j+1>| = {worst_dot:.2e}")
-    add("adjacent commutation <= 1e-12", worst_comm <= 1e-12, f"max commutator entry = {worst_comm:.2e}")
-    add("cycle operator identity <= 1e-10", worst_identity <= 1e-10,
-        f"max entry gap = {worst_identity:.2e}")
-    add("observable involutions <= 1e-10", worst_square <= 1e-10, f"max |B^2 - I| = {worst_square:.2e}")
+        dots.append(np.max(np.abs(vectors[:, None] @ next_vectors[..., None])))
+        comms.append(np.max(np.abs(pairs - next_cycle @ cycle)))
+        identities += [np.max(np.abs(np.sum(pairs[:-1], axis=0) - pairs[-1] - s_mat)),
+                       np.max(np.abs(4 * projector_sum - n * np.eye(3) - s_mat))]
+        squares.append(np.max(np.abs(family @ family - np.eye(3))))
+    check("adjacent orthogonality, max |<v_j|v_j+1>|", dots, 1e-12)
+    check("adjacent commutation, max commutator entry", comms, 1e-12)
+    check("cycle operator identity, max entry gap", identities, 1e-10)
+    check("observable involutions, max |B^2 - I| entry", squares, 1e-10)
 
     # Closed form versus direct matrix expectations on random states.
-    worst_chsh, worst_kcbs = 0.0, 0.0
+    chsh_gaps, kcbs_gaps = [], []
     for n in (5, 7, 9):
         s_mat = tensor(np.eye(2), observables.s_operator(n).matrix)
         for amps in _random_states(rng, 50):
             om0, om2 = rng.uniform(0, 2 * math.pi, size=2)
             direct = expectation(amps, _chsh_operator(n, om0, om2))
-            worst_chsh = max(worst_chsh, abs(direct - analytic.chsh_value(amps, n, om0, om2)))
+            chsh_gaps.append(abs(direct - analytic.chsh_value(amps, n, om0, om2)))
             kcbs = analytic.kcbs_value(amps, n)
-            worst_kcbs = max(worst_kcbs, abs(expectation(amps, s_mat) - kcbs.s_kcbs))
-    add("closed-form CHSH matches matrices <= 1e-10", worst_chsh <= 1e-10, f"max gap = {worst_chsh:.2e}")
-    add("closed-form KCBS matches matrices <= 1e-10", worst_kcbs <= 1e-10, f"max gap = {worst_kcbs:.2e}")
+            kcbs_gaps.append(abs(expectation(amps, s_mat) - kcbs.s_kcbs))
+    check("closed-form CHSH vs matrices, max gap", chsh_gaps, 1e-10)
+    check("closed-form KCBS vs matrices, max gap", kcbs_gaps, 1e-10)
 
     # Optimality and the Tsirelson ceiling.
-    worst_excess, worst_sopt = -math.inf, 0.0
+    excesses, s_opts = [], []
     for n in (5, 7, 9, 11):
         for amps in _random_states(rng, 50):
             co = analytic.chsh_coefficients(amps, n)
             angles = rng.uniform(0, 2 * math.pi, size=(200, 2))
             probes = (co.x0 * np.cos(angles[:, 0]) + co.y0 * np.sin(angles[:, 0])
                       + co.x2 * np.cos(angles[:, 1]) + co.y2 * np.sin(angles[:, 1]))
-            worst_excess = max(worst_excess, float(probes.max()) - co.s_opt)
-            worst_sopt = max(worst_sopt, co.s_opt)
-    add("optimum dominates random probes", worst_excess <= 1e-12, f"max probe excess = {worst_excess:.2e}")
-    add("Tsirelson ceiling", worst_sopt <= 2 * math.sqrt(2) + 1e-9, f"max s_opt = {worst_sopt:.12f}")
+            excesses.append(probes.max() - co.s_opt)
+            s_opts.append(co.s_opt)
+    check("CHSH optimum vs random probes, max probe excess", excesses, 1e-12)
+    check("Tsirelson ceiling, max s_opt - 2 sqrt 2", np.max(s_opts) - 2 * math.sqrt(2), 1e-9)
 
     # KCBS range and threshold consistency.
-    ok_range, ok_threshold = True, True
+    excursions, mismatches = [], []
     for n in (5, 7, 9):
         geo = observables.cycle_geometry(n)
         threshold = analytic.p2_threshold(n)
         for amps in _random_states(rng, 50):
             kcbs = analytic.kcbs_value(amps, n)
-            ok_range &= geo.lambda1 - 1e-10 <= kcbs.s_kcbs <= geo.lambda3 + 1e-10
+            excursions += [geo.lambda1 - kcbs.s_kcbs, kcbs.s_kcbs - geo.lambda3]
             if abs(kcbs.p2 - threshold) > 1e-10:
-                ok_threshold &= (kcbs.margin > 0) == (kcbs.p2 > threshold)
-    add("KCBS value within [lambda1, lambda3]", ok_range)
-    add("margin sign matches threshold", ok_threshold)
+                mismatches.append((kcbs.margin > 0) != (kcbs.p2 > threshold))
+    check("KCBS value, max excursion outside [lambda1, lambda3]", excursions, 1e-10)
+    check("KCBS margin sign vs p2 threshold, mismatches", np.sum(mismatches), 0)
 
     # Minimal-state coefficient structure at phi = 0 and pi/3.
-    worst = 0.0
+    gaps = []
     for n in (5, 7):
         geo = observables.cycle_geometry(n)
         for theta in (0.3, 1.1, 2.4):
             for phi in (0.0, math.pi / 3):
                 co = analytic.chsh_coefficients(analytic.state1(theta, phi), n)
                 coh = math.sqrt(geo.c) * math.sin(theta) * math.cos(phi) / (1 + geo.c)
-                worst = max(worst,
-                            abs(co.x0 + 2 * geo.c / (1 + geo.c)),
-                            abs(co.x2 - (2 - 4 * geo.c) / (1 + geo.c)),
-                            abs(co.y0 - coh * geo.s_minus),
-                            abs(co.y2 - coh * geo.s_plus))
-    add("minimal-state coefficients <= 1e-12", worst <= 1e-12, f"max gap = {worst:.2e}")
+                gaps += [abs(co.x0 + 2 * geo.c / (1 + geo.c)),
+                         abs(co.x2 - (2 - 4 * geo.c) / (1 + geo.c)),
+                         abs(co.y0 - coh * geo.s_minus),
+                         abs(co.y2 - coh * geo.s_plus)]
+    check("minimal-state coefficients, max gap", gaps, 1e-12)
 
     # Circuit pipeline: exact Fourier tests reproduce analytic correlators.
-    worst = 0.0
+    gaps = []
     for _ in range(20):
         n = int(rng.choice((5, 7, 9)))
         theta = float(rng.uniform(0, math.pi))
@@ -361,12 +363,10 @@ def run_validation(report=print) -> bool:
         alice = observables.alice_rotation(float(rng.choice((co.omega0, co.omega2, 0.0))))
         bob = (observables.b0_closed_form(n) if rng.uniform() < 0.5
                else observables.bm_bm1_closed_form(n))
-        report_exact = circuits.run_hybrid_protocol(circuits.prepare_state1(theta, phi),
-                                                    alice, bob)
+        report = circuits.run_hybrid_protocol(circuits.prepare_state1(theta, phi), alice, bob)
         direct = expectation(psi, tensor(alice.matrix, bob.matrix))
-        worst = max(worst, abs(report_exact.estimator_combined - direct),
-                    abs(report_exact.p1 - report_exact.p2))
-    add("Fourier test matches analytic correlators <= 1e-10", worst <= 1e-10, f"max gap = {worst:.2e}")
+        gaps += [abs(report.estimator_combined - direct), abs(report.p1 - report.p2)]
+    check("Fourier test vs analytic correlators, max gap", gaps, 1e-10)
 
     # Sampling determinism.
     base = circuits.run_hybrid_protocol(circuits.prepare_state1(0.9, 0.4),
@@ -374,31 +374,22 @@ def run_validation(report=print) -> bool:
                                         observables.b0_closed_form(5))
     sample_a = circuits.sample_shots(base, 5000, 11)
     sample_b = circuits.sample_shots(base, 5000, 11)
-    add("seeded sampling is reproducible", sample_a.counts == sample_b.counts,
-        f"counts = {sample_a.counts}")
+    check("seeded sampling, max count difference between reruns",
+          np.abs(np.subtract(sample_a.counts, sample_b.counts)), 0)
 
     # Coexistence residuals and the tabulated n = 5 point.
     points = coexistence_points(range(5, 17, 2))
-    ok_residual = bool(np.all(points["residual"] <= RESIDUAL_TOL))
-    theta5, overlap5 = float(points["theta_opt_deg"][0]), float(points["overlap"][0])
-    ok_point = abs(theta5 - 49.605) <= 0.01 and abs(overlap5 - 0.343069) <= 1e-4
-    add("coexistence residuals <= 1e-9", ok_residual)
-    add("n = 5 coexistence point", ok_point,
-        f"theta = {theta5:.4f} deg, overlap = {overlap5:.6f}")
+    check("coexistence residual |chsh - kcbs| for n = 5..15", points["residual"], RESIDUAL_TOL)
+    check("n = 5 coexistence angle, |theta - 49.605 deg|",
+          abs(points["theta_opt_deg"][0] - 49.605), 0.01)
+    check("n = 5 coexistence overlap, |overlap - 0.343069|",
+          abs(points["overlap"][0] - 0.343069), 1e-4)
 
     # Landscape symmetry in phi.
     thetas = np.deg2rad(np.linspace(0, 180, 13))
     phis = np.deg2rad(np.linspace(0, 360, 25))
     chsh, kcbs = analytic.state1_margins(thetas[:, None], phis[None, :], 5)
-    sym = float(np.max(np.abs(chsh - chsh[:, ::-1])))
-    flat = float(np.max(np.abs(kcbs - kcbs[:, :1])))
-    add("phi reflection symmetry <= 1e-12", sym <= 1e-12, f"max asymmetry = {sym:.2e}")
-    add("KCBS margin independent of phi <= 1e-12", flat <= 1e-12, f"max variation = {flat:.2e}")
-
-    all_ok = True
-    for name, ok, detail in checks:
-        all_ok &= ok
-        suffix = f" ({detail})" if detail else ""
-        report(f"[{'PASS' if ok else 'FAIL'}] {name}{suffix}")
-    report(f"{sum(ok for _, ok, _ in checks)}/{len(checks)} checks passed")
-    return all_ok
+    check("phi reflection symmetry, max CHSH margin asymmetry",
+          np.abs(chsh - chsh[:, ::-1]), 1e-12)
+    check("KCBS margin vs phi, max variation", np.abs(kcbs - kcbs[:, :1]), 1e-12)
+    return rows

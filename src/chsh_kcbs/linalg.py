@@ -94,7 +94,8 @@ class Observable:
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
         if not hermiticity_check(mat, HERMITIAN_TOL):
-            raise NotHermitian(f"observable {self.label!r} is not Hermitian within 1e-12")
+            raise NotHermitian(
+                f"observable {self.label!r} is not Hermitian within {HERMITIAN_TOL:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -132,8 +133,8 @@ def expectation(psi, op) -> float:
         raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
     vec = state_vector(psi, dim=mat.shape[0])
     if not checked and not hermiticity_check(mat):
-        raise NotHermitian("operator is not Hermitian within 1e-12")
+        raise NotHermitian(f"operator is not Hermitian within {HERMITIAN_TOL:g}")
     value = complex(vec.conj() @ (mat @ vec))
     if abs(value.imag) > IMAG_RESIDUE_TOL:
-        raise ImaginaryResidue(f"imaginary residue {value.imag!r} exceeds 1e-10")
+        raise ImaginaryResidue(f"imaginary residue {value.imag!r} exceeds {IMAG_RESIDUE_TOL:g}")
     return float(value.real)

@@ -19,7 +19,6 @@ from chsh_kcbs import (
     estimator_stddev,
     expectation,
     f3,
-    fourier_test_probabilities,
     fourier_tests,
     landscape_scan,
     phase_gate,
@@ -165,34 +164,41 @@ def test_run_circuit_guards():
         run_circuit(spec)
 
 
+def _one_test(u, psi) -> np.ndarray:
+    """(p0, p1, p2) of the Fourier test of one operator."""
+    return fourier_tests(np.asarray(u, dtype=complex)[None], psi)[0]
+
+
+def _exact_report(u, psi) -> FourierTestReport:
+    """A report carrying one test's exact probabilities, for shot sampling."""
+    return FourierTestReport(*_one_test(u, psi).tolist(), 0.0, 0.0, 0.0)
+
+
 def test_fourier_probabilities_extreme_expectations():
     psi2 = np.array([1.0, 0.0], dtype=complex)
-    report = fourier_test_probabilities(np.eye(2), psi2)
-    assert (report.p0, report.p1, report.p2) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-    report = fourier_test_probabilities(-np.eye(2), psi2)
-    assert (report.p0, report.p1, report.p2) == pytest.approx((1 / 9, 4 / 9, 4 / 9), abs=1e-12)
+    assert _one_test(np.eye(2), psi2) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+    assert _one_test(-np.eye(2), psi2) == pytest.approx((1 / 9, 4 / 9, 4 / 9), abs=1e-12)
     # <X> = 0 on |0>.
-    report = fourier_test_probabilities(np.array([[0, 1], [1, 0]], dtype=complex), psi2)
-    assert (report.p0, report.p1, report.p2) == pytest.approx((5 / 9, 2 / 9, 2 / 9), abs=1e-12)
-    assert report.estimator_combined == pytest.approx(0.0, abs=1e-12)
+    probs = _one_test(np.array([[0, 1], [1, 0]], dtype=complex), psi2)
+    assert probs == pytest.approx((5 / 9, 2 / 9, 2 / 9), abs=1e-12)
 
 
 def test_fourier_probabilities_validation():
     psi2 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(NotHermitian):
-        fourier_test_probabilities(np.array([[0, 1], [0, 0]], dtype=complex), psi2)
+        _one_test(np.array([[0, 1], [0, 0]], dtype=complex), psi2)
     with pytest.raises(NotUnitary):
-        fourier_test_probabilities(np.diag([1.0, 0.0]), psi2)
+        _one_test(np.diag([1.0, 0.0]), psi2)
     with pytest.raises(NotNormalized):
-        fourier_test_probabilities(np.eye(2), np.array([1.0, 1.0]))
+        _one_test(np.eye(2), np.array([1.0, 1.0]))
 
 
 def test_fourier_test_checks_the_operator_before_the_state():
     # A non-unitary U is reported even when the state is bad as well.
     with pytest.raises(NotUnitary):
-        fourier_test_probabilities(np.diag([1.0, 0.0]), np.array([1.0, 1.0]))
+        _one_test(np.diag([1.0, 0.0]), np.array([1.0, 1.0]))
     with pytest.raises(NotHermitian):
-        fourier_test_probabilities(np.array([[0, 1], [0, 0]], dtype=complex), np.ones(3))
+        _one_test(np.array([[0, 1], [0, 0]], dtype=complex), np.ones(3))
 
 
 def test_fourier_estimators_agree_in_exact_mode():
@@ -203,13 +209,14 @@ def test_fourier_estimators_agree_in_exact_mode():
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         v /= np.linalg.norm(v)
         reflection = 2 * np.outer(v, v.conj()) - np.eye(6)
-        report = fourier_test_probabilities(reflection, psi)
+        p0, p1, p2 = _one_test(reflection, psi)
         direct = expectation(psi, reflection)
-        assert report.estimator_combined == pytest.approx(direct, abs=1e-10)
-        assert report.estimator_p0 == pytest.approx(direct, abs=1e-10)
-        assert report.estimator_p1 == pytest.approx(direct, abs=1e-10)
-        assert report.p1 == pytest.approx(report.p2, abs=1e-12)
-        assert report.p0 + report.p1 + report.p2 == pytest.approx(1.0, abs=1e-12)
+        # The readout every estimator inverts: P0 = (5 + 4<U>)/9, P1 = P2 = (2 - 2<U>)/9.
+        assert p0 == pytest.approx((5 + 4 * direct) / 9, abs=1e-12)
+        assert p1 == pytest.approx((2 - 2 * direct) / 9, abs=1e-12)
+        assert p2 == pytest.approx((2 - 2 * direct) / 9, abs=1e-12)
+        assert p1 == pytest.approx(p2, abs=1e-12)
+        assert p0 + p1 + p2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hybrid_protocol_matches_analytic_correlators():
@@ -315,8 +322,7 @@ def test_stack_checks_every_entry_before_the_state():
     psi = np.full(4, 0.5)
     rows = fourier_tests(np.array([good, -good]), psi)
     for row, u in zip(rows, (good, -good)):
-        report = fourier_test_probabilities(u, psi)
-        assert row.tolist() == [report.p0, report.p1, report.p2]
+        assert row.tolist() == _one_test(u, psi).tolist()
 
 
 def test_identity_alice_setting():
@@ -348,7 +354,7 @@ def test_alice_embedding_preserves_expectations():
 
 def test_sample_shots_degenerate_and_reproducible():
     psi2 = np.array([1.0, 0.0], dtype=complex)
-    exact = fourier_test_probabilities(np.eye(2), psi2)
+    exact = _exact_report(np.eye(2), psi2)
     sampled = sample_shots(exact, 1, 123)
     assert sampled.counts == (1, 0, 0)
     assert sampled.shots == 1
@@ -387,13 +393,21 @@ def test_shot_stack_matches_sample_shots_row_by_row():
         sample_shot_stack(probs, 0, seeds)
 
 
+def test_shot_stack_needs_one_seed_per_row():
+    probs = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.25], [0.2, 0.4, 0.4]])
+    with pytest.raises(ValueError, match="3 probability rows need as many seeds, got 1"):
+        sample_shot_stack(probs, 10, [5])
+    with pytest.raises(ValueError, match="3 probability rows need as many seeds, got 0"):
+        sample_shot_stack(probs, 10, [])
+
+
 def test_sampled_estimator_within_five_sigma():
     # <Z> = 0.5 on cos(a)|0> + sin(a)|1> with cos(2a) = 1/2.
     a = 0.5 * math.acos(0.5)
     psi = np.array([math.cos(a), math.sin(a)], dtype=complex)
     z = np.diag([1.0, -1.0]).astype(complex)
-    exact = fourier_test_probabilities(z, psi)
-    assert exact.estimator_combined == pytest.approx(0.5, abs=1e-12)
+    exact = _exact_report(z, psi)
+    assert exact.p0 == pytest.approx((5 + 4 * 0.5) / 9, abs=1e-12)
     shots = 100_000
     sigma = estimator_stddev(exact, shots)
     inside = 0
@@ -406,16 +420,16 @@ def test_sampled_estimator_within_five_sigma():
 
 def test_estimator_stddev_formula():
     psi2 = np.array([1.0, 0.0], dtype=complex)
-    exact = fourier_test_probabilities(np.eye(2), psi2)
+    exact = _exact_report(np.eye(2), psi2)
     assert estimator_stddev(exact, 1000) == pytest.approx(0.0, abs=1e-12)
-    balanced = fourier_test_probabilities(np.array([[0, 1], [1, 0]], dtype=complex), psi2)
+    balanced = _exact_report(np.array([[0, 1], [1, 0]], dtype=complex), psi2)
     mean = balanced.p0 - balanced.p1 - balanced.p2
     expected = 9 / 8 * math.sqrt((1 - mean**2) / 1000)
     assert estimator_stddev(balanced, 1000) == pytest.approx(expected, abs=1e-15)
 
 
 def test_shot_counts_must_be_integers_of_at_least_one():
-    report = fourier_test_probabilities(np.eye(2), np.array([1.0, 0.0], dtype=complex))
+    report = _exact_report(np.eye(2), np.array([1.0, 0.0], dtype=complex))
     for shots in (0.5, 0, -3, 100.0, "100", None, True, False, np.True_):
         with pytest.raises(ValueError):
             sample_shots(report, shots, 1)

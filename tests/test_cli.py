@@ -527,15 +527,42 @@ def test_scaling_rejects_even_cycles(tmp_path, capsys):
 
 
 def test_validate_command_passes(capsys):
+    # One line per row of the library suite, then the count line.
+    rows = experiments.run_validation()
     assert run_cli("validate") == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{len(rows)}/{len(rows)} checks passed"
+    assert len(lines) == len(rows) + 1
+    for line, (name, value, tolerance, ok) in zip(lines, rows):
+        assert line == f"[PASS] {name}: {value:.3g} <= {tolerance:g}"
 
 
 def test_validate_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli.experiments, "run_validation", lambda report: False)
+    rows = [("first gap", 1e-13, 1e-12, True), ("second gap", 3e-9, 1e-10, False)]
+    monkeypatch.setattr(cli.experiments, "run_validation", lambda: rows)
     assert run_cli("validate") == cli.EXIT_VALIDATION
-    capsys.readouterr()
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] first gap: 1e-13 <= 1e-12",
+        "[FAIL] second gap: 3e-09 <= 1e-10",
+        "1/2 checks passed",
+    ]
+
+
+def _nan_estimators(p0, p1, p2):
+    return (math.nan,) * 3
+
+
+@pytest.mark.parametrize("module, name, patch, row", [
+    ("analytic", "chsh_value", lambda *args: math.nan, "closed-form CHSH vs matrices"),
+    ("circuits", "_estimators", _nan_estimators, "Fourier test vs analytic correlators"),
+], ids=["chsh_value", "fourier_estimators"])
+def test_validate_fails_on_a_nan_value(monkeypatch, capsys, module, name, patch, row):
+    # A NaN gap must make its row fail, not vanish from a running maximum.
+    monkeypatch.setattr(getattr(experiments, module), name, patch)
+    assert run_cli("validate") == cli.EXIT_VALIDATION
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1
+    assert failed[0].startswith(f"[FAIL] {row}, max gap: nan <= ")
 
 
 def test_module_entry_point():

@@ -408,8 +408,15 @@ def test_phi_symmetry_of_landscape():
             assert r["chsh_margin"] == pytest.approx(partner["chsh_margin"], abs=1e-12)
 
 
-def test_validation_suite_passes(capsys):
-    assert run_validation(report=print)
-    out = capsys.readouterr().out
-    assert "[PASS]" in out
-    assert "[FAIL]" not in out
+def test_validation_suite_passes():
+    rows = run_validation()
+    assert len(rows) == 18
+    for name, value, tolerance, ok in rows:
+        assert isinstance(name, str) and isinstance(value, float)
+        assert ok is True and value <= tolerance, name
+        # A name says what its value measures; the tolerance is only in its own field.
+        assert tolerance == 0 or f"{tolerance:g}" not in name
+    names = [row[0] for row in rows]
+    assert len(set(names)) == len(names)
+    residual = next(row for row in rows if row[0].startswith("coexistence residual"))
+    assert residual[2] == experiments.RESIDUAL_TOL
