@@ -21,8 +21,8 @@ The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
 P(0) = (5 + 4<U>)/9 and P(1) = P(2) = (2 - 2<U>)/9, inverted by the
 estimators (9 P0 - 5)/4, (2 - 9 P1)/2, and (9 (P0 - P1 - P2) - 1)/8.
-:func:`sample_shot_stack` draws the shots of k tests as one stack, one
-seeded draw per row; :func:`sample_shots` is its one-report case.
+:func:`sample_shot_stack` draws the shots of k tests as one stack from
+one seeded generator; :func:`sample_shots` is its one-report case.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .linalg import JointState, Observable, hermiticity_check, state_vector, uni
 GATE_UNITARY_TOL = 1e-10
 FOURIER_INPUT_TOL = 1e-10
 DEAD_LEVEL_TOL = 1e-12
+MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a multinomial draw takes
 
 SUBSPACES = ((0, 1), (0, 2), (1, 2))
 
@@ -286,27 +287,25 @@ def run_hybrid_protocol(state, alice_op, bob_op) -> FourierTestReport:
 
 
 def check_shots(shots) -> int:
-    """A shot count as an int; anything but an integer >= 1, a bool included, raises ValueError."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    """A shot count as an int; anything but an integer in [1, MAX_SHOTS] raises ValueError."""
+    if type(shots) is bool or not isinstance(shots, int | np.integer) or not 0 < shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be an integer in [1, {MAX_SHOTS}], got {shots!r}")
     return int(shots)
 
 
-def sample_shot_stack(probs, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Multinomial counts for a (k, 3) stack of ancilla distributions, row i seeded by seeds[i].
+def sample_shot_stack(probs, shots: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial counts for a (k, 3) stack of ancilla distributions from one seeded generator.
 
-    Every row is clipped at zero and normalised, then drawn with
-    ``np.random.default_rng(seeds[i])``.  Returns the (k, 3) counts and the
-    (k, 3) estimators (combined, from_p0, from_p1) of their frequencies.
-    Raises ValueError unless there is one seed per row.
+    Every row is clipped at zero and normalised, and the stack is drawn by
+    one ``np.random.default_rng(seed).multinomial`` call.  That equals its
+    rows drawn in turn from one generator, which ``seed`` may itself be, so
+    blocks of a stack drawn in turn give the same counts.  Returns the (k, 3)
+    counts and the (k, 3) estimators (combined, from_p0, from_p1).
     """
     shots = check_shots(shots)
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    if len(seeds) != len(probs):
-        raise ValueError(f"{len(probs)} probability rows need as many seeds, got {len(seeds)}")
     probs /= probs.sum(axis=1, keepdims=True)
-    counts = np.array([np.random.default_rng(seed).multinomial(shots, row)
-                       for seed, row in zip(seeds, probs)])
+    counts = np.random.default_rng(seed).multinomial(shots, probs)
     return counts, np.column_stack(_estimators(*(counts / float(shots)).T))
 
 
@@ -315,7 +314,7 @@ def sample_shots(report: FourierTestReport, shots: int, seed: int) -> FourierTes
 
     The estimators are recomputed from the frequencies and the seed is recorded.
     """
-    counts, estimators = sample_shot_stack([[report.p0, report.p1, report.p2]], shots, [seed])
+    counts, estimators = sample_shot_stack([[report.p0, report.p1, report.p2]], shots, seed)
     return FourierTestReport(report.p0, report.p1, report.p2, *estimators[0],
                              shots=int(shots), counts=tuple(counts[0].tolist()), seed=int(seed))
 
@@ -329,5 +328,5 @@ def estimator_stddev(report: FourierTestReport, shots: int) -> float:
     """
     shots = check_shots(shots)
     mean = report.p0 - report.p1 - report.p2
-    variance = max(0.0, 1.0 - mean ** 2)
+    variance = np.maximum(0.0, 1.0 - mean ** 2)  # NaN propagates, unlike max()
     return 9.0 / 8.0 * math.sqrt(variance / shots)

@@ -81,7 +81,7 @@ def _checked(parse, ok, requirement: str):
     return convert
 
 
-positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+shot_count = _checked(int, lambda v: 0 < v <= circuits.MAX_SHOTS, "a positive integer <= 2**63 - 1")
 seed_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
 finite_float = _checked(float, math.isfinite, "finite")
 
@@ -147,7 +147,7 @@ def build_parser():
     flag("--theta", type=angle_grid, help="theta grid in degrees, start:stop:count")
     flag("--phi", type=angle_grid, help="phi grid in degrees, start:stop:count")
     flag("--mode", choices=("analytic", "circuit"), default="analytic")
-    flag("--shots", type=positive_int, default=None, help="shots per correlator (circuit mode)")
+    flag("--shots", type=shot_count, default=None, help="shots per correlator (circuit mode)")
     flag("--seed", type=seed_int, default=None, help="master seed (circuit mode)")
     flag("--out", help="output CSV path")
 
@@ -169,7 +169,7 @@ def build_parser():
     flag("--alice", choices=("w0", "w2", "id"),
          help="Alice setting: optimal R(omega0), optimal R(omega2), or identity")
     flag("--bob", type=bob_selector, help="Bob observable: b0, bmbm1, or pair:J for B_J B_J+1")
-    flag("--shots", type=positive_int, default=None, help="sample this many shots")
+    flag("--shots", type=shot_count, default=None, help="sample this many shots")
     flag("--seed", type=seed_int, default=0, help="sampling seed")
     flag("--out", help="output JSON path")
 
@@ -284,7 +284,8 @@ def _run_threshold(args) -> int:
 def _run_landscape(args) -> int:
     table = experiments.landscape_scan(args.n, args.theta, args.phi, mode=args.mode,
                                        shots=args.shots, seed=args.seed)
-    serialize.write_csv(args.out, table.header, table, metadata=_effective_config(args),
+    scheme = {"seed_scheme": experiments.SEED_SCHEME} if args.mode == "circuit" else {}
+    serialize.write_csv(args.out, table.header, table, metadata=_effective_config(args) | scheme,
                         timestamp=not args.no_timestamp)
     return EXIT_OK
 

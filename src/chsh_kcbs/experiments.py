@@ -25,6 +25,8 @@ BISECTION_THETA_TOL = 1e-14
 RESIDUAL_TOL = 1e-9
 # Cells per landscape block: bounds the memory of a landscape pass.
 BLOCK_CELLS = 65536
+# Circuit landscape metadata: scheme 2 draws all of a cell's terms from one generator.
+SEED_SCHEME = 2
 
 
 def _cell_seed(master_seed: int, cell_index: int) -> int:
@@ -52,8 +54,8 @@ def _circuit_margins(n, theta, phi, shots, cell_seed, bob_bank) -> tuple[float, 
     read from it in one stacked Fourier test against ``bob_bank``.  CHSH
     uses the four correlators at the analytic optimal angles; KCBS uses
     the n adjacent products with the cycle's minus sign on the
-    wraparound term.  The n + 4 terms sample their shots in one stack,
-    each with a seed derived from the cell seed and the term index.
+    wraparound term.  The n + 4 terms sample their shots in term order as
+    one stack from one generator seeded by ``cell_seed``.
     """
     state = circuits.prepare_state1(theta, phi)
     co = analytic.chsh_coefficients(state, n)
@@ -63,8 +65,7 @@ def _circuit_margins(n, theta, phi, shots, cell_seed, bob_bank) -> tuple[float, 
     alice[:4] = (r2, r2, r0, r0)
     alice[4:] = np.eye(2)
     probs = circuits.run_hybrid_tests(state, alice, bob_bank)
-    seeds = [_cell_seed(cell_seed, term) for term in range(n + 4)]
-    estimates = circuits.sample_shot_stack(probs, shots, seeds)[1][:, 0]
+    estimates = circuits.sample_shot_stack(probs, shots, cell_seed)[1][:, 0]
 
     chsh_sum = estimates[0] + estimates[1] + estimates[2] - estimates[3]
     # A running sum, in term order: np.sum's pairwise order would move the last bits.
@@ -123,15 +124,12 @@ class LandscapeTable:
             chsh, kcbs = analytic.state1_margins(np.deg2rad(thetas)[:, None],
                                                  np.deg2rad(phis)[None, :], self.n)
             return chsh.ravel(), kcbs.ravel()
-        chsh, kcbs, seeds = [], [], []
-        for cell, (t, p) in enumerate(itertools.product(thetas.tolist(), phis.tolist()),
-                                      start=first_cell):
-            cell_seed = _cell_seed(self.master_seed, cell)
-            ch, kc = _circuit_margins(self.n, math.radians(t), math.radians(p),
-                                      self.shots, cell_seed, bob_bank)
-            chsh.append(ch)
-            kcbs.append(kc)
-            seeds.append(cell_seed)
+        seeds = [_cell_seed(self.master_seed, cell)
+                 for cell in range(first_cell, first_cell + thetas.size * phis.size)]
+        cells = itertools.product(thetas.tolist(), phis.tolist())
+        chsh, kcbs = zip(*(_circuit_margins(self.n, math.radians(t), math.radians(p),
+                                            self.shots, seed, bob_bank)
+                           for seed, (t, p) in zip(seeds, cells)))
         return chsh, kcbs, seeds
 
     def columns(self) -> dict[str, np.ndarray]:
@@ -157,9 +155,9 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
     Every input is checked here, before any cell is computed: theta must
     lie in [0, 180] degrees and phi must be finite.  The returned table
     computes its cells block by block as it is iterated.  Circuit mode
-    needs an integer shot count >= 1; each cell samples with a seed derived
-    from the master seed and the cell index, so results are reproducible
-    and independent of evaluation order.
+    needs a shot count and a master seed that is None (0) or an integer
+    >= 0; each cell samples with a seed derived from the master seed and
+    the cell index, so results are reproducible and order-independent.
     """
     observables.cycle_geometry(n)
     thetas = np.array(theta_grid_deg, dtype=float, ndmin=1)
@@ -174,9 +172,11 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
 
     if mode == "analytic":
         return LandscapeTable(n=n, thetas_deg=thetas, phis_deg=phis, mode="analytic")
+    seed = 0 if seed is None else seed
+    if type(seed) is bool or not isinstance(seed, int | np.integer) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     return LandscapeTable(n=n, thetas_deg=thetas, phis_deg=phis, mode="circuit",
-                          shots=circuits.check_shots(shots),
-                          master_seed=0 if seed is None else int(seed))
+                          shots=circuits.check_shots(shots), master_seed=int(seed))
 
 
 def coexistence_points(sizes) -> dict[str, np.ndarray]:

@@ -33,6 +33,7 @@ from chsh_kcbs import (
     tensor,
     x02,
 )
+from chsh_kcbs.circuits import _estimators
 from chsh_kcbs.experiments import _bob_bank
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
 
@@ -375,30 +376,23 @@ def test_shot_stack_matches_sample_shots_row_by_row():
                              np.array([b0_closed_form(5).matrix, kcbs_pair(5, 1).matrix]))
     # Add a degenerate row and a row whose tiny negative entry the clip removes.
     probs = np.vstack([probs, [1.0, 0.0, 0.0], [0.5, 0.5 + 1e-17, -1e-17]])
-    seeds = [11, 2**40 + 3, 0, 97]
-    counts, estimators = sample_shot_stack(probs, 777, seeds)
-    assert counts.shape == estimators.shape == (4, 3)
-    for row, seed, row_counts, row_estimators in zip(probs, seeds, counts, estimators):
-        report = FourierTestReport(*row.tolist(), 0.0, 0.0, 0.0)
-        alone = sample_shots(report, 777, seed)
-        assert tuple(row_counts.tolist()) == alone.counts
-        # Each row is its own seeded draw from the clipped, normalised row.
-        clipped = np.clip(row, 0.0, None)
-        draw = np.random.default_rng(seed).multinomial(777, clipped / clipped.sum())
-        assert row_counts.tolist() == draw.tolist()
-        assert row_estimators.tolist() == [alone.estimator_combined, alone.estimator_p0,
-                                           alone.estimator_p1]
-    assert counts[2].tolist() == [777, 0, 0] and counts[3, 2] == 0
+    for seed in (11, 2**40 + 3, 0):
+        counts, estimators = sample_shot_stack(probs, 777, seed)
+        assert counts.shape == estimators.shape == (4, 3)
+        # Row 0 is the draw sample_shots makes at the same seed.
+        alone = sample_shots(FourierTestReport(*probs[0].tolist(), 0.0, 0.0, 0.0), 777, seed)
+        assert tuple(counts[0].tolist()) == alone.counts
+        assert estimators[0].tolist() == [alone.estimator_combined, alone.estimator_p0,
+                                          alone.estimator_p1]
+        # The stack is its clipped, normalised rows drawn in turn from one generator.
+        rng = np.random.default_rng(seed)
+        for row, row_counts, row_estimators in zip(probs, counts, estimators):
+            clipped = np.clip(row, 0.0, None)
+            assert row_counts.tolist() == rng.multinomial(777, clipped / clipped.sum()).tolist()
+            assert row_estimators.tolist() == list(_estimators(*(row_counts / 777.0).tolist()))
+        assert counts[2].tolist() == [777, 0, 0] and counts[3, 2] == 0
     with pytest.raises(ValueError):
-        sample_shot_stack(probs, 0, seeds)
-
-
-def test_shot_stack_needs_one_seed_per_row():
-    probs = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.25], [0.2, 0.4, 0.4]])
-    with pytest.raises(ValueError, match="3 probability rows need as many seeds, got 1"):
-        sample_shot_stack(probs, 10, [5])
-    with pytest.raises(ValueError, match="3 probability rows need as many seeds, got 0"):
-        sample_shot_stack(probs, 10, [])
+        sample_shot_stack(probs, 0, 11)
 
 
 def test_sampled_estimator_within_five_sigma():
@@ -426,6 +420,9 @@ def test_estimator_stddev_formula():
     mean = balanced.p0 - balanced.p1 - balanced.p2
     expected = 9 / 8 * math.sqrt((1 - mean**2) / 1000)
     assert estimator_stddev(balanced, 1000) == pytest.approx(expected, abs=1e-15)
+    # A NaN probability gives a NaN spread, not a noiseless 0.
+    nan_report = FourierTestReport(math.nan, 0.1, 0.1, math.nan, math.nan, math.nan)
+    assert math.isnan(estimator_stddev(nan_report, 1000))
 
 
 def test_shot_counts_must_be_integers_of_at_least_one():
@@ -436,7 +433,14 @@ def test_shot_counts_must_be_integers_of_at_least_one():
         with pytest.raises(ValueError):
             estimator_stddev(report, shots)
     assert sample_shots(report, np.int64(3), 1).shots == 3
+    # A multinomial draw takes at most 2**63 - 1 shots; more is refused up front.
+    assert sum(sample_shots(report, 2**63 - 1, 1).counts) == 2**63 - 1
+    for shots in (2**63, 10**20, np.uint64(2**63)):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sample_shots(report, shots, 1)
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            estimator_stddev(report, shots)
     # A circuit landscape refuses the same counts before computing any cell.
-    for shots in (2.5, 0, None, True):
+    for shots in (2.5, 0, None, True, 2**63):
         with pytest.raises(ValueError):
             landscape_scan(5, [0.0], [0.0], mode="circuit", shots=shots)

@@ -9,7 +9,7 @@ import pytest
 
 from chsh_kcbs import cli, experiments, serialize
 from chsh_kcbs.analytic import chsh_coefficients
-from chsh_kcbs.circuits import prepare_state1, run_hybrid_protocol, sample_shots
+from chsh_kcbs.circuits import prepare_state1, run_hybrid_protocol
 from chsh_kcbs.analytic import state1_margins
 from chsh_kcbs.observables import (alice_rotation, b0_closed_form, bm_bm1_closed_form,
                                    kcbs_observables, kcbs_pair, kcbs_vectors, s_operator)
@@ -123,8 +123,8 @@ def test_landscape_circuit_mode_columns(tmp_path):
 
 def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
     # The CSV of a seeded circuit landscape, rebuilt one Fourier test at a
-    # time: each term through run_hybrid_protocol and sample_shots with the
-    # seed derived from its cell seed and term index.
+    # time: each term through run_hybrid_protocol, its shots drawn in term
+    # order from one generator seeded by the cell seed.
     n, shots, master_seed = 7, 500, 11
     thetas, phis = [0.0, 60.0, 120.0, 180.0], [0.0, 45.0, 90.0]
     out = tmp_path / "landscape.csv"
@@ -141,11 +141,13 @@ def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
         terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
         terms += [(np.eye(2), kcbs_pair(n, j)) for j in range(n)]
         cell_seed = experiments._cell_seed(master_seed, cell)
+        rng = np.random.default_rng(cell_seed)
         estimates = []
-        for term, (alice, bob) in enumerate(terms):
-            term_seed = int(np.random.SeedSequence((cell_seed, term)).generate_state(1)[0])
-            report = sample_shots(run_hybrid_protocol(state, alice, bob), shots, term_seed)
-            estimates.append(report.estimator_combined)
+        for alice, bob in terms:
+            report = run_hybrid_protocol(state, alice, bob)
+            probs = np.clip([report.p0, report.p1, report.p2], 0.0, None)
+            f0, f1, f2 = rng.multinomial(shots, probs / probs.sum()) / shots
+            estimates.append((9.0 * (f0 - f1 - f2) - 1.0) / 8.0)
         chsh = estimates[0] + estimates[1] + estimates[2] - estimates[3] - 2.0
         kcbs = 0.0
         for j in range(n):
@@ -156,6 +158,16 @@ def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
 
     written = out.read_bytes()
     assert written[written.index(b"n,theta_deg"):] == "".join(lines).encode()
+
+
+def test_circuit_landscape_records_its_seed_scheme(tmp_path):
+    grid = ("--n", "5", "--theta", "30:60:2", "--phi", "0:0:1", "--no-timestamp")
+    circuit, analytic = tmp_path / "circuit.csv", tmp_path / "analytic.csv"
+    assert run_cli("landscape", *grid, "--mode", "circuit", "--shots", "10",
+                   "--out", str(circuit)) == 0
+    assert run_cli("landscape", *grid, "--out", str(analytic)) == 0
+    assert serialize.read_csv(str(circuit))[2]["seed_scheme"] == "2"
+    assert "seed_scheme" not in serialize.read_csv(str(analytic))[2]
 
 
 def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
@@ -222,6 +234,25 @@ def test_shots_must_be_positive(tmp_path, capsys, shots):
                    "--out", str(out)) == cli.EXIT_USAGE
     assert "positive integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("landscape", ["--n", "5", "--theta", "40:90:2", "--phi", "0:0:1", "--mode", "circuit"]),
+    ("fourier-test", ["--n", "5", "--theta", "90", "--phi", "0", "--alice", "id", "--bob", "b0"]),
+])
+def test_shots_above_the_multinomial_limit_are_a_usage_error(tmp_path, capsys, command, args):
+    out = tmp_path / "out"
+    for shots in (2**63, 10**20):
+        assert run_cli(command, *args, "--shots", str(shots), "--out", str(out)) == cli.EXIT_USAGE
+        assert "positive integer <= 2**63 - 1" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"shots": shots}))
+        assert run_cli(command, *args, "--config", str(config),
+                       "--out", str(out)) == cli.EXIT_USAGE
+        assert "'shots'" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(command, *args, "--shots", str(2**63 - 1), "--out", str(out),
+                   "--no-timestamp") == 0
 
 
 def test_identical_runs_differ_only_in_timestamp(tmp_path):

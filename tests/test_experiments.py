@@ -15,7 +15,6 @@ from chsh_kcbs import (
     prepare_state1,
     run_hybrid_protocol,
     run_validation,
-    sample_shots,
     scaling_study,
     state1_margins,
 )
@@ -90,9 +89,16 @@ def test_landscape_input_validation():
         landscape_scan(4, [0.0], [0.0])
     # Shot counts, the theta range and finite angles are checked at the call,
     # in both modes, before any cell is computed.
-    for shots in (0, -5):
+    for shots in (0, -5, 2**63):
         with pytest.raises(ValueError):
             landscape_scan(5, [0.0], [0.0], mode="circuit", shots=shots)
+    # So is the master seed: an integer >= 0, not a bool, a float or a string.
+    for seed in (2.7, -1, np.int64(-1), True, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            landscape_scan(5, [0.0], [0.0], mode="circuit", shots=10, seed=seed)
+    for seed in (None, 0, np.uint64(2**64 - 1), 2**70):
+        table = landscape_scan(5, [0.0], [0.0], mode="circuit", shots=10, seed=seed)
+        assert table.columns()["seed"].size == 1
     for mode in ("analytic", "circuit"):
         for thetas in ([200.0, 300.0], [-1e-9], [90.0, math.nan], [math.inf]):
             with pytest.raises(ValueError):
@@ -223,10 +229,14 @@ def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
         r0, r2 = alice_rotation(co.omega0), alice_rotation(co.omega2)
         terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
         terms += [(np.eye(2), kcbs_pair(n, j)) for j in range(n)]
-        cell_seed = experiments._cell_seed(master_seed, cell)
-        estimates = [sample_shots(run_hybrid_protocol(state, a, b), shots,
-                                  experiments._cell_seed(cell_seed, term)).estimator_combined
-                     for term, (a, b) in enumerate(terms)]
+        # Every term draws in turn from one generator seeded by the cell seed.
+        rng = np.random.default_rng(experiments._cell_seed(master_seed, cell))
+        estimates = []
+        for a, b in terms:
+            report = run_hybrid_protocol(state, a, b)
+            probs = np.clip([report.p0, report.p1, report.p2], 0.0, None)
+            f0, f1, f2 = rng.multinomial(shots, probs / probs.sum()) / shots
+            estimates.append((9.0 * (f0 - f1 - f2) - 1.0) / 8.0)
         kcbs = 0.0
         for j in range(n):
             kcbs += (-1.0 if j == n - 1 else 1.0) * estimates[4 + j]
