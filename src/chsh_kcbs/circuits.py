@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotUnitary
+from .errors import DimensionMismatch, NotHermitian, NotUnitary
 from .linalg import JointState, Observable, hermiticity_check, state_vector, unitarity_check
 
 GATE_UNITARY_TOL = 1e-10
@@ -226,15 +226,16 @@ def fourier_tests(ops, psi) -> np.ndarray:
 
     ``ops`` has shape (k, d, d) and ``psi`` length d; row i of the (k, 3)
     result is the ancilla distribution (p0, p1, p2) of the test of
-    ``ops[i]``.  The whole stack is checked before the state is read,
-    Hermiticity first and then unitarity, and an error names the first
-    failing entry.  The k tests then run as one simulation: F3 on the
-    ancilla axis, U on ancilla block 1 and U U on block 2, then the
-    inverse F3.
+    ``ops[i]``.  The whole stack is checked before the state is read: its
+    shape (``DimensionMismatch``), then Hermiticity and unitarity, where
+    an error names the first failing entry.  The k tests then run as one
+    simulation: F3 on the ancilla axis, U on ancilla block 1 and U U on
+    block 2, then the inverse F3.
     """
     ops = np.asarray(ops, dtype=complex)
-    if ops.ndim != 3:
-        raise NotHermitian(f"Fourier test needs a stack of square operators, got shape {ops.shape}")
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise DimensionMismatch(
+            f"Fourier test needs a (k, d, d) stack of square operators, got shape {ops.shape}")
     _first_failure(hermiticity_check, ops, FOURIER_INPUT_TOL, NotHermitian, "Hermitian")
     _first_failure(unitarity_check, ops, GATE_UNITARY_TOL, NotUnitary, "unitary")
     d = ops.shape[-1]

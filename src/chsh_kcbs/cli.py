@@ -3,13 +3,16 @@
 Subcommands: observables, threshold, landscape, coexist, scaling,
 fourier-test, validate.  Angles are degrees on the command line and
 radians internally; angle grids are ``start:stop:count`` with inclusive
-endpoints, cycle ranges are ``start:stop:step``.  A JSON config file can
-supply defaults for any flag of the chosen subcommand; explicit flags
-win, and the effective configuration is echoed into every output file.
+endpoints, cycle ranges are ``start:stop:step``, and both also take a
+comma list.  A JSON config file can supply defaults for any flag of the
+chosen subcommand (a list as the flag's comma list); explicit flags win.
+This module alone decides what an output file records: the effective
+flags, echoed as text that reads back as the same run, the command's
+own keys, then a timestamp unless ``--no-timestamp`` is given.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error,
-3 domain error (invalid cycle, no intersection, malformed state, ...),
-4 I/O error.
+3 domain error (invalid cycle, no intersection, malformed state, a size
+too large for memory, ...), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import math
 import re
 import sys
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -33,28 +37,32 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 
-def angle_grid(text: str) -> np.ndarray:
-    """Parse start:stop:count (degrees, inclusive endpoints)."""
+def angle_grid(text: str):
+    """Parse start:stop:count (degrees, inclusive endpoints) or a comma list of angles."""
     parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}")
+    if len(parts) not in (1, 3):
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop:count or a comma list of angles, got {text!r}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        angles = [float(part) for part in (text.split(",") if len(parts) == 1 else parts[:2])]
+        count = int(parts[2]) if len(parts) == 3 else None
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not all(map(math.isfinite, angles)):
+        raise argparse.ArgumentTypeError(f"angles must be finite, got {text!r}")
+    if count is None:
+        return angles
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be at least 1")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise argparse.ArgumentTypeError(f"grid endpoints must be finite, got {text!r}")
-    return np.linspace(start, stop, count)
+    return np.linspace(angles[0], angles[1], count)
 
 
 def cycle_range(text: str) -> list[int]:
-    """Parse start:stop:step (or a single integer) into a list of cycle sizes."""
+    """Parse start:stop:step or a comma list of sizes (one integer is a list of one)."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return [int(parts[0])]
+            return [int(part) for part in text.split(",")]
         if len(parts) == 3:
             start, stop, step = int(parts[0]), int(parts[1]), int(parts[2])
             if step < 1:
@@ -65,7 +73,7 @@ def cycle_range(text: str) -> list[int]:
             return sizes
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    raise argparse.ArgumentTypeError(f"expected N or start:stop:step, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected N, N,N,... or start:stop:step, got {text!r}")
 
 
 def _checked(parse, ok, requirement: str):
@@ -95,11 +103,6 @@ def bob_selector(text: str) -> str:
     raise argparse.ArgumentTypeError(f"unknown Bob observable {text!r}; use b0, bmbm1, or pair:J")
 
 
-# The flag types that yield a list, with the check each entry of a config-file list passes.
-_LIST_ENTRY_OK = {angle_grid: lambda v: type(v) in (int, float) and math.isfinite(v),
-                  cycle_range: lambda v: type(v) is int}
-
-
 def build_parser():
     """Build the parser plus, per command, its subparser, required flags and flag actions.
 
@@ -111,7 +114,7 @@ def build_parser():
         prog="chsh-kcbs",
         description="Closed-form and circuit evaluation of the hybrid CHSH-KCBS scenario.",
         epilog="Exit codes: 0 ok, 1 validation failure, 2 usage error, "
-               "3 domain error, 4 I/O error.",
+               "3 domain error (also a size too large for memory), 4 I/O error.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, tuple[argparse.ArgumentParser, tuple[str, ...], dict]] = {}
@@ -144,8 +147,8 @@ def build_parser():
     flag = command("landscape", requires=("n", "theta", "phi", "out"),
                    help="scan the minimal-state margins over a (theta, phi) grid")
     flag("--n", type=int, help="odd cycle size >= 5")
-    flag("--theta", type=angle_grid, help="theta grid in degrees, start:stop:count")
-    flag("--phi", type=angle_grid, help="phi grid in degrees, start:stop:count")
+    flag("--theta", type=angle_grid, help="theta grid in degrees, start:stop:count or a list")
+    flag("--phi", type=angle_grid, help="phi grid in degrees, start:stop:count or a list")
     flag("--mode", choices=("analytic", "circuit"), default="analytic")
     flag("--shots", type=shot_count, default=None, help="shots per correlator (circuit mode)")
     flag("--seed", type=seed_int, default=None, help="master seed (circuit mode)")
@@ -153,12 +156,12 @@ def build_parser():
 
     flag = command("coexist", requires=("n", "out"),
                    help="solve the margin crossing for each cycle size")
-    flag("--n", type=cycle_range, help="cycle sizes, N or start:stop:step")
+    flag("--n", type=cycle_range, help="cycle sizes, N, N,N,... or start:stop:step")
     flag("--out", help="output CSV path")
 
     flag = command("scaling", requires=("n", "out"),
                    help="coexistence scaling plus the scaling-family margins")
-    flag("--n", type=cycle_range, help="cycle sizes, N or start:stop:step")
+    flag("--n", type=cycle_range, help="cycle sizes, N, N,N,... or start:stop:step")
     flag("--out", help="output CSV path")
 
     flag = command("fourier-test", requires=("n", "theta", "phi", "alice", "bob", "out"),
@@ -196,19 +199,17 @@ def _apply_config(args, parser, sub, actions, argv):
         action = actions.get(dest)
         if action is None:
             sub.error(f"config key {key!r} is not a flag of this command")
-        if isinstance(value, list):
-            entry_ok = _LIST_ENTRY_OK.get(action.type)
-            if entry_ok is None:
+        if isinstance(value, list):  # the flag's comma-list text, parsed by the flag's type
+            if action.type not in (angle_grid, cycle_range):
                 sub.error(f"config key {key!r} does not take a list")
             if not value:
                 sub.error(f"config key {key!r} is an empty list")
-            if not all(map(entry_ok, value)):
+            if not all(type(v) in (int, float) for v in value):
                 sub.error(f"config key {key!r} holds an invalid list entry")
-            if action.type is angle_grid:
-                value = [float(v) for v in value]
+            value = ",".join(map(str, value))
         elif action.nargs == 0 and type(value) is not bool:
             sub.error(f"config key {key!r} takes true or false")
-        elif action.type is not None:
+        if action.type is not None:
             try:
                 value = action.type(str(value))
             except (argparse.ArgumentTypeError, ValueError) as exc:
@@ -223,19 +224,27 @@ def _apply_config(args, parser, sub, actions, argv):
 _NOT_ECHOED = ("command", "config", "no_timestamp", "out")
 
 
-def _effective_config(args) -> dict:
-    """The parsed flags as text that reads back as the same values."""
-    config = {"command": args.command}
+def _metadata(args, **extra) -> dict:
+    """A run's file metadata: the echoed flags, the command's ``extra`` keys, then the timestamp.
+
+    Each echoed value is flag text that reads back as the same value; an
+    empty value is a flag left unset.  The timestamp, the one field that
+    differs between identical runs, is left out under ``--no-timestamp``.
+    """
+    metadata = {"command": args.command}
     for key, value in sorted(vars(args).items()):
         if key in _NOT_ECHOED:
             continue
         if isinstance(value, np.ndarray):  # an angle grid
             value = f"{_echo_float(value[0])}:{_echo_float(value[-1])}:{value.size}"
-        elif isinstance(value, list):  # cycle sizes (int) or a config-file angle list (float)
+        elif isinstance(value, list):  # cycle sizes (int) or an angle list (float)
             value = (_compact_range(value) if type(value[0]) is int
                      else ",".join(map(_echo_float, value)))
-        config[key] = "" if value is None else value
-    return config
+        metadata[key] = "" if value is None else value
+    metadata.update(extra)
+    if not args.no_timestamp:
+        metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return metadata
 
 
 def _echo_float(value) -> str:
@@ -271,8 +280,7 @@ def _run_observables(args) -> int:
         "bm_bm1": serialize.matrix_to_json(observables.bm_bm1_closed_form(n).matrix),
         "s_operator": serialize.matrix_to_json(observables.s_operator(n).matrix),
     }
-    serialize.write_json(args.out, payload, metadata=_effective_config(args),
-                         timestamp=not args.no_timestamp)
+    serialize.write_json(args.out, payload, metadata=_metadata(args))
     return EXIT_OK
 
 
@@ -285,32 +293,29 @@ def _run_landscape(args) -> int:
     table = experiments.landscape_scan(args.n, args.theta, args.phi, mode=args.mode,
                                        shots=args.shots, seed=args.seed)
     scheme = {"seed_scheme": experiments.SEED_SCHEME} if args.mode == "circuit" else {}
-    serialize.write_csv(args.out, table.header, table, metadata=_effective_config(args) | scheme,
-                        timestamp=not args.no_timestamp)
+    serialize.write_csv(args.out, table.header, table, metadata=_metadata(args, **scheme))
     return EXIT_OK
 
 
-def _write_columns(args, header, columns, metadata):
-    """Write the named columns: n as integers, the rest as floats."""
+def _write_columns(args, header, columns, **extra):
+    """Write the named columns, n as integers and the rest as floats, under the run's metadata."""
     serialize.write_csv(args.out, header,
                         serialize.Columns((int,) + (float,) * (len(header) - 1),
                                           tuple(columns[name] for name in header)),
-                        metadata=metadata, timestamp=not args.no_timestamp)
+                        metadata=_metadata(args, **extra))
 
 
 def _run_coexist(args) -> int:
     _write_columns(args, ["n", "theta_opt_deg", "overlap", "residual"],
-                   experiments.coexistence_points(args.n), _effective_config(args))
+                   experiments.coexistence_points(args.n))
     return EXIT_OK
 
 
 def _run_scaling(args) -> int:
     columns, slope = experiments.scaling_study(args.n)
-    metadata = _effective_config(args)
-    if slope is not None:
-        metadata["loglog_slope"] = serialize.format_float(slope)
+    fit = {} if slope is None else {"loglog_slope": slope}
     _write_columns(args, ["n", "theta_opt_deg", "overlap", "residual", "psi_n_kcbs_margin",
-                          "psi_n_chsh_margin", "asym_kcbs", "asym_chsh"], columns, metadata)
+                          "psi_n_chsh_margin", "asym_kcbs", "asym_chsh"], columns, **fit)
     return EXIT_OK
 
 
@@ -344,8 +349,7 @@ def _run_fourier_test(args) -> int:
         "exact_value": expectation(psi, tensor(alice.matrix, bob.matrix)),
         "seed": report.seed,
     }
-    serialize.write_json(args.out, payload, metadata=_effective_config(args),
-                         timestamp=not args.no_timestamp)
+    serialize.write_json(args.out, payload, metadata=_metadata(args))
     return EXIT_OK
 
 
@@ -387,10 +391,7 @@ def main(argv=None) -> int:
 
     try:
         return _RUNNERS[args.command](args)
-    except ChshKcbsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
+    except (ChshKcbsError, ValueError, MemoryError) as exc:  # MemoryError: a cycle too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

@@ -1,10 +1,11 @@
 """Serialization glue: matrix JSON format, atomic CSV and JSON output.
 
 Matrices and state vectors serialize to ``{"rows", "cols", "entries"}``
-with the entries as a flat row-major list of [re, im] pairs.  CSV files
-start with ``# key: value`` metadata lines (the effective configuration,
-plus a timestamp unless suppressed), then the header row, then data rows
-with 9 significant digits.  Rows come as columns, block by block as the
+with the entries as a flat row-major list of [re, im] pairs.  The writers
+take finished metadata and decide nothing about it: CSV files start with
+one ``# key: value`` line per metadata entry, then the header row, then
+data rows; floats, in the rows and on metadata lines alike, get 9
+significant digits.  Rows come as columns, block by block as the
 table yields them, and each block is formatted in bulk with one row
 template per table, so writing costs O(block) memory however long the
 table.  All writes go through a temp file and an atomic rename so a
@@ -17,7 +18,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -43,13 +43,6 @@ def matrix_from_json(payload: dict) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def format_float(value) -> str:
-    """Nine significant digits; empty string for missing values."""
-    if value is None:
-        return ""
-    return f"{value:.9g}"
-
-
 def _atomic_write(path: str, chunks):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
@@ -63,8 +56,7 @@ def _atomic_write(path: str, chunks):
         raise
 
 
-def timestamp_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+_FLOAT_FIELD = "%.9g"
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,7 @@ def _row_template(kinds) -> str:
     fields = []
     for kind in kinds:
         if kind is float:
-            fields.append("%.9g")
+            fields.append(_FLOAT_FIELD)
         elif kind is int:
             fields.append("%d")
         else:
@@ -112,9 +104,8 @@ def _format_block(template: str, block) -> str:
     return (template * size) % tuple(values)
 
 
-def write_csv(path: str, header: list[str], rows, metadata: dict | None = None,
-              timestamp: bool = True):
-    """Write a CSV with a commented metadata block, atomically.
+def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
+    """Write a CSV with a commented line per ``metadata`` entry, atomically.
 
     ``rows`` is a sized column table such as :class:`Columns` or
     :class:`~chsh_kcbs.experiments.LandscapeTable`: ``len(rows)`` data
@@ -125,9 +116,8 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None,
     """
     if len(header) != len(rows.kinds):
         raise ValueError(f"{len(header)} header fields for {len(rows.kinds)} columns")
-    lines = [f"# {key}: {value}" for key, value in (metadata or {}).items()]
-    if timestamp:
-        lines.append(f"# timestamp: {timestamp_now()}")
+    lines = [f"# {key}: " + (_FLOAT_FIELD % value if isinstance(value, float) else str(value))
+             for key, value in (metadata or {}).items()]
     lines.append(",".join(header))
     template = _row_template(rows.kinds)
 
@@ -166,13 +156,7 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]], dict]:
     return header, rows, metadata
 
 
-def write_json(path: str, payload: dict, metadata: dict | None = None,
-               timestamp: bool = True):
-    """Write JSON with an embedded metadata block, atomically."""
-    body = dict(payload)
-    meta = dict(metadata or {})
-    if timestamp:
-        meta["timestamp"] = timestamp_now()
-    if meta:
-        body["metadata"] = meta
+def write_json(path: str, payload: dict, metadata: dict | None = None):
+    """Write JSON with the ``metadata`` block, if any, as its last key, atomically."""
+    body = {**payload, "metadata": metadata} if metadata else payload
     _atomic_write(path, [json.dumps(body, indent=2) + "\n"])

@@ -7,6 +7,7 @@ import pytest
 
 from chsh_kcbs import (
     CircuitSpec,
+    DimensionMismatch,
     FourierTestReport,
     GateOp,
     NotHermitian,
@@ -192,6 +193,14 @@ def test_fourier_probabilities_validation():
         _one_test(np.diag([1.0, 0.0]), psi2)
     with pytest.raises(NotNormalized):
         _one_test(np.eye(2), np.array([1.0, 1.0]))
+
+
+def test_fourier_test_refuses_a_stack_that_is_not_k_square_operators():
+    # A shape problem is reported as one, naming the shape, before any other check.
+    psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+    for ops in (np.eye(3), np.zeros((2, 2, 3)), np.zeros((1, 1, 3, 3))):
+        with pytest.raises(DimensionMismatch, match=rf"got shape \({ops.shape[0]}, "):
+            fourier_tests(ops, psi)
 
 
 def test_fourier_test_checks_the_operator_before_the_state():

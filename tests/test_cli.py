@@ -178,8 +178,7 @@ def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
                    "--out", str(out), "--no-timestamp") == 0
     _, rows, _ = serialize.read_csv(str(out))
     chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], 7)
-    expected = [["7", serialize.format_float(t), serialize.format_float(p),
-                 serialize.format_float(c), serialize.format_float(k), "analytic", "", ""]
+    expected = [["7", "%.9g" % t, "%.9g" % p, "%.9g" % c, "%.9g" % k, "analytic", "", ""]
                 for t, p, c, k in zip(np.repeat(thetas, phis.size).tolist(),
                                       np.tile(phis, thetas.size).tolist(),
                                       chsh.ravel().tolist(), kcbs.ravel().tolist())]
@@ -394,6 +393,15 @@ def test_config_lists_for_grid_flags(tmp_path, capsys):
     assert run_cli("landscape", "--config", str(config), "--n", "5",
                    "--out", str(out)) == cli.EXIT_USAGE
     assert "invalid list entry" in capsys.readouterr().err
+    # Each entry then goes through the flag's own parser: angles must be finite, sizes integers.
+    for entry in (float("nan"), 10**400):  # 10**400 is past the float range
+        config.write_text(json.dumps({"theta": [30, entry], "phi": [0]}))
+        assert run_cli("landscape", "--config", str(config), "--n", "5",
+                       "--out", str(out)) == cli.EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+    config.write_text(json.dumps({"n": [5, 7.0]}))
+    assert run_cli("coexist", "--config", str(config), "--out", str(out)) == cli.EXIT_USAGE
+    assert "'n'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -419,6 +427,58 @@ def test_grid_echo_reads_back_as_the_same_grid(tmp_path, grid, echo):
     metadata = serialize.read_csv(str(out))[2]
     assert metadata["theta"] == echo
     assert np.array_equal(cli.angle_grid(metadata["theta"]), cli.angle_grid(grid))
+
+
+# The README commands with an output file (the analytic grid shrunk), plus config-file lists.
+_README_RUNS = {
+    "observables": ["observables", "--n", "5"],
+    "landscape-analytic": ["landscape", "--n", "5", "--theta", "0:180:19", "--phi", "0:360:37",
+                           "--mode", "analytic"],
+    "landscape-circuit": ["landscape", "--n", "5", "--theta", "30:90:3", "--phi", "0:180:2",
+                          "--mode", "circuit", "--shots", "20000", "--seed", "7"],
+    "coexist": ["coexist", "--n", "5:55:2"],
+    "scaling": ["scaling", "--n", "5:999:2"],
+    "fourier-test": ["fourier-test", "--n", "5", "--theta", "49.605", "--phi", "0", "--alice",
+                     "w0", "--bob", "bmbm1", "--shots", "100000", "--seed", "1"],
+    "landscape-config-list": ["landscape", "--n", "5", {"theta": [30, 60.5, 90], "phi": [0]}],
+    "coexist-config-list": ["coexist", {"n": [5, 7, 11]}],
+}
+
+
+@pytest.mark.parametrize("name", _README_RUNS)
+def test_echoed_metadata_reads_back_as_the_same_run(tmp_path, name):
+    # Rerun with flags rebuilt from the file's own metadata; the file must come out the same.
+    argv = list(_README_RUNS[name])
+    if isinstance(argv[-1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv.pop()))
+        argv += ["--config", str(config)]
+    first, second = tmp_path / "first.out", tmp_path / "second.out"
+    assert run_cli(*argv, "--out", str(first), "--no-timestamp") == 0
+    if argv[0] in ("observables", "fourier-test"):
+        metadata = json.loads(first.read_text())["metadata"]
+    else:
+        metadata = serialize.read_csv(str(first))[2]
+    flags = cli.build_parser()[1][metadata.pop("command")][2]
+    assert set(metadata) - set(flags) <= {"seed_scheme", "loglog_slope"}
+    rebuilt = [f"--{key.replace('_', '-')}={value}" for key, value in metadata.items()
+               if key in flags and value != ""]
+    assert run_cli(argv[0], *rebuilt, "--out", str(second), "--no-timestamp") == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("landscape", ["--theta", "0:0:1", "--phi", "0:0:1", "--mode", "circuit", "--shots", "10"]),
+    ("observables", []),
+])
+def test_a_size_too_large_for_memory_is_a_domain_error(tmp_path, capsys, command, args):
+    # n = 10**15 + 1 asks numpy for about 7 PiB, beyond the address space, so the
+    # request is refused before anything is allocated.
+    out = tmp_path / "out"
+    assert run_cli(command, "--n", str(10**15 + 1), *args, "--out", str(out)) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert os.listdir(tmp_path) == []
 
 
 def test_io_error_leaves_no_partial_file(tmp_path, capsys):
@@ -534,7 +594,7 @@ def test_scaling_slope_is_fitted_over_the_written_rows(tmp_path):
     assert [int(r[0]) for r in rows] == sizes and len(rows) == 24
     overlaps = experiments.coexistence_points(sizes)["overlap"]
     slope = np.polyfit(np.log(sizes), np.log(overlaps), 1)[0]
-    assert metadata["loglog_slope"] == serialize.format_float(slope)
+    assert metadata["loglog_slope"] == "%.9g" % slope
     written = np.polyfit(np.log(sizes), np.log([float(r[2]) for r in rows]), 1)[0]
     assert float(metadata["loglog_slope"]) == pytest.approx(written, rel=1e-7)
 

@@ -33,12 +33,18 @@ def test_matrix_from_json_checks_entry_count():
         serialize.matrix_from_json({"rows": 2, "cols": 2, "entries": [[1, 0]]})
 
 
-def test_format_float_nine_significant_digits():
-    assert serialize.format_float(0.34307127801047144) == "0.343071278"
-    assert serialize.format_float(None) == ""
-    assert serialize.format_float(-2.4721359549995794) == "-2.47213595"
-    assert float(serialize.format_float(0.34307127801047144)) == pytest.approx(
-        0.34307127801047144, rel=1e-8)
+def test_metadata_floats_get_nine_significant_digits(tmp_path):
+    # A float on a metadata line goes through the rows' own rule; a missing cell is empty.
+    path = tmp_path / "table.csv"
+    slopes = {"a": 0.34307127801047144, "b": -2.4721359549995794, "c": np.float64(1 / 3)}
+    serialize.write_csv(str(path), ["x", "gap"],
+                        serialize.Columns((float, None), ([0.34307127801047144],)),
+                        metadata=slopes)
+    _, rows, metadata = serialize.read_csv(str(path))
+    assert metadata == {"a": "0.343071278", "b": "-2.47213595", "c": "0.333333333"}
+    assert rows == [["0.343071278", ""]]
+    assert all(metadata[key] == "%.9g" % value for key, value in slopes.items())
+    assert float(metadata["a"]) == pytest.approx(0.34307127801047144, rel=1e-8)
 
 
 def test_write_csv_cells_and_metadata(tmp_path):
@@ -46,14 +52,15 @@ def test_write_csv_cells_and_metadata(tmp_path):
     table = serialize.Columns((int, float, None, "text"),
                               (np.array([5, 3194799977]), [0.123456789012, 2.5]))
     serialize.write_csv(str(path), ["a", "b", "c", "d"], table,
-                        metadata={"key": "value"}, timestamp=False)
+                        metadata={"key": "value", "count": 2})
     header, rows, metadata = serialize.read_csv(str(path))
     assert header == ["a", "b", "c", "d"]
     assert rows[0] == ["5", "0.123456789", "", "text"]
     # Integers are written verbatim, never in scientific notation.
     assert rows[1][0] == "3194799977"
     assert rows[1][2] == ""
-    assert metadata == {"key": "value"}
+    # The writer adds nothing to the metadata it is given, a timestamp included.
+    assert metadata == {"key": "value", "count": "2"}
     assert "timestamp" not in path.read_text()
 
 
@@ -72,26 +79,26 @@ class _Table:
             raise self._error
 
 
-def test_write_csv_formats_like_format_float_across_blocks(tmp_path):
+def test_write_csv_formats_nine_digits_across_blocks(tmp_path):
     values = [0.1, -2.4721359549995794, 1e-300, 12345678912.0, -0.0, float("nan"), 7.0]
     index = list(range(len(values)))
     blocks = [(np.array(values[:3]), index[:3]), (values[3:6], np.array(index[3:6])),
               (values[6:], index[6:])]
     path = tmp_path / "table.csv"
-    serialize.write_csv(str(path), ["x", "i", "tag"], _Table((float, int, "m%d"), 7, blocks),
-                        timestamp=False)
+    serialize.write_csv(str(path), ["x", "i", "tag"], _Table((float, int, "m%d"), 7, blocks))
     _, rows, _ = serialize.read_csv(str(path))
-    assert rows == [[serialize.format_float(v), str(i), "m%d"] for i, v in enumerate(values)]
+    assert rows == [["%.9g" % v, str(i), "m%d"] for i, v in enumerate(values)]
 
 
 def test_write_is_atomic(tmp_path):
     path = tmp_path / "out.csv"
-    serialize.write_csv(str(path), ["x"], serialize.Columns((float,), ([1.0],)), timestamp=True)
+    serialize.write_csv(str(path), ["x"], serialize.Columns((float,), ([1.0],)),
+                        metadata={"timestamp": "2026-01-01T00:00:00+00:00"})
     assert path.exists()
     leftovers = [name for name in os.listdir(tmp_path) if name != "out.csv"]
     assert leftovers == []
     _, _, metadata = serialize.read_csv(str(path))
-    assert "timestamp" in metadata
+    assert metadata == {"timestamp": "2026-01-01T00:00:00+00:00"}
 
 
 def test_failed_or_short_table_leaves_no_file(tmp_path):
