@@ -190,7 +190,7 @@ def _apply_config(args, parser, sub, actions, argv):
     try:
         with open(args.config, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         sub.error(f"config file {args.config!r} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         sub.error(f"config file {args.config!r} must hold a JSON object")
@@ -383,15 +383,10 @@ def main(argv=None) -> int:
         for dest in requires:
             if getattr(args, dest, None) is None:
                 sub.error(f"the following arguments are required: --{dest}")
+        return _RUNNERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        return _RUNNERS[args.command](args)
-    except (ChshKcbsError, ValueError, MemoryError) as exc:  # MemoryError: a cycle too large
+    except (ChshKcbsError, ValueError, MemoryError) as exc:  # MemoryError: a size too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

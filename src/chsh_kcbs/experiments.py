@@ -79,10 +79,12 @@ class LandscapeTable:
 
     Cells run theta-major, phi-minor, and ``len`` is the cell count.  The
     margins are computed when the table is iterated, one block of at most
-    ``BLOCK_CELLS`` cells at a time, so a pass costs O(block)
-    memory however large the grid; :meth:`columns` gathers the whole
-    grid.  A circuit pass builds Bob's operator bank once and samples its
-    cells again, from the same seeds, so every pass gives the same values.
+    ``BLOCK_CELLS`` cells at a time, so a pass costs O(block) memory
+    however large the grid.  :meth:`blocks` yields the rows to write,
+    partly formatted; :meth:`columns` gathers the kernel's numbers over
+    the whole grid.  A circuit pass builds Bob's operator bank once and
+    samples its cells again, from the same seeds, so every pass gives the
+    same values.
     """
 
     n: int
@@ -104,26 +106,46 @@ class LandscapeTable:
         return (self.n, float, float, float, float, self.mode, self.shots, seed)
 
     def blocks(self):
-        """Yield (theta_deg, phi_deg, chsh_margin, kcbs_margin[, seed]) column blocks in cell order.
+        """Yield the rows in cell order as column blocks for ``serialize.write_csv``.
 
-        A block is a run of whole theta rows, or a slice of one row when a
-        single row holds more than a block of cells.
+        Circuit mode yields the columns of each block of cells.  Analytic
+        mode yields a ``serialize.Columns`` per theta row of a block: theta
+        and the row's KCBS margin, the same at every phi, are constants of
+        its kinds, beside the phi texts, made once per pass, and the CHSH
+        margins.
         """
+        if self.mode == "circuit":
+            yield from self._cells()
+            return
+        from .serialize import FLOAT_FIELD, Columns  # here, so `import chsh_kcbs` skips it
+        phi_texts = [FLOAT_FIELD % phi for phi in self.phis_deg.tolist()]
+        for thetas, cols, (chsh, kcbs) in self._kernel_blocks():
+            for theta, kcbs_row, chsh_row in zip(thetas.tolist(), kcbs[:, 0].tolist(), chsh):
+                yield Columns((self.n, theta, str, float, kcbs_row) + self.kinds[5:],
+                              (phi_texts[cols], chsh_row))
+
+    def _cells(self):
+        """Yield (theta_deg, phi_deg, chsh_margin, kcbs_margin[, seed]) column blocks."""
+        for thetas, cols, margins in self._kernel_blocks():
+            phis = self.phis_deg[cols]
+            yield np.repeat(thetas, phis.size), np.tile(phis, thetas.size), *map(np.ravel, margins)
+
+    def _kernel_blocks(self):
+        """Yield (thetas, phi slice, margins) per block; analytic margins are 2-D arrays."""
         bob_bank = _bob_bank(self.n) if self.mode == "circuit" else None
         n_phi = self.phis_deg.size
-        rows, cols = max(1, BLOCK_CELLS // n_phi), min(n_phi, BLOCK_CELLS)
+        rows, width = max(1, BLOCK_CELLS // n_phi), min(n_phi, BLOCK_CELLS)
         for i in range(0, self.thetas_deg.size, rows):
             thetas = self.thetas_deg[i:i + rows]
-            for j in range(0, n_phi, cols):
-                phis = self.phis_deg[j:j + cols]
-                yield (np.repeat(thetas, phis.size), np.tile(phis, thetas.size),
-                       *self._margins(thetas, phis, i * n_phi + j, bob_bank))
+            for j in range(0, n_phi, width):
+                cols = slice(j, j + width)
+                yield thetas, cols, self._margins(thetas, self.phis_deg[cols], i * n_phi + j,
+                                                  bob_bank)
 
     def _margins(self, thetas, phis, first_cell, bob_bank):
         if self.mode == "analytic":
-            chsh, kcbs = analytic.state1_margins(np.deg2rad(thetas)[:, None],
-                                                 np.deg2rad(phis)[None, :], self.n)
-            return chsh.ravel(), kcbs.ravel()
+            return analytic.state1_margins(np.deg2rad(thetas)[:, None],
+                                           np.deg2rad(phis)[None, :], self.n)
         seeds = [_cell_seed(self.master_seed, cell)
                  for cell in range(first_cell, first_cell + thetas.size * phis.size)]
         cells = itertools.product(thetas.tolist(), phis.tolist())
@@ -135,7 +157,7 @@ class LandscapeTable:
     def columns(self) -> dict[str, np.ndarray]:
         """Every varying column over the whole grid, keyed by header field."""
         names = [name for name, kind in zip(self.header, self.kinds) if kind in (float, int)]
-        blocks = list(self.blocks())
+        blocks = list(self._cells())
         return {name: np.concatenate([block[k] for block in blocks])
                 for k, name in enumerate(names)}
 

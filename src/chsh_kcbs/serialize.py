@@ -7,9 +7,10 @@ one ``# key: value`` line per metadata entry, then the header row, then
 data rows; floats, in the rows and on metadata lines alike, get 9
 significant digits.  Rows come as columns, block by block as the
 table yields them, and each block is formatted in bulk with one row
-template per table, so writing costs O(block) memory however long the
-table.  All writes go through a temp file and an atomic rename so a
-failure never leaves a partial output behind.
+template, the table's or a :class:`Columns` block's own, so writing
+costs O(block) memory however long the table.  All writes go through a
+temp file and an atomic rename so a failure never leaves a partial
+output behind.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def _atomic_write(path: str, chunks):
         raise
 
 
-_FLOAT_FIELD = "%.9g"
+FLOAT_FIELD = "%.9g"
+_VARYING = {float: FLOAT_FIELD, int: "%d", str: "%s"}
 
 
 @dataclass(frozen=True)
@@ -64,9 +66,10 @@ class Columns:
     """Rows held in memory as columns, for :func:`write_csv`.
 
     ``kinds`` has one entry per CSV column: ``float`` (9 significant
-    digits) or ``int`` (written verbatim) for a column that varies by row;
-    any other value is a constant written into every row, None as an
-    empty field.  ``data`` holds the varying columns in order, as
+    digits), ``int`` (written verbatim) or ``str`` (already formatted
+    text) for a column that varies by row; any other value is a constant
+    written into every row, a float with 9 significant digits and None as
+    an empty field.  ``data`` holds the varying columns in order, as
     equal-length numpy arrays or lists.
     """
 
@@ -80,16 +83,13 @@ class Columns:
         yield self.data
 
 
-def _row_template(kinds) -> str:
+def _row_template(header, kinds) -> str:
     """One ``%`` template for a whole row: a field per varying column, literals for constants."""
-    fields = []
-    for kind in kinds:
-        if kind is float:
-            fields.append(_FLOAT_FIELD)
-        elif kind is int:
-            fields.append("%d")
-        else:
-            fields.append(("" if kind is None else str(kind)).replace("%", "%%"))
+    if len(header) != len(kinds):
+        raise ValueError(f"{len(header)} header fields for {len(kinds)} columns")
+    fields = [_VARYING[kind] if isinstance(kind, type)
+              else FLOAT_FIELD % kind if isinstance(kind, float)
+              else ("" if kind is None else str(kind)).replace("%", "%%") for kind in kinds]
     return ",".join(fields) + "\n"
 
 
@@ -112,21 +112,22 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
     rows, one entry of ``rows.kinds`` per header field, and
     ``rows.blocks()`` yielding the varying columns block by block.  Each
     block is formatted in bulk with one row template built from the kinds,
-    so memory stays O(block) however many blocks the table has.
+    the table's or, for a block that is itself a :class:`Columns`, the
+    block's own, so memory stays O(block) however many blocks it has.
     """
-    if len(header) != len(rows.kinds):
-        raise ValueError(f"{len(header)} header fields for {len(rows.kinds)} columns")
-    lines = [f"# {key}: " + (_FLOAT_FIELD % value if isinstance(value, float) else str(value))
+    template = _row_template(header, rows.kinds)
+    lines = [f"# {key}: " + (FLOAT_FIELD % value if isinstance(value, float) else str(value))
              for key, value in (metadata or {}).items()]
     lines.append(",".join(header))
-    template = _row_template(rows.kinds)
 
     def chunks():
         yield "\n".join(lines) + "\n"
         written = 0
         for block in rows.blocks():
-            yield _format_block(template, block)
-            written += len(block[0])
+            own = isinstance(block, Columns)
+            data = block.data if own else block
+            yield _format_block(_row_template(header, block.kinds) if own else template, data)
+            written += len(data[0])
         if written != len(rows):
             raise ValueError(f"table yielded {written} rows, expected {len(rows)}")
 

@@ -236,6 +236,17 @@ def test_kcbs_margin_independent_of_phi():
     assert np.max(np.abs(kcbs - kcbs[0])) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [5, 21, 100000001])
+def test_kcbs_margin_is_the_same_bits_along_each_theta_row(n):
+    # The landscape writer formats one KCBS value per theta row, so every
+    # phi of a row must give the very same float, not merely a close one.
+    thetas = np.deg2rad(np.concatenate([[0.0, 180.0], np.linspace(0.0, 180.0, 37)]))
+    phis = np.deg2rad(np.concatenate([[-720.0, -1e-300, 1e300], np.linspace(-30, 330, 101)]))
+    _, kcbs = state1_margins(thetas[:, None], phis[None, :], n)
+    for row in kcbs:
+        assert row.tobytes() == np.repeat(row[:1], row.size).tobytes()
+
+
 @pytest.mark.parametrize("n", [5, 21])
 def test_state1_margins_scalar_call_equals_array_call(n):
     # Squares multiply in both paths, so one cell alone is the same to the

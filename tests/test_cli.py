@@ -185,6 +185,33 @@ def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
     assert rows == expected
 
 
+@pytest.mark.parametrize("block, n, theta, phi", [
+    (7, 5, "0:180:5", "-30:330:16"),  # rows wider than a block: row slices and a remainder
+    (7, 5, "0:180:9", "0:360:3"),  # several rows per block and a short last block
+    (None, 100000001, "0,90,180", "0:360:5"),  # CHSH in exponent form at theta = 0 and 180
+    (None, 7, "0,12.5,180", "-90,-1e-7,0,45"),  # negative phi and comma lists
+])
+def test_landscape_bytes_match_per_field_formatting(monkeypatch, tmp_path, block, n, theta, phi):
+    # The writer formats theta and KCBS once per row and phi once per pass;
+    # the bytes must be those of formatting every field of every cell alone.
+    if block is not None:
+        monkeypatch.setattr(experiments, "BLOCK_CELLS", block)
+    out = tmp_path / "landscape.csv"
+    assert run_cli("landscape", "--n", str(n), f"--theta={theta}", f"--phi={phi}",
+                   "--out", str(out), "--no-timestamp") == 0
+    thetas, phis = np.array(cli.angle_grid(theta)), np.array(cli.angle_grid(phi))
+    chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], n)
+    expected = "".join(
+        f"{n},{'%.9g' % t},{'%.9g' % p},{'%.9g' % c},{'%.9g' % k},analytic,,\n"
+        for t, p, c, k in zip(np.repeat(thetas, phis.size).tolist(),
+                              np.tile(phis, thetas.size).tolist(),
+                              chsh.ravel().tolist(), kcbs.ravel().tolist()))
+    header = ",".join(experiments.LandscapeTable.header)
+    assert out.read_text().endswith(f"\n{header}\n{expected}")
+    if n == 100000001:
+        assert ",-8.8817842e-16," in expected
+
+
 @pytest.mark.parametrize("mode", ["analytic", "circuit"])
 def test_landscape_rejects_theta_outside_range(tmp_path, capsys, mode):
     out = tmp_path / "landscape.csv"
@@ -481,6 +508,30 @@ def test_a_size_too_large_for_memory_is_a_domain_error(tmp_path, capsys, command
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_a_grid_too_large_for_memory_is_a_domain_error(monkeypatch, tmp_path, capsys, via_config):
+    # The grid is built while the flags are parsed; the refused allocation is
+    # simulated rather than asked of numpy.
+    counts = []
+
+    def refuse(start, stop, count):
+        counts.append(count)
+        raise MemoryError(f"Unable to allocate {count * 8} bytes")
+
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    out, config = tmp_path / "out.csv", tmp_path / "config.json"
+    grid = ["--theta", "0:180:100000000000"]
+    if via_config:
+        config.write_text(json.dumps({"theta": "0:180:100000000000"}))
+        grid = ["--config", str(config)]
+    assert run_cli("landscape", "--n", "5", *grid, "--phi", "0",
+                   "--out", str(out)) == cli.EXIT_DOMAIN
+    assert counts == [100000000000]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_io_error_leaves_no_partial_file(tmp_path, capsys):
     missing_dir = tmp_path / "not-here" / "out.csv"
     code = run_cli("coexist", "--n", "5:5:1", "--out", str(missing_dir))
@@ -504,6 +555,14 @@ def test_missing_config_file_is_an_io_error(tmp_path, capsys):
     assert run_cli("threshold", "--n", "5",
                    "--config", str(tmp_path / "absent.json")) == cli.EXIT_IO
     assert "I/O error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"{n: 5}", b"\xff\xfe{}"])
+def test_config_file_that_is_not_json_is_a_usage_error(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    assert run_cli("threshold", "--config", str(config), "--n", "5") == cli.EXIT_USAGE
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -136,7 +136,8 @@ def test_landscape_blocks_are_bounded_and_match_full_grid(monkeypatch, block, th
     columns = table.columns()
     assert sizes and max(sizes) <= block
     assert sum(sizes) == len(table) == thetas.size * phis.size
-    assert all(len(b[0]) <= block for b in table.blocks())
+    # Analytic blocks are serialize.Columns, one per theta row of a kernel block.
+    assert all(len(b) <= block for b in table.blocks())
 
     chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], 5)
     assert np.array_equal(columns["theta_deg"], np.repeat(thetas, phis.size))

@@ -82,12 +82,14 @@ class _Table:
 def test_write_csv_formats_nine_digits_across_blocks(tmp_path):
     values = [0.1, -2.4721359549995794, 1e-300, 12345678912.0, -0.0, float("nan"), 7.0]
     index = list(range(len(values)))
+    # The last block brings its own kinds: a text column and a float constant.
     blocks = [(np.array(values[:3]), index[:3]), (values[3:6], np.array(index[3:6])),
-              (values[6:], index[6:])]
+              (values[6:], index[6:]), serialize.Columns((str, 1 / 3, "k%"), (["a", "b"],))]
     path = tmp_path / "table.csv"
-    serialize.write_csv(str(path), ["x", "i", "tag"], _Table((float, int, "m%d"), 7, blocks))
+    serialize.write_csv(str(path), ["x", "i", "tag"], _Table((float, int, "m%d"), 9, blocks))
     _, rows, _ = serialize.read_csv(str(path))
-    assert rows == [["%.9g" % v, str(i), "m%d"] for i, v in enumerate(values)]
+    assert rows == ([["%.9g" % v, str(i), "m%d"] for i, v in enumerate(values)]
+                    + [["a", "0.333333333", "k%"], ["b", "0.333333333", "k%"]])
 
 
 def test_write_is_atomic(tmp_path):
@@ -114,4 +116,7 @@ def test_failed_or_short_table_leaves_no_file(tmp_path):
                             serialize.Columns((float, float), ([1.0, 2.0], [3.0])))
     with pytest.raises(ValueError):
         serialize.write_csv(str(path), ["x"], serialize.Columns((float, float), ([1.0], [2.0])))
+    with pytest.raises(ValueError):  # a block's own kinds are held to the header too
+        serialize.write_csv(str(path), ["x"], _Table(
+            (float,), 1, [serialize.Columns((float, float), ([1.0], [2.0]))]))
     assert os.listdir(tmp_path) == []
