@@ -254,8 +254,9 @@ def _echo_float(value) -> str:
 
 
 def _compact_range(values: list) -> str:
+    """``start:stop:step`` for three or more sizes rising by one step, else a comma list."""
     steps = {b - a for a, b in zip(values, values[1:])}
-    if len(values) >= 3 and len(steps) == 1:
+    if len(values) >= 3 and len(steps) == 1 and min(steps) > 0:
         return f"{values[0]}:{values[-1]}:{steps.pop()}"
     return ",".join(str(v) for v in values)
 
@@ -383,6 +384,8 @@ def main(argv=None) -> int:
         for dest in requires:
             if getattr(args, dest, None) is None:
                 sub.error(f"the following arguments are required: --{dest}")
+        if getattr(args, "mode", None) == "circuit" and args.shots is None:
+            sub.error("--mode circuit requires --shots")
         return _RUNNERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

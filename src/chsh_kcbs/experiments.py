@@ -99,39 +99,29 @@ class LandscapeTable:
     def __len__(self) -> int:
         return self.thetas_deg.size * self.phis_deg.size
 
-    @property
-    def kinds(self) -> tuple:
-        """Per header field: ``float``/``int`` for a column, else the table's constant value."""
-        seed = int if self.mode == "circuit" else None
-        return (self.n, float, float, float, float, self.mode, self.shots, seed)
-
     def blocks(self):
-        """Yield the rows in cell order as column blocks for ``serialize.write_csv``.
+        """Yield the rows in cell order as ``serialize.Columns``, one per theta row of a block.
 
-        Circuit mode yields the columns of each block of cells.  Analytic
-        mode yields a ``serialize.Columns`` per theta row of a block: theta
-        and the row's KCBS margin, the same at every phi, are constants of
-        its kinds, beside the phi texts, made once per pass, and the CHSH
-        margins.
+        Theta, the mode, the shot count and (in analytic mode) the KCBS
+        margin and the empty seed are constants of a row's kinds; the phi
+        texts, made once per pass, and the CHSH margins vary, and so, in
+        circuit mode, do the sampled KCBS margins and the cell seeds.
         """
-        if self.mode == "circuit":
-            yield from self._cells()
-            return
         from .serialize import FLOAT_FIELD, Columns  # here, so `import chsh_kcbs` skips it
         phi_texts = [FLOAT_FIELD % phi for phi in self.phis_deg.tolist()]
-        for thetas, cols, (chsh, kcbs) in self._kernel_blocks():
-            for theta, kcbs_row, chsh_row in zip(thetas.tolist(), kcbs[:, 0].tolist(), chsh):
-                yield Columns((self.n, theta, str, float, kcbs_row) + self.kinds[5:],
-                              (phi_texts[cols], chsh_row))
-
-    def _cells(self):
-        """Yield (theta_deg, phi_deg, chsh_margin, kcbs_margin[, seed]) column blocks."""
-        for thetas, cols, margins in self._kernel_blocks():
-            phis = self.phis_deg[cols]
-            yield np.repeat(thetas, phis.size), np.tile(phis, thetas.size), *map(np.ravel, margins)
+        for thetas, cols, (chsh, kcbs, *seeds) in self._kernel_blocks():
+            phis = phi_texts[cols]
+            if self.mode == "circuit":
+                for theta, *row in zip(thetas.tolist(), chsh, kcbs, *seeds):
+                    yield Columns((self.n, theta, str, float, float, self.mode, self.shots, int),
+                                  (phis, *row))
+            else:
+                for theta, chsh_row, kcbs_row in zip(thetas.tolist(), chsh, kcbs[:, 0].tolist()):
+                    yield Columns((self.n, theta, str, float, kcbs_row, self.mode, None, None),
+                                  (phis, chsh_row))
 
     def _kernel_blocks(self):
-        """Yield (thetas, phi slice, margins) per block; analytic margins are 2-D arrays."""
+        """Yield (thetas, phi slice, margins) per block, each margin a (theta, phi) array."""
         bob_bank = _bob_bank(self.n) if self.mode == "circuit" else None
         n_phi = self.phis_deg.size
         rows, width = max(1, BLOCK_CELLS // n_phi), min(n_phi, BLOCK_CELLS)
@@ -152,14 +142,18 @@ class LandscapeTable:
         chsh, kcbs = zip(*(_circuit_margins(self.n, math.radians(t), math.radians(p),
                                             self.shots, seed, bob_bank)
                            for seed, (t, p) in zip(seeds, cells)))
-        return chsh, kcbs, seeds
+        return tuple(np.reshape(c, (thetas.size, phis.size)) for c in (chsh, kcbs, seeds))
 
     def columns(self) -> dict[str, np.ndarray]:
         """Every varying column over the whole grid, keyed by header field."""
-        names = [name for name, kind in zip(self.header, self.kinds) if kind in (float, int)]
-        blocks = list(self._cells())
-        return {name: np.concatenate([block[k] for block in blocks])
-                for k, name in enumerate(names)}
+        # An analytic block has no seed column, and zip stops at a block's last column.
+        names = ("theta_deg", "phi_deg", "chsh_margin", "kcbs_margin", "seed")
+        blocks = []
+        for thetas, cols, margins in self._kernel_blocks():
+            phis = self.phis_deg[cols]
+            blocks.append((np.repeat(thetas, phis.size), np.tile(phis, thetas.size),
+                           *map(np.ravel, margins)))
+        return {name: np.concatenate(parts) for name, *parts in zip(names, *blocks)}
 
 
 def check_theta_deg(thetas_deg) -> None:
@@ -174,16 +168,19 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
                    shots=None, seed=None) -> LandscapeTable:
     """Margins of the minimal state over a (theta, phi) grid in degrees.
 
-    Every input is checked here, before any cell is computed: theta must
-    lie in [0, 180] degrees and phi must be finite.  The returned table
-    computes its cells block by block as it is iterated.  Circuit mode
-    needs a shot count and a master seed that is None (0) or an integer
-    >= 0; each cell samples with a seed derived from the master seed and
-    the cell index, so results are reproducible and order-independent.
+    Every input is checked here, before any cell is computed: each grid
+    must be one-dimensional, theta must lie in [0, 180] degrees and phi
+    must be finite.  The returned table computes its cells block by block
+    as it is iterated.  Circuit mode needs a shot count and a master seed
+    that is None (0) or an integer >= 0; each cell samples with a seed
+    derived from the master seed and the cell index, so results are
+    reproducible and order-independent.
     """
     observables.cycle_geometry(n)
     thetas = np.array(theta_grid_deg, dtype=float, ndmin=1)
     phis = np.array(phi_grid_deg, dtype=float, ndmin=1)
+    if thetas.ndim != 1 or phis.ndim != 1:
+        raise ValueError(f"grids must be one-dimensional, got shapes {thetas.shape}, {phis.shape}")
     if thetas.size == 0 or phis.size == 0:
         raise EmptyGrid("theta and phi grids must both be nonempty")
     if mode not in ("analytic", "circuit"):

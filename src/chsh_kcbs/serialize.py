@@ -5,12 +5,11 @@ with the entries as a flat row-major list of [re, im] pairs.  The writers
 take finished metadata and decide nothing about it: CSV files start with
 one ``# key: value`` line per metadata entry, then the header row, then
 data rows; floats, in the rows and on metadata lines alike, get 9
-significant digits.  Rows come as columns, block by block as the
-table yields them, and each block is formatted in bulk with one row
-template, the table's or a :class:`Columns` block's own, so writing
-costs O(block) memory however long the table.  All writes go through a
-temp file and an atomic rename so a failure never leaves a partial
-output behind.
+significant digits.  Rows come block by block, each block a
+:class:`Columns` whose kinds give its row template, and each is
+formatted in bulk with that one template, so writing costs O(block)
+memory however long the table.  All writes go through a temp file and
+an atomic rename so a failure never leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -70,7 +69,8 @@ class Columns:
     text) for a column that varies by row; any other value is a constant
     written into every row, a float with 9 significant digits and None as
     an empty field.  ``data`` holds the varying columns in order, as
-    equal-length numpy arrays or lists.
+    equal-length numpy arrays or lists.  A ``Columns`` is a table of one
+    block: :meth:`blocks` yields itself.
     """
 
     kinds: tuple
@@ -80,7 +80,7 @@ class Columns:
         return len(self.data[0])
 
     def blocks(self):
-        yield self.data
+        yield self
 
 
 def _row_template(header, kinds) -> str:
@@ -93,13 +93,14 @@ def _row_template(header, kinds) -> str:
     return ",".join(fields) + "\n"
 
 
-def _format_block(template: str, block) -> str:
-    """Every row of a block through one ``%``: the row template repeated, values row-major."""
-    size, width = len(block[0]), len(block)
+def _format_block(header, block: Columns) -> str:
+    """Every row of a block through one ``%``: its row template repeated, values row-major."""
+    template = _row_template(header, block.kinds)
+    size, width = len(block), len(block.data)
     values = [None] * (size * width)
-    for k, column in enumerate(block):
+    for k, column in enumerate(block.data):
         if len(column) != size:
-            raise ValueError(f"block columns differ in length: {[len(c) for c in block]}")
+            raise ValueError(f"block columns differ in length: {[len(c) for c in block.data]}")
         values[k::width] = column.tolist() if isinstance(column, np.ndarray) else column
     return (template * size) % tuple(values)
 
@@ -107,15 +108,13 @@ def _format_block(template: str, block) -> str:
 def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
     """Write a CSV with a commented line per ``metadata`` entry, atomically.
 
-    ``rows`` is a sized column table such as :class:`Columns` or
-    :class:`~chsh_kcbs.experiments.LandscapeTable`: ``len(rows)`` data
-    rows, one entry of ``rows.kinds`` per header field, and
-    ``rows.blocks()`` yielding the varying columns block by block.  Each
-    block is formatted in bulk with one row template built from the kinds,
-    the table's or, for a block that is itself a :class:`Columns`, the
-    block's own, so memory stays O(block) however many blocks it has.
+    ``rows`` is a sized table, such as :class:`Columns` or
+    :class:`~chsh_kcbs.experiments.LandscapeTable`, of ``len(rows)`` data
+    rows, whose ``blocks()`` yields them as :class:`Columns`.  Each block
+    is formatted in bulk with one row template built from its own kinds,
+    one per header field, so memory stays O(block) however many blocks
+    the table has.
     """
-    template = _row_template(header, rows.kinds)
     lines = [f"# {key}: " + (FLOAT_FIELD % value if isinstance(value, float) else str(value))
              for key, value in (metadata or {}).items()]
     lines.append(",".join(header))
@@ -124,10 +123,8 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
         yield "\n".join(lines) + "\n"
         written = 0
         for block in rows.blocks():
-            own = isinstance(block, Columns)
-            data = block.data if own else block
-            yield _format_block(_row_template(header, block.kinds) if own else template, data)
-            written += len(data[0])
+            yield _format_block(header, block)
+            written += len(block)
         if written != len(rows):
             raise ValueError(f"table yielded {written} rows, expected {len(rows)}")
 

@@ -212,6 +212,33 @@ def test_landscape_bytes_match_per_field_formatting(monkeypatch, tmp_path, block
         assert ",-8.8817842e-16," in expected
 
 
+def test_circuit_landscape_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
+    # Rows wider than a 7-cell block are written as row slices, the last one short.
+    argv = ("landscape", "--n", "5", "--theta", "30:90:3", "--phi=-30:330:16",
+            "--mode", "circuit", "--shots", "200", "--seed", "4", "--no-timestamp", "--out")
+    whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
+    assert run_cli(*argv, str(whole)) == 0
+    monkeypatch.setattr(experiments, "BLOCK_CELLS", 7)
+    assert run_cli(*argv, str(split)) == 0
+    assert split.read_bytes() == whole.read_bytes()
+    assert len(serialize.read_csv(str(whole))[1]) == 3 * 16
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_circuit_landscape_without_shots_is_a_usage_error(tmp_path, capsys, via_config):
+    out = tmp_path / "landscape.csv"
+    argv = ["landscape", "--n", "5", "--theta", "30:90:3", "--phi", "0", "--out", str(out)]
+    if via_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "circuit"}))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--mode", "circuit"]
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    assert "--shots" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["analytic", "circuit"])
 def test_landscape_rejects_theta_outside_range(tmp_path, capsys, mode):
     out = tmp_path / "landscape.csv"
@@ -469,6 +496,8 @@ _README_RUNS = {
                      "w0", "--bob", "bmbm1", "--shots", "100000", "--seed", "1"],
     "landscape-config-list": ["landscape", "--n", "5", {"theta": [30, 60.5, 90], "phi": [0]}],
     "coexist-config-list": ["coexist", {"n": [5, 7, 11]}],
+    "coexist-falling": ["coexist", "--n", "9,7,5"],  # evenly spaced, but no positive step
+    "coexist-repeated": ["coexist", "--n", "5,5,5"],
 }
 
 

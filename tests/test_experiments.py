@@ -52,9 +52,9 @@ def test_landscape_analytic_reference_cells():
     assert flat["kcbs_margin"] == pytest.approx(0.944272, abs=1e-6)
     assert flat["chsh_margin"] < 0
     assert flat["kcbs_margin"] == pytest.approx(by_cell[(0.0, 45.0)]["kcbs_margin"], abs=1e-12)
-    # mode, shots and seed are per-table constants: "analytic" and two empty fields.
+    # mode, shots and seed are constants of every block: "analytic" and two empty fields.
     assert len(table) == len(records) == 4
-    assert table.kinds[5:] == ("analytic", None, None)
+    assert all(block.kinds[5:] == ("analytic", None, None) for block in table.blocks())
     assert all("seed" not in r for r in records)
 
 
@@ -106,6 +106,11 @@ def test_landscape_input_validation():
         with pytest.raises(ValueError):
             landscape_scan(5, [90.0], [0.0, math.nan], mode=mode, shots=100)
     assert len(landscape_scan(5, [0.0, 180.0], [-720.0, 720.0])) == 4
+    # A nested grid is refused, not flattened against the other axis.
+    for thetas, phis in (([[0.0, 90.0]], [0.0, 45.0]), ([0.0, 90.0], [[0.0], [45.0]])):
+        for mode in ("analytic", "circuit"):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                landscape_scan(5, thetas, phis, mode=mode, shots=100)
 
 
 def _spy_on_margins(monkeypatch):

@@ -65,10 +65,10 @@ def test_write_csv_cells_and_metadata(tmp_path):
 
 
 class _Table:
-    """A column table that yields the given blocks, then raises ``error`` if one is given."""
+    """A table that yields the given ``Columns`` blocks, then raises ``error`` if one is given."""
 
-    def __init__(self, kinds, length, blocks, error=None):
-        self.kinds, self.length, self._blocks, self._error = kinds, length, blocks, error
+    def __init__(self, length, blocks, error=None):
+        self.length, self._blocks, self._error = length, blocks, error
 
     def __len__(self):
         return self.length
@@ -82,11 +82,14 @@ class _Table:
 def test_write_csv_formats_nine_digits_across_blocks(tmp_path):
     values = [0.1, -2.4721359549995794, 1e-300, 12345678912.0, -0.0, float("nan"), 7.0]
     index = list(range(len(values)))
-    # The last block brings its own kinds: a text column and a float constant.
-    blocks = [(np.array(values[:3]), index[:3]), (values[3:6], np.array(index[3:6])),
-              (values[6:], index[6:]), serialize.Columns((str, 1 / 3, "k%"), (["a", "b"],))]
+    # Each block brings its own kinds; the last has a text column and a float constant.
+    kinds = (float, int, "m%d")
+    blocks = [serialize.Columns(kinds, (np.array(values[:3]), index[:3])),
+              serialize.Columns(kinds, (values[3:6], np.array(index[3:6]))),
+              serialize.Columns(kinds, (values[6:], index[6:])),
+              serialize.Columns((str, 1 / 3, "k%"), (["a", "b"],))]
     path = tmp_path / "table.csv"
-    serialize.write_csv(str(path), ["x", "i", "tag"], _Table((float, int, "m%d"), 9, blocks))
+    serialize.write_csv(str(path), ["x", "i", "tag"], _Table(9, blocks))
     _, rows, _ = serialize.read_csv(str(path))
     assert rows == ([["%.9g" % v, str(i), "m%d"] for i, v in enumerate(values)]
                     + [["a", "0.333333333", "k%"], ["b", "0.333333333", "k%"]])
@@ -107,16 +110,19 @@ def test_failed_or_short_table_leaves_no_file(tmp_path):
     path = tmp_path / "out.csv"
     with pytest.raises(RuntimeError):
         serialize.write_csv(str(path), ["x"], _Table(
-            (float,), 3, [([1.0],), ([2.0],)], RuntimeError("third block failed")))
+            3, [serialize.Columns((float,), ([1.0],)), serialize.Columns((float,), ([2.0],))],
+            RuntimeError("third block failed")))
     with pytest.raises(ValueError):
-        serialize.write_csv(str(path), ["x"], _Table((float,), 3, [([1.0, 2.0],)]))
+        serialize.write_csv(str(path), ["x"],
+                            _Table(3, [serialize.Columns((float,), ([1.0, 2.0],))]))
     # Columns of different lengths, or more kinds than header fields, are refused.
     with pytest.raises(ValueError):
         serialize.write_csv(str(path), ["x", "y"],
                             serialize.Columns((float, float), ([1.0, 2.0], [3.0])))
     with pytest.raises(ValueError):
         serialize.write_csv(str(path), ["x"], serialize.Columns((float, float), ([1.0], [2.0])))
-    with pytest.raises(ValueError):  # a block's own kinds are held to the header too
+    with pytest.raises(ValueError):  # a later block's kinds are held to the header too
         serialize.write_csv(str(path), ["x"], _Table(
-            (float,), 1, [serialize.Columns((float, float), ([1.0], [2.0]))]))
+            2, [serialize.Columns((float,), ([1.0],)),
+                serialize.Columns((float, float), ([1.0], [2.0]))]))
     assert os.listdir(tmp_path) == []
