@@ -80,11 +80,11 @@ class LandscapeTable:
     Cells run theta-major, phi-minor, and ``len`` is the cell count.  The
     margins are computed when the table is iterated, one block of at most
     ``BLOCK_CELLS`` cells at a time, so a pass costs O(block) memory
-    however large the grid.  :meth:`blocks` yields the rows to write,
-    partly formatted; :meth:`columns` gathers the kernel's numbers over
-    the whole grid.  A circuit pass builds Bob's operator bank once and
-    samples its cells again, from the same seeds, so every pass gives the
-    same values.
+    however large the grid.  :meth:`blocks` is the one read path: the
+    writer formats its rows and a caller reads its numbers, both from the
+    same ``serialize.Columns``.  A circuit block builds Bob's operator bank
+    once, and every pass samples the cells again, from the same seeds, so
+    every pass gives the same values.
     """
 
     n: int
@@ -95,6 +95,7 @@ class LandscapeTable:
     master_seed: int | None = None
 
     header = ("n", "theta_deg", "phi_deg", "chsh_margin", "kcbs_margin", "mode", "shots", "seed")
+    kinds = (int, float, str, float, float, str, int, int)
 
     def __len__(self) -> int:
         return self.thetas_deg.size * self.phis_deg.size
@@ -102,40 +103,33 @@ class LandscapeTable:
     def blocks(self):
         """Yield the rows in cell order as ``serialize.Columns``, one per theta row of a block.
 
-        Theta, the mode, the shot count and (in analytic mode) the KCBS
-        margin and the empty seed are constants of a row's kinds; the phi
-        texts, made once per pass, and the CHSH margins vary, and so, in
-        circuit mode, do the sampled KCBS margins and the cell seeds.
+        n, theta, the mode and the shot count are constants of a row; the
+        phi texts, made once per pass, and the CHSH margins vary.  The KCBS
+        margin and the seed vary as :meth:`_margins` gives them.
         """
         from .serialize import FLOAT_FIELD, Columns  # here, so `import chsh_kcbs` skips it
         phi_texts = [FLOAT_FIELD % phi for phi in self.phis_deg.tolist()]
-        for thetas, cols, (chsh, kcbs, *seeds) in self._kernel_blocks():
-            phis = phi_texts[cols]
-            if self.mode == "circuit":
-                for theta, *row in zip(thetas.tolist(), chsh, kcbs, *seeds):
-                    yield Columns((self.n, theta, str, float, float, self.mode, self.shots, int),
-                                  (phis, *row))
-            else:
-                for theta, chsh_row, kcbs_row in zip(thetas.tolist(), chsh, kcbs[:, 0].tolist()):
-                    yield Columns((self.n, theta, str, float, kcbs_row, self.mode, None, None),
-                                  (phis, chsh_row))
-
-    def _kernel_blocks(self):
-        """Yield (thetas, phi slice, margins) per block, each margin a (theta, phi) array."""
-        bob_bank = _bob_bank(self.n) if self.mode == "circuit" else None
         n_phi = self.phis_deg.size
         rows, width = max(1, BLOCK_CELLS // n_phi), min(n_phi, BLOCK_CELLS)
         for i in range(0, self.thetas_deg.size, rows):
             thetas = self.thetas_deg[i:i + rows]
             for j in range(0, n_phi, width):
-                cols = slice(j, j + width)
-                yield thetas, cols, self._margins(thetas, self.phis_deg[cols], i * n_phi + j,
-                                                  bob_bank)
+                phis = phi_texts[j:j + width]
+                margins = self._margins(thetas, self.phis_deg[j:j + width], i * n_phi + j)
+                for theta, chsh, kcbs, seed in zip(thetas.tolist(), *margins):
+                    yield Columns(self.kinds, (self.n, theta, phis, chsh, kcbs, self.mode,
+                                               self.shots, seed))
 
-    def _margins(self, thetas, phis, first_cell, bob_bank):
+    def _margins(self, thetas, phis, first_cell):
+        """CHSH margins, KCBS margins and seeds by theta row: (theta, phi) arrays in circuit mode.
+
+        The analytic KCBS margin depends on theta alone: one number per row, and no seed.
+        """
         if self.mode == "analytic":
-            return analytic.state1_margins(np.deg2rad(thetas)[:, None],
-                                           np.deg2rad(phis)[None, :], self.n)
+            chsh, kcbs = analytic.state1_margins(np.deg2rad(thetas)[:, None],
+                                                 np.deg2rad(phis)[None, :], self.n)
+            return chsh, kcbs[:, 0].tolist(), [None] * thetas.size
+        bob_bank = _bob_bank(self.n)
         seeds = [_cell_seed(self.master_seed, cell)
                  for cell in range(first_cell, first_cell + thetas.size * phis.size)]
         cells = itertools.product(thetas.tolist(), phis.tolist())
@@ -143,17 +137,6 @@ class LandscapeTable:
                                             self.shots, seed, bob_bank)
                            for seed, (t, p) in zip(seeds, cells)))
         return tuple(np.reshape(c, (thetas.size, phis.size)) for c in (chsh, kcbs, seeds))
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """Every varying column over the whole grid, keyed by header field."""
-        # An analytic block has no seed column, and zip stops at a block's last column.
-        names = ("theta_deg", "phi_deg", "chsh_margin", "kcbs_margin", "seed")
-        blocks = []
-        for thetas, cols, margins in self._kernel_blocks():
-            phis = self.phis_deg[cols]
-            blocks.append((np.repeat(thetas, phis.size), np.tile(phis, thetas.size),
-                           *map(np.ravel, margins)))
-        return {name: np.concatenate(parts) for name, *parts in zip(names, *blocks)}
 
 
 def check_theta_deg(thetas_deg) -> None:
@@ -254,7 +237,8 @@ def scaling_study(sizes) -> tuple[dict[str, np.ndarray], float | None]:
     Returns the :func:`coexistence_points` columns plus
     ``psi_n_kcbs_margin``, ``psi_n_chsh_margin``, ``asym_kcbs`` and
     ``asym_chsh``, and beside them the log-log slope of overlap against
-    n over the given sizes (None when fewer than two).
+    n over the given sizes (None when they hold fewer than two distinct
+    values, since one size fixes no slope).
     """
     columns = coexistence_points(sizes)
     n = columns["n"]
@@ -263,7 +247,7 @@ def scaling_study(sizes) -> tuple[dict[str, np.ndarray], float | None]:
         theta_n, 0.0, n)
     columns["asym_kcbs"], columns["asym_chsh"] = analytic.asymptotic_margins(n)
     slope = None
-    if n.size >= 2:
+    if np.unique(n).size >= 2:
         slope = float(np.polyfit(np.log(n), np.log(columns["overlap"]), 1)[0])
     return columns, slope
 

@@ -78,7 +78,7 @@ class JointState:
         if amps.size != 6:
             raise DimensionMismatch(f"joint state needs 6 amplitudes, got {amps.size}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > STATE_BUILD_TOL:
+        if not abs(norm_sq - 1.0) <= STATE_BUILD_TOL:  # NaN fails too
             raise NotNormalized(f"|amplitudes|^2 sums to {norm_sq!r}, not 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -114,7 +114,7 @@ def state_vector(psi, dim: int, require_normalized: bool = False) -> np.ndarray:
         raise DimensionMismatch(f"expected a vector of length {dim}, got {vec.size}")
     if require_normalized:
         norm_sq = float(np.sum(np.abs(vec) ** 2))
-        if abs(norm_sq - 1.0) > STATE_INPUT_TOL:
+        if not abs(norm_sq - 1.0) <= STATE_INPUT_TOL:  # NaN fails too
             raise NotNormalized(f"|psi|^2 = {norm_sq!r} is not 1 within {STATE_INPUT_TOL}")
     return vec
 

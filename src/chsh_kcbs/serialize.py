@@ -5,11 +5,11 @@ with the entries as a flat row-major list of [re, im] pairs.  The writers
 take finished metadata and decide nothing about it: CSV files start with
 one ``# key: value`` line per metadata entry, then the header row, then
 data rows; floats, in the rows and on metadata lines alike, get 9
-significant digits.  Rows come block by block, each block a
-:class:`Columns` whose kinds give its row template, and each is
-formatted in bulk with that one template, so writing costs O(block)
-memory however long the table.  All writes go through a temp file and
-an atomic rename so a failure never leaves a partial output behind.
+significant digits.  Rows come block by block, each a :class:`Columns`
+whose kinds are formats and whose non-sequence data are constants, and
+each is formatted in bulk with one row template, so writing costs
+O(block) memory however long the table.  All writes go through a temp
+file and an atomic rename so a failure never leaves a partial output.
 """
 
 from __future__ import annotations
@@ -57,52 +57,66 @@ def _atomic_write(path: str, chunks):
 
 
 FLOAT_FIELD = "%.9g"
-_VARYING = {float: FLOAT_FIELD, int: "%d", str: "%s"}
+_FORMATS = {float: FLOAT_FIELD, int: "%d", str: "%s"}
+_SEQUENCES = (list, np.ndarray)
 
 
 @dataclass(frozen=True)
 class Columns:
     """Rows held in memory as columns, for :func:`write_csv`.
 
-    ``kinds`` has one entry per CSV column: ``float`` (9 significant
-    digits), ``int`` (written verbatim) or ``str`` (already formatted
-    text) for a column that varies by row; any other value is a constant
-    written into every row, a float with 9 significant digits and None as
-    an empty field.  ``data`` holds the varying columns in order, as
-    equal-length numpy arrays or lists.  A ``Columns`` is a table of one
-    block: :meth:`blocks` yields itself.
+    ``kinds`` gives each CSV column's format: ``float`` (9 significant
+    digits), ``int`` (``%d``) or ``str`` (``%s``, text formatted already).
+    ``data`` holds one entry per column: a list or numpy array varies by
+    row, and any other value is a constant written into every row through
+    its kind's format, None as an empty field.  A block needs at least one
+    varying column, and they all have its length.  A ``Columns`` is a
+    table of one block: :meth:`blocks` yields itself.
     """
 
     kinds: tuple
     data: tuple
 
     def __len__(self) -> int:
-        return len(self.data[0])
+        for column in self.data:
+            if isinstance(column, _SEQUENCES):
+                return len(column)
+        raise ValueError("a block needs at least one varying column")
 
     def blocks(self):
         yield self
 
 
-def _row_template(header, kinds) -> str:
-    """One ``%`` template for a whole row: a field per varying column, literals for constants."""
-    if len(header) != len(kinds):
-        raise ValueError(f"{len(header)} header fields for {len(kinds)} columns")
-    fields = [_VARYING[kind] if isinstance(kind, type)
-              else FLOAT_FIELD % kind if isinstance(kind, float)
-              else ("" if kind is None else str(kind)).replace("%", "%%") for kind in kinds]
-    return ",".join(fields) + "\n"
+def _format_block(header, block: Columns) -> tuple[str, int]:
+    """(text, row count) of a block: one row template repeated, varying values row-major.
 
-
-def _format_block(header, block: Columns) -> str:
-    """Every row of a block through one ``%``: its row template repeated, values row-major."""
-    template = _row_template(header, block.kinds)
-    size, width = len(block), len(block.data)
+    A constant is formatted once, into the template as a literal.
+    """
+    if not len(header) == len(block.kinds) == len(block.data):
+        raise ValueError(f"{len(header)} header fields for {len(block.kinds)} kinds "
+                         f"and {len(block.data)} data columns")
+    fields, columns = [], []
+    try:
+        for kind, value in zip(block.kinds, block.data):
+            field = _FORMATS[kind]
+            if isinstance(value, _SEQUENCES):
+                columns.append(value)
+            elif value is None:
+                field = ""
+            else:
+                field = (field % value).replace("%", "%%") if kind is str else field % value
+            fields.append(field)
+    except KeyError:
+        raise ValueError(f"kinds must be float, int or str, got {block.kinds}") from None
+    if not columns:
+        raise ValueError("a block needs at least one varying column")
+    size, width = len(columns[0]), len(columns)
     values = [None] * (size * width)
-    for k, column in enumerate(block.data):
+    for k, column in enumerate(columns):
         if len(column) != size:
-            raise ValueError(f"block columns differ in length: {[len(c) for c in block.data]}")
+            raise ValueError(f"block columns differ in length: {[len(c) for c in columns]}")
         values[k::width] = column.tolist() if isinstance(column, np.ndarray) else column
-    return (template * size) % tuple(values)
+    return ((",".join(fields) + "\n") * size) % tuple(values), size
 
 
 def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
@@ -110,10 +124,11 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
 
     ``rows`` is a sized table, such as :class:`Columns` or
     :class:`~chsh_kcbs.experiments.LandscapeTable`, of ``len(rows)`` data
-    rows, whose ``blocks()`` yields them as :class:`Columns`.  Each block
-    is formatted in bulk with one row template built from its own kinds,
-    one per header field, so memory stays O(block) however many blocks
-    the table has.
+    rows, whose ``blocks()`` yields them as :class:`Columns`, each with a
+    kind and a data entry per header field.  A block's kinds are formats
+    and a non-sequence value in its data is a constant, formatted once
+    into the block's row template; the rows are formatted in bulk with
+    it, so memory stays O(block) however many blocks the table has.
     """
     lines = [f"# {key}: " + (FLOAT_FIELD % value if isinstance(value, float) else str(value))
              for key, value in (metadata or {}).items()]
@@ -123,8 +138,9 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
         yield "\n".join(lines) + "\n"
         written = 0
         for block in rows.blocks():
-            yield _format_block(header, block)
-            written += len(block)
+            text, size = _format_block(header, block)
+            written += size
+            yield text
         if written != len(rows):
             raise ValueError(f"table yielded {written} rows, expected {len(rows)}")
 

@@ -228,9 +228,11 @@ def test_criterion_8_scaling_properties():
 def test_criterion_9_landscape_structure():
     thetas = np.arange(0.0, 181.0, 1.0)
     phis = np.arange(0.0, 360.0, 1.0)
-    columns = landscape_scan(5, thetas, phis, mode="analytic").columns()
-    chsh = columns["chsh_margin"].reshape(thetas.size, phis.size)
-    kcbs = columns["kcbs_margin"].reshape(thetas.size, phis.size)
+    blocks = list(landscape_scan(5, thetas, phis, mode="analytic").blocks())
+    # The margins as written: a block's KCBS margin may be one number for all its cells.
+    chsh = np.concatenate([b.data[3] for b in blocks]).reshape(thetas.size, phis.size)
+    kcbs = np.concatenate([np.broadcast_to(b.data[4], len(b))
+                           for b in blocks]).reshape(thetas.size, phis.size)
 
     peak = chsh.max()
     peak_cells = {(float(thetas[i]), float(phis[j]))

@@ -34,6 +34,7 @@ from chsh_kcbs import (
     tensor,
     x02,
 )
+from chsh_kcbs import circuits
 from chsh_kcbs.circuits import _estimators
 from chsh_kcbs.experiments import _bob_bank
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
@@ -147,9 +148,7 @@ def test_prepare_state1_fidelity(theta, phi):
 def test_run_circuit_targets_named_register():
     # X02 applied to the second register of |00> lifts only Bob's level.
     spec = CircuitSpec(("alice", "bob"), (GateOp("swap", x02(), 1),))
-    start = np.zeros(9, dtype=complex)
-    start[0] = 1.0
-    final = run_circuit(spec, initial=start)
+    final = run_circuit(spec)
     expected = np.zeros(9, dtype=complex)
     expected[2] = 1.0
     assert np.allclose(final, expected, atol=1e-15)
@@ -164,6 +163,15 @@ def test_run_circuit_guards():
     spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation((0, 1), "y", 1.0), 0), leak))
     with pytest.raises(RuntimeError):
         run_circuit(spec)
+
+
+def test_run_circuit_norm_guard_rejects_nan(monkeypatch):
+    # Past a unitarity check that let it through, a NaN gate leaves a NaN norm,
+    # which the norm-drift guard refuses.
+    monkeypatch.setattr(circuits, "unitarity_check", lambda gate, tol: True)
+    nan_gate = GateOp("nan", np.full((3, 3), np.nan, dtype=complex), 0)
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        run_circuit(CircuitSpec(("alice", "bob"), (nan_gate,)))
 
 
 def _one_test(u, psi) -> np.ndarray:

@@ -687,6 +687,22 @@ def test_scaling_slope_is_fitted_over_the_written_rows(tmp_path):
     assert float(metadata["loglog_slope"]) == pytest.approx(written, rel=1e-7)
 
 
+def test_scaling_fits_no_slope_through_one_distinct_size(tmp_path, capsys):
+    # Repeated sizes fix no slope: no metadata line, and no fit to warn about.
+    out = tmp_path / "scaling.csv"
+    assert run_cli("scaling", "--n", "5,5", "--out", str(out)) == 0
+    _, rows, metadata = serialize.read_csv(str(out))
+    assert [r[0] for r in rows] == ["5", "5"]
+    assert "loglog_slope" not in metadata
+    assert capsys.readouterr().err == ""
+    # A repeated size among distinct ones leaves the fit where it was.
+    assert run_cli("scaling", "--n", "5,5,7", "--out", str(out)) == 0
+    with_repeat = float(serialize.read_csv(str(out))[2]["loglog_slope"])
+    assert run_cli("scaling", "--n", "5,7", "--out", str(out)) == 0
+    assert with_repeat == pytest.approx(float(serialize.read_csv(str(out))[2]["loglog_slope"]),
+                                        rel=1e-8)
+
+
 @pytest.mark.parametrize("command", ["coexist", "scaling"])
 def test_residual_above_tolerance_is_a_domain_error(tmp_path, capsys, command):
     # At n = 1e8 + 1 the margins lose about n^2 eps to cancellation and

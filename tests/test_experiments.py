@@ -25,9 +25,20 @@ from chsh_kcbs.analytic import chsh_coefficients, state1
 TABLE_POINTS = {5: (49.605, 0.343069), 23: (30.381, 0.227717), 55: (20.815, 0.11978)}
 
 
+def _columns(table):
+    """The table's columns over the whole grid, keyed by header field, read from its blocks.
+
+    These are the ``serialize.Columns`` the writer formats: a block's
+    constant is repeated over its rows, and phi is its written text.
+    """
+    blocks = [[np.broadcast_to(value, len(block)) for value in block.data]
+              for block in table.blocks()]
+    return {name: np.concatenate(parts) for name, *parts in zip(table.header, *blocks)}
+
+
 def _cells(table):
-    """Per-cell dicts of the table's varying columns, in cell order."""
-    return _rows(table.columns())
+    """Per-cell dicts of the table's columns, in cell order."""
+    return _rows(_columns(table))
 
 
 def _rows(columns):
@@ -45,24 +56,24 @@ def test_landscape_analytic_reference_cells():
     table = landscape_scan(5, [90.0, 0.0], [0.0, 45.0], mode="analytic")
     records = _cells(table)
     by_cell = {(r["theta_deg"], r["phi_deg"]): r for r in records}
-    peak = by_cell[(90.0, 0.0)]
+    peak = by_cell[(90.0, "0")]
     assert peak["chsh_margin"] == pytest.approx(0.7198, abs=1e-4)
     assert peak["kcbs_margin"] < 0
-    flat = by_cell[(0.0, 0.0)]
+    flat = by_cell[(0.0, "0")]
     assert flat["kcbs_margin"] == pytest.approx(0.944272, abs=1e-6)
     assert flat["chsh_margin"] < 0
-    assert flat["kcbs_margin"] == pytest.approx(by_cell[(0.0, 45.0)]["kcbs_margin"], abs=1e-12)
+    assert flat["kcbs_margin"] == pytest.approx(by_cell[(0.0, "45")]["kcbs_margin"], abs=1e-12)
     # mode, shots and seed are constants of every block: "analytic" and two empty fields.
     assert len(table) == len(records) == 4
-    assert all(block.kinds[5:] == ("analytic", None, None) for block in table.blocks())
-    assert all("seed" not in r for r in records)
+    assert all(block.data[5:] == ("analytic", None, None) for block in table.blocks())
+    assert all(r["seed"] is None for r in records)
 
 
 def test_landscape_record_order_is_theta_major():
     records = _cells(landscape_scan(5, [10.0, 20.0], [0.0, 90.0, 180.0], mode="analytic"))
     cells = [(r["theta_deg"], r["phi_deg"]) for r in records]
-    assert cells == [(10.0, 0.0), (10.0, 90.0), (10.0, 180.0),
-                     (20.0, 0.0), (20.0, 90.0), (20.0, 180.0)]
+    assert cells == [(10.0, "0"), (10.0, "90"), (10.0, "180"),
+                     (20.0, "0"), (20.0, "90"), (20.0, "180")]
 
 
 def test_landscape_matches_margin_function():
@@ -70,8 +81,9 @@ def test_landscape_matches_margin_function():
     phis = np.linspace(0, 360, 5)
     records = _cells(landscape_scan(7, thetas, phis, mode="analytic"))
     for record in records:
+        # Every phi of this grid is exact in its written text.
         chsh, kcbs = state1_margins(math.radians(record["theta_deg"]),
-                                    math.radians(record["phi_deg"]), 7)
+                                    math.radians(float(record["phi_deg"])), 7)
         assert record["chsh_margin"] == pytest.approx(chsh, abs=0)
         assert record["kcbs_margin"] == pytest.approx(kcbs, abs=0)
 
@@ -98,7 +110,7 @@ def test_landscape_input_validation():
             landscape_scan(5, [0.0], [0.0], mode="circuit", shots=10, seed=seed)
     for seed in (None, 0, np.uint64(2**64 - 1), 2**70):
         table = landscape_scan(5, [0.0], [0.0], mode="circuit", shots=10, seed=seed)
-        assert table.columns()["seed"].size == 1
+        assert _columns(table)["seed"].size == 1
     for mode in ("analytic", "circuit"):
         for thetas in ([200.0, 300.0], [-1e-9], [90.0, math.nan], [math.inf]):
             with pytest.raises(ValueError):
@@ -138,7 +150,7 @@ def test_landscape_blocks_are_bounded_and_match_full_grid(monkeypatch, block, th
     sizes = _spy_on_margins(monkeypatch)
     table = landscape_scan(5, thetas, phis, mode="analytic")
     assert sizes == []  # nothing is computed before the table is iterated
-    columns = table.columns()
+    columns = _columns(table)
     assert sizes and max(sizes) <= block
     assert sum(sizes) == len(table) == thetas.size * phis.size
     # Analytic blocks are serialize.Columns, one per theta row of a kernel block.
@@ -146,9 +158,17 @@ def test_landscape_blocks_are_bounded_and_match_full_grid(monkeypatch, block, th
 
     chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], 5)
     assert np.array_equal(columns["theta_deg"], np.repeat(thetas, phis.size))
-    assert np.array_equal(columns["phi_deg"], np.tile(phis, thetas.size))
+    assert columns["phi_deg"].tolist() == ["%.9g" % phi for phi in phis] * thetas.size
     assert np.array_equal(columns["chsh_margin"], chsh.ravel())
     assert np.array_equal(columns["kcbs_margin"], kcbs.ravel())
+
+
+def test_both_modes_yield_blocks_of_one_kinds_tuple():
+    # The mode changes what a block's data holds, never its kinds.
+    analytic = landscape_scan(5, [0.0, 90.0], [0.0, 45.0, 90.0])
+    circuit = landscape_scan(5, [0.0, 90.0], [0.0, 45.0], mode="circuit", shots=10, seed=1)
+    kinds = {block.kinds for table in (analytic, circuit) for block in table.blocks()}
+    assert kinds == {(int, float, str, float, float, str, int, int)}
 
 
 def _propagated_margin_stddev(n, theta, phi, shots):
@@ -184,13 +204,13 @@ def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
     monkeypatch.setattr(experiments.circuits, "prepare_state1", prepare_spy)
     monkeypatch.setattr(experiments.circuits, "run_hybrid_tests", stacked_spy)
     table = landscape_scan(n, thetas, phis, mode="circuit", shots=100, seed=3)
-    table.columns()
+    _columns(table)
     assert len(prepared) == len(table) == len(thetas) * len(phis)
     assert measured == [id(state) for state in prepared for _ in range(n + 4)]
 
 
 def test_circuit_table_pass_builds_the_bob_bank_once(monkeypatch):
-    # Bob's cycle stack is built once per pass over the table, not per cell or per pair.
+    # Bob's cycle stack is built once per block (this table is one), not per cell or per pair.
     n, calls = 7, []
     stack = experiments.observables.kcbs_observables
 
@@ -200,9 +220,9 @@ def test_circuit_table_pass_builds_the_bob_bank_once(monkeypatch):
 
     monkeypatch.setattr(experiments.observables, "kcbs_observables", stack_spy)
     table = landscape_scan(n, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=1)
-    first = table.columns()
+    first = _columns(table)
     assert calls == [n]
-    assert _same_columns(table.columns(), first)
+    assert _same_columns(_columns(table), first)
     assert calls == [n, n]
 
 
@@ -218,7 +238,7 @@ def test_circuit_cell_builds_no_per_term_report(monkeypatch):
 
     monkeypatch.setattr(report_class, "__init__", init_spy)
     table = landscape_scan(7, [30.0, 60.0], [0.0, 45.0], mode="circuit", shots=100, seed=3)
-    assert len(table.columns()["chsh_margin"]) == 4
+    assert len(_columns(table)["chsh_margin"]) == 4
     assert built == []
 
 
@@ -227,7 +247,7 @@ def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
     # keeps the running sum of the term-by-term protocol.
     n, shots, master_seed = 9, 300, 5
     table = landscape_scan(n, [40.0, 70.0], [30.0], mode="circuit", shots=shots, seed=master_seed)
-    columns = table.columns()
+    columns = _columns(table)
     bm, b0 = bm_bm1_closed_form(n), b0_closed_form(n)
     for cell, theta in enumerate([40.0, 70.0]):
         state = prepare_state1(math.radians(theta), math.radians(30.0))
@@ -280,7 +300,7 @@ def test_landscape_circuit_mode_agrees_with_analytic():
     assert noisy.shots == shots
     for got, want in zip(_cells(noisy), _cells(clean), strict=True):
         chsh_sd, kcbs_sd = _propagated_margin_stddev(
-            5, math.radians(got["theta_deg"]), math.radians(got["phi_deg"]), shots)
+            5, math.radians(got["theta_deg"]), math.radians(float(got["phi_deg"])), shots)
         assert abs(got["chsh_margin"] - want["chsh_margin"]) <= 5 * chsh_sd
         assert abs(got["kcbs_margin"] - want["kcbs_margin"]) <= 5 * kcbs_sd
         assert got["seed"] is not None
@@ -291,22 +311,22 @@ def _same_columns(a, b):
 
 
 def test_landscape_circuit_mode_is_deterministic():
-    first = landscape_scan(5, [30.0], [0.0, 180.0], mode="circuit", shots=2000, seed=9).columns()
-    second = landscape_scan(5, [30.0], [0.0, 180.0], mode="circuit", shots=2000, seed=9).columns()
+    first = _columns(landscape_scan(5, [30.0], [0.0, 180.0], mode="circuit", shots=2000, seed=9))
+    second = _columns(landscape_scan(5, [30.0], [0.0, 180.0], mode="circuit", shots=2000, seed=9))
     assert _same_columns(first, second)
     shifted = landscape_scan(5, [30.0], [0.0, 180.0], mode="circuit", shots=2000, seed=10)
-    assert not _same_columns(shifted.columns(), first)
+    assert not _same_columns(_columns(shifted), first)
     # Distinct cells get distinct derived seeds.
     assert first["seed"][0] != first["seed"][1]
 
 
 def test_landscape_circuit_seeds_follow_the_cell_index(monkeypatch):
     # Seeds depend on (master seed, cell index) only, not on how cells are blocked.
-    whole = landscape_scan(5, [30.0, 60.0], [0.0, 90.0, 180.0], mode="circuit",
-                           shots=200, seed=3).columns()
+    whole = _columns(landscape_scan(5, [30.0, 60.0], [0.0, 90.0, 180.0], mode="circuit",
+                                    shots=200, seed=3))
     monkeypatch.setattr(experiments, "BLOCK_CELLS", 2)
-    split = landscape_scan(5, [30.0, 60.0], [0.0, 90.0, 180.0], mode="circuit",
-                           shots=200, seed=3).columns()
+    split = _columns(landscape_scan(5, [30.0, 60.0], [0.0, 90.0, 180.0], mode="circuit",
+                                    shots=200, seed=3))
     assert _same_columns(whole, split)
     assert whole["seed"].tolist() == [experiments._cell_seed(3, cell) for cell in range(6)]
 
@@ -412,6 +432,8 @@ def test_phi_symmetry_of_landscape():
     thetas = np.linspace(0, 180, 13)
     phis = np.linspace(0, 360, 25)
     records = _cells(landscape_scan(5, thetas, phis, mode="analytic"))
+    for r in records:
+        r["phi_deg"] = float(r["phi_deg"])  # multiples of 15 degrees, exact in the written text
     grid = {}
     for r in records:
         grid[(round(r["theta_deg"], 6), round(r["phi_deg"], 6))] = r

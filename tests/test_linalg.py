@@ -16,7 +16,7 @@ from chsh_kcbs import (
     unitarity_check,
 )
 from chsh_kcbs import linalg
-from chsh_kcbs.analytic import decompose, kcbs_value
+from chsh_kcbs.analytic import decompose, kcbs_value, state1
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, s_operator
 
 
@@ -191,6 +191,19 @@ def test_joint_state_validation():
         JointState(2 * amps)
     with pytest.raises(DimensionMismatch):
         JointState(np.ones(5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
+def test_non_finite_amplitudes_are_not_normalized(bad):
+    # A NaN norm compares False against any tolerance, so the checks must reject it.
+    amps = np.zeros(6, dtype=complex)
+    amps[0] = bad
+    with pytest.raises(NotNormalized):
+        JointState(amps)
+    with pytest.raises(NotNormalized):
+        linalg.state_vector(amps, dim=6, require_normalized=True)
+    with pytest.raises(NotNormalized):
+        state1(0.5, bad.real)
 
 
 def test_joint_state_p2():

@@ -38,7 +38,7 @@ def test_metadata_floats_get_nine_significant_digits(tmp_path):
     path = tmp_path / "table.csv"
     slopes = {"a": 0.34307127801047144, "b": -2.4721359549995794, "c": np.float64(1 / 3)}
     serialize.write_csv(str(path), ["x", "gap"],
-                        serialize.Columns((float, None), ([0.34307127801047144],)),
+                        serialize.Columns((float, float), ([0.34307127801047144], None)),
                         metadata=slopes)
     _, rows, metadata = serialize.read_csv(str(path))
     assert metadata == {"a": "0.343071278", "b": "-2.47213595", "c": "0.333333333"}
@@ -49,8 +49,8 @@ def test_metadata_floats_get_nine_significant_digits(tmp_path):
 
 def test_write_csv_cells_and_metadata(tmp_path):
     path = tmp_path / "table.csv"
-    table = serialize.Columns((int, float, None, "text"),
-                              (np.array([5, 3194799977]), [0.123456789012, 2.5]))
+    table = serialize.Columns((int, float, str, str),
+                              (np.array([5, 3194799977]), [0.123456789012, 2.5], None, "text"))
     serialize.write_csv(str(path), ["a", "b", "c", "d"], table,
                         metadata={"key": "value", "count": 2})
     header, rows, metadata = serialize.read_csv(str(path))
@@ -82,17 +82,42 @@ class _Table:
 def test_write_csv_formats_nine_digits_across_blocks(tmp_path):
     values = [0.1, -2.4721359549995794, 1e-300, 12345678912.0, -0.0, float("nan"), 7.0]
     index = list(range(len(values)))
-    # Each block brings its own kinds; the last has a text column and a float constant.
-    kinds = (float, int, "m%d")
-    blocks = [serialize.Columns(kinds, (np.array(values[:3]), index[:3])),
-              serialize.Columns(kinds, (values[3:6], np.array(index[3:6]))),
-              serialize.Columns(kinds, (values[6:], index[6:])),
-              serialize.Columns((str, 1 / 3, "k%"), (["a", "b"],))]
+    # Each block brings its own kinds and constants; the last has a float and a text constant.
+    kinds = (float, int, str)
+    blocks = [serialize.Columns(kinds, (np.array(values[:3]), index[:3], "m%d")),
+              serialize.Columns(kinds, (values[3:6], np.array(index[3:6]), "m%d")),
+              serialize.Columns(kinds, (values[6:], index[6:], "m%d")),
+              serialize.Columns((str, float, str), (["a", "b"], 1 / 3, "k%"))]
     path = tmp_path / "table.csv"
     serialize.write_csv(str(path), ["x", "i", "tag"], _Table(9, blocks))
     _, rows, _ = serialize.read_csv(str(path))
     assert rows == ([["%.9g" % v, str(i), "m%d"] for i, v in enumerate(values)]
                     + [["a", "0.333333333", "k%"], ["b", "0.333333333", "k%"]])
+
+
+def test_constants_go_through_their_kinds_format(tmp_path):
+    # A non-sequence value in data is a constant: an int through %d, a str
+    # through %s with its % kept, a float through %.9g, None as an empty field.
+    path = tmp_path / "table.csv"
+    table = serialize.Columns((int, int, str, float, float, str),
+                              (3194799977, np.int64(7), "100% sure", 2 / 3, None, ["a", "b"]))
+    assert len(table) == 2
+    serialize.write_csv(str(path), ["i", "j", "s", "x", "gap", "t"], table)
+    _, rows, _ = serialize.read_csv(str(path))
+    assert rows == [["3194799977", "7", "100% sure", "0.666666667", "", t] for t in "ab"]
+
+
+def test_block_needs_a_varying_column_and_known_kinds(tmp_path):
+    path = tmp_path / "table.csv"
+    constants = serialize.Columns((int, float), (5, 0.5))
+    with pytest.raises(ValueError, match="varying column"):
+        len(constants)
+    with pytest.raises(ValueError, match="varying column"):
+        serialize.write_csv(str(path), ["n", "x"], _Table(1, [constants]))
+    for kind in (bool, "text", None):
+        with pytest.raises(ValueError, match="float, int or str"):
+            serialize.write_csv(str(path), ["x"], serialize.Columns((kind,), ([1.0],)))
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_is_atomic(tmp_path):
