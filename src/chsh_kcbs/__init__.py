@@ -29,16 +29,15 @@ from .circuits import (
     embed_alice,
     embed_joint_state,
     estimator_stddev,
+    estimators,
     f3,
     fourier_tests,
     phase_gate,
     prepare_state1,
     rotation,
     run_circuit,
-    run_hybrid_protocol,
     run_hybrid_tests,
     sample_shot_stack,
-    sample_shots,
     x02,
 )
 from .errors import (

@@ -14,15 +14,15 @@ stack of k operators at once and simulates all k tests together on a
 U U on block 2, then the inverse F3.  :func:`run_hybrid_tests` stacks the
 products A_k (x) B_k of one prepared state's correlators for it, so a
 landscape cell is one simulation over a per-table bank of Bob's
-operators; :func:`run_hybrid_protocol` is the one-product case, returning
-a :class:`FourierTestReport`.
+operators, and one correlator is the k = 1 stack.
 
 The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
 P(0) = (5 + 4<U>)/9 and P(1) = P(2) = (2 - 2<U>)/9, inverted by the
-estimators (9 P0 - 5)/4, (2 - 9 P1)/2, and (9 (P0 - P1 - P2) - 1)/8.
+estimators (9 P0 - 5)/4, (2 - 9 P1)/2, and (9 (P0 - P1 - P2) - 1)/8,
+which :func:`estimators` applies to a stack of distributions.
 :func:`sample_shot_stack` draws the shots of k tests as one stack from
-one seeded generator; :func:`sample_shots` is its one-report case.
+one seeded generator.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotUnitary
-from .linalg import JointState, Observable, hermiticity_check, state_vector, unitarity_check
+from .linalg import JointState, hermiticity_check, state_vector, unitarity_check
 
 GATE_UNITARY_TOL = 1e-10
 FOURIER_INPUT_TOL = 1e-10
@@ -190,13 +190,7 @@ def prepare_state1(theta: float, phi: float) -> JointState:
 
 @dataclass(frozen=True)
 class FourierTestReport:
-    """Ancilla outcome probabilities of one Fourier test plus the estimators.
-
-    In exact mode ``shots``, ``counts`` and ``seed`` are None and the three
-    estimators agree; after :func:`sample_shots` the estimators are
-    recomputed from the empirical frequencies while p0, p1, p2 keep the
-    exact values that generated the counts.
-    """
+    """Exact probabilities and estimators of one Fourier test, for :func:`estimator_stddev`."""
 
     p0: float
     p1: float
@@ -204,15 +198,14 @@ class FourierTestReport:
     estimator_combined: float
     estimator_p0: float
     estimator_p1: float
-    shots: int | None = None
-    counts: tuple[int, int, int] | None = None
-    seed: int | None = None
 
 
-def _estimators(p0: float, p1: float, p2: float) -> tuple[float, float, float]:
-    return ((9.0 * (p0 - p1 - p2) - 1.0) / 8.0,
-            (9.0 * p0 - 5.0) / 4.0,
-            (2.0 - 9.0 * p1) / 2.0)
+def estimators(probs) -> np.ndarray:
+    """Estimator columns (combined, from_p0, from_p1) of a (k, 3) stack of ancilla distributions."""
+    p0, p1, p2 = np.asarray(probs, dtype=float).T
+    return np.column_stack(((9.0 * (p0 - p1 - p2) - 1.0) / 8.0,
+                            (9.0 * p0 - 5.0) / 4.0,
+                            (2.0 - 9.0 * p1) / 2.0))
 
 
 def fourier_tests(ops, psi) -> np.ndarray:
@@ -267,20 +260,6 @@ def run_hybrid_tests(state, alice_ops, bob_ops) -> np.ndarray:
     return fourier_tests(ops, embed_joint_state(state))
 
 
-def run_hybrid_protocol(state, alice_op, bob_op) -> FourierTestReport:
-    """Fourier test of A (x) B on a prepared qubit-qutrit state.
-
-    ``state`` is the joint state, typically from :func:`prepare_state1`;
-    ``alice_op`` is a 2x2 observable (or matrix) on the qubit side and
-    ``bob_op`` a 3x3 observable on the qutrit side.  This is the
-    one-term case of :func:`run_hybrid_tests`.
-    """
-    a2 = alice_op.matrix if isinstance(alice_op, Observable) else alice_op
-    b3 = bob_op.matrix if isinstance(bob_op, Observable) else bob_op
-    probs = run_hybrid_tests(state, np.asarray(a2)[None], np.asarray(b3)[None])[0].tolist()
-    return FourierTestReport(*probs, *_estimators(*probs))
-
-
 def check_shots(shots) -> int:
     """A shot count as an int; anything but an integer in [1, MAX_SHOTS] raises ValueError."""
     if type(shots) is bool or not isinstance(shots, int | np.integer) or not 0 < shots <= MAX_SHOTS:
@@ -301,17 +280,7 @@ def sample_shot_stack(probs, shots: int, seed) -> tuple[np.ndarray, np.ndarray]:
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
     counts = np.random.default_rng(seed).multinomial(shots, probs)
-    return counts, np.column_stack(_estimators(*(counts / float(shots)).T))
-
-
-def sample_shots(report: FourierTestReport, shots: int, seed: int) -> FourierTestReport:
-    """Draw multinomial counts from the report's exact probabilities, as one row of a stack.
-
-    The estimators are recomputed from the frequencies and the seed is recorded.
-    """
-    counts, estimators = sample_shot_stack([[report.p0, report.p1, report.p2]], shots, seed)
-    return FourierTestReport(report.p0, report.p1, report.p2, *estimators[0],
-                             shots=int(shots), counts=tuple(counts[0].tolist()), seed=int(seed))
+    return counts, estimators(counts / float(shots))
 
 
 def estimator_stddev(report: FourierTestReport, shots: int) -> float:

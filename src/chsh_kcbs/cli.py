@@ -331,9 +331,10 @@ def _run_fourier_test(args) -> int:
              "id": observables.Observable(np.eye(2), "I")}[args.alice]
     bob = _bob_observable(args.n, args.bob)
 
-    report = circuits.run_hybrid_protocol(circuits.prepare_state1(theta, phi), alice, bob)
-    if args.shots:
-        report = circuits.sample_shots(report, args.shots, args.seed)
+    probs = circuits.run_hybrid_tests(circuits.prepare_state1(theta, phi),
+                                      alice.matrix[None], bob.matrix[None])
+    counts, estimators = (circuits.sample_shot_stack(probs, args.shots, args.seed) if args.shots
+                          else (None, circuits.estimators(probs)))
 
     payload = {
         "n": args.n,
@@ -341,14 +342,12 @@ def _run_fourier_test(args) -> int:
         "phi_deg": args.phi,
         "alice": alice.label,
         "bob": bob.label,
-        "probabilities": {"p0": report.p0, "p1": report.p1, "p2": report.p2},
-        "counts": list(report.counts) if report.counts is not None else None,
-        "shots": report.shots,
-        "estimators": {"combined": report.estimator_combined,
-                       "from_p0": report.estimator_p0,
-                       "from_p1": report.estimator_p1},
+        "probabilities": dict(zip(("p0", "p1", "p2"), probs[0].tolist())),
+        "counts": None if counts is None else counts[0].tolist(),
+        "shots": args.shots,
+        "estimators": dict(zip(("combined", "from_p0", "from_p1"), estimators[0].tolist())),
         "exact_value": expectation(psi, tensor(alice.matrix, bob.matrix)),
-        "seed": report.seed,
+        "seed": args.seed if args.shots else None,
     }
     serialize.write_json(args.out, payload, metadata=_metadata(args))
     return EXIT_OK

@@ -366,19 +366,19 @@ def run_validation() -> list[tuple[str, float, float, bool]]:
         alice = observables.alice_rotation(float(rng.choice((co.omega0, co.omega2, 0.0))))
         bob = (observables.b0_closed_form(n) if rng.uniform() < 0.5
                else observables.bm_bm1_closed_form(n))
-        report = circuits.run_hybrid_protocol(circuits.prepare_state1(theta, phi), alice, bob)
+        probs = circuits.run_hybrid_tests(circuits.prepare_state1(theta, phi),
+                                          alice.matrix[None], bob.matrix[None])
         direct = expectation(psi, tensor(alice.matrix, bob.matrix))
-        gaps += [abs(report.estimator_combined - direct), abs(report.p1 - report.p2)]
+        gaps += [abs(circuits.estimators(probs)[0, 0] - direct), abs(probs[0, 1] - probs[0, 2])]
     check("Fourier test vs analytic correlators, max gap", gaps, 1e-10)
 
     # Sampling determinism.
-    base = circuits.run_hybrid_protocol(circuits.prepare_state1(0.9, 0.4),
-                                        observables.alice_rotation(0.3),
-                                        observables.b0_closed_form(5))
-    sample_a = circuits.sample_shots(base, 5000, 11)
-    sample_b = circuits.sample_shots(base, 5000, 11)
-    check("seeded sampling, max count difference between reruns",
-          np.abs(np.subtract(sample_a.counts, sample_b.counts)), 0)
+    base = circuits.run_hybrid_tests(circuits.prepare_state1(0.9, 0.4),
+                                     observables.alice_rotation(0.3).matrix[None],
+                                     observables.b0_closed_form(5).matrix[None])
+    counts_a, _ = circuits.sample_shot_stack(base, 5000, 11)
+    counts_b, _ = circuits.sample_shot_stack(base, 5000, 11)
+    check("seeded sampling, max count difference between reruns", np.abs(counts_a - counts_b), 0)
 
     # Coexistence residuals and the tabulated n = 5 point.
     points = coexistence_points(range(5, 17, 2))

@@ -33,16 +33,6 @@ def matrix_to_json(mat) -> dict:
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "entries": entries}
 
 
-def matrix_from_json(payload: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`."""
-    rows, cols = int(payload["rows"]), int(payload["cols"])
-    entries = payload["entries"]
-    if len(entries) != rows * cols:
-        raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(rows, cols)
-
-
 def _atomic_write(path: str, chunks):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
@@ -145,29 +135,6 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
             raise ValueError(f"table yielded {written} rows, expected {len(rows)}")
 
     _atomic_write(path, chunks())
-
-
-def read_csv(path: str) -> tuple[list[str], list[list[str]], dict]:
-    """Read back a CSV written by :func:`write_csv`.
-
-    Returns (header, rows-as-strings, metadata).
-    """
-    metadata: dict = {}
-    header: list[str] = []
-    rows: list[list[str]] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                metadata[key.strip()] = value.strip()
-            elif not header:
-                header = line.split(",")
-            else:
-                rows.append(line.split(","))
-    return header, rows, metadata
 
 
 def write_json(path: str, payload: dict, metadata: dict | None = None):

@@ -15,19 +15,20 @@ import numpy as np
 import pytest
 
 from chsh_kcbs import (
+    FourierTestReport,
     chsh_coefficients,
     chsh_value,
     cli,
     estimator_stddev,
+    estimators,
     expectation,
     kcbs_pair,
     kcbs_value,
     landscape_scan,
     p2_threshold,
     prepare_state1,
-    run_hybrid_protocol,
-    sample_shots,
-    serialize,
+    run_hybrid_tests,
+    sample_shot_stack,
     state1,
     state1_margins,
     tensor,
@@ -40,6 +41,7 @@ from chsh_kcbs.observables import (
     bm_bm1_closed_form,
     s_operator,
 )
+from helpers import read_csv
 
 # Reference coexistence points: n -> (theta_opt in degrees, overlap).
 COEXISTENCE_TABLE = {
@@ -70,7 +72,7 @@ def test_criterion_1_coexistence_table(tmp_path):
     assert cli.main(["coexist", "--n", "5:55:2", "--out", str(out)]) == 0
     elapsed = time.perf_counter() - start
 
-    _, rows, _ = serialize.read_csv(str(out))
+    _, rows, _ = read_csv(str(out))
     assert len(rows) == len(COEXISTENCE_TABLE)
     worst_theta, worst_overlap = 0.0, 0.0
     for row in rows:
@@ -155,18 +157,20 @@ def test_criterion_5_circuit_analytic_equivalence():
             bob = bm_bm1_closed_form(n)
         else:
             bob = kcbs_pair(n, int(rng.integers(0, n)))
-        exact = run_hybrid_protocol(prepare_state1(theta, phi), alice, bob)
+        exact = run_hybrid_tests(prepare_state1(theta, phi), alice.matrix[None], bob.matrix[None])
         direct = expectation(psi, tensor(alice.matrix, bob.matrix))
-        worst = max(worst, abs(exact.estimator_combined - direct))
+        worst = max(worst, abs(estimators(exact)[0, 0] - direct))
     exact_ok = worst <= 1e-10
 
     theta = math.radians(49.605)
-    config = run_hybrid_protocol(prepare_state1(theta, 0.0), alice_rotation(
-        chsh_coefficients(state1(theta, 0.0), 5).omega0), bm_bm1_closed_form(5))
+    probs = run_hybrid_tests(prepare_state1(theta, 0.0), alice_rotation(
+        chsh_coefficients(state1(theta, 0.0), 5).omega0).matrix[None],
+        bm_bm1_closed_form(5).matrix[None])
+    config = FourierTestReport(*probs[0].tolist(), *estimators(probs)[0].tolist())
     shots = 100_000
     sigma = estimator_stddev(config, shots)
     inside = sum(
-        abs(sample_shots(config, shots, seed).estimator_combined
+        abs(sample_shot_stack(probs, shots, seed)[1][0, 0]
             - config.estimator_combined) <= 5 * sigma
         for seed in range(100))
     sampled_ok = inside >= 99

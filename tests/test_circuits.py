@@ -18,6 +18,7 @@ from chsh_kcbs import (
     embed_alice,
     embed_joint_state,
     estimator_stddev,
+    estimators,
     expectation,
     f3,
     fourier_tests,
@@ -26,18 +27,16 @@ from chsh_kcbs import (
     prepare_state1,
     rotation,
     run_circuit,
-    run_hybrid_protocol,
     run_hybrid_tests,
     sample_shot_stack,
-    sample_shots,
     state1,
     tensor,
     x02,
 )
 from chsh_kcbs import circuits
-from chsh_kcbs.circuits import _estimators
 from chsh_kcbs.experiments import _bob_bank
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
+from helpers import three_register_probabilities
 
 
 def test_rotation_identity_and_y_entries():
@@ -180,8 +179,19 @@ def _one_test(u, psi) -> np.ndarray:
 
 
 def _exact_report(u, psi) -> FourierTestReport:
-    """A report carrying one test's exact probabilities, for shot sampling."""
+    """A report carrying one test's exact probabilities, for the shot-noise formula."""
     return FourierTestReport(*_one_test(u, psi).tolist(), 0.0, 0.0, 0.0)
+
+
+def _one_product(state, alice, bob) -> np.ndarray:
+    """(p0, p1, p2) of the Fourier test of one product A (x) B, as a one-row stack."""
+    a2 = alice.matrix if hasattr(alice, "matrix") else alice
+    return run_hybrid_tests(state, np.asarray(a2)[None], bob.matrix[None])[0]
+
+
+def _scalar_estimators(p0, p1, p2):
+    """The three estimators of one distribution, each formula written out."""
+    return [(9.0 * (p0 - p1 - p2) - 1.0) / 8.0, (9.0 * p0 - 5.0) / 4.0, (2.0 - 9.0 * p1) / 2.0]
 
 
 def test_fourier_probabilities_extreme_expectations():
@@ -253,10 +263,10 @@ def test_hybrid_protocol_matches_analytic_correlators():
             bob = bm_bm1_closed_form(n)
         else:
             bob = kcbs_pair(n, int(rng.integers(0, n)))
-        report = run_hybrid_protocol(prepare_state1(theta, phi), alice, bob)
+        p0, p1, p2 = _one_product(prepare_state1(theta, phi), alice, bob)
         direct = expectation(psi, tensor(alice.matrix, bob.matrix))
-        assert report.estimator_combined == pytest.approx(direct, abs=1e-10)
-        assert report.p1 == pytest.approx(report.p2, abs=1e-12)
+        assert estimators([[p0, p1, p2]])[0, 0] == pytest.approx(direct, abs=1e-10)
+        assert p1 == pytest.approx(p2, abs=1e-12)
 
 
 def test_hybrid_protocol_matches_three_register_circuit():
@@ -275,28 +285,8 @@ def test_hybrid_protocol_matches_three_register_circuit():
         bob = (b0_closed_form(n), bm_bm1_closed_form(n),
                kcbs_pair(n, int(rng.integers(0, n))))[int(rng.integers(0, 3))]
         a2 = alice.matrix if hasattr(alice, "matrix") else alice
-        ops = (GateOp("R01y", rotation((0, 1), "y", math.pi - theta), 1),
-               GateOp("D(phi,0)", phase_gate(phi, 0.0), 1),
-               GateOp("CX02", controlled_power(x02()), 1),
-               GateOp("F3", f3(), 0),
-               GateOp("C-U^a", controlled_power(tensor(embed_alice(a2), bob.matrix)), 0),
-               GateOp("F3_inv", f3().conj().T, 0))
-        final = run_circuit(CircuitSpec(("ancilla", "alice", "bob"), ops))
-        expected = [float(np.sum(np.abs(final[a * 9:(a + 1) * 9]) ** 2)) for a in range(3)]
-        report = run_hybrid_protocol(prepare_state1(theta, phi), alice, bob)
-        assert [report.p0, report.p1, report.p2] == expected
-
-
-def _three_register_probabilities(theta, phi, a2, b3):
-    """Ancilla distribution of the whole protocol as one (ancilla, alice, bob) circuit."""
-    ops = (GateOp("R01y", rotation((0, 1), "y", math.pi - theta), 1),
-           GateOp("D(phi,0)", phase_gate(phi, 0.0), 1),
-           GateOp("CX02", controlled_power(x02()), 1),
-           GateOp("F3", f3(), 0),
-           GateOp("C-U^a", controlled_power(tensor(embed_alice(a2), b3)), 0),
-           GateOp("F3_inv", f3().conj().T, 0))
-    final = run_circuit(CircuitSpec(("ancilla", "alice", "bob"), ops))
-    return [float(np.sum(np.abs(final[a * 9:(a + 1) * 9]) ** 2)) for a in range(3)]
+        expected = three_register_probabilities(theta, phi, a2, bob.matrix)
+        assert _one_product(prepare_state1(theta, phi), a2, bob).tolist() == expected
 
 
 def test_stacked_cell_matches_three_register_circuit():
@@ -314,7 +304,7 @@ def test_stacked_cell_matches_three_register_circuit():
             probs = run_hybrid_tests(state, alice, bank)
             assert probs.shape == (n + 4, 3)
             for term in range(n + 4):
-                expected = _three_register_probabilities(theta, phi, alice[term], bank[term])
+                expected = three_register_probabilities(theta, phi, alice[term], bank[term])
                 assert probs[term].tolist() == expected
 
 
@@ -347,9 +337,9 @@ def test_identity_alice_setting():
     theta, phi, n = 1.1, 0.7, 5
     psi = state1(theta, phi)
     bob = kcbs_pair(n, 2)
-    report = run_hybrid_protocol(prepare_state1(theta, phi), np.eye(2), bob)
+    probs = _one_product(prepare_state1(theta, phi), np.eye(2), bob)
     direct = expectation(psi, tensor(np.eye(2), bob.matrix))
-    assert report.estimator_combined == pytest.approx(direct, abs=1e-10)
+    assert estimators(probs[None])[0, 0] == pytest.approx(direct, abs=1e-10)
 
 
 def test_alice_embedding_preserves_expectations():
@@ -370,46 +360,57 @@ def test_alice_embedding_preserves_expectations():
         assert np.max(np.abs(embedded[:2, :2] - a2)) == 0
 
 
-def test_sample_shots_degenerate_and_reproducible():
+def test_shot_stack_degenerate_and_reproducible():
     psi2 = np.array([1.0, 0.0], dtype=complex)
-    exact = _exact_report(np.eye(2), psi2)
-    sampled = sample_shots(exact, 1, 123)
-    assert sampled.counts == (1, 0, 0)
-    assert sampled.shots == 1
-    assert sampled.seed == 123
+    counts, sampled = sample_shot_stack(_one_test(np.eye(2), psi2)[None], 1, 123)
+    assert counts.tolist() == [[1, 0, 0]]
+    assert sampled.tolist() == [_scalar_estimators(1.0, 0.0, 0.0)]
 
-    report = run_hybrid_protocol(prepare_state1(0.9, 0.4), alice_rotation(0.3), b0_closed_form(5))
-    first = sample_shots(report, 4096, 7)
-    second = sample_shots(report, 4096, 7)
-    assert first.counts == second.counts
-    assert sum(first.counts) == 4096
-    third = sample_shots(report, 4096, 8)
-    assert third.counts != first.counts
+    probs = _one_product(prepare_state1(0.9, 0.4), alice_rotation(0.3), b0_closed_form(5))[None]
+    first, _ = sample_shot_stack(probs, 4096, 7)
+    second, _ = sample_shot_stack(probs, 4096, 7)
+    assert first.tolist() == second.tolist()
+    assert first.sum() == 4096
+    third, _ = sample_shot_stack(probs, 4096, 8)
+    assert third.tolist() != first.tolist()
 
 
-def test_shot_stack_matches_sample_shots_row_by_row():
+def test_shot_stack_matches_rows_drawn_in_turn():
     state = prepare_state1(0.9, 0.4)
     probs = run_hybrid_tests(state, np.array([alice_rotation(0.3).matrix, np.eye(2)]),
                              np.array([b0_closed_form(5).matrix, kcbs_pair(5, 1).matrix]))
     # Add a degenerate row and a row whose tiny negative entry the clip removes.
     probs = np.vstack([probs, [1.0, 0.0, 0.0], [0.5, 0.5 + 1e-17, -1e-17]])
     for seed in (11, 2**40 + 3, 0):
-        counts, estimators = sample_shot_stack(probs, 777, seed)
-        assert counts.shape == estimators.shape == (4, 3)
-        # Row 0 is the draw sample_shots makes at the same seed.
-        alone = sample_shots(FourierTestReport(*probs[0].tolist(), 0.0, 0.0, 0.0), 777, seed)
-        assert tuple(counts[0].tolist()) == alone.counts
-        assert estimators[0].tolist() == [alone.estimator_combined, alone.estimator_p0,
-                                          alone.estimator_p1]
+        counts, estimates = sample_shot_stack(probs, 777, seed)
+        assert counts.shape == estimates.shape == (4, 3)
+        # Row 0 is the draw a one-row stack makes at the same seed.
+        alone_counts, alone_estimators = sample_shot_stack(probs[:1], 777, seed)
+        assert counts[0].tolist() == alone_counts[0].tolist()
+        assert estimates[0].tolist() == alone_estimators[0].tolist()
         # The stack is its clipped, normalised rows drawn in turn from one generator.
         rng = np.random.default_rng(seed)
-        for row, row_counts, row_estimators in zip(probs, counts, estimators):
+        for row, row_counts, row_estimators in zip(probs, counts, estimates):
             clipped = np.clip(row, 0.0, None)
             assert row_counts.tolist() == rng.multinomial(777, clipped / clipped.sum()).tolist()
-            assert row_estimators.tolist() == list(_estimators(*(row_counts / 777.0).tolist()))
+            assert row_estimators.tolist() == _scalar_estimators(*(row_counts / 777.0).tolist())
         assert counts[2].tolist() == [777, 0, 0] and counts[3, 2] == 0
     with pytest.raises(ValueError):
         sample_shot_stack(probs, 0, 11)
+
+
+def test_estimators_of_a_stack_are_the_scalar_formulas_to_the_bit():
+    # Each row of the stack goes through the three formulas written out for
+    # Python floats, a degenerate row and a NaN row included.
+    rng = np.random.default_rng(19)
+    probs = np.vstack([rng.dirichlet(np.ones(3), size=6), [1.0, 0.0, 0.0], [0.0, 0.5, 0.5],
+                       [math.nan, 0.25, 0.25]])
+    got = estimators(probs)
+    assert got.shape == (9, 3)
+    expected = np.array([_scalar_estimators(*row) for row in probs.tolist()])
+    assert got.tobytes() == expected.tobytes()
+    assert got[6].tolist() == [1.0, 1.0, 1.0]
+    assert np.isnan(got[8, :2]).all() and got[8, 2] == -0.125
 
 
 def test_sampled_estimator_within_five_sigma():
@@ -419,12 +420,13 @@ def test_sampled_estimator_within_five_sigma():
     z = np.diag([1.0, -1.0]).astype(complex)
     exact = _exact_report(z, psi)
     assert exact.p0 == pytest.approx((5 + 4 * 0.5) / 9, abs=1e-12)
+    probs = [[exact.p0, exact.p1, exact.p2]]
     shots = 100_000
     sigma = estimator_stddev(exact, shots)
     inside = 0
     for seed in range(100):
-        sampled = sample_shots(exact, shots, seed)
-        if abs(sampled.estimator_combined - 0.5) <= 5 * sigma:
+        _, sampled = sample_shot_stack(probs, shots, seed)
+        if abs(sampled[0, 0] - 0.5) <= 5 * sigma:
             inside += 1
     assert inside >= 99
 
@@ -444,17 +446,18 @@ def test_estimator_stddev_formula():
 
 def test_shot_counts_must_be_integers_of_at_least_one():
     report = _exact_report(np.eye(2), np.array([1.0, 0.0], dtype=complex))
+    probs = [[report.p0, report.p1, report.p2]]
     for shots in (0.5, 0, -3, 100.0, "100", None, True, False, np.True_):
         with pytest.raises(ValueError):
-            sample_shots(report, shots, 1)
+            sample_shot_stack(probs, shots, 1)
         with pytest.raises(ValueError):
             estimator_stddev(report, shots)
-    assert sample_shots(report, np.int64(3), 1).shots == 3
+    assert sample_shot_stack(probs, np.int64(3), 1)[0].sum() == 3
     # A multinomial draw takes at most 2**63 - 1 shots; more is refused up front.
-    assert sum(sample_shots(report, 2**63 - 1, 1).counts) == 2**63 - 1
+    assert sum(sample_shot_stack(probs, 2**63 - 1, 1)[0][0].tolist()) == 2**63 - 1
     for shots in (2**63, 10**20, np.uint64(2**63)):
         with pytest.raises(ValueError, match="shots must be an integer"):
-            sample_shots(report, shots, 1)
+            sample_shot_stack(probs, shots, 1)
         with pytest.raises(ValueError, match="shots must be an integer"):
             estimator_stddev(report, shots)
     # A circuit landscape refuses the same counts before computing any cell.

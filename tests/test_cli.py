@@ -7,12 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from chsh_kcbs import cli, experiments, serialize
+from chsh_kcbs import cli, experiments
 from chsh_kcbs.analytic import chsh_coefficients
-from chsh_kcbs.circuits import prepare_state1, run_hybrid_protocol
-from chsh_kcbs.analytic import state1_margins
+from chsh_kcbs.circuits import estimators, prepare_state1, run_hybrid_tests, sample_shot_stack
+from chsh_kcbs.analytic import state1, state1_margins
 from chsh_kcbs.observables import (alice_rotation, b0_closed_form, bm_bm1_closed_form,
                                    kcbs_observables, kcbs_pair, kcbs_vectors, s_operator)
+from helpers import matrix_from_json, read_csv, three_register_probabilities
 
 
 def run_cli(*argv):
@@ -47,7 +48,7 @@ def test_help_exits_cleanly(capsys):
 def test_coexist_single_row(tmp_path):
     out = tmp_path / "coexist.csv"
     assert run_cli("coexist", "--n", "5:5:1", "--out", str(out)) == 0
-    header, rows, metadata = serialize.read_csv(str(out))
+    header, rows, metadata = read_csv(str(out))
     assert header == ["n", "theta_opt_deg", "overlap", "residual"]
     assert len(rows) == 1
     n, theta, overlap, residual = rows[0]
@@ -62,7 +63,7 @@ def test_coexist_single_row(tmp_path):
 def test_coexist_range(tmp_path):
     out = tmp_path / "coexist.csv"
     assert run_cli("coexist", "--n", "5:9:2", "--out", str(out)) == 0
-    _, rows, _ = serialize.read_csv(str(out))
+    _, rows, _ = read_csv(str(out))
     assert [int(r[0]) for r in rows] == [5, 7, 9]
 
 
@@ -73,13 +74,13 @@ def test_observables_dump_round_trips(tmp_path):
     assert payload["n"] == 5
     assert len(payload["kcbs_vectors"]) == 5
     assert len(payload["kcbs_observables"]) == 5
-    vecs = [serialize.matrix_from_json(v).reshape(-1) for v in payload["kcbs_vectors"]]
+    vecs = [matrix_from_json(v).reshape(-1) for v in payload["kcbs_vectors"]]
     assert np.array_equal(vecs, kcbs_vectors(5))
-    mats = [serialize.matrix_from_json(entry) for entry in payload["kcbs_observables"]]
+    mats = [matrix_from_json(entry) for entry in payload["kcbs_observables"]]
     assert np.array_equal(mats, kcbs_observables(5))
-    b0 = serialize.matrix_from_json(payload["b0"])
+    b0 = matrix_from_json(payload["b0"])
     assert np.allclose(b0, b0_closed_form(5).matrix, atol=1e-12)
-    s = serialize.matrix_from_json(payload["s_operator"])
+    s = matrix_from_json(payload["s_operator"])
     assert np.allclose(s, s_operator(5).matrix, atol=1e-12)
     labels = [entry["label"] for entry in payload["kcbs_observables"]]
     assert labels == [f"B_{j}" for j in range(5)]
@@ -90,7 +91,7 @@ def test_landscape_csv_round_trip(tmp_path):
     out = tmp_path / "landscape.csv"
     assert run_cli("landscape", "--n", "5", "--theta", "0:180:5", "--phi", "0:360:5",
                    "--mode", "analytic", "--out", str(out)) == 0
-    header, rows, _ = serialize.read_csv(str(out))
+    header, rows, _ = read_csv(str(out))
     assert header == ["n", "theta_deg", "phi_deg", "chsh_margin", "kcbs_margin",
                       "mode", "shots", "seed"]
     assert len(rows) == 25
@@ -110,7 +111,7 @@ def test_landscape_circuit_mode_columns(tmp_path):
     assert run_cli("landscape", "--n", "5", "--theta", "40:90:2", "--phi", "0:0:1",
                    "--mode", "circuit", "--shots", "2000", "--seed", "3",
                    "--out", str(out)) == 0
-    _, rows, _ = serialize.read_csv(str(out))
+    _, rows, _ = read_csv(str(out))
     assert len(rows) == 2
     for cell, row in enumerate(rows):
         assert row[5] == "circuit"
@@ -123,7 +124,7 @@ def test_landscape_circuit_mode_columns(tmp_path):
 
 def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
     # The CSV of a seeded circuit landscape, rebuilt one Fourier test at a
-    # time: each term through run_hybrid_protocol, its shots drawn in term
+    # time: each term as a one-row run_hybrid_tests stack, its shots drawn in term
     # order from one generator seeded by the cell seed.
     n, shots, master_seed = 7, 500, 11
     thetas, phis = [0.0, 60.0, 120.0, 180.0], [0.0, 45.0, 90.0]
@@ -132,20 +133,19 @@ def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
                    "--mode", "circuit", "--shots", str(shots), "--seed", str(master_seed),
                    "--out", str(out), "--no-timestamp") == 0
 
-    bm, b0 = bm_bm1_closed_form(n), b0_closed_form(n)
+    bm, b0 = bm_bm1_closed_form(n).matrix, b0_closed_form(n).matrix
     lines = ["n,theta_deg,phi_deg,chsh_margin,kcbs_margin,mode,shots,seed\n"]
     for cell, (theta, phi) in enumerate((t, p) for t in thetas for p in phis):
         state = prepare_state1(math.radians(theta), math.radians(phi))
         co = chsh_coefficients(state, n)
-        r0, r2 = alice_rotation(co.omega0), alice_rotation(co.omega2)
+        r0, r2 = alice_rotation(co.omega0).matrix, alice_rotation(co.omega2).matrix
         terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
-        terms += [(np.eye(2), kcbs_pair(n, j)) for j in range(n)]
+        terms += [(np.eye(2), kcbs_pair(n, j).matrix) for j in range(n)]
         cell_seed = experiments._cell_seed(master_seed, cell)
         rng = np.random.default_rng(cell_seed)
         estimates = []
         for alice, bob in terms:
-            report = run_hybrid_protocol(state, alice, bob)
-            probs = np.clip([report.p0, report.p1, report.p2], 0.0, None)
+            probs = np.clip(run_hybrid_tests(state, alice[None], bob[None])[0], 0.0, None)
             f0, f1, f2 = rng.multinomial(shots, probs / probs.sum()) / shots
             estimates.append((9.0 * (f0 - f1 - f2) - 1.0) / 8.0)
         chsh = estimates[0] + estimates[1] + estimates[2] - estimates[3] - 2.0
@@ -166,8 +166,8 @@ def test_circuit_landscape_records_its_seed_scheme(tmp_path):
     assert run_cli("landscape", *grid, "--mode", "circuit", "--shots", "10",
                    "--out", str(circuit)) == 0
     assert run_cli("landscape", *grid, "--out", str(analytic)) == 0
-    assert serialize.read_csv(str(circuit))[2]["seed_scheme"] == "2"
-    assert "seed_scheme" not in serialize.read_csv(str(analytic))[2]
+    assert read_csv(str(circuit))[2]["seed_scheme"] == "2"
+    assert "seed_scheme" not in read_csv(str(analytic))[2]
 
 
 def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
@@ -176,7 +176,7 @@ def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
     out = tmp_path / "landscape.csv"
     assert run_cli("landscape", "--n", "7", "--theta", "0:180:67", "--phi", "0:360:1001",
                    "--out", str(out), "--no-timestamp") == 0
-    _, rows, _ = serialize.read_csv(str(out))
+    _, rows, _ = read_csv(str(out))
     chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], 7)
     expected = [["7", "%.9g" % t, "%.9g" % p, "%.9g" % c, "%.9g" % k, "analytic", "", ""]
                 for t, p, c, k in zip(np.repeat(thetas, phis.size).tolist(),
@@ -221,7 +221,7 @@ def test_circuit_landscape_bytes_do_not_depend_on_the_block_size(monkeypatch, tm
     monkeypatch.setattr(experiments, "BLOCK_CELLS", 7)
     assert run_cli(*argv, str(split)) == 0
     assert split.read_bytes() == whole.read_bytes()
-    assert len(serialize.read_csv(str(whole))[1]) == 3 * 16
+    assert len(read_csv(str(whole))[1]) == 3 * 16
 
 
 @pytest.mark.parametrize("via_config", [False, True])
@@ -334,7 +334,7 @@ def test_no_timestamp_makes_output_reproducible(tmp_path):
 def test_scaling_csv(tmp_path):
     out = tmp_path / "scaling.csv"
     assert run_cli("scaling", "--n", "5:9:2", "--out", str(out)) == 0
-    header, rows, metadata = serialize.read_csv(str(out))
+    header, rows, metadata = read_csv(str(out))
     assert header == ["n", "theta_opt_deg", "overlap", "residual",
                       "psi_n_kcbs_margin", "psi_n_chsh_margin", "asym_kcbs", "asym_chsh"]
     assert [int(r[0]) for r in rows] == [5, 7, 9]
@@ -355,6 +355,13 @@ def test_fourier_test_exact_output(tmp_path):
     assert payload["shots"] is None
     assert payload["estimators"]["combined"] == pytest.approx(payload["exact_value"], abs=1e-10)
     assert payload["estimators"]["from_p0"] == pytest.approx(payload["exact_value"], abs=1e-10)
+    # The written probabilities are the whole protocol run as one circuit, to the bit,
+    # and the estimators are their stacked readout.
+    theta = math.radians(49.605)
+    alice = alice_rotation(chsh_coefficients(state1(theta, 0.0), 5).omega0).matrix
+    expected = three_register_probabilities(theta, 0.0, alice, bm_bm1_closed_form(5).matrix)
+    assert list(probs.values()) == expected
+    assert list(payload["estimators"].values()) == estimators([expected])[0].tolist()
 
 
 def test_fourier_test_sampled_output(tmp_path):
@@ -368,6 +375,13 @@ def test_fourier_test_sampled_output(tmp_path):
     assert payload["shots"] == 50000
     assert abs(payload["estimators"]["combined"] - payload["exact_value"]) <= 0.05
     assert payload["bob"] == "B_3 B_4"
+    # Counts and estimators are row 0 of the library's shot stack at the same seed.
+    probs = run_hybrid_tests(prepare_state1(math.pi / 2, 0.0), np.eye(2)[None],
+                             kcbs_pair(5, 3).matrix[None])
+    counts, estimates = sample_shot_stack(probs, 50000, 11)
+    assert payload["counts"] == counts[0].tolist()
+    assert list(payload["estimators"].values()) == estimates[0].tolist()
+    assert list(payload["probabilities"].values()) == probs[0].tolist()
 
 
 def test_fourier_test_theta_range_is_checked_in_degrees(tmp_path, capsys):
@@ -440,7 +454,7 @@ def test_config_lists_for_grid_flags(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"theta": [30, 60], "phi": [0]}))
     assert run_cli("landscape", "--config", str(config), "--n", "5", "--out", str(out)) == 0
-    _, rows, _ = serialize.read_csv(str(out))
+    _, rows, _ = read_csv(str(out))
     assert [(float(r[1]), float(r[2])) for r in rows] == [(30.0, 0.0), (60.0, 0.0)]
     out.unlink()
     config.write_text(json.dumps({"theta": [30, "60"], "phi": [0]}))
@@ -464,7 +478,7 @@ def test_config_angle_list_is_echoed_as_a_list(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"theta": [30, 60, 90], "phi": [0]}))
     assert run_cli("landscape", "--config", str(config), "--n", "5", "--out", str(out)) == 0
-    _, rows, metadata = serialize.read_csv(str(out))
+    _, rows, metadata = read_csv(str(out))
     assert [float(r[1]) for r in rows] == [30.0, 60.0, 90.0]
     assert metadata["theta"] == "30,60,90"
     assert metadata["phi"] == "0"
@@ -478,7 +492,7 @@ def test_grid_echo_reads_back_as_the_same_grid(tmp_path, grid, echo):
     out = tmp_path / "landscape.csv"
     assert run_cli("landscape", "--n", "5", "--theta", grid, "--phi", "0:0:1",
                    "--out", str(out)) == 0
-    metadata = serialize.read_csv(str(out))[2]
+    metadata = read_csv(str(out))[2]
     assert metadata["theta"] == echo
     assert np.array_equal(cli.angle_grid(metadata["theta"]), cli.angle_grid(grid))
 
@@ -514,7 +528,7 @@ def test_echoed_metadata_reads_back_as_the_same_run(tmp_path, name):
     if argv[0] in ("observables", "fourier-test"):
         metadata = json.loads(first.read_text())["metadata"]
     else:
-        metadata = serialize.read_csv(str(first))[2]
+        metadata = read_csv(str(first))[2]
     flags = cli.build_parser()[1][metadata.pop("command")][2]
     assert set(metadata) - set(flags) <= {"seed_scheme", "loglog_slope"}
     rebuilt = [f"--{key.replace('_', '-')}={value}" for key, value in metadata.items()
@@ -626,7 +640,7 @@ def test_boolean_config_flag_takes_only_json_booleans(tmp_path, capsys, value):
     # JSON false keeps the timestamp.
     config.write_text(json.dumps({"no-timestamp": False}))
     assert run_cli("coexist", "--config", str(config), "--n", "5", "--out", str(out)) == 0
-    assert "timestamp" in serialize.read_csv(str(out))[2]
+    assert "timestamp" in read_csv(str(out))[2]
 
 
 @pytest.mark.parametrize("command, args", [
@@ -653,7 +667,7 @@ def test_config_echoed_into_metadata(tmp_path):
     config.write_text(json.dumps({"n": "7:7:1"}))
     out = tmp_path / "coexist.csv"
     assert run_cli("coexist", "--config", str(config), "--out", str(out)) == 0
-    _, rows, metadata = serialize.read_csv(str(out))
+    _, rows, metadata = read_csv(str(out))
     assert [int(r[0]) for r in rows] == [7]
     assert metadata["n"] == "7"
     assert metadata["command"] == "coexist"
@@ -670,14 +684,14 @@ def test_scaling_solves_all_sizes_in_a_few_kernel_calls(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments.analytic, "state1_margins", spy)
     out = tmp_path / "scaling.csv"
     assert run_cli("scaling", "--n", "5:999:2", "--out", str(out), "--no-timestamp") == 0
-    assert len(serialize.read_csv(str(out))[1]) == 498
+    assert len(read_csv(str(out))[1]) == 498
     assert len(calls) <= 60
 
 
 def test_scaling_slope_is_fitted_over_the_written_rows(tmp_path):
     out = tmp_path / "scaling.csv"
     assert run_cli("scaling", "--n", "5:99:4", "--out", str(out)) == 0
-    _, rows, metadata = serialize.read_csv(str(out))
+    _, rows, metadata = read_csv(str(out))
     sizes = list(range(5, 100, 4))
     assert [int(r[0]) for r in rows] == sizes and len(rows) == 24
     overlaps = experiments.coexistence_points(sizes)["overlap"]
@@ -691,15 +705,15 @@ def test_scaling_fits_no_slope_through_one_distinct_size(tmp_path, capsys):
     # Repeated sizes fix no slope: no metadata line, and no fit to warn about.
     out = tmp_path / "scaling.csv"
     assert run_cli("scaling", "--n", "5,5", "--out", str(out)) == 0
-    _, rows, metadata = serialize.read_csv(str(out))
+    _, rows, metadata = read_csv(str(out))
     assert [r[0] for r in rows] == ["5", "5"]
     assert "loglog_slope" not in metadata
     assert capsys.readouterr().err == ""
     # A repeated size among distinct ones leaves the fit where it was.
     assert run_cli("scaling", "--n", "5,5,7", "--out", str(out)) == 0
-    with_repeat = float(serialize.read_csv(str(out))[2]["loglog_slope"])
+    with_repeat = float(read_csv(str(out))[2]["loglog_slope"])
     assert run_cli("scaling", "--n", "5,7", "--out", str(out)) == 0
-    assert with_repeat == pytest.approx(float(serialize.read_csv(str(out))[2]["loglog_slope"]),
+    assert with_repeat == pytest.approx(float(read_csv(str(out))[2]["loglog_slope"]),
                                         rel=1e-8)
 
 
@@ -743,13 +757,13 @@ def test_validate_failure_exits_1(monkeypatch, capsys):
     ]
 
 
-def _nan_estimators(p0, p1, p2):
-    return (math.nan,) * 3
+def _nan_estimators(probs):
+    return np.full(np.shape(probs), math.nan)
 
 
 @pytest.mark.parametrize("module, name, patch, row", [
     ("analytic", "chsh_value", lambda *args: math.nan, "closed-form CHSH vs matrices"),
-    ("circuits", "_estimators", _nan_estimators, "Fourier test vs analytic correlators"),
+    ("circuits", "estimators", _nan_estimators, "Fourier test vs analytic correlators"),
 ], ids=["chsh_value", "fourier_estimators"])
 def test_validate_fails_on_a_nan_value(monkeypatch, capsys, module, name, patch, row):
     # A NaN gap must make its row fail, not vanish from a running maximum.

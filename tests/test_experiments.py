@@ -7,13 +7,15 @@ import pytest
 
 from chsh_kcbs import (
     EmptyGrid,
+    FourierTestReport,
     InvalidCycle,
     NoIntersection,
     coexistence_points,
     estimator_stddev,
+    estimators,
     landscape_scan,
     prepare_state1,
-    run_hybrid_protocol,
+    run_hybrid_tests,
     run_validation,
     scaling_study,
     state1_margins,
@@ -174,15 +176,18 @@ def test_both_modes_yield_blocks_of_one_kinds_tuple():
 def _propagated_margin_stddev(n, theta, phi, shots):
     """Shot-noise standard deviations of the two margins at one cell."""
     co = chsh_coefficients(state1(theta, phi), n)
+
+    def exact(alice, bob):
+        probs = run_hybrid_tests(prepare_state1(theta, phi), alice[None], bob.matrix[None])
+        return FourierTestReport(*probs[0].tolist(), *estimators(probs)[0].tolist())
+
     chsh_var = 0.0
     for alice, bob in ((co.omega2, bm_bm1_closed_form(n)), (co.omega2, b0_closed_form(n)),
                        (co.omega0, bm_bm1_closed_form(n)), (co.omega0, b0_closed_form(n))):
-        exact = run_hybrid_protocol(prepare_state1(theta, phi), alice_rotation(alice), bob)
-        chsh_var += estimator_stddev(exact, shots) ** 2
+        chsh_var += estimator_stddev(exact(alice_rotation(alice).matrix, bob), shots) ** 2
     kcbs_var = 0.0
     for j in range(n):
-        exact = run_hybrid_protocol(prepare_state1(theta, phi), np.eye(2), kcbs_pair(n, j))
-        kcbs_var += estimator_stddev(exact, shots) ** 2
+        kcbs_var += estimator_stddev(exact(np.eye(2), kcbs_pair(n, j)), shots) ** 2
     return math.sqrt(chsh_var), math.sqrt(kcbs_var)
 
 
@@ -248,19 +253,18 @@ def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
     n, shots, master_seed = 9, 300, 5
     table = landscape_scan(n, [40.0, 70.0], [30.0], mode="circuit", shots=shots, seed=master_seed)
     columns = _columns(table)
-    bm, b0 = bm_bm1_closed_form(n), b0_closed_form(n)
+    bm, b0 = bm_bm1_closed_form(n).matrix, b0_closed_form(n).matrix
     for cell, theta in enumerate([40.0, 70.0]):
         state = prepare_state1(math.radians(theta), math.radians(30.0))
         co = chsh_coefficients(state, n)
-        r0, r2 = alice_rotation(co.omega0), alice_rotation(co.omega2)
+        r0, r2 = alice_rotation(co.omega0).matrix, alice_rotation(co.omega2).matrix
         terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
-        terms += [(np.eye(2), kcbs_pair(n, j)) for j in range(n)]
+        terms += [(np.eye(2), kcbs_pair(n, j).matrix) for j in range(n)]
         # Every term draws in turn from one generator seeded by the cell seed.
         rng = np.random.default_rng(experiments._cell_seed(master_seed, cell))
         estimates = []
         for a, b in terms:
-            report = run_hybrid_protocol(state, a, b)
-            probs = np.clip([report.p0, report.p1, report.p2], 0.0, None)
+            probs = np.clip(run_hybrid_tests(state, a[None], b[None])[0], 0.0, None)
             f0, f1, f2 = rng.multinomial(shots, probs / probs.sum()) / shots
             estimates.append((9.0 * (f0 - f1 - f2) - 1.0) / 8.0)
         kcbs = 0.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chsh_kcbs import serialize
+from helpers import matrix_from_json, read_csv
 
 
 def test_matrix_json_round_trip():
@@ -15,10 +16,10 @@ def test_matrix_json_round_trip():
     payload = serialize.matrix_to_json(mat)
     assert payload["rows"] == 3 and payload["cols"] == 3
     assert len(payload["entries"]) == 9
-    back = serialize.matrix_from_json(payload)
+    back = matrix_from_json(payload)
     assert np.array_equal(back, mat)
     # Survives an actual JSON encode/decode cycle at full precision.
-    again = serialize.matrix_from_json(json.loads(json.dumps(payload)))
+    again = matrix_from_json(json.loads(json.dumps(payload)))
     assert np.array_equal(again, mat)
 
 
@@ -30,7 +31,7 @@ def test_vector_serializes_as_column():
 
 def test_matrix_from_json_checks_entry_count():
     with pytest.raises(ValueError):
-        serialize.matrix_from_json({"rows": 2, "cols": 2, "entries": [[1, 0]]})
+        matrix_from_json({"rows": 2, "cols": 2, "entries": [[1, 0]]})
 
 
 def test_metadata_floats_get_nine_significant_digits(tmp_path):
@@ -40,7 +41,7 @@ def test_metadata_floats_get_nine_significant_digits(tmp_path):
     serialize.write_csv(str(path), ["x", "gap"],
                         serialize.Columns((float, float), ([0.34307127801047144], None)),
                         metadata=slopes)
-    _, rows, metadata = serialize.read_csv(str(path))
+    _, rows, metadata = read_csv(str(path))
     assert metadata == {"a": "0.343071278", "b": "-2.47213595", "c": "0.333333333"}
     assert rows == [["0.343071278", ""]]
     assert all(metadata[key] == "%.9g" % value for key, value in slopes.items())
@@ -53,7 +54,7 @@ def test_write_csv_cells_and_metadata(tmp_path):
                               (np.array([5, 3194799977]), [0.123456789012, 2.5], None, "text"))
     serialize.write_csv(str(path), ["a", "b", "c", "d"], table,
                         metadata={"key": "value", "count": 2})
-    header, rows, metadata = serialize.read_csv(str(path))
+    header, rows, metadata = read_csv(str(path))
     assert header == ["a", "b", "c", "d"]
     assert rows[0] == ["5", "0.123456789", "", "text"]
     # Integers are written verbatim, never in scientific notation.
@@ -90,7 +91,7 @@ def test_write_csv_formats_nine_digits_across_blocks(tmp_path):
               serialize.Columns((str, float, str), (["a", "b"], 1 / 3, "k%"))]
     path = tmp_path / "table.csv"
     serialize.write_csv(str(path), ["x", "i", "tag"], _Table(9, blocks))
-    _, rows, _ = serialize.read_csv(str(path))
+    _, rows, _ = read_csv(str(path))
     assert rows == ([["%.9g" % v, str(i), "m%d"] for i, v in enumerate(values)]
                     + [["a", "0.333333333", "k%"], ["b", "0.333333333", "k%"]])
 
@@ -103,7 +104,7 @@ def test_constants_go_through_their_kinds_format(tmp_path):
                               (3194799977, np.int64(7), "100% sure", 2 / 3, None, ["a", "b"]))
     assert len(table) == 2
     serialize.write_csv(str(path), ["i", "j", "s", "x", "gap", "t"], table)
-    _, rows, _ = serialize.read_csv(str(path))
+    _, rows, _ = read_csv(str(path))
     assert rows == [["3194799977", "7", "100% sure", "0.666666667", "", t] for t in "ab"]
 
 
@@ -127,7 +128,7 @@ def test_write_is_atomic(tmp_path):
     assert path.exists()
     leftovers = [name for name in os.listdir(tmp_path) if name != "out.csv"]
     assert leftovers == []
-    _, _, metadata = serialize.read_csv(str(path))
+    _, _, metadata = read_csv(str(path))
     assert metadata == {"timestamp": "2026-01-01T00:00:00+00:00"}
 
 
