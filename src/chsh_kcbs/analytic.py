@@ -22,7 +22,7 @@ from .observables import cycle_geometry
 
 @dataclass(frozen=True)
 class ChshCoefficients:
-    """CHSH reduction of a joint state at cycle size n.
+    """CHSH reduction of a joint state at cycle size n: floats, or arrays for a stack of states.
 
     The four coefficients enter the CHSH functional as
     ``x0 cos(omega0) + y0 sin(omega0) + x2 cos(omega2) + y2 sin(omega2)``;
@@ -51,7 +51,7 @@ class KcbsReport:
 
 @dataclass(frozen=True)
 class ResourceDecomposition:
-    """Population (q, p2), coherence (r), and geometry (c, s) pieces of a state.
+    """Population (q, p2), coherence (r), and geometry (c, s) pieces of a state or a stack.
 
     These are exactly the ingredients of the CHSH coefficients,
     ``x0 = -2c/(1+c) q0 + 2 q1 + 2 sqrt(c)/(1+c) r1 s_minus`` and so on,
@@ -71,12 +71,14 @@ class ResourceDecomposition:
 
 
 def chsh_coefficients(state, n: int) -> ChshCoefficients:
-    """Reduce a normalized joint state to its CHSH coefficients at cycle size n.
+    """Reduce a normalized joint state, or a (k, 6) stack, to its CHSH coefficients at cycle size n.
 
-    The optimal angle for each branch is the two-argument arctangent
-    atan2(y_i, x_i); the single-argument arctan of the ratio would pick
-    the minimizing branch whenever x_i < 0.  A branch with x_i = y_i = 0
-    contributes nothing and gets angle 0 by convention.
+    One state gives floats; a stack gives each field as a length-k array,
+    every row computed as that state alone would be.  The optimal angle
+    for each branch is the two-argument arctangent atan2(y_i, x_i); the
+    single-argument arctan of the ratio would pick the minimizing branch
+    whenever x_i < 0.  A branch with x_i = y_i = 0 contributes nothing and
+    gets angle 0 by convention.
     """
     d = decompose(state, n)
     c = d.c
@@ -86,13 +88,11 @@ def chsh_coefficients(state, n: int) -> ChshCoefficients:
     y0 = -4.0 * c / (1 + c) * d.r2 + 4.0 * d.r4 + coh_scale * d.r3 * d.s_minus
     x2 = (2.0 - 4.0 * c) / (1 + c) * d.q0 + coh_scale * d.r1 * d.s_plus
     y2 = 2.0 * (2.0 - 4.0 * c) / (1 + c) * d.r2 + coh_scale * d.r3 * d.s_plus
-
-    return ChshCoefficients(
-        x0=x0, y0=y0, x2=x2, y2=y2,
-        omega0=math.atan2(y0, x0),
-        omega2=math.atan2(y2, x2),
-        s_opt=math.hypot(x0, y0) + math.hypot(x2, y2),
-    )
+    fields = (x0, y0, x2, y2, np.arctan2(y0, x0), np.arctan2(y2, x2),
+              np.hypot(x0, y0) + np.hypot(x2, y2))
+    if np.ndim(x0) == 0:
+        fields = [float(field) for field in fields]
+    return ChshCoefficients(*fields)
 
 
 def chsh_value(state, n: int, omega0: float, omega2: float) -> float:
@@ -164,22 +164,24 @@ def state1_margins(theta, phi, n):
 
 
 def decompose(state, n: int) -> ResourceDecomposition:
-    """Split a normalized state into population, coherence, and geometry parts."""
+    """Split a normalized state, or a (k, 6) stack, into population, coherence and geometry parts.
+
+    One state gives floats; a stack gives each state part as a length-k
+    array, every row computed as that state alone would be.
+    """
     geo = cycle_geometry(n)
     amps = state_vector(state, dim=6, require_normalized=True)
-    c00, c01, c02, c10, c11, c12 = amps
-    return ResourceDecomposition(
-        q0=float((abs(c00) ** 2 - abs(c10) ** 2 - abs(c02) ** 2 + abs(c12) ** 2).real),
-        q1=float((abs(c01) ** 2 - abs(c11) ** 2).real),
-        p2=float(abs(c02) ** 2 + abs(c12) ** 2),
-        r1=float((np.conj(c00) * c02 - np.conj(c10) * c12).real),
-        r2=float((np.conj(c10) * c00 - np.conj(c12) * c02).real),
-        r3=float((np.conj(c12) * c00 + np.conj(c02) * c10).real),
-        r4=float((np.conj(c11) * c01).real),
-        c=geo.c,
-        s_plus=geo.s_plus,
-        s_minus=geo.s_minus,
-    )
+    columns = np.atleast_2d(amps).T
+    c00, c01, c02, c10, c11, c12 = columns
+    w00, w01, w02, w10, w11, w12 = np.abs(columns) ** 2
+    parts = (w00 - w10 - w02 + w12, w01 - w11, w02 + w12,
+             (np.conj(c00) * c02 - np.conj(c10) * c12).real,
+             (np.conj(c10) * c00 - np.conj(c12) * c02).real,
+             (np.conj(c12) * c00 + np.conj(c02) * c10).real,
+             (np.conj(c11) * c01).real)
+    if amps.ndim == 1:
+        parts = [float(part[0]) for part in parts]
+    return ResourceDecomposition(*parts, c=geo.c, s_plus=geo.s_plus, s_minus=geo.s_minus)
 
 
 def psi_n_state(n: int, k: int = 0) -> JointState:

@@ -3,18 +3,20 @@
 The gate library covers subspace rotations, phase gates, the qutrit
 Fourier transform, and the controlled power gate
 ``|a>|psi> -> |a> U^a |psi>``.  Circuits run on an ordered list of
-qutrit registers.  The minimal state is prepared once on the
-(alice, bob) pair with Alice's level 2 left empty; every correlator of
-the hybrid protocol is then a Fourier test on that prepared state, with
+qutrit registers, and a gate may be a (k, d, d) stack, one gate per row,
+so one run simulates k circuits of the same shape.  The minimal state is
+prepared on the (alice, bob) pair with Alice's level 2 left empty, for
+one angle pair or for a stack of cells in one run; every correlator of
+the hybrid protocol is then a Fourier test on a prepared state, with
 Alice's 2x2 observables embedded into 3x3 by a unit on the dead level.
 
 :func:`fourier_tests` is the one Fourier-test readout.  It checks a
 stack of k operators at once and simulates all k tests together on a
 (k, 3 ancilla, d) state: F3 on the ancilla axis, U on ancilla block 1 and
-U U on block 2, then the inverse F3.  :func:`run_hybrid_tests` stacks the
-products A_k (x) B_k of one prepared state's correlators for it, so a
-landscape cell is one simulation over a per-table bank of Bob's
-operators, and one correlator is the k = 1 stack.
+U U on block 2, then the inverse F3.  Test r reads one shared state or
+row r of a (k, d) stack of states.  :func:`run_hybrid_tests` stacks the
+products A_r (x) B_r for it, so a block of (cell, term) rows of a
+landscape is one simulation, and one correlator is the k = 1 stack.
 
 The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
@@ -22,7 +24,7 @@ P(0) = (5 + 4<U>)/9 and P(1) = P(2) = (2 - 2<U>)/9, inverted by the
 estimators (9 P0 - 5)/4, (2 - 9 P1)/2, and (9 (P0 - P1 - P2) - 1)/8,
 which :func:`estimators` applies to a stack of distributions.
 :func:`sample_shot_stack` draws the shots of k tests as one stack from
-one seeded generator.
+one seeded generator, or those of m cells from one generator each.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotUnitary
-from .linalg import JointState, hermiticity_check, state_vector, unitarity_check
+from .linalg import (STATE_BUILD_TOL, JointState, check_normalized, hermiticity_check,
+                     state_vector, unitarity_check)
 
 GATE_UNITARY_TOL = 1e-10
 FOURIER_INPUT_TOL = 1e-10
@@ -43,35 +46,42 @@ MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a multinomial draw takes
 SUBSPACES = ((0, 1), (0, 2), (1, 2))
 
 
-def rotation(subspace: tuple[int, int], axis: str, theta: float) -> np.ndarray:
+def rotation(subspace: tuple[int, int], axis: str, theta) -> np.ndarray:
     """Qutrit rotation exp(-i theta/2 * generator) on one two-level subspace.
 
     The closed form is an SU(2) rotation embedded on the named levels with
-    the spectator level untouched.
+    the spectator level untouched.  An array of angles gives a stack of
+    gates, one per angle.
     """
     if tuple(subspace) not in SUBSPACES:
         raise ValueError(f"subspace must be one of {SUBSPACES}, got {subspace!r}")
-    i, j = subspace
-    half = theta / 2.0
-    gate = np.eye(3, dtype=complex)
-    if axis == "x":
-        gate[i, i] = gate[j, j] = math.cos(half)
-        gate[i, j] = gate[j, i] = -1j * math.sin(half)
-    elif axis == "y":
-        gate[i, i] = gate[j, j] = math.cos(half)
-        gate[i, j] = -math.sin(half)
-        gate[j, i] = math.sin(half)
-    elif axis == "z":
-        gate[i, i] = np.exp(-1j * half)
-        gate[j, j] = np.exp(1j * half)
-    else:
+    if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+    i, j = subspace
+    half = np.asarray(theta, dtype=float) / 2.0
+    gate = np.zeros(half.shape + (3, 3), dtype=complex)
+    gate[..., range(3), range(3)] = 1.0
+    if axis == "x":
+        gate[..., i, i] = gate[..., j, j] = np.cos(half)
+        gate[..., i, j] = gate[..., j, i] = -1j * np.sin(half)
+    elif axis == "y":
+        gate[..., i, i] = gate[..., j, j] = np.cos(half)
+        gate[..., i, j] = -np.sin(half)
+        gate[..., j, i] = np.sin(half)
+    else:
+        gate[..., i, i] = np.exp(-1j * half)
+        gate[..., j, j] = np.exp(1j * half)
     return gate
 
 
-def phase_gate(alpha: float, beta: float) -> np.ndarray:
-    """Diagonal phase gate diag(1, e^{i alpha}, e^{i beta})."""
-    return np.diag([1.0, np.exp(1j * alpha), np.exp(1j * beta)]).astype(complex)
+def phase_gate(alpha, beta) -> np.ndarray:
+    """Diagonal phase gate diag(1, e^{i alpha}, e^{i beta}); arrays of angles give a stack."""
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    gate = np.zeros(alpha.shape + (3, 3), dtype=complex)
+    gate[..., 0, 0] = 1.0
+    gate[..., 1, 1] = np.exp(1j * alpha)
+    gate[..., 2, 2] = np.exp(1j * beta)
+    return gate
 
 
 def f3() -> np.ndarray:
@@ -114,16 +124,16 @@ def embed_alice(a2) -> np.ndarray:
 
 
 def embed_joint_state(psi) -> np.ndarray:
-    """Lift the 6 joint amplitudes onto the 9-dim (alice, bob) qutrit pair."""
+    """Lift the 6 joint amplitudes onto the 9-dim (alice, bob) qutrit pair, a stack row by row."""
     vec = state_vector(psi, dim=6)
-    out = np.zeros(9, dtype=complex)
-    out[:6] = vec
+    out = np.zeros(vec.shape[:-1] + (9,), dtype=complex)
+    out[..., :6] = vec
     return out
 
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate application: a 3^k x 3^k matrix on k consecutive registers."""
+    """One gate application: a 3^s x 3^s matrix, or a stack of them, on s consecutive registers."""
 
     label: str
     matrix: np.ndarray
@@ -141,51 +151,81 @@ class CircuitSpec:
 def run_circuit(spec: CircuitSpec) -> np.ndarray:
     """Simulate a circuit exactly from every register in |0>, returning the final state vector.
 
-    Every gate must be unitary within 1e-10 and the norm is re-checked
-    after each application.  A register named ``alice`` starts with its
-    level 2 empty and must keep it empty after every gate; a breach
-    raises RuntimeError since it means the circuit left the protocol's
-    qubit subspace.  Both checks fail on NaN.
+    An op's matrix may be a (k, d, d) stack, one gate per row; the circuit
+    then runs k rows at once, row r applying entry r of every stacked op
+    and the one matrix of every other op, and returns a (k, 3^registers)
+    stack of states.  Every gate must be unitary within 1e-10 and the norm
+    is re-checked after each application, row by row.  A register named
+    ``alice`` starts with its level 2 empty and must keep it empty after
+    every gate; a breach raises RuntimeError since it means the circuit
+    left the protocol's qubit subspace.  Both checks fail on NaN, and every
+    error names the op and, in a stack, the first failing entry or row.
     """
     n_reg = len(spec.registers)
     dim = 3 ** n_reg
-    state = np.zeros(dim, dtype=complex)
-    state[0] = 1.0
+    gates = [np.asarray(op.matrix, dtype=complex) for op in spec.ops]
+    sizes = {gate.shape[0] for gate in gates if gate.ndim == 3}
+    if len(sizes) > 1:
+        raise ValueError(f"stacked gates must share one stack size, got {sorted(sizes)}")
+    stacked = bool(sizes)
+    rows = sizes.pop() if stacked else 1
+    state = np.zeros((rows, dim), dtype=complex)
+    state[:, 0] = 1.0
     alice = spec.registers.index("alice") if "alice" in spec.registers else None
 
-    def alice_level2_weight(vec):
-        view = vec.reshape((3,) * n_reg)
-        return float(np.max(np.abs(np.take(view, 2, axis=alice))))
+    def row(index) -> str:
+        return f" in row {index}" if stacked else ""
 
-    for op in spec.ops:
-        gate = np.asarray(op.matrix, dtype=complex)
-        if not unitarity_check(gate, GATE_UNITARY_TOL):
-            raise NotUnitary(f"gate {op.label!r} is not unitary within {GATE_UNITARY_TOL:g}")
-        span = round(math.log(gate.shape[0], 3))
-        if 3 ** span != gate.shape[0] or op.first_register + span > n_reg:
+    for op, gate in zip(spec.ops, gates):
+        ok = unitarity_check(gate, GATE_UNITARY_TOL)
+        if not np.all(ok):
+            entry = f" entry {np.argmin(ok)}" if gate.ndim == 3 else ""
+            raise NotUnitary(f"gate {op.label!r}{entry} is not unitary within {GATE_UNITARY_TOL:g}")
+        size = gate.shape[-1]
+        span = round(math.log(size, 3))
+        if 3 ** span != size or op.first_register + span > n_reg:
             raise ValueError(f"gate {op.label!r} does not fit the register layout")
         pre = 3 ** op.first_register
-        post = dim // (pre * gate.shape[0])
-        view = state.reshape(pre, gate.shape[0], post)
-        state = np.einsum("ij,ajb->aib", gate, view).reshape(dim)
-        norm = float(np.sum(np.abs(state) ** 2))
-        if not abs(norm - 1.0) <= GATE_UNITARY_TOL:
-            raise RuntimeError(f"norm drifted to {norm!r} after gate {op.label!r}")
-        if alice is not None and not alice_level2_weight(state) <= DEAD_LEVEL_TOL:
-            raise RuntimeError(f"alice level 2 became populated after gate {op.label!r}")
-    return state
+        view = state.reshape(rows, pre, size, dim // (pre * size))
+        subscripts = "kij,kajb->kaib" if gate.ndim == 3 else "ij,kajb->kaib"
+        state = np.einsum(subscripts, gate, view).reshape(rows, dim)
+        norm = np.sum(np.abs(state) ** 2, axis=1)
+        ok = np.abs(norm - 1.0) <= GATE_UNITARY_TOL
+        if not ok.all():
+            bad = np.argmin(ok)
+            raise RuntimeError(f"norm drifted to {float(norm[bad])!r}{row(bad)} "
+                               f"after gate {op.label!r}")
+        if alice is not None:
+            level2 = np.take(state.reshape((rows,) + (3,) * n_reg), 2, axis=1 + alice)
+            ok = np.max(np.abs(level2.reshape(rows, -1)), axis=1) <= DEAD_LEVEL_TOL
+            if not ok.all():
+                raise RuntimeError(f"alice level 2 became populated{row(np.argmin(ok))} "
+                                   f"after gate {op.label!r}")
+    return state if stacked else state[0]
 
 
-def prepare_state1(theta: float, phi: float) -> JointState:
-    """Prepare sin(theta/2)|00> + cos(theta/2) e^{i phi}|12> from |00> with three gates."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must be in [0, pi], got {theta!r}")
+def prepare_state1(theta, phi):
+    """Prepare sin(theta/2)|00> + cos(theta/2) e^{i phi}|12> from |00> with three gates.
+
+    One angle pair gives a JointState.  Arrays of angles, one entry per
+    cell, give a (k, 6) array of states from one stacked circuit run, each
+    row checked as a JointState is (normalized within 1e-12) and equal to
+    the state its angles prepare alone.
+    """
+    thetas = np.asarray(theta, dtype=float)
+    outside = thetas[~((thetas >= 0.0) & (thetas <= math.pi))]
+    if outside.size:
+        raise ValueError(f"theta must be in [0, pi], got {float(outside[0])!r}")
     spec = CircuitSpec(registers=("alice", "bob"), ops=(
-        GateOp("R01y", rotation((0, 1), "y", math.pi - theta), 0),
+        GateOp("R01y", rotation((0, 1), "y", math.pi - thetas), 0),
         GateOp("D(phi,0)", phase_gate(phi, 0.0), 0),
         GateOp("CX02", controlled_power(x02()), 0),
     ))
-    return JointState(run_circuit(spec)[:6])
+    states = run_circuit(spec)[..., :6]
+    if states.ndim == 1:
+        return JointState(states)
+    check_normalized(states, STATE_BUILD_TOL)
+    return states
 
 
 @dataclass(frozen=True)
@@ -201,23 +241,24 @@ class FourierTestReport:
 
 
 def estimators(probs) -> np.ndarray:
-    """Estimator columns (combined, from_p0, from_p1) of a (k, 3) stack of ancilla distributions."""
-    p0, p1, p2 = np.asarray(probs, dtype=float).T
-    return np.column_stack(((9.0 * (p0 - p1 - p2) - 1.0) / 8.0,
-                            (9.0 * p0 - 5.0) / 4.0,
-                            (2.0 - 9.0 * p1) / 2.0))
+    """Estimators (combined, from_p0, from_p1) along the last axis of a (..., 3) stack."""
+    p0, p1, p2 = np.moveaxis(np.asarray(probs, dtype=float), -1, 0)
+    return np.stack(((9.0 * (p0 - p1 - p2) - 1.0) / 8.0,
+                     (9.0 * p0 - 5.0) / 4.0,
+                     (2.0 - 9.0 * p1) / 2.0), axis=-1)
 
 
 def fourier_tests(ops, psi) -> np.ndarray:
-    """Exact Fourier tests of a stack of Hermitian unitaries on one normalized state.
+    """Exact Fourier tests of a stack of Hermitian unitaries on normalized states.
 
-    ``ops`` has shape (k, d, d) and ``psi`` length d; row i of the (k, 3)
-    result is the ancilla distribution (p0, p1, p2) of the test of
-    ``ops[i]``.  The whole stack is checked before the state is read: its
-    shape (``DimensionMismatch``), then Hermiticity and unitarity, where
-    an error names the first failing entry.  The k tests then run as one
-    simulation: F3 on the ancilla axis, U on ancilla block 1 and U U on
-    block 2, then the inverse F3.
+    ``ops`` has shape (k, d, d) and ``psi`` is one state of length d or a
+    (k, d) stack, row i for test i; row i of the (k, 3) result is the
+    ancilla distribution (p0, p1, p2) of the test of ``ops[i]``.  The whole
+    stack is checked once, before any state is read: its shape
+    (``DimensionMismatch``), then Hermiticity and unitarity, where an error
+    names the first failing entry; then every state's norm.  The k tests
+    then run as one simulation: F3 on the ancilla axis, U on ancilla
+    block 1 and U U on block 2, then the inverse F3.
     """
     ops = np.asarray(ops, dtype=complex)
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
@@ -227,11 +268,13 @@ def fourier_tests(ops, psi) -> np.ndarray:
     _first_failure(unitarity_check, ops, GATE_UNITARY_TOL, NotUnitary, "unitary")
     d = ops.shape[-1]
     vec = state_vector(psi, dim=d, require_normalized=True)
+    if vec.ndim == 2 and len(vec) != len(ops):
+        raise DimensionMismatch(f"Fourier test needs one state per operator, "
+                                f"got {len(vec)} states for {len(ops)} operators")
 
     fourier = f3()
-    state = np.zeros((ops.shape[0], 3, d), dtype=complex)
-    state[:, 0] = vec
-    state = np.einsum("ab,kbi->kai", fourier, state)
+    # F3 on ancilla |0>: block a of every row is F3[a, 0] times the row's state.
+    state = fourier[:, 0, None] * np.broadcast_to(vec, (ops.shape[0], d))[:, None, :]
     state[:, 1] = (ops @ state[:, 1, :, None])[..., 0]
     state[:, 2] = ((ops @ ops) @ state[:, 2, :, None])[..., 0]
     state = np.einsum("ab,kbi->kai", fourier.conj().T, state)
@@ -245,13 +288,14 @@ def _first_failure(check, ops, tol: float, error, what: str) -> None:
 
 
 def run_hybrid_tests(state, alice_ops, bob_ops) -> np.ndarray:
-    """Fourier tests of every A_k (x) B_k on one prepared qubit-qutrit state.
+    """Fourier tests of every A_r (x) B_r on prepared qubit-qutrit states.
 
-    ``alice_ops`` is a (k, 2, 2) stack of qubit operators and ``bob_ops``
-    a (k, 3, 3) stack of qutrit operators.  Each A_k is embedded with a
-    unit on Alice's empty level 2, the k products are stacked in one
-    einsum, and :func:`fourier_tests` reads them all from ``state`` at
-    once.  Returns the (k, 3) ancilla probabilities.
+    ``alice_ops`` is a (k, 2, 2) stack of qubit operators, ``bob_ops`` a
+    (k, 3, 3) stack of qutrit operators and ``state`` one prepared state or
+    a (k, 6) stack, row r for test r.  Each A_r is embedded with a unit on
+    Alice's empty level 2, the k products are stacked in one einsum, and
+    :func:`fourier_tests` checks and reads them all at once.  Returns the
+    (k, 3) ancilla probabilities.
     """
     alice = embed_alice(alice_ops)
     bob = np.asarray(bob_ops, dtype=complex)
@@ -273,13 +317,21 @@ def sample_shot_stack(probs, shots: int, seed) -> tuple[np.ndarray, np.ndarray]:
     Every row is clipped at zero and normalised, and the stack is drawn by
     one ``np.random.default_rng(seed).multinomial`` call.  That equals its
     rows drawn in turn from one generator, which ``seed`` may itself be, so
-    blocks of a stack drawn in turn give the same counts.  Returns the (k, 3)
-    counts and the (k, 3) estimators (combined, from_p0, from_p1).
+    blocks of a stack drawn in turn give the same counts.  An (m, k, 3)
+    stack holds m cells and takes a sequence of m seeds or generators: each
+    cell is one such draw from its own, while the clipping, the
+    normalisation and the estimators run once over the whole stack.
+    Returns the counts and the estimators (combined, from_p0, from_p1),
+    both of the shape of ``probs``.
     """
     shots = check_shots(shots)
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    probs /= probs.sum(axis=1, keepdims=True)
-    counts = np.random.default_rng(seed).multinomial(shots, probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    if probs.ndim == 2:
+        counts = np.random.default_rng(seed).multinomial(shots, probs)
+    else:
+        counts = np.stack([np.random.default_rng(cell_seed).multinomial(shots, cell)
+                           for cell_seed, cell in zip(seed, probs, strict=True)])
     return counts, estimators(counts / float(shots))
 
 

@@ -10,7 +10,6 @@ common value is the overlap.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,11 @@ BISECTION_THETA_TOL = 1e-14
 RESIDUAL_TOL = 1e-9
 # Cells per landscape block: bounds the memory of a landscape pass.
 BLOCK_CELLS = 65536
+# Rows per circuit simulation: (cell, term) rows per Fourier test, however they split
+# between cells and terms, and cells per preparation run.  It bounds the memory of a circuit
+# landscape in n and in the grid.  At 100 rows a (rows, 9, 9) complex stack stays under
+# 128 KiB, small enough for the C allocator to reuse between blocks.
+BLOCK_TERMS = 100
 # Circuit landscape metadata: scheme 2 draws all of a cell's terms from one generator.
 SEED_SCHEME = 2
 
@@ -34,43 +38,67 @@ def _cell_seed(master_seed: int, cell_index: int) -> int:
     return int(np.random.SeedSequence((int(master_seed), int(cell_index))).generate_state(1)[0])
 
 
-def _bob_bank(n: int) -> np.ndarray:
-    """Bob's operator for each of a cell's n + 4 correlators, in term order.
+def _bob_bank(n: int, terms: range) -> np.ndarray:
+    """Bob's operator for each of the given terms of a cell's n + 4 correlators, in term order.
 
     The four CHSH terms pair B_m B_{m+1}, B_0, B_m B_{m+1}, B_0 with
-    Alice's R(omega2), R(omega2), R(omega0), R(omega0); the n KCBS terms
-    are the adjacent products B_j B_{j+1} against Alice's identity.
+    Alice's R(omega2), R(omega2), R(omega0), R(omega0); KCBS term 4 + j is
+    the adjacent product B_j B_{j+1} against Alice's identity, built from
+    the cycle rows j and j + 1 (mod n) alone.
     """
-    bm = observables.bm_bm1_closed_form(n).matrix
-    b0 = observables.b0_closed_form(n).matrix
-    cycle = observables.kcbs_observables(n)
-    return np.concatenate([[bm, b0, bm, b0], cycle @ np.roll(cycle, -1, axis=0)])
+    chsh = np.empty((0, 3, 3), dtype=complex)
+    if terms.start < 4:
+        bm = observables.bm_bm1_closed_form(n).matrix
+        b0 = observables.b0_closed_form(n).matrix
+        chsh = np.array([bm, b0, bm, b0])[terms.start:terms.stop]
+    cycle = observables.kcbs_observables(
+        n, np.arange(max(terms.start, 4) - 4, max(terms.stop, 4) - 3) % n)
+    return np.concatenate([chsh, cycle[:-1] @ cycle[1:]])
 
 
-def _circuit_margins(n, theta, phi, shots, cell_seed, bob_bank) -> tuple[float, float]:
-    """Both margins of one cell from sampled Fourier tests.
+def _alice_rotations(co) -> np.ndarray:
+    """Alice's R(omega2), R(omega2), R(omega0), R(omega0) per cell, as a (cells, 4, 2, 2) stack."""
+    omegas = np.column_stack([co.omega2, co.omega2, co.omega0, co.omega0])
+    cos, sin = np.cos(omegas), np.sin(omegas)
+    return np.stack([np.stack([cos, sin], -1), np.stack([sin, -cos], -1)], -2)
 
-    The state is prepared once by circuit and all n + 4 correlators are
-    read from it in one stacked Fourier test against ``bob_bank``.  CHSH
-    uses the four correlators at the analytic optimal angles; KCBS uses
-    the n adjacent products with the cycle's minus sign on the
-    wraparound term.  The n + 4 terms sample their shots in term order as
-    one stack from one generator seeded by ``cell_seed``.
+
+def _term_sums(n: int, states, rotations, seeds, shots, bank) -> tuple[np.ndarray, np.ndarray]:
+    """Running CHSH and KCBS sums of the given cells over their n + 4 terms, in term order.
+
+    ``states`` holds the cells' prepared states and ``rotations`` their
+    CHSH settings.  With ``bank``, Bob's operators for all the terms, the
+    cells' (cell, term) rows run as one Fourier test; without it (a cell's
+    terms do not fit ``BLOCK_TERMS`` rows) the terms run in turn in blocks
+    of ``BLOCK_TERMS``, each against the bank of its own terms.  Each cell
+    draws its shots in term order from one generator seeded by its cell
+    seed, so its stream and its sums carry from block to block.  CHSH takes
+    its fourth term and KCBS its wraparound term with a minus sign.
     """
-    state = circuits.prepare_state1(theta, phi)
-    co = analytic.chsh_coefficients(state, n)
-    r0 = observables.alice_rotation(co.omega0).matrix
-    r2 = observables.alice_rotation(co.omega2).matrix
-    alice = np.empty((n + 4, 2, 2), dtype=complex)
-    alice[:4] = (r2, r2, r0, r0)
-    alice[4:] = np.eye(2)
-    probs = circuits.run_hybrid_tests(state, alice, bob_bank)
-    estimates = circuits.sample_shot_stack(probs, shots, cell_seed)[1][:, 0]
+    terms, cells = n + 4, len(states)
+    span = terms if bank is not None else BLOCK_TERMS
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    chsh = kcbs = np.zeros(cells)
+    for start in range(0, terms, span):
+        block = np.arange(start, min(start + span, terms))
+        bob = bank if bank is not None else _bob_bank(n, range(start, block[-1] + 1))
+        alice = np.broadcast_to(np.eye(2, dtype=complex), (cells, block.size, 2, 2)).copy()
+        settings = rotations[:, start:block[-1] + 1]
+        alice[:, :settings.shape[1]] = settings
+        probs = circuits.run_hybrid_tests(np.repeat(states, block.size, axis=0),
+                                          alice.reshape(-1, 2, 2), np.tile(bob, (cells, 1, 1)))
+        estimates = circuits.sample_shot_stack(probs.reshape(cells, block.size, 3), shots,
+                                               generators)[1][..., 0]
+        signed = np.where((block == 3) | (block == terms - 1), -1.0, 1.0) * estimates
+        chsh = _running_sums(chsh, signed[:, :settings.shape[1]])
+        kcbs = _running_sums(kcbs, signed[:, settings.shape[1]:])
+    return chsh, kcbs
 
-    chsh_sum = estimates[0] + estimates[1] + estimates[2] - estimates[3]
-    # A running sum, in term order: np.sum's pairwise order would move the last bits.
-    kcbs_sum = np.cumsum(np.append(estimates[4:-1], -estimates[-1]))[-1]
-    return chsh_sum - 2.0, kcbs_sum - (n - 2.0)
+
+def _running_sums(sums, terms) -> np.ndarray:
+    """Each row's running sum carried on through its terms, in term order, to the bit."""
+    # np.sum's pairwise order would move the last bits; accumulate is sequential.
+    return np.cumsum(np.column_stack([sums, terms]), axis=1)[:, -1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +110,15 @@ class LandscapeTable:
     ``BLOCK_CELLS`` cells at a time, so a pass costs O(block) memory
     however large the grid.  :meth:`blocks` is the one read path: the
     writer formats its rows and a caller reads its numbers, both from the
-    same ``serialize.Columns``.  A circuit block builds Bob's operator bank
-    once, and every pass samples the cells again, from the same seeds, so
-    every pass gives the same values.
+    same ``serialize.Columns``.  Circuit mode prepares a block's cells in
+    stacked runs of at most ``BLOCK_TERMS`` cells and reads their
+    (cell, term) rows in Fourier tests of at most ``BLOCK_TERMS`` rows:
+    whole cells while a cell's n + 4 terms fit, which share one Bob bank
+    per block, else one cell's terms in turn, its generator and running
+    sums carried from one test to the next.  So a pass holds
+    O(``BLOCK_TERMS``) rows of operators however large n is.  Every pass
+    samples the cells again, from the same seeds, so every pass gives the
+    same values, and no value depends on how the rows are blocked.
     """
 
     n: int
@@ -129,14 +163,29 @@ class LandscapeTable:
             chsh, kcbs = analytic.state1_margins(np.deg2rad(thetas)[:, None],
                                                  np.deg2rad(phis)[None, :], self.n)
             return chsh, kcbs[:, 0].tolist(), [None] * thetas.size
-        bob_bank = _bob_bank(self.n)
+        n, count, terms = self.n, thetas.size * phis.size, self.n + 4
         seeds = [_cell_seed(self.master_seed, cell)
-                 for cell in range(first_cell, first_cell + thetas.size * phis.size)]
-        cells = itertools.product(thetas.tolist(), phis.tolist())
-        chsh, kcbs = zip(*(_circuit_margins(self.n, math.radians(t), math.radians(p),
-                                            self.shots, seed, bob_bank)
-                           for seed, (t, p) in zip(seeds, cells)))
-        return tuple(np.reshape(c, (thetas.size, phis.size)) for c in (chsh, kcbs, seeds))
+                 for cell in range(first_cell, first_cell + count)]
+        cell_thetas = np.repeat(np.deg2rad(thetas), phis.size)
+        cell_phis = np.tile(np.deg2rad(phis), thetas.size)
+        per_block = max(1, BLOCK_TERMS // terms)
+        # Whole cells share one bank of all their terms; a split cell builds each term block's.
+        bank = _bob_bank(n, range(terms)) if terms <= BLOCK_TERMS else None
+        chsh, kcbs = np.empty(count), np.empty(count)
+        for group in range(0, count, BLOCK_TERMS):
+            # One preparation run and one CHSH reduction for up to BLOCK_TERMS cells.
+            states = circuits.prepare_state1(cell_thetas[group:group + BLOCK_TERMS],
+                                             cell_phis[group:group + BLOCK_TERMS])
+            rotations = _alice_rotations(analytic.chsh_coefficients(states, n))
+            for first in range(0, len(states), per_block):
+                rows = slice(first, min(first + per_block, len(states)))
+                cells = slice(group + rows.start, group + rows.stop)
+                chsh[cells], kcbs[cells] = _term_sums(n, states[rows], rotations[rows],
+                                                      seeds[cells], self.shots, bank)
+        chsh -= 2.0
+        kcbs -= n - 2.0
+        shape = (thetas.size, phis.size)
+        return chsh.reshape(shape), kcbs.reshape(shape), np.reshape(seeds, shape)
 
 
 def check_theta_deg(thetas_deg) -> None:
@@ -177,6 +226,9 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
     seed = 0 if seed is None else seed
     if type(seed) is bool or not isinstance(seed, int | np.integer) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    # Blocks keep memory bounded in n, so a cycle whose last row cannot be built is
+    # refused here rather than after n / BLOCK_TERMS blocks.
+    observables.kcbs_vectors(n, [n - 1])
     return LandscapeTable(n=n, thetas_deg=thetas, phis_deg=phis, mode="circuit",
                           shots=circuits.check_shots(shots), master_seed=int(seed))
 

@@ -41,7 +41,12 @@ def hermiticity_check(m, tol: float = HERMITIAN_TOL):
     giving a bool array over the leading axes.
     """
     m = np.asarray(m, dtype=complex)
-    return _within(m, lambda sq: sq - np.swapaxes(sq, -1, -2).conj(), tol)
+
+    def residual(sq):
+        adjoint = _adjoint(sq)
+        return np.subtract(sq, adjoint, out=adjoint)
+
+    return _within(m, residual, tol)
 
 
 def unitarity_check(m, tol: float = UNITARY_TOL):
@@ -51,7 +56,18 @@ def unitarity_check(m, tol: float = UNITARY_TOL):
     giving a bool array over the leading axes.
     """
     m = np.asarray(m, dtype=complex)
-    return _within(m, lambda sq: sq @ np.swapaxes(sq, -1, -2).conj() - np.eye(sq.shape[-1]), tol)
+
+    def residual(sq):
+        product = sq @ _adjoint(sq)
+        product -= np.eye(sq.shape[-1])
+        return product
+
+    return _within(m, residual, tol)
+
+
+def _adjoint(sq: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes, as a new array."""
+    return np.conj(np.swapaxes(sq, -1, -2))
 
 
 def _within(m: np.ndarray, residual, tol: float):
@@ -77,9 +93,7 @@ class JointState:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != 6:
             raise DimensionMismatch(f"joint state needs 6 amplitudes, got {amps.size}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= STATE_BUILD_TOL:  # NaN fails too
-            raise NotNormalized(f"|amplitudes|^2 sums to {norm_sq!r}, not 1")
+        check_normalized(amps, STATE_BUILD_TOL)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -100,22 +114,36 @@ class Observable:
         object.__setattr__(self, "matrix", mat)
 
 
+def check_normalized(vectors, tol: float) -> None:
+    """Refuse a vector, or the first row of a (k, d) stack, whose squared norm is not 1 within tol.
+
+    NaN and infinite entries fail too.
+    """
+    norm_sq = np.sum(np.abs(vectors) ** 2, axis=-1)
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= tol))
+    if bad.size:
+        row = f" in row {bad[0]}" if np.ndim(norm_sq) else ""
+        raise NotNormalized(
+            f"|psi|^2 = {float(norm_sq.flat[bad[0]])!r}{row} is not 1 within {tol:g}")
+
+
 def state_vector(psi, dim: int, require_normalized: bool = False) -> np.ndarray:
     """Coerce a JointState or array-like into a complex vector of length ``dim``.
 
-    ``require_normalized`` additionally checks the squared norm against 1
-    within ``STATE_INPUT_TOL``.
+    A two-dimensional array is a stack of states and keeps its rows: it
+    must have shape (k, ``dim``).  ``require_normalized`` additionally
+    checks each squared norm against 1 within ``STATE_INPUT_TOL``.
     """
     if isinstance(psi, JointState):
         vec = np.array(psi.amplitudes, dtype=complex)
     else:
-        vec = np.array(psi, dtype=complex).reshape(-1)
-    if vec.size != dim:
-        raise DimensionMismatch(f"expected a vector of length {dim}, got {vec.size}")
+        vec = np.array(psi, dtype=complex)
+        if vec.ndim != 2:
+            vec = vec.reshape(-1)
+    if vec.shape[-1] != dim:
+        raise DimensionMismatch(f"expected a vector of length {dim}, got {vec.shape[-1]}")
     if require_normalized:
-        norm_sq = float(np.sum(np.abs(vec) ** 2))
-        if not abs(norm_sq - 1.0) <= STATE_INPUT_TOL:  # NaN fails too
-            raise NotNormalized(f"|psi|^2 = {norm_sq!r} is not 1 within {STATE_INPUT_TOL}")
+        check_normalized(vec, STATE_INPUT_TOL)
     return vec
 
 

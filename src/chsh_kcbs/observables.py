@@ -2,7 +2,8 @@
 
 The odd n-cycle lives on a qutrit.  Its unit vectors ``psi_j`` (adjacent
 pairs orthogonal) and sign-alternating reflections ``B_j`` are built once
-per cycle as an (n, 3) and an (n, 3, 3) array; beside them are the closed
+per cycle as an (n, 3) and an (n, 3, 3) array, or for chosen rows only,
+so a few rows of a large cycle cost O(rows); beside them are the closed
 forms of ``B_0``, the middle product ``B_m B_{m+1}`` and the diagonal cycle
 operator ``S``.  Alice only needs the reflection ``R(omega)`` in the XZ plane.
 """
@@ -67,39 +68,54 @@ def cycle_geometry(n) -> CycleGeometry:
     return CycleGeometry(*fields)
 
 
-def kcbs_vectors(n: int) -> np.ndarray:
+def kcbs_vectors(n: int, rows=None) -> np.ndarray:
     """The cycle's unit vectors as a read-only (n, 3) array, adjacent rows orthogonal.
 
     Row j is ``(cos a_j, sin a_j, sqrt(c)) / sqrt(1 + c)`` with ``a_j = j (n-1) pi / n``.
+    ``rows``, a sequence of indices in [0, n), builds only those rows, in
+    that order, each equal to its row of the whole cycle.  A row whose
+    integer j (n-1) overflows 64 bits raises IndexOutOfRange.
     """
     geo = cycle_geometry(n)
-    angles = np.arange(geo.n) * (geo.n - 1) * math.pi / geo.n
-    vectors = np.stack([np.cos(angles), np.sin(angles), np.full(geo.n, math.sqrt(geo.c))],
+    index = np.arange(geo.n) if rows is None else np.asarray(rows).reshape(-1)
+    if index.size:
+        last = int(index.max())
+        if int(index.min()) < 0 or last >= geo.n:
+            raise IndexOutOfRange(f"cycle rows must be in [0, {geo.n - 1}], got {rows!r}")
+        if max(last, 1) * (geo.n - 1) > np.iinfo(np.int64).max:
+            raise IndexOutOfRange(f"cycle row {last} of n = {geo.n}: "
+                                  f"j (n-1) overflows 64-bit integers")
+    angles = index.astype(np.int64) * (geo.n - 1) * math.pi / geo.n
+    vectors = np.stack([np.cos(angles), np.sin(angles), np.full(index.size, math.sqrt(geo.c))],
                        axis=1) / math.sqrt(1 + geo.c)
     vectors.setflags(write=False)
     return vectors
 
 
-def kcbs_observables(n: int) -> np.ndarray:
+def kcbs_observables(n: int, rows=None) -> np.ndarray:
     """The cycle observables as a read-only (n, 3, 3) complex stack.
 
     Entry j is ``B_j = (-1)^j (2 |psi_j><psi_j| - I)``, with ``psi_j`` row j
-    of :func:`kcbs_vectors`.
+    of :func:`kcbs_vectors`; ``rows`` builds only those entries, as there.
     """
-    vectors = kcbs_vectors(n)
-    signs = np.where(np.arange(len(vectors)) % 2 == 1, -1.0, 1.0)[:, None, None]
+    vectors = kcbs_vectors(n, rows)
+    index = np.arange(len(vectors)) if rows is None else np.asarray(rows).reshape(-1)
+    signs = np.where(index % 2 == 1, -1.0, 1.0)[:, None, None]
     stack = (signs * (2.0 * (vectors[:, :, None] * vectors[:, None, :]) - np.eye(3))).astype(complex)
     stack.setflags(write=False)
     return stack
 
 
 def kcbs_pair(n: int, j: int) -> Observable:
-    """Product B_j B_{j+1} (indices mod n); Hermitian since the two commute."""
+    """Product B_j B_{j+1} (indices mod n); Hermitian since the two commute.
+
+    Only the two cycle rows are built, so the memory does not grow with n.
+    """
     if not 0 <= j < n:
         raise IndexOutOfRange(f"pair index must be in [0, {n - 1}], got {j}")
-    cycle = kcbs_observables(n)
     k = (j + 1) % n
-    return Observable(matrix=cycle[j] @ cycle[k], label=f"B_{j} B_{k}")
+    first, second = kcbs_observables(n, [j, k])
+    return Observable(matrix=first @ second, label=f"B_{j} B_{k}")
 
 
 def b0_closed_form(n: int) -> Observable:

@@ -311,6 +311,29 @@ def test_decompose_reconstructs_chsh_coefficients(n):
             (4 - 8 * c) / (1 + c) * parts.r2 + scale * parts.r3 * parts.s_plus, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [5, 21, 20001])
+def test_stacked_reduction_equals_each_state_alone_to_the_bit(n):
+    # A (k, 6) stack gives each field as a length-k array whose rows are the
+    # one-state floats, so a cell's settings do not depend on its stack.
+    rng = np.random.default_rng(43)
+    minimal = [state1(t, p).amplitudes for t, p in zip(rng.uniform(0, math.pi, 20),
+                                                        rng.uniform(0, 2 * math.pi, 20))]
+    stack = np.array(list(random_states(rng, 20)) + minimal)
+    parts, co = decompose(stack, n), chsh_coefficients(stack, n)
+    for row, psi in enumerate(stack):
+        alone_parts, alone = decompose(psi, n), chsh_coefficients(psi, n)
+        for name in ("q0", "q1", "p2", "r1", "r2", "r3", "r4"):
+            assert type(getattr(alone_parts, name)) is float
+            assert getattr(parts, name)[row] == getattr(alone_parts, name)
+        for name in ("x0", "y0", "x2", "y2", "omega0", "omega2", "s_opt"):
+            assert type(getattr(alone, name)) is float
+            assert getattr(co, name)[row] == getattr(alone, name)
+    bad = stack.copy()
+    bad[7] *= 1.1
+    with pytest.raises(NotNormalized, match="in row 7"):
+        chsh_coefficients(bad, n)
+
+
 def test_psi_n_state_amplitudes_and_margins():
     psi = psi_n_state(5, 0)
     assert psi.amplitudes[0] == pytest.approx(math.sqrt(2 / 9), abs=1e-12)

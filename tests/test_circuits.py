@@ -173,6 +173,60 @@ def test_run_circuit_norm_guard_rejects_nan(monkeypatch):
         run_circuit(CircuitSpec(("alice", "bob"), (nan_gate,)))
 
 
+def test_stacked_prepare_state1_equals_per_angle_calls_to_the_bit():
+    # One stacked run gives each cell the state its angles prepare alone,
+    # theta = 0 and pi included, as a (k, 6) array.
+    rng = np.random.default_rng(23)
+    thetas = np.concatenate([[0.0, math.pi, 0.0, math.pi], rng.uniform(0, math.pi, 60)])
+    phis = np.concatenate([[0.0, 0.0, -1.3, 7.9], rng.uniform(-10, 10, 60)])
+    stacked = prepare_state1(thetas, phis)
+    assert stacked.shape == (64, 6)
+    for row, theta, phi in zip(stacked, thetas.tolist(), phis.tolist()):
+        assert row.tobytes() == prepare_state1(theta, phi).amplitudes.tobytes()
+    one = prepare_state1(np.array([0.7]), np.array([0.2]))
+    assert one.shape == (1, 6)
+    assert one[0].tobytes() == prepare_state1(0.7, 0.2).amplitudes.tobytes()
+
+
+def test_stacked_prepare_state1_refuses_an_angle_outside_the_range():
+    with pytest.raises(ValueError, match=r"got 3\.5"):
+        prepare_state1(np.array([0.1, 3.5, 0.2]), np.zeros(3))
+    with pytest.raises(ValueError, match="got nan"):
+        prepare_state1(np.array([0.1, math.nan]), np.zeros(2))
+
+
+def test_stacked_run_circuit_names_the_failing_op_and_entry():
+    gates = rotation((0, 1), "y", np.array([0.1, 0.2, 0.3, 0.4]))
+    assert gates.shape == (4, 3, 3)
+    gates[2, 0, 0] = 2.0
+    spec = CircuitSpec(("alice", "bob"), (GateOp("swap", x02(), 1), GateOp("R", gates, 0)))
+    with pytest.raises(NotUnitary, match="gate 'R' entry 2 is not unitary"):
+        run_circuit(spec)
+    # Stacked ops must agree on the number of rows.
+    spec = CircuitSpec(("alice",), (GateOp("a", gates[:2], 0), GateOp("b", gates[:3], 0)))
+    with pytest.raises(ValueError, match="one stack size"):
+        run_circuit(spec)
+
+
+def test_stacked_run_circuit_guards_fire_per_row(monkeypatch):
+    # A rotation into Alice's level 2 in row 2 trips the dead-level guard for that row alone.
+    angles = np.array([0.0, 0.0, 1.0, 0.0])
+    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation((0, 1), "y", 1.0), 0),
+                                          GateOp("leak", rotation((1, 2), "x", angles), 0)))
+    with pytest.raises(RuntimeError,
+                       match="alice level 2 became populated in row 2 after gate 'leak'"):
+        run_circuit(spec)
+    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation((0, 1), "y", 1.0), 0),
+                                          GateOp("leak", rotation((1, 2), "x", angles * 0), 0)))
+    assert run_circuit(spec).shape == (4, 9)
+    # Past a unitarity check that let it through, a NaN gate in row 1 leaves a NaN norm there.
+    monkeypatch.setattr(circuits, "unitarity_check",
+                        lambda gate, tol: np.ones(gate.shape[:-2], bool))
+    gates = np.array([np.eye(3), np.full((3, 3), np.nan), np.eye(3)], dtype=complex)
+    with pytest.raises(RuntimeError, match="norm drifted to nan in row 1 after gate 'nan'"):
+        run_circuit(CircuitSpec(("alice", "bob"), (GateOp("nan", gates, 0),)))
+
+
 def _one_test(u, psi) -> np.ndarray:
     """(p0, p1, p2) of the Fourier test of one operator."""
     return fourier_tests(np.asarray(u, dtype=complex)[None], psi)[0]
@@ -294,7 +348,7 @@ def test_stacked_cell_matches_three_register_circuit():
     # bank, gives the three-register circuit's probabilities to the bit.
     rng = np.random.default_rng(41)
     for n in (5, 7, 9, 21):
-        bank = _bob_bank(n)
+        bank = _bob_bank(n, range(n + 4))
         for theta in (0.0, math.pi, *rng.uniform(0, math.pi, 2).tolist()):
             phi = float(rng.uniform(0, 2 * math.pi))
             state = prepare_state1(theta, phi)
@@ -331,6 +385,50 @@ def test_stack_checks_every_entry_before_the_state():
     rows = fourier_tests(np.array([good, -good]), psi)
     for row, u in zip(rows, (good, -good)):
         assert row.tolist() == _one_test(u, psi).tolist()
+
+
+def test_fourier_tests_read_one_state_per_row():
+    # Row r of a stack of states feeds test r, with the bits of a one-state call.
+    rng = np.random.default_rng(29)
+    states = prepare_state1(rng.uniform(0, math.pi, 5), rng.uniform(0, 2 * math.pi, 5))
+    alice = np.array([alice_rotation(w).matrix for w in rng.uniform(0, 2 * math.pi, 5)])
+    bob = np.array([b0_closed_form(7).matrix, bm_bm1_closed_form(7).matrix,
+                    *(kcbs_pair(7, j).matrix for j in (0, 3, 6))])
+    rows = run_hybrid_tests(states, alice, bob)
+    for r in range(5):
+        alone = run_hybrid_tests(states[r], alice[r:r + 1], bob[r:r + 1])
+        assert rows[r].tobytes() == alone[0].tobytes()
+    with pytest.raises(DimensionMismatch, match="one state per operator"):
+        run_hybrid_tests(states[:4], alice, bob)
+    # Each state's norm is checked, after the operators.
+    bad = embed_joint_state(states)
+    bad[3] *= 2.0
+    ops = np.einsum("kij,kab->kiajb", embed_alice(alice), bob).reshape(5, 9, 9)
+    with pytest.raises(NotNormalized, match="in row 3"):
+        fourier_tests(ops, bad)
+    ops[1, 0, 1] += 0.5
+    with pytest.raises(NotHermitian, match="entry 1 "):
+        fourier_tests(ops, bad)
+
+
+def test_shot_stack_of_cells_draws_each_cell_from_its_own_generator():
+    # An (m, k, 3) stack with m seeds gives each cell the draw of its own call.
+    rng = np.random.default_rng(31)
+    probs = rng.dirichlet(np.ones(3), size=(4, 6))
+    seeds = [3, 11, 2**40, 0]
+    counts, estimates = sample_shot_stack(probs, 500, seeds)
+    assert counts.shape == estimates.shape == (4, 6, 3)
+    for cell, seed in enumerate(seeds):
+        alone_counts, alone_estimates = sample_shot_stack(probs[cell], 500, seed)
+        assert counts[cell].tolist() == alone_counts.tolist()
+        assert estimates[cell].tobytes() == alone_estimates.tobytes()
+    # Generators continue their streams: two halves drawn in turn give the whole.
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    first = sample_shot_stack(probs[:, :2], 500, generators)[0]
+    second = sample_shot_stack(probs[:, 2:], 500, generators)[0]
+    assert np.concatenate([first, second], axis=1).tolist() == counts.tolist()
+    with pytest.raises(ValueError):
+        sample_shot_stack(probs, 500, seeds[:3])
 
 
 def test_identity_alice_setting():

@@ -542,8 +542,10 @@ def test_echoed_metadata_reads_back_as_the_same_run(tmp_path, name):
     ("observables", []),
 ])
 def test_a_size_too_large_for_memory_is_a_domain_error(tmp_path, capsys, command, args):
-    # n = 10**15 + 1 asks numpy for about 7 PiB, beyond the address space, so the
-    # request is refused before anything is allocated.
+    # n = 10**15 + 1: the observables ask numpy for about 7 PiB, beyond the address
+    # space, and a circuit landscape, whose blocks keep memory bounded in n, is
+    # refused because its cycle's angles j (n - 1) pi / n overflow 64-bit integers.
+    # Both are refused before anything is allocated.
     out = tmp_path / "out"
     assert run_cli(command, "--n", str(10**15 + 1), *args, "--out", str(out)) == cli.EXIT_DOMAIN
     err = capsys.readouterr().err.splitlines()

@@ -191,44 +191,119 @@ def _propagated_margin_stddev(n, theta, phi, shots):
     return math.sqrt(chsh_var), math.sqrt(kcbs_var)
 
 
-def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
-    # One circuit preparation per cell; all n + 4 correlators of the cell
-    # are Fourier tests on that one prepared state, run as one stack.
-    n, thetas, phis = 5, [30.0, 60.0, 90.0], [0.0, 45.0]
-    prepared, measured = [], []
+def _spy_on_circuit_blocks(monkeypatch):
+    """Record the preparation runs, Fourier-test stacks and cycle rows a circuit landscape uses."""
+    calls = {"prepared": [], "measured": [], "tests": [], "cycle_rows": []}
     prepare, stacked = experiments.circuits.prepare_state1, experiments.circuits.run_hybrid_tests
+    tests, cycle = experiments.circuits.fourier_tests, experiments.observables.kcbs_observables
 
     def prepare_spy(theta, phi):
-        prepared.append(prepare(theta, phi))
-        return prepared[-1]
+        calls["prepared"].append((np.array(theta), np.array(phi), prepare(theta, phi)))
+        return calls["prepared"][-1][2]
 
     def stacked_spy(state, alice_ops, bob_ops):
-        measured.extend([id(state)] * len(alice_ops))
+        calls["measured"].append(np.array(state))
         return stacked(state, alice_ops, bob_ops)
+
+    def tests_spy(ops, psi):
+        calls["tests"].append(len(ops))
+        return tests(ops, psi)
+
+    def cycle_spy(n, rows=None):
+        calls["cycle_rows"].append((n, None if rows is None else np.array(rows).tolist()))
+        return cycle(n, rows)
 
     monkeypatch.setattr(experiments.circuits, "prepare_state1", prepare_spy)
     monkeypatch.setattr(experiments.circuits, "run_hybrid_tests", stacked_spy)
+    monkeypatch.setattr(experiments.circuits, "fourier_tests", tests_spy)
+    monkeypatch.setattr(experiments.observables, "kcbs_observables", cycle_spy)
+    return calls
+
+
+def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
+    # Each cell is prepared once, in stacked preparation runs of at most
+    # BLOCK_TERMS cells; all n + 4 correlators of a cell are Fourier tests on
+    # that cell's prepared state, run as (cell, term) rows of one stack.
+    n, thetas, phis = 5, [30.0, 60.0, 90.0], [0.0, 45.0]
+    monkeypatch.setattr(experiments, "BLOCK_TERMS", 4)
+    calls = _spy_on_circuit_blocks(monkeypatch)
     table = landscape_scan(n, thetas, phis, mode="circuit", shots=100, seed=3)
     _columns(table)
-    assert len(prepared) == len(table) == len(thetas) * len(phis)
-    assert measured == [id(state) for state in prepared for _ in range(n + 4)]
+    cells = [(math.radians(t), math.radians(p)) for t in thetas for p in phis]
+    prepared = [cell for run in calls["prepared"] for cell in zip(run[0].tolist(), run[1].tolist())]
+    assert prepared == cells and len(prepared) == len(table)
+    assert [len(run[0]) for run in calls["prepared"]] == [4, 2]
+    # BLOCK_TERMS = 4 < n + 4 splits every cell into term blocks of 4, 4 and 1
+    # rows, each block reading its one cell's prepared state in every row.
+    states = np.concatenate([run[2] for run in calls["prepared"]])
+    expected = [np.repeat(state[None], rows, axis=0) for state in states for rows in (4, 4, 1)]
+    assert len(calls["measured"]) == len(expected)
+    assert all(np.array_equal(got, want) for got, want in zip(calls["measured"], expected))
+
+
+@pytest.mark.parametrize("block_terms", [4, 5, 8, 9, 10, 19, 100])
+def test_circuit_blocks_hold_at_most_block_terms_rows(monkeypatch, block_terms):
+    # n + 4 = 9 terms: a block holds whole cells from BLOCK_TERMS = 9 up, and
+    # one cell's terms in turn below it.  Every Fourier test and every
+    # preparation run holds at most BLOCK_TERMS rows, all rows are measured
+    # once, and every cell is prepared once.
+    n, thetas, phis = 5, [0.0, 30.0, 60.0, 180.0], [0.0, 45.0, 90.0]
+    monkeypatch.setattr(experiments, "BLOCK_TERMS", block_terms)
+    calls = _spy_on_circuit_blocks(monkeypatch)
+    table = landscape_scan(n, thetas, phis, mode="circuit", shots=50, seed=2)
+    _columns(table)
+    assert max(calls["tests"]) <= block_terms
+    assert sum(calls["tests"]) == len(table) * (n + 4)
+    assert max(len(run[0]) for run in calls["prepared"]) <= block_terms
+    assert sum(len(run[0]) for run in calls["prepared"]) == len(table)
+    assert len(calls["prepared"]) == -(-len(table) // block_terms)
+    # Whole cells share one bank per pass; a split cell builds each term
+    # block's bank from the cycle rows its pairs need, at most BLOCK_TERMS + 1.
+    term_blocks = 1 if block_terms >= n + 4 else -(-(n + 4) // block_terms)
+    banks = 1 if term_blocks == 1 else len(table) * term_blocks
+    assert len(calls["cycle_rows"]) == banks
+    assert all(size == n and len(rows) <= block_terms + 1 for size, rows in calls["cycle_rows"])
 
 
 def test_circuit_table_pass_builds_the_bob_bank_once(monkeypatch):
-    # Bob's cycle stack is built once per block (this table is one), not per cell or per pair.
+    # While whole cells fit a block, Bob's cycle stack is built once per table
+    # pass (this table is one block of cells), not per cell, pair or block.
     n, calls = 7, []
     stack = experiments.observables.kcbs_observables
 
-    def stack_spy(size):
-        calls.append(size)
-        return stack(size)
+    def stack_spy(size, rows=None):
+        calls.append((size, np.array(rows).tolist()))
+        return stack(size, rows)
 
+    monkeypatch.setattr(experiments, "BLOCK_TERMS", 2 * (n + 4))
     monkeypatch.setattr(experiments.observables, "kcbs_observables", stack_spy)
     table = landscape_scan(n, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=1)
     first = _columns(table)
-    assert calls == [n]
+    # The rows of every adjacent pair, the wraparound included.
+    assert calls == [(n, list(range(n)) + [0])]
     assert _same_columns(_columns(table), first)
-    assert calls == [n, n]
+    assert calls == [(n, list(range(n)) + [0])] * 2
+
+
+def _circuit_csv(tmp_path, name, *grid):
+    from chsh_kcbs import cli
+    path = tmp_path / name
+    n, thetas, phis = grid
+    assert cli.main(["landscape", "--n", str(n), "--theta", thetas, "--phi", phis,
+                     "--mode", "circuit", "--shots", "300", "--seed", "5",
+                     "--out", str(path), "--no-timestamp"]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_circuit_csv_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, n):
+    # Cells split across blocks (BLOCK_TERMS < n + 4) and one cell's terms
+    # split across blocks give the bytes of the default blocking.
+    grid = (n, "0,50,180", "0,45,90,200")
+    default = _circuit_csv(tmp_path, "default.csv", *grid)
+    for block_terms in (4, 5, n + 3, n + 4, n + 5, 2 * (n + 4) + 1):
+        monkeypatch.setattr(experiments, "BLOCK_TERMS", block_terms)
+        assert _circuit_csv(tmp_path, f"{block_terms}.csv", *grid) == default, block_terms
 
 
 def test_circuit_cell_builds_no_per_term_report(monkeypatch):

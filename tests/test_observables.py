@@ -101,6 +101,38 @@ def test_cycle_stacks_match_a_per_row_formula_to_the_bit(n):
         assert np.array_equal(np.signbit(stack.imag), np.signbit(reference.imag))
 
 
+@pytest.mark.parametrize("sizes", [range(5, 400, 2), [1001, 20001, 200001]])
+def test_cycle_rows_built_by_index_equal_the_whole_cycle_to_the_bit(sizes):
+    # Any set of rows, in any order and with repeats, reads as those rows of the whole cycle.
+    rng = np.random.default_rng(37)
+    for n in sizes:
+        rows = np.concatenate([rng.permutation(n)[:500], [0, n - 1, 0]])
+        whole = kcbs_vectors(n)
+        assert kcbs_vectors(n, rows).tobytes() == whole[rows].tobytes()
+        if n <= 20001:
+            assert kcbs_observables(n, rows).tobytes() == kcbs_observables(n)[rows].tobytes()
+    assert kcbs_vectors(7, []).shape == (0, 3)
+    for rows in ([7], [-1], [0, 7]):
+        with pytest.raises(IndexOutOfRange):
+            kcbs_observables(7, rows)
+    # j (n - 1) must fit 64-bit integers: the last row of n = 3037000499 does, of
+    # n = 3037000501 (and the pair that reaches it) does not.
+    assert kcbs_vectors(3037000499, [3037000498]).shape == (1, 3)
+    with pytest.raises(IndexOutOfRange, match="overflows 64-bit integers"):
+        kcbs_vectors(3037000501, [3037000500])
+    with pytest.raises(IndexOutOfRange, match="overflows 64-bit integers"):
+        kcbs_pair(3037000501, 3037000499)
+
+
+@pytest.mark.parametrize("sizes", [range(5, 400, 2), [1001, 20001]])
+def test_kcbs_pair_equals_the_whole_cycle_product_to_the_bit(sizes):
+    # Built from its two rows alone, each pair is the product of the whole stack's rows.
+    for n in sizes:
+        cycle = kcbs_observables(n)
+        for j in range(n):
+            assert kcbs_pair(n, j).matrix.tobytes() == (cycle[j] @ cycle[(j + 1) % n]).tobytes()
+
+
 def test_kcbs_observables_build_the_geometry_once(monkeypatch):
     calls = []
     geometry = observables.cycle_geometry
