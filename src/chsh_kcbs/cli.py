@@ -207,8 +207,9 @@ def _apply_config(args, parser, sub, actions, argv):
             if not all(type(v) in (int, float) for v in value):
                 sub.error(f"config key {key!r} holds an invalid list entry")
             value = ",".join(map(str, value))
-        elif action.nargs == 0 and type(value) is not bool:
-            sub.error(f"config key {key!r} takes true or false")
+        elif action.type is None and type(value) is not (bool if action.nargs == 0 else str):
+            sub.error(f"config key {key!r} takes "
+                      + ("true or false" if action.nargs == 0 else "a string"))
         if action.type is not None:
             try:
                 value = action.type(str(value))

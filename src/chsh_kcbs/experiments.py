@@ -24,10 +24,10 @@ BISECTION_THETA_TOL = 1e-14
 RESIDUAL_TOL = 1e-9
 # Cells per landscape block: bounds the memory of a landscape pass.
 BLOCK_CELLS = 65536
-# Rows per circuit simulation: (cell, term) rows per Fourier test, however they split
-# between cells and terms, and cells per preparation run.  It bounds the memory of a circuit
-# landscape in n and in the grid.  At 100 rows a (rows, 9, 9) complex stack stays under
-# 128 KiB, small enough for the C allocator to reuse between blocks.
+# Rows per circuit simulation: cells per preparation group, terms per term block, and
+# (cell, term) rows per Fourier test, BLOCK_TERMS // len(block) cells by one term block.  It
+# bounds the memory of a circuit landscape in n and in the grid.  At 100 rows a (rows, 9, 9)
+# complex stack stays under 128 KiB, small enough for the C allocator to reuse between blocks.
 BLOCK_TERMS = 100
 # Circuit landscape metadata: scheme 2 draws all of a cell's terms from one generator.
 SEED_SCHEME = 2
@@ -48,8 +48,7 @@ def _bob_bank(n: int, terms: range) -> np.ndarray:
     """
     chsh = np.empty((0, 3, 3), dtype=complex)
     if terms.start < 4:
-        bm = observables.bm_bm1_closed_form(n).matrix
-        b0 = observables.b0_closed_form(n).matrix
+        bm, b0 = observables.bm_bm1_closed_form(n).matrix, observables.b0_closed_form(n).matrix
         chsh = np.array([bm, b0, bm, b0])[terms.start:terms.stop]
     cycle = observables.kcbs_observables(
         n, np.arange(max(terms.start, 4) - 4, max(terms.stop, 4) - 3) % n)
@@ -63,35 +62,39 @@ def _alice_rotations(co) -> np.ndarray:
     return np.stack([np.stack([cos, sin], -1), np.stack([sin, -cos], -1)], -2)
 
 
-def _term_sums(n: int, states, rotations, seeds, shots, bank) -> tuple[np.ndarray, np.ndarray]:
-    """Running CHSH and KCBS sums of the given cells over their n + 4 terms, in term order.
+def _term_sums(n: int, thetas, phis, seeds, shots) -> tuple[np.ndarray, np.ndarray]:
+    """Running CHSH and KCBS sums of a group of cells over their n + 4 terms, in term order.
 
-    ``states`` holds the cells' prepared states and ``rotations`` their
-    CHSH settings.  With ``bank``, Bob's operators for all the terms, the
-    cells' (cell, term) rows run as one Fourier test; without it (a cell's
-    terms do not fit ``BLOCK_TERMS`` rows) the terms run in turn in blocks
-    of ``BLOCK_TERMS``, each against the bank of its own terms.  Each cell
-    draws its shots in term order from one generator seeded by its cell
-    seed, so its stream and its sums carry from block to block.  CHSH takes
-    its fourth term and KCBS its wraparound term with a minus sign.
+    The group, at most ``BLOCK_TERMS`` cells, is prepared in one run and
+    reduced to its CHSH settings once.  Its terms run in blocks of at most
+    ``BLOCK_TERMS``: each term block builds Bob's operators once and runs
+    as Fourier tests of ``BLOCK_TERMS // len(block)`` cells by that block.
+    Each cell draws its shots in term order from one generator seeded by
+    its cell seed, so its stream and its sums carry from block to block.
+    CHSH takes its fourth term and KCBS its wraparound term with a minus sign.
     """
+    states = circuits.prepare_state1(thetas, phis)
+    rotations = _alice_rotations(analytic.chsh_coefficients(states, n))
     terms, cells = n + 4, len(states)
-    span = terms if bank is not None else BLOCK_TERMS
     generators = [np.random.default_rng(seed) for seed in seeds]
-    chsh = kcbs = np.zeros(cells)
-    for start in range(0, terms, span):
-        block = np.arange(start, min(start + span, terms))
-        bob = bank if bank is not None else _bob_bank(n, range(start, block[-1] + 1))
-        alice = np.broadcast_to(np.eye(2, dtype=complex), (cells, block.size, 2, 2)).copy()
-        settings = rotations[:, start:block[-1] + 1]
-        alice[:, :settings.shape[1]] = settings
-        probs = circuits.run_hybrid_tests(np.repeat(states, block.size, axis=0),
-                                          alice.reshape(-1, 2, 2), np.tile(bob, (cells, 1, 1)))
-        estimates = circuits.sample_shot_stack(probs.reshape(cells, block.size, 3), shots,
-                                               generators)[1][..., 0]
-        signed = np.where((block == 3) | (block == terms - 1), -1.0, 1.0) * estimates
-        chsh = _running_sums(chsh, signed[:, :settings.shape[1]])
-        kcbs = _running_sums(kcbs, signed[:, settings.shape[1]:])
+    chsh, kcbs = np.zeros(cells), np.zeros(cells)
+    for start in range(0, terms, BLOCK_TERMS):
+        block = np.arange(start, min(start + BLOCK_TERMS, terms))
+        bob = _bob_bank(n, range(start, block[-1] + 1))
+        split = np.count_nonzero(block < 4)  # the block's CHSH terms, which come first
+        sign = np.where((block == 3) | (block == terms - 1), -1.0, 1.0)
+        per_test = BLOCK_TERMS // block.size
+        for first in range(0, cells, per_test):
+            rows = slice(first, first + per_test)
+            count = len(states[rows])
+            alice = np.broadcast_to(np.eye(2, dtype=complex), (count, block.size, 2, 2)).copy()
+            alice[:, :split] = rotations[rows, start:start + split]
+            probs = circuits.run_hybrid_tests(np.repeat(states[rows], block.size, axis=0),
+                                              alice.reshape(-1, 2, 2), np.tile(bob, (count, 1, 1)))
+            signed = sign * circuits.sample_shot_stack(probs.reshape(count, block.size, 3), shots,
+                                                       generators[rows])[1][..., 0]
+            chsh[rows] = _running_sums(chsh[rows], signed[:, :split])
+            kcbs[rows] = _running_sums(kcbs[rows], signed[:, split:])
     return chsh, kcbs
 
 
@@ -110,12 +113,12 @@ class LandscapeTable:
     ``BLOCK_CELLS`` cells at a time, so a pass costs O(block) memory
     however large the grid.  :meth:`blocks` is the one read path: the
     writer formats its rows and a caller reads its numbers, both from the
-    same ``serialize.Columns``.  Circuit mode prepares a block's cells in
-    stacked runs of at most ``BLOCK_TERMS`` cells and reads their
-    (cell, term) rows in Fourier tests of at most ``BLOCK_TERMS`` rows:
-    whole cells while a cell's n + 4 terms fit, which share one Bob bank
-    per block, else one cell's terms in turn, its generator and running
-    sums carried from one test to the next.  So a pass holds
+    same ``serialize.Columns``.  Circuit mode runs a block's cells in
+    groups of at most ``BLOCK_TERMS``, each prepared in one run.  A
+    group's n + 4 terms run in term blocks of at most ``BLOCK_TERMS``,
+    each with one bank of Bob's operators and Fourier tests of as many
+    cells as fit ``BLOCK_TERMS`` rows; a cell's generator and running
+    sums carry from block to block.  So a pass holds
     O(``BLOCK_TERMS``) rows of operators however large n is.  Every pass
     samples the cells again, from the same seeds, so every pass gives the
     same values, and no value depends on how the rows are blocked.
@@ -158,34 +161,25 @@ class LandscapeTable:
         """CHSH margins, KCBS margins and seeds by theta row: (theta, phi) arrays in circuit mode.
 
         The analytic KCBS margin depends on theta alone: one number per row, and no seed.
+        Circuit cells are summed by :func:`_term_sums` in groups of at most ``BLOCK_TERMS``.
         """
         if self.mode == "analytic":
             chsh, kcbs = analytic.state1_margins(np.deg2rad(thetas)[:, None],
                                                  np.deg2rad(phis)[None, :], self.n)
             return chsh, kcbs[:, 0].tolist(), [None] * thetas.size
-        n, count, terms = self.n, thetas.size * phis.size, self.n + 4
+        n, count = self.n, thetas.size * phis.size
         seeds = [_cell_seed(self.master_seed, cell)
                  for cell in range(first_cell, first_cell + count)]
         cell_thetas = np.repeat(np.deg2rad(thetas), phis.size)
         cell_phis = np.tile(np.deg2rad(phis), thetas.size)
-        per_block = max(1, BLOCK_TERMS // terms)
-        # Whole cells share one bank of all their terms; a split cell builds each term block's.
-        bank = _bob_bank(n, range(terms)) if terms <= BLOCK_TERMS else None
         chsh, kcbs = np.empty(count), np.empty(count)
         for group in range(0, count, BLOCK_TERMS):
-            # One preparation run and one CHSH reduction for up to BLOCK_TERMS cells.
-            states = circuits.prepare_state1(cell_thetas[group:group + BLOCK_TERMS],
-                                             cell_phis[group:group + BLOCK_TERMS])
-            rotations = _alice_rotations(analytic.chsh_coefficients(states, n))
-            for first in range(0, len(states), per_block):
-                rows = slice(first, min(first + per_block, len(states)))
-                cells = slice(group + rows.start, group + rows.stop)
-                chsh[cells], kcbs[cells] = _term_sums(n, states[rows], rotations[rows],
-                                                      seeds[cells], self.shots, bank)
-        chsh -= 2.0
-        kcbs -= n - 2.0
+            cells = slice(group, group + BLOCK_TERMS)
+            chsh[cells], kcbs[cells] = _term_sums(n, cell_thetas[cells], cell_phis[cells],
+                                                  seeds[cells], self.shots)
         shape = (thetas.size, phis.size)
-        return chsh.reshape(shape), kcbs.reshape(shape), np.reshape(seeds, shape)
+        return ((chsh - 2.0).reshape(shape), (kcbs - (n - 2.0)).reshape(shape),
+                np.reshape(seeds, shape))
 
 
 def check_theta_deg(thetas_deg) -> None:

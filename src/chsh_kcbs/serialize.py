@@ -35,10 +35,15 @@ def matrix_to_json(mat) -> dict:
 
 def _atomic_write(path: str, chunks):
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    # mkstemp makes its file 0600: it gets the mode open(path, "w") would leave.
+    umask = os.umask(0o022)
+    os.umask(umask)
+    mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
+        os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -125,11 +125,18 @@ def test_landscape_circuit_mode_columns(tmp_path):
 def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
     # The CSV of a seeded circuit landscape, rebuilt one Fourier test at a
     # time: each term as a one-row run_hybrid_tests stack, its shots drawn in term
-    # order from one generator seeded by the cell seed.
-    n, shots, master_seed = 7, 500, 11
-    thetas, phis = [0.0, 60.0, 120.0, 180.0], [0.0, 45.0, 90.0]
-    out = tmp_path / "landscape.csv"
-    assert run_cli("landscape", "--n", str(n), "--theta", "0:180:4", "--phi", "0:90:3",
+    # order from one generator seeded by the cell seed.  At n = 97 a cell's 101
+    # terms span two term blocks of the default BLOCK_TERMS.
+    shots, master_seed = 500, 11
+    for n, thetas, phis in ((7, [0.0, 60.0, 120.0, 180.0], [0.0, 45.0, 90.0]),
+                            (97, [30.0, 90.0], [0.0, 90.0])):
+        _check_term_by_term(tmp_path, n, thetas, phis, shots, master_seed)
+
+
+def _check_term_by_term(tmp_path, n, thetas, phis, shots, master_seed):
+    out = tmp_path / f"landscape-{n}.csv"
+    assert run_cli("landscape", "--n", str(n), "--theta", ",".join(map(str, thetas)),
+                   "--phi", ",".join(map(str, phis)),
                    "--mode", "circuit", "--shots", str(shots), "--seed", str(master_seed),
                    "--out", str(out), "--no-timestamp") == 0
 
@@ -447,6 +454,23 @@ def test_config_list_is_a_usage_error_for_scalar_flags(tmp_path, capsys, key):
                    "--out", str(out)) == cli.EXIT_USAGE
     assert "does not take a list" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [5, True, 1.5, None, {"path": "x.csv"}])
+@pytest.mark.parametrize("command, args", [
+    ("coexist", ("--n", "5")),
+    ("landscape", ("--n", "5", "--theta", "0:90:2", "--phi", "0")),
+])
+def test_config_out_must_be_a_string(tmp_path, capsys, monkeypatch, value, command, args):
+    # A flag that takes a value but has no type takes a JSON string, as on the command line.
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": value}))
+    assert run_cli(command, *args, "--config", str(config)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config key 'out' takes a string" in err
+    assert err.count("usage:") == 1
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_config_lists_for_grid_flags(tmp_path, capsys):

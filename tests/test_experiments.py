@@ -233,20 +233,24 @@ def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
     prepared = [cell for run in calls["prepared"] for cell in zip(run[0].tolist(), run[1].tolist())]
     assert prepared == cells and len(prepared) == len(table)
     assert [len(run[0]) for run in calls["prepared"]] == [4, 2]
-    # BLOCK_TERMS = 4 < n + 4 splits every cell into term blocks of 4, 4 and 1
-    # rows, each block reading its one cell's prepared state in every row.
-    states = np.concatenate([run[2] for run in calls["prepared"]])
-    expected = [np.repeat(state[None], rows, axis=0) for state in states for rows in (4, 4, 1)]
-    assert len(calls["measured"]) == len(expected)
+    # BLOCK_TERMS = 4 < n + 4 splits the terms into blocks of 4, 4 and 1.  Within
+    # a preparation group the stacks run term block by term block: a 4-term
+    # test reads one cell's state in every row, and the 1-term test reads the
+    # whole group of 4 cells, one row each.
+    groups = [run[2] for run in calls["prepared"]]
+    expected = [np.repeat(group[first:first + 4 // rows], rows, axis=0)
+                for group in groups for rows in (4, 4, 1)
+                for first in range(0, len(group), 4 // rows)]
+    assert len(calls["measured"]) == len(expected) == 2 * (4 + 2) + 2
     assert all(np.array_equal(got, want) for got, want in zip(calls["measured"], expected))
 
 
 @pytest.mark.parametrize("block_terms", [4, 5, 8, 9, 10, 19, 100])
 def test_circuit_blocks_hold_at_most_block_terms_rows(monkeypatch, block_terms):
-    # n + 4 = 9 terms: a block holds whole cells from BLOCK_TERMS = 9 up, and
-    # one cell's terms in turn below it.  Every Fourier test and every
-    # preparation run holds at most BLOCK_TERMS rows, all rows are measured
-    # once, and every cell is prepared once.
+    # n + 4 = 9 terms: from BLOCK_TERMS = 9 up a test holds whole cells, and
+    # below it each term block runs as tests of as many cells as fit.  Every
+    # Fourier test and every preparation run holds at most BLOCK_TERMS rows,
+    # all rows are measured once, and every cell is prepared once.
     n, thetas, phis = 5, [0.0, 30.0, 60.0, 180.0], [0.0, 45.0, 90.0]
     monkeypatch.setattr(experiments, "BLOCK_TERMS", block_terms)
     calls = _spy_on_circuit_blocks(monkeypatch)
@@ -257,17 +261,40 @@ def test_circuit_blocks_hold_at_most_block_terms_rows(monkeypatch, block_terms):
     assert max(len(run[0]) for run in calls["prepared"]) <= block_terms
     assert sum(len(run[0]) for run in calls["prepared"]) == len(table)
     assert len(calls["prepared"]) == -(-len(table) // block_terms)
-    # Whole cells share one bank per pass; a split cell builds each term
-    # block's bank from the cycle rows its pairs need, at most BLOCK_TERMS + 1.
-    term_blocks = 1 if block_terms >= n + 4 else -(-(n + 4) // block_terms)
-    banks = 1 if term_blocks == 1 else len(table) * term_blocks
-    assert len(calls["cycle_rows"]) == banks
+    # Each preparation group builds each term block's bank once, from the
+    # cycle rows its pairs need, at most BLOCK_TERMS + 1.
+    term_blocks = -(-(n + 4) // block_terms)
+    assert len(calls["cycle_rows"]) == len(calls["prepared"]) * term_blocks
     assert all(size == n and len(rows) <= block_terms + 1 for size, rows in calls["cycle_rows"])
 
 
+@pytest.mark.parametrize("n, block_terms", [(5, 8), (97, 100)])
+def test_a_one_term_tail_block_runs_as_one_test_per_group(monkeypatch, n, block_terms):
+    # n + 4 = BLOCK_TERMS + 1: a group of c cells runs c full term blocks, one
+    # cell each, and one test of the c cells' last term.
+    monkeypatch.setattr(experiments, "BLOCK_TERMS", block_terms)
+    calls = _spy_on_circuit_blocks(monkeypatch)
+    table = landscape_scan(n, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=4)
+    _columns(table)
+    assert len(calls["prepared"]) == 1
+    assert [len(stack) for stack in calls["measured"]] == [block_terms] * len(table) + [len(table)]
+
+
+def test_split_cells_build_each_term_blocks_bank_once_per_group(monkeypatch):
+    # n + 4 = 9 > BLOCK_TERMS = 4: term blocks [0, 4), [4, 8) and [8, 9), whose
+    # pairs read cycle rows 0, 0..4 and 4, 0.  Six cells make two groups, and
+    # each group builds each bank once, not once per cell.
+    monkeypatch.setattr(experiments, "BLOCK_TERMS", 4)
+    calls = _spy_on_circuit_blocks(monkeypatch)
+    table = landscape_scan(5, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=4)
+    _columns(table)
+    assert [len(run[0]) for run in calls["prepared"]] == [4, 2]
+    assert calls["cycle_rows"] == [(5, [0]), (5, [0, 1, 2, 3, 4]), (5, [4, 0])] * 2
+
+
 def test_circuit_table_pass_builds_the_bob_bank_once(monkeypatch):
-    # While whole cells fit a block, Bob's cycle stack is built once per table
-    # pass (this table is one block of cells), not per cell, pair or block.
+    # While whole cells fit a test, Bob's cycle stack is built once per table
+    # pass (this table is one preparation group), not per cell, pair or test.
     n, calls = 7, []
     stack = experiments.observables.kcbs_observables
 

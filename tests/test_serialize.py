@@ -132,6 +132,44 @@ def test_write_is_atomic(tmp_path):
     assert metadata == {"timestamp": "2026-01-01T00:00:00+00:00"}
 
 
+@pytest.fixture
+def umask():
+    """Set the process umask for a test and restore it afterwards."""
+    saved = os.umask(0o022)
+    yield os.umask
+    os.umask(saved)
+
+
+_WRITERS = {
+    "csv": lambda path: serialize.write_csv(path, ["x"], serialize.Columns((float,), ([1.0],))),
+    "json": lambda path: serialize.write_json(path, {"x": 1.0}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002], ids=lambda mask: f"umask{mask:03o}")
+def test_a_new_file_gets_the_mode_of_a_plain_open(tmp_path, umask, kind, mask):
+    umask(mask)
+    path, plain = tmp_path / f"out.{kind}", tmp_path / "plain"
+    _WRITERS[kind](str(path))
+    plain.open("w").close()
+    assert os.stat(path).st_mode & 0o7777 == os.stat(plain).st_mode & 0o7777 == 0o666 & ~mask
+    assert sorted(os.listdir(tmp_path)) == sorted([path.name, plain.name])
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_an_overwritten_file_keeps_its_mode(tmp_path, umask, kind):
+    umask(0o022)
+    path = tmp_path / f"out.{kind}"
+    for mode in (0o644, 0o600, 0o640, 0o664):
+        path.write_text("old\n")
+        os.chmod(path, mode)
+        _WRITERS[kind](str(path))
+        assert os.stat(path).st_mode & 0o7777 == mode
+        assert path.read_text() != "old\n"
+    assert os.listdir(tmp_path) == [path.name]
+
+
 def test_failed_or_short_table_leaves_no_file(tmp_path):
     path = tmp_path / "out.csv"
     with pytest.raises(RuntimeError):
