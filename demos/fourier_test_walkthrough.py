@@ -20,15 +20,15 @@ from chsh_kcbs import (
 from chsh_kcbs.observables import alice_rotation, bm_bm1_closed_form
 
 # ------------------------------------------------------------------
-# 1. Prepare the minimal state by circuit and check it against the
-#    closed form (they agree to machine precision).
+# 1. Prepare the minimal state by circuit, a one-row (1, 6) stack, and
+#    check it against the closed form (they agree to machine precision).
 # ------------------------------------------------------------------
 theta = math.radians(49.605)
 phi = 0.0
 circuit_state = prepare_state1(theta, phi)
 target = state1(theta, phi)
 overlap = abs(sum(a.conjugate() * b for a, b in
-                  zip(target.amplitudes, circuit_state.amplitudes)))
+                  zip(target.amplitudes, circuit_state[0])))
 print(f"preparation fidelity: {overlap:.15f}")
 
 # ------------------------------------------------------------------
@@ -49,19 +49,20 @@ print(f"direct expectation:   {direct:.12f}")
 
 # ------------------------------------------------------------------
 # 3. Finite shots: the empirical estimator fluctuates with the
-#    predicted multinomial standard deviation.
+#    predicted multinomial standard deviation.  Shots are drawn for a
+#    stack of cells, one seed each; here one cell of one test.
 # ------------------------------------------------------------------
 report = FourierTestReport(p0, p1, p2, combined, from_p0, from_p1)
 print("\n shots      estimate     error      predicted sigma")
 for shots in (100, 10_000, 1_000_000):
-    _, sampled = sample_shot_stack(probs, shots, seed=42)
+    _, sampled = sample_shot_stack(probs[None], shots, seeds=[42])
     sigma = estimator_stddev(report, shots)
-    err = abs(sampled[0, 0] - direct)
-    print(f" {shots:8d}   {sampled[0, 0]:+.6f}   {err:.2e}   {sigma:.2e}")
+    err = abs(sampled[0, 0, 0] - direct)
+    print(f" {shots:8d}   {sampled[0, 0, 0]:+.6f}   {err:.2e}   {sigma:.2e}")
 
 # ------------------------------------------------------------------
 # 4. Same seed, same counts: sampling is reproducible by construction.
 # ------------------------------------------------------------------
-first, _ = sample_shot_stack(probs, 10_000, seed=42)
-again, _ = sample_shot_stack(probs, 10_000, seed=42)
+first, _ = sample_shot_stack(probs[None], 10_000, seeds=[42])
+again, _ = sample_shot_stack(probs[None], 10_000, seeds=[42])
 print(f"\nrepeat with seed 42: counts match -> {first.tolist() == again.tolist()}")

@@ -2,29 +2,31 @@
 
 The gate library covers subspace rotations, phase gates, the qutrit
 Fourier transform, and the controlled power gate
-``|a>|psi> -> |a> U^a |psi>``.  Circuits run on an ordered list of
-qutrit registers, and a gate may be a (k, d, d) stack, one gate per row,
-so one run simulates k circuits of the same shape.  The minimal state is
-prepared on the (alice, bob) pair with Alice's level 2 left empty, for
-one angle pair or for a stack of cells in one run; every correlator of
-the hybrid protocol is then a Fourier test on a prepared state, with
-Alice's 2x2 observables embedded into 3x3 by a unit on the dead level.
+``|a>|psi> -> |a> U^a |psi>``.  Past the gates, every function takes and
+returns stacks with a leading row axis: one state, test or distribution
+is a one-row stack.  Circuits run on an ordered list of qutrit registers,
+and a gate may be a (k, d, d) stack, one gate per row, so one run
+simulates k circuits of the same shape.  The minimal state is prepared
+on the (alice, bob) pair with Alice's level 2 left empty; every
+correlator of the hybrid protocol is then a Fourier test on a prepared
+state, with Alice's 2x2 observables embedded into 3x3 by a unit on the
+dead level.
 
 :func:`fourier_tests` is the one Fourier-test readout.  It checks a
 stack of k operators at once and simulates all k tests together on a
-(k, 3 ancilla, d) state: F3 on the ancilla axis, U on ancilla block 1 and
-U U on block 2, then the inverse F3.  Test r reads one shared state or
-row r of a (k, d) stack of states.  :func:`run_hybrid_tests` stacks the
-products A_r (x) B_r for it, so a block of (cell, term) rows of a
-landscape is one simulation, and one correlator is the k = 1 stack.
+(k, 3 ancilla, d) state, test r on row r of a (k, d) stack of states:
+F3 on the ancilla axis, U on ancilla block 1 and U U on block 2, then
+the inverse F3.  :func:`run_hybrid_tests` stacks the products
+A_r (x) B_r for it, so a block of (cell, term) rows of a landscape is
+one simulation.
 
 The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
 P(0) = (5 + 4<U>)/9 and P(1) = P(2) = (2 - 2<U>)/9, inverted by the
 estimators (9 P0 - 5)/4, (2 - 9 P1)/2, and (9 (P0 - P1 - P2) - 1)/8,
 which :func:`estimators` applies to a stack of distributions.
-:func:`sample_shot_stack` draws the shots of k tests as one stack from
-one seeded generator, or those of m cells from one generator each.
+:func:`sample_shot_stack` draws the shots of m cells of k tests, each
+cell from its own seeded generator.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotUnitary
-from .linalg import (STATE_BUILD_TOL, JointState, check_normalized, hermiticity_check,
-                     state_vector, unitarity_check)
+from .linalg import (STATE_BUILD_TOL, check_normalized, hermiticity_check, state_vector,
+                     unitarity_check)
 
 GATE_UNITARY_TOL = 1e-10
 FOURIER_INPUT_TOL = 1e-10
@@ -126,9 +128,7 @@ def embed_alice(a2) -> np.ndarray:
 def embed_joint_state(psi) -> np.ndarray:
     """Lift the 6 joint amplitudes onto the 9-dim (alice, bob) qutrit pair, a stack row by row."""
     vec = state_vector(psi, dim=6)
-    out = np.zeros(vec.shape[:-1] + (9,), dtype=complex)
-    out[..., :6] = vec
-    return out
+    return np.concatenate([vec, np.zeros(vec.shape[:-1] + (3,), dtype=complex)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -149,17 +149,17 @@ class CircuitSpec:
 
 
 def run_circuit(spec: CircuitSpec) -> np.ndarray:
-    """Simulate a circuit exactly from every register in |0>, returning the final state vector.
+    """Simulate a circuit exactly from every register in |0>, returning a (k, 3^registers) stack.
 
     An op's matrix may be a (k, d, d) stack, one gate per row; the circuit
     then runs k rows at once, row r applying entry r of every stacked op
-    and the one matrix of every other op, and returns a (k, 3^registers)
-    stack of states.  Every gate must be unitary within 1e-10 and the norm
-    is re-checked after each application, row by row.  A register named
-    ``alice`` starts with its level 2 empty and must keep it empty after
-    every gate; a breach raises RuntimeError since it means the circuit
-    left the protocol's qubit subspace.  Both checks fail on NaN, and every
-    error names the op and, in a stack, the first failing entry or row.
+    and the one matrix of every other op.  With no stacked op, k = 1.
+    Every gate must be unitary within 1e-10 and the norm is re-checked
+    after each application, row by row.  A register named ``alice`` starts
+    with its level 2 empty and must keep it empty after every gate; a
+    breach raises RuntimeError since it means the circuit left the
+    protocol's qubit subspace.  Both checks fail on NaN, and every error
+    names the op and the first failing row, or entry of a stacked gate.
     """
     n_reg = len(spec.registers)
     dim = 3 ** n_reg
@@ -167,14 +167,10 @@ def run_circuit(spec: CircuitSpec) -> np.ndarray:
     sizes = {gate.shape[0] for gate in gates if gate.ndim == 3}
     if len(sizes) > 1:
         raise ValueError(f"stacked gates must share one stack size, got {sorted(sizes)}")
-    stacked = bool(sizes)
-    rows = sizes.pop() if stacked else 1
+    rows = sizes.pop() if sizes else 1
     state = np.zeros((rows, dim), dtype=complex)
     state[:, 0] = 1.0
     alice = spec.registers.index("alice") if "alice" in spec.registers else None
-
-    def row(index) -> str:
-        return f" in row {index}" if stacked else ""
 
     for op, gate in zip(spec.ops, gates):
         ok = unitarity_check(gate, GATE_UNITARY_TOL)
@@ -193,24 +189,23 @@ def run_circuit(spec: CircuitSpec) -> np.ndarray:
         ok = np.abs(norm - 1.0) <= GATE_UNITARY_TOL
         if not ok.all():
             bad = np.argmin(ok)
-            raise RuntimeError(f"norm drifted to {float(norm[bad])!r}{row(bad)} "
+            raise RuntimeError(f"norm drifted to {float(norm[bad])!r} in row {bad} "
                                f"after gate {op.label!r}")
         if alice is not None:
             level2 = np.take(state.reshape((rows,) + (3,) * n_reg), 2, axis=1 + alice)
             ok = np.max(np.abs(level2.reshape(rows, -1)), axis=1) <= DEAD_LEVEL_TOL
             if not ok.all():
-                raise RuntimeError(f"alice level 2 became populated{row(np.argmin(ok))} "
+                raise RuntimeError(f"alice level 2 became populated in row {np.argmin(ok)} "
                                    f"after gate {op.label!r}")
-    return state if stacked else state[0]
+    return state
 
 
-def prepare_state1(theta, phi):
+def prepare_state1(theta, phi) -> np.ndarray:
     """Prepare sin(theta/2)|00> + cos(theta/2) e^{i phi}|12> from |00> with three gates.
 
-    One angle pair gives a JointState.  Arrays of angles, one entry per
-    cell, give a (k, 6) array of states from one stacked circuit run, each
-    row checked as a JointState is (normalized within 1e-12) and equal to
-    the state its angles prepare alone.
+    Arrays of k angles give a (k, 6) stack of states from one circuit run,
+    one angle pair a (1, 6) stack; each row is normalized within 1e-12 and
+    equals the state its angles prepare alone.
     """
     thetas = np.asarray(theta, dtype=float)
     outside = thetas[~((thetas >= 0.0) & (thetas <= math.pi))]
@@ -221,9 +216,7 @@ def prepare_state1(theta, phi):
         GateOp("D(phi,0)", phase_gate(phi, 0.0), 0),
         GateOp("CX02", controlled_power(x02()), 0),
     ))
-    states = run_circuit(spec)[..., :6]
-    if states.ndim == 1:
-        return JointState(states)
+    states = run_circuit(spec)[:, :6]
     check_normalized(states, STATE_BUILD_TOL)
     return states
 
@@ -249,16 +242,15 @@ def estimators(probs) -> np.ndarray:
 
 
 def fourier_tests(ops, psi) -> np.ndarray:
-    """Exact Fourier tests of a stack of Hermitian unitaries on normalized states.
+    """Exact Fourier tests of a (k, d, d) stack of Hermitian unitaries on a (k, d) stack of states.
 
-    ``ops`` has shape (k, d, d) and ``psi`` is one state of length d or a
-    (k, d) stack, row i for test i; row i of the (k, 3) result is the
-    ancilla distribution (p0, p1, p2) of the test of ``ops[i]``.  The whole
-    stack is checked once, before any state is read: its shape
-    (``DimensionMismatch``), then Hermiticity and unitarity, where an error
-    names the first failing entry; then every state's norm.  The k tests
-    then run as one simulation: F3 on the ancilla axis, U on ancilla
-    block 1 and U U on block 2, then the inverse F3.
+    Row i of the (k, 3) result is the ancilla distribution (p0, p1, p2)
+    of the test of ``ops[i]`` on ``psi[i]``.  The operators are checked
+    once, before any state is read: their shape (``DimensionMismatch``),
+    then Hermiticity and unitarity, naming the first failing entry; then
+    each state's norm, and one state per operator (``DimensionMismatch``).
+    The k tests run as one simulation: F3 on the ancilla axis, U on
+    ancilla block 1 and U U on block 2, then the inverse F3.
     """
     ops = np.asarray(ops, dtype=complex)
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
@@ -268,13 +260,13 @@ def fourier_tests(ops, psi) -> np.ndarray:
     _first_failure(unitarity_check, ops, GATE_UNITARY_TOL, NotUnitary, "unitary")
     d = ops.shape[-1]
     vec = state_vector(psi, dim=d, require_normalized=True)
-    if vec.ndim == 2 and len(vec) != len(ops):
+    if vec.ndim != 2 or len(vec) != len(ops):
         raise DimensionMismatch(f"Fourier test needs one state per operator, "
-                                f"got {len(vec)} states for {len(ops)} operators")
+                                f"got states of shape {vec.shape} for {len(ops)} operators")
 
     fourier = f3()
     # F3 on ancilla |0>: block a of every row is F3[a, 0] times the row's state.
-    state = fourier[:, 0, None] * np.broadcast_to(vec, (ops.shape[0], d))[:, None, :]
+    state = fourier[:, 0, None] * vec[:, None, :]
     state[:, 1] = (ops @ state[:, 1, :, None])[..., 0]
     state[:, 2] = ((ops @ ops) @ state[:, 2, :, None])[..., 0]
     state = np.einsum("ab,kbi->kai", fourier.conj().T, state)
@@ -287,12 +279,12 @@ def _first_failure(check, ops, tol: float, error, what: str) -> None:
         raise error(f"Fourier test needs {what} operators within {tol:g}; entry {bad[0]} is not")
 
 
-def run_hybrid_tests(state, alice_ops, bob_ops) -> np.ndarray:
+def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:
     """Fourier tests of every A_r (x) B_r on prepared qubit-qutrit states.
 
     ``alice_ops`` is a (k, 2, 2) stack of qubit operators, ``bob_ops`` a
-    (k, 3, 3) stack of qutrit operators and ``state`` one prepared state or
-    a (k, 6) stack, row r for test r.  Each A_r is embedded with a unit on
+    (k, 3, 3) stack of qutrit operators and ``states`` a (k, 6) stack of
+    prepared states, row r for test r.  Each A_r is embedded with a unit on
     Alice's empty level 2, the k products are stacked in one einsum, and
     :func:`fourier_tests` checks and reads them all at once.  Returns the
     (k, 3) ancilla probabilities.
@@ -301,7 +293,7 @@ def run_hybrid_tests(state, alice_ops, bob_ops) -> np.ndarray:
     bob = np.asarray(bob_ops, dtype=complex)
     k = alice.shape[0]
     ops = np.einsum("kij,kab->kiajb", alice, bob).reshape(k, 9, 9)
-    return fourier_tests(ops, embed_joint_state(state))
+    return fourier_tests(ops, embed_joint_state(states))
 
 
 def check_shots(shots) -> int:
@@ -311,27 +303,23 @@ def check_shots(shots) -> int:
     return int(shots)
 
 
-def sample_shot_stack(probs, shots: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Multinomial counts for a (k, 3) stack of ancilla distributions from one seeded generator.
+def sample_shot_stack(probs, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial counts of an (m, k, 3) stack: m cells of k ancilla distributions each.
 
-    Every row is clipped at zero and normalised, and the stack is drawn by
-    one ``np.random.default_rng(seed).multinomial`` call.  That equals its
-    rows drawn in turn from one generator, which ``seed`` may itself be, so
-    blocks of a stack drawn in turn give the same counts.  An (m, k, 3)
-    stack holds m cells and takes a sequence of m seeds or generators: each
-    cell is one such draw from its own, while the clipping, the
-    normalisation and the estimators run once over the whole stack.
-    Returns the counts and the estimators (combined, from_p0, from_p1),
-    both of the shape of ``probs``.
+    ``seeds`` holds m seeds or generators, and cell i is one
+    ``np.random.default_rng(seeds[i]).multinomial`` draw of its rows,
+    clipped at zero and normalised.  That equals its rows drawn in turn
+    from one generator, so blocks of a cell drawn in turn from one
+    generator give the same counts.  Returns the counts and the estimators
+    (combined, from_p0, from_p1), both of the shape of ``probs``.
     """
     shots = check_shots(shots)
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    if probs.ndim != 3 or probs.shape[-1] != 3:
+        raise DimensionMismatch(f"shot sampling needs an (m, k, 3) stack, got shape {probs.shape}")
     probs /= probs.sum(axis=-1, keepdims=True)
-    if probs.ndim == 2:
-        counts = np.random.default_rng(seed).multinomial(shots, probs)
-    else:
-        counts = np.stack([np.random.default_rng(cell_seed).multinomial(shots, cell)
-                           for cell_seed, cell in zip(seed, probs, strict=True)])
+    counts = np.stack([np.random.default_rng(seed).multinomial(shots, cell)
+                       for seed, cell in zip(seeds, probs, strict=True)])
     return counts, estimators(counts / float(shots))
 
 

@@ -12,7 +12,7 @@ own keys, then a timestamp unless ``--no-timestamp`` is given.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error,
 3 domain error (invalid cycle, no intersection, malformed state, a size
-too large for memory, ...), 4 I/O error.
+too large for a float or for memory, ...), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -67,7 +67,10 @@ def cycle_range(text: str) -> list[int]:
             start, stop, step = int(parts[0]), int(parts[1]), int(parts[2])
             if step < 1:
                 raise argparse.ArgumentTypeError("step must be positive")
-            sizes = list(range(start, stop + 1, step))
+            try:
+                sizes = list(range(start, stop + 1, step))
+            except (OverflowError, MemoryError):
+                raise MemoryError(f"cycle range {text!r} has too many sizes for memory") from None
             if not sizes:
                 raise argparse.ArgumentTypeError(f"empty cycle range {text!r}")
             return sizes
@@ -113,8 +116,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="chsh-kcbs",
         description="Closed-form and circuit evaluation of the hybrid CHSH-KCBS scenario.",
-        epilog="Exit codes: 0 ok, 1 validation failure, 2 usage error, "
-               "3 domain error (also a size too large for memory), 4 I/O error.",
+        epilog="Exit codes: 0 ok, 1 validation failure, 2 usage error, 3 domain error "
+               "(also a size too large for a float or for memory), 4 I/O error.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, tuple[argparse.ArgumentParser, tuple[str, ...], dict]] = {}
@@ -334,8 +337,8 @@ def _run_fourier_test(args) -> int:
 
     probs = circuits.run_hybrid_tests(circuits.prepare_state1(theta, phi),
                                       alice.matrix[None], bob.matrix[None])
-    counts, estimators = (circuits.sample_shot_stack(probs, args.shots, args.seed) if args.shots
-                          else (None, circuits.estimators(probs)))
+    counts, estimators = (circuits.sample_shot_stack(probs[None], args.shots, [args.seed])
+                          if args.shots else (None, circuits.estimators(probs[None])))
 
     payload = {
         "n": args.n,
@@ -344,9 +347,9 @@ def _run_fourier_test(args) -> int:
         "alice": alice.label,
         "bob": bob.label,
         "probabilities": dict(zip(("p0", "p1", "p2"), probs[0].tolist())),
-        "counts": None if counts is None else counts[0].tolist(),
+        "counts": None if counts is None else counts[0, 0].tolist(),
         "shots": args.shots,
-        "estimators": dict(zip(("combined", "from_p0", "from_p1"), estimators[0].tolist())),
+        "estimators": dict(zip(("combined", "from_p0", "from_p1"), estimators[0, 0].tolist())),
         "exact_value": expectation(psi, tensor(alice.matrix, bob.matrix)),
         "seed": args.seed if args.shots else None,
     }

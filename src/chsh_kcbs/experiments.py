@@ -422,8 +422,7 @@ def run_validation() -> list[tuple[str, float, float, bool]]:
     base = circuits.run_hybrid_tests(circuits.prepare_state1(0.9, 0.4),
                                      observables.alice_rotation(0.3).matrix[None],
                                      observables.b0_closed_form(5).matrix[None])
-    counts_a, _ = circuits.sample_shot_stack(base, 5000, 11)
-    counts_b, _ = circuits.sample_shot_stack(base, 5000, 11)
+    counts_a, counts_b = (circuits.sample_shot_stack(base[None], 5000, [11])[0] for _ in range(2))
     check("seeded sampling, max count difference between reruns", np.abs(counts_a - counts_b), 0)
 
     # Coexistence residuals and the tabulated n = 5 point.

@@ -11,6 +11,7 @@ operator ``S``.  Alice only needs the reflection ``R(omega)`` in the XZ plane.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ def cycle_geometry(n) -> CycleGeometry:
     """Build the geometry constants for an odd cycle size n >= 5, or for each size in an array.
 
     Python ints beyond int64 are accepted, in an object array when a list
-    mixes them with smaller ones; floats, strings and an empty array are
-    not.  An error names the first invalid size.
+    mixes them with smaller ones, up to the largest float; floats, strings
+    and an empty array are not.  An error names the first invalid size.
     """
     sizes = np.asarray(n)
     if sizes.dtype.kind == "f" and not isinstance(n, np.ndarray):  # a list of mixed-width ints
@@ -52,10 +53,11 @@ def cycle_geometry(n) -> CycleGeometry:
     bad = sizes.ravel()
     if np.issubdtype(sizes.dtype, np.integer) or sizes.dtype == object and all(
             isinstance(k, (int, np.integer)) for k in bad):
-        bad = bad[(bad % 2 == 0) | (bad < 5)]
+        bad = bad[(bad % 2 == 0) | (bad < 5) | (bad > sys.float_info.max)]
         n = bad.tolist()[0] if bad.size else n
     if sizes.size == 0 or bad.size:
-        raise InvalidCycle(f"cycle size must be an odd integer >= 5, got {n!r}")
+        raise InvalidCycle(
+            f"cycle size must be an odd integer in [5, {sys.float_info.max!r}], got {n!r}")
     n_float = sizes.astype(float)
     c = np.cos(np.pi / n_float)
     s2 = np.sin(np.pi / (2 * n_float))

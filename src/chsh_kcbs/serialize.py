@@ -14,6 +14,7 @@ file and an atomic rename so a failure never leaves a partial output.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -34,20 +35,25 @@ def matrix_to_json(mat) -> dict:
 
 
 def _atomic_write(path: str, chunks):
+    if os.path.isdir(path):  # refused before any chunk is computed
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     # mkstemp makes its file 0600: it gets the mode open(path, "w") would leave.
     umask = os.umask(0o022)
     os.umask(umask)
-    mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp_path = ""
     try:
+        mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
         os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError) and exc.filename != path:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

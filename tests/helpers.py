@@ -50,5 +50,5 @@ def three_register_probabilities(theta, phi, a2, b3):
            GateOp("F3", f3(), 0),
            GateOp("C-U^a", controlled_power(tensor(embed_alice(a2), b3)), 0),
            GateOp("F3_inv", f3().conj().T, 0))
-    final = run_circuit(CircuitSpec(("ancilla", "alice", "bob"), ops))
+    final = run_circuit(CircuitSpec(("ancilla", "alice", "bob"), ops))[0]
     return [float(np.sum(np.abs(final[a * 9:(a + 1) * 9]) ** 2)) for a in range(3)]

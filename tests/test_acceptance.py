@@ -170,7 +170,7 @@ def test_criterion_5_circuit_analytic_equivalence():
     shots = 100_000
     sigma = estimator_stddev(config, shots)
     inside = sum(
-        abs(sample_shot_stack(probs, shots, seed)[1][0, 0]
+        abs(sample_shot_stack(probs[None], shots, [seed])[1][0, 0, 0]
             - config.estimator_combined) <= 5 * sigma
         for seed in range(100))
     sampled_ok = inside >= 99

@@ -113,8 +113,8 @@ def test_controlled_power_blocks():
 
 
 def test_prepare_state1_special_points():
-    assert np.allclose(prepare_state1(math.pi, 0.0).amplitudes, [1, 0, 0, 0, 0, 0], atol=1e-12)
-    half = prepare_state1(math.pi / 2, 0.0).amplitudes
+    assert np.allclose(prepare_state1(math.pi, 0.0)[0], [1, 0, 0, 0, 0, 0], atol=1e-12)
+    half = prepare_state1(math.pi / 2, 0.0)[0]
     target = np.zeros(6, dtype=complex)
     target[0] = target[5] = 1 / math.sqrt(2)
     assert abs(np.vdot(target, half)) == pytest.approx(1.0, abs=1e-12)
@@ -131,7 +131,7 @@ def test_prepare_state1_gate_by_gate_oracle():
         start = np.zeros(9, dtype=complex)
         start[0] = 1.0
         expected = (controlled @ step2 @ step1 @ start)[:6]
-        got = prepare_state1(theta, phi).amplitudes
+        got = prepare_state1(theta, phi)[0]
         assert np.max(np.abs(got - expected)) <= 1e-12
         assert got[0] == pytest.approx(math.sin(theta / 2), abs=1e-12)
         assert abs(got[5]) == pytest.approx(math.cos(theta / 2), abs=1e-12)
@@ -140,7 +140,7 @@ def test_prepare_state1_gate_by_gate_oracle():
 @pytest.mark.parametrize("theta,phi", [(0.3, 0.0), (1.2, 2.0), (2.8, 5.5)])
 def test_prepare_state1_fidelity(theta, phi):
     target = state1(theta, phi).amplitudes
-    prepared = prepare_state1(theta, phi).amplitudes
+    prepared = prepare_state1(theta, phi)[0]
     assert abs(np.vdot(target, prepared)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -148,9 +148,10 @@ def test_run_circuit_targets_named_register():
     # X02 applied to the second register of |00> lifts only Bob's level.
     spec = CircuitSpec(("alice", "bob"), (GateOp("swap", x02(), 1),))
     final = run_circuit(spec)
+    assert final.shape == (1, 9)
     expected = np.zeros(9, dtype=complex)
     expected[2] = 1.0
-    assert np.allclose(final, expected, atol=1e-15)
+    assert np.allclose(final[0], expected, atol=1e-15)
 
 
 def test_run_circuit_guards():
@@ -175,17 +176,17 @@ def test_run_circuit_norm_guard_rejects_nan(monkeypatch):
 
 def test_stacked_prepare_state1_equals_per_angle_calls_to_the_bit():
     # One stacked run gives each cell the state its angles prepare alone,
-    # theta = 0 and pi included, as a (k, 6) array.
+    # theta = 0 and pi included, as a (k, 6) array; one angle pair is k = 1.
     rng = np.random.default_rng(23)
     thetas = np.concatenate([[0.0, math.pi, 0.0, math.pi], rng.uniform(0, math.pi, 60)])
     phis = np.concatenate([[0.0, 0.0, -1.3, 7.9], rng.uniform(-10, 10, 60)])
     stacked = prepare_state1(thetas, phis)
     assert stacked.shape == (64, 6)
     for row, theta, phi in zip(stacked, thetas.tolist(), phis.tolist()):
-        assert row.tobytes() == prepare_state1(theta, phi).amplitudes.tobytes()
+        assert row.tobytes() == prepare_state1(theta, phi)[0].tobytes()
     one = prepare_state1(np.array([0.7]), np.array([0.2]))
-    assert one.shape == (1, 6)
-    assert one[0].tobytes() == prepare_state1(0.7, 0.2).amplitudes.tobytes()
+    assert one.shape == prepare_state1(0.7, 0.2).shape == (1, 6)
+    assert one.tobytes() == prepare_state1(0.7, 0.2).tobytes()
 
 
 def test_stacked_prepare_state1_refuses_an_angle_outside_the_range():
@@ -227,9 +228,28 @@ def test_stacked_run_circuit_guards_fire_per_row(monkeypatch):
         run_circuit(CircuitSpec(("alice", "bob"), (GateOp("nan", gates, 0),)))
 
 
+def test_fourier_tests_refuse_a_state_that_is_not_a_stack():
+    # One state is a one-row stack; a bare vector is a shape error, not a shared state.
+    psi = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(DimensionMismatch, match=r"got states of shape \(2,\) for 1 operators"):
+        fourier_tests(np.eye(2, dtype=complex)[None], psi)
+    with pytest.raises(DimensionMismatch, match="one state per operator"):
+        fourier_tests(np.array([np.eye(2), -np.eye(2)]), psi)
+    assert np.allclose(fourier_tests(np.eye(2)[None], psi[None]), [[1.0, 0.0, 0.0]], atol=1e-12)
+
+
+def test_shot_stack_refuses_a_stack_that_is_not_cells_of_tests():
+    # Only an (m, k, 3) stack with m seeds is drawn; a (k, 3) stack is refused.
+    for probs in ([[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0], np.ones((1, 1, 1, 3)) / 3):
+        with pytest.raises(DimensionMismatch, match="needs an \\(m, k, 3\\) stack"):
+            sample_shot_stack(probs, 10, [1])
+    assert sample_shot_stack([[[1.0, 0.0, 0.0]]], 10, [1])[0].tolist() == [[[10, 0, 0]]]
+
+
 def _one_test(u, psi) -> np.ndarray:
-    """(p0, p1, p2) of the Fourier test of one operator."""
-    return fourier_tests(np.asarray(u, dtype=complex)[None], psi)[0]
+    """(p0, p1, p2) of the Fourier test of one operator on one state, as one-row stacks."""
+    ops, states = np.asarray(u, dtype=complex)[None], np.asarray(psi, dtype=complex)[None]
+    return fourier_tests(ops, states)[0]
 
 
 def _exact_report(u, psi) -> FourierTestReport:
@@ -238,7 +258,7 @@ def _exact_report(u, psi) -> FourierTestReport:
 
 
 def _one_product(state, alice, bob) -> np.ndarray:
-    """(p0, p1, p2) of the Fourier test of one product A (x) B, as a one-row stack."""
+    """(p0, p1, p2) of the Fourier test of one product A (x) B on a one-row state stack."""
     a2 = alice.matrix if hasattr(alice, "matrix") else alice
     return run_hybrid_tests(state, np.asarray(a2)[None], bob.matrix[None])[0]
 
@@ -352,10 +372,10 @@ def test_stacked_cell_matches_three_register_circuit():
         for theta in (0.0, math.pi, *rng.uniform(0, math.pi, 2).tolist()):
             phi = float(rng.uniform(0, 2 * math.pi))
             state = prepare_state1(theta, phi)
-            co = chsh_coefficients(state, n)
+            co = chsh_coefficients(state[0], n)
             r0, r2 = alice_rotation(co.omega0).matrix, alice_rotation(co.omega2).matrix
             alice = np.array([r2, r2, r0, r0] + [np.eye(2)] * n)
-            probs = run_hybrid_tests(state, alice, bank)
+            probs = run_hybrid_tests(np.repeat(state, n + 4, axis=0), alice, bank)
             assert probs.shape == (n + 4, 3)
             for term in range(n + 4):
                 expected = three_register_probabilities(theta, phi, alice[term], bank[term])
@@ -379,16 +399,16 @@ def test_stack_checks_every_entry_before_the_state():
     alice = np.array([np.eye(2), np.diag([1.0, 0.5])])
     bob = np.array([b0_closed_form(5).matrix] * 2)
     with pytest.raises(NotUnitary, match="entry 1 "):
-        run_hybrid_tests(prepare_state1(1.0, 0.2), alice, bob)
+        run_hybrid_tests(prepare_state1([1.0, 1.0], [0.2, 0.2]), alice, bob)
     # A good stack gives the one-operator readout row by row.
     psi = np.full(4, 0.5)
-    rows = fourier_tests(np.array([good, -good]), psi)
+    rows = fourier_tests(np.array([good, -good]), np.array([psi, psi]))
     for row, u in zip(rows, (good, -good)):
         assert row.tolist() == _one_test(u, psi).tolist()
 
 
 def test_fourier_tests_read_one_state_per_row():
-    # Row r of a stack of states feeds test r, with the bits of a one-state call.
+    # Row r of a stack of states feeds test r, with the bits of a one-row call.
     rng = np.random.default_rng(29)
     states = prepare_state1(rng.uniform(0, math.pi, 5), rng.uniform(0, 2 * math.pi, 5))
     alice = np.array([alice_rotation(w).matrix for w in rng.uniform(0, 2 * math.pi, 5)])
@@ -396,7 +416,7 @@ def test_fourier_tests_read_one_state_per_row():
                     *(kcbs_pair(7, j).matrix for j in (0, 3, 6))])
     rows = run_hybrid_tests(states, alice, bob)
     for r in range(5):
-        alone = run_hybrid_tests(states[r], alice[r:r + 1], bob[r:r + 1])
+        alone = run_hybrid_tests(states[r:r + 1], alice[r:r + 1], bob[r:r + 1])
         assert rows[r].tobytes() == alone[0].tobytes()
     with pytest.raises(DimensionMismatch, match="one state per operator"):
         run_hybrid_tests(states[:4], alice, bob)
@@ -419,9 +439,9 @@ def test_shot_stack_of_cells_draws_each_cell_from_its_own_generator():
     counts, estimates = sample_shot_stack(probs, 500, seeds)
     assert counts.shape == estimates.shape == (4, 6, 3)
     for cell, seed in enumerate(seeds):
-        alone_counts, alone_estimates = sample_shot_stack(probs[cell], 500, seed)
-        assert counts[cell].tolist() == alone_counts.tolist()
-        assert estimates[cell].tobytes() == alone_estimates.tobytes()
+        alone_counts, alone_estimates = sample_shot_stack(probs[cell:cell + 1], 500, [seed])
+        assert counts[cell].tolist() == alone_counts[0].tolist()
+        assert estimates[cell].tobytes() == alone_estimates[0].tobytes()
     # Generators continue their streams: two halves drawn in turn give the whole.
     generators = [np.random.default_rng(seed) for seed in seeds]
     first = sample_shot_stack(probs[:, :2], 500, generators)[0]
@@ -460,32 +480,34 @@ def test_alice_embedding_preserves_expectations():
 
 def test_shot_stack_degenerate_and_reproducible():
     psi2 = np.array([1.0, 0.0], dtype=complex)
-    counts, sampled = sample_shot_stack(_one_test(np.eye(2), psi2)[None], 1, 123)
-    assert counts.tolist() == [[1, 0, 0]]
-    assert sampled.tolist() == [_scalar_estimators(1.0, 0.0, 0.0)]
+    counts, sampled = sample_shot_stack(_one_test(np.eye(2), psi2)[None, None], 1, [123])
+    assert counts.tolist() == [[[1, 0, 0]]]
+    assert sampled.tolist() == [[_scalar_estimators(1.0, 0.0, 0.0)]]
 
-    probs = _one_product(prepare_state1(0.9, 0.4), alice_rotation(0.3), b0_closed_form(5))[None]
-    first, _ = sample_shot_stack(probs, 4096, 7)
-    second, _ = sample_shot_stack(probs, 4096, 7)
+    probs = _one_product(prepare_state1(0.9, 0.4), alice_rotation(0.3),
+                         b0_closed_form(5))[None, None]
+    first, _ = sample_shot_stack(probs, 4096, [7])
+    second, _ = sample_shot_stack(probs, 4096, [7])
     assert first.tolist() == second.tolist()
     assert first.sum() == 4096
-    third, _ = sample_shot_stack(probs, 4096, 8)
+    third, _ = sample_shot_stack(probs, 4096, [8])
     assert third.tolist() != first.tolist()
 
 
 def test_shot_stack_matches_rows_drawn_in_turn():
-    state = prepare_state1(0.9, 0.4)
+    state = prepare_state1([0.9, 0.9], [0.4, 0.4])
     probs = run_hybrid_tests(state, np.array([alice_rotation(0.3).matrix, np.eye(2)]),
                              np.array([b0_closed_form(5).matrix, kcbs_pair(5, 1).matrix]))
     # Add a degenerate row and a row whose tiny negative entry the clip removes.
     probs = np.vstack([probs, [1.0, 0.0, 0.0], [0.5, 0.5 + 1e-17, -1e-17]])
     for seed in (11, 2**40 + 3, 0):
-        counts, estimates = sample_shot_stack(probs, 777, seed)
-        assert counts.shape == estimates.shape == (4, 3)
+        counts, estimates = sample_shot_stack(probs[None], 777, [seed])
+        assert counts.shape == estimates.shape == (1, 4, 3)
+        counts, estimates = counts[0], estimates[0]
         # Row 0 is the draw a one-row stack makes at the same seed.
-        alone_counts, alone_estimators = sample_shot_stack(probs[:1], 777, seed)
-        assert counts[0].tolist() == alone_counts[0].tolist()
-        assert estimates[0].tolist() == alone_estimators[0].tolist()
+        alone_counts, alone_estimators = sample_shot_stack(probs[None, :1], 777, [seed])
+        assert counts[0].tolist() == alone_counts[0, 0].tolist()
+        assert estimates[0].tolist() == alone_estimators[0, 0].tolist()
         # The stack is its clipped, normalised rows drawn in turn from one generator.
         rng = np.random.default_rng(seed)
         for row, row_counts, row_estimators in zip(probs, counts, estimates):
@@ -494,7 +516,7 @@ def test_shot_stack_matches_rows_drawn_in_turn():
             assert row_estimators.tolist() == _scalar_estimators(*(row_counts / 777.0).tolist())
         assert counts[2].tolist() == [777, 0, 0] and counts[3, 2] == 0
     with pytest.raises(ValueError):
-        sample_shot_stack(probs, 0, 11)
+        sample_shot_stack(probs[None], 0, [11])
 
 
 def test_estimators_of_a_stack_are_the_scalar_formulas_to_the_bit():
@@ -518,13 +540,13 @@ def test_sampled_estimator_within_five_sigma():
     z = np.diag([1.0, -1.0]).astype(complex)
     exact = _exact_report(z, psi)
     assert exact.p0 == pytest.approx((5 + 4 * 0.5) / 9, abs=1e-12)
-    probs = [[exact.p0, exact.p1, exact.p2]]
+    probs = [[[exact.p0, exact.p1, exact.p2]]]
     shots = 100_000
     sigma = estimator_stddev(exact, shots)
     inside = 0
     for seed in range(100):
-        _, sampled = sample_shot_stack(probs, shots, seed)
-        if abs(sampled[0, 0] - 0.5) <= 5 * sigma:
+        _, sampled = sample_shot_stack(probs, shots, [seed])
+        if abs(sampled[0, 0, 0] - 0.5) <= 5 * sigma:
             inside += 1
     assert inside >= 99
 
@@ -544,18 +566,18 @@ def test_estimator_stddev_formula():
 
 def test_shot_counts_must_be_integers_of_at_least_one():
     report = _exact_report(np.eye(2), np.array([1.0, 0.0], dtype=complex))
-    probs = [[report.p0, report.p1, report.p2]]
+    probs = [[[report.p0, report.p1, report.p2]]]
     for shots in (0.5, 0, -3, 100.0, "100", None, True, False, np.True_):
         with pytest.raises(ValueError):
-            sample_shot_stack(probs, shots, 1)
+            sample_shot_stack(probs, shots, [1])
         with pytest.raises(ValueError):
             estimator_stddev(report, shots)
-    assert sample_shot_stack(probs, np.int64(3), 1)[0].sum() == 3
+    assert sample_shot_stack(probs, np.int64(3), [1])[0].sum() == 3
     # A multinomial draw takes at most 2**63 - 1 shots; more is refused up front.
-    assert sum(sample_shot_stack(probs, 2**63 - 1, 1)[0][0].tolist()) == 2**63 - 1
+    assert sum(sample_shot_stack(probs, 2**63 - 1, [1])[0][0, 0].tolist()) == 2**63 - 1
     for shots in (2**63, 10**20, np.uint64(2**63)):
         with pytest.raises(ValueError, match="shots must be an integer"):
-            sample_shot_stack(probs, shots, 1)
+            sample_shot_stack(probs, shots, [1])
         with pytest.raises(ValueError, match="shots must be an integer"):
             estimator_stddev(report, shots)
     # A circuit landscape refuses the same counts before computing any cell.

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import errno
 import json
 import math
 import os
@@ -144,7 +145,7 @@ def _check_term_by_term(tmp_path, n, thetas, phis, shots, master_seed):
     lines = ["n,theta_deg,phi_deg,chsh_margin,kcbs_margin,mode,shots,seed\n"]
     for cell, (theta, phi) in enumerate((t, p) for t in thetas for p in phis):
         state = prepare_state1(math.radians(theta), math.radians(phi))
-        co = chsh_coefficients(state, n)
+        co = chsh_coefficients(state[0], n)
         r0, r2 = alice_rotation(co.omega0).matrix, alice_rotation(co.omega2).matrix
         terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
         terms += [(np.eye(2), kcbs_pair(n, j).matrix) for j in range(n)]
@@ -382,12 +383,12 @@ def test_fourier_test_sampled_output(tmp_path):
     assert payload["shots"] == 50000
     assert abs(payload["estimators"]["combined"] - payload["exact_value"]) <= 0.05
     assert payload["bob"] == "B_3 B_4"
-    # Counts and estimators are row 0 of the library's shot stack at the same seed.
+    # Counts and estimators are the library's one-cell, one-test shot stack at the same seed.
     probs = run_hybrid_tests(prepare_state1(math.pi / 2, 0.0), np.eye(2)[None],
                              kcbs_pair(5, 3).matrix[None])
-    counts, estimates = sample_shot_stack(probs, 50000, 11)
-    assert payload["counts"] == counts[0].tolist()
-    assert list(payload["estimators"].values()) == estimates[0].tolist()
+    counts, estimates = sample_shot_stack(probs[None], 50000, [11])
+    assert payload["counts"] == counts[0, 0].tolist()
+    assert list(payload["estimators"].values()) == estimates[0, 0].tolist()
     assert list(payload["probabilities"].values()) == probs[0].tolist()
 
 
@@ -601,13 +602,81 @@ def test_a_grid_too_large_for_memory_is_a_domain_error(monkeypatch, tmp_path, ca
     assert not out.exists()
 
 
+BEYOND_A_FLOAT = 10**400 + 1
+
+
+@pytest.mark.parametrize("command, sizes, args", [
+    ("threshold", str(BEYOND_A_FLOAT), []),
+    ("observables", str(BEYOND_A_FLOAT), ["--out", "out.json"]),
+    ("landscape", str(BEYOND_A_FLOAT), ["--theta", "0", "--phi", "0", "--out", "out.csv"]),
+    ("landscape", str(BEYOND_A_FLOAT), ["--theta", "0", "--phi", "0", "--mode", "circuit",
+                                        "--shots", "10", "--out", "out.csv"]),
+    ("coexist", str(BEYOND_A_FLOAT), ["--out", "out.csv"]),
+    ("coexist", f"5,{BEYOND_A_FLOAT}", ["--out", "out.csv"]),
+    ("scaling", f"5,{BEYOND_A_FLOAT}", ["--out", "out.csv"]),
+    ("fourier-test", str(BEYOND_A_FLOAT), ["--theta", "30", "--phi", "0", "--alice", "w0",
+                                           "--bob", "b0", "--out", "out.json"]),
+], ids=["threshold", "observables", "landscape", "circuit-landscape", "coexist", "coexist-list",
+        "scaling-list", "fourier-test"])
+def test_a_size_beyond_a_float_is_a_domain_error(tmp_path, capsys, monkeypatch, command, sizes,
+                                                 args):
+    # The cycle constants need n as a float; a larger n is refused by name, not
+    # left to an OverflowError traceback under the validation-failure code.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, "--n", sizes, *args) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cycle size must be an odd integer in [5, ")
+    assert err[0].endswith(f"got {BEYOND_A_FLOAT}")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("sizes", [
+    "5:99999999999999999999:2",  # more sizes than a list can hold
+    "5:2000000000000001:2",  # 10**15 sizes, 8 PB of pointers, beyond the address space
+])
+def test_a_cycle_range_too_long_for_memory_is_a_domain_error(tmp_path, capsys, sizes):
+    out = tmp_path / "out.csv"
+    assert run_cli("coexist", "--n", sizes, "--out", str(out)) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cycle range {sizes!r} has too many sizes for memory"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_io_error_leaves_no_partial_file(tmp_path, capsys):
-    missing_dir = tmp_path / "not-here" / "out.csv"
-    code = run_cli("coexist", "--n", "5:5:1", "--out", str(missing_dir))
+    _check_missing_parent(tmp_path, capsys, "coexist", "--n", "5:5:1")
+
+
+def test_json_io_error_names_the_output_path(tmp_path, capsys):
+    _check_missing_parent(tmp_path, capsys, "fourier-test", "--n", "5", "--theta", "30",
+                          "--phi", "0", "--alice", "w0", "--bob", "b0")
+
+
+def _check_missing_parent(tmp_path, capsys, *argv):
+    missing_dir = tmp_path / "not-here" / "out"
+    code = run_cli(*argv, "--out", str(missing_dir))
     assert code == cli.EXIT_IO
+    # The message names the output path, not the temp file beside it.
+    assert capsys.readouterr().err.splitlines() == [
+        f"I/O error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(missing_dir)!r}"]
     assert not missing_dir.exists()
     assert not (tmp_path / "not-here").exists()
-    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("landscape", ["--n", "5", "--theta", "0:180:2001", "--phi", "0:360:721"]),
+    ("fourier-test", ["--n", "5", "--theta", "30", "--phi", "0", "--alice", "w0", "--bob", "b0"]),
+])
+def test_an_output_directory_is_refused_before_any_block_is_computed(tmp_path, capsys,
+                                                                    monkeypatch, command, args):
+    blocks = []
+    monkeypatch.setattr(experiments.LandscapeTable, "blocks", lambda table: blocks.append(table))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(command, *args, "--out", str(out)) == cli.EXIT_IO
+    assert capsys.readouterr().err.splitlines() == [
+        f"I/O error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}"]
+    assert blocks == []
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(out) == []
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -358,7 +358,7 @@ def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
     bm, b0 = bm_bm1_closed_form(n).matrix, b0_closed_form(n).matrix
     for cell, theta in enumerate([40.0, 70.0]):
         state = prepare_state1(math.radians(theta), math.radians(30.0))
-        co = chsh_coefficients(state, n)
+        co = chsh_coefficients(state[0], n)
         r0, r2 = alice_rotation(co.omega0).matrix, alice_rotation(co.omega2).matrix
         terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
         terms += [(np.eye(2), kcbs_pair(n, j).matrix) for j in range(n)]

@@ -52,3 +52,12 @@ def test_large_n_kcbs_pair_runs_in_bounded_memory(tmp_path):
     peak = _peak_mib(tmp_path, "fourier-test", "--n", "2000001", "--theta", "40", "--phi", "10",
                      "--alice", "id", "--bob", "pair:0", "--out", "pair.json")
     assert peak < 60
+
+
+@needs_wait4
+def test_multi_block_analytic_landscape_runs_in_bounded_memory(tmp_path):
+    # 2001 x 721 = 1442721 cells, 23 kernel blocks of at most BLOCK_CELLS cells,
+    # each formatted and written before the next is computed.
+    peak = _peak_mib(tmp_path, "landscape", "--n", "5", "--theta", "0:180:2001",
+                     "--phi", "0:360:721", "--out", "grid.csv")
+    assert peak < 60

@@ -44,6 +44,15 @@ def test_cycle_geometry_rejects_bad_sizes(bad):
         cycle_geometry(bad)
 
 
+@pytest.mark.parametrize("sizes", [10**400 + 1, [5, 10**400 + 1, 10**500 + 1],
+                                   np.array([7, 10**400 + 1], dtype=object)],
+                         ids=["one", "list", "object-array"])
+def test_cycle_geometry_refuses_a_size_beyond_a_float_by_name(sizes):
+    # The constants need n as a float; the first size beyond one is named.
+    with pytest.raises(InvalidCycle, match=rf"odd integer in \[5, .*\], got {10**400 + 1}$"):
+        cycle_geometry(sizes)
+
+
 @pytest.mark.parametrize("sizes", [
     np.arange(5, 20002, 2),
     np.array(list(range(5, 20002, 2)) + [100000000000000000001], dtype=object),
