@@ -50,8 +50,9 @@ def _bob_bank(n: int, terms: range) -> np.ndarray:
     if terms.start < 4:
         bm, b0 = observables.bm_bm1_closed_form(n).matrix, observables.b0_closed_form(n).matrix
         chsh = np.array([bm, b0, bm, b0])[terms.start:terms.stop]
-    cycle = observables.kcbs_observables(
-        n, np.arange(max(terms.start, 4) - 4, max(terms.stop, 4) - 3) % n)
+    first, stop = max(terms.start, 4) - 4, max(terms.stop, 4) - 3
+    # Only row n wraps (to 0), so min(n, stop) serves as the modulus, in int64 for any n.
+    cycle = observables.kcbs_observables(n, np.arange(first, stop) % min(n, stop))
     return np.concatenate([chsh, cycle[:-1] @ cycle[1:]])
 
 
@@ -220,9 +221,6 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
     seed = 0 if seed is None else seed
     if type(seed) is bool or not isinstance(seed, int | np.integer) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    # Blocks keep memory bounded in n, so a cycle whose last row cannot be built is
-    # refused here rather than after n / BLOCK_TERMS blocks.
-    observables.kcbs_vectors(n, [n - 1])
     return LandscapeTable(n=n, thetas_deg=thetas, phis_deg=phis, mode="circuit",
                           shots=circuits.check_shots(shots), master_seed=int(seed))
 

@@ -3,7 +3,8 @@
 The odd n-cycle lives on a qutrit.  Its unit vectors ``psi_j`` (adjacent
 pairs orthogonal) and sign-alternating reflections ``B_j`` are built once
 per cycle as an (n, 3) and an (n, 3, 3) array, or for chosen rows only,
-so a few rows of a large cycle cost O(rows); beside them are the closed
+so a few rows of a large cycle cost O(rows), each from its reduced angle
+j pi / n and exact to a few ulp at any size; beside them are the closed
 forms of ``B_0``, the middle product ``B_m B_{m+1}`` and the diagonal cycle
 operator ``S``.  Alice only needs the reflection ``R(omega)`` in the XZ plane.
 """
@@ -60,10 +61,10 @@ def cycle_geometry(n) -> CycleGeometry:
             f"cycle size must be an odd integer in [5, {sys.float_info.max!r}], got {n!r}")
     n_float = sizes.astype(float)
     c = np.cos(np.pi / n_float)
-    s2 = np.sin(np.pi / (2 * n_float))
+    s2 = np.sin(np.pi / 2 / n_float)  # 2 * n_float would overflow near the largest float
     m = (sizes - 1) // 2
     coupling = np.where(m % 2 == 1, -4.0, 4.0) * s2
-    fields = (sizes, c, s2, m, n_float * (1 - c) / (1 + c), n_float * (3 * c - 1) / (1 + c),
+    fields = (sizes, c, s2, m, n_float * ((1 - c) / (1 + c)), n_float * ((3 * c - 1) / (1 + c)),
               coupling + 2.0, coupling - 2.0)
     if sizes.ndim == 0:
         fields = [np.asarray(value).item() for value in fields]
@@ -74,22 +75,21 @@ def kcbs_vectors(n: int, rows=None) -> np.ndarray:
     """The cycle's unit vectors as a read-only (n, 3) array, adjacent rows orthogonal.
 
     Row j is ``(cos a_j, sin a_j, sqrt(c)) / sqrt(1 + c)`` with ``a_j = j (n-1) pi / n``.
-    ``rows``, a sequence of indices in [0, n), builds only those rows, in
-    that order, each equal to its row of the whole cycle.  A row whose
-    integer j (n-1) overflows 64 bits raises IndexOutOfRange.
+    For odd n, ``a_j = (j mod 2) pi - x`` (mod 2 pi) with ``x = j pi / n`` in [0, pi), so
+    the row is built as ``((-1)^j cos x, -(-1)^j sin x, sqrt(c)) / sqrt(1 + c)``: no
+    integer product is formed, and every row of every size in float range is within a
+    few ulp of the exact angle.  ``rows``, a sequence of indices in [0, n), builds only
+    those rows, in that order, each equal to its row of the whole cycle.
     """
     geo = cycle_geometry(n)
     index = np.arange(geo.n) if rows is None else np.asarray(rows).reshape(-1)
-    if index.size:
-        last = int(index.max())
-        if int(index.min()) < 0 or last >= geo.n:
-            raise IndexOutOfRange(f"cycle rows must be in [0, {geo.n - 1}], got {rows!r}")
-        if max(last, 1) * (geo.n - 1) > np.iinfo(np.int64).max:
-            raise IndexOutOfRange(f"cycle row {last} of n = {geo.n}: "
-                                  f"j (n-1) overflows 64-bit integers")
-    angles = index.astype(np.int64) * (geo.n - 1) * math.pi / geo.n
-    vectors = np.stack([np.cos(angles), np.sin(angles), np.full(index.size, math.sqrt(geo.c))],
-                       axis=1) / math.sqrt(1 + geo.c)
+    if index.size and (int(index.min()) < 0 or int(index.max()) >= geo.n):
+        raise IndexOutOfRange(f"cycle rows must be in [0, {geo.n - 1}], got {rows!r}")
+    x = index.astype(float) * math.pi / geo.n  # indices beyond int64 come as an object array
+    sign = np.where(index % 2 == 1, -1.0, 1.0)
+    # Subtracting from 0.0 keeps row 0's y entry +0.0, as sin(0) gives it.
+    vectors = np.stack([sign * np.cos(x), 0.0 - sign * np.sin(x),
+                        np.full(index.size, math.sqrt(geo.c))], axis=1) / math.sqrt(1 + geo.c)
     vectors.setflags(write=False)
     return vectors
 

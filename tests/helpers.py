@@ -1,8 +1,9 @@
-"""Test helpers: readers for the files the package writes, and an independent circuit oracle."""
+"""Test helpers: output readers, exact cycle rows and an independent circuit oracle."""
 
 import math
 
 import numpy as np
+import pytest
 
 from chsh_kcbs.circuits import (CircuitSpec, GateOp, controlled_power, embed_alice, f3, phase_gate,
                                 rotation, run_circuit, x02)
@@ -17,6 +18,26 @@ def matrix_from_json(payload: dict) -> np.ndarray:
         raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
     flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(rows, cols)
+
+
+def exact_cycle_rows(n: int, rows) -> list:
+    """Rows of the n-cycle at the exact angle j (n - 1) pi / n, as 40-digit mpmath numbers.
+
+    The angle is reduced mod 2 pi in integers, as (j (n - 1) mod 2n) pi / n.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c = mpmath.cos(mpmath.pi / n)
+        scale = mpmath.sqrt(1 + c)
+        return [[mpmath.cos(a) / scale, mpmath.sin(a) / scale, mpmath.sqrt(c) / scale]
+                for a in (j * (n - 1) % (2 * n) * mpmath.pi / n for j in rows)]
+
+
+def worst_error(values, exact) -> float:
+    """Largest |value - exact| over the entries of a float array and a like-shaped exact nest."""
+    mpmath = pytest.importorskip("mpmath")
+    pairs = zip(np.asarray(values).real.ravel().tolist(), np.asarray(exact, dtype=object).ravel())
+    return max(float(abs(mpmath.mpf(value) - reference)) for value, reference in pairs)
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]], dict]:

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -392,6 +393,18 @@ def test_fourier_test_sampled_output(tmp_path):
     assert list(payload["probabilities"].values()) == probs[0].tolist()
 
 
+@pytest.mark.parametrize("n, j", [(3037000501, 3037000499), (10**30 + 1, 10**30 - 1)],
+                         ids=["j-n-beyond-int64", "n-beyond-int64"])
+def test_fourier_test_reads_any_pair_of_a_huge_cycle(tmp_path, n, j):
+    # Cycle rows are built from j pi / n, so no J (n - 1) product has to fit 64 bits.
+    out = tmp_path / "fourier.json"
+    assert run_cli("fourier-test", "--n", str(n), "--theta", "90", "--phi", "0", "--alice", "id",
+                   "--bob", f"pair:{j}", "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    assert payload["bob"] == f"B_{j} B_{j + 1}"
+    assert math.isfinite(payload["exact_value"])
+
+
 def test_fourier_test_theta_range_is_checked_in_degrees(tmp_path, capsys):
     out = tmp_path / "fourier.json"
     assert run_cli("fourier-test", "--n", "5", "--theta", "200", "--phi", "0", "--alice", "id",
@@ -562,17 +575,11 @@ def test_echoed_metadata_reads_back_as_the_same_run(tmp_path, name):
     assert second.read_bytes() == first.read_bytes()
 
 
-@pytest.mark.parametrize("command, args", [
-    ("landscape", ["--theta", "0:0:1", "--phi", "0:0:1", "--mode", "circuit", "--shots", "10"]),
-    ("observables", []),
-])
-def test_a_size_too_large_for_memory_is_a_domain_error(tmp_path, capsys, command, args):
+def test_a_size_too_large_for_memory_is_a_domain_error(tmp_path, capsys):
     # n = 10**15 + 1: the observables ask numpy for about 7 PiB, beyond the address
-    # space, and a circuit landscape, whose blocks keep memory bounded in n, is
-    # refused because its cycle's angles j (n - 1) pi / n overflow 64-bit integers.
-    # Both are refused before anything is allocated.
+    # space, and are refused before anything is allocated.
     out = tmp_path / "out"
-    assert run_cli(command, "--n", str(10**15 + 1), *args, "--out", str(out)) == cli.EXIT_DOMAIN
+    assert run_cli("observables", "--n", str(10**15 + 1), "--out", str(out)) == cli.EXIT_DOMAIN
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert os.listdir(tmp_path) == []
@@ -628,6 +635,24 @@ def test_a_size_beyond_a_float_is_a_domain_error(tmp_path, capsys, monkeypatch, 
     assert len(err) == 1 and err[0].startswith("error: cycle size must be an odd integer in [5, ")
     assert err[0].endswith(f"got {BEYOND_A_FLOAT}")
     assert os.listdir(tmp_path) == []
+
+
+LARGEST_ODD_SIZE = int(sys.float_info.max) - 1
+
+
+@pytest.mark.parametrize("command, args", [
+    ("threshold", []),
+    ("landscape", ["--theta", "0:180:3", "--phi", "0:90:2", "--out", "out.csv"]),
+    ("fourier-test", ["--theta", "45", "--phi", "0", "--alice", "w0", "--bob", "bmbm1",
+                      "--out", "out.json"]),
+])
+def test_the_largest_odd_size_runs_with_no_overflow_warning(tmp_path, monkeypatch, capsys,
+                                                            command, args):
+    # The suite turns warnings into errors: an overflow inside the cycle constants,
+    # such as 2 n beyond the largest float, would fail this run.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, "--n", str(LARGEST_ODD_SIZE), *args) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("sizes", [

@@ -23,6 +23,7 @@ from chsh_kcbs import (
 from chsh_kcbs import experiments
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
 from chsh_kcbs.analytic import chsh_coefficients, state1
+from helpers import exact_cycle_rows, worst_error
 
 TABLE_POINTS = {5: (49.605, 0.343069), 23: (30.381, 0.227717), 55: (20.815, 0.11978)}
 
@@ -564,3 +565,38 @@ def test_validation_suite_passes():
     assert len(set(names)) == len(names)
     residual = next(row for row in rows if row[0].startswith("coexistence residual"))
     assert residual[2] == experiments.RESIDUAL_TOL
+
+
+def test_a_circuit_landscape_of_a_huge_cycle_computes_no_cell_up_front(monkeypatch):
+    # Nothing is built from the cycle when the table is made; its cells, bounded in
+    # memory whatever n is, are computed only as the table is iterated.
+    calls = []
+    monkeypatch.setattr(experiments, "_term_sums", lambda *args: calls.append(args))
+    table = landscape_scan(10**15 + 1, [30.0], [0.0, 45.0], mode="circuit", shots=10, seed=1)
+    assert len(table) == 2 and table.n == 10**15 + 1
+    assert calls == []
+
+
+def _exact_bank(n, terms):
+    """Bob's operator for each term from the exact cycle rows, as 40-digit mpmath matrices."""
+    mpmath = pytest.importorskip("mpmath")
+    m = (n - 1) // 2
+    factors = [[(m, m + 1), (0,), (m, m + 1), (0,)][t] if t < 4 else (t - 4, (t - 3) % n)
+               for t in terms]
+    bank = []
+    with mpmath.workdps(40):
+        for rows in factors:
+            product = mpmath.eye(3)
+            for j, row in zip(rows, exact_cycle_rows(n, rows)):
+                vector = mpmath.matrix(row)
+                product = product * ((-1) ** j * (2 * vector * vector.T - mpmath.eye(3)))
+            bank.append(product.tolist())
+    return bank
+
+
+@pytest.mark.parametrize("n, terms", [
+    (10**15 + 1, range(10**15, 10**15 + 5)),  # the last term block, wraparound pair included
+    (10**30 + 1, range(0, 100)),  # the first term block of a cycle beyond int64
+])
+def test_bob_bank_of_a_huge_cycle_matches_the_exact_cycle(n, terms):
+    assert worst_error(experiments._bob_bank(n, terms), _exact_bank(n, terms)) <= 2e-15

@@ -18,6 +18,7 @@ from chsh_kcbs import (
     kcbs_vectors,
     s_operator,
 )
+from helpers import exact_cycle_rows, worst_error
 
 ODD_CYCLES = list(range(5, 23, 2))
 
@@ -97,8 +98,10 @@ def test_cycle_stacks_match_a_per_row_formula_to_the_bit(n):
     c = math.cos(math.pi / n)
     vecs, mats = [], []
     for j in range(n):
-        angle = j * (n - 1) * math.pi / n
-        v = np.array([math.cos(angle), math.sin(angle), math.sqrt(c)]) / math.sqrt(1 + c)
+        # a_j = j (n - 1) pi / n reduced to (j mod 2) pi - x, x = j pi / n: no integer product.
+        x, sign = j * math.pi / n, (-1.0) ** j
+        v = np.array([sign * math.cos(x), 0.0 - sign * math.sin(x), math.sqrt(c)])
+        v = v / math.sqrt(1 + c)
         vecs.append(v)
         mats.append((-1) ** j * (2.0 * np.outer(v, v) - np.eye(3)))
     for stack, reference in ((kcbs_vectors(n), np.array(vecs)),
@@ -124,13 +127,21 @@ def test_cycle_rows_built_by_index_equal_the_whole_cycle_to_the_bit(sizes):
     for rows in ([7], [-1], [0, 7]):
         with pytest.raises(IndexOutOfRange):
             kcbs_observables(7, rows)
-    # j (n - 1) must fit 64-bit integers: the last row of n = 3037000499 does, of
-    # n = 3037000501 (and the pair that reaches it) does not.
-    assert kcbs_vectors(3037000499, [3037000498]).shape == (1, 3)
-    with pytest.raises(IndexOutOfRange, match="overflows 64-bit integers"):
-        kcbs_vectors(3037000501, [3037000500])
-    with pytest.raises(IndexOutOfRange, match="overflows 64-bit integers"):
-        kcbs_pair(3037000501, 3037000499)
+
+
+@pytest.mark.parametrize("sizes", [range(5, 102, 2), [999, 1001, 1999, 2001]])
+def test_whole_cycles_match_the_exact_angles_to_1e_15(sizes):
+    for n in sizes:
+        assert worst_error(kcbs_vectors(n), exact_cycle_rows(n, range(n))) <= 1e-15, n
+
+
+@pytest.mark.parametrize("n", [10**6 + 1, 10**8 + 1, 3037000501, 3 * 10**9 + 1, 10**12 + 1,
+                               10**18 + 1, 10**30 + 1])
+def test_chosen_rows_of_huge_cycles_match_the_exact_angles_to_1e_15(n):
+    # Each row's x = j pi / n is formed from j as a float, so no size in float range overflows.
+    rows = [0, 1, 2, n // 2, n - 2, n - 1]
+    assert worst_error(kcbs_vectors(n, rows), exact_cycle_rows(n, rows)) <= 1e-15
+    assert kcbs_pair(n, n - 2).label == f"B_{n - 2} B_{n - 1}"
 
 
 @pytest.mark.parametrize("sizes", [range(5, 400, 2), [1001, 20001]])
