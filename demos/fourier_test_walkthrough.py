@@ -33,14 +33,14 @@ print(f"preparation fidelity: {overlap:.15f}")
 
 # ------------------------------------------------------------------
 # 2. One CHSH correlator through the ancilla, read from the prepared
-#    state as a stack of one test: the three estimator readouts all
-#    equal the direct expectation in exact mode.
+#    state as a grid of one cell by one term: the three estimator
+#    readouts all equal the direct expectation in exact mode.
 # ------------------------------------------------------------------
 co = chsh_coefficients(target, 5)
 alice = alice_rotation(co.omega0)
 bob = bm_bm1_closed_form(5)
-probs = run_hybrid_tests(circuit_state, alice.matrix[None], bob.matrix[None])
-(p0, p1, p2), (combined, from_p0, from_p1) = probs[0], estimators(probs)[0]
+probs = run_hybrid_tests(circuit_state, alice.matrix[None, None], bob.matrix[None])
+(p0, p1, p2), (combined, from_p0, from_p1) = probs[0, 0], estimators(probs)[0, 0]
 direct = expectation(target, tensor(alice.matrix, bob.matrix))
 print(f"\nancilla probabilities: P0 = {p0:.6f}, P1 = {p1:.6f}, P2 = {p2:.6f}")
 print(f"estimators: combined = {combined:.12f}, "
@@ -55,7 +55,7 @@ print(f"direct expectation:   {direct:.12f}")
 report = FourierTestReport(p0, p1, p2, combined, from_p0, from_p1)
 print("\n shots      estimate     error      predicted sigma")
 for shots in (100, 10_000, 1_000_000):
-    _, sampled = sample_shot_stack(probs[None], shots, seeds=[42])
+    _, sampled = sample_shot_stack(probs, shots, seeds=[42])
     sigma = estimator_stddev(report, shots)
     err = abs(sampled[0, 0, 0] - direct)
     print(f" {shots:8d}   {sampled[0, 0, 0]:+.6f}   {err:.2e}   {sigma:.2e}")
@@ -63,6 +63,6 @@ for shots in (100, 10_000, 1_000_000):
 # ------------------------------------------------------------------
 # 4. Same seed, same counts: sampling is reproducible by construction.
 # ------------------------------------------------------------------
-first, _ = sample_shot_stack(probs[None], 10_000, seeds=[42])
-again, _ = sample_shot_stack(probs[None], 10_000, seeds=[42])
+first, _ = sample_shot_stack(probs, 10_000, seeds=[42])
+again, _ = sample_shot_stack(probs, 10_000, seeds=[42])
 print(f"\nrepeat with seed 42: counts match -> {first.tolist() == again.tolist()}")

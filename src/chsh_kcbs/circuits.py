@@ -3,22 +3,19 @@
 The gate library covers subspace rotations, phase gates, the qutrit
 Fourier transform, and the controlled power gate
 ``|a>|psi> -> |a> U^a |psi>``.  Past the gates, every function takes and
-returns stacks with a leading row axis: one state, test or distribution
+returns stacks with leading row axes: one state, test or distribution
 is a one-row stack.  Circuits run on an ordered list of qutrit registers,
 and a gate may be a (k, d, d) stack, one gate per row, so one run
 simulates k circuits of the same shape.  The minimal state is prepared
 on the (alice, bob) pair with Alice's level 2 left empty; every
 correlator of the hybrid protocol is then a Fourier test on a prepared
 state, with Alice's 2x2 observables embedded into 3x3 by a unit on the
-dead level.
-
-:func:`fourier_tests` is the one Fourier-test readout.  It checks a
-stack of k operators at once and simulates all k tests together on a
-(k, 3 ancilla, d) state, test r on row r of a (k, d) stack of states:
-F3 on the ancilla axis, U on ancilla block 1 and U U on block 2, then
-the inverse F3.  :func:`run_hybrid_tests` stacks the products
-A_r (x) B_r for it, so a block of (cell, term) rows of a landscape is
-one simulation.
+dead level.  :func:`run_hybrid_tests` runs the products A[i, j] (x) B[j]
+over a (cell, term) grid and checks only their two factor stacks;
+:func:`fourier_tests` checks a (k, d, d) stack.  Every operator check
+names the gate or stack and its first failing entry.  Both share one
+readout that simulates all their tests at once: F3 on the ancilla axis,
+U on ancilla block 1 and U U on block 2, then the inverse F3.
 
 The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
@@ -97,11 +94,25 @@ def x02() -> np.ndarray:
     return np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
 
 
+def _check_ops(ops, name: str, hermitian: bool = False) -> None:
+    """Refuse a matrix or stack that is not Hermitian (if asked, checked first) and unitary.
+
+    The error names the operator and a stack's first failing entry, in row-major order.
+    """
+    checks = [(unitarity_check, GATE_UNITARY_TOL, NotUnitary, "unitary")]
+    if hermitian:
+        checks.insert(0, (hermiticity_check, FOURIER_INPUT_TOL, NotHermitian, "Hermitian"))
+    for check, tol, error, what in checks:
+        ok = np.asarray(check(ops, tol))
+        if not ok.all():
+            entry = f" entry {np.flatnonzero(~ok)[0]}" if ok.ndim else ""
+            raise error(f"{name}{entry} is not {what} within {tol:g}")
+
+
 def controlled_power(u) -> np.ndarray:
     """Controlled power gate: block diagonal (I, U, U^2) in control-level order."""
     u = np.asarray(u, dtype=complex)
-    if not unitarity_check(u, GATE_UNITARY_TOL):
-        raise NotUnitary(f"controlled gate needs a unitary within {GATE_UNITARY_TOL:g}")
+    _check_ops(u, "controlled gate")
     d = u.shape[0]
     out = np.zeros((3 * d, 3 * d), dtype=complex)
     out[:d, :d] = np.eye(d)
@@ -111,12 +122,10 @@ def controlled_power(u) -> np.ndarray:
 
 
 def embed_alice(a2) -> np.ndarray:
-    """Embed a 2x2 Alice operator into the qutrit as a direct sum with 1.
+    """Embed a 2x2 Alice operator, or a stack of them, into the qutrit as a direct sum with 1.
 
-    Alice's level 2 carries no amplitude in the protocol, so the unit
-    entry changes no expectation value while keeping the operator both
-    Hermitian and unitary whenever the input is.  A stack of 2x2
-    operators embeds entry by entry.
+    Alice's level 2 carries no amplitude in the protocol, so the unit entry
+    changes no expectation value and keeps a Hermitian unitary one.
     """
     a2 = np.asarray(a2, dtype=complex)
     out = np.zeros(a2.shape[:-2] + (3, 3), dtype=complex)
@@ -173,10 +182,7 @@ def run_circuit(spec: CircuitSpec) -> np.ndarray:
     alice = spec.registers.index("alice") if "alice" in spec.registers else None
 
     for op, gate in zip(spec.ops, gates):
-        ok = unitarity_check(gate, GATE_UNITARY_TOL)
-        if not np.all(ok):
-            entry = f" entry {np.argmin(ok)}" if gate.ndim == 3 else ""
-            raise NotUnitary(f"gate {op.label!r}{entry} is not unitary within {GATE_UNITARY_TOL:g}")
+        _check_ops(gate, f"gate {op.label!r}")
         size = gate.shape[-1]
         span = round(math.log(size, 3))
         if 3 ** span != size or op.first_register + span > n_reg:
@@ -244,56 +250,54 @@ def estimators(probs) -> np.ndarray:
 def fourier_tests(ops, psi) -> np.ndarray:
     """Exact Fourier tests of a (k, d, d) stack of Hermitian unitaries on a (k, d) stack of states.
 
-    Row i of the (k, 3) result is the ancilla distribution (p0, p1, p2)
-    of the test of ``ops[i]`` on ``psi[i]``.  The operators are checked
-    once, before any state is read: their shape (``DimensionMismatch``),
-    then Hermiticity and unitarity, naming the first failing entry; then
-    each state's norm, and one state per operator (``DimensionMismatch``).
-    The k tests run as one simulation: F3 on the ancilla axis, U on
-    ancilla block 1 and U U on block 2, then the inverse F3.
+    Row i of the (k, 3) result is the test of ``ops[i]`` on ``psi[i]``.
+    The operators are checked before any state is read: their shape
+    (``DimensionMismatch``), then each entry; then each state's norm, and
+    one state per operator (``DimensionMismatch``).
     """
     ops = np.asarray(ops, dtype=complex)
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
         raise DimensionMismatch(
             f"Fourier test needs a (k, d, d) stack of square operators, got shape {ops.shape}")
-    _first_failure(hermiticity_check, ops, FOURIER_INPUT_TOL, NotHermitian, "Hermitian")
-    _first_failure(unitarity_check, ops, GATE_UNITARY_TOL, NotUnitary, "unitary")
-    d = ops.shape[-1]
-    vec = state_vector(psi, dim=d, require_normalized=True)
+    _check_ops(ops, "Fourier test operator", hermitian=True)
+    vec = state_vector(psi, dim=ops.shape[-1], require_normalized=True)
     if vec.ndim != 2 or len(vec) != len(ops):
         raise DimensionMismatch(f"Fourier test needs one state per operator, "
                                 f"got states of shape {vec.shape} for {len(ops)} operators")
-
-    fourier = f3()
-    # F3 on ancilla |0>: block a of every row is F3[a, 0] times the row's state.
-    state = fourier[:, 0, None] * vec[:, None, :]
-    state[:, 1] = (ops @ state[:, 1, :, None])[..., 0]
-    state[:, 2] = ((ops @ ops) @ state[:, 2, :, None])[..., 0]
-    state = np.einsum("ab,kbi->kai", fourier.conj().T, state)
-    return np.sum(np.abs(state) ** 2, axis=-1)
-
-
-def _first_failure(check, ops, tol: float, error, what: str) -> None:
-    bad = np.flatnonzero(~np.asarray(check(ops, tol)))
-    if bad.size:
-        raise error(f"Fourier test needs {what} operators within {tol:g}; entry {bad[0]} is not")
+    return _readout(ops, vec)
 
 
 def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:
-    """Fourier tests of every A_r (x) B_r on prepared qubit-qutrit states.
+    """(c, t, 3) ancilla distributions of A[i, j] (x) B[j] on state i, over a (cell, term) grid.
 
-    ``alice_ops`` is a (k, 2, 2) stack of qubit operators, ``bob_ops`` a
-    (k, 3, 3) stack of qutrit operators and ``states`` a (k, 6) stack of
-    prepared states, row r for test r.  Each A_r is embedded with a unit on
-    Alice's empty level 2, the k products are stacked in one einsum, and
-    :func:`fourier_tests` checks and reads them all at once.  Returns the
-    (k, 3) ancilla probabilities.
+    ``states`` is (c, 6), ``alice_ops`` (c, t, 2, 2) and ``bob_ops`` a (t, 3, 3)
+    bank.  The shapes are checked first (``DimensionMismatch``), then each
+    factor stack once, Hermiticity then unitarity, then each state's norm.
+    A product of two such factors is a Hermitian unitary, so no product is
+    checked.  Each A is embedded by a unit on Alice's empty level 2.
     """
-    alice = embed_alice(alice_ops)
-    bob = np.asarray(bob_ops, dtype=complex)
-    k = alice.shape[0]
-    ops = np.einsum("kij,kab->kiajb", alice, bob).reshape(k, 9, 9)
-    return fourier_tests(ops, embed_joint_state(states))
+    states, alice, bob = (np.asarray(x, dtype=complex) for x in (states, alice_ops, bob_ops))
+    if (states.shape[1:] != (6,) or bob.shape[1:] != (3, 3)
+            or alice.shape != (len(states), len(bob), 2, 2)):
+        raise DimensionMismatch(f"hybrid tests need (c, 6) states, (c, t, 2, 2) and (t, 3, 3) "
+                                f"factors, got {states.shape}, {alice.shape} and {bob.shape}")
+    _check_ops(alice, "Alice factor", hermitian=True)
+    _check_ops(bob, "Bob factor", hermitian=True)
+    vec = state_vector(embed_joint_state(states), dim=9, require_normalized=True)
+    ops = np.einsum("ctij,tab->ctiajb", embed_alice(alice), bob)
+    return _readout(ops.reshape(alice.shape[:2] + (9, 9)), vec[:, None])
+
+
+def _readout(ops, vec) -> np.ndarray:
+    """Ancilla distributions of checked (..., d, d) ops on states broadcast to (..., d)."""
+    fourier = f3()
+    # F3 on ancilla |0>: block a of every test is F3[a, 0] times its state.
+    state = fourier[:, 0, None] * vec[..., None, :]
+    state = np.broadcast_to(state, ops.shape[:-2] + state.shape[-2:]).copy()
+    state[..., 1, :] = (ops @ state[..., 1, :, None])[..., 0]
+    state[..., 2, :] = ((ops @ ops) @ state[..., 2, :, None])[..., 0]
+    state = np.einsum("ab,...bi->...ai", fourier.conj().T, state)
+    return np.sum(np.abs(state) ** 2, axis=-1)
 
 
 def check_shots(shots) -> int:

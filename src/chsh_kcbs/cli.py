@@ -336,9 +336,9 @@ def _run_fourier_test(args) -> int:
     bob = _bob_observable(args.n, args.bob)
 
     probs = circuits.run_hybrid_tests(circuits.prepare_state1(theta, phi),
-                                      alice.matrix[None], bob.matrix[None])
-    counts, estimators = (circuits.sample_shot_stack(probs[None], args.shots, [args.seed])
-                          if args.shots else (None, circuits.estimators(probs[None])))
+                                      alice.matrix[None, None], bob.matrix[None])
+    counts, estimators = (circuits.sample_shot_stack(probs, args.shots, [args.seed])
+                          if args.shots else (None, circuits.estimators(probs)))
 
     payload = {
         "n": args.n,
@@ -346,7 +346,7 @@ def _run_fourier_test(args) -> int:
         "phi_deg": args.phi,
         "alice": alice.label,
         "bob": bob.label,
-        "probabilities": dict(zip(("p0", "p1", "p2"), probs[0].tolist())),
+        "probabilities": dict(zip(("p0", "p1", "p2"), probs[0, 0].tolist())),
         "counts": None if counts is None else counts[0, 0].tolist(),
         "shots": args.shots,
         "estimators": dict(zip(("combined", "from_p0", "from_p1"), estimators[0, 0].tolist())),

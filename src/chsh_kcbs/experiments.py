@@ -68,8 +68,8 @@ def _term_sums(n: int, thetas, phis, seeds, shots) -> tuple[np.ndarray, np.ndarr
 
     The group, at most ``BLOCK_TERMS`` cells, is prepared in one run and
     reduced to its CHSH settings once.  Its terms run in blocks of at most
-    ``BLOCK_TERMS``: each term block builds Bob's operators once and runs
-    as Fourier tests of ``BLOCK_TERMS // len(block)`` cells by that block.
+    ``BLOCK_TERMS``: each term block builds Bob's bank once and runs as
+    (cell, term) grids of ``BLOCK_TERMS // len(block)`` cells by that bank.
     Each cell draws its shots in term order from one generator seeded by
     its cell seed, so its stream and its sums carry from block to block.
     CHSH takes its fourth term and KCBS its wraparound term with a minus sign.
@@ -87,13 +87,10 @@ def _term_sums(n: int, thetas, phis, seeds, shots) -> tuple[np.ndarray, np.ndarr
         per_test = BLOCK_TERMS // block.size
         for first in range(0, cells, per_test):
             rows = slice(first, first + per_test)
-            count = len(states[rows])
-            alice = np.broadcast_to(np.eye(2, dtype=complex), (count, block.size, 2, 2)).copy()
+            alice = np.broadcast_to(np.eye(2), (len(states[rows]), block.size, 2, 2)).copy()
             alice[:, :split] = rotations[rows, start:start + split]
-            probs = circuits.run_hybrid_tests(np.repeat(states[rows], block.size, axis=0),
-                                              alice.reshape(-1, 2, 2), np.tile(bob, (count, 1, 1)))
-            signed = sign * circuits.sample_shot_stack(probs.reshape(count, block.size, 3), shots,
-                                                       generators[rows])[1][..., 0]
+            probs = circuits.run_hybrid_tests(states[rows], alice, bob)
+            signed = sign * circuits.sample_shot_stack(probs, shots, generators[rows])[1][..., 0]
             chsh[rows] = _running_sums(chsh[rows], signed[:, :split])
             kcbs[rows] = _running_sums(kcbs[rows], signed[:, split:])
     return chsh, kcbs
@@ -114,15 +111,14 @@ class LandscapeTable:
     ``BLOCK_CELLS`` cells at a time, so a pass costs O(block) memory
     however large the grid.  :meth:`blocks` is the one read path: the
     writer formats its rows and a caller reads its numbers, both from the
-    same ``serialize.Columns``.  Circuit mode runs a block's cells in
-    groups of at most ``BLOCK_TERMS``, each prepared in one run.  A
-    group's n + 4 terms run in term blocks of at most ``BLOCK_TERMS``,
-    each with one bank of Bob's operators and Fourier tests of as many
-    cells as fit ``BLOCK_TERMS`` rows; a cell's generator and running
-    sums carry from block to block.  So a pass holds
-    O(``BLOCK_TERMS``) rows of operators however large n is.  Every pass
-    samples the cells again, from the same seeds, so every pass gives the
-    same values, and no value depends on how the rows are blocked.
+    same ``serialize.Columns``.  Circuit mode prepares a block's cells in
+    groups of at most ``BLOCK_TERMS`` and runs a group's n + 4 terms in
+    term blocks of at most ``BLOCK_TERMS``.  Each term block is one bank of
+    Bob's t operators, tested on (cell, term) grids of as many cells c as
+    keep c t within ``BLOCK_TERMS``, with only the factors checked.  A
+    cell's generator and running sums carry from block to block, so a pass
+    holds O(``BLOCK_TERMS``) rows however large n is, and no value depends
+    on the blocking.  Every pass samples again from the same seeds.
     """
 
     n: int
@@ -411,16 +407,16 @@ def run_validation() -> list[tuple[str, float, float, bool]]:
         bob = (observables.b0_closed_form(n) if rng.uniform() < 0.5
                else observables.bm_bm1_closed_form(n))
         probs = circuits.run_hybrid_tests(circuits.prepare_state1(theta, phi),
-                                          alice.matrix[None], bob.matrix[None])
+                                          alice.matrix[None, None], bob.matrix[None])[0, 0]
         direct = expectation(psi, tensor(alice.matrix, bob.matrix))
-        gaps += [abs(circuits.estimators(probs)[0, 0] - direct), abs(probs[0, 1] - probs[0, 2])]
+        gaps += [abs(circuits.estimators(probs)[0] - direct), abs(probs[1] - probs[2])]
     check("Fourier test vs analytic correlators, max gap", gaps, 1e-10)
 
     # Sampling determinism.
     base = circuits.run_hybrid_tests(circuits.prepare_state1(0.9, 0.4),
-                                     observables.alice_rotation(0.3).matrix[None],
+                                     observables.alice_rotation(0.3).matrix[None, None],
                                      observables.b0_closed_form(5).matrix[None])
-    counts_a, counts_b = (circuits.sample_shot_stack(base[None], 5000, [11])[0] for _ in range(2))
+    counts_a, counts_b = (circuits.sample_shot_stack(base, 5000, [11])[0] for _ in range(2))
     check("seeded sampling, max count difference between reruns", np.abs(counts_a - counts_b), 0)
 
     # Coexistence residuals and the tabulated n = 5 point.

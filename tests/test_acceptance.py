@@ -157,20 +157,21 @@ def test_criterion_5_circuit_analytic_equivalence():
             bob = bm_bm1_closed_form(n)
         else:
             bob = kcbs_pair(n, int(rng.integers(0, n)))
-        exact = run_hybrid_tests(prepare_state1(theta, phi), alice.matrix[None], bob.matrix[None])
+        exact = run_hybrid_tests(prepare_state1(theta, phi), alice.matrix[None, None],
+                                 bob.matrix[None])
         direct = expectation(psi, tensor(alice.matrix, bob.matrix))
-        worst = max(worst, abs(estimators(exact)[0, 0] - direct))
+        worst = max(worst, abs(estimators(exact)[0, 0, 0] - direct))
     exact_ok = worst <= 1e-10
 
     theta = math.radians(49.605)
     probs = run_hybrid_tests(prepare_state1(theta, 0.0), alice_rotation(
-        chsh_coefficients(state1(theta, 0.0), 5).omega0).matrix[None],
+        chsh_coefficients(state1(theta, 0.0), 5).omega0).matrix[None, None],
         bm_bm1_closed_form(5).matrix[None])
-    config = FourierTestReport(*probs[0].tolist(), *estimators(probs)[0].tolist())
+    config = FourierTestReport(*probs[0, 0].tolist(), *estimators(probs)[0, 0].tolist())
     shots = 100_000
     sigma = estimator_stddev(config, shots)
     inside = sum(
-        abs(sample_shot_stack(probs[None], shots, [seed])[1][0, 0, 0]
+        abs(sample_shot_stack(probs, shots, [seed])[1][0, 0, 0]
             - config.estimator_combined) <= 5 * sigma
         for seed in range(100))
     sampled_ok = inside >= 99

@@ -1,6 +1,7 @@
 """Tests for the gate library, the register simulator, and the Fourier test."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,9 +259,9 @@ def _exact_report(u, psi) -> FourierTestReport:
 
 
 def _one_product(state, alice, bob) -> np.ndarray:
-    """(p0, p1, p2) of the Fourier test of one product A (x) B on a one-row state stack."""
+    """(p0, p1, p2) of the Fourier test of one product A (x) B, as a one-cell, one-term grid."""
     a2 = alice.matrix if hasattr(alice, "matrix") else alice
-    return run_hybrid_tests(state, np.asarray(a2)[None], bob.matrix[None])[0]
+    return run_hybrid_tests(state, np.asarray(a2)[None, None], bob.matrix[None])[0, 0]
 
 
 def _scalar_estimators(p0, p1, p2):
@@ -364,7 +365,7 @@ def test_hybrid_protocol_matches_three_register_circuit():
 
 
 def test_stacked_cell_matches_three_register_circuit():
-    # Every term of a landscape cell, run as one stack against the Bob
+    # Every term of a landscape cell, run as a one-cell grid against the Bob
     # bank, gives the three-register circuit's probabilities to the bit.
     rng = np.random.default_rng(41)
     for n in (5, 7, 9, 21):
@@ -375,11 +376,77 @@ def test_stacked_cell_matches_three_register_circuit():
             co = chsh_coefficients(state[0], n)
             r0, r2 = alice_rotation(co.omega0).matrix, alice_rotation(co.omega2).matrix
             alice = np.array([r2, r2, r0, r0] + [np.eye(2)] * n)
-            probs = run_hybrid_tests(np.repeat(state, n + 4, axis=0), alice, bank)
-            assert probs.shape == (n + 4, 3)
+            probs = run_hybrid_tests(state, alice[None], bank)
+            assert probs.shape == (1, n + 4, 3)
             for term in range(n + 4):
                 expected = three_register_probabilities(theta, phi, alice[term], bank[term])
-                assert probs[term].tolist() == expected
+                assert probs[0, term].tolist() == expected
+
+
+def test_cell_term_grid_equals_one_row_calls_and_the_three_register_circuit():
+    # A (cells, terms) grid with theta = 0 and pi among its cells: entry (i, j)
+    # is the test of A[i, j] (x) B[j] on state i, with the bits of that one
+    # cell and term run alone and of the three-register circuit.
+    rng = np.random.default_rng(43)
+    n = 7
+    bank = _bob_bank(n, range(n + 4))
+    thetas = np.array([0.0, math.pi, *rng.uniform(0, math.pi, 2)])
+    phis = rng.uniform(0, 2 * math.pi, 4)
+    states = prepare_state1(thetas, phis)
+    alice = np.array([[alice_rotation(w).matrix for w in rng.uniform(0, 2 * math.pi, n + 3)]
+                      + [np.eye(2)] for _ in range(4)])
+    grid = run_hybrid_tests(states, alice, bank)
+    assert grid.shape == (4, n + 4, 3)
+    for i, (theta, phi) in enumerate(zip(thetas.tolist(), phis.tolist())):
+        for j in range(n + 4):
+            alone = run_hybrid_tests(states[i:i + 1], alice[i:i + 1, j:j + 1], bank[j:j + 1])
+            assert grid[i, j].tobytes() == alone[0, 0].tobytes()
+            expected = three_register_probabilities(theta, phi, alice[i, j], bank[j])
+            assert grid[i, j].tolist() == expected
+
+
+@pytest.mark.parametrize("factor, entry, bad, error", [
+    ("Alice", 5, [[1.0, 0.5], [0.0, 1.0]], NotHermitian),
+    ("Alice", 1, np.diag([1.0, 0.5]), NotUnitary),
+    ("Alice", 4, np.full((2, 2), np.nan), NotHermitian),
+    ("Bob", 2, np.triu(np.ones((3, 3))), NotHermitian),
+    ("Bob", 1, np.diag([1.0, 1.0, 0.5]), NotUnitary),
+])
+def test_hybrid_tests_check_each_factor_before_the_states(factor, entry, bad, error):
+    # A bad entry of either factor stack raises, naming the factor and the
+    # entry (row-major over the (cell, term) grid for Alice), even when the
+    # states are bad too; good factors with a bad state reach the norm check.
+    states = prepare_state1([0.3, 1.2], [0.0, 0.5])
+    alice = np.array([[alice_rotation(0.4).matrix, alice_rotation(1.9).matrix, np.eye(2)]] * 2)
+    bob = np.array([b0_closed_form(5).matrix, bm_bm1_closed_form(5).matrix,
+                    kcbs_pair(5, 2).matrix])
+    bad_states = states * np.array([[1.0], [2.0]])
+    with pytest.raises(NotNormalized, match="in row 1"):
+        run_hybrid_tests(bad_states, alice, bob)
+    stack = alice if factor == "Alice" else bob
+    stack.reshape((-1,) + stack.shape[-2:])[entry] = bad
+    for psi in (states, bad_states):
+        with pytest.raises(error, match=f"{factor} factor entry {entry} is not"):
+            run_hybrid_tests(psi, alice, bob)
+
+
+@pytest.mark.parametrize("states, alice, bob", [
+    ((2, 6), (2, 3, 3, 3), (3, 3, 3)),  # Alice already embedded
+    ((2, 6), (6, 2, 2), (3, 3, 3)),  # Alice as (c t) rows
+    ((2, 6), (3, 3, 2, 2), (3, 3, 3)),  # one Alice row of cells too many
+    ((2, 6), (2, 2, 2, 2), (3, 3, 3)),  # one term too few
+    ((2, 6), (2, 3, 2, 2), (3, 2, 2)),  # Bob as qubit operators
+    ((2, 6), (2, 3, 2, 2), (1, 3, 3, 3)),  # Bob with a cell axis
+    ((2, 6), (2, 3, 2, 2), (4, 3, 3)),  # one Bob term too many
+    ((6,), (2, 3, 2, 2), (3, 3, 3)),  # a bare state
+    ((2, 9), (2, 3, 2, 2), (3, 3, 3)),  # states already embedded
+    ((1, 6), (2, 3, 2, 2), (3, 3, 3)),  # one state too few
+    ((2, 6, 1), (2, 3, 2, 2), (3, 3, 3)),
+])
+def test_hybrid_tests_refuse_misshaped_inputs(states, alice, bob):
+    # Every shape problem is a DimensionMismatch naming the three shapes.
+    with pytest.raises(DimensionMismatch, match=re.escape(f"got {states}, {alice} and {bob}")):
+        run_hybrid_tests(np.zeros(states), np.zeros(alice), np.zeros(bob))
 
 
 def test_stack_checks_every_entry_before_the_state():
@@ -395,11 +462,11 @@ def test_stack_checks_every_entry_before_the_state():
     stack = np.array([good, -good, np.eye(4), np.diag([1.0, 1.0, 0.5, 1.0])])
     with pytest.raises(NotUnitary, match="entry 3 "):
         fourier_tests(stack, bad_state)
-    # A non-unitary Alice entry fails the same check inside the product stack.
+    # A non-unitary Alice entry fails its factor's check, before the products are formed.
     alice = np.array([np.eye(2), np.diag([1.0, 0.5])])
     bob = np.array([b0_closed_form(5).matrix] * 2)
     with pytest.raises(NotUnitary, match="entry 1 "):
-        run_hybrid_tests(prepare_state1([1.0, 1.0], [0.2, 0.2]), alice, bob)
+        run_hybrid_tests(prepare_state1(1.0, 0.2), alice[None], bob)
     # A good stack gives the one-operator readout row by row.
     psi = np.full(4, 0.5)
     rows = fourier_tests(np.array([good, -good]), np.array([psi, psi]))
@@ -408,18 +475,19 @@ def test_stack_checks_every_entry_before_the_state():
 
 
 def test_fourier_tests_read_one_state_per_row():
-    # Row r of a stack of states feeds test r, with the bits of a one-row call.
+    # Row r of a stack of states feeds the tests of cell r, with the bits of a
+    # one-cell call: entry (r, r) of this grid is A_r (x) B_r on state r.
     rng = np.random.default_rng(29)
     states = prepare_state1(rng.uniform(0, math.pi, 5), rng.uniform(0, 2 * math.pi, 5))
     alice = np.array([alice_rotation(w).matrix for w in rng.uniform(0, 2 * math.pi, 5)])
     bob = np.array([b0_closed_form(7).matrix, bm_bm1_closed_form(7).matrix,
                     *(kcbs_pair(7, j).matrix for j in (0, 3, 6))])
-    rows = run_hybrid_tests(states, alice, bob)
+    rows = run_hybrid_tests(states, np.array([alice] * 5), bob)
     for r in range(5):
-        alone = run_hybrid_tests(states[r:r + 1], alice[r:r + 1], bob[r:r + 1])
-        assert rows[r].tobytes() == alone[0].tobytes()
-    with pytest.raises(DimensionMismatch, match="one state per operator"):
-        run_hybrid_tests(states[:4], alice, bob)
+        alone = run_hybrid_tests(states[r:r + 1], alice[None, r:r + 1], bob[r:r + 1])
+        assert rows[r, r].tobytes() == alone[0, 0].tobytes()
+    with pytest.raises(DimensionMismatch, match=r"got \(4, 6\), \(5, 5, 2, 2\) and \(5, 3, 3\)"):
+        run_hybrid_tests(states[:4], np.array([alice] * 5), bob)
     # Each state's norm is checked, after the operators.
     bad = embed_joint_state(states)
     bad[3] *= 2.0
@@ -495,9 +563,9 @@ def test_shot_stack_degenerate_and_reproducible():
 
 
 def test_shot_stack_matches_rows_drawn_in_turn():
-    state = prepare_state1([0.9, 0.9], [0.4, 0.4])
-    probs = run_hybrid_tests(state, np.array([alice_rotation(0.3).matrix, np.eye(2)]),
-                             np.array([b0_closed_form(5).matrix, kcbs_pair(5, 1).matrix]))
+    state = prepare_state1(0.9, 0.4)
+    probs = run_hybrid_tests(state, np.array([[alice_rotation(0.3).matrix, np.eye(2)]]),
+                             np.array([b0_closed_form(5).matrix, kcbs_pair(5, 1).matrix]))[0]
     # Add a degenerate row and a row whose tiny negative entry the clip removes.
     probs = np.vstack([probs, [1.0, 0.0, 0.0], [0.5, 0.5 + 1e-17, -1e-17]])
     for seed in (11, 2**40 + 3, 0):

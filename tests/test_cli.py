@@ -126,7 +126,7 @@ def test_landscape_circuit_mode_columns(tmp_path):
 
 def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
     # The CSV of a seeded circuit landscape, rebuilt one Fourier test at a
-    # time: each term as a one-row run_hybrid_tests stack, its shots drawn in term
+    # time: each term as a one-cell, one-term run_hybrid_tests grid, its shots drawn in term
     # order from one generator seeded by the cell seed.  At n = 97 a cell's 101
     # terms span two term blocks of the default BLOCK_TERMS.
     shots, master_seed = 500, 11
@@ -154,7 +154,7 @@ def _check_term_by_term(tmp_path, n, thetas, phis, shots, master_seed):
         rng = np.random.default_rng(cell_seed)
         estimates = []
         for alice, bob in terms:
-            probs = np.clip(run_hybrid_tests(state, alice[None], bob[None])[0], 0.0, None)
+            probs = np.clip(run_hybrid_tests(state, alice[None, None], bob[None])[0, 0], 0.0, None)
             f0, f1, f2 = rng.multinomial(shots, probs / probs.sum()) / shots
             estimates.append((9.0 * (f0 - f1 - f2) - 1.0) / 8.0)
         chsh = estimates[0] + estimates[1] + estimates[2] - estimates[3] - 2.0
@@ -385,12 +385,12 @@ def test_fourier_test_sampled_output(tmp_path):
     assert abs(payload["estimators"]["combined"] - payload["exact_value"]) <= 0.05
     assert payload["bob"] == "B_3 B_4"
     # Counts and estimators are the library's one-cell, one-test shot stack at the same seed.
-    probs = run_hybrid_tests(prepare_state1(math.pi / 2, 0.0), np.eye(2)[None],
+    probs = run_hybrid_tests(prepare_state1(math.pi / 2, 0.0), np.eye(2)[None, None],
                              kcbs_pair(5, 3).matrix[None])
-    counts, estimates = sample_shot_stack(probs[None], 50000, [11])
+    counts, estimates = sample_shot_stack(probs, 50000, [11])
     assert payload["counts"] == counts[0, 0].tolist()
     assert list(payload["estimators"].values()) == estimates[0, 0].tolist()
-    assert list(payload["probabilities"].values()) == probs[0].tolist()
+    assert list(payload["probabilities"].values()) == probs[0, 0].tolist()
 
 
 @pytest.mark.parametrize("n, j", [(3037000501, 3037000499), (10**30 + 1, 10**30 - 1)],

@@ -179,8 +179,8 @@ def _propagated_margin_stddev(n, theta, phi, shots):
     co = chsh_coefficients(state1(theta, phi), n)
 
     def exact(alice, bob):
-        probs = run_hybrid_tests(prepare_state1(theta, phi), alice[None], bob.matrix[None])
-        return FourierTestReport(*probs[0].tolist(), *estimators(probs)[0].tolist())
+        probs = run_hybrid_tests(prepare_state1(theta, phi), alice[None, None], bob.matrix[None])
+        return FourierTestReport(*probs[0, 0].tolist(), *estimators(probs)[0, 0].tolist())
 
     chsh_var = 0.0
     for alice, bob in ((co.omega2, bm_bm1_closed_form(n)), (co.omega2, b0_closed_form(n)),
@@ -193,22 +193,22 @@ def _propagated_margin_stddev(n, theta, phi, shots):
 
 
 def _spy_on_circuit_blocks(monkeypatch):
-    """Record the preparation runs, Fourier-test stacks and cycle rows a circuit landscape uses."""
+    """Record the preparation runs, (cell, term) grids and cycle rows a circuit landscape uses.
+
+    ``measured`` holds each grid's states and Bob bank, ``tests`` its (cell, term) row count.
+    """
     calls = {"prepared": [], "measured": [], "tests": [], "cycle_rows": []}
     prepare, stacked = experiments.circuits.prepare_state1, experiments.circuits.run_hybrid_tests
-    tests, cycle = experiments.circuits.fourier_tests, experiments.observables.kcbs_observables
+    cycle = experiments.observables.kcbs_observables
 
     def prepare_spy(theta, phi):
         calls["prepared"].append((np.array(theta), np.array(phi), prepare(theta, phi)))
         return calls["prepared"][-1][2]
 
     def stacked_spy(state, alice_ops, bob_ops):
-        calls["measured"].append(np.array(state))
+        calls["measured"].append((np.array(state), np.array(bob_ops)))
+        calls["tests"].append(len(state) * len(bob_ops))
         return stacked(state, alice_ops, bob_ops)
-
-    def tests_spy(ops, psi):
-        calls["tests"].append(len(ops))
-        return tests(ops, psi)
 
     def cycle_spy(n, rows=None):
         calls["cycle_rows"].append((n, None if rows is None else np.array(rows).tolist()))
@@ -216,7 +216,6 @@ def _spy_on_circuit_blocks(monkeypatch):
 
     monkeypatch.setattr(experiments.circuits, "prepare_state1", prepare_spy)
     monkeypatch.setattr(experiments.circuits, "run_hybrid_tests", stacked_spy)
-    monkeypatch.setattr(experiments.circuits, "fourier_tests", tests_spy)
     monkeypatch.setattr(experiments.observables, "kcbs_observables", cycle_spy)
     return calls
 
@@ -224,7 +223,7 @@ def _spy_on_circuit_blocks(monkeypatch):
 def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
     # Each cell is prepared once, in stacked preparation runs of at most
     # BLOCK_TERMS cells; all n + 4 correlators of a cell are Fourier tests on
-    # that cell's prepared state, run as (cell, term) rows of one stack.
+    # that cell's prepared state, run as (cell, term) grids.
     n, thetas, phis = 5, [30.0, 60.0, 90.0], [0.0, 45.0]
     monkeypatch.setattr(experiments, "BLOCK_TERMS", 4)
     calls = _spy_on_circuit_blocks(monkeypatch)
@@ -235,15 +234,16 @@ def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
     assert prepared == cells and len(prepared) == len(table)
     assert [len(run[0]) for run in calls["prepared"]] == [4, 2]
     # BLOCK_TERMS = 4 < n + 4 splits the terms into blocks of 4, 4 and 1.  Within
-    # a preparation group the stacks run term block by term block: a 4-term
-    # test reads one cell's state in every row, and the 1-term test reads the
-    # whole group of 4 cells, one row each.
+    # a preparation group the grids run term block by term block: a 4-term
+    # grid reads one cell's state for all its terms, and the 1-term grid reads
+    # the whole group of 4 cells, one row each.
     groups = [run[2] for run in calls["prepared"]]
-    expected = [np.repeat(group[first:first + 4 // rows], rows, axis=0)
+    expected = [(group[first:first + 4 // rows], rows)
                 for group in groups for rows in (4, 4, 1)
                 for first in range(0, len(group), 4 // rows)]
     assert len(calls["measured"]) == len(expected) == 2 * (4 + 2) + 2
-    assert all(np.array_equal(got, want) for got, want in zip(calls["measured"], expected))
+    assert all(np.array_equal(got, want) and len(bank) == terms
+               for (got, bank), (want, terms) in zip(calls["measured"], expected))
 
 
 @pytest.mark.parametrize("block_terms", [4, 5, 8, 9, 10, 19, 100])
@@ -278,7 +278,31 @@ def test_a_one_term_tail_block_runs_as_one_test_per_group(monkeypatch, n, block_
     table = landscape_scan(n, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=4)
     _columns(table)
     assert len(calls["prepared"]) == 1
-    assert [len(stack) for stack in calls["measured"]] == [block_terms] * len(table) + [len(table)]
+    assert [len(states) * len(bank) for states, bank in calls["measured"]] == (
+        [block_terms] * len(table) + [len(table)])
+
+
+@pytest.mark.parametrize("block_terms, shapes", [
+    # n + 4 = 9 terms fit one block: the 6 cells are one grid against the whole bank.
+    (100, [(6, 9)]),
+    # Term blocks [0, 4), [4, 8), [8, 9) in groups of 4 and 2 cells: one cell per
+    # 4-term grid, then the group's cells against the 1-term tail bank.
+    (4, [(1, 4)] * 8 + [(4, 1)] + [(1, 4)] * 4 + [(2, 1)]),
+])
+def test_term_sums_pass_each_state_once_against_one_bank(monkeypatch, block_terms, shapes):
+    # Each grid holds c states, not c t repeated rows, a (c, t) Alice stack
+    # and one bank of t Bob operators, not one copy per cell.
+    monkeypatch.setattr(experiments, "BLOCK_TERMS", block_terms)
+    grids, stacked = [], experiments.circuits.run_hybrid_tests
+
+    def stacked_spy(states, alice_ops, bob_ops):
+        grids.append((np.shape(states), np.shape(alice_ops), np.shape(bob_ops)))
+        return stacked(states, alice_ops, bob_ops)
+
+    monkeypatch.setattr(experiments.circuits, "run_hybrid_tests", stacked_spy)
+    table = landscape_scan(5, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=4)
+    _columns(table)
+    assert grids == [((c, 6), (c, t, 2, 2), (t, 3, 3)) for c, t in shapes]
 
 
 def test_split_cells_build_each_term_blocks_bank_once_per_group(monkeypatch):
@@ -367,7 +391,7 @@ def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
         rng = np.random.default_rng(experiments._cell_seed(master_seed, cell))
         estimates = []
         for a, b in terms:
-            probs = np.clip(run_hybrid_tests(state, a[None], b[None])[0], 0.0, None)
+            probs = np.clip(run_hybrid_tests(state, a[None, None], b[None])[0, 0], 0.0, None)
             f0, f1, f2 = rng.multinomial(shots, probs / probs.sum()) / shots
             estimates.append((9.0 * (f0 - f1 - f2) - 1.0) / 8.0)
         kcbs = 0.0
