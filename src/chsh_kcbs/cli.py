@@ -303,11 +303,9 @@ def _run_landscape(args) -> int:
 
 
 def _write_columns(args, header, columns, **extra):
-    """Write the named columns, n as integers and the rest as floats, under the run's metadata."""
-    serialize.write_csv(args.out, header,
-                        serialize.Columns((int,) + (float,) * (len(header) - 1),
-                                          tuple(columns[name] for name in header)),
-                        metadata=_metadata(args, **extra))
+    """Write the named columns under the run's metadata."""
+    table = serialize.Columns(tuple(columns[name] for name in header))
+    serialize.write_csv(args.out, header, table, metadata=_metadata(args, **extra))
 
 
 def _run_coexist(args) -> int:

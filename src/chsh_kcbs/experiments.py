@@ -22,8 +22,6 @@ from .linalg import expectation, tensor
 BISECTION_MAX_ITER = 200
 BISECTION_THETA_TOL = 1e-14
 RESIDUAL_TOL = 1e-9
-# Cells per landscape block: bounds the memory of a landscape pass.
-BLOCK_CELLS = 65536
 # Rows per circuit simulation: cells per preparation group, terms per term block, and
 # (cell, term) rows per Fourier test, BLOCK_TERMS // len(block) cells by one term block.  It
 # bounds the memory of a circuit landscape in n and in the grid.  At 100 rows a (rows, 9, 9)
@@ -108,17 +106,18 @@ class LandscapeTable:
 
     Cells run theta-major, phi-minor, and ``len`` is the cell count.  The
     margins are computed when the table is iterated, one block of at most
-    ``BLOCK_CELLS`` cells at a time, so a pass costs O(block) memory
-    however large the grid.  :meth:`blocks` is the one read path: the
-    writer formats its rows and a caller reads its numbers, both from the
-    same ``serialize.Columns``.  Circuit mode prepares a block's cells in
-    groups of at most ``BLOCK_TERMS`` and runs a group's n + 4 terms in
-    term blocks of at most ``BLOCK_TERMS``.  Each term block is one bank of
-    Bob's t operators, tested on (cell, term) grids of as many cells c as
-    keep c t within ``BLOCK_TERMS``, with only the factors checked.  A
-    cell's generator and running sums carry from block to block, so a pass
-    holds O(``BLOCK_TERMS``) rows however large n is, and no value depends
-    on the blocking.  Every pass samples again from the same seeds.
+    ``serialize.BLOCK_CELLS`` cells at a time, so a pass costs O(block)
+    memory however large the grid.  :meth:`blocks` is the one read path:
+    the writer formats its rows by the types of their values and a caller
+    reads its numbers, both from the same ``serialize.Columns``.  Circuit
+    mode prepares a block's cells in groups of at most ``BLOCK_TERMS`` and
+    runs a group's n + 4 terms in term blocks of at most ``BLOCK_TERMS``.
+    Each term block is one bank of Bob's t operators, tested on (cell,
+    term) grids of as many cells c as keep c t within ``BLOCK_TERMS``, with
+    only the factors checked.  A cell's generator and running sums carry
+    from block to block, so a pass holds O(``BLOCK_TERMS``) rows however
+    large n is, and no value depends on the blocking.  Every pass samples
+    again from the same seeds.
     """
 
     n: int
@@ -129,7 +128,6 @@ class LandscapeTable:
     master_seed: int | None = None
 
     header = ("n", "theta_deg", "phi_deg", "chsh_margin", "kcbs_margin", "mode", "shots", "seed")
-    kinds = (int, float, str, float, float, str, int, int)
 
     def __len__(self) -> int:
         return self.thetas_deg.size * self.phis_deg.size
@@ -138,10 +136,11 @@ class LandscapeTable:
         """Yield the rows in cell order as ``serialize.Columns``, one per theta row of a block.
 
         n, theta, the mode and the shot count are constants of a row; the
-        phi texts, made once per pass, and the CHSH margins vary.  The KCBS
-        margin and the seed vary as :meth:`_margins` gives them.
+        phi texts, a list made once per pass, and the float CHSH margins
+        vary.  The KCBS margin and the seed are a float and None in analytic
+        mode and float and int arrays in circuit mode.
         """
-        from .serialize import FLOAT_FIELD, Columns  # here, so `import chsh_kcbs` skips it
+        from .serialize import BLOCK_CELLS, FLOAT_FIELD, Columns  # here: no writer on import
         phi_texts = [FLOAT_FIELD % phi for phi in self.phis_deg.tolist()]
         n_phi = self.phis_deg.size
         rows, width = max(1, BLOCK_CELLS // n_phi), min(n_phi, BLOCK_CELLS)
@@ -151,8 +150,7 @@ class LandscapeTable:
                 phis = phi_texts[j:j + width]
                 margins = self._margins(thetas, self.phis_deg[j:j + width], i * n_phi + j)
                 for theta, chsh, kcbs, seed in zip(thetas.tolist(), *margins):
-                    yield Columns(self.kinds, (self.n, theta, phis, chsh, kcbs, self.mode,
-                                               self.shots, seed))
+                    yield Columns((self.n, theta, phis, chsh, kcbs, self.mode, self.shots, seed))
 
     def _margins(self, thetas, phis, first_cell):
         """CHSH margins, KCBS margins and seeds by theta row: (theta, phi) arrays in circuit mode.

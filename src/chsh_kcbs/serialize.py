@@ -4,12 +4,13 @@ Matrices and state vectors serialize to ``{"rows", "cols", "entries"}``
 with the entries as a flat row-major list of [re, im] pairs.  The writers
 take finished metadata and decide nothing about it: CSV files start with
 one ``# key: value`` line per metadata entry, then the header row, then
-data rows; floats, in the rows and on metadata lines alike, get 9
-significant digits.  Rows come block by block, each a :class:`Columns`
-whose kinds are formats and whose non-sequence data are constants, and
-each is formatted in bulk with one row template, so writing costs
-O(block) memory however long the table.  All writes go through a temp
-file and an atomic rename so a failure never leaves a partial output.
+data rows.  A value's format comes from its type: floats, in the rows
+and on metadata lines alike, get 9 significant digits, a None cell is
+empty, and anything else is its ``str``.  Rows come in :class:`Columns`
+blocks of at most ``BLOCK_CELLS`` rows, each formatted in bulk with one
+row template, so writing costs O(block) memory however long the table.
+All writes go through a temp file and an atomic rename so a failure
+never leaves a partial output.
 """
 
 from __future__ import annotations
@@ -58,34 +59,38 @@ def _atomic_write(path: str, chunks):
 
 
 FLOAT_FIELD = "%.9g"
-_FORMATS = {float: FLOAT_FIELD, int: "%d", str: "%s"}
+BLOCK_CELLS = 65536  # rows per formatted block and cells per landscape block
 _SEQUENCES = (list, np.ndarray)
+
+
+def _text(value) -> str:
+    return FLOAT_FIELD % value if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
 class Columns:
     """Rows held in memory as columns, for :func:`write_csv`.
 
-    ``kinds`` gives each CSV column's format: ``float`` (9 significant
-    digits), ``int`` (``%d``) or ``str`` (``%s``, text formatted already).
-    ``data`` holds one entry per column: a list or numpy array varies by
-    row, and any other value is a constant written into every row through
-    its kind's format, None as an empty field.  A block needs at least one
-    varying column, and they all have its length.  A ``Columns`` is a
-    table of one block: :meth:`blocks` yields itself.
+    ``data`` holds one entry per CSV column: a list or numpy array varies
+    by row, any other value is a constant.  Floats and float arrays get 9
+    significant digits, None is empty, and the rest is its ``str``, so a
+    list is a column of texts.  :meth:`blocks` yields slices of at most
+    ``BLOCK_CELLS`` rows.
     """
 
-    kinds: tuple
     data: tuple
 
     def __len__(self) -> int:
-        for column in self.data:
-            if isinstance(column, _SEQUENCES):
-                return len(column)
-        raise ValueError("a block needs at least one varying column")
+        lengths = {len(column) for column in self.data if isinstance(column, _SEQUENCES)}
+        if len(lengths) != 1:
+            raise ValueError("a block needs one or more varying columns, all of one length, "
+                             f"got lengths {sorted(lengths)}")
+        return lengths.pop()
 
     def blocks(self):
-        yield self
+        for start in range(0, len(self) or 1, BLOCK_CELLS):  # an empty table is one empty block
+            yield Columns(tuple(column[start:start + BLOCK_CELLS] if isinstance(column, _SEQUENCES)
+                                else column for column in self.data))
 
 
 def _format_block(header, block: Columns) -> tuple[str, int]:
@@ -93,30 +98,22 @@ def _format_block(header, block: Columns) -> tuple[str, int]:
 
     A constant is formatted once, into the template as a literal.
     """
-    if not len(header) == len(block.kinds) == len(block.data):
-        raise ValueError(f"{len(header)} header fields for {len(block.kinds)} kinds "
-                         f"and {len(block.data)} data columns")
+    if len(header) != len(block.data):
+        raise ValueError(f"{len(header)} header fields for {len(block.data)} data columns")
     fields, columns = [], []
-    try:
-        for kind, value in zip(block.kinds, block.data):
-            field = _FORMATS[kind]
-            if isinstance(value, _SEQUENCES):
-                columns.append(value)
-            elif value is None:
-                field = ""
-            else:
-                field = (field % value).replace("%", "%%") if kind is str else field % value
-            fields.append(field)
-    except KeyError:
-        raise ValueError(f"kinds must be float, int or str, got {block.kinds}") from None
+    for value in block.data:
+        if isinstance(value, _SEQUENCES):
+            floats = isinstance(value, np.ndarray) and value.dtype.kind == "f"
+            fields.append(FLOAT_FIELD if floats else "%s")
+            columns.append(value.tolist() if isinstance(value, np.ndarray) else value)
+        else:
+            fields.append("" if value is None else _text(value).replace("%", "%%"))
     if not columns:
         raise ValueError("a block needs at least one varying column")
     size, width = len(columns[0]), len(columns)
     values = [None] * (size * width)
     for k, column in enumerate(columns):
-        if len(column) != size:
-            raise ValueError(f"block columns differ in length: {[len(c) for c in columns]}")
-        values[k::width] = column.tolist() if isinstance(column, np.ndarray) else column
+        values[k::width] = column  # an extended slice: another length raises ValueError
     return ((",".join(fields) + "\n") * size) % tuple(values), size
 
 
@@ -124,15 +121,12 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
     """Write a CSV with a commented line per ``metadata`` entry, atomically.
 
     ``rows`` is a sized table, such as :class:`Columns` or
-    :class:`~chsh_kcbs.experiments.LandscapeTable`, of ``len(rows)`` data
-    rows, whose ``blocks()`` yields them as :class:`Columns`, each with a
-    kind and a data entry per header field.  A block's kinds are formats
-    and a non-sequence value in its data is a constant, formatted once
-    into the block's row template; the rows are formatted in bulk with
-    it, so memory stays O(block) however many blocks the table has.
+    :class:`~chsh_kcbs.experiments.LandscapeTable`, whose ``blocks()``
+    yields its ``len(rows)`` rows as :class:`Columns` of at most
+    ``BLOCK_CELLS`` rows, each with a data entry per header field and
+    formatted in bulk with one row template, so memory stays O(block).
     """
-    lines = [f"# {key}: " + (FLOAT_FIELD % value if isinstance(value, float) else str(value))
-             for key, value in (metadata or {}).items()]
+    lines = [f"# {key}: {_text(value)}" for key, value in (metadata or {}).items()]
     lines.append(",".join(header))
 
     def chunks():

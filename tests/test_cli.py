@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from chsh_kcbs import cli, experiments
+from chsh_kcbs import cli, experiments, serialize
 from chsh_kcbs.analytic import chsh_coefficients
 from chsh_kcbs.circuits import estimators, prepare_state1, run_hybrid_tests, sample_shot_stack
 from chsh_kcbs.analytic import state1, state1_margins
@@ -181,7 +181,7 @@ def test_circuit_landscape_records_its_seed_scheme(tmp_path):
 
 def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
     thetas, phis = np.linspace(0, 180, 67), np.linspace(0, 360, 1001)
-    assert thetas.size * phis.size > experiments.BLOCK_CELLS
+    assert thetas.size * phis.size > serialize.BLOCK_CELLS
     out = tmp_path / "landscape.csv"
     assert run_cli("landscape", "--n", "7", "--theta", "0:180:67", "--phi", "0:360:1001",
                    "--out", str(out), "--no-timestamp") == 0
@@ -204,7 +204,7 @@ def test_landscape_bytes_match_per_field_formatting(monkeypatch, tmp_path, block
     # The writer formats theta and KCBS once per row and phi once per pass;
     # the bytes must be those of formatting every field of every cell alone.
     if block is not None:
-        monkeypatch.setattr(experiments, "BLOCK_CELLS", block)
+        monkeypatch.setattr(serialize, "BLOCK_CELLS", block)
     out = tmp_path / "landscape.csv"
     assert run_cli("landscape", "--n", str(n), f"--theta={theta}", f"--phi={phi}",
                    "--out", str(out), "--no-timestamp") == 0
@@ -227,7 +227,7 @@ def test_circuit_landscape_bytes_do_not_depend_on_the_block_size(monkeypatch, tm
             "--mode", "circuit", "--shots", "200", "--seed", "4", "--no-timestamp", "--out")
     whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
     assert run_cli(*argv, str(whole)) == 0
-    monkeypatch.setattr(experiments, "BLOCK_CELLS", 7)
+    monkeypatch.setattr(serialize, "BLOCK_CELLS", 7)
     assert run_cli(*argv, str(split)) == 0
     assert split.read_bytes() == whole.read_bytes()
     assert len(read_csv(str(whole))[1]) == 3 * 16

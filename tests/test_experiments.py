@@ -20,7 +20,7 @@ from chsh_kcbs import (
     scaling_study,
     state1_margins,
 )
-from chsh_kcbs import experiments
+from chsh_kcbs import experiments, serialize
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
 from chsh_kcbs.analytic import chsh_coefficients, state1
 from helpers import exact_cycle_rows, worst_error
@@ -143,13 +143,13 @@ def _spy_on_margins(monkeypatch):
 
 
 @pytest.mark.parametrize("block, thetas, phis", [
-    (experiments.BLOCK_CELLS, np.linspace(0, 180, 97), np.linspace(0, 360, 1001)),
+    (serialize.BLOCK_CELLS, np.linspace(0, 180, 97), np.linspace(0, 360, 1001)),
     (7, np.linspace(0, 180, 5), np.linspace(-30, 330, 16)),
     (7, np.linspace(0, 180, 9), np.linspace(0, 360, 3)),
     (7, np.array([45.0]), np.array([0.0])),
 ])
 def test_landscape_blocks_are_bounded_and_match_full_grid(monkeypatch, block, thetas, phis):
-    monkeypatch.setattr(experiments, "BLOCK_CELLS", block)
+    monkeypatch.setattr(serialize, "BLOCK_CELLS", block)
     sizes = _spy_on_margins(monkeypatch)
     table = landscape_scan(5, thetas, phis, mode="analytic")
     assert sizes == []  # nothing is computed before the table is iterated
@@ -166,12 +166,25 @@ def test_landscape_blocks_are_bounded_and_match_full_grid(monkeypatch, block, th
     assert np.array_equal(columns["kcbs_margin"], kcbs.ravel())
 
 
-def test_both_modes_yield_blocks_of_one_kinds_tuple():
-    # The mode changes what a block's data holds, never its kinds.
+def _layout(value):
+    """A block value's type, with its dtype kind if it is an array: what sets its format."""
+    return f"ndarray[{value.dtype.kind}]" if isinstance(value, np.ndarray) else type(value).__name__
+
+
+def test_both_modes_yield_blocks_of_one_layout():
+    # The writer takes each column's format from its values, so the mode may
+    # make a float column vary or leave shots and seed empty, but it never
+    # turns a float column into ints or text, or phi's texts into numbers.
     analytic = landscape_scan(5, [0.0, 90.0], [0.0, 45.0, 90.0])
     circuit = landscape_scan(5, [0.0, 90.0], [0.0, 45.0], mode="circuit", shots=10, seed=1)
-    kinds = {block.kinds for table in (analytic, circuit) for block in table.blocks()}
-    assert kinds == {(int, float, str, float, float, str, int, int)}
+    layouts = [{tuple(map(_layout, block.data)) for block in table.blocks()}
+               for table in (analytic, circuit)]
+    assert layouts == [{("int", "float", "list", "ndarray[f]", "float", "str", "NoneType",
+                         "NoneType")},
+                       {("int", "float", "list", "ndarray[f]", "ndarray[f]", "str", "int",
+                         "ndarray[i]")}]
+    assert all(isinstance(phi, str) for table in (analytic, circuit)
+               for block in table.blocks() for phi in block.data[2])
 
 
 def _propagated_margin_stddev(n, theta, phi, shots):
@@ -455,7 +468,7 @@ def test_landscape_circuit_seeds_follow_the_cell_index(monkeypatch):
     # Seeds depend on (master seed, cell index) only, not on how cells are blocked.
     whole = _columns(landscape_scan(5, [30.0, 60.0], [0.0, 90.0, 180.0], mode="circuit",
                                     shots=200, seed=3))
-    monkeypatch.setattr(experiments, "BLOCK_CELLS", 2)
+    monkeypatch.setattr(serialize, "BLOCK_CELLS", 2)
     split = _columns(landscape_scan(5, [30.0, 60.0], [0.0, 90.0, 180.0], mode="circuit",
                                     shots=200, seed=3))
     assert _same_columns(whole, split)

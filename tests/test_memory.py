@@ -56,8 +56,18 @@ def test_large_n_kcbs_pair_runs_in_bounded_memory(tmp_path):
 
 @needs_wait4
 def test_multi_block_analytic_landscape_runs_in_bounded_memory(tmp_path):
-    # 2001 x 721 = 1442721 cells, 23 kernel blocks of at most BLOCK_CELLS cells,
-    # each formatted and written before the next is computed.
+    # 2001 x 721 = 1442721 cells, 23 kernel blocks of at most serialize.BLOCK_CELLS
+    # cells, each formatted and written before the next is computed.
     peak = _peak_mib(tmp_path, "landscape", "--n", "5", "--theta", "0:180:2001",
                      "--phi", "0:360:721", "--out", "grid.csv")
     assert peak < 60
+
+
+@needs_wait4
+def test_many_size_scaling_table_is_written_in_bounded_blocks(tmp_path):
+    # 200000 sizes: formatting all rows as one block peaked at 170 MiB (x86-64 Linux,
+    # Python 3.11, numpy 2.4), and blocks of at most serialize.BLOCK_CELLS rows at
+    # 99-106 MiB.  The rest is the size list and the bisection's arrays, which still
+    # grow with the size count.
+    peak = _peak_mib(tmp_path, "scaling", "--n", "5:400001:2", "--out", "scaling.csv")
+    assert peak < 135

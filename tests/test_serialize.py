@@ -39,7 +39,7 @@ def test_metadata_floats_get_nine_significant_digits(tmp_path):
     path = tmp_path / "table.csv"
     slopes = {"a": 0.34307127801047144, "b": -2.4721359549995794, "c": np.float64(1 / 3)}
     serialize.write_csv(str(path), ["x", "gap"],
-                        serialize.Columns((float, float), ([0.34307127801047144], None)),
+                        serialize.Columns((np.array([0.34307127801047144]), None)),
                         metadata=slopes)
     _, rows, metadata = read_csv(str(path))
     assert metadata == {"a": "0.343071278", "b": "-2.47213595", "c": "0.333333333"}
@@ -50,8 +50,8 @@ def test_metadata_floats_get_nine_significant_digits(tmp_path):
 
 def test_write_csv_cells_and_metadata(tmp_path):
     path = tmp_path / "table.csv"
-    table = serialize.Columns((int, float, str, str),
-                              (np.array([5, 3194799977]), [0.123456789012, 2.5], None, "text"))
+    table = serialize.Columns((np.array([5, 3194799977]), np.array([0.123456789012, 2.5]), None,
+                               "text"))
     serialize.write_csv(str(path), ["a", "b", "c", "d"], table,
                         metadata={"key": "value", "count": 2})
     header, rows, metadata = read_csv(str(path))
@@ -83,12 +83,11 @@ class _Table:
 def test_write_csv_formats_nine_digits_across_blocks(tmp_path):
     values = [0.1, -2.4721359549995794, 1e-300, 12345678912.0, -0.0, float("nan"), 7.0]
     index = list(range(len(values)))
-    # Each block brings its own kinds and constants; the last has a float and a text constant.
-    kinds = (float, int, str)
-    blocks = [serialize.Columns(kinds, (np.array(values[:3]), index[:3], "m%d")),
-              serialize.Columns(kinds, (values[3:6], np.array(index[3:6]), "m%d")),
-              serialize.Columns(kinds, (values[6:], index[6:], "m%d")),
-              serialize.Columns((str, float, str), (["a", "b"], 1 / 3, "k%"))]
+    # Each block brings its own columns and constants; the last has a float and a text constant.
+    blocks = [serialize.Columns((np.array(values[:3]), np.array(index[:3]), "m%d")),
+              serialize.Columns((np.array(values[3:6]), np.array(index[3:6]), "m%d")),
+              serialize.Columns((np.array(values[6:]), [str(i) for i in index[6:]], "m%d")),
+              serialize.Columns((["a", "b"], 1 / 3, "k%"))]
     path = tmp_path / "table.csv"
     serialize.write_csv(str(path), ["x", "i", "tag"], _Table(9, blocks))
     _, rows, _ = read_csv(str(path))
@@ -96,34 +95,63 @@ def test_write_csv_formats_nine_digits_across_blocks(tmp_path):
                     + [["a", "0.333333333", "k%"], ["b", "0.333333333", "k%"]])
 
 
-def test_constants_go_through_their_kinds_format(tmp_path):
-    # A non-sequence value in data is a constant: an int through %d, a str
-    # through %s with its % kept, a float through %.9g, None as an empty field.
+def test_constants_are_formatted_by_their_type(tmp_path):
+    # A non-sequence value in data is a constant: an int as its str, a str
+    # with its % kept, a float through %.9g, None as an empty field.
     path = tmp_path / "table.csv"
-    table = serialize.Columns((int, int, str, float, float, str),
-                              (3194799977, np.int64(7), "100% sure", 2 / 3, None, ["a", "b"]))
+    table = serialize.Columns((3194799977, np.int64(7), "100% sure", 2 / 3, None, ["a", "b"]))
     assert len(table) == 2
     serialize.write_csv(str(path), ["i", "j", "s", "x", "gap", "t"], table)
     _, rows, _ = read_csv(str(path))
     assert rows == [["3194799977", "7", "100% sure", "0.666666667", "", t] for t in "ab"]
 
 
-def test_block_needs_a_varying_column_and_known_kinds(tmp_path):
+def test_one_block_of_every_value_type_writes_fixed_bytes(tmp_path):
+    # Float arrays and floats get %.9g, None is empty, and everything else is
+    # its str: int64 and big-int object arrays, lists of texts, int constants.
     path = tmp_path / "table.csv"
-    constants = serialize.Columns((int, float), (5, 0.5))
+    table = serialize.Columns((
+        np.array([0.1, -2.4721359549995794, 1e-300]), np.array([5, -7, 3194799977]),
+        np.array([2**64 + 1, -(2**70), 3], dtype=object), ["a", "b%", "c d"],
+        1 / 3, 12345678901234567890, np.int64(-9), "100% sure", None))
+    serialize.write_csv(str(path), list("abcdefghi"), table)
+    assert path.read_text() == (
+        "a,b,c,d,e,f,g,h,i\n"
+        "0.1,5,18446744073709551617,a,0.333333333,12345678901234567890,-9,100% sure,\n"
+        "-2.47213595,-7,-1180591620717411303424,b%,0.333333333,12345678901234567890,-9,100% sure,\n"
+        "1e-300,3194799977,3,c d,0.333333333,12345678901234567890,-9,100% sure,\n")
+
+
+def test_columns_are_written_in_blocks_of_at_most_block_cells_rows(monkeypatch, tmp_path):
+    monkeypatch.setattr(serialize, "BLOCK_CELLS", 4)
+    size = 2 * serialize.BLOCK_CELLS + 3
+    values, index = np.linspace(-1.0, 1.0, size) / 3, np.arange(size) * 10**9
+    texts = [f"t{i}%" for i in range(size)]
+    table = serialize.Columns((values, index, texts, 2 / 3, None, "k%d"))
+    assert [len(block) for block in table.blocks()] == [4, 4, 3]
+    path = tmp_path / "table.csv"
+    serialize.write_csv(str(path), ["x", "i", "t", "c", "gap", "k"], table)
+    expected = "".join(f"{'%.9g' % x},{i},{t},{'%.9g' % (2 / 3)},,k%d\n"
+                       for x, i, t in zip(values.tolist(), index.tolist(), texts))
+    assert path.read_text() == "x,i,t,c,gap,k\n" + expected
+    # A longer second column is refused, not cut at the first column's last block.
+    with pytest.raises(ValueError, match="one length"):
+        list(serialize.Columns((np.arange(4.0), np.arange(8.0))).blocks())
+
+
+def test_block_needs_a_varying_column(tmp_path):
+    path = tmp_path / "table.csv"
+    constants = serialize.Columns((5, 0.5))
     with pytest.raises(ValueError, match="varying column"):
         len(constants)
     with pytest.raises(ValueError, match="varying column"):
         serialize.write_csv(str(path), ["n", "x"], _Table(1, [constants]))
-    for kind in (bool, "text", None):
-        with pytest.raises(ValueError, match="float, int or str"):
-            serialize.write_csv(str(path), ["x"], serialize.Columns((kind,), ([1.0],)))
     assert os.listdir(tmp_path) == []
 
 
 def test_write_is_atomic(tmp_path):
     path = tmp_path / "out.csv"
-    serialize.write_csv(str(path), ["x"], serialize.Columns((float,), ([1.0],)),
+    serialize.write_csv(str(path), ["x"], serialize.Columns((np.array([1.0]),)),
                         metadata={"timestamp": "2026-01-01T00:00:00+00:00"})
     assert path.exists()
     leftovers = [name for name in os.listdir(tmp_path) if name != "out.csv"]
@@ -141,7 +169,7 @@ def umask():
 
 
 _WRITERS = {
-    "csv": lambda path: serialize.write_csv(path, ["x"], serialize.Columns((float,), ([1.0],))),
+    "csv": lambda path: serialize.write_csv(path, ["x"], serialize.Columns((np.array([1.0]),))),
     "json": lambda path: serialize.write_json(path, {"x": 1.0}),
 }
 
@@ -174,19 +202,23 @@ def test_failed_or_short_table_leaves_no_file(tmp_path):
     path = tmp_path / "out.csv"
     with pytest.raises(RuntimeError):
         serialize.write_csv(str(path), ["x"], _Table(
-            3, [serialize.Columns((float,), ([1.0],)), serialize.Columns((float,), ([2.0],))],
+            3, [serialize.Columns((np.array([1.0]),)), serialize.Columns((np.array([2.0]),))],
             RuntimeError("third block failed")))
     with pytest.raises(ValueError):
         serialize.write_csv(str(path), ["x"],
-                            _Table(3, [serialize.Columns((float,), ([1.0, 2.0],))]))
-    # Columns of different lengths, or more kinds than header fields, are refused.
+                            _Table(3, [serialize.Columns((np.array([1.0, 2.0]),))]))
+    # Columns of different lengths, or more data columns than header fields, are refused.
     with pytest.raises(ValueError):
         serialize.write_csv(str(path), ["x", "y"],
-                            serialize.Columns((float, float), ([1.0, 2.0], [3.0])))
+                            serialize.Columns((np.array([1.0, 2.0]), np.array([3.0]))))
+    with pytest.raises(ValueError):  # a block a table yields is held to one length too
+        serialize.write_csv(str(path), ["x", "y"], _Table(
+            2, [serialize.Columns((np.array([1.0, 2.0]), np.array([3.0])))]))
     with pytest.raises(ValueError):
-        serialize.write_csv(str(path), ["x"], serialize.Columns((float, float), ([1.0], [2.0])))
-    with pytest.raises(ValueError):  # a later block's kinds are held to the header too
+        serialize.write_csv(str(path), ["x"],
+                            serialize.Columns((np.array([1.0]), np.array([2.0]))))
+    with pytest.raises(ValueError):  # a later block's columns are held to the header too
         serialize.write_csv(str(path), ["x"], _Table(
-            2, [serialize.Columns((float,), ([1.0],)),
-                serialize.Columns((float, float), ([1.0], [2.0]))]))
+            2, [serialize.Columns((np.array([1.0]),)),
+                serialize.Columns((np.array([1.0]), np.array([2.0])))]))
     assert os.listdir(tmp_path) == []
