@@ -137,13 +137,16 @@ def state1_margins(theta, phi, n):
 
     Returns ``(chsh_margin, kcbs_margin)``.  The angles and the cycle
     size ``n`` all broadcast, so a grid of angles at one size, or one
-    angle per size over an array of sizes, evaluates in one call, with
-    the constants of every size from one :func:`cycle_geometry` call.
-    The CHSH margin grows with the interference weight
-    sin^2(theta) cos^2(phi); the KCBS margin depends on theta only,
-    through the population cos^2(theta/2).
+    angle per size over an array of sizes, evaluates in one call, once
+    :func:`cycle_geometry` has checked every size.  The CHSH margin grows
+    with the interference weight sin^2(theta) cos^2(phi); the KCBS margin
+    depends on theta only, through the population cos^2(theta/2).
     """
-    geo = cycle_geometry(n)
+    return _state1_margins(theta, phi, cycle_geometry(n))
+
+
+def _state1_margins(theta, phi, geo):
+    """The kernel of :func:`state1_margins`, on the ``CycleGeometry`` of checked sizes."""
     c, s_plus, s_minus = geo.c, geo.s_plus, geo.s_minus
     n_values = np.asarray(geo.n, dtype=float)
     theta = np.asarray(theta, dtype=float)

@@ -4,8 +4,8 @@ Analytic mode evaluates the closed-form margins of the minimal state
 family; circuit mode re-derives every correlator from sampled Fourier
 tests so the two can be compared cell by cell.  The coexistence point at
 cycle size n is the angle where the CHSH and KCBS margins cross at
-phi = 0, found by one bisection over all requested sizes at once; its
-common value is the overlap.
+phi = 0, found by one bisection that steps every requested size in
+lockstep on one checked geometry; its common value is the overlap.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from . import analytic, circuits, observables
 from .errors import ChshKcbsError, EmptyGrid, NoIntersection
 from .linalg import expectation, tensor
 
-BISECTION_MAX_ITER = 200
 BISECTION_THETA_TOL = 1e-14
 RESIDUAL_TOL = 1e-9
 # Rows per circuit simulation: cells per preparation group, terms per term block, and
@@ -224,49 +223,47 @@ def coexistence_points(sizes) -> dict[str, np.ndarray]:
 
     The KCBS margin is maximal at theta = 0 and decreasing while the CHSH
     margin rises from negative values, so their difference changes sign
-    exactly once on (0, pi/2) for every valid n.  One bisection runs over
-    all sizes, one kernel call per step, each size with its own bracket
-    and stop test.  Returns the columns ``n``, ``theta_opt_deg``,
-    ``overlap``, ``residual`` and ``iterations``.  Raises NoIntersection,
-    naming the size, when a bracket shows no sign change, and
-    ChshKcbsError when a residual |chsh - kcbs| exceeds ``RESIDUAL_TOL``.
+    exactly once on (0, pi/2) for every valid n.  The sizes are checked
+    once; one bisection then steps them all in lockstep on their geometry,
+    one kernel call per step, for the ``iterations`` halvings that bring
+    their common bracket within ``BISECTION_THETA_TOL``.  Returns the columns
+    ``n``, ``theta_opt_deg``, ``overlap``, ``residual`` and ``iterations``.
+    Raises NoIntersection, naming the size, when the bracket shows no sign
+    change, and ChshKcbsError when a residual exceeds ``RESIDUAL_TOL``.
     """
+    return _coexistence(sizes)[0]
+
+
+def _coexistence(sizes) -> tuple[dict[str, np.ndarray], observables.CycleGeometry]:
     if np.size(sizes) == 0:
         raise EmptyGrid("no cycle sizes given")
-    n = np.atleast_1d(observables.cycle_geometry(sizes).n)
-
-    def gap(theta):
-        chsh, kcbs = analytic.state1_margins(theta, 0.0, n)
-        return chsh - kcbs
-
-    lo = np.full(n.shape, 1e-6)
-    hi = np.full(n.shape, math.pi / 2 - 1e-6)
-    gap_lo = gap(lo)
-    no_crossing = gap_lo * gap(hi) > 0
+    geo = observables.cycle_geometry(sizes)
+    n = np.atleast_1d(geo.n)
+    # Signs are compared, not multiplied, since a product of the largest sizes' gaps overflows.
+    lo, hi = np.full(n.shape, 1e-6), np.full(n.shape, math.pi / 2 - 1e-6)
+    gap_lo, gap_hi = (np.subtract(*analytic._state1_margins(x, 0.0, geo)) for x in (lo, hi))
+    no_crossing = (gap_lo > 0) & (gap_hi > 0) | (gap_lo < 0) & (gap_hi < 0)
     if no_crossing.any():
         raise NoIntersection(f"margins do not cross on (0, pi/2) for n = {n[no_crossing][0]}")
 
-    iterations = np.zeros(n.shape, dtype=int)
-    active = hi - lo > BISECTION_THETA_TOL
-    while active.any():
+    steps = math.ceil(math.log2((math.pi / 2 - 2e-6) / BISECTION_THETA_TOL))
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        gap_mid = gap(mid)
-        lower = gap_lo * gap_mid <= 0
-        hi = np.where(active & lower, mid, hi)
-        lo = np.where(active & ~lower, mid, lo)
-        gap_lo = np.where(active & ~lower, gap_mid, gap_lo)
-        iterations += active
-        active &= (hi - lo > BISECTION_THETA_TOL) & (iterations < BISECTION_MAX_ITER)
+        gap_mid = np.subtract(*analytic._state1_margins(mid, 0.0, geo))
+        lower = (gap_lo <= 0) & (gap_mid >= 0) | (gap_lo >= 0) & (gap_mid <= 0)
+        hi = np.where(lower, mid, hi)
+        lo = np.where(lower, lo, mid)
+        gap_lo = np.where(lower, gap_lo, gap_mid)
 
     theta_opt = 0.5 * (lo + hi)
-    chsh, kcbs = analytic.state1_margins(theta_opt, 0.0, n)
+    chsh, kcbs = analytic._state1_margins(theta_opt, 0.0, geo)
     residual = np.abs(chsh - kcbs)
     breach = residual > RESIDUAL_TOL
     if breach.any():
         raise ChshKcbsError(f"margins differ by {residual[breach][0]:.3g} at the crossing for "
                             f"n = {n[breach][0]}, above RESIDUAL_TOL = {RESIDUAL_TOL:g}")
     return {"n": n, "theta_opt_deg": np.degrees(theta_opt), "overlap": 0.5 * (chsh + kcbs),
-            "residual": residual, "iterations": iterations}
+            "residual": residual, "iterations": np.full(n.shape, steps)}, geo
 
 
 def scaling_study(sizes) -> tuple[dict[str, np.ndarray], float | None]:
@@ -274,18 +271,18 @@ def scaling_study(sizes) -> tuple[dict[str, np.ndarray], float | None]:
 
     Returns the :func:`coexistence_points` columns plus
     ``psi_n_kcbs_margin``, ``psi_n_chsh_margin``, ``asym_kcbs`` and
-    ``asym_chsh``, and beside them the log-log slope of overlap against
-    n over the given sizes (None when they hold fewer than two distinct
-    values, since one size fixes no slope).
+    ``asym_chsh`` on the solved sizes, and beside them the log-log
+    slope of overlap against n over the given sizes (None when they hold
+    fewer than two distinct values, since one size fixes no slope).
     """
-    columns = coexistence_points(sizes)
+    columns, geo = _coexistence(sizes)
     n = columns["n"]
-    theta_n = np.array([2.0 * math.acos(math.sqrt((k + 2.0) / (k + 4.0))) for k in n.tolist()])
-    columns["psi_n_chsh_margin"], columns["psi_n_kcbs_margin"] = analytic.state1_margins(
-        theta_n, 0.0, n)
+    theta_n = 2.0 * np.arccos(np.sqrt((n + 2.0) / (n + 4.0)))
+    columns["psi_n_chsh_margin"], columns["psi_n_kcbs_margin"] = analytic._state1_margins(
+        theta_n, 0.0, geo)
     columns["asym_kcbs"], columns["asym_chsh"] = analytic.asymptotic_margins(n)
     slope = None
-    if np.unique(n).size >= 2:
+    if n.min() != n.max():
         slope = float(np.polyfit(np.log(n), np.log(columns["overlap"]), 1)[0])
     return columns, slope
 

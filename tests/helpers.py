@@ -1,10 +1,11 @@
-"""Test helpers: output readers, exact cycle rows and an independent circuit oracle."""
+"""Test helpers: output readers, exact cycle rows, a per-size bisection and a circuit oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
+from chsh_kcbs.analytic import state1_margins
 from chsh_kcbs.circuits import (CircuitSpec, GateOp, controlled_power, embed_alice, f3, phase_gate,
                                 rotation, run_circuit, x02)
 from chsh_kcbs.linalg import tensor
@@ -38,6 +39,39 @@ def worst_error(values, exact) -> float:
     mpmath = pytest.importorskip("mpmath")
     pairs = zip(np.asarray(values).real.ravel().tolist(), np.asarray(exact, dtype=object).ravel())
     return max(float(abs(mpmath.mpf(value) - reference)) for value, reference in pairs)
+
+
+def masked_bisection(sizes, tolerance: float) -> dict:
+    """Coexistence columns from a bisection in which every size keeps its own stop test.
+
+    Each size is active until its own bracket is within ``tolerance`` (or 200 steps),
+    counts its own steps, and tests for a sign change by multiplying the two gaps.
+    Sizes stay below about 1e150 here, so the product cannot overflow.
+    """
+    n = np.asarray(sizes)
+
+    def gap(theta):
+        chsh, kcbs = state1_margins(theta, 0.0, n)
+        return chsh - kcbs
+
+    lo, hi = np.full(n.shape, 1e-6), np.full(n.shape, math.pi / 2 - 1e-6)
+    gap_lo = gap(lo)
+    assert not np.any(gap_lo * gap(hi) > 0)
+    iterations = np.zeros(n.shape, dtype=int)
+    active = hi - lo > tolerance
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        gap_mid = gap(mid)
+        lower = gap_lo * gap_mid <= 0
+        hi = np.where(active & lower, mid, hi)
+        lo = np.where(active & ~lower, mid, lo)
+        gap_lo = np.where(active & ~lower, gap_mid, gap_lo)
+        iterations += active
+        active &= (hi - lo > tolerance) & (iterations < 200)
+    theta = 0.5 * (lo + hi)
+    chsh, kcbs = state1_margins(theta, 0.0, n)
+    return {"theta_opt_deg": np.degrees(theta), "overlap": 0.5 * (chsh + kcbs),
+            "residual": np.abs(chsh - kcbs), "iterations": iterations}
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]], dict]:

@@ -655,6 +655,17 @@ def test_the_largest_odd_size_runs_with_no_overflow_warning(tmp_path, monkeypatc
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["coexist", "scaling"])
+def test_the_largest_odd_size_has_no_crossing_and_no_overflow_warning(tmp_path, capsys, command):
+    # Its margin gaps at the two ends of the bracket are about 4e295 and 9e307, whose
+    # product overflows; the signs are compared instead, and the suite's warnings are errors.
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--n", str(LARGEST_ODD_SIZE), "--out", str(out)) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: margins do not cross on (0, pi/2) for n = {LARGEST_ODD_SIZE}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sizes", [
     "5:99999999999999999999:2",  # more sizes than a list can hold
     "5:2000000000000001:2",  # 10**15 sizes, 8 PB of pointers, beyond the address space
@@ -795,17 +806,18 @@ def test_config_echoed_into_metadata(tmp_path):
 
 def test_scaling_solves_all_sizes_in_a_few_kernel_calls(tmp_path, monkeypatch):
     calls = []
-    kernel = experiments.analytic.state1_margins
+    kernel = experiments.analytic._state1_margins
 
-    def spy(theta, phi, n):
-        calls.append(np.size(n))
-        return kernel(theta, phi, n)
+    def spy(theta, phi, geo):
+        calls.append(np.size(geo.n))
+        return kernel(theta, phi, geo)
 
-    monkeypatch.setattr(experiments.analytic, "state1_margins", spy)
+    monkeypatch.setattr(experiments.analytic, "_state1_margins", spy)
     out = tmp_path / "scaling.csv"
     assert run_cli("scaling", "--n", "5:999:2", "--out", str(out), "--no-timestamp") == 0
     assert len(read_csv(str(out))[1]) == 498
     assert len(calls) <= 60
+    assert calls == [498] * len(calls)
 
 
 def test_scaling_slope_is_fitted_over_the_written_rows(tmp_path):

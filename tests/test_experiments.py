@@ -23,7 +23,7 @@ from chsh_kcbs import (
 from chsh_kcbs import experiments, serialize
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
 from chsh_kcbs.analytic import chsh_coefficients, state1
-from helpers import exact_cycle_rows, worst_error
+from helpers import exact_cycle_rows, masked_bisection, worst_error
 
 TABLE_POINTS = {5: (49.605, 0.343069), 23: (30.381, 0.227717), 55: (20.815, 0.11978)}
 
@@ -416,22 +416,38 @@ def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
 
 
 def test_margin_kernel_builds_the_cycle_constants_once_per_call(monkeypatch):
-    kernel_calls, geometry_calls = [], []
-    kernel, geometry = experiments.analytic.state1_margins, experiments.analytic.cycle_geometry
+    # The public margins build the constants once per call.  One scaling study builds
+    # them a fixed number of times, each over all its sizes, however many sizes and
+    # bisection steps it has: every step runs the kernel on the solve's one geometry.
+    kernel_calls, builds = [], []
+    kernel, build = experiments.analytic._state1_margins, experiments.observables.CycleGeometry
 
-    def kernel_spy(theta, phi, n):
-        kernel_calls.append(np.size(n))
-        return kernel(theta, phi, n)
+    def kernel_spy(theta, phi, geo):
+        kernel_calls.append(np.size(geo.n))
+        return kernel(theta, phi, geo)
 
-    def geometry_spy(n):
-        geometry_calls.append(np.size(n))
-        return geometry(n)
+    def build_spy(*fields):
+        builds.append(np.size(fields[0]))
+        return build(*fields)
 
-    monkeypatch.setattr(experiments.analytic, "state1_margins", kernel_spy)
-    monkeypatch.setattr(experiments.analytic, "cycle_geometry", geometry_spy)
-    scaling_study(range(5, 200, 2))
-    assert len(kernel_calls) > 2
-    assert geometry_calls == kernel_calls + [len(range(5, 200, 2))]
+    monkeypatch.setattr(experiments.analytic, "_state1_margins", kernel_spy)
+    monkeypatch.setattr(experiments.observables, "CycleGeometry", build_spy)
+    state1_margins(0.3, 0.0, np.arange(5, 200, 2))
+    assert builds == [len(range(5, 200, 2))] and kernel_calls == builds
+    counts, steps = [], []
+    for sizes, tolerance in ((range(5, 200, 2), 1e-14), (range(5, 2000, 2), 1e-14),
+                             (range(5, 50, 2), 1e-12)):
+        monkeypatch.setattr(experiments, "BISECTION_THETA_TOL", tolerance)
+        kernel_calls.clear()
+        builds.clear()
+        scaling_study(sizes)
+        assert len(kernel_calls) > 2
+        assert kernel_calls == [len(sizes)] * len(kernel_calls)
+        assert builds == [len(sizes)] * len(builds)
+        counts.append(len(builds))
+        steps.append(len(kernel_calls))
+    assert counts[0] == counts[1] == counts[2] <= 3
+    assert steps[0] == steps[1] > steps[2]
 
 
 def test_landscape_circuit_mode_agrees_with_analytic():
@@ -508,13 +524,26 @@ def test_sizes_beyond_int64_stay_integers():
 
 
 def test_coexistence_surfaces_missing_crossing(monkeypatch):
-    def never_crossing(theta, phi, n):
-        shape = np.broadcast_shapes(np.shape(theta), np.shape(n))
+    def never_crossing(theta, phi, geo):
+        shape = np.broadcast_shapes(np.shape(theta), np.shape(geo.n))
         return np.full(shape, -1.0), np.full(shape, 1.0)
 
-    monkeypatch.setattr(experiments.analytic, "state1_margins", never_crossing)
+    monkeypatch.setattr(experiments.analytic, "_state1_margins", never_crossing)
     with pytest.raises(NoIntersection):
         coexistence_points([5])
+
+
+def test_lockstep_bisection_matches_a_per_size_masked_bisection_to_the_bit():
+    # Every size starts from the same bracket, so every size stops after the same count.
+    sizes = [*range(5, 2002, 2), 1000001, 4506887, 10000001]
+    got = coexistence_points(sizes)
+    want = masked_bisection(sizes, experiments.BISECTION_THETA_TOL)
+    for name in ("theta_opt_deg", "overlap", "residual"):
+        assert np.array_equal(got[name], want[name]), name
+    steps = math.ceil(math.log2((math.pi / 2 - 2e-6) / experiments.BISECTION_THETA_TOL))
+    assert steps == 48
+    assert want["iterations"].tolist() == [steps] * len(sizes)
+    assert got["iterations"].tolist() == [steps] * len(sizes)
 
 
 def test_coexistence_points_match_single_size_solves():
@@ -527,13 +556,13 @@ def test_coexistence_points_match_single_size_solves():
 
 
 def test_missing_crossing_names_the_cycle_size(monkeypatch):
-    kernel = experiments.analytic.state1_margins
+    kernel = experiments.analytic._state1_margins
 
-    def no_crossing_at_seven(theta, phi, n):
-        chsh, kcbs = kernel(theta, phi, n)
-        return np.where(n == 7, -1.0, chsh), np.where(n == 7, 1.0, kcbs)
+    def no_crossing_at_seven(theta, phi, geo):
+        chsh, kcbs = kernel(theta, phi, geo)
+        return np.where(geo.n == 7, -1.0, chsh), np.where(geo.n == 7, 1.0, kcbs)
 
-    monkeypatch.setattr(experiments.analytic, "state1_margins", no_crossing_at_seven)
+    monkeypatch.setattr(experiments.analytic, "_state1_margins", no_crossing_at_seven)
     with pytest.raises(NoIntersection, match=r"for n = 7$"):
         coexistence_points([5, 7, 9])
 
