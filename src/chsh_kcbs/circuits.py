@@ -1,21 +1,21 @@
 """Exact qutrit circuit simulation and the ancilla Fourier test.
 
-The gate library covers subspace rotations, phase gates, the qutrit
-Fourier transform, and the controlled power gate
-``|a>|psi> -> |a> U^a |psi>``.  Past the gates, every function takes and
-returns stacks with leading row axes: one state, test or distribution
-is a one-row stack.  Circuits run on an ordered list of qutrit registers,
-and a gate may be a (k, d, d) stack, one gate per row, so one run
-simulates k circuits of the same shape.  The minimal state is prepared
-on the (alice, bob) pair with Alice's level 2 left empty; every
-correlator of the hybrid protocol is then a Fourier test on a prepared
-state, with Alice's 2x2 observables embedded into 3x3 by a unit on the
-dead level.  :func:`run_hybrid_tests` runs the products A[i, j] (x) B[j]
-over a (cell, term) grid and checks only their two factor stacks;
-:func:`fourier_tests` checks a (k, d, d) stack.  Every operator check
-names the gate or stack and its first failing entry.  Both share one
-readout that simulates all their tests at once: F3 on the ancilla axis,
-U on ancilla block 1 and U U on block 2, then the inverse F3.
+The gate library covers subspace rotations, phase gates, the qutrit Fourier
+transform, and the controlled power gate ``|a>|psi> -> |a> U^a |psi>``.  Past
+the gates, every function takes and returns stacks with leading row axes: one
+state, test or distribution is a one-row stack.  Circuits run on an ordered
+list of qutrit registers, and a gate may be a (k, d, d) stack, one gate per
+row, so one run simulates k circuits of the same shape.  The minimal state is
+prepared on the (alice, bob) pair with Alice's level 2 left empty; every
+correlator of the hybrid protocol is then a Fourier test on a prepared state,
+with Alice's 2x2 observables embedded into 3x3 by a unit on the dead level.
+:func:`run_hybrid_tests` runs the products A[i, j] (x) B[j] over a grid of
+(cell, term) rows, checks only their two factor stacks, once, and simulates
+at most ``BLOCK_TERMS`` rows at a time; :func:`fourier_tests` checks a
+(k, d, d) stack.  Every operator check names the gate or stack and its first
+failing entry.  Both share one readout that simulates all their tests at
+once: F3 on the ancilla axis, U on ancilla block 1 and U U on block 2, then
+the inverse F3.
 
 The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
@@ -41,6 +41,10 @@ GATE_UNITARY_TOL = 1e-10
 FOURIER_INPUT_TOL = 1e-10
 DEAD_LEVEL_TOL = 1e-12
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a multinomial draw takes
+# Rows per circuit simulation: cells per preparation group, terms per term block and (cell,
+# term) rows per stack of run_hybrid_tests, so memory is bounded in n and in the grid.  At 100
+# rows a (rows, 9, 9) complex stack stays under 128 KiB, which the C allocator reuses.
+BLOCK_TERMS = 100
 
 SUBSPACES = ((0, 1), (0, 2), (1, 2))
 
@@ -274,7 +278,8 @@ def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:
     bank.  The shapes are checked first (``DimensionMismatch``), then each
     factor stack once, Hermiticity then unitarity, then each state's norm.
     A product of two such factors is a Hermitian unitary, so no product is
-    checked.  Each A is embedded by a unit on Alice's empty level 2.
+    checked.  Each A is embedded by a unit on Alice's empty level 2, and the
+    grid is simulated in stacks of ``max(1, BLOCK_TERMS // t)`` cells.
     """
     states, alice, bob = (np.asarray(x, dtype=complex) for x in (states, alice_ops, bob_ops))
     if (states.shape[1:] != (6,) or bob.shape[1:] != (3, 3)
@@ -284,8 +289,12 @@ def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:
     _check_ops(alice, "Alice factor", hermitian=True)
     _check_ops(bob, "Bob factor", hermitian=True)
     vec = state_vector(embed_joint_state(states), dim=9, require_normalized=True)
-    ops = np.einsum("ctij,tab->ctiajb", embed_alice(alice), bob)
-    return _readout(ops.reshape(alice.shape[:2] + (9, 9)), vec[:, None])
+    step = max(1, BLOCK_TERMS // max(len(bob), 1))
+    probs = np.empty(alice.shape[:2] + (3,))
+    for cells in (slice(first, first + step) for first in range(0, len(states), step)):
+        ops = np.einsum("ctij,tab->ctiajb", embed_alice(alice[cells]), bob)
+        probs[cells] = _readout(ops.reshape(ops.shape[:2] + (9, 9)), vec[cells, None])
+    return probs
 
 
 def _readout(ops, vec) -> np.ndarray:

@@ -387,6 +387,8 @@ def main(argv=None) -> int:
                 sub.error(f"the following arguments are required: --{dest}")
         if getattr(args, "mode", None) == "circuit" and args.shots is None:
             sub.error("--mode circuit requires --shots")
+        if "out" in requires:  # refused before anything is computed
+            serialize.out_directory(args.out)
         return _RUNNERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

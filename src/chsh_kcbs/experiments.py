@@ -21,11 +21,6 @@ from .linalg import expectation, tensor
 
 BISECTION_THETA_TOL = 1e-14
 RESIDUAL_TOL = 1e-9
-# Rows per circuit simulation: cells per preparation group, terms per term block, and
-# (cell, term) rows per Fourier test, BLOCK_TERMS // len(block) cells by one term block.  It
-# bounds the memory of a circuit landscape in n and in the grid.  At 100 rows a (rows, 9, 9)
-# complex stack stays under 128 KiB, small enough for the C allocator to reuse between blocks.
-BLOCK_TERMS = 100
 # Circuit landscape metadata: scheme 2 draws all of a cell's terms from one generator.
 SEED_SCHEME = 2
 
@@ -63,33 +58,30 @@ def _alice_rotations(co) -> np.ndarray:
 def _term_sums(n: int, thetas, phis, seeds, shots) -> tuple[np.ndarray, np.ndarray]:
     """Running CHSH and KCBS sums of a group of cells over their n + 4 terms, in term order.
 
-    The group, at most ``BLOCK_TERMS`` cells, is prepared in one run and
-    reduced to its CHSH settings once.  Its terms run in blocks of at most
-    ``BLOCK_TERMS``: each term block builds Bob's bank once and runs as
-    (cell, term) grids of ``BLOCK_TERMS // len(block)`` cells by that bank.
-    Each cell draws its shots in term order from one generator seeded by
-    its cell seed, so its stream and its sums carry from block to block.
-    CHSH takes its fourth term and KCBS its wraparound term with a minus sign.
+    The group, at most ``circuits.BLOCK_TERMS`` cells, is prepared in one run
+    and reduced to its CHSH settings once.  Its terms run in blocks of at most
+    ``circuits.BLOCK_TERMS``, each one bank of Bob's, one (cell, term) grid of
+    the group by that bank and one shot draw.  Each cell draws in term order
+    from one generator seeded by its cell seed, so its stream and its sums
+    carry from block to block.  CHSH takes its fourth term and KCBS its
+    wraparound term with a minus sign.
     """
     states = circuits.prepare_state1(thetas, phis)
     rotations = _alice_rotations(analytic.chsh_coefficients(states, n))
     terms, cells = n + 4, len(states)
     generators = [np.random.default_rng(seed) for seed in seeds]
     chsh, kcbs = np.zeros(cells), np.zeros(cells)
-    for start in range(0, terms, BLOCK_TERMS):
-        block = np.arange(start, min(start + BLOCK_TERMS, terms))
+    for start in range(0, terms, circuits.BLOCK_TERMS):
+        block = np.arange(start, min(start + circuits.BLOCK_TERMS, terms))
         bob = _bob_bank(n, range(start, block[-1] + 1))
         split = np.count_nonzero(block < 4)  # the block's CHSH terms, which come first
         sign = np.where((block == 3) | (block == terms - 1), -1.0, 1.0)
-        per_test = BLOCK_TERMS // block.size
-        for first in range(0, cells, per_test):
-            rows = slice(first, first + per_test)
-            alice = np.broadcast_to(np.eye(2), (len(states[rows]), block.size, 2, 2)).copy()
-            alice[:, :split] = rotations[rows, start:start + split]
-            probs = circuits.run_hybrid_tests(states[rows], alice, bob)
-            signed = sign * circuits.sample_shot_stack(probs, shots, generators[rows])[1][..., 0]
-            chsh[rows] = _running_sums(chsh[rows], signed[:, :split])
-            kcbs[rows] = _running_sums(kcbs[rows], signed[:, split:])
+        alice = np.broadcast_to(np.eye(2), (cells, block.size, 2, 2)).copy()
+        alice[:, :split] = rotations[:, start:start + split]
+        probs = circuits.run_hybrid_tests(states, alice, bob)
+        signed = sign * circuits.sample_shot_stack(probs, shots, generators)[1][..., 0]
+        chsh = _running_sums(chsh, signed[:, :split])
+        kcbs = _running_sums(kcbs, signed[:, split:])
     return chsh, kcbs
 
 
@@ -109,14 +101,13 @@ class LandscapeTable:
     memory however large the grid.  :meth:`blocks` is the one read path:
     the writer formats its rows by the types of their values and a caller
     reads its numbers, both from the same ``serialize.Columns``.  Circuit
-    mode prepares a block's cells in groups of at most ``BLOCK_TERMS`` and
-    runs a group's n + 4 terms in term blocks of at most ``BLOCK_TERMS``.
-    Each term block is one bank of Bob's t operators, tested on (cell,
-    term) grids of as many cells c as keep c t within ``BLOCK_TERMS``, with
-    only the factors checked.  A cell's generator and running sums carry
-    from block to block, so a pass holds O(``BLOCK_TERMS``) rows however
-    large n is, and no value depends on the blocking.  Every pass samples
-    again from the same seeds.
+    mode prepares a block's cells in groups of at most ``circuits.BLOCK_TERMS``
+    and runs a group's n + 4 terms in term blocks of at most that many, each
+    one (cell, term) grid of the group against one bank of Bob's, which
+    ``run_hybrid_tests`` checks once and simulates in bounded stacks.  A
+    cell's generator and running sums carry from block to block, so a pass
+    holds O(``BLOCK_TERMS``) rows however large n is, and no value depends
+    on the blocking.  Every pass samples again from the same seeds.
     """
 
     n: int
@@ -155,7 +146,7 @@ class LandscapeTable:
         """CHSH margins, KCBS margins and seeds by theta row: (theta, phi) arrays in circuit mode.
 
         The analytic KCBS margin depends on theta alone: one number per row, and no seed.
-        Circuit cells are summed by :func:`_term_sums` in groups of at most ``BLOCK_TERMS``.
+        Circuit cells are summed by :func:`_term_sums` in groups of ``circuits.BLOCK_TERMS``.
         """
         if self.mode == "analytic":
             chsh, kcbs = analytic.state1_margins(np.deg2rad(thetas)[:, None],
@@ -167,8 +158,8 @@ class LandscapeTable:
         cell_thetas = np.repeat(np.deg2rad(thetas), phis.size)
         cell_phis = np.tile(np.deg2rad(phis), thetas.size)
         chsh, kcbs = np.empty(count), np.empty(count)
-        for group in range(0, count, BLOCK_TERMS):
-            cells = slice(group, group + BLOCK_TERMS)
+        for group in range(0, count, circuits.BLOCK_TERMS):
+            cells = slice(group, group + circuits.BLOCK_TERMS)
             chsh[cells], kcbs[cells] = _term_sums(n, cell_thetas[cells], cell_phis[cells],
                                                   seeds[cells], self.shots)
         shape = (thetas.size, phis.size)

@@ -40,13 +40,7 @@ def hermiticity_check(m, tol: float = HERMITIAN_TOL):
     A stack of matrices is checked entry by entry over its last two axes,
     giving a bool array over the leading axes.
     """
-    m = np.asarray(m, dtype=complex)
-
-    def residual(sq):
-        adjoint = _adjoint(sq)
-        return np.subtract(sq, adjoint, out=adjoint)
-
-    return _within(m, residual, tol)
+    return _within(m, lambda sq: sq - _adjoint(sq), tol)
 
 
 def unitarity_check(m, tol: float = UNITARY_TOL):
@@ -55,14 +49,7 @@ def unitarity_check(m, tol: float = UNITARY_TOL):
     A stack of matrices is checked entry by entry over its last two axes,
     giving a bool array over the leading axes.
     """
-    m = np.asarray(m, dtype=complex)
-
-    def residual(sq):
-        product = sq @ _adjoint(sq)
-        product -= np.eye(sq.shape[-1])
-        return product
-
-    return _within(m, residual, tol)
+    return _within(m, lambda sq: sq @ _adjoint(sq) - np.eye(sq.shape[-1]), tol)
 
 
 def _adjoint(sq: np.ndarray) -> np.ndarray:
@@ -70,8 +57,9 @@ def _adjoint(sq: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(sq, -1, -2))
 
 
-def _within(m: np.ndarray, residual, tol: float):
-    """Max-norm test of ``residual(m)`` per matrix; False for non-square input."""
+def _within(m, residual, tol: float):
+    """Max-norm test of ``residual(m)`` per complex matrix; False for non-square input."""
+    m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False if m.ndim <= 2 else np.zeros(m.shape[:-2], dtype=bool)
     ok = np.max(np.abs(residual(m)), axis=(-2, -1)) <= tol

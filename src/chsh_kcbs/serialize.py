@@ -35,10 +35,20 @@ def matrix_to_json(mat) -> dict:
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "entries": entries}
 
 
+def out_directory(path: str) -> str:
+    """The directory of output file ``path``; OSError naming ``path`` if no file can go there.
+
+    That is a directory (``EISDIR``), an empty path or a missing directory (``ENOENT``).
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not (path and os.path.isdir(directory)):
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    return directory
+
+
 def _atomic_write(path: str, chunks):
-    if os.path.isdir(path):  # refused before any chunk is computed
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = out_directory(path)  # refused before any chunk is computed
     # mkstemp makes its file 0600: it gets the mode open(path, "w") would leave.
     umask = os.umask(0o022)
     os.umask(umask)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,71 @@ def test_cell_term_grid_equals_one_row_calls_and_the_three_register_circuit():
             assert grid[i, j].tobytes() == alone[0, 0].tobytes()
             expected = three_register_probabilities(theta, phi, alice[i, j], bank[j])
             assert grid[i, j].tolist() == expected
+
+
+@pytest.mark.parametrize("block_terms, terms", [(8, 3), (4, 9)])
+def test_a_grid_of_more_than_block_terms_rows_runs_in_bounded_stacks(monkeypatch, block_terms,
+                                                                       terms):
+    # 7 cells by t terms is more than BLOCK_TERMS rows.  The grid is simulated in
+    # stacks of BLOCK_TERMS // t cells, or of one cell when t > BLOCK_TERMS, and
+    # every entry keeps the bits of its one-cell, one-term call.
+    monkeypatch.setattr(circuits, "BLOCK_TERMS", block_terms)
+    stacks, readout = [], circuits._readout
+
+    def readout_spy(ops, vec):
+        stacks.append(ops.shape[:2])
+        return readout(ops, vec)
+
+    rng = np.random.default_rng(47)
+    states = prepare_state1(rng.uniform(0, math.pi, 7), rng.uniform(0, 2 * math.pi, 7))
+    alice = np.array([[alice_rotation(w).matrix for w in row]
+                      for row in rng.uniform(0, 2 * math.pi, (7, terms))])
+    bank = _bob_bank(7, range(terms))
+    monkeypatch.setattr(circuits, "_readout", readout_spy)
+    grid = run_hybrid_tests(states, alice, bank)
+    cells = max(1, block_terms // terms)
+    assert stacks == [(min(cells, 7 - first), terms) for first in range(0, 7, cells)]
+    assert max(c * t for c, t in stacks) <= max(terms, block_terms)
+    for i in range(7):
+        for j in range(terms):
+            alone = run_hybrid_tests(states[i:i + 1], alice[i:i + 1, j:j + 1], bank[j:j + 1])
+            assert grid[i, j].tobytes() == alone[0, 0].tobytes()
+
+
+def test_a_hundred_by_hundred_grid_traces_a_bounded_peak():
+    # All 10000 (cell, term) products at once traced 30.8 MiB; stacks of at most
+    # BLOCK_TERMS rows keep one call's peak below 4 MiB.
+    states = prepare_state1(np.linspace(0, math.pi, 100), np.linspace(0, 2 * math.pi, 100))
+    alice = np.array([[alice_rotation(0.01 * (i + j)).matrix for j in range(100)]
+                      for i in range(100)], dtype=complex)
+    bank = _bob_bank(97, range(100))
+    tracemalloc.start()
+    try:
+        grid = run_hybrid_tests(states, alice, bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (100, 100, 3)
+    assert peak < 4 * 2**20
+
+
+def test_a_circuit_landscape_checks_each_factor_stack_once_per_term_block(monkeypatch):
+    # n = 97 on 11 x 11 cells: two preparation groups of 100 and 21 cells, each
+    # running a 100-term block and a 1-term tail.  Each (group, term block) checks
+    # its Alice stack and its Bob bank once, however many stacks it simulates.
+    checked, check = [], circuits._check_ops
+
+    def check_spy(ops, name, hermitian=False):
+        if name.endswith("factor"):
+            checked.append((name, np.shape(ops)))
+        return check(ops, name, hermitian)
+
+    monkeypatch.setattr(circuits, "_check_ops", check_spy)
+    table = landscape_scan(97, np.linspace(0, 180, 11), np.linspace(0, 360, 11), mode="circuit",
+                           shots=100, seed=3)
+    assert sum(len(block) for block in table.blocks()) == 121
+    assert checked == [check for c in (100, 21) for t in (100, 1)
+                       for check in (("Alice factor", (c, t, 2, 2)), ("Bob factor", (t, 3, 3)))]
 
 
 @pytest.mark.parametrize("factor, entry, bad, error", [

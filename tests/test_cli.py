@@ -698,21 +698,53 @@ def _check_missing_parent(tmp_path, capsys, *argv):
     assert not (tmp_path / "not-here").exists()
 
 
-@pytest.mark.parametrize("command, args", [
+# Every command that writes a file, on inputs that take seconds to compute.
+_OUT_COMMANDS = [
     ("landscape", ["--n", "5", "--theta", "0:180:2001", "--phi", "0:360:721"]),
     ("fourier-test", ["--n", "5", "--theta", "30", "--phi", "0", "--alice", "w0", "--bob", "b0"]),
-])
+    ("coexist", ["--n", "5:1000001:2"]),
+    ("scaling", ["--n", "5:1000001:2"]),
+    ("observables", ["--n", "20001"]),
+]
+
+
+def _spy_on_computing(monkeypatch):
+    """Record each landscape pass, coexistence solve, cycle build and Fourier test a run starts."""
+    computed = []
+    for owner, name in ((experiments.LandscapeTable, "blocks"), (experiments, "_coexistence"),
+                        (cli.observables, "kcbs_vectors"), (cli.circuits, "run_hybrid_tests")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: computed.append(name))
+    return computed
+
+
+@pytest.mark.parametrize("command, args", _OUT_COMMANDS)
 def test_an_output_directory_is_refused_before_any_block_is_computed(tmp_path, capsys,
                                                                     monkeypatch, command, args):
-    blocks = []
-    monkeypatch.setattr(experiments.LandscapeTable, "blocks", lambda table: blocks.append(table))
+    computed = _spy_on_computing(monkeypatch)
     out = tmp_path / "out"
     out.mkdir()
     assert run_cli(command, *args, "--out", str(out)) == cli.EXIT_IO
     assert capsys.readouterr().err.splitlines() == [
         f"I/O error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}"]
-    assert blocks == []
+    assert computed == []
     assert os.listdir(tmp_path) == ["out"] and os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command, args", _OUT_COMMANDS)
+@pytest.mark.parametrize("out", ["", os.path.join("missing", "out")])
+def test_an_empty_or_parentless_output_is_refused_before_anything_is_computed(
+        tmp_path, capsys, monkeypatch, command, args, out):
+    # An empty path names no file; its temp file would go to the working
+    # directory's parent, the directory of abspath("").
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    computed = _spy_on_computing(monkeypatch)
+    assert run_cli(command, *args, "--out", out) == cli.EXIT_IO
+    assert capsys.readouterr().err.splitlines() == [
+        f"I/O error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {out!r}"]
+    assert computed == []
+    assert os.listdir(tmp_path) == ["work"] and os.listdir(work) == []
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

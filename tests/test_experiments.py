@@ -206,13 +206,14 @@ def _propagated_margin_stddev(n, theta, phi, shots):
 
 
 def _spy_on_circuit_blocks(monkeypatch):
-    """Record the preparation runs, (cell, term) grids and cycle rows a circuit landscape uses.
+    """Record the preparation runs, (cell, term) grids, stacks and cycle rows a landscape uses.
 
-    ``measured`` holds each grid's states and Bob bank, ``tests`` its (cell, term) row count.
+    ``measured`` holds each grid's states and Bob bank; ``stacks`` holds the (cells, terms)
+    shape and the states of each stack that ``run_hybrid_tests`` hands to the readout.
     """
-    calls = {"prepared": [], "measured": [], "tests": [], "cycle_rows": []}
+    calls = {"prepared": [], "measured": [], "stacks": [], "cycle_rows": []}
     prepare, stacked = experiments.circuits.prepare_state1, experiments.circuits.run_hybrid_tests
-    cycle = experiments.observables.kcbs_observables
+    cycle, readout = experiments.observables.kcbs_observables, experiments.circuits._readout
 
     def prepare_spy(theta, phi):
         calls["prepared"].append((np.array(theta), np.array(phi), prepare(theta, phi)))
@@ -220,8 +221,11 @@ def _spy_on_circuit_blocks(monkeypatch):
 
     def stacked_spy(state, alice_ops, bob_ops):
         calls["measured"].append((np.array(state), np.array(bob_ops)))
-        calls["tests"].append(len(state) * len(bob_ops))
         return stacked(state, alice_ops, bob_ops)
+
+    def readout_spy(ops, vec):
+        calls["stacks"].append((ops.shape[:2], np.array(vec[:, 0, :6])))
+        return readout(ops, vec)
 
     def cycle_spy(n, rows=None):
         calls["cycle_rows"].append((n, None if rows is None else np.array(rows).tolist()))
@@ -229,8 +233,14 @@ def _spy_on_circuit_blocks(monkeypatch):
 
     monkeypatch.setattr(experiments.circuits, "prepare_state1", prepare_spy)
     monkeypatch.setattr(experiments.circuits, "run_hybrid_tests", stacked_spy)
+    monkeypatch.setattr(experiments.circuits, "_readout", readout_spy)
     monkeypatch.setattr(experiments.observables, "kcbs_observables", cycle_spy)
     return calls
+
+
+def _stack_rows(calls):
+    """The (cell, term) row count of each stack a circuit landscape simulated."""
+    return [cells * terms for (cells, terms), _ in calls["stacks"]]
 
 
 def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
@@ -238,7 +248,7 @@ def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
     # BLOCK_TERMS cells; all n + 4 correlators of a cell are Fourier tests on
     # that cell's prepared state, run as (cell, term) grids.
     n, thetas, phis = 5, [30.0, 60.0, 90.0], [0.0, 45.0]
-    monkeypatch.setattr(experiments, "BLOCK_TERMS", 4)
+    monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", 4)
     calls = _spy_on_circuit_blocks(monkeypatch)
     table = landscape_scan(n, thetas, phis, mode="circuit", shots=100, seed=3)
     _columns(table)
@@ -247,65 +257,72 @@ def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
     assert prepared == cells and len(prepared) == len(table)
     assert [len(run[0]) for run in calls["prepared"]] == [4, 2]
     # BLOCK_TERMS = 4 < n + 4 splits the terms into blocks of 4, 4 and 1.  Within
-    # a preparation group the grids run term block by term block: a 4-term
-    # grid reads one cell's state for all its terms, and the 1-term grid reads
-    # the whole group of 4 cells, one row each.
+    # a preparation group the grids run term block by term block, one grid of
+    # the whole group per term block.  Inside it, a 4-term stack reads one
+    # cell's state for all its terms, and the 1-term stack reads the whole
+    # group of 4 cells, one row each.
     groups = [run[2] for run in calls["prepared"]]
-    expected = [(group[first:first + 4 // rows], rows)
-                for group in groups for rows in (4, 4, 1)
-                for first in range(0, len(group), 4 // rows)]
-    assert len(calls["measured"]) == len(expected) == 2 * (4 + 2) + 2
+    grids = [(group, terms) for group in groups for terms in (4, 4, 1)]
+    assert len(calls["measured"]) == len(grids) == 2 * 3
     assert all(np.array_equal(got, want) and len(bank) == terms
-               for (got, bank), (want, terms) in zip(calls["measured"], expected))
+               for (got, bank), (want, terms) in zip(calls["measured"], grids))
+    expected = [(group[first:first + 4 // terms], terms) for group, terms in grids
+                for first in range(0, len(group), 4 // terms)]
+    assert len(calls["stacks"]) == len(expected) == 2 * (4 + 2) + 2
+    assert all(shape == (len(want), terms) and np.array_equal(got, want)
+               for (shape, got), (want, terms) in zip(calls["stacks"], expected))
 
 
 @pytest.mark.parametrize("block_terms", [4, 5, 8, 9, 10, 19, 100])
 def test_circuit_blocks_hold_at_most_block_terms_rows(monkeypatch, block_terms):
-    # n + 4 = 9 terms: from BLOCK_TERMS = 9 up a test holds whole cells, and
-    # below it each term block runs as tests of as many cells as fit.  Every
-    # Fourier test and every preparation run holds at most BLOCK_TERMS rows,
-    # all rows are measured once, and every cell is prepared once.
+    # n + 4 = 9 terms: from BLOCK_TERMS = 9 up a stack holds whole cells, and
+    # below it each term block's grid runs as stacks of as many cells as fit.
+    # Every simulated stack and every preparation run holds at most BLOCK_TERMS
+    # rows, all rows are measured once, and every cell is prepared once.
     n, thetas, phis = 5, [0.0, 30.0, 60.0, 180.0], [0.0, 45.0, 90.0]
-    monkeypatch.setattr(experiments, "BLOCK_TERMS", block_terms)
+    monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", block_terms)
     calls = _spy_on_circuit_blocks(monkeypatch)
     table = landscape_scan(n, thetas, phis, mode="circuit", shots=50, seed=2)
     _columns(table)
-    assert max(calls["tests"]) <= block_terms
-    assert sum(calls["tests"]) == len(table) * (n + 4)
+    assert max(_stack_rows(calls)) <= block_terms
+    assert sum(_stack_rows(calls)) == len(table) * (n + 4)
     assert max(len(run[0]) for run in calls["prepared"]) <= block_terms
     assert sum(len(run[0]) for run in calls["prepared"]) == len(table)
     assert len(calls["prepared"]) == -(-len(table) // block_terms)
-    # Each preparation group builds each term block's bank once, from the
-    # cycle rows its pairs need, at most BLOCK_TERMS + 1.
+    # Each preparation group runs each term block as one grid and builds its
+    # bank once, from the cycle rows its pairs need, at most BLOCK_TERMS + 1.
     term_blocks = -(-(n + 4) // block_terms)
+    assert len(calls["measured"]) == len(calls["prepared"]) * term_blocks
     assert len(calls["cycle_rows"]) == len(calls["prepared"]) * term_blocks
     assert all(size == n and len(rows) <= block_terms + 1 for size, rows in calls["cycle_rows"])
 
 
 @pytest.mark.parametrize("n, block_terms", [(5, 8), (97, 100)])
 def test_a_one_term_tail_block_runs_as_one_test_per_group(monkeypatch, n, block_terms):
-    # n + 4 = BLOCK_TERMS + 1: a group of c cells runs c full term blocks, one
-    # cell each, and one test of the c cells' last term.
-    monkeypatch.setattr(experiments, "BLOCK_TERMS", block_terms)
+    # n + 4 = BLOCK_TERMS + 1: a group of c cells runs one grid of the full term
+    # block, simulated as c stacks of one cell each, and one grid of the c
+    # cells' last term, simulated as one stack.
+    monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", block_terms)
     calls = _spy_on_circuit_blocks(monkeypatch)
     table = landscape_scan(n, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=4)
     _columns(table)
     assert len(calls["prepared"]) == 1
-    assert [len(states) * len(bank) for states, bank in calls["measured"]] == (
-        [block_terms] * len(table) + [len(table)])
+    assert [(len(states), len(bank)) for states, bank in calls["measured"]] == [
+        (len(table), block_terms), (len(table), 1)]
+    assert _stack_rows(calls) == [block_terms] * len(table) + [len(table)]
 
 
 @pytest.mark.parametrize("block_terms, shapes", [
     # n + 4 = 9 terms fit one block: the 6 cells are one grid against the whole bank.
     (100, [(6, 9)]),
-    # Term blocks [0, 4), [4, 8), [8, 9) in groups of 4 and 2 cells: one cell per
-    # 4-term grid, then the group's cells against the 1-term tail bank.
-    (4, [(1, 4)] * 8 + [(4, 1)] + [(1, 4)] * 4 + [(2, 1)]),
+    # Term blocks [0, 4), [4, 8), [8, 9) in groups of 4 and 2 cells: each group is
+    # one grid per term block, the 1-term tail bank included.
+    (4, [(4, 4), (4, 4), (4, 1), (2, 4), (2, 4), (2, 1)]),
 ])
 def test_term_sums_pass_each_state_once_against_one_bank(monkeypatch, block_terms, shapes):
     # Each grid holds c states, not c t repeated rows, a (c, t) Alice stack
     # and one bank of t Bob operators, not one copy per cell.
-    monkeypatch.setattr(experiments, "BLOCK_TERMS", block_terms)
+    monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", block_terms)
     grids, stacked = [], experiments.circuits.run_hybrid_tests
 
     def stacked_spy(states, alice_ops, bob_ops):
@@ -322,7 +339,7 @@ def test_split_cells_build_each_term_blocks_bank_once_per_group(monkeypatch):
     # n + 4 = 9 > BLOCK_TERMS = 4: term blocks [0, 4), [4, 8) and [8, 9), whose
     # pairs read cycle rows 0, 0..4 and 4, 0.  Six cells make two groups, and
     # each group builds each bank once, not once per cell.
-    monkeypatch.setattr(experiments, "BLOCK_TERMS", 4)
+    monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", 4)
     calls = _spy_on_circuit_blocks(monkeypatch)
     table = landscape_scan(5, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=4)
     _columns(table)
@@ -340,7 +357,7 @@ def test_circuit_table_pass_builds_the_bob_bank_once(monkeypatch):
         calls.append((size, np.array(rows).tolist()))
         return stack(size, rows)
 
-    monkeypatch.setattr(experiments, "BLOCK_TERMS", 2 * (n + 4))
+    monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", 2 * (n + 4))
     monkeypatch.setattr(experiments.observables, "kcbs_observables", stack_spy)
     table = landscape_scan(n, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=1)
     first = _columns(table)
@@ -367,7 +384,7 @@ def test_circuit_csv_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path
     grid = (n, "0,50,180", "0,45,90,200")
     default = _circuit_csv(tmp_path, "default.csv", *grid)
     for block_terms in (4, 5, n + 3, n + 4, n + 5, 2 * (n + 4) + 1):
-        monkeypatch.setattr(experiments, "BLOCK_TERMS", block_terms)
+        monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", block_terms)
         assert _circuit_csv(tmp_path, f"{block_terms}.csv", *grid) == default, block_terms
 
 
