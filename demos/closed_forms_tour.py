@@ -19,13 +19,14 @@ from chsh_kcbs import (
 from chsh_kcbs.observables import b0_closed_form, bm_bm1_closed_form, s_operator
 
 # ------------------------------------------------------------------
-# 1. The odd cycle carries a handful of derived constants.  lambda3 is
-#    the quantum ceiling of the cycle sum, lambda1 its floor.
+# 1. The odd cycle carries a handful of derived constants.  The diagonal
+#    cycle operator S holds the floor of the cycle sum (levels 0 and 1)
+#    and its quantum ceiling (level 2).
 # ------------------------------------------------------------------
 for n in (5, 7, 9, 11):
-    geo = cycle_geometry(n)
-    print(f"n = {n:2d}: c = {geo.c:.6f}  lambda1 = {geo.lambda1:.6f}  "
-          f"lambda3 = {geo.lambda3:.6f}  classical bound = {n - 2}")
+    floor, _, ceiling = np.diag(s_operator(n).matrix).real
+    print(f"n = {n:2d}: c = {cycle_geometry(n).c:.6f}  floor = {floor:.6f}  "
+          f"ceiling = {ceiling:.6f}  classical bound = {n - 2}")
 
 # ------------------------------------------------------------------
 # 2. Contextuality needs population on the qutrit level 2 above a

@@ -31,7 +31,6 @@ from .circuits import (
     estimator_stddev,
     estimators,
     f3,
-    fourier_tests,
     phase_gate,
     prepare_state1,
     rotation,

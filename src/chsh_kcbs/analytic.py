@@ -103,19 +103,25 @@ def chsh_value(state, n: int, omega0: float, omega2: float) -> float:
 
 
 def kcbs_value(state, n: int) -> KcbsReport:
-    """KCBS cycle sum of a state; driven entirely by the level-2 population."""
-    d = decompose(state, n)
-    n, c = int(n), d.c  # decompose checked n
-    s = n * (4 * c - 2) / (1 + c) * d.p2 + n * (1 - c) / (1 + c)
-    bound = float(n - 2)
-    return KcbsReport(s_kcbs=s, p2=d.p2, classical_bound=bound, margin=s - bound)
+    """KCBS cycle sum of a state, read through the sum of its four weights off level 2."""
+    (intercept, slope), bound = _kcbs_line(cycle_geometry(n)), float(int(n) - 2)
+    w00, w01, w02, w10, w11, w12 = np.abs(state_vector(state, dim=6, require_normalized=True)) ** 2
+    margin = float(intercept - slope * (w00 + w01 + w10 + w11))
+    return KcbsReport(bound + margin, float(w02 + w12), bound, margin)
 
 
 def p2_threshold(n: int) -> float:
     """Level-2 population above which the KCBS inequality is violated."""
-    geo = cycle_geometry(n)
-    c = geo.c
-    return (geo.n * c - 1 - c) / ((2 * c - 1) * geo.n)
+    return float(1.0 - np.divide(*_kcbs_line(cycle_geometry(n))))  # q = a / b at a zero margin
+
+
+def _kcbs_line(geo):
+    """Intercept a and slope b of the KCBS margin ``a - b q = 2 - n (2d + (4c - 2) q)/(1 + c)``.
+
+    q is the population off level 2 and ``d = 1 - c = 2 s2^2``; nothing cancels or overflows.
+    """
+    n, c = np.asarray(geo.n, dtype=float), geo.c
+    return 2.0 - n * (4.0 * (geo.s2 * geo.s2) / (1 + c)), n * ((4.0 * c - 2.0) / (1 + c))
 
 
 def state1(theta: float, phi: float) -> JointState:
@@ -135,32 +141,34 @@ def state1(theta: float, phi: float) -> JointState:
 def state1_margins(theta, phi, n):
     """Closed-form violation margins of the minimal state family.
 
-    Returns ``(chsh_margin, kcbs_margin)``.  The angles and the cycle
-    size ``n`` all broadcast, so a grid of angles at one size, or one
-    angle per size over an array of sizes, evaluates in one call, once
-    :func:`cycle_geometry` has checked every size.  The CHSH margin grows
-    with the interference weight sin^2(theta) cos^2(phi); the KCBS margin
-    depends on theta only, through the population cos^2(theta/2).
+    Returns ``(chsh_margin, kcbs_margin)``.  The angles and the cycle size ``n`` all
+    broadcast, so a grid of angles at one size, or one angle per size over an array of
+    sizes, evaluates in one call, once :func:`cycle_geometry` has checked every size.  The
+    CHSH margin grows with the interference weight sin^2(theta) cos^2(phi); the KCBS margin
+    depends on theta only, through the population sin^2(theta/2) off level 2.
     """
-    return _state1_margins(theta, phi, cycle_geometry(n))
-
-
-def _state1_margins(theta, phi, geo):
-    """The kernel of :func:`state1_margins`, on the ``CycleGeometry`` of checked sizes."""
-    c, s_plus, s_minus = geo.c, geo.s_plus, geo.s_minus
-    n_values = np.asarray(geo.n, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-
     # Squares multiply: numpy scalars would square through libm pow, which
     # can differ from an array's exact square in the last bit.
-    sin_theta, cos_phi, cos_half = np.sin(theta), np.cos(phi), np.cos(theta / 2)
-    interference = c * (sin_theta * sin_theta) * (cos_phi * cos_phi)
-    far = 2 - 4 * c
-    chsh = (np.sqrt(4 * (c * c) + interference * (s_minus * s_minus))
-            + np.sqrt(far * far + interference * (s_plus * s_plus))) / (1 + c) - 2.0
-    kcbs = n_values / (1 + c) * ((4 * c - 2) * (cos_half * cos_half) - 2 * c) + 2.0
-    kcbs = np.broadcast_to(kcbs, chsh.shape).copy()
+    sin_half, sin_theta, cos_phi = np.sin(np.divide(theta, 2)), np.sin(theta), np.cos(phi)
+    return _state1_margins(sin_half * sin_half, (sin_theta * sin_theta) * (cos_phi * cos_phi),
+                           cycle_geometry(n))
+
+
+def _state1_margins(s, weight, geo):
+    """Margins at population s off level 2 and weight sin^2(theta) cos^2(phi), on checked sizes.
+
+    Each ``sqrt(a^2 + x) - a`` of the CHSH margin (``a = 2c`` or ``4c - 2 > 0``) is written
+    ``x / (sqrt(a^2 + x) + a)``; the weight comes whole, as ``4 s (1 - s)`` cancels near pi.
+    """
+    (intercept, slope), c = _kcbs_line(geo), geo.c
+    chsh, interference = -8.0 * (geo.s2 * geo.s2), c * np.asarray(weight, dtype=float)  # -4d
+    for a, coupling in ((2.0 * c, geo.s_minus), (4.0 * c - 2.0, geo.s_plus)):
+        x = interference * (coupling * coupling)
+        chsh = chsh + x / (np.sqrt(a * a + x) + a)
+    chsh = chsh / (1 + c)
+    kcbs = intercept - slope * np.asarray(s, dtype=float)
+    if kcbs.shape != chsh.shape:
+        kcbs = np.broadcast_to(kcbs, chsh.shape).copy()
     if chsh.ndim == 0:
         return float(chsh), float(kcbs)
     return chsh, kcbs
@@ -199,7 +207,8 @@ def psi_n_state(n: int, k: int = 0) -> JointState:
 def asymptotic_margins(n):
     """Leading large-n margins (kcbs, chsh) of the scaling family, for a size or an array."""
     size = np.asarray(cycle_geometry(n).n, dtype=float) + 4.0
-    return 8.0 / size, 8.0 * (size - 2.0) / (size * size)
+    f, k = np.frexp(size)  # 8 (size - 2) / size^2 scaled by 2^-k, so no square overflows
+    return 8.0 / size, np.ldexp(8.0 * np.ldexp(size - 2.0, -k) / (f * f), -k)
 
 
 def theta_opt_asymptotic(n: int) -> float:

@@ -9,13 +9,12 @@ row, so one run simulates k circuits of the same shape.  The minimal state is
 prepared on the (alice, bob) pair with Alice's level 2 left empty; every
 correlator of the hybrid protocol is then a Fourier test on a prepared state,
 with Alice's 2x2 observables embedded into 3x3 by a unit on the dead level.
-:func:`run_hybrid_tests` runs the products A[i, j] (x) B[j] over a grid of
-(cell, term) rows, checks only their two factor stacks, once, and simulates
-at most ``BLOCK_TERMS`` rows at a time; :func:`fourier_tests` checks a
-(k, d, d) stack.  Every operator check names the gate or stack and its first
-failing entry.  Both share one readout that simulates all their tests at
-once: F3 on the ancilla axis, U on ancilla block 1 and U U on block 2, then
-the inverse F3.
+:func:`run_hybrid_tests`, the one Fourier-test entry point, runs the
+products A[i, j] (x) B[j] over a grid of (cell, term) rows, checks only
+their two factor stacks, once, and simulates at most ``BLOCK_TERMS`` rows at
+a time, each stack in one readout: F3 on the ancilla axis, U on ancilla
+block 1 and U U on block 2, then the inverse F3.  Every operator check names
+the gate or stack and its first failing entry.
 
 The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
@@ -249,26 +248,6 @@ def estimators(probs) -> np.ndarray:
     return np.stack(((9.0 * (p0 - p1 - p2) - 1.0) / 8.0,
                      (9.0 * p0 - 5.0) / 4.0,
                      (2.0 - 9.0 * p1) / 2.0), axis=-1)
-
-
-def fourier_tests(ops, psi) -> np.ndarray:
-    """Exact Fourier tests of a (k, d, d) stack of Hermitian unitaries on a (k, d) stack of states.
-
-    Row i of the (k, 3) result is the test of ``ops[i]`` on ``psi[i]``.
-    The operators are checked before any state is read: their shape
-    (``DimensionMismatch``), then each entry; then each state's norm, and
-    one state per operator (``DimensionMismatch``).
-    """
-    ops = np.asarray(ops, dtype=complex)
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-        raise DimensionMismatch(
-            f"Fourier test needs a (k, d, d) stack of square operators, got shape {ops.shape}")
-    _check_ops(ops, "Fourier test operator", hermitian=True)
-    vec = state_vector(psi, dim=ops.shape[-1], require_normalized=True)
-    if vec.ndim != 2 or len(vec) != len(ops):
-        raise DimensionMismatch(f"Fourier test needs one state per operator, "
-                                f"got states of shape {vec.shape} for {len(ops)} operators")
-    return _readout(ops, vec)
 
 
 def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:

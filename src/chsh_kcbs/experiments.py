@@ -3,9 +3,8 @@
 Analytic mode evaluates the closed-form margins of the minimal state
 family; circuit mode re-derives every correlator from sampled Fourier
 tests so the two can be compared cell by cell.  The coexistence point at
-cycle size n is the angle where the CHSH and KCBS margins cross at
-phi = 0, found by one bisection that steps every requested size in
-lockstep on one checked geometry; its common value is the overlap.
+cycle size n is where the CHSH and KCBS margins cross at phi = 0: one
+bisection for the overlap steps every size in lockstep on one geometry.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from . import analytic, circuits, observables
 from .errors import ChshKcbsError, EmptyGrid, NoIntersection
 from .linalg import expectation, tensor
 
-BISECTION_THETA_TOL = 1e-14
 RESIDUAL_TOL = 1e-9
 # Circuit landscape metadata: scheme 2 draws all of a cell's terms from one generator.
 SEED_SCHEME = 2
@@ -101,13 +99,9 @@ class LandscapeTable:
     memory however large the grid.  :meth:`blocks` is the one read path:
     the writer formats its rows by the types of their values and a caller
     reads its numbers, both from the same ``serialize.Columns``.  Circuit
-    mode prepares a block's cells in groups of at most ``circuits.BLOCK_TERMS``
-    and runs a group's n + 4 terms in term blocks of at most that many, each
-    one (cell, term) grid of the group against one bank of Bob's, which
-    ``run_hybrid_tests`` checks once and simulates in bounded stacks.  A
-    cell's generator and running sums carry from block to block, so a pass
-    holds O(``BLOCK_TERMS``) rows however large n is, and no value depends
-    on the blocking.  Every pass samples again from the same seeds.
+    mode sums a block's cells in groups by :func:`_term_sums`, so a pass holds
+    O(``circuits.BLOCK_TERMS``) rows however large n is, no value depends on
+    the blocking, and every pass samples again from the same seeds.
     """
 
     n: int
@@ -210,17 +204,17 @@ def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
 
 
 def coexistence_points(sizes) -> dict[str, np.ndarray]:
-    """Angle where the CHSH and KCBS margins cross at phi = 0, for all cycle sizes at once.
+    """The overlap m where the CHSH and KCBS margins meet at phi = 0, for all cycle sizes at once.
 
-    The KCBS margin is maximal at theta = 0 and decreasing while the CHSH
-    margin rises from negative values, so their difference changes sign
-    exactly once on (0, pi/2) for every valid n.  The sizes are checked
-    once; one bisection then steps them all in lockstep on their geometry,
-    one kernel call per step, for the ``iterations`` halvings that bring
-    their common bracket within ``BISECTION_THETA_TOL``.  Returns the columns
-    ``n``, ``theta_opt_deg``, ``overlap``, ``residual`` and ``iterations``.
-    Raises NoIntersection, naming the size, when the bracket shows no sign
-    change, and ChshKcbsError when a residual exceeds ``RESIDUAL_TOL``.
+    The KCBS margin is affine in the population s off level 2, so the root of ``chsh(s(m)) - m``
+    on ``[0, kcbs(s = 0)]`` is as well conditioned as the margins, as the root in theta is not.
+    ``F(m) = chsh(s(m))`` falls as m grows, so the root lies in ``[F(F(0)), F(0)]``.  The checked
+    sizes are solved in lockstep on one geometry, one kernel call per step: the root's offset in
+    bits from ``F(F(0))`` is found bit by bit, each bit one halving, until each bracket's ends
+    are adjacent floats.  Returns the columns ``n``, ``theta_opt_deg``, ``overlap``,
+    ``residual`` (``|chsh - m|``) and ``iterations`` (each size's halvings).  Raises
+    NoIntersection, naming the size, when ``[0, kcbs(s = 0)]`` shows no sign change, and
+    ChshKcbsError when a residual exceeds ``RESIDUAL_TOL``.
     """
     return _coexistence(sizes)[0]
 
@@ -229,49 +223,50 @@ def _coexistence(sizes) -> tuple[dict[str, np.ndarray], observables.CycleGeometr
     if np.size(sizes) == 0:
         raise EmptyGrid("no cycle sizes given")
     geo = observables.cycle_geometry(sizes)
-    n = np.atleast_1d(geo.n)
-    # Signs are compared, not multiplied, since a product of the largest sizes' gaps overflows.
-    lo, hi = np.full(n.shape, 1e-6), np.full(n.shape, math.pi / 2 - 1e-6)
-    gap_lo, gap_hi = (np.subtract(*analytic._state1_margins(x, 0.0, geo)) for x in (lo, hi))
-    no_crossing = (gap_lo > 0) & (gap_hi > 0) | (gap_lo < 0) & (gap_hi < 0)
-    if no_crossing.any():
-        raise NoIntersection(f"margins do not cross on (0, pi/2) for n = {n[no_crossing][0]}")
+    n, (intercept, slope) = np.atleast_1d(geo.n), np.atleast_1d(*analytic._kcbs_line(geo))
 
-    steps = math.ceil(math.log2((math.pi / 2 - 2e-6) / BISECTION_THETA_TOL))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        gap_mid = np.subtract(*analytic._state1_margins(mid, 0.0, geo))
-        lower = (gap_lo <= 0) & (gap_mid >= 0) | (gap_lo >= 0) & (gap_mid <= 0)
-        hi = np.where(lower, mid, hi)
-        lo = np.where(lower, lo, mid)
-        gap_lo = np.where(lower, gap_lo, gap_mid)
+    def gap(bits):
+        """chsh(s(m)) - m at the overlaps m whose float64 bit patterns are given."""
+        s = (intercept - bits.view(float)) / slope  # the population whose KCBS margin is m
+        return analytic._state1_margins(s, 4.0 * s * (1.0 - s), geo)[0] - bits.view(float)
 
-    theta_opt = 0.5 * (lo + hi)
-    chsh, kcbs = analytic._state1_margins(theta_opt, 0.0, geo)
-    residual = np.abs(chsh - kcbs)
-    breach = residual > RESIDUAL_TOL
+    # A sign change must show across [0, kcbs(s = 0)]; a NaN gap fails the check.
+    top = intercept.view(np.int64)
+    upper = gap(np.zeros_like(top))  # F(0), which bounds the root from above
+    crossing = (upper >= 0) & (gap(top) <= 0)
+    if not crossing.all():
+        raise NoIntersection(f"margins do not cross at an overlap in [0, kcbs(theta = 0)] "
+                             f"for n = {n[~crossing][0]}")
+    upper = np.clip(upper.view(np.int64), 0, top)
+    lower = np.clip((gap(upper) + upper.view(float)).view(np.int64), 0, upper)
+    width, offset = upper - lower, np.zeros_like(lower)
+    for bit in reversed(range(int(width.max()).bit_length())):
+        trial = np.minimum(offset | (1 << bit), width)
+        offset = np.where(gap(lower + trial) > 0, trial, offset)
+    overlap, residual = (lower + offset).view(float), np.abs(gap(lower + offset))
+    breach = ~(residual <= RESIDUAL_TOL)
     if breach.any():
         raise ChshKcbsError(f"margins differ by {residual[breach][0]:.3g} at the crossing for "
                             f"n = {n[breach][0]}, above RESIDUAL_TOL = {RESIDUAL_TOL:g}")
-    return {"n": n, "theta_opt_deg": np.degrees(theta_opt), "overlap": 0.5 * (chsh + kcbs),
-            "residual": residual, "iterations": np.full(n.shape, steps)}, geo
+    theta_opt = 2.0 * np.arcsin(np.sqrt((intercept - overlap) / slope))
+    return {"n": n, "theta_opt_deg": np.degrees(theta_opt), "overlap": overlap,
+            "residual": residual, "iterations": np.frexp(width)[1]}, geo  # halvings: bits of width
 
 
 def scaling_study(sizes) -> tuple[dict[str, np.ndarray], float | None]:
     """Coexistence points, scaling-family margins, and large-n laws per cycle size.
 
-    Returns the :func:`coexistence_points` columns plus
-    ``psi_n_kcbs_margin``, ``psi_n_chsh_margin``, ``asym_kcbs`` and
-    ``asym_chsh`` on the solved sizes, and beside them the log-log
-    slope of overlap against n over the given sizes (None when they hold
-    fewer than two distinct values, since one size fixes no slope).
+    Returns the :func:`coexistence_points` columns plus ``psi_n_kcbs_margin``,
+    ``psi_n_chsh_margin`` (at s = 2/(n+4)), ``asym_kcbs`` and ``asym_chsh`` on the solved
+    sizes, and beside them the log-log slope of overlap against n over the given sizes
+    (None when they hold fewer than two distinct values, since one size fixes no slope).
     """
     columns, geo = _coexistence(sizes)
-    n = columns["n"]
-    theta_n = 2.0 * np.arccos(np.sqrt((n + 2.0) / (n + 4.0)))
+    n = columns["n"].astype(float)  # sizes beyond int64 come as an object array
+    s = 2.0 / (n + 4.0)
     columns["psi_n_chsh_margin"], columns["psi_n_kcbs_margin"] = analytic._state1_margins(
-        theta_n, 0.0, geo)
-    columns["asym_kcbs"], columns["asym_chsh"] = analytic.asymptotic_margins(n)
+        s, 4.0 * s * (1.0 - s), geo)
+    columns["asym_kcbs"], columns["asym_chsh"] = analytic.asymptotic_margins(columns["n"])
     slope = None
     if n.min() != n.max():
         slope = float(np.polyfit(np.log(n), np.log(columns["overlap"]), 1)[0])
@@ -357,14 +352,14 @@ def run_validation() -> list[tuple[str, float, float, bool]]:
     # KCBS range and threshold consistency.
     excursions, mismatches = [], []
     for n in (5, 7, 9):
-        geo = observables.cycle_geometry(n)
+        floor, _, ceiling = np.diag(observables.s_operator(n).matrix).real
         threshold = analytic.p2_threshold(n)
         for amps in _random_states(rng, 50):
             kcbs = analytic.kcbs_value(amps, n)
-            excursions += [geo.lambda1 - kcbs.s_kcbs, kcbs.s_kcbs - geo.lambda3]
+            excursions += [floor - kcbs.s_kcbs, kcbs.s_kcbs - ceiling]
             if abs(kcbs.p2 - threshold) > 1e-10:
                 mismatches.append((kcbs.margin > 0) != (kcbs.p2 > threshold))
-    check("KCBS value, max excursion outside [lambda1, lambda3]", excursions, 1e-10)
+    check("KCBS value, max excursion outside [floor, ceiling] of S", excursions, 1e-10)
     check("KCBS margin sign vs p2 threshold, mismatches", np.sum(mismatches), 0)
 
     # Minimal-state coefficient structure at phi = 0 and pi/3.
@@ -405,13 +400,17 @@ def run_validation() -> list[tuple[str, float, float, bool]]:
     counts_a, counts_b = (circuits.sample_shot_stack(base, 5000, [11])[0] for _ in range(2))
     check("seeded sampling, max count difference between reruns", np.abs(counts_a - counts_b), 0)
 
-    # Coexistence residuals and the tabulated n = 5 point.
-    points = coexistence_points(range(5, 17, 2))
-    check("coexistence residual |chsh - kcbs| for n = 5..15", points["residual"], RESIDUAL_TOL)
+    # Coexistence residuals, the n = 5 point and the laws overlap ~ 8/n, theta ~ sqrt(8/n).
+    n, points = 10**12 + 1, coexistence_points([*range(5, 17, 2), 10**12 + 1])
+    check("coexistence residual |chsh - kcbs| for n = 5..15 and 1e12+1", points["residual"],
+          RESIDUAL_TOL)
     check("n = 5 coexistence angle, |theta - 49.605 deg|",
           abs(points["theta_opt_deg"][0] - 49.605), 0.01)
     check("n = 5 coexistence overlap, |overlap - 0.343069|",
           abs(points["overlap"][0] - 0.343069), 1e-4)
+    check("n = 1e12+1 overlap law, |overlap n - 8|", abs(points["overlap"][-1] * n - 8.0), 1e-9)
+    check("n = 1e12+1 angle law, |theta_opt sqrt(n) - sqrt(8)|",
+          abs(math.radians(points["theta_opt_deg"][-1]) * math.sqrt(n) - math.sqrt(8.0)), 1e-10)
 
     # Landscape symmetry in phi.
     thetas = np.deg2rad(np.linspace(0, 180, 13))

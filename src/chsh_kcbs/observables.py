@@ -25,9 +25,8 @@ from .linalg import Observable
 class CycleGeometry:
     """Derived constants of the odd n-cycle: numbers for one size, arrays for an array of sizes.
 
-    ``c = cos(pi/n)``, ``s2 = sin(pi/2n)``, ``m = (n-1)/2``, the cycle
-    operator's two distinct eigenvalues ``lambda1 = n(1-c)/(1+c)`` and
-    ``lambda3 = n(3c-1)/(1+c)``, and the CHSH couplings
+    ``c = cos(pi/n)``, ``s2 = sin(pi/2n)``, from which ``1 - c = 2 s2^2`` is
+    formed without cancelling, ``m = (n-1)/2`` and the CHSH couplings
     ``s_plus, s_minus = 4 (-1)^m s2 +/- 2``.
     """
 
@@ -35,8 +34,6 @@ class CycleGeometry:
     c: float | np.ndarray
     s2: float | np.ndarray
     m: int | np.ndarray
-    lambda1: float | np.ndarray
-    lambda3: float | np.ndarray
     s_plus: float | np.ndarray
     s_minus: float | np.ndarray
 
@@ -64,8 +61,7 @@ def cycle_geometry(n) -> CycleGeometry:
     s2 = np.sin(np.pi / 2 / n_float)  # 2 * n_float would overflow near the largest float
     m = (sizes - 1) // 2
     coupling = np.where(m % 2 == 1, -4.0, 4.0) * s2
-    fields = (sizes, c, s2, m, n_float * ((1 - c) / (1 + c)), n_float * ((3 * c - 1) / (1 + c)),
-              coupling + 2.0, coupling - 2.0)
+    fields = (sizes, c, s2, m, coupling + 2.0, coupling - 2.0)
     if sizes.ndim == 0:
         fields = [np.asarray(value).item() for value in fields]
     return CycleGeometry(*fields)
@@ -122,27 +118,21 @@ def kcbs_pair(n: int, j: int) -> Observable:
 
 def b0_closed_form(n: int) -> Observable:
     """Closed form of B_0 in the qutrit basis."""
-    geo = cycle_geometry(n)
-    c, sq = geo.c, math.sqrt(geo.c)
-    mat = np.array([
-        [(1 - c) / (1 + c), 0.0, 2 * sq / (1 + c)],
-        [0.0, -1.0, 0.0],
-        [2 * sq / (1 + c), 0.0, (c - 1) / (1 + c)],
-    ])
-    return Observable(matrix=mat, label="B_0")
+    c = cycle_geometry(n).c
+    return _xz_reflection((1 - c) / (1 + c), 2 * math.sqrt(c) / (1 + c), -1.0, "B_0")
 
 
 def bm_bm1_closed_form(n: int) -> Observable:
     """Closed form of the middle product B_m B_{m+1}, m = (n-1)/2."""
     geo = cycle_geometry(n)
-    c, sq = geo.c, math.sqrt(geo.c)
-    off = 4 * (-1) ** geo.m * geo.s2 * sq / (1 + c)
-    mat = np.array([
-        [(1 - 3 * c) / (1 + c), 0.0, off],
-        [0.0, 1.0, 0.0],
-        [off, 0.0, (3 * c - 1) / (1 + c)],
-    ])
-    return Observable(matrix=mat, label=f"B_{geo.m} B_{geo.m + 1}")
+    off = 4 * (-1) ** geo.m * geo.s2 * math.sqrt(geo.c) / (1 + geo.c)
+    return _xz_reflection((1 - 3 * geo.c) / (1 + geo.c), off, 1.0, f"B_{geo.m} B_{geo.m + 1}")
+
+
+def _xz_reflection(corner: float, off: float, middle: float, label: str) -> Observable:
+    """``[[corner, 0, off], [0, middle, 0], [off, 0, -corner]]`` in the qutrit basis."""
+    mat = np.array([[corner, 0.0, off], [0.0, middle, 0.0], [off, 0.0, -corner]])
+    return Observable(matrix=mat, label=label)
 
 
 def alice_rotation(omega: float) -> Observable:
@@ -152,6 +142,8 @@ def alice_rotation(omega: float) -> Observable:
 
 
 def s_operator(n: int) -> Observable:
-    """Diagonal cycle operator S = diag(lambda1, lambda1, lambda3)."""
+    """Diagonal cycle operator S: floor n (1 - c)/(1 + c) twice, then ceiling n (3c - 1)/(1 + c)."""
     geo = cycle_geometry(n)
-    return Observable(matrix=np.diag([geo.lambda1, geo.lambda1, geo.lambda3]), label="S")
+    # 1 - c as 2 s2^2; n multiplies each ratio, so neither overflows.
+    floor, ceiling = (geo.n * (x / (1 + geo.c)) for x in (2 * geo.s2 * geo.s2, 3 * geo.c - 1))
+    return Observable(matrix=np.diag([floor, floor, ceiling]), label="S")

@@ -23,6 +23,7 @@ from chsh_kcbs import (
     theta_opt_asymptotic,
 )
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, s_operator
+from helpers import textbook_margins
 
 
 def chsh_operator(n, omega0, omega2):
@@ -131,11 +132,11 @@ def test_chsh_value_examples_and_periodicity():
 def test_kcbs_value_matches_matrix_expectation(n):
     rng = np.random.default_rng(17 + n)
     op = tensor(np.eye(2), s_operator(n).matrix)
-    geo = cycle_geometry(n)
+    floor, _, ceiling = np.diag(s_operator(n).matrix).real
     for psi in random_states(rng, 40):
         report = kcbs_value(psi, n)
         assert report.s_kcbs == pytest.approx(expectation(psi, op), abs=1e-10)
-        assert geo.lambda1 - 1e-10 <= report.s_kcbs <= geo.lambda3 + 1e-10
+        assert floor - 1e-10 <= report.s_kcbs <= ceiling + 1e-10
         assert report.margin == pytest.approx(report.s_kcbs - (n - 2), abs=1e-12)
 
 
@@ -271,6 +272,42 @@ def test_state1_margins_broadcast_over_cycle_sizes():
         assert np.array_equal(kcbs[:, column], alone[1])
     with pytest.raises(InvalidCycle):
         state1_margins(0.5, 0.0, np.array([5, 6]))
+
+
+def _within_accuracy_bound(got, exact) -> bool:
+    """1e-13 relative, or 1e-15 absolute where the exact margin is below 1e-2."""
+    error = abs(got - exact)
+    return error <= 1e-15 if abs(exact) < 1e-2 else error <= 1e-13 * abs(exact)
+
+
+def test_margins_match_50_digit_references_at_a_large_size():
+    # At n = 1e8 + 1 a margin written as a difference of nearly equal terms loses about
+    # n^2 eps.  Theta runs log-uniformly from 1e-7 to pi, past the KCBS crossing near
+    # 2.8e-4, with theta = pi and pi - 1e-9 among the points.
+    mp = pytest.importorskip("mpmath")
+    n, rng = 10**8 + 1, np.random.default_rng(2026)
+    thetas = np.exp(rng.uniform(math.log(1e-7), math.log(math.pi), 600))
+    thetas[:3] = (1e-7, math.pi, math.pi - 1e-9)
+    phis = rng.uniform(0, 2 * math.pi, thetas.size)
+    chsh, kcbs = state1_margins(thetas, phis, n)
+    with mp.workdps(50):
+        for i, (theta, phi) in enumerate(zip(thetas.tolist(), phis.tolist())):
+            exact = textbook_margins(mp, n, mp.mpf(theta), mp.mpf(phi))
+            assert _within_accuracy_bound(mp.mpf(chsh[i]), exact[0]), (theta, phi)
+            assert _within_accuracy_bound(mp.mpf(kcbs[i]), exact[1]), (theta, phi)
+
+
+def test_kcbs_value_and_threshold_match_50_digit_references_at_a_large_size():
+    mp = pytest.importorskip("mpmath")
+    n = 10**8 + 1
+    with mp.workdps(50):
+        c = mp.cos(mp.pi / n)
+        floor, ceiling = n * (1 - c) / (1 + c), n * (3 * c - 1) / (1 + c)
+        weight = mp.mpf(psi_n_state(n).amplitudes[0].real) ** 2
+        exact = floor * weight + ceiling * (1 - weight) - (n - 2)
+        assert _within_accuracy_bound(mp.mpf(kcbs_value(psi_n_state(n), n).margin), exact)
+        exact = (n - 2 - floor) / (ceiling - floor)
+        assert _within_accuracy_bound(mp.mpf(p2_threshold(n)), exact)
 
 
 def test_decompose_minimal_state():

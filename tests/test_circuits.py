@@ -23,7 +23,6 @@ from chsh_kcbs import (
     estimators,
     expectation,
     f3,
-    fourier_tests,
     landscape_scan,
     phase_gate,
     prepare_state1,
@@ -38,7 +37,7 @@ from chsh_kcbs import (
 from chsh_kcbs import circuits
 from chsh_kcbs.experiments import _bob_bank
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
-from helpers import three_register_probabilities
+from helpers import fourier_test_circuit, three_register_probabilities
 
 
 def test_rotation_identity_and_y_entries():
@@ -230,16 +229,6 @@ def test_stacked_run_circuit_guards_fire_per_row(monkeypatch):
         run_circuit(CircuitSpec(("alice", "bob"), (GateOp("nan", gates, 0),)))
 
 
-def test_fourier_tests_refuse_a_state_that_is_not_a_stack():
-    # One state is a one-row stack; a bare vector is a shape error, not a shared state.
-    psi = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(DimensionMismatch, match=r"got states of shape \(2,\) for 1 operators"):
-        fourier_tests(np.eye(2, dtype=complex)[None], psi)
-    with pytest.raises(DimensionMismatch, match="one state per operator"):
-        fourier_tests(np.array([np.eye(2), -np.eye(2)]), psi)
-    assert np.allclose(fourier_tests(np.eye(2)[None], psi[None]), [[1.0, 0.0, 0.0]], atol=1e-12)
-
-
 def test_shot_stack_refuses_a_stack_that_is_not_cells_of_tests():
     # Only an (m, k, 3) stack with m seeds is drawn; a (k, 3) stack is refused.
     for probs in ([[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0], np.ones((1, 1, 1, 3)) / 3):
@@ -249,9 +238,8 @@ def test_shot_stack_refuses_a_stack_that_is_not_cells_of_tests():
 
 
 def _one_test(u, psi) -> np.ndarray:
-    """(p0, p1, p2) of the Fourier test of one operator on one state, as one-row stacks."""
-    ops, states = np.asarray(u, dtype=complex)[None], np.asarray(psi, dtype=complex)[None]
-    return fourier_tests(ops, states)[0]
+    """(p0, p1, p2) of the Fourier test of one operator on one state, simulated as a circuit."""
+    return np.array(fourier_test_circuit(u, psi))
 
 
 def _exact_report(u, psi) -> FourierTestReport:
@@ -280,29 +268,22 @@ def test_fourier_probabilities_extreme_expectations():
 
 
 def test_fourier_probabilities_validation():
-    psi2 = np.array([1.0, 0.0], dtype=complex)
+    state, bob = prepare_state1(0.3, 0.0), b0_closed_form(5)
     with pytest.raises(NotHermitian):
-        _one_test(np.array([[0, 1], [0, 0]], dtype=complex), psi2)
+        _one_product(state, np.array([[0, 1], [0, 0]], dtype=complex), bob)
     with pytest.raises(NotUnitary):
-        _one_test(np.diag([1.0, 0.0]), psi2)
+        _one_product(state, np.diag([1.0, 0.0]), bob)
     with pytest.raises(NotNormalized):
-        _one_test(np.eye(2), np.array([1.0, 1.0]))
-
-
-def test_fourier_test_refuses_a_stack_that_is_not_k_square_operators():
-    # A shape problem is reported as one, naming the shape, before any other check.
-    psi = np.array([1.0, 0.0, 0.0], dtype=complex)
-    for ops in (np.eye(3), np.zeros((2, 2, 3)), np.zeros((1, 1, 3, 3))):
-        with pytest.raises(DimensionMismatch, match=rf"got shape \({ops.shape[0]}, "):
-            fourier_tests(ops, psi)
+        _one_product(2.0 * state, np.eye(2), bob)
 
 
 def test_fourier_test_checks_the_operator_before_the_state():
     # A non-unitary U is reported even when the state is bad as well.
+    bad_state, bob = 2.0 * prepare_state1(0.3, 0.0), b0_closed_form(5)
     with pytest.raises(NotUnitary):
-        _one_test(np.diag([1.0, 0.0]), np.array([1.0, 1.0]))
+        _one_product(bad_state, np.diag([1.0, 0.0]), bob)
     with pytest.raises(NotHermitian):
-        _one_test(np.array([[0, 1], [0, 0]], dtype=complex), np.ones(3))
+        _one_product(bad_state, np.array([[0, 1], [0, 0]], dtype=complex), bob)
 
 
 def test_fourier_estimators_agree_in_exact_mode():
@@ -517,27 +498,28 @@ def test_hybrid_tests_refuse_misshaped_inputs(states, alice, bob):
 
 def test_stack_checks_every_entry_before_the_state():
     rng = np.random.default_rng(5)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
     v /= np.linalg.norm(v)
-    good = 2 * np.outer(v, v.conj()) - np.eye(4)
-    bad_state = np.ones(7)
-    stack = np.array([good, -good, np.eye(4), good])
+    good = 2 * np.outer(v, v.conj()) - np.eye(3)
+    alice = np.array([[np.eye(2)] * 4])
+    bad_state = 2.0 * prepare_state1(1.0, 0.2)
+    stack = np.array([good, -good, np.eye(3), good])
     stack[2:, 0, 1] += 0.5
     with pytest.raises(NotHermitian, match="entry 2 "):
-        fourier_tests(stack, bad_state)
-    stack = np.array([good, -good, np.eye(4), np.diag([1.0, 1.0, 0.5, 1.0])])
+        run_hybrid_tests(bad_state, alice, stack)
+    stack = np.array([good, -good, np.eye(3), np.diag([1.0, 1.0, 0.5])])
     with pytest.raises(NotUnitary, match="entry 3 "):
-        fourier_tests(stack, bad_state)
+        run_hybrid_tests(bad_state, alice, stack)
     # A non-unitary Alice entry fails its factor's check, before the products are formed.
     alice = np.array([np.eye(2), np.diag([1.0, 0.5])])
     bob = np.array([b0_closed_form(5).matrix] * 2)
     with pytest.raises(NotUnitary, match="entry 1 "):
         run_hybrid_tests(prepare_state1(1.0, 0.2), alice[None], bob)
     # A good stack gives the one-operator readout row by row.
-    psi = np.full(4, 0.5)
-    rows = fourier_tests(np.array([good, -good]), np.array([psi, psi]))
+    state, alice = prepare_state1(1.0, 0.2), np.array([[np.eye(2)] * 2])
+    rows = run_hybrid_tests(state, alice, np.array([good, -good]))[0]
     for row, u in zip(rows, (good, -good)):
-        assert row.tolist() == _one_test(u, psi).tolist()
+        assert row.tolist() == run_hybrid_tests(state, alice[:, :1], u[None])[0, 0].tolist()
 
 
 def test_fourier_tests_read_one_state_per_row():
@@ -555,14 +537,13 @@ def test_fourier_tests_read_one_state_per_row():
     with pytest.raises(DimensionMismatch, match=r"got \(4, 6\), \(5, 5, 2, 2\) and \(5, 3, 3\)"):
         run_hybrid_tests(states[:4], np.array([alice] * 5), bob)
     # Each state's norm is checked, after the operators.
-    bad = embed_joint_state(states)
+    bad = states.copy()
     bad[3] *= 2.0
-    ops = np.einsum("kij,kab->kiajb", embed_alice(alice), bob).reshape(5, 9, 9)
     with pytest.raises(NotNormalized, match="in row 3"):
-        fourier_tests(ops, bad)
-    ops[1, 0, 1] += 0.5
+        run_hybrid_tests(bad, np.array([alice] * 5), bob)
+    bob[1, 0, 1] += 0.5
     with pytest.raises(NotHermitian, match="entry 1 "):
-        fourier_tests(ops, bad)
+        run_hybrid_tests(bad, np.array([alice] * 5), bob)
 
 
 def test_shot_stack_of_cells_draws_each_cell_from_its_own_generator():

@@ -218,7 +218,8 @@ def test_landscape_bytes_match_per_field_formatting(monkeypatch, tmp_path, block
     header = ",".join(experiments.LandscapeTable.header)
     assert out.read_text().endswith(f"\n{header}\n{expected}")
     if n == 100000001:
-        assert ",-8.8817842e-16," in expected
+        # The CHSH margin at theta = 0 is -4(1 - c)/(1 + c), about -pi^2/n^2.
+        assert ",-9.8696042e-16," in expected
 
 
 def test_circuit_landscape_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
@@ -656,14 +657,15 @@ def test_the_largest_odd_size_runs_with_no_overflow_warning(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("command", ["coexist", "scaling"])
-def test_the_largest_odd_size_has_no_crossing_and_no_overflow_warning(tmp_path, capsys, command):
-    # Its margin gaps at the two ends of the bracket are about 4e295 and 9e307, whose
-    # product overflows; the signs are compared instead, and the suite's warnings are errors.
+def test_the_largest_odd_size_solves_with_no_overflow_warning(tmp_path, capsys, command):
+    # The overlap, 8/n = 4.45e-308, is still a normal float, and no product of sizes
+    # or of margin gaps is formed; the suite's warnings are errors.
     out = tmp_path / "out.csv"
-    assert run_cli(command, "--n", str(LARGEST_ODD_SIZE), "--out", str(out)) == cli.EXIT_DOMAIN
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: margins do not cross on (0, pi/2) for n = {LARGEST_ODD_SIZE}"]
-    assert not out.exists()
+    assert run_cli(command, "--n", str(LARGEST_ODD_SIZE), "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    row = read_csv(str(out))[1][0]
+    assert row[0] == str(LARGEST_ODD_SIZE)
+    assert float(row[2]) * LARGEST_ODD_SIZE == pytest.approx(8.0, rel=1e-8)
 
 
 @pytest.mark.parametrize("sizes", [
@@ -882,9 +884,16 @@ def test_scaling_fits_no_slope_through_one_distinct_size(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["coexist", "scaling"])
-def test_residual_above_tolerance_is_a_domain_error(tmp_path, capsys, command):
-    # At n = 1e8 + 1 the margins lose about n^2 eps to cancellation and
-    # cannot meet to RESIDUAL_TOL at any angle.
+def test_residual_above_tolerance_is_a_domain_error(tmp_path, capsys, monkeypatch, command):
+    # A CHSH margin that jumps by 2e-6 where it meets the KCBS margin cannot
+    # meet it to RESIDUAL_TOL at any overlap.
+    kernel = experiments.analytic._state1_margins
+
+    def jumping(s, weight, geo):
+        chsh, kcbs = kernel(s, weight, geo)
+        return chsh + np.where(chsh > kcbs, 1e-6, -1e-6), kcbs
+
+    monkeypatch.setattr(experiments.analytic, "_state1_margins", jumping)
     out = tmp_path / "out.csv"
     assert run_cli(command, "--n", "100000001", "--out", str(out)) == cli.EXIT_DOMAIN
     err = capsys.readouterr().err

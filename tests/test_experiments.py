@@ -23,7 +23,7 @@ from chsh_kcbs import (
 from chsh_kcbs import experiments, serialize
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
 from chsh_kcbs.analytic import chsh_coefficients, state1
-from helpers import exact_cycle_rows, masked_bisection, worst_error
+from helpers import exact_cycle_rows, masked_bisection, textbook_margins, worst_error
 
 TABLE_POINTS = {5: (49.605, 0.343069), 23: (30.381, 0.227717), 55: (20.815, 0.11978)}
 
@@ -439,9 +439,9 @@ def test_margin_kernel_builds_the_cycle_constants_once_per_call(monkeypatch):
     kernel_calls, builds = [], []
     kernel, build = experiments.analytic._state1_margins, experiments.observables.CycleGeometry
 
-    def kernel_spy(theta, phi, geo):
+    def kernel_spy(s, weight, geo):
         kernel_calls.append(np.size(geo.n))
-        return kernel(theta, phi, geo)
+        return kernel(s, weight, geo)
 
     def build_spy(*fields):
         builds.append(np.size(fields[0]))
@@ -452,9 +452,7 @@ def test_margin_kernel_builds_the_cycle_constants_once_per_call(monkeypatch):
     state1_margins(0.3, 0.0, np.arange(5, 200, 2))
     assert builds == [len(range(5, 200, 2))] and kernel_calls == builds
     counts, steps = [], []
-    for sizes, tolerance in ((range(5, 200, 2), 1e-14), (range(5, 2000, 2), 1e-14),
-                             (range(5, 50, 2), 1e-12)):
-        monkeypatch.setattr(experiments, "BISECTION_THETA_TOL", tolerance)
+    for sizes in (range(5, 200, 2), range(5, 2000, 2), range(5, 50, 2)):
         kernel_calls.clear()
         builds.clear()
         scaling_study(sizes)
@@ -464,7 +462,7 @@ def test_margin_kernel_builds_the_cycle_constants_once_per_call(monkeypatch):
         counts.append(len(builds))
         steps.append(len(kernel_calls))
     assert counts[0] == counts[1] == counts[2] <= 3
-    assert steps[0] == steps[1] > steps[2]
+    assert steps[0] == steps[1] == steps[2]
 
 
 def test_landscape_circuit_mode_agrees_with_analytic():
@@ -535,9 +533,10 @@ def test_sizes_beyond_int64_stay_integers():
     # numpy reads the list [5, 2**63 + 1] as floats; the sizes must stay integers.
     sizes = [5, 2**63 + 1]
     assert experiments.observables.cycle_geometry(sizes).n.tolist() == sizes
-    # No crossing lies inside the bisection bracket at so large an n.
-    with pytest.raises(NoIntersection, match=r"for n = 9223372036854775809$"):
-        coexistence_points(sizes)
+    # The solve keeps them too, and meets the large-n law overlap ~ 8/n there.
+    points = coexistence_points(sizes)
+    assert points["n"].tolist() == sizes
+    assert points["overlap"][1] * float(sizes[1]) == pytest.approx(8.0, rel=1e-15)
 
 
 def test_coexistence_surfaces_missing_crossing(monkeypatch):
@@ -551,16 +550,33 @@ def test_coexistence_surfaces_missing_crossing(monkeypatch):
 
 
 def test_lockstep_bisection_matches_a_per_size_masked_bisection_to_the_bit():
-    # Every size starts from the same bracket, so every size stops after the same count.
+    # A size whose bracket is narrower than the widest (n = 5, 53 halvings) gains nothing
+    # from the extra lockstep steps, and the fixed-point bracket of a large n is narrow.
     sizes = [*range(5, 2002, 2), 1000001, 4506887, 10000001]
     got = coexistence_points(sizes)
-    want = masked_bisection(sizes, experiments.BISECTION_THETA_TOL)
-    for name in ("theta_opt_deg", "overlap", "residual"):
+    want = masked_bisection(sizes)
+    for name in ("theta_opt_deg", "overlap", "residual", "iterations"):
         assert np.array_equal(got[name], want[name]), name
-    steps = math.ceil(math.log2((math.pi / 2 - 2e-6) / experiments.BISECTION_THETA_TOL))
-    assert steps == 48
-    assert want["iterations"].tolist() == [steps] * len(sizes)
-    assert got["iterations"].tolist() == [steps] * len(sizes)
+    assert got["iterations"].max() == got["iterations"][0] == 53
+    assert got["iterations"][-1] < 40
+
+
+def test_coexistence_points_match_60_digit_roots():
+    # The root of chsh(theta) = kcbs(theta) in the textbook forms, at 60 digits, from
+    # theta = sqrt(8/(n+4)); the theta root is O(n) conditioned, the overlap is not.
+    mp = pytest.importorskip("mpmath")
+    sizes = [5, 9, 1001, 10**6 + 1, 4506889, 10**8 + 1, 10**12 + 1, 9 * 10**12 + 1]
+    got = coexistence_points(sizes)
+    with mp.workdps(60):
+        for index, n in enumerate(sizes):
+            def gap(theta):
+                chsh, kcbs = textbook_margins(mp, n, theta)
+                return chsh - kcbs
+
+            theta = mp.findroot(gap, mp.sqrt(8.0 / (n + 4)))
+            overlap = textbook_margins(mp, n, theta)[1]
+            assert abs(got["overlap"][index] - overlap) <= 1e-13 * overlap, n
+            assert abs(mp.radians(got["theta_opt_deg"][index]) - theta) <= 1e-13 * theta, n
 
 
 def test_coexistence_points_match_single_size_solves():
@@ -638,7 +654,7 @@ def test_phi_symmetry_of_landscape():
 
 def test_validation_suite_passes():
     rows = run_validation()
-    assert len(rows) == 18
+    assert len(rows) == 20
     for name, value, tolerance, ok in rows:
         assert isinstance(name, str) and isinstance(value, float)
         assert ok is True and value <= tolerance, name

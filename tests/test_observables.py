@@ -29,13 +29,16 @@ def test_cycle_geometry_values():
     assert geo.c == pytest.approx(0.809017, abs=1e-6)
     assert geo.s2 == pytest.approx(0.309017, abs=1e-6)
     assert geo.m == 2
-    assert geo.lambda1 == pytest.approx(5 - 2 * math.sqrt(5), abs=1e-12)
-    assert geo.lambda3 == pytest.approx(4 * math.sqrt(5) - 5, abs=1e-12)
+    # The cycle sum's floor and ceiling are the diagonal of S.
+    floor, _, ceiling = np.diag(s_operator(5).matrix).real
+    assert floor == pytest.approx(5 - 2 * math.sqrt(5), abs=1e-12)
+    assert ceiling == pytest.approx(4 * math.sqrt(5) - 5, abs=1e-12)
 
     geo7 = cycle_geometry(7)
     assert geo7.c == pytest.approx(0.900969, abs=1e-6)
     assert geo7.m == 3
-    assert geo7.lambda3 > geo7.lambda1 > 0
+    floor7, _, ceiling7 = np.diag(s_operator(7).matrix).real
+    assert ceiling7 > floor7 > 0
 
 
 @pytest.mark.parametrize("bad", [4, 3, 1, 0, -5, 6, 5.0, "5", [5, 6], [7, 3], [5, 7.0], [],
@@ -63,12 +66,12 @@ def test_cycle_geometry_array_matches_each_size_to_the_bit(sizes):
     alone = [cycle_geometry(n) for n in sizes.tolist()]
     for field in ("n", "m"):
         assert getattr(geo, field).tolist() == [getattr(g, field) for g in alone]
-    for field in ("c", "s2", "lambda1", "lambda3", "s_plus", "s_minus"):
+    for field in ("c", "s2", "s_plus", "s_minus"):
         column = getattr(geo, field)
         assert column.dtype == float and column.shape == sizes.shape
         assert column.tobytes() == np.array([getattr(g, field) for g in alone]).tobytes()
     # A 2-D array of sizes gives 2-D fields.
-    assert cycle_geometry(np.array([[5, 7], [9, 11]])).lambda3.shape == (2, 2)
+    assert cycle_geometry(np.array([[5, 7], [9, 11]])).s_plus.shape == (2, 2)
 
 
 def test_cycle_geometry_scalar_fields_are_python_numbers():
@@ -231,8 +234,8 @@ def test_alice_rotation_limits_and_involution():
 def test_s_operator_diagonal_values():
     mat = s_operator(5).matrix
     assert np.allclose(np.diag(mat), [0.527864, 0.527864, 3.944272], atol=1e-6)
-    geo = cycle_geometry(5)
-    assert np.trace(mat).real == pytest.approx(2 * geo.lambda1 + geo.lambda3, abs=1e-12)
+    c = cycle_geometry(5).c
+    assert np.trace(mat).real == pytest.approx(5 * (2 * (1 - c) + 3 * c - 1) / (1 + c), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", ODD_CYCLES)
