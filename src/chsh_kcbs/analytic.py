@@ -124,6 +124,18 @@ def _kcbs_line(geo):
     return 2.0 - n * (4.0 * (geo.s2 * geo.s2) / (1 + c)), n * ((4.0 * c - 2.0) / (1 + c))
 
 
+def _psi_n_kcbs_margin(geo):
+    """KCBS margin of the scaling family, at s = 2/(n+4): ``8/(n+4) - 2 n d (n+1)/((n+4)(1+c))``.
+
+    The same value as :func:`_kcbs_line` at that s, where ``a - b s`` cancels about
+    n/4-fold and keeps about n eps relative error; here the two terms are each
+    O(1/n) and differ by a factor of about 1.6.  ``2 n d (n+1) = 4 (n s2)(s2 (n+1))``
+    is taken in two O(1) factors, so nothing underflows or overflows.
+    """
+    n, s2 = np.asarray(geo.n, dtype=float), geo.s2
+    return (8.0 - 4.0 * (n * s2) * (s2 * (n + 1.0)) / (1 + geo.c)) / (n + 4.0)
+
+
 def state1(theta: float, phi: float) -> JointState:
     """Minimal two-parameter state: sin(theta/2)|00> + cos(theta/2) e^{i phi}|12>.
 

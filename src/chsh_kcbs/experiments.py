@@ -93,15 +93,13 @@ def _running_sums(sums, terms) -> np.ndarray:
 class LandscapeTable:
     """Margins of the minimal state over a (theta, phi) grid, as columns.
 
-    Cells run theta-major, phi-minor, and ``len`` is the cell count.  The
-    margins are computed when the table is iterated, one block of at most
-    ``serialize.BLOCK_CELLS`` cells at a time, so a pass costs O(block)
-    memory however large the grid.  :meth:`blocks` is the one read path:
-    the writer formats its rows by the types of their values and a caller
-    reads its numbers, both from the same ``serialize.Columns``.  Circuit
-    mode sums a block's cells in groups by :func:`_term_sums`, so a pass holds
-    O(``circuits.BLOCK_TERMS``) rows however large n is, no value depends on
-    the blocking, and every pass samples again from the same seeds.
+    Cells run theta-major, phi-minor, and ``len`` is the cell count.  The margins are
+    computed as the table is iterated, one block of at most ``serialize.BLOCK_CELLS``
+    cells at a time, so a pass costs O(block) memory however large the grid.
+    :meth:`blocks` is the one read path, for the writer and a caller alike.  Circuit mode
+    sums a block's cells in groups by :func:`_term_sums`, so a pass holds
+    O(``circuits.BLOCK_TERMS``) rows however large n is, no value depends on the
+    blocking, and every pass samples again from the same seeds.
     """
 
     n: int
@@ -117,48 +115,33 @@ class LandscapeTable:
         return self.thetas_deg.size * self.phis_deg.size
 
     def blocks(self):
-        """Yield the rows in cell order as ``serialize.Columns``, one per theta row of a block.
-
-        n, theta, the mode and the shot count are constants of a row; the
-        phi texts, a list made once per pass, and the float CHSH margins
-        vary.  The KCBS margin and the seed are a float and None in analytic
-        mode and float and int arrays in circuit mode.
-        """
-        from .serialize import BLOCK_CELLS, FLOAT_FIELD, Columns  # here: no writer on import
+        """Yield the rows in cell order as ``serialize.Columns``, one per kernel block: n, mode
+        and shots constant, theta (theta, 1), the phi texts every row's list, the margins and
+        seeds (theta, phi), but in analytic mode the KCBS margin (theta, 1) and no seed."""
+        from .serialize import FLOAT_FIELD, Columns, grid_blocks  # here: no writer on import
         phi_texts = [FLOAT_FIELD % phi for phi in self.phis_deg.tolist()]
-        n_phi = self.phis_deg.size
-        rows, width = max(1, BLOCK_CELLS // n_phi), min(n_phi, BLOCK_CELLS)
-        for i in range(0, self.thetas_deg.size, rows):
-            thetas = self.thetas_deg[i:i + rows]
-            for j in range(0, n_phi, width):
-                phis = phi_texts[j:j + width]
-                margins = self._margins(thetas, self.phis_deg[j:j + width], i * n_phi + j)
-                for theta, chsh, kcbs, seed in zip(thetas.tolist(), *margins):
-                    yield Columns((self.n, theta, phis, chsh, kcbs, self.mode, self.shots, seed))
+        for rows, cells in grid_blocks(self.thetas_deg.size, self.phis_deg.size):
+            chsh, kcbs, seeds = self._margins(rows, cells)
+            yield Columns((self.n, self.thetas_deg[rows, None], phi_texts[cells], chsh, kcbs,
+                           self.mode, self.shots, seeds))
 
-    def _margins(self, thetas, phis, first_cell):
-        """CHSH margins, KCBS margins and seeds by theta row: (theta, phi) arrays in circuit mode.
-
-        The analytic KCBS margin depends on theta alone: one number per row, and no seed.
+    def _margins(self, rows: slice, cells: slice):
+        """CHSH margins, KCBS margins and seeds of a block as (theta, phi) arrays, but in
+        analytic mode no seed and the KCBS margin, a function of theta alone, as (theta, 1).
         Circuit cells are summed by :func:`_term_sums` in groups of ``circuits.BLOCK_TERMS``.
         """
+        thetas, phis = np.deg2rad(self.thetas_deg[rows]), np.deg2rad(self.phis_deg[cells])
         if self.mode == "analytic":
-            chsh, kcbs = analytic.state1_margins(np.deg2rad(thetas)[:, None],
-                                                 np.deg2rad(phis)[None, :], self.n)
-            return chsh, kcbs[:, 0].tolist(), [None] * thetas.size
-        n, count = self.n, thetas.size * phis.size
-        seeds = [_cell_seed(self.master_seed, cell)
-                 for cell in range(first_cell, first_cell + count)]
-        cell_thetas = np.repeat(np.deg2rad(thetas), phis.size)
-        cell_phis = np.tile(np.deg2rad(phis), thetas.size)
-        chsh, kcbs = np.empty(count), np.empty(count)
-        for group in range(0, count, circuits.BLOCK_TERMS):
-            cells = slice(group, group + circuits.BLOCK_TERMS)
-            chsh[cells], kcbs[cells] = _term_sums(n, cell_thetas[cells], cell_phis[cells],
-                                                  seeds[cells], self.shots)
-        shape = (thetas.size, phis.size)
-        return ((chsh - 2.0).reshape(shape), (kcbs - (n - 2.0)).reshape(shape),
-                np.reshape(seeds, shape))
+            chsh, kcbs = analytic.state1_margins(thetas[:, None], phis[None, :], self.n)
+            return chsh, kcbs[:, :1], None
+        n, shape, group = self.n, (thetas.size, phis.size), circuits.BLOCK_TERMS
+        first = rows.start * self.phis_deg.size + cells.start
+        seeds = [_cell_seed(self.master_seed, first + k) for k in range(thetas.size * phis.size)]
+        cell_thetas, cell_phis = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+        sums = [_term_sums(n, cell_thetas[c], cell_phis[c], seeds[c], self.shots)
+                for c in (slice(g, g + group) for g in range(0, len(seeds), group))]
+        chsh, kcbs = (np.concatenate(parts).reshape(shape) for parts in zip(*sums))
+        return chsh - 2.0, kcbs - (n - 2.0), np.reshape(seeds, shape)
 
 
 def check_theta_deg(thetas_deg) -> None:
@@ -264,8 +247,8 @@ def scaling_study(sizes) -> tuple[dict[str, np.ndarray], float | None]:
     columns, geo = _coexistence(sizes)
     n = columns["n"].astype(float)  # sizes beyond int64 come as an object array
     s = 2.0 / (n + 4.0)
-    columns["psi_n_chsh_margin"], columns["psi_n_kcbs_margin"] = analytic._state1_margins(
-        s, 4.0 * s * (1.0 - s), geo)
+    columns["psi_n_chsh_margin"] = analytic._state1_margins(s, 4.0 * s * (1.0 - s), geo)[0]
+    columns["psi_n_kcbs_margin"] = analytic._psi_n_kcbs_margin(geo)
     columns["asym_kcbs"], columns["asym_chsh"] = analytic.asymptotic_margins(columns["n"])
     slope = None
     if n.min() != n.max():

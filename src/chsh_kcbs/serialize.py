@@ -7,8 +7,8 @@ one ``# key: value`` line per metadata entry, then the header row, then
 data rows.  A value's format comes from its type: floats, in the rows
 and on metadata lines alike, get 9 significant digits, a None cell is
 empty, and anything else is its ``str``.  Rows come in :class:`Columns`
-blocks of at most ``BLOCK_CELLS`` rows, each formatted in bulk with one
-row template, so writing costs O(block) memory however long the table.
+blocks, grids of at most ``BLOCK_CELLS`` rows written with one template
+per grid row, so writing costs O(block) memory.
 All writes go through a temp file and an atomic rename so a failure
 never leaves a partial output.
 """
@@ -81,60 +81,77 @@ def _text(value) -> str:
 class Columns:
     """Rows held in memory as columns, for :func:`write_csv`.
 
-    ``data`` holds one entry per CSV column: a list or numpy array varies
-    by row, any other value is a constant.  Floats and float arrays get 9
-    significant digits, None is empty, and the rest is its ``str``, so a
-    list is a column of texts.  :meth:`blocks` yields slices of at most
-    ``BLOCK_CELLS`` rows.
+    ``data`` holds one entry per CSV column of a grid of rows of cells: a ``(rows, cells)``
+    array, or a list or 1-D array that every row shares, varies by cell, a ``(rows, 1)``
+    array by row, and any other value is a constant.  Floats and float arrays get 9
+    significant digits, None is empty, the rest is its ``str``.  ``len`` counts CSV rows.
     """
 
     data: tuple
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(grid rows, cells per row); 1-D columns alone are one grid row."""
+        shapes = [c.shape if isinstance(c, np.ndarray) else (len(c),) for c in self.data
+                  if isinstance(c, _SEQUENCES)]
+        rows = {shape[0] for shape in shapes if len(shape) == 2}
+        widths = {shape[-1] for shape in shapes if shape[1:] != (1,)}  # (rows, 1): by row
+        if not shapes or len(rows) > 1 or len(widths) > 1:
+            raise ValueError(f"a block needs varying columns, all of one length, got {shapes}")
+        return max(rows, default=1), max(widths, default=1)
+
     def __len__(self) -> int:
-        lengths = {len(column) for column in self.data if isinstance(column, _SEQUENCES)}
-        if len(lengths) != 1:
-            raise ValueError("a block needs one or more varying columns, all of one length, "
-                             f"got lengths {sorted(lengths)}")
-        return lengths.pop()
+        return int(np.prod(self.shape))
 
     def blocks(self):
-        for start in range(0, len(self) or 1, BLOCK_CELLS):  # an empty table is one empty block
-            yield Columns(tuple(column[start:start + BLOCK_CELLS] if isinstance(column, _SEQUENCES)
-                                else column for column in self.data))
+        for rows, cells in grid_blocks(*self.shape):
+            yield Columns(tuple(_cut(column, rows, cells) for column in self.data))
 
 
-def _format_block(header, block: Columns) -> tuple[str, int]:
-    """(text, row count) of a block: one row template repeated, varying values row-major.
+def grid_blocks(rows: int, width: int):
+    """(row, cell) slices of each block: whole rows of at most ``BLOCK_CELLS`` cells, or a slice."""
+    step, span = max(1, BLOCK_CELLS // max(width, 1)), min(width, BLOCK_CELLS) or 1
+    for i in range(0, rows, step):
+        for j in range(0, width or 1, span):  # an empty grid is one empty block
+            yield slice(i, i + step), slice(j, j + span)
 
-    A constant is formatted once, into the template as a literal.
-    """
+
+def _cut(column, rows: slice, cells: slice):
+    if isinstance(column, np.ndarray) and column.ndim == 2:
+        return column[rows, cells] if column.shape[1] > 1 else column[rows]
+    return column[cells] if isinstance(column, _SEQUENCES) else column
+
+
+def _format_block(header, block: Columns):
+    """A block's rows: each grid row's template, constants and by-row values in, repeated."""
     if len(header) != len(block.data):
         raise ValueError(f"{len(header)} header fields for {len(block.data)} data columns")
-    fields, columns = [], []
+    (rows, width), fields, by_row, by_cell = block.shape, [], [], []
     for value in block.data:
-        if isinstance(value, _SEQUENCES):
-            floats = isinstance(value, np.ndarray) and value.dtype.kind == "f"
-            fields.append(FLOAT_FIELD if floats else "%s")
-            columns.append(value.tolist() if isinstance(value, np.ndarray) else value)
+        field = FLOAT_FIELD if isinstance(value, np.ndarray) and value.dtype.kind == "f" else "%s"
+        if isinstance(value, np.ndarray) and value.shape[1:] == (1,):  # by row
+            fields.append(field)  # a text passes on into the cell fields, so % is escaped
+            texts = value.ravel().tolist()
+            by_row.append(texts if field != "%s" else [str(v).replace("%", "%%") for v in texts])
+        elif isinstance(value, _SEQUENCES):
+            fields.append("%" + field)  # a cell field, once the row's values are in
+            by_cell.append(map(np.ndarray.tolist, value) if getattr(value, "ndim", 1) == 2
+                           else [value.tolist() if isinstance(value, np.ndarray) else value] * rows)
         else:
-            fields.append("" if value is None else _text(value).replace("%", "%%"))
-    if not columns:
-        raise ValueError("a block needs at least one varying column")
-    size, width = len(columns[0]), len(columns)
-    values = [None] * (size * width)
-    for k, column in enumerate(columns):
-        values[k::width] = column  # an extended slice: another length raises ValueError
-    return ((",".join(fields) + "\n") * size) % tuple(values), size
+            fields.append("" if value is None else _text(value).replace("%", "%%%%"))
+    template, values = ",".join(fields) + "\n", [None] * (width * len(by_cell))
+    for head, *cells in zip(zip(*by_row) if by_row else [()] * rows, *by_cell):
+        for k, column in enumerate(cells):  # a row's cells at a time, as the row is written
+            values[k::len(cells)] = column  # an extended slice: another length raises
+        yield (template % head) * width % tuple(values)
 
 
 def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
     """Write a CSV with a commented line per ``metadata`` entry, atomically.
 
-    ``rows`` is a sized table, such as :class:`Columns` or
-    :class:`~chsh_kcbs.experiments.LandscapeTable`, whose ``blocks()``
-    yields its ``len(rows)`` rows as :class:`Columns` of at most
-    ``BLOCK_CELLS`` rows, each with a data entry per header field and
-    formatted in bulk with one row template, so memory stays O(block).
+    ``rows`` is a sized table, such as :class:`Columns` or a landscape, whose ``blocks()``
+    yields its ``len(rows)`` rows as :class:`Columns` of at most ``BLOCK_CELLS`` rows,
+    each with a data entry per header field, so memory stays O(block).
     """
     lines = [f"# {key}: {_text(value)}" for key, value in (metadata or {}).items()]
     lines.append(",".join(header))
@@ -143,9 +160,8 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
         yield "\n".join(lines) + "\n"
         written = 0
         for block in rows.blocks():
-            text, size = _format_block(header, block)
-            written += size
-            yield text
+            yield from _format_block(header, block)
+            written += len(block)
         if written != len(rows):
             raise ValueError(f"table yielded {written} rows, expected {len(rows)}")
 

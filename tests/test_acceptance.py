@@ -234,9 +234,9 @@ def test_criterion_9_landscape_structure():
     thetas = np.arange(0.0, 181.0, 1.0)
     phis = np.arange(0.0, 360.0, 1.0)
     blocks = list(landscape_scan(5, thetas, phis, mode="analytic").blocks())
-    # The margins as written: a block's KCBS margin may be one number for all its cells.
-    chsh = np.concatenate([b.data[3] for b in blocks]).reshape(thetas.size, phis.size)
-    kcbs = np.concatenate([np.broadcast_to(b.data[4], len(b))
+    # The margins as written: a block's KCBS margin is one number per theta row of its grid.
+    chsh = np.concatenate([b.data[3].ravel() for b in blocks]).reshape(thetas.size, phis.size)
+    kcbs = np.concatenate([np.broadcast_to(b.data[4], b.shape).ravel()
                            for b in blocks]).reshape(thetas.size, phis.size)
 
     peak = chsh.max()

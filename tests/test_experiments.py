@@ -23,7 +23,7 @@ from chsh_kcbs import (
 from chsh_kcbs import experiments, serialize
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
 from chsh_kcbs.analytic import chsh_coefficients, state1
-from helpers import exact_cycle_rows, masked_bisection, textbook_margins, worst_error
+from helpers import exact_cycle_rows, masked_bisection, read_csv, textbook_margins, worst_error
 
 TABLE_POINTS = {5: (49.605, 0.343069), 23: (30.381, 0.227717), 55: (20.815, 0.11978)}
 
@@ -32,9 +32,10 @@ def _columns(table):
     """The table's columns over the whole grid, keyed by header field, read from its blocks.
 
     These are the ``serialize.Columns`` the writer formats: a block's
-    constant is repeated over its rows, and phi is its written text.
+    constants and by-row values are repeated over its (row, cell) grid, and
+    phi is its written text.
     """
-    blocks = [[np.broadcast_to(value, len(block)) for value in block.data]
+    blocks = [[np.broadcast_to(value, block.shape).ravel() for value in block.data]
               for block in table.blocks()]
     return {name: np.concatenate(parts) for name, *parts in zip(table.header, *blocks)}
 
@@ -147,6 +148,11 @@ def _spy_on_margins(monkeypatch):
     (7, np.linspace(0, 180, 5), np.linspace(-30, 330, 16)),
     (7, np.linspace(0, 180, 9), np.linspace(0, 360, 3)),
     (7, np.array([45.0]), np.array([0.0])),
+    # phi counts 1, 2 and 10, the last a row wider than a block.
+    (7, np.linspace(0, 180, 23), np.array([10.0])),
+    (7, np.linspace(0, 180, 8), np.array([0.0, 90.0])),
+    (serialize.BLOCK_CELLS, np.linspace(0, 180, 40), np.linspace(0, 360, 10)),
+    (4, np.linspace(0, 180, 3), np.linspace(0, 360, 10)),
 ])
 def test_landscape_blocks_are_bounded_and_match_full_grid(monkeypatch, block, thetas, phis):
     monkeypatch.setattr(serialize, "BLOCK_CELLS", block)
@@ -156,14 +162,35 @@ def test_landscape_blocks_are_bounded_and_match_full_grid(monkeypatch, block, th
     columns = _columns(table)
     assert sizes and max(sizes) <= block
     assert sum(sizes) == len(table) == thetas.size * phis.size
-    # Analytic blocks are serialize.Columns, one per theta row of a kernel block.
-    assert all(len(b) <= block for b in table.blocks())
+    # Analytic blocks are serialize.Columns, one per kernel block: whole theta rows, or a
+    # slice of one row when a row is wider than a block.
+    blocks = list(table.blocks())
+    assert [len(b) for b in blocks] == sizes[:len(blocks)]
+    assert all(b.shape[0] == 1 or b.shape[1] == phis.size for b in blocks)
 
     chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], 5)
     assert np.array_equal(columns["theta_deg"], np.repeat(thetas, phis.size))
     assert columns["phi_deg"].tolist() == ["%.9g" % phi for phi in phis] * thetas.size
     assert np.array_equal(columns["chsh_margin"], chsh.ravel())
     assert np.array_equal(columns["kcbs_margin"], kcbs.ravel())
+
+
+@pytest.mark.parametrize("mode", ["analytic", "circuit"])
+def test_landscape_rows_are_formatted_once_per_kernel_block(monkeypatch, tmp_path, mode):
+    # 1000 theta rows of one cell each are one kernel block, so the writer formats
+    # them in one call, not one call per theta row.
+    calls = []
+    format_block = serialize._format_block
+
+    def spy(header, block):
+        calls.append(len(block))
+        return format_block(header, block)
+
+    monkeypatch.setattr(serialize, "_format_block", spy)
+    table = landscape_scan(5, np.linspace(0, 180, 1000), [0.0], mode=mode, shots=10, seed=1)
+    serialize.write_csv(str(tmp_path / "scan.csv"), list(table.header), table)
+    assert calls == [1000]
+    assert len(read_csv(str(tmp_path / "scan.csv"))[1]) == 1000
 
 
 def _layout(value):
@@ -179,10 +206,13 @@ def test_both_modes_yield_blocks_of_one_layout():
     circuit = landscape_scan(5, [0.0, 90.0], [0.0, 45.0], mode="circuit", shots=10, seed=1)
     layouts = [{tuple(map(_layout, block.data)) for block in table.blocks()}
                for table in (analytic, circuit)]
-    assert layouts == [{("int", "float", "list", "ndarray[f]", "float", "str", "NoneType",
-                         "NoneType")},
-                       {("int", "float", "list", "ndarray[f]", "ndarray[f]", "str", "int",
+    assert layouts == [{("int", "ndarray[f]", "list", "ndarray[f]", "ndarray[f]", "str",
+                         "NoneType", "NoneType")},
+                       {("int", "ndarray[f]", "list", "ndarray[f]", "ndarray[f]", "str", "int",
                          "ndarray[i]")}]
+    # Theta, and the analytic KCBS margin, vary by theta row alone: (rows, 1) arrays.
+    assert [block.data[1].shape for block in circuit.blocks()] == [(2, 1)]
+    assert [block.data[4].shape for block in analytic.blocks()] == [(2, 1)]
     assert all(isinstance(phi, str) for table in (analytic, circuit)
                for block in table.blocks() for phi in block.data[2])
 
@@ -614,6 +644,19 @@ def test_scaling_study_structure():
                                                     abs=0)
         assert record["residual"] <= 1e-9
     assert loglog_slope is not None
+
+
+def test_scaling_family_kcbs_margin_matches_50_digit_reference():
+    # The KCBS line a - b s cancels about n/4-fold at s = 2/(n+4); the written column
+    # must hold the value at that s to near machine precision however large n is.
+    mp = pytest.importorskip("mpmath")
+    sizes = [10**8 + 1, 10**12 + 1]
+    columns, _ = scaling_study(sizes)
+    with mp.workdps(50):
+        for index, n in enumerate(sizes):
+            theta = 2 * mp.asin(mp.sqrt(mp.mpf(2) / (n + 4)))
+            want = textbook_margins(mp, n, theta)[1]
+            assert abs(columns["psi_n_kcbs_margin"][index] - want) <= 1e-13 * want, n
 
 
 def test_scaling_single_point_has_no_slope():

@@ -64,6 +64,15 @@ def test_multi_block_analytic_landscape_runs_in_bounded_memory(tmp_path):
 
 
 @needs_wait4
+def test_narrow_theta_scan_runs_in_bounded_memory(tmp_path):
+    # 200001 theta rows of one cell: 4 kernel blocks, each one Columns formatted by
+    # theta row; peaked at 43.5 MiB on x86-64 Linux, Python 3.11, numpy 2.4.
+    peak = _peak_mib(tmp_path, "landscape", "--n", "5", "--theta", "0:180:200001", "--phi", "0",
+                     "--out", "scan.csv")
+    assert peak < 60
+
+
+@needs_wait4
 def test_many_size_scaling_table_is_written_in_bounded_blocks(tmp_path):
     # 200000 sizes: formatting all rows as one block peaked at 170 MiB (x86-64 Linux,
     # Python 3.11, numpy 2.4), and blocks of at most serialize.BLOCK_CELLS rows at

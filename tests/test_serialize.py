@@ -139,6 +139,29 @@ def test_columns_are_written_in_blocks_of_at_most_block_cells_rows(monkeypatch, 
         list(serialize.Columns((np.arange(4.0), np.arange(8.0))).blocks())
 
 
+@pytest.mark.parametrize("block", [serialize.BLOCK_CELLS, 7, 2])
+def test_a_grid_block_writes_each_row_value_once_per_row(monkeypatch, tmp_path, block):
+    # A (rows, 1) array varies by grid row, a (rows, cells) array by cell, and a list is
+    # every row's cells; the bytes are those of formatting every field of every row alone,
+    # and blocks() cuts the grid into whole rows, or row slices, of at most BLOCK_CELLS.
+    monkeypatch.setattr(serialize, "BLOCK_CELLS", block)
+    thetas, tags = np.array([[0.5], [1 / 3], [-2.0]]), np.array([["a%"], ["b"], ["%s"]], object)
+    margins, texts = np.arange(12.0).reshape(3, 4) / 7, ["p0", "p%d", "p2", "p3"]
+    table = serialize.Columns((5, thetas, texts, margins, tags, "k%", None))
+    assert table.shape == (3, 4) and len(table) == 12
+    assert all(len(b) <= block for b in table.blocks())
+    path = tmp_path / "grid.csv"
+    serialize.write_csv(str(path), list("ntpmgkz"), table)
+    expected = "".join(f"5,{'%.9g' % t},{p},{'%.9g' % m},{g},k%,\n"
+                       for t, g, row in zip(thetas[:, 0], tags[:, 0], margins)
+                       for p, m in zip(texts, row))
+    assert path.read_text() == "n,t,p,m,g,k,z\n" + expected
+    # A list longer than the rows' cells, or rows of two lengths, are refused.
+    for data in ((thetas, texts + ["p4"], margins), (thetas[:2], margins)):
+        with pytest.raises(ValueError, match="one length"):
+            len(serialize.Columns(data))
+
+
 def test_block_needs_a_varying_column(tmp_path):
     path = tmp_path / "table.csv"
     constants = serialize.Columns((5, 0.5))
