@@ -162,28 +162,28 @@ def state1_margins(theta, phi, n):
     # Squares multiply: numpy scalars would square through libm pow, which
     # can differ from an array's exact square in the last bit.
     sin_half, sin_theta, cos_phi = np.sin(np.divide(theta, 2)), np.sin(theta), np.cos(phi)
-    return _state1_margins(sin_half * sin_half, (sin_theta * sin_theta) * (cos_phi * cos_phi),
-                           cycle_geometry(n))
+    geo = cycle_geometry(n)
+    intercept, slope = _kcbs_line(geo)
+    chsh = _chsh_margin((sin_theta * sin_theta) * (cos_phi * cos_phi), geo)
+    kcbs = np.broadcast_to(intercept - slope * (sin_half * sin_half), np.shape(chsh)).copy()
+    if chsh.ndim == 0:
+        return float(chsh), float(kcbs)
+    return chsh, kcbs
 
 
-def _state1_margins(s, weight, geo):
-    """Margins at population s off level 2 and weight sin^2(theta) cos^2(phi), on checked sizes.
+def _chsh_margin(weight, geo):
+    """CHSH margin at the weight sin^2(theta) cos^2(phi), on checked sizes.
 
-    Each ``sqrt(a^2 + x) - a`` of the CHSH margin (``a = 2c`` or ``4c - 2 > 0``) is written
-    ``x / (sqrt(a^2 + x) + a)``; the weight comes whole, as ``4 s (1 - s)`` cancels near pi.
+    Each ``sqrt(a^2 + x) - a`` (``a = 2c`` or ``4c - 2 > 0``) is written
+    ``x / (sqrt(a^2 + x) + a)``.  The weight comes whole: as ``4 s (1 - s)`` of the
+    population s it would cancel near theta = pi.
     """
-    (intercept, slope), c = _kcbs_line(geo), geo.c
+    c = geo.c
     chsh, interference = -8.0 * (geo.s2 * geo.s2), c * np.asarray(weight, dtype=float)  # -4d
     for a, coupling in ((2.0 * c, geo.s_minus), (4.0 * c - 2.0, geo.s_plus)):
         x = interference * (coupling * coupling)
         chsh = chsh + x / (np.sqrt(a * a + x) + a)
-    chsh = chsh / (1 + c)
-    kcbs = intercept - slope * np.asarray(s, dtype=float)
-    if kcbs.shape != chsh.shape:
-        kcbs = np.broadcast_to(kcbs, chsh.shape).copy()
-    if chsh.ndim == 0:
-        return float(chsh), float(kcbs)
-    return chsh, kcbs
+    return chsh / (1 + c)
 
 
 def decompose(state, n: int) -> ResourceDecomposition:

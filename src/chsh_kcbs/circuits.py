@@ -40,7 +40,7 @@ GATE_UNITARY_TOL = 1e-10
 FOURIER_INPUT_TOL = 1e-10
 DEAD_LEVEL_TOL = 1e-12
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a multinomial draw takes
-# Rows per circuit simulation: cells per preparation group, terms per term block and (cell,
+# Rows per circuit simulation: cells per preparation group, pairs per KCBS block and (cell,
 # term) rows per stack of run_hybrid_tests, so memory is bounded in n and in the grid.  At 100
 # rows a (rows, 9, 9) complex stack stays under 128 KiB, which the C allocator reuses.
 BLOCK_TERMS = 100

@@ -28,24 +28,6 @@ def _cell_seed(master_seed: int, cell_index: int) -> int:
     return int(np.random.SeedSequence((int(master_seed), int(cell_index))).generate_state(1)[0])
 
 
-def _bob_bank(n: int, terms: range) -> np.ndarray:
-    """Bob's operator for each of the given terms of a cell's n + 4 correlators, in term order.
-
-    The four CHSH terms pair B_m B_{m+1}, B_0, B_m B_{m+1}, B_0 with
-    Alice's R(omega2), R(omega2), R(omega0), R(omega0); KCBS term 4 + j is
-    the adjacent product B_j B_{j+1} against Alice's identity, built from
-    the cycle rows j and j + 1 (mod n) alone.
-    """
-    chsh = np.empty((0, 3, 3), dtype=complex)
-    if terms.start < 4:
-        bm, b0 = observables.bm_bm1_closed_form(n).matrix, observables.b0_closed_form(n).matrix
-        chsh = np.array([bm, b0, bm, b0])[terms.start:terms.stop]
-    first, stop = max(terms.start, 4) - 4, max(terms.stop, 4) - 3
-    # Only row n wraps (to 0), so min(n, stop) serves as the modulus, in int64 for any n.
-    cycle = observables.kcbs_observables(n, np.arange(first, stop) % min(n, stop))
-    return np.concatenate([chsh, cycle[:-1] @ cycle[1:]])
-
-
 def _alice_rotations(co) -> np.ndarray:
     """Alice's R(omega2), R(omega2), R(omega0), R(omega0) per cell, as a (cells, 4, 2, 2) stack."""
     omegas = np.column_stack([co.omega2, co.omega2, co.omega0, co.omega0])
@@ -54,32 +36,36 @@ def _alice_rotations(co) -> np.ndarray:
 
 
 def _term_sums(n: int, thetas, phis, seeds, shots) -> tuple[np.ndarray, np.ndarray]:
-    """Running CHSH and KCBS sums of a group of cells over their n + 4 terms, in term order.
+    """Running CHSH and KCBS sums of a group of cells, each over its terms in order.
 
     The group, at most ``circuits.BLOCK_TERMS`` cells, is prepared in one run
-    and reduced to its CHSH settings once.  Its terms run in blocks of at most
-    ``circuits.BLOCK_TERMS``, each one bank of Bob's, one (cell, term) grid of
-    the group by that bank and one shot draw.  Each cell draws in term order
-    from one generator seeded by its cell seed, so its stream and its sums
-    carry from block to block.  CHSH takes its fourth term and KCBS its
-    wraparound term with a minus sign.
+    and reduced to its CHSH settings once.  Its 4 CHSH terms are one (cell,
+    term) grid: Alice's R(omega2), R(omega2), R(omega0), R(omega0) against
+    B_m B_{m+1}, B_0, B_m B_{m+1}, B_0, the fourth taken with a minus sign.
+    Its n KCBS pairs follow in blocks of at most ``circuits.BLOCK_TERMS``,
+    each one grid of Alice's identity against the block's products
+    B_j B_{j+1}, the wraparound pair taken with a minus sign.  Each grid is
+    one shot draw, and each cell draws in turn from one generator seeded by
+    its cell seed, so its stream and its sums carry from grid to grid.
     """
     states = circuits.prepare_state1(thetas, phis)
     rotations = _alice_rotations(analytic.chsh_coefficients(states, n))
-    terms, cells = n + 4, len(states)
     generators = [np.random.default_rng(seed) for seed in seeds]
-    chsh, kcbs = np.zeros(cells), np.zeros(cells)
-    for start in range(0, terms, circuits.BLOCK_TERMS):
-        block = np.arange(start, min(start + circuits.BLOCK_TERMS, terms))
-        bob = _bob_bank(n, range(start, block[-1] + 1))
-        split = np.count_nonzero(block < 4)  # the block's CHSH terms, which come first
-        sign = np.where((block == 3) | (block == terms - 1), -1.0, 1.0)
-        alice = np.broadcast_to(np.eye(2), (cells, block.size, 2, 2)).copy()
-        alice[:, :split] = rotations[:, start:start + split]
+
+    def signed(alice, bob, sign):
+        """The group's signed combined estimates on one (cell, term) grid, from one shot draw."""
         probs = circuits.run_hybrid_tests(states, alice, bob)
-        signed = sign * circuits.sample_shot_stack(probs, shots, generators)[1][..., 0]
-        chsh = _running_sums(chsh, signed[:, :split])
-        kcbs = _running_sums(kcbs, signed[:, split:])
+        return sign * circuits.sample_shot_stack(probs, shots, generators)[1][..., 0]
+
+    bm, b0 = observables.bm_bm1_closed_form(n).matrix, observables.b0_closed_form(n).matrix
+    chsh = _running_sums(np.zeros(len(states)), signed(rotations, np.array([bm, b0, bm, b0]),
+                                                       np.array([1.0, 1.0, 1.0, -1.0])))
+    kcbs = np.zeros(len(states))
+    for start in range(0, n, circuits.BLOCK_TERMS):
+        stop = min(start + circuits.BLOCK_TERMS, n)
+        alice = np.broadcast_to(np.eye(2), (len(states), stop - start, 2, 2))
+        sign = np.where(np.arange(start, stop) == n - 1, -1.0, 1.0)
+        kcbs = _running_sums(kcbs, signed(alice, observables.kcbs_pairs(n, start, stop), sign))
     return chsh, kcbs
 
 
@@ -97,9 +83,10 @@ class LandscapeTable:
     computed as the table is iterated, one block of at most ``serialize.BLOCK_CELLS``
     cells at a time, so a pass costs O(block) memory however large the grid.
     :meth:`blocks` is the one read path, for the writer and a caller alike.  Circuit mode
-    sums a block's cells in groups by :func:`_term_sums`, so a pass holds
-    O(``circuits.BLOCK_TERMS``) rows however large n is, no value depends on the
-    blocking, and every pass samples again from the same seeds.
+    sums a block's cells in groups by :func:`_term_sums`, one grid of a group's CHSH terms
+    and one per block of its KCBS pairs, so a pass holds O(``circuits.BLOCK_TERMS``) rows
+    however large n is, no value depends on the blocking, and every pass samples again
+    from the same seeds.
     """
 
     n: int
@@ -211,7 +198,7 @@ def _coexistence(sizes) -> tuple[dict[str, np.ndarray], observables.CycleGeometr
     def gap(bits):
         """chsh(s(m)) - m at the overlaps m whose float64 bit patterns are given."""
         s = (intercept - bits.view(float)) / slope  # the population whose KCBS margin is m
-        return analytic._state1_margins(s, 4.0 * s * (1.0 - s), geo)[0] - bits.view(float)
+        return analytic._chsh_margin(4.0 * s * (1.0 - s), geo) - bits.view(float)
 
     # A sign change must show across [0, kcbs(s = 0)]; a NaN gap fails the check.
     top = intercept.view(np.int64)
@@ -247,7 +234,7 @@ def scaling_study(sizes) -> tuple[dict[str, np.ndarray], float | None]:
     columns, geo = _coexistence(sizes)
     n = columns["n"].astype(float)  # sizes beyond int64 come as an object array
     s = 2.0 / (n + 4.0)
-    columns["psi_n_chsh_margin"] = analytic._state1_margins(s, 4.0 * s * (1.0 - s), geo)[0]
+    columns["psi_n_chsh_margin"] = analytic._chsh_margin(4.0 * s * (1.0 - s), geo)
     columns["psi_n_kcbs_margin"] = analytic._psi_n_kcbs_margin(geo)
     columns["asym_kcbs"], columns["asym_chsh"] = analytic.asymptotic_margins(columns["n"])
     slope = None

@@ -104,16 +104,22 @@ def kcbs_observables(n: int, rows=None) -> np.ndarray:
     return stack
 
 
-def kcbs_pair(n: int, j: int) -> Observable:
-    """Product B_j B_{j+1} (indices mod n); Hermitian since the two commute.
+def kcbs_pairs(n: int, start: int, stop: int) -> np.ndarray:
+    """The products B_j B_{j+1} (indices mod n) for j in [start, stop), as one (pairs, 3, 3) stack.
 
-    Only the two cycle rows are built, so the memory does not grow with n.
+    Only the cycle rows start..stop are built, row n read as row 0, so the
+    memory grows with stop - start and not with n; each product is Hermitian
+    since its two factors commute.
     """
+    cycle = kcbs_observables(n, [j % n for j in range(start, stop + 1)])
+    return cycle[:-1] @ cycle[1:]
+
+
+def kcbs_pair(n: int, j: int) -> Observable:
+    """Product B_j B_{j+1} (indices mod n), the one entry j of :func:`kcbs_pairs`."""
     if not 0 <= j < n:
         raise IndexOutOfRange(f"pair index must be in [0, {n - 1}], got {j}")
-    k = (j + 1) % n
-    first, second = kcbs_observables(n, [j, k])
-    return Observable(matrix=first @ second, label=f"B_{j} B_{k}")
+    return Observable(matrix=kcbs_pairs(n, j, j + 1)[0], label=f"B_{j} B_{(j + 1) % n}")
 
 
 def b0_closed_form(n: int) -> Observable:

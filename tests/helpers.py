@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chsh_kcbs.analytic import _kcbs_line, _state1_margins
+from chsh_kcbs.analytic import _chsh_margin, _kcbs_line
 from chsh_kcbs.circuits import (CircuitSpec, GateOp, controlled_power, embed_alice, f3, phase_gate,
                                 rotation, run_circuit, x02)
 from chsh_kcbs.linalg import tensor
@@ -55,7 +55,7 @@ def masked_bisection(sizes) -> dict:
     def gap(bits):
         m = bits.view(float)
         s = (intercept - m) / slope
-        return _state1_margins(s, 4.0 * s * (1.0 - s), geo)[0] - m
+        return _chsh_margin(4.0 * s * (1.0 - s), geo) - m
 
     upper = np.clip(gap(np.zeros(len(sizes), dtype=np.int64)).view(np.int64), 0,
                     intercept.view(np.int64))

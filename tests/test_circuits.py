@@ -35,9 +35,16 @@ from chsh_kcbs import (
     x02,
 )
 from chsh_kcbs import circuits
-from chsh_kcbs.experiments import _bob_bank
-from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
+from chsh_kcbs.observables import (alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair,
+                                   kcbs_pairs)
 from helpers import fourier_test_circuit, three_register_probabilities
+
+
+def _cell_bank(n):
+    """Bob's factors of a landscape cell's n + 4 terms: B_m B_{m+1}, B_0, B_m B_{m+1}, B_0 for
+    CHSH, then each KCBS pair B_j B_{j+1}."""
+    bm, b0 = bm_bm1_closed_form(n).matrix, b0_closed_form(n).matrix
+    return np.concatenate([[bm, b0, bm, b0], kcbs_pairs(n, 0, n)])
 
 
 def test_rotation_identity_and_y_entries():
@@ -351,7 +358,7 @@ def test_stacked_cell_matches_three_register_circuit():
     # bank, gives the three-register circuit's probabilities to the bit.
     rng = np.random.default_rng(41)
     for n in (5, 7, 9, 21):
-        bank = _bob_bank(n, range(n + 4))
+        bank = _cell_bank(n)
         for theta in (0.0, math.pi, *rng.uniform(0, math.pi, 2).tolist()):
             phi = float(rng.uniform(0, 2 * math.pi))
             state = prepare_state1(theta, phi)
@@ -371,7 +378,7 @@ def test_cell_term_grid_equals_one_row_calls_and_the_three_register_circuit():
     # cell and term run alone and of the three-register circuit.
     rng = np.random.default_rng(43)
     n = 7
-    bank = _bob_bank(n, range(n + 4))
+    bank = _cell_bank(n)
     thetas = np.array([0.0, math.pi, *rng.uniform(0, math.pi, 2)])
     phis = rng.uniform(0, 2 * math.pi, 4)
     states = prepare_state1(thetas, phis)
@@ -404,7 +411,7 @@ def test_a_grid_of_more_than_block_terms_rows_runs_in_bounded_stacks(monkeypatch
     states = prepare_state1(rng.uniform(0, math.pi, 7), rng.uniform(0, 2 * math.pi, 7))
     alice = np.array([[alice_rotation(w).matrix for w in row]
                       for row in rng.uniform(0, 2 * math.pi, (7, terms))])
-    bank = _bob_bank(7, range(terms))
+    bank = _cell_bank(7)[:terms]
     monkeypatch.setattr(circuits, "_readout", readout_spy)
     grid = run_hybrid_tests(states, alice, bank)
     cells = max(1, block_terms // terms)
@@ -422,7 +429,7 @@ def test_a_hundred_by_hundred_grid_traces_a_bounded_peak():
     states = prepare_state1(np.linspace(0, math.pi, 100), np.linspace(0, 2 * math.pi, 100))
     alice = np.array([[alice_rotation(0.01 * (i + j)).matrix for j in range(100)]
                       for i in range(100)], dtype=complex)
-    bank = _bob_bank(97, range(100))
+    bank = _cell_bank(97)[:100]
     tracemalloc.start()
     try:
         grid = run_hybrid_tests(states, alice, bank)
@@ -435,8 +442,9 @@ def test_a_hundred_by_hundred_grid_traces_a_bounded_peak():
 
 def test_a_circuit_landscape_checks_each_factor_stack_once_per_term_block(monkeypatch):
     # n = 97 on 11 x 11 cells: two preparation groups of 100 and 21 cells, each
-    # running a 100-term block and a 1-term tail.  Each (group, term block) checks
-    # its Alice stack and its Bob bank once, however many stacks it simulates.
+    # running its 4 CHSH terms and its 97 KCBS pairs as one grid each.  Each
+    # (group, grid) checks its Alice stack and its Bob bank once, however many
+    # stacks it simulates.
     checked, check = [], circuits._check_ops
 
     def check_spy(ops, name, hermitian=False):
@@ -448,7 +456,7 @@ def test_a_circuit_landscape_checks_each_factor_stack_once_per_term_block(monkey
     table = landscape_scan(97, np.linspace(0, 180, 11), np.linspace(0, 360, 11), mode="circuit",
                            shots=100, seed=3)
     assert sum(len(block) for block in table.blocks()) == 121
-    assert checked == [check for c in (100, 21) for t in (100, 1)
+    assert checked == [check for c in (100, 21) for t in (4, 97)
                        for check in (("Alice factor", (c, t, 2, 2)), ("Bob factor", (t, 3, 3)))]
 
 

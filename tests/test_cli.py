@@ -127,11 +127,12 @@ def test_landscape_circuit_mode_columns(tmp_path):
 def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
     # The CSV of a seeded circuit landscape, rebuilt one Fourier test at a
     # time: each term as a one-cell, one-term run_hybrid_tests grid, its shots drawn in term
-    # order from one generator seeded by the cell seed.  At n = 97 a cell's 101
-    # terms span two term blocks of the default BLOCK_TERMS.
+    # order from one generator seeded by the cell seed.  At n = 101 a cell's KCBS
+    # pairs span two blocks of the default BLOCK_TERMS, the wraparound pair alone
+    # in the second.
     shots, master_seed = 500, 11
     for n, thetas, phis in ((7, [0.0, 60.0, 120.0, 180.0], [0.0, 45.0, 90.0]),
-                            (97, [30.0, 90.0], [0.0, 90.0])):
+                            (101, [30.0, 90.0], [0.0, 90.0])):
         _check_term_by_term(tmp_path, n, thetas, phis, shots, master_seed)
 
 
@@ -840,13 +841,13 @@ def test_config_echoed_into_metadata(tmp_path):
 
 def test_scaling_solves_all_sizes_in_a_few_kernel_calls(tmp_path, monkeypatch):
     calls = []
-    kernel = experiments.analytic._state1_margins
+    kernel = experiments.analytic._chsh_margin
 
-    def spy(theta, phi, geo):
+    def spy(weight, geo):
         calls.append(np.size(geo.n))
-        return kernel(theta, phi, geo)
+        return kernel(weight, geo)
 
-    monkeypatch.setattr(experiments.analytic, "_state1_margins", spy)
+    monkeypatch.setattr(experiments.analytic, "_chsh_margin", spy)
     out = tmp_path / "scaling.csv"
     assert run_cli("scaling", "--n", "5:999:2", "--out", str(out), "--no-timestamp") == 0
     assert len(read_csv(str(out))[1]) == 498
@@ -885,15 +886,16 @@ def test_scaling_fits_no_slope_through_one_distinct_size(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["coexist", "scaling"])
 def test_residual_above_tolerance_is_a_domain_error(tmp_path, capsys, monkeypatch, command):
-    # A CHSH margin that jumps by 2e-6 where it meets the KCBS margin cannot
-    # meet it to RESIDUAL_TOL at any overlap.
-    kernel = experiments.analytic._state1_margins
+    # A CHSH margin that jumps by 2e-6 where it meets the KCBS margin, at the
+    # overlap m, cannot meet it to RESIDUAL_TOL at any overlap.
+    kernel = experiments.analytic._chsh_margin
+    m = experiments.coexistence_points([100000001])["overlap"][0]
 
-    def jumping(s, weight, geo):
-        chsh, kcbs = kernel(s, weight, geo)
-        return chsh + np.where(chsh > kcbs, 1e-6, -1e-6), kcbs
+    def jumping(weight, geo):
+        chsh = kernel(weight, geo)
+        return chsh + np.where(chsh > m, 1e-6, -1e-6)
 
-    monkeypatch.setattr(experiments.analytic, "_state1_margins", jumping)
+    monkeypatch.setattr(experiments.analytic, "_chsh_margin", jumping)
     out = tmp_path / "out.csv"
     assert run_cli(command, "--n", "100000001", "--out", str(out)) == cli.EXIT_DOMAIN
     err = capsys.readouterr().err

@@ -23,7 +23,7 @@ from chsh_kcbs import (
 from chsh_kcbs import experiments, serialize
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair
 from chsh_kcbs.analytic import chsh_coefficients, state1
-from helpers import exact_cycle_rows, masked_bisection, read_csv, textbook_margins, worst_error
+from helpers import masked_bisection, read_csv, textbook_margins
 
 TABLE_POINTS = {5: (49.605, 0.343069), 23: (30.381, 0.227717), 55: (20.815, 0.11978)}
 
@@ -286,11 +286,10 @@ def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
     prepared = [cell for run in calls["prepared"] for cell in zip(run[0].tolist(), run[1].tolist())]
     assert prepared == cells and len(prepared) == len(table)
     assert [len(run[0]) for run in calls["prepared"]] == [4, 2]
-    # BLOCK_TERMS = 4 < n + 4 splits the terms into blocks of 4, 4 and 1.  Within
-    # a preparation group the grids run term block by term block, one grid of
-    # the whole group per term block.  Inside it, a 4-term stack reads one
-    # cell's state for all its terms, and the 1-term stack reads the whole
-    # group of 4 cells, one row each.
+    # BLOCK_TERMS = 4 < n runs a group's 4 CHSH terms as one grid and its 5 KCBS
+    # pairs as blocks of 4 and 1, each one grid of the whole group.  Inside a
+    # grid, a 4-term stack reads one cell's state for all its terms, and the
+    # 1-term stack reads the whole group of 4 cells, one row each.
     groups = [run[2] for run in calls["prepared"]]
     grids = [(group, terms) for group in groups for terms in (4, 4, 1)]
     assert len(calls["measured"]) == len(grids) == 2 * 3
@@ -305,10 +304,10 @@ def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
 
 @pytest.mark.parametrize("block_terms", [4, 5, 8, 9, 10, 19, 100])
 def test_circuit_blocks_hold_at_most_block_terms_rows(monkeypatch, block_terms):
-    # n + 4 = 9 terms: from BLOCK_TERMS = 9 up a stack holds whole cells, and
-    # below it each term block's grid runs as stacks of as many cells as fit.
-    # Every simulated stack and every preparation run holds at most BLOCK_TERMS
-    # rows, all rows are measured once, and every cell is prepared once.
+    # 4 CHSH terms and n = 5 KCBS pairs: from BLOCK_TERMS = 5 up each grid's stack
+    # holds whole cells, and below it a KCBS block's grid runs as stacks of as many
+    # cells as fit.  Every simulated stack and every preparation run holds at most
+    # BLOCK_TERMS rows, all rows are measured once, and every cell is prepared once.
     n, thetas, phis = 5, [0.0, 30.0, 60.0, 180.0], [0.0, 45.0, 90.0]
     monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", block_terms)
     calls = _spy_on_circuit_blocks(monkeypatch)
@@ -319,34 +318,43 @@ def test_circuit_blocks_hold_at_most_block_terms_rows(monkeypatch, block_terms):
     assert max(len(run[0]) for run in calls["prepared"]) <= block_terms
     assert sum(len(run[0]) for run in calls["prepared"]) == len(table)
     assert len(calls["prepared"]) == -(-len(table) // block_terms)
-    # Each preparation group runs each term block as one grid and builds its
-    # bank once, from the cycle rows its pairs need, at most BLOCK_TERMS + 1.
-    term_blocks = -(-(n + 4) // block_terms)
-    assert len(calls["measured"]) == len(calls["prepared"]) * term_blocks
-    assert len(calls["cycle_rows"]) == len(calls["prepared"]) * term_blocks
+    # Each preparation group runs one CHSH grid and each KCBS block as one grid,
+    # building the block's bank once, from the cycle rows its pairs need, at most
+    # BLOCK_TERMS + 1.
+    kcbs_blocks = -(-n // block_terms)
+    assert len(calls["measured"]) == len(calls["prepared"]) * (1 + kcbs_blocks)
+    assert len(calls["cycle_rows"]) == len(calls["prepared"]) * kcbs_blocks
     assert all(size == n and len(rows) <= block_terms + 1 for size, rows in calls["cycle_rows"])
 
 
-@pytest.mark.parametrize("n, block_terms", [(5, 8), (97, 100)])
+@pytest.mark.parametrize("n, block_terms", [(5, 4), (201, 100)])
 def test_a_one_term_tail_block_runs_as_one_test_per_group(monkeypatch, n, block_terms):
-    # n + 4 = BLOCK_TERMS + 1: a group of c cells runs one grid of the full term
-    # block, simulated as c stacks of one cell each, and one grid of the c
-    # cells' last term, simulated as one stack.
+    # n = 1 mod BLOCK_TERMS: after the CHSH grid, a group of c cells runs each full
+    # KCBS block as one grid, simulated as c stacks of one cell each, and one grid
+    # of the c cells' wraparound pair alone, simulated as one stack.
     monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", block_terms)
     calls = _spy_on_circuit_blocks(monkeypatch)
-    table = landscape_scan(n, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=4)
-    _columns(table)
+    table = landscape_scan(n, [30.0, 60.0], [0.0, 45.0], mode="circuit", shots=50, seed=4)
+    columns = _columns(table)
+    cells, full = len(table), n // block_terms
     assert len(calls["prepared"]) == 1
     assert [(len(states), len(bank)) for states, bank in calls["measured"]] == [
-        (len(table), block_terms), (len(table), 1)]
-    assert _stack_rows(calls) == [block_terms] * len(table) + [len(table)]
+        (cells, 4)] + [(cells, block_terms)] * full + [(cells, 1)]
+    chsh_step = block_terms // 4
+    assert _stack_rows(calls) == ([4 * min(chsh_step, cells - first)
+                                   for first in range(0, cells, chsh_step)]
+                                  + [block_terms] * cells * full + [cells])
+    # The lone pair is B_{n-1} B_0, which the sums subtract as the protocol does.
+    assert calls["measured"][-1][1][0].tobytes() == kcbs_pair(n, n - 1).matrix.tobytes()
+    want = _term_by_term_margins(n, [(t, p) for t in (30.0, 60.0) for p in (0.0, 45.0)], 50, 4)
+    assert list(zip(columns["chsh_margin"].tolist(), columns["kcbs_margin"].tolist())) == want
 
 
 @pytest.mark.parametrize("block_terms, shapes", [
-    # n + 4 = 9 terms fit one block: the 6 cells are one grid against the whole bank.
-    (100, [(6, 9)]),
-    # Term blocks [0, 4), [4, 8), [8, 9) in groups of 4 and 2 cells: each group is
-    # one grid per term block, the 1-term tail bank included.
+    # The n = 5 pairs fit one block: the 6 cells are one CHSH grid and one KCBS grid.
+    (100, [(6, 4), (6, 5)]),
+    # KCBS blocks [0, 4) and [4, 5) in groups of 4 and 2 cells: each group is one
+    # CHSH grid and one grid per KCBS block, the 1-pair tail bank included.
     (4, [(4, 4), (4, 4), (4, 1), (2, 4), (2, 4), (2, 1)]),
 ])
 def test_term_sums_pass_each_state_once_against_one_bank(monkeypatch, block_terms, shapes):
@@ -366,19 +374,19 @@ def test_term_sums_pass_each_state_once_against_one_bank(monkeypatch, block_term
 
 
 def test_split_cells_build_each_term_blocks_bank_once_per_group(monkeypatch):
-    # n + 4 = 9 > BLOCK_TERMS = 4: term blocks [0, 4), [4, 8) and [8, 9), whose
-    # pairs read cycle rows 0, 0..4 and 4, 0.  Six cells make two groups, and
-    # each group builds each bank once, not once per cell.
+    # n = 5 > BLOCK_TERMS = 4: KCBS blocks [0, 4) and [4, 5), whose pairs read cycle
+    # rows 0..4 and 4, 0.  Six cells make two groups, and each group builds each
+    # bank once, not once per cell.
     monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", 4)
     calls = _spy_on_circuit_blocks(monkeypatch)
     table = landscape_scan(5, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=4)
     _columns(table)
     assert [len(run[0]) for run in calls["prepared"]] == [4, 2]
-    assert calls["cycle_rows"] == [(5, [0]), (5, [0, 1, 2, 3, 4]), (5, [4, 0])] * 2
+    assert calls["cycle_rows"] == [(5, [0, 1, 2, 3, 4]), (5, [4, 0])] * 2
 
 
-def test_circuit_table_pass_builds_the_bob_bank_once(monkeypatch):
-    # While whole cells fit a test, Bob's cycle stack is built once per table
+def test_circuit_table_pass_builds_the_pair_bank_once(monkeypatch):
+    # While all pairs fit one block, Bob's cycle stack is built once per table
     # pass (this table is one preparation group), not per cell, pair or test.
     n, calls = 7, []
     stack = experiments.observables.kcbs_observables
@@ -387,7 +395,7 @@ def test_circuit_table_pass_builds_the_bob_bank_once(monkeypatch):
         calls.append((size, np.array(rows).tolist()))
         return stack(size, rows)
 
-    monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", 2 * (n + 4))
+    monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", 2 * n)
     monkeypatch.setattr(experiments.observables, "kcbs_observables", stack_spy)
     table = landscape_scan(n, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=1)
     first = _columns(table)
@@ -434,15 +442,12 @@ def test_circuit_cell_builds_no_per_term_report(monkeypatch):
     assert built == []
 
 
-def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
-    # With n + 4 >= 8 terms a pairwise sum would move the last bits; the cell
-    # keeps the running sum of the term-by-term protocol.
-    n, shots, master_seed = 9, 300, 5
-    table = landscape_scan(n, [40.0, 70.0], [30.0], mode="circuit", shots=shots, seed=master_seed)
-    columns = _columns(table)
+def _term_by_term_margins(n, cells, shots, master_seed):
+    """(chsh, kcbs) margins of (theta, phi) cells, each term a one-test run in protocol order."""
     bm, b0 = bm_bm1_closed_form(n).matrix, b0_closed_form(n).matrix
-    for cell, theta in enumerate([40.0, 70.0]):
-        state = prepare_state1(math.radians(theta), math.radians(30.0))
+    margins = []
+    for cell, (theta, phi) in enumerate(cells):
+        state = prepare_state1(math.radians(theta), math.radians(phi))
         co = chsh_coefficients(state[0], n)
         r0, r2 = alice_rotation(co.omega0).matrix, alice_rotation(co.omega2).matrix
         terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
@@ -458,8 +463,43 @@ def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
         for j in range(n):
             kcbs += (-1.0 if j == n - 1 else 1.0) * estimates[4 + j]
         chsh = estimates[0] + estimates[1] + estimates[2] - estimates[3]
-        assert columns["chsh_margin"][cell] == chsh - 2.0
-        assert columns["kcbs_margin"][cell] == kcbs - (n - 2.0)
+        margins.append((chsh - 2.0, kcbs - (n - 2.0)))
+    return margins
+
+
+def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
+    # With n + 4 >= 8 terms a pairwise sum would move the last bits; the cell
+    # keeps the running sum of the term-by-term protocol.
+    n, shots, master_seed = 9, 300, 5
+    table = landscape_scan(n, [40.0, 70.0], [30.0], mode="circuit", shots=shots, seed=master_seed)
+    columns = _columns(table)
+    want = _term_by_term_margins(n, [(40.0, 30.0), (70.0, 30.0)], shots, master_seed)
+    assert list(zip(columns["chsh_margin"].tolist(), columns["kcbs_margin"].tolist())) == want
+
+
+def test_a_circuit_group_runs_one_chsh_grid_and_identity_kcbs_grids(monkeypatch):
+    # One group of 6 cells at n = 7: one grid of Alice's rotations against the
+    # 4-matrix CHSH bank, then the KCBS grid, whose Alice factors are all the identity.
+    n, grids, stacked = 7, [], experiments.circuits.run_hybrid_tests
+
+    def stacked_spy(states, alice_ops, bob_ops):
+        grids.append((np.array(alice_ops), np.array(bob_ops)))
+        return stacked(states, alice_ops, bob_ops)
+
+    monkeypatch.setattr(experiments.circuits, "run_hybrid_tests", stacked_spy)
+    thetas, phis = [30.0, 60.0, 90.0], [0.0, 45.0]
+    _columns(landscape_scan(n, thetas, phis, mode="circuit", shots=50, seed=4))
+    (chsh_alice, chsh_bank), *kcbs = grids
+    bm, b0 = bm_bm1_closed_form(n).matrix, b0_closed_form(n).matrix
+    assert np.array_equal(chsh_bank, [bm, b0, bm, b0])
+    states = prepare_state1(*np.deg2rad(np.meshgrid(thetas, phis, indexing="ij")).reshape(2, -1))
+    for cell, state in enumerate(states):
+        co = chsh_coefficients(state, n)
+        rotations = [alice_rotation(w).matrix for w in (co.omega2, co.omega2, co.omega0, co.omega0)]
+        assert np.allclose(chsh_alice[cell], rotations, rtol=0, atol=1e-15)
+    assert [bank.shape for _, bank in kcbs] == [(n, 3, 3)]
+    assert all(np.array_equal(alice, np.broadcast_to(np.eye(2), alice.shape))
+               for alice, _ in kcbs)
 
 
 def test_margin_kernel_builds_the_cycle_constants_once_per_call(monkeypatch):
@@ -467,17 +507,17 @@ def test_margin_kernel_builds_the_cycle_constants_once_per_call(monkeypatch):
     # them a fixed number of times, each over all its sizes, however many sizes and
     # bisection steps it has: every step runs the kernel on the solve's one geometry.
     kernel_calls, builds = [], []
-    kernel, build = experiments.analytic._state1_margins, experiments.observables.CycleGeometry
+    kernel, build = experiments.analytic._chsh_margin, experiments.observables.CycleGeometry
 
-    def kernel_spy(s, weight, geo):
+    def kernel_spy(weight, geo):
         kernel_calls.append(np.size(geo.n))
-        return kernel(s, weight, geo)
+        return kernel(weight, geo)
 
     def build_spy(*fields):
         builds.append(np.size(fields[0]))
         return build(*fields)
 
-    monkeypatch.setattr(experiments.analytic, "_state1_margins", kernel_spy)
+    monkeypatch.setattr(experiments.analytic, "_chsh_margin", kernel_spy)
     monkeypatch.setattr(experiments.observables, "CycleGeometry", build_spy)
     state1_margins(0.3, 0.0, np.arange(5, 200, 2))
     assert builds == [len(range(5, 200, 2))] and kernel_calls == builds
@@ -493,6 +533,30 @@ def test_margin_kernel_builds_the_cycle_constants_once_per_call(monkeypatch):
         steps.append(len(kernel_calls))
     assert counts[0] == counts[1] == counts[2] <= 3
     assert steps[0] == steps[1] == steps[2]
+
+
+def test_a_solve_reads_the_kcbs_line_once_and_runs_only_the_chsh_kernel(monkeypatch):
+    # The KCBS margin of every step is the overlap itself, read off one KCBS line;
+    # each step runs the CHSH kernel alone: 3 bracket calls, at most 53 halvings
+    # and the residual, and scaling one more for the family's CHSH margin.
+    calls = {"line": 0, "kernel": 0}
+    line, kernel = experiments.analytic._kcbs_line, experiments.analytic._chsh_margin
+
+    def line_spy(geo):
+        calls["line"] += 1
+        return line(geo)
+
+    def kernel_spy(weight, geo):
+        calls["kernel"] += 1
+        return kernel(weight, geo)
+
+    monkeypatch.setattr(experiments.analytic, "_kcbs_line", line_spy)
+    monkeypatch.setattr(experiments.analytic, "_chsh_margin", kernel_spy)
+    for solve, most in ((coexistence_points, 57), (lambda sizes: scaling_study(sizes)[0], 58)):
+        for sizes in ([5], range(5, 2000, 2), [10**12 + 1]):
+            calls.update(line=0, kernel=0)
+            assert len(solve(sizes)["overlap"]) == len(sizes)
+            assert calls["line"] == 1 and 4 < calls["kernel"] <= most, (sizes, calls)
 
 
 def test_landscape_circuit_mode_agrees_with_analytic():
@@ -570,11 +634,10 @@ def test_sizes_beyond_int64_stay_integers():
 
 
 def test_coexistence_surfaces_missing_crossing(monkeypatch):
-    def never_crossing(theta, phi, geo):
-        shape = np.broadcast_shapes(np.shape(theta), np.shape(geo.n))
-        return np.full(shape, -1.0), np.full(shape, 1.0)
+    def never_crossing(weight, geo):
+        return np.full(np.broadcast_shapes(np.shape(weight), np.shape(geo.n)), -1.0)
 
-    monkeypatch.setattr(experiments.analytic, "_state1_margins", never_crossing)
+    monkeypatch.setattr(experiments.analytic, "_chsh_margin", never_crossing)
     with pytest.raises(NoIntersection):
         coexistence_points([5])
 
@@ -619,13 +682,12 @@ def test_coexistence_points_match_single_size_solves():
 
 
 def test_missing_crossing_names_the_cycle_size(monkeypatch):
-    kernel = experiments.analytic._state1_margins
+    kernel = experiments.analytic._chsh_margin
 
-    def no_crossing_at_seven(theta, phi, geo):
-        chsh, kcbs = kernel(theta, phi, geo)
-        return np.where(geo.n == 7, -1.0, chsh), np.where(geo.n == 7, 1.0, kcbs)
+    def no_crossing_at_seven(weight, geo):
+        return np.where(geo.n == 7, -1.0, kernel(weight, geo))
 
-    monkeypatch.setattr(experiments.analytic, "_state1_margins", no_crossing_at_seven)
+    monkeypatch.setattr(experiments.analytic, "_chsh_margin", no_crossing_at_seven)
     with pytest.raises(NoIntersection, match=r"for n = 7$"):
         coexistence_points([5, 7, 9])
 
@@ -717,28 +779,3 @@ def test_a_circuit_landscape_of_a_huge_cycle_computes_no_cell_up_front(monkeypat
     table = landscape_scan(10**15 + 1, [30.0], [0.0, 45.0], mode="circuit", shots=10, seed=1)
     assert len(table) == 2 and table.n == 10**15 + 1
     assert calls == []
-
-
-def _exact_bank(n, terms):
-    """Bob's operator for each term from the exact cycle rows, as 40-digit mpmath matrices."""
-    mpmath = pytest.importorskip("mpmath")
-    m = (n - 1) // 2
-    factors = [[(m, m + 1), (0,), (m, m + 1), (0,)][t] if t < 4 else (t - 4, (t - 3) % n)
-               for t in terms]
-    bank = []
-    with mpmath.workdps(40):
-        for rows in factors:
-            product = mpmath.eye(3)
-            for j, row in zip(rows, exact_cycle_rows(n, rows)):
-                vector = mpmath.matrix(row)
-                product = product * ((-1) ** j * (2 * vector * vector.T - mpmath.eye(3)))
-            bank.append(product.tolist())
-    return bank
-
-
-@pytest.mark.parametrize("n, terms", [
-    (10**15 + 1, range(10**15, 10**15 + 5)),  # the last term block, wraparound pair included
-    (10**30 + 1, range(0, 100)),  # the first term block of a cycle beyond int64
-])
-def test_bob_bank_of_a_huge_cycle_matches_the_exact_cycle(n, terms):
-    assert worst_error(experiments._bob_bank(n, terms), _exact_bank(n, terms)) <= 2e-15

@@ -223,6 +223,33 @@ def test_kcbs_pair_wraps_and_checks_range():
             kcbs_pair(5, j)
 
 
+def _exact_products(n, factors):
+    """The product of each tuple of cycle rows' B_j at the exact angles, as 40-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    products = []
+    with mpmath.workdps(40):
+        for rows in factors:
+            product = mpmath.eye(3)
+            for j, row in zip(rows, exact_cycle_rows(n, rows)):
+                vector = mpmath.matrix(row)
+                product = product * ((-1) ** j * (2 * vector * vector.T - mpmath.eye(3)))
+            products.append(product.tolist())
+    return products
+
+
+@pytest.mark.parametrize("n, start, stop", [
+    (10**15 + 1, 10**15 - 4, 10**15 + 1),  # the last pairs, the wraparound pair included
+    (10**30 + 1, 0, 100),  # the first block of pairs of a cycle beyond int64
+])
+def test_kcbs_pairs_of_a_huge_cycle_match_the_exact_cycle(n, start, stop):
+    exact = _exact_products(n, [(j, (j + 1) % n) for j in range(start, stop)])
+    assert worst_error(observables.kcbs_pairs(n, start, stop), exact) <= 2e-15
+    # The CHSH factors B_m B_{m+1} and B_0 beside them, from their closed forms.
+    m = (n - 1) // 2
+    closed = [bm_bm1_closed_form(n).matrix, b0_closed_form(n).matrix]
+    assert worst_error(closed, _exact_products(n, [(m, m + 1), (0,)])) <= 2e-15
+
+
 def test_alice_rotation_limits_and_involution():
     assert np.allclose(alice_rotation(0.0).matrix, np.diag([1.0, -1.0]), atol=0)
     assert np.allclose(alice_rotation(math.pi / 2).matrix, np.array([[0, 1], [1, 0]]), atol=1e-15)
