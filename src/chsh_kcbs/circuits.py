@@ -9,12 +9,12 @@ row, so one run simulates k circuits of the same shape.  The minimal state is
 prepared on the (alice, bob) pair with Alice's level 2 left empty; every
 correlator of the hybrid protocol is then a Fourier test on a prepared state,
 with Alice's 2x2 observables embedded into 3x3 by a unit on the dead level.
-:func:`run_hybrid_tests`, the one Fourier-test entry point, runs the
-products A[i, j] (x) B[j] over a grid of (cell, term) rows, checks only
-their two factor stacks, once, and simulates at most ``BLOCK_TERMS`` rows at
-a time, each stack in one readout: F3 on the ancilla axis, U on ancilla
-block 1 and U U on block 2, then the inverse F3.  Every operator check names
-the gate or stack and its first failing entry.
+:func:`run_hybrid_tests`, the one Fourier-test entry point, runs the products
+A[i, j] (x) B[j] over a grid of (cell, term) rows, A at any shape that
+broadcasts to the grid, checks its two factors as given, once, and simulates
+at most ``BLOCK_TERMS`` rows at a time, each stack in one readout: F3 on the
+ancilla axis, U on ancilla block 1 and U U on block 2, then the inverse F3.
+Every operator check names the gate or stack and its first failing entry.
 
 The Fourier test turns the expectation of a Hermitian unitary U into
 ancilla outcome probabilities: with U^2 = I the ancilla measures
@@ -42,7 +42,7 @@ DEAD_LEVEL_TOL = 1e-12
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a multinomial draw takes
 # Rows per circuit simulation: cells per preparation group, pairs per KCBS block and (cell,
 # term) rows per stack of run_hybrid_tests, so memory is bounded in n and in the grid.  At 100
-# rows a (rows, 9, 9) complex stack stays under 128 KiB, which the C allocator reuses.
+# rows a stack's complex products, at most (rows, 9, 9), stay under 128 KiB, reused by malloc.
 BLOCK_TERMS = 100
 
 SUBSPACES = ((0, 1), (0, 2), (1, 2))
@@ -253,35 +253,36 @@ def estimators(probs) -> np.ndarray:
 def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:
     """(c, t, 3) ancilla distributions of A[i, j] (x) B[j] on state i, over a (cell, term) grid.
 
-    ``states`` is (c, 6), ``alice_ops`` (c, t, 2, 2) and ``bob_ops`` a (t, 3, 3)
-    bank.  The shapes are checked first (``DimensionMismatch``), then each
-    factor stack once, Hermiticity then unitarity, then each state's norm.
-    A product of two such factors is a Hermitian unitary, so no product is
-    checked.  Each A is embedded by a unit on Alice's empty level 2, and the
-    grid is simulated in stacks of ``max(1, BLOCK_TERMS // t)`` cells.
+    ``states`` is (c, 6), ``alice_ops`` (c, t, 2, 2) or any leading shape that broadcasts to
+    (c, t), such as one (1, 1, 2, 2) matrix, and ``bob_ops`` a (t, 3, 3) bank.  The shapes are
+    checked first (``DimensionMismatch``), then each factor as given, once, Hermiticity then
+    unitarity, then each state's norm.  A product of two such factors is a Hermitian unitary, so
+    no product is checked.  Each A is embedded and multiplied at its own shape, never copied per
+    cell, and the grid is simulated in stacks of ``max(1, BLOCK_TERMS // t)`` cells.
     """
     states, alice, bob = (np.asarray(x, dtype=complex) for x in (states, alice_ops, bob_ops))
-    if (states.shape[1:] != (6,) or bob.shape[1:] != (3, 3)
-            or alice.shape != (len(states), len(bob), 2, 2)):
+    if (states.shape[1:] != (6,) or bob.shape[1:] != (3, 3) or alice.shape
+            not in [(c, t, 2, 2) for c in {1, len(states)} for t in {1, len(bob)}]):
         raise DimensionMismatch(f"hybrid tests need (c, 6) states, (c, t, 2, 2) and (t, 3, 3) "
                                 f"factors, got {states.shape}, {alice.shape} and {bob.shape}")
     _check_ops(alice, "Alice factor", hermitian=True)
     _check_ops(bob, "Bob factor", hermitian=True)
     vec = state_vector(embed_joint_state(states), dim=9, require_normalized=True)
     step = max(1, BLOCK_TERMS // max(len(bob), 1))
-    probs = np.empty(alice.shape[:2] + (3,))
+    probs = np.empty((len(states), len(bob), 3))
     for cells in (slice(first, first + step) for first in range(0, len(states), step)):
-        ops = np.einsum("ctij,tab->ctiajb", embed_alice(alice[cells]), bob)
+        a = alice[cells] if len(alice) > 1 else alice  # one shared A serves every cell
+        ops = np.einsum("ctij,tab->ctiajb", embed_alice(a), bob)
         probs[cells] = _readout(ops.reshape(ops.shape[:2] + (9, 9)), vec[cells, None])
     return probs
 
 
 def _readout(ops, vec) -> np.ndarray:
-    """Ancilla distributions of checked (..., d, d) ops on states broadcast to (..., d)."""
+    """Ancilla distributions of checked (..., d, d) ops and (..., d) states, broadcast together."""
     fourier = f3()
     # F3 on ancilla |0>: block a of every test is F3[a, 0] times its state.
-    state = fourier[:, 0, None] * vec[..., None, :]
-    state = np.broadcast_to(state, ops.shape[:-2] + state.shape[-2:]).copy()
+    grid = np.broadcast_shapes(ops.shape[:-2], vec.shape[:-1]) + (3, vec.shape[-1])
+    state = np.broadcast_to(fourier[:, 0, None] * vec[..., None, :], grid).copy()
     state[..., 1, :] = (ops @ state[..., 1, :, None])[..., 0]
     state[..., 2, :] = ((ops @ ops) @ state[..., 2, :, None])[..., 0]
     state = np.einsum("ab,...bi->...ai", fourier.conj().T, state)

@@ -38,15 +38,13 @@ def _alice_rotations(co) -> np.ndarray:
 def _term_sums(n: int, thetas, phis, seeds, shots) -> tuple[np.ndarray, np.ndarray]:
     """Running CHSH and KCBS sums of a group of cells, each over its terms in order.
 
-    The group, at most ``circuits.BLOCK_TERMS`` cells, is prepared in one run
-    and reduced to its CHSH settings once.  Its 4 CHSH terms are one (cell,
-    term) grid: Alice's R(omega2), R(omega2), R(omega0), R(omega0) against
-    B_m B_{m+1}, B_0, B_m B_{m+1}, B_0, the fourth taken with a minus sign.
-    Its n KCBS pairs follow in blocks of at most ``circuits.BLOCK_TERMS``,
-    each one grid of Alice's identity against the block's products
-    B_j B_{j+1}, the wraparound pair taken with a minus sign.  Each grid is
-    one shot draw, and each cell draws in turn from one generator seeded by
-    its cell seed, so its stream and its sums carry from grid to grid.
+    The group, at most ``circuits.BLOCK_TERMS`` cells, is prepared in one run and reduced to
+    its CHSH settings once.  Its 4 CHSH terms are one (cell, term) grid: Alice's R(omega2),
+    R(omega2), R(omega0), R(omega0) against B_m B_{m+1}, B_0, B_m B_{m+1}, B_0, the fourth
+    taken with a minus sign.  Its n KCBS pairs follow in blocks of at most ``BLOCK_TERMS``,
+    each one grid of one (1, 1) identity for Alice against the block's products B_j B_{j+1},
+    the wraparound pair with a minus sign.  Each grid is one shot draw, and each cell draws in
+    turn from one generator seeded by its cell seed: its stream and sums carry across grids.
     """
     states = circuits.prepare_state1(thetas, phis)
     rotations = _alice_rotations(analytic.chsh_coefficients(states, n))
@@ -63,9 +61,9 @@ def _term_sums(n: int, thetas, phis, seeds, shots) -> tuple[np.ndarray, np.ndarr
     kcbs = np.zeros(len(states))
     for start in range(0, n, circuits.BLOCK_TERMS):
         stop = min(start + circuits.BLOCK_TERMS, n)
-        alice = np.broadcast_to(np.eye(2), (len(states), stop - start, 2, 2))
+        pairs = observables.kcbs_pairs(n, start, stop)
         sign = np.where(np.arange(start, stop) == n - 1, -1.0, 1.0)
-        kcbs = _running_sums(kcbs, signed(alice, observables.kcbs_pairs(n, start, stop), sign))
+        kcbs = _running_sums(kcbs, signed(np.eye(2)[None, None], pairs, sign))
     return chsh, kcbs
 
 

@@ -81,7 +81,8 @@ def kcbs_vectors(n: int, rows=None) -> np.ndarray:
     index = np.arange(geo.n) if rows is None else np.asarray(rows).reshape(-1)
     if index.size and (int(index.min()) < 0 or int(index.max()) >= geo.n):
         raise IndexOutOfRange(f"cycle rows must be in [0, {geo.n - 1}], got {rows!r}")
-    x = index.astype(float) * math.pi / geo.n  # indices beyond int64 come as an object array
+    # j pi / n to the bit, quartered so j pi cannot overflow; indices past int64 are objects.
+    x = index.astype(float) * (math.pi / 4) / (geo.n / 4)
     sign = np.where(index % 2 == 1, -1.0, 1.0)
     # Subtracting from 0.0 keeps row 0's y entry +0.0, as sin(0) gives it.
     vectors = np.stack([sign * np.cos(x), 0.0 - sign * np.sin(x),

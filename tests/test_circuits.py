@@ -443,8 +443,9 @@ def test_a_hundred_by_hundred_grid_traces_a_bounded_peak():
 def test_a_circuit_landscape_checks_each_factor_stack_once_per_term_block(monkeypatch):
     # n = 97 on 11 x 11 cells: two preparation groups of 100 and 21 cells, each
     # running its 4 CHSH terms and its 97 KCBS pairs as one grid each.  Each
-    # (group, grid) checks its Alice stack and its Bob bank once, however many
-    # stacks it simulates.
+    # (group, grid) checks its Alice factor and its Bob bank once, however many
+    # stacks it simulates: a CHSH grid its (c, 4) rotations, a KCBS grid one
+    # shared identity, never a copy per cell or pair.
     checked, check = [], circuits._check_ops
 
     def check_spy(ops, name, hermitian=False):
@@ -456,8 +457,8 @@ def test_a_circuit_landscape_checks_each_factor_stack_once_per_term_block(monkey
     table = landscape_scan(97, np.linspace(0, 180, 11), np.linspace(0, 360, 11), mode="circuit",
                            shots=100, seed=3)
     assert sum(len(block) for block in table.blocks()) == 121
-    assert checked == [check for c in (100, 21) for t in (4, 97)
-                       for check in (("Alice factor", (c, t, 2, 2)), ("Bob factor", (t, 3, 3)))]
+    assert checked == [check for c in (100, 21) for t, alice in ((4, (c, 4)), (97, (1, 1)))
+                       for check in (("Alice factor", alice + (2, 2)), ("Bob factor", (t, 3, 3)))]
 
 
 @pytest.mark.parametrize("factor, entry, bad, error", [
@@ -497,11 +498,47 @@ def test_hybrid_tests_check_each_factor_before_the_states(factor, entry, bad, er
     ((2, 9), (2, 3, 2, 2), (3, 3, 3)),  # states already embedded
     ((1, 6), (2, 3, 2, 2), (3, 3, 3)),  # one state too few
     ((2, 6, 1), (2, 3, 2, 2), (3, 3, 3)),
+    ((2, 6), (1, 2, 2, 2), (3, 3, 3)),  # a shared Alice row with a term count of its own
+    ((2, 6), (1, 1, 3, 3), (3, 3, 3)),  # one shared Alice matrix, already embedded
+    ((2, 6), (1, 2, 2), (3, 3, 3)),  # one shared Alice matrix with no cell axis
 ])
 def test_hybrid_tests_refuse_misshaped_inputs(states, alice, bob):
     # Every shape problem is a DimensionMismatch naming the three shapes.
     with pytest.raises(DimensionMismatch, match=re.escape(f"got {states}, {alice} and {bob}")):
         run_hybrid_tests(np.zeros(states), np.zeros(alice), np.zeros(bob))
+
+
+@pytest.mark.parametrize("block_terms", [100, 10, 4])
+@pytest.mark.parametrize("shared", [(1, 1), (4, 1), (1, 5)])
+def test_a_shared_alice_factor_gives_the_bits_of_its_materialised_grid(monkeypatch, block_terms,
+                                                                        shared):
+    # An Alice factor shared over the cells, the terms or both gives, entry by
+    # entry, the bits of the same factor copied out to the whole (c, t) grid,
+    # in one stack or in stacks of fewer cells.
+    monkeypatch.setattr(circuits, "BLOCK_TERMS", block_terms)
+    rng = np.random.default_rng(53)
+    states = prepare_state1(rng.uniform(0, math.pi, 4), rng.uniform(0, 2 * math.pi, 4))
+    alice = np.array([[alice_rotation(w).matrix for w in row]
+                      for row in rng.uniform(0, 2 * math.pi, shared)])
+    bank = _cell_bank(7)[2:7]
+    grid = run_hybrid_tests(states, alice, bank)
+    copied = run_hybrid_tests(states, np.array(np.broadcast_to(alice, (4, 5, 2, 2))), bank)
+    assert grid.shape == (4, 5, 3)
+    assert grid.tobytes() == copied.tobytes()
+
+
+def test_a_shared_non_unitary_alice_factor_is_refused_before_any_state_is_read(monkeypatch):
+    # The one (1, 1) factor is checked as given, so its error names entry 0, and
+    # no state is embedded or normalised: bad states do not change the error.
+    def no_state(psi):
+        raise AssertionError("a state was read before the factors were checked")
+
+    monkeypatch.setattr(circuits, "embed_joint_state", no_state)
+    bob = np.array([b0_closed_form(5).matrix, kcbs_pair(5, 1).matrix, kcbs_pair(5, 4).matrix])
+    states = prepare_state1([0.3, 1.2], [0.0, 0.5])
+    for psi in (states, 2.0 * states, np.full((2, 6), np.nan)):
+        with pytest.raises(NotUnitary, match="Alice factor entry 0 is not unitary"):
+            run_hybrid_tests(psi, np.diag([1.0, 0.5])[None, None], bob)
 
 
 def test_stack_checks_every_entry_before_the_state():

@@ -1,0 +1,215 @@
+"""One sweep of the CLI's input domain: every command over a table of edge inputs.
+
+Each case runs ``cli.main`` in-process with warnings as errors.  It must return 0, 2, 3
+or 4 (the code the table pins) with no exception escaping; on exit 0 every number in the
+output parses and is finite, and on exit 3 the message names the offending value.  Work
+that is O(n) at a huge n, the observables and circuit landscapes, runs only at small n.
+"""
+
+import json
+import math
+import re
+import sys
+import warnings
+
+import numpy as np
+import pytest
+
+from chsh_kcbs import cli
+
+LARGEST = int(sys.float_info.max) - 1  # the largest odd size a float holds
+SIZES = {"3": 3, "4": 4, "5": 5, "7": 7, "2**53+1": 2**53 + 1, "1e12+1": 10**12 + 1,
+         "2**1020+1": 2**1020 + 1, "largest": LARGEST, "above-largest": LARGEST + 2}
+REFUSED_SIZES = (3, 4, LARGEST + 2)
+SMALL = ("3", "4", "5", "7", "above-largest")  # O(n) commands run only at these sizes
+ACCEPTED = ",".join(str(n) for n in SIZES.values() if n not in REFUSED_SIZES)
+ANGLES = ["--theta", "45", "--phi", "0"]
+W0 = ["--alice", "w0", "--bob", "bmbm1"]
+GRID = ["--theta", "0:180:3", "--phi", "0:90:2"]
+CIRCUIT = ["--mode", "circuit", "--shots", "10"]
+MODES = {"analytic": [], "circuit": CIRCUIT}
+
+
+def _case(label, code, argv, value=None, config=None):
+    """A table row: the argv, any config file's contents, the pinned code, and on exit 3 the
+    offending value the message must name."""
+    return pytest.param(argv, config, code, value, id=f"{argv[0]}-{label}")
+
+
+def _size_cases():
+    for label, n in SIZES.items():
+        code, value = (3, n) if n in REFUSED_SIZES else (0, None)
+        commands = [("", ["threshold"]), ("", ["coexist"]), ("", ["scaling"]),
+                    ("", ["landscape", *GRID]), ("", ["fourier-test", *ANGLES, *W0]),
+                    ("-pair", ["fourier-test", *ANGLES, "--alice", "id", "--bob", f"pair:{n - 1}"])]
+        if label in SMALL:
+            commands += [("", ["observables"]), ("-circuit", ["landscape", *GRID, *CIRCUIT])]
+        for suffix, (command, *args) in commands:
+            yield _case(f"n={label}{suffix}", code, [command, "--n", str(n), *args], value)
+        if label in ("4", "above-largest"):
+            yield _case(f"config-n={label}", 3, ["threshold"], n, {"n": n})
+
+
+def _range_cases():
+    for command in ("coexist", "scaling"):
+        yield _case("mixed-sizes", 0, [command, "--n", ACCEPTED])
+        yield _case("mixed-sizes-and-3", 3, [command, "--n", ACCEPTED + ",3"], 3)
+        yield _case("mixed-sizes-above-largest", 3, [command, "--n", f"5,{LARGEST + 2}"],
+                    LARGEST + 2)
+        yield _case("config-mixed-list", 0, [command], config={"n": [5, 7, 2**53 + 1, LARGEST]})
+        yield _case("config-list-with-3", 3, [command], 3, {"n": [5, 3]})
+        for label, text, code in (("one-size-range", "5:5:2", 0), ("empty-range", "7:5:2", 2),
+                                  ("falling-range", "9:5:-2", 2), ("zero-step", "5:9:0", 2),
+                                  ("two-part-range", "5:9", 2), ("empty-text", "", 2)):
+            yield _case(label, code, [command, "--n", text])
+            yield _case(f"config-{label}", code, [command], config={"n": text})
+
+
+def _angle_cases():
+    for label, flag, code, value in (("theta=0", ["--theta", "0"], 0, None),
+                                     ("theta=180", ["--theta", "180"], 0, None),
+                                     ("theta=-1e-300", ["--theta=-1e-300"], 3, "-1e-300"),
+                                     ("theta=180+1e-7", ["--theta", "180.0000001"], 3,
+                                      "180.0000001"),
+                                     ("theta=nan", ["--theta", "nan"], 2, None),
+                                     ("theta=inf", ["--theta", "inf"], 2, None)):
+        for mode, args in MODES.items():
+            yield _case(f"{label}-{mode}", code, ["landscape", "--n", "5", *flag, "--phi", "0",
+                                                  *args], value)
+        yield _case(label, code, ["fourier-test", "--n", "5", *flag, "--phi", "0", *W0], value)
+    for label, phi, code in (("phi=1e308", "1e308", 0), ("phi=nan", "nan", 2),
+                             ("phi=inf", "inf", 2)):
+        for mode, args in MODES.items():
+            yield _case(f"{label}-{mode}", code, ["landscape", "--n", "5", "--theta", "90",
+                                                  "--phi", phi, *args])
+        yield _case(label, code, ["fourier-test", "--n", "5", "--theta", "90", "--phi", phi,
+                                  *W0])
+    for label, theta, code, value in (("falling-grid", "180:0:3", 0, None),
+                                      ("count=0", "0:180:0", 2, None),
+                                      ("count=1", "0:180:1", 0, None),
+                                      ("count=1e12", f"0:180:{10**12}", 3, 10**12),
+                                      ("empty-list-entry", "0,", 2, None)):
+        for mode, args in MODES.items():
+            yield _case(f"{label}-{mode}", code, ["landscape", "--n", "5", "--theta", theta,
+                                                  "--phi", "0", *args], value)
+    base = ["landscape", "--n", "5", "--phi", "0"]
+    for label, config, code, value in (("theta=-1e-300", {"theta": -1e-300}, 3, "-1e-300"),
+                                       ("theta=nan-grid", {"theta": "nan:90:2"}, 2, None),
+                                       ("theta-list", {"theta": [0, 90, 180]}, 0, None),
+                                       ("theta-empty-list", {"theta": []}, 2, None),
+                                       ("count=0", {"theta": "0:180:0"}, 2, None),
+                                       ("count=1e12", {"theta": f"0:180:{10**12}"}, 3, 10**12)):
+        yield _case(f"config-{label}", code, base, value, config)
+    yield _case("config-phi=1e308", 0, ["landscape", "--n", "5", "--theta", "90"],
+                config={"phi": 1e308})
+    yield _case("config-theta=180+1e-7", 3, ["fourier-test", "--n", "5", "--phi", "0", *W0],
+                "180.0000001", {"theta": 180.0000001})
+
+
+def _sampling_cases():
+    for label, shots, code in (("shots=0", 0, 2), ("shots=1", 1, 0),
+                               ("shots=2**63-1", 2**63 - 1, 0), ("shots=2**63", 2**63, 2),
+                               ("shots=-1", -1, 2)):
+        for command, args in (("landscape", ["--theta", "90", "--phi", "0", "--mode", "circuit"]),
+                              ("fourier-test", [*ANGLES, *W0])):
+            yield _case(label, code, [command, "--n", "5", *args, "--shots", str(shots)])
+            yield _case(f"config-{label}", code, [command, "--n", "5", *args],
+                        config={"shots": shots})
+    for label, seed, code in (("seed=-1", -1, 2), ("seed=0", 0, 0)):
+        for command, args in (("landscape", ["--theta", "90", "--phi", "0", *CIRCUIT]),
+                              ("fourier-test", [*ANGLES, *W0, "--shots", "10"])):
+            yield _case(label, code, [command, "--n", "5", *args, "--seed", str(seed)])
+            yield _case(f"config-{label}", code, [command, "--n", "5", *args],
+                        config={"seed": seed})
+
+
+def _other_cases():
+    yield _case("plain", 0, ["validate"])
+    yield _case("config-unknown-key", 2, ["validate"], config={"n": 5})
+    yield _case("out-is-a-directory", 4, ["coexist", "--n", "5", "--out", "."])
+
+
+CASES = [*_size_cases(), *_range_cases(), *_angle_cases(), *_sampling_cases(), *_other_cases()]
+OUT = {"observables": "out.json", "fourier-test": "out.json", "landscape": "out.csv",
+       "coexist": "out.csv", "scaling": "out.csv"}
+
+
+def _finite(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:  # not a number, such as a mode or a label
+        return True
+
+
+def _reject(constant):
+    raise ValueError(f"non-finite JSON number {constant}")
+
+
+def _json_numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _json_numbers(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+def _check_output(path, stdout: str) -> None:
+    """Every number in the file at ``path`` (if any) and on stdout parses and is finite."""
+    assert all(_finite(token.strip("[](),:;")) for token in stdout.split()), stdout
+    if path is None:
+        return
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        numbers = _json_numbers(json.loads(text, parse_constant=_reject))
+        assert all(math.isfinite(v) for v in numbers)
+        return
+    lines = text.splitlines()
+    metadata = [line for line in lines if line.startswith("# ")]
+    header, *rows = lines[len(metadata):]
+    assert rows and all(_finite(line.partition(": ")[2]) for line in metadata)
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(header.split(",")), row
+        assert all(field in ("", "analytic", "circuit") or math.isfinite(float(field))
+                   for field in fields), row
+
+
+@pytest.fixture
+def no_huge_grid(monkeypatch):
+    """Refuse a grid count above 10**7 as numpy refuses an allocation beyond memory, without
+    asking the machine for it (10**12 points would be 8 TB)."""
+    linspace = np.linspace
+
+    def bounded(start, stop, num=50, **kwargs):
+        if num > 10**7:
+            raise MemoryError(f"Unable to allocate {8 * num / 2**40:.3g} TiB for an array with "
+                              f"shape ({num},) and data type float64")
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(cli.np, "linspace", bounded)
+
+
+@pytest.mark.parametrize("argv, config, code, value", CASES)
+def test_every_command_keeps_the_exit_contract_on_edge_inputs(tmp_path, monkeypatch, capsys,
+                                                              no_huge_grid, argv, config, code,
+                                                              value):
+    monkeypatch.chdir(tmp_path)
+    argv = list(argv)
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", "config.json"]
+    out = tmp_path / OUT[argv[0]] if argv[0] in OUT and "--out" not in argv else None
+    if out is not None:
+        argv += ["--out", out.name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cli.main(argv + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert got in (0, 2, 3, 4)
+    assert got == code, captured.err
+    if got == 0:
+        _check_output(out, captured.out)
+    if got == 3:
+        assert re.search(rf"(?<![\d.]){re.escape(str(value))}(?![\d.])", captured.err), captured.err

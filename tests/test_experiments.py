@@ -239,9 +239,10 @@ def _spy_on_circuit_blocks(monkeypatch):
     """Record the preparation runs, (cell, term) grids, stacks and cycle rows a landscape uses.
 
     ``measured`` holds each grid's states and Bob bank; ``stacks`` holds the (cells, terms)
-    shape and the states of each stack that ``run_hybrid_tests`` hands to the readout.
+    shape and the states of each stack that ``run_hybrid_tests`` hands to the readout, and
+    ``products`` the (cells, terms) shape of its product stack, which the states broadcast over.
     """
-    calls = {"prepared": [], "measured": [], "stacks": [], "cycle_rows": []}
+    calls = {"prepared": [], "measured": [], "stacks": [], "products": [], "cycle_rows": []}
     prepare, stacked = experiments.circuits.prepare_state1, experiments.circuits.run_hybrid_tests
     cycle, readout = experiments.observables.kcbs_observables, experiments.circuits._readout
 
@@ -254,7 +255,9 @@ def _spy_on_circuit_blocks(monkeypatch):
         return stacked(state, alice_ops, bob_ops)
 
     def readout_spy(ops, vec):
-        calls["stacks"].append((ops.shape[:2], np.array(vec[:, 0, :6])))
+        shape = np.broadcast_shapes(ops.shape[:-2], vec.shape[:-1])
+        calls["stacks"].append((shape, np.array(vec[:, 0, :6])))
+        calls["products"].append(ops.shape[:2])
         return readout(ops, vec)
 
     def cycle_spy(n, rows=None):
@@ -291,15 +294,20 @@ def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
     # grid, a 4-term stack reads one cell's state for all its terms, and the
     # 1-term stack reads the whole group of 4 cells, one row each.
     groups = [run[2] for run in calls["prepared"]]
-    grids = [(group, terms) for group in groups for terms in (4, 4, 1)]
+    grids = [(group, terms, chsh) for group in groups
+             for terms, chsh in ((4, True), (4, False), (1, False))]
     assert len(calls["measured"]) == len(grids) == 2 * 3
     assert all(np.array_equal(got, want) and len(bank) == terms
-               for (got, bank), (want, terms) in zip(calls["measured"], grids))
-    expected = [(group[first:first + 4 // terms], terms) for group, terms in grids
+               for (got, bank), (want, terms, _) in zip(calls["measured"], grids))
+    expected = [(group[first:first + 4 // terms], terms, chsh) for group, terms, chsh in grids
                 for first in range(0, len(group), 4 // terms)]
     assert len(calls["stacks"]) == len(expected) == 2 * (4 + 2) + 2
     assert all(shape == (len(want), terms) and np.array_equal(got, want)
-               for (shape, got), (want, terms) in zip(calls["stacks"], expected))
+               for (shape, got), (want, terms, _) in zip(calls["stacks"], expected))
+    # A CHSH stack multiplies each of its cells' rotations; a KCBS stack forms its
+    # pairs' products once, from the one shared identity, for all its cells.
+    assert calls["products"] == [(len(want), terms) if chsh else (1, terms)
+                                 for want, terms, chsh in expected]
 
 
 @pytest.mark.parametrize("block_terms", [4, 5, 8, 9, 10, 19, 100])
@@ -352,14 +360,16 @@ def test_a_one_term_tail_block_runs_as_one_test_per_group(monkeypatch, n, block_
 
 @pytest.mark.parametrize("block_terms, shapes", [
     # The n = 5 pairs fit one block: the 6 cells are one CHSH grid and one KCBS grid.
-    (100, [(6, 4), (6, 5)]),
+    (100, [(6, 4, (6, 4)), (6, 5, (1, 1))]),
     # KCBS blocks [0, 4) and [4, 5) in groups of 4 and 2 cells: each group is one
     # CHSH grid and one grid per KCBS block, the 1-pair tail bank included.
-    (4, [(4, 4), (4, 4), (4, 1), (2, 4), (2, 4), (2, 1)]),
+    (4, [(4, 4, (4, 4)), (4, 4, (1, 1)), (4, 1, (1, 1)),
+         (2, 4, (2, 4)), (2, 4, (1, 1)), (2, 1, (1, 1))]),
 ])
 def test_term_sums_pass_each_state_once_against_one_bank(monkeypatch, block_terms, shapes):
-    # Each grid holds c states, not c t repeated rows, a (c, t) Alice stack
-    # and one bank of t Bob operators, not one copy per cell.
+    # Each grid holds c states, not c t repeated rows, one bank of t Bob operators,
+    # not one copy per cell, and Alice's factor as checked: a CHSH grid's (c, 4)
+    # rotations, a KCBS grid's one (1, 1) identity for every cell and pair.
     monkeypatch.setattr(experiments.circuits, "BLOCK_TERMS", block_terms)
     grids, stacked = [], experiments.circuits.run_hybrid_tests
 
@@ -370,7 +380,7 @@ def test_term_sums_pass_each_state_once_against_one_bank(monkeypatch, block_term
     monkeypatch.setattr(experiments.circuits, "run_hybrid_tests", stacked_spy)
     table = landscape_scan(5, [30.0, 60.0, 90.0], [0.0, 45.0], mode="circuit", shots=50, seed=4)
     _columns(table)
-    assert grids == [((c, 6), (c, t, 2, 2), (t, 3, 3)) for c, t in shapes]
+    assert grids == [((c, 6), alice + (2, 2), (t, 3, 3)) for c, t, alice in shapes]
 
 
 def test_split_cells_build_each_term_blocks_bank_once_per_group(monkeypatch):
@@ -479,7 +489,7 @@ def test_circuit_margins_match_a_term_by_term_running_sum_to_the_bit():
 
 def test_a_circuit_group_runs_one_chsh_grid_and_identity_kcbs_grids(monkeypatch):
     # One group of 6 cells at n = 7: one grid of Alice's rotations against the
-    # 4-matrix CHSH bank, then the KCBS grid, whose Alice factors are all the identity.
+    # 4-matrix CHSH bank, then the KCBS grid, whose Alice factor is one shared identity.
     n, grids, stacked = 7, [], experiments.circuits.run_hybrid_tests
 
     def stacked_spy(states, alice_ops, bob_ops):
@@ -498,8 +508,7 @@ def test_a_circuit_group_runs_one_chsh_grid_and_identity_kcbs_grids(monkeypatch)
         rotations = [alice_rotation(w).matrix for w in (co.omega2, co.omega2, co.omega0, co.omega0)]
         assert np.allclose(chsh_alice[cell], rotations, rtol=0, atol=1e-15)
     assert [bank.shape for _, bank in kcbs] == [(n, 3, 3)]
-    assert all(np.array_equal(alice, np.broadcast_to(np.eye(2), alice.shape))
-               for alice, _ in kcbs)
+    assert all(np.array_equal(alice, [[np.eye(2)]]) for alice, _ in kcbs)
 
 
 def test_margin_kernel_builds_the_cycle_constants_once_per_call(monkeypatch):

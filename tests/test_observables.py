@@ -1,6 +1,7 @@
 """Tests for cycle geometry and the observable family."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -139,9 +140,11 @@ def test_whole_cycles_match_the_exact_angles_to_1e_15(sizes):
 
 
 @pytest.mark.parametrize("n", [10**6 + 1, 10**8 + 1, 3037000501, 3 * 10**9 + 1, 10**12 + 1,
-                               10**18 + 1, 10**30 + 1])
+                               10**18 + 1, 10**30 + 1,
+                               pytest.param(int(sys.float_info.max) - 1, id="largest-odd")])
 def test_chosen_rows_of_huge_cycles_match_the_exact_angles_to_1e_15(n):
-    # Each row's x = j pi / n is formed from j as a float, so no size in float range overflows.
+    # Each row's x = j pi / n is formed from j as a float, with j pi and n both quartered, so
+    # no size in float range overflows: j pi alone is inf for the last rows of the largest size.
     rows = [0, 1, 2, n // 2, n - 2, n - 1]
     assert worst_error(kcbs_vectors(n, rows), exact_cycle_rows(n, rows)) <= 1e-15
     assert kcbs_pair(n, n - 2).label == f"B_{n - 2} B_{n - 1}"
