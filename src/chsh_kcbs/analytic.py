@@ -157,7 +157,8 @@ def state1_margins(theta, phi, n):
     broadcast, so a grid of angles at one size, or one angle per size over an array of
     sizes, evaluates in one call, once :func:`cycle_geometry` has checked every size.  The
     CHSH margin grows with the interference weight sin^2(theta) cos^2(phi); the KCBS margin
-    depends on theta only, through the population sin^2(theta/2) off level 2.
+    depends on theta only, through the population sin^2(theta/2) off level 2; as an array it
+    is a read-only broadcast view of the CHSH margin's shape.
     """
     # Squares multiply: numpy scalars would square through libm pow, which
     # can differ from an array's exact square in the last bit.
@@ -165,7 +166,7 @@ def state1_margins(theta, phi, n):
     geo = cycle_geometry(n)
     intercept, slope = _kcbs_line(geo)
     chsh = _chsh_margin((sin_theta * sin_theta) * (cos_phi * cos_phi), geo)
-    kcbs = np.broadcast_to(intercept - slope * (sin_half * sin_half), np.shape(chsh)).copy()
+    kcbs = np.broadcast_to(intercept - slope * (sin_half * sin_half), np.shape(chsh))
     if chsh.ndim == 0:
         return float(chsh), float(kcbs)
     return chsh, kcbs

@@ -1,12 +1,14 @@
 """Exact qutrit circuit simulation and the ancilla Fourier test.
 
-The gate library covers subspace rotations, phase gates, the qutrit Fourier
-transform, and the controlled power gate ``|a>|psi> -> |a> U^a |psi>``.  Past
-the gates, every function takes and returns stacks with leading row axes: one
-state, test or distribution is a one-row stack.  Circuits run on an ordered
-list of qutrit registers, and a gate may be a (k, d, d) stack, one gate per
-row, so one run simulates k circuits of the same shape.  The minimal state is
-prepared on the (alice, bob) pair with Alice's level 2 left empty; every
+The gate library holds the gates the protocol and its reference circuits run:
+the Y rotation on levels (0, 1), the phase gate diag(1, e^{i alpha}, 1), the
+level swap X02, the qutrit Fourier transform, and the controlled power gate
+``|a>|psi> -> |a> U^a |psi>``.  Past the gates, every function takes and
+returns stacks with leading row axes: one state, test or distribution is a
+one-row stack.  Circuits run on an ordered list of qutrit registers, and a
+gate may be a (k, d, d) stack, one gate per row, so one run simulates k
+circuits of the same shape.  The minimal state is prepared on the (alice,
+bob) pair with Alice's level 2 left empty; every
 correlator of the hybrid protocol is then a Fourier test on a prepared state,
 with Alice's 2x2 observables embedded into 3x3 by a unit on the dead level.
 :func:`run_hybrid_tests`, the one Fourier-test entry point, runs the products
@@ -45,44 +47,27 @@ MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a multinomial draw takes
 # rows a stack's complex products, at most (rows, 9, 9), stay under 128 KiB, reused by malloc.
 BLOCK_TERMS = 100
 
-SUBSPACES = ((0, 1), (0, 2), (1, 2))
 
+def rotation(theta) -> np.ndarray:
+    """Qutrit rotation exp(-i theta/2 * Y) on levels (0, 1), level 2 left alone.
 
-def rotation(subspace: tuple[int, int], axis: str, theta) -> np.ndarray:
-    """Qutrit rotation exp(-i theta/2 * generator) on one two-level subspace.
-
-    The closed form is an SU(2) rotation embedded on the named levels with
-    the spectator level untouched.  An array of angles gives a stack of
-    gates, one per angle.
+    An array of angles gives a stack of gates, one per angle.
     """
-    if tuple(subspace) not in SUBSPACES:
-        raise ValueError(f"subspace must be one of {SUBSPACES}, got {subspace!r}")
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    i, j = subspace
     half = np.asarray(theta, dtype=float) / 2.0
     gate = np.zeros(half.shape + (3, 3), dtype=complex)
-    gate[..., range(3), range(3)] = 1.0
-    if axis == "x":
-        gate[..., i, i] = gate[..., j, j] = np.cos(half)
-        gate[..., i, j] = gate[..., j, i] = -1j * np.sin(half)
-    elif axis == "y":
-        gate[..., i, i] = gate[..., j, j] = np.cos(half)
-        gate[..., i, j] = -np.sin(half)
-        gate[..., j, i] = np.sin(half)
-    else:
-        gate[..., i, i] = np.exp(-1j * half)
-        gate[..., j, j] = np.exp(1j * half)
+    gate[..., 0, 0] = gate[..., 1, 1] = np.cos(half)
+    gate[..., 0, 1] = -np.sin(half)
+    gate[..., 1, 0] = np.sin(half)
+    gate[..., 2, 2] = 1.0
     return gate
 
 
-def phase_gate(alpha, beta) -> np.ndarray:
-    """Diagonal phase gate diag(1, e^{i alpha}, e^{i beta}); arrays of angles give a stack."""
-    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+def phase_gate(alpha) -> np.ndarray:
+    """Diagonal phase gate diag(1, e^{i alpha}, 1); an array of angles gives a stack."""
+    alpha = np.asarray(alpha, dtype=float)
     gate = np.zeros(alpha.shape + (3, 3), dtype=complex)
-    gate[..., 0, 0] = 1.0
+    gate[..., 0, 0] = gate[..., 2, 2] = 1.0
     gate[..., 1, 1] = np.exp(1j * alpha)
-    gate[..., 2, 2] = np.exp(1j * beta)
     return gate
 
 
@@ -221,8 +206,8 @@ def prepare_state1(theta, phi) -> np.ndarray:
     if outside.size:
         raise ValueError(f"theta must be in [0, pi], got {float(outside[0])!r}")
     spec = CircuitSpec(registers=("alice", "bob"), ops=(
-        GateOp("R01y", rotation((0, 1), "y", math.pi - thetas), 0),
-        GateOp("D(phi,0)", phase_gate(phi, 0.0), 0),
+        GateOp("R01y", rotation(math.pi - thetas), 0),
+        GateOp("D(phi,0)", phase_gate(phi), 0),
         GateOp("CX02", controlled_power(x02()), 0),
     ))
     states = run_circuit(spec)[:, :6]

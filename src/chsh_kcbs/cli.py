@@ -125,6 +125,10 @@ def build_parser():
     def command(name, requires=(), **kwargs):
         """Add a subcommand and return its flag adder, which records each flag's action."""
         sub = subparsers.add_parser(name, **kwargs)
+        # After a space, a value such as -90:90:3, -45,45 or -1e-3 is the flag's value, as in
+        # the = form.  argparse's default pattern takes only -N and -N.N for a value, and this
+        # private attribute is the pattern it tests.
+        sub._negative_number_matcher = re.compile(r"-\.?\d")
         sub.add_argument("--config", default=None,
                          help="JSON file with default values for this command's flags")
         actions = {}

@@ -115,8 +115,8 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]], dict]:
 
 def three_register_probabilities(theta, phi, a2, b3):
     """Ancilla distribution of the whole protocol as one (ancilla, alice, bob) circuit."""
-    ops = (GateOp("R01y", rotation((0, 1), "y", math.pi - theta), 1),
-           GateOp("D(phi,0)", phase_gate(phi, 0.0), 1),
+    ops = (GateOp("R01y", rotation(math.pi - theta), 1),
+           GateOp("D(phi,0)", phase_gate(phi), 1),
            GateOp("CX02", controlled_power(x02()), 1),
            GateOp("F3", f3(), 0),
            GateOp("C-U^a", controlled_power(tensor(embed_alice(a2), b3)), 0),

@@ -48,11 +48,9 @@ def _cell_bank(n):
 
 
 def test_rotation_identity_and_y_entries():
-    for subspace in ((0, 1), (0, 2), (1, 2)):
-        for axis in "xyz":
-            assert np.allclose(rotation(subspace, axis, 0.0), np.eye(3), atol=0)
+    assert np.allclose(rotation(0.0), np.eye(3), atol=0)
     theta = 0.77
-    mat = rotation((0, 1), "y", theta)
+    mat = rotation(theta)
     assert mat[0, 0] == pytest.approx(math.cos(theta / 2), abs=1e-15)
     assert mat[1, 0] == pytest.approx(math.sin(theta / 2), abs=1e-15)
     assert mat[0, 1] == pytest.approx(-math.sin(theta / 2), abs=1e-15)
@@ -60,39 +58,29 @@ def test_rotation_identity_and_y_entries():
 
 
 def test_rotation_matches_generator_exponential():
-    # exp(-i theta/2 G) via eigendecomposition of the Pauli-type generator on levels (i, j).
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        e_ij, e_ji, e_ii, e_jj = (np.zeros((3, 3), dtype=complex) for _ in range(4))
-        e_ij[i, j] = e_ji[j, i] = e_ii[i, i] = e_jj[j, j] = 1.0
-        generators = {"x": e_ij + e_ji, "y": -1j * e_ij + 1j * e_ji, "z": e_ii - e_jj}
-        for axis, gen in generators.items():
-            theta = 1.234
-            vals, vecs = np.linalg.eigh(gen)
-            expected = vecs @ np.diag(np.exp(-1j * theta / 2 * vals)) @ vecs.conj().T
-            assert np.max(np.abs(rotation((i, j), axis, theta) - expected)) <= 1e-12
+    # exp(-i theta/2 Y) via eigendecomposition of the Pauli-Y generator on levels (0, 1).
+    generator = np.zeros((3, 3), dtype=complex)
+    generator[0, 1], generator[1, 0] = -1j, 1j
+    theta = 1.234
+    vals, vecs = np.linalg.eigh(generator)
+    expected = vecs @ np.diag(np.exp(-1j * theta / 2 * vals)) @ vecs.conj().T
+    assert np.max(np.abs(rotation(theta) - expected)) <= 1e-12
 
 
 def test_rotation_one_parameter_group():
     for alpha, beta in ((0.3, 1.2), (2.0, -0.7)):
-        left = rotation((1, 2), "y", alpha) @ rotation((1, 2), "y", beta)
-        assert np.max(np.abs(left - rotation((1, 2), "y", alpha + beta))) <= 1e-12
-
-
-def test_rotation_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        rotation((0, 3), "y", 0.1)
-    with pytest.raises(ValueError):
-        rotation((0, 1), "q", 0.1)
+        left = rotation(alpha) @ rotation(beta)
+        assert np.max(np.abs(left - rotation(alpha + beta))) <= 1e-12
 
 
 def test_phase_gate():
-    assert np.array_equal(phase_gate(0.0, 0.0), np.eye(3, dtype=complex))
-    assert np.allclose(phase_gate(math.pi, 0.0), np.diag([1, -1, 1]), atol=1e-15)
+    assert np.array_equal(phase_gate(0.0), np.eye(3, dtype=complex))
+    assert np.allclose(phase_gate(math.pi), np.diag([1, -1, 1]), atol=1e-15)
     rng = np.random.default_rng(2)
-    for _ in range(5):
-        alpha, beta = rng.uniform(0, 2 * math.pi, 2)
-        gate = phase_gate(alpha, beta)
+    for alpha in rng.uniform(0, 2 * math.pi, 5):
+        gate = phase_gate(alpha)
         assert np.max(np.abs(gate @ gate.conj().T - np.eye(3))) <= 1e-12
+        assert gate[2, 2] == 1.0
 
 
 def test_fourier_transform_gate():
@@ -134,8 +122,8 @@ def test_prepare_state1_gate_by_gate_oracle():
     for theta_deg, phi in ((49.605, 0.0), (120.0, 1.9), (10.0, 4.4)):
         theta = math.radians(theta_deg)
         controlled = controlled_power(x02())
-        step1 = tensor(rotation((0, 1), "y", math.pi - theta), np.eye(3))
-        step2 = tensor(phase_gate(phi, 0.0), np.eye(3))
+        step1 = tensor(rotation(math.pi - theta), np.eye(3))
+        step2 = tensor(phase_gate(phi), np.eye(3))
         start = np.zeros(9, dtype=complex)
         start[0] = 1.0
         expected = (controlled @ step2 @ step1 @ start)[:6]
@@ -166,10 +154,10 @@ def test_run_circuit_guards():
     bad_gate = GateOp("broken", np.ones((3, 3), dtype=complex), 0)
     with pytest.raises(NotUnitary):
         run_circuit(CircuitSpec(("alice",), (bad_gate,)))
-    # A rotation into Alice's level 2 must trip the dead-level guard.
-    leak = GateOp("leak", rotation((1, 2), "x", 1.0), 0)
-    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation((0, 1), "y", 1.0), 0), leak))
-    with pytest.raises(RuntimeError):
+    # A swap into Alice's level 2 must trip the dead-level guard.
+    leak = GateOp("leak", x02(), 0)
+    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation(1.0), 0), leak))
+    with pytest.raises(RuntimeError, match="alice level 2 became populated"):
         run_circuit(spec)
 
 
@@ -205,7 +193,7 @@ def test_stacked_prepare_state1_refuses_an_angle_outside_the_range():
 
 
 def test_stacked_run_circuit_names_the_failing_op_and_entry():
-    gates = rotation((0, 1), "y", np.array([0.1, 0.2, 0.3, 0.4]))
+    gates = rotation(np.array([0.1, 0.2, 0.3, 0.4]))
     assert gates.shape == (4, 3, 3)
     gates[2, 0, 0] = 2.0
     spec = CircuitSpec(("alice", "bob"), (GateOp("swap", x02(), 1), GateOp("R", gates, 0)))
@@ -218,15 +206,15 @@ def test_stacked_run_circuit_names_the_failing_op_and_entry():
 
 
 def test_stacked_run_circuit_guards_fire_per_row(monkeypatch):
-    # A rotation into Alice's level 2 in row 2 trips the dead-level guard for that row alone.
-    angles = np.array([0.0, 0.0, 1.0, 0.0])
-    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation((0, 1), "y", 1.0), 0),
-                                          GateOp("leak", rotation((1, 2), "x", angles), 0)))
+    # A swap into Alice's level 2 in row 2 trips the dead-level guard for that row alone.
+    leaks = np.array([np.eye(3), np.eye(3), x02(), np.eye(3)])
+    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation(1.0), 0),
+                                          GateOp("leak", leaks, 0)))
     with pytest.raises(RuntimeError,
                        match="alice level 2 became populated in row 2 after gate 'leak'"):
         run_circuit(spec)
-    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation((0, 1), "y", 1.0), 0),
-                                          GateOp("leak", rotation((1, 2), "x", angles * 0), 0)))
+    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation(1.0), 0),
+                                          GateOp("leak", np.array([np.eye(3)] * 4), 0)))
     assert run_circuit(spec).shape == (4, 9)
     # Past a unitarity check that let it through, a NaN gate in row 1 leaves a NaN norm there.
     monkeypatch.setattr(circuits, "unitarity_check",

@@ -235,6 +235,19 @@ def test_circuit_landscape_bytes_do_not_depend_on_the_block_size(monkeypatch, tm
     assert len(read_csv(str(whole))[1]) == 3 * 16
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("landscape", "--n", "5", "--theta", "0:180:3"), "-90:90:3"),
+    (("landscape", "--n", "5", "--theta", "0:180:3"), "-45,45"),
+    (("fourier-test", "--n", "5", "--theta", "30", "--alice", "w0", "--bob", "b0"), "-1e-3"),
+])
+def test_a_negative_value_after_a_space_writes_the_bytes_of_the_equals_form(tmp_path, argv,
+                                                                           value):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run_cli(*argv, "--phi", value, "--no-timestamp", "--out", str(spaced)) == 0
+    assert run_cli(*argv, f"--phi={value}", "--no-timestamp", "--out", str(joined)) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
 @pytest.mark.parametrize("via_config", [False, True])
 def test_circuit_landscape_without_shots_is_a_usage_error(tmp_path, capsys, via_config):
     out = tmp_path / "landscape.csv"

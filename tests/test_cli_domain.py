@@ -69,6 +69,8 @@ def _angle_cases():
     for label, flag, code, value in (("theta=0", ["--theta", "0"], 0, None),
                                      ("theta=180", ["--theta", "180"], 0, None),
                                      ("theta=-1e-300", ["--theta=-1e-300"], 3, "-1e-300"),
+                                     ("theta=-1e-300-space", ["--theta", "-1e-300"], 3,
+                                      "-1e-300"),
                                      ("theta=180+1e-7", ["--theta", "180.0000001"], 3,
                                       "180.0000001"),
                                      ("theta=nan", ["--theta", "nan"], 2, None),
@@ -77,13 +79,18 @@ def _angle_cases():
             yield _case(f"{label}-{mode}", code, ["landscape", "--n", "5", *flag, "--phi", "0",
                                                   *args], value)
         yield _case(label, code, ["fourier-test", "--n", "5", *flag, "--phi", "0", *W0], value)
-    for label, phi, code in (("phi=1e308", "1e308", 0), ("phi=nan", "nan", 2),
+    for label, phi, code in (("phi=1e308", "1e308", 0), ("phi=-1e308-space", "-1e308", 0),
+                             ("phi=-1e-3-space", "-1e-3", 0), ("phi=nan", "nan", 2),
                              ("phi=inf", "inf", 2)):
         for mode, args in MODES.items():
             yield _case(f"{label}-{mode}", code, ["landscape", "--n", "5", "--theta", "90",
                                                   "--phi", phi, *args])
         yield _case(label, code, ["fourier-test", "--n", "5", "--theta", "90", "--phi", phi,
                                   *W0])
+    for label, phi in (("phi-grid-space", "-90:90:3"), ("phi-list-space", "-45,45")):
+        for mode, args in MODES.items():
+            yield _case(f"{label}-{mode}", 0, ["landscape", "--n", "5", "--theta", "90",
+                                               "--phi", phi, *args])
     for label, theta, code, value in (("falling-grid", "180:0:3", 0, None),
                                       ("count=0", "0:180:0", 2, None),
                                       ("count=1", "0:180:1", 0, None),
