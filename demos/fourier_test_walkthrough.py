@@ -13,10 +13,12 @@ from chsh_kcbs import (
     expectation,
     prepare_state1,
     run_hybrid_tests,
+    sample_outcome0,
     sample_shot_stack,
     state1,
     tensor,
 )
+from chsh_kcbs import circuits
 from chsh_kcbs.observables import alice_rotation, bm_bm1_closed_form
 
 # ------------------------------------------------------------------
@@ -48,9 +50,11 @@ print(f"estimators: combined = {combined:.12f}, "
 print(f"direct expectation:   {direct:.12f}")
 
 # ------------------------------------------------------------------
-# 3. Finite shots: the empirical estimator fluctuates with the
-#    predicted multinomial standard deviation.  Shots are drawn for a
-#    stack of cells, one seed each; here one cell of one test.
+# 3. Finite shots: the outcome-0 count is one binomial draw, and the
+#    estimate it gives fluctuates with the predicted standard deviation.
+#    Shots are drawn for a stack of cells, one seed each; here one cell
+#    of one test.  The other shots split between outcomes 1 and 2 at
+#    exactly 1/2, since P1 = P2.
 # ------------------------------------------------------------------
 report = FourierTestReport(p0, p1, p2, combined, from_p0, from_p1)
 print("\n shots      estimate     error      predicted sigma")
@@ -61,8 +65,16 @@ for shots in (100, 10_000, 1_000_000):
     print(f" {shots:8d}   {sampled[0, 0, 0]:+.6f}   {err:.2e}   {sigma:.2e}")
 
 # ------------------------------------------------------------------
-# 4. Same seed, same counts: sampling is reproducible by construction.
+# 4. A landscape reads outcome 0 alone: the same seed gives the same
+#    outcome-0 count without the split, and its from_p0 estimate.
 # ------------------------------------------------------------------
-first, _ = sample_shot_stack(probs, 10_000, seeds=[42])
+counts, _ = sample_shot_stack(probs, 10_000, seeds=[42])
+outcome0 = sample_outcome0(probs[..., 0], 10_000, seeds=[42])
+print(f"\noutcome-0 count {outcome0[0, 0]} (three-count draw: {counts[0, 0].tolist()}), "
+      f"estimate {circuits.from_p0(outcome0[0, 0] / 10_000):+.6f}")
+
+# ------------------------------------------------------------------
+# 5. Same seed, same counts: sampling is reproducible by construction.
+# ------------------------------------------------------------------
 again, _ = sample_shot_stack(probs, 10_000, seeds=[42])
-print(f"\nrepeat with seed 42: counts match -> {first.tolist() == again.tolist()}")
+print(f"repeat with seed 42: counts match -> {counts.tolist() == again.tolist()}")

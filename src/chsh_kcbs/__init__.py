@@ -26,8 +26,6 @@ from .circuits import (
     FourierTestReport,
     GateOp,
     controlled_power,
-    embed_alice,
-    embed_joint_state,
     estimator_stddev,
     estimators,
     f3,
@@ -36,6 +34,7 @@ from .circuits import (
     rotation,
     run_circuit,
     run_hybrid_tests,
+    sample_outcome0,
     sample_shot_stack,
     x02,
 )

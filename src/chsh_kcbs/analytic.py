@@ -139,11 +139,11 @@ def _psi_n_kcbs_margin(geo):
 def state1(theta: float, phi: float) -> JointState:
     """Minimal two-parameter state: sin(theta/2)|00> + cos(theta/2) e^{i phi}|12>.
 
-    theta must lie in [0, pi]; phi is reduced mod 2*pi.
+    theta must lie in [0, pi]; phi is taken as given, as ``circuits.prepare_state1`` takes it.
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must be in [0, pi], got {theta!r}")
-    phi = float(phi) % (2 * math.pi)
+    phi = phi if math.isfinite(phi) else math.nan  # a NaN state fails the norm check
     amps = np.zeros(6, dtype=complex)
     amps[0] = math.sin(theta / 2)
     amps[5] = math.cos(theta / 2) * complex(math.cos(phi), math.sin(phi))
@@ -179,12 +179,13 @@ def _chsh_margin(weight, geo):
     ``x / (sqrt(a^2 + x) + a)``.  The weight comes whole: as ``4 s (1 - s)`` of the
     population s it would cancel near theta = pi.
     """
-    c = geo.c
-    chsh, interference = -8.0 * (geo.s2 * geo.s2), c * np.asarray(weight, dtype=float)  # -4d
-    for a, coupling in ((2.0 * c, geo.s_minus), (4.0 * c - 2.0, geo.s_plus)):
-        x = interference * (coupling * coupling)
-        chsh = chsh + x / (np.sqrt(a * a + x) + a)
-    return chsh / (1 + c)
+    # -4d, 1 + c and per branch (a, a^2, coupling^2), formed once per geometry.
+    chsh, scale, branches = geo.chsh_constants
+    interference = geo.c * np.asarray(weight, dtype=float)
+    for a, a_squared, coupling_squared in branches:
+        x = interference * coupling_squared
+        chsh = chsh + x / (np.sqrt(a_squared + x) + a)
+    return chsh / scale
 
 
 def decompose(state, n: int) -> ResourceDecomposition:

@@ -1,30 +1,22 @@
 """Exact qutrit circuit simulation and the ancilla Fourier test.
 
-The gate library holds the gates the protocol and its reference circuits run:
-the Y rotation on levels (0, 1), the phase gate diag(1, e^{i alpha}, 1), the
-level swap X02, the qutrit Fourier transform, and the controlled power gate
+The gates are the ones the protocol and its reference circuits run: the Y
+rotation on levels (0, 1), the phase gate diag(1, e^{i alpha}, 1), the level
+swap X02, the Fourier transform F3 and the controlled power gate
 ``|a>|psi> -> |a> U^a |psi>``.  Past the gates, every function takes and
-returns stacks with leading row axes: one state, test or distribution is a
-one-row stack.  Circuits run on an ordered list of qutrit registers, and a
-gate may be a (k, d, d) stack, one gate per row, so one run simulates k
-circuits of the same shape.  The minimal state is prepared on the (alice,
-bob) pair with Alice's level 2 left empty; every
-correlator of the hybrid protocol is then a Fourier test on a prepared state,
-with Alice's 2x2 observables embedded into 3x3 by a unit on the dead level.
-:func:`run_hybrid_tests`, the one Fourier-test entry point, runs the products
-A[i, j] (x) B[j] over a grid of (cell, term) rows, A at any shape that
-broadcasts to the grid, checks its two factors as given, once, and simulates
-at most ``BLOCK_TERMS`` rows at a time, each stack in one readout: F3 on the
-ancilla axis, U on ancilla block 1 and U U on block 2, then the inverse F3.
-Every operator check names the gate or stack and its first failing entry.
+returns stacks with leading row axes (one state, test or distribution is a
+one-row stack), and a gate may be a (k, d, d) stack, so one run on an ordered
+list of qutrit registers simulates k circuits.  The minimal state is prepared
+on the (alice, bob) pair, Alice's level 2 left empty.  :func:`run_hybrid_tests`,
+the one Fourier-test entry point, reads out the tests of A[i, j] (x) B[j] over
+a (cell, term) grid on the state reshaped to 2x3, Psi: ancilla block a is
+F3[a, 0] times Psi, A Psi B^T and A (A Psi B^T) B^T, then the inverse F3 acts.
 
-The Fourier test turns the expectation of a Hermitian unitary U into
-ancilla outcome probabilities: with U^2 = I the ancilla measures
-P(0) = (5 + 4<U>)/9 and P(1) = P(2) = (2 - 2<U>)/9, inverted by the
-estimators (9 P0 - 5)/4, (2 - 9 P1)/2, and (9 (P0 - P1 - P2) - 1)/8,
-which :func:`estimators` applies to a stack of distributions.
-:func:`sample_shot_stack` draws the shots of m cells of k tests, each
-cell from its own seeded generator.
+With U^2 = I the Fourier test of U measures P(0) = (5 + 4<U>)/9 and P(1) = P(2) =
+(2 - 2<U>)/9, inverted by the estimators (9 P0 - 5)/4, (2 - 9 P1)/2 and
+(9 (P0 - P1 - P2) - 1)/8 (:func:`estimators`).  A cell draws from its own generator:
+:func:`sample_outcome0` its tests' outcome-0 counts in one binomial call, all a
+landscape reads, and :func:`sample_shot_stack` then the split of the other shots.
 """
 
 from __future__ import annotations
@@ -41,10 +33,10 @@ from .linalg import (STATE_BUILD_TOL, check_normalized, hermiticity_check, state
 GATE_UNITARY_TOL = 1e-10
 FOURIER_INPUT_TOL = 1e-10
 DEAD_LEVEL_TOL = 1e-12
-MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a multinomial draw takes
+MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a binomial draw takes: its count is an int64
 # Rows per circuit simulation: cells per preparation group, pairs per KCBS block and (cell,
 # term) rows per stack of run_hybrid_tests, so memory is bounded in n and in the grid.  At 100
-# rows a stack's complex products, at most (rows, 9, 9), stay under 128 KiB, reused by malloc.
+# rows a stack's ancilla blocks, (rows, 3, 2, 3) complex, take under 32 KiB.
 BLOCK_TERMS = 100
 
 
@@ -75,6 +67,10 @@ def f3() -> np.ndarray:
     """Qutrit Fourier transform, entries omega^{jk}/sqrt(3) with omega = e^{2 pi i/3}."""
     idx = np.arange(3)
     return np.exp(2j * math.pi / 3 * np.outer(idx, idx)) / math.sqrt(3)
+
+
+# Entry (a, b) is F3^dag[a, b] F3[b, 0]: ancilla block b scaled by F3[b, 0], then the inverse F3.
+_ANCILLA_WEIGHTS = (f3().conj().T * f3()[:, 0])[..., None, None]
 
 
 def x02() -> np.ndarray:
@@ -109,25 +105,6 @@ def controlled_power(u) -> np.ndarray:
     return out
 
 
-def embed_alice(a2) -> np.ndarray:
-    """Embed a 2x2 Alice operator, or a stack of them, into the qutrit as a direct sum with 1.
-
-    Alice's level 2 carries no amplitude in the protocol, so the unit entry
-    changes no expectation value and keeps a Hermitian unitary one.
-    """
-    a2 = np.asarray(a2, dtype=complex)
-    out = np.zeros(a2.shape[:-2] + (3, 3), dtype=complex)
-    out[..., :2, :2] = a2
-    out[..., 2, 2] = 1.0
-    return out
-
-
-def embed_joint_state(psi) -> np.ndarray:
-    """Lift the 6 joint amplitudes onto the 9-dim (alice, bob) qutrit pair, a stack row by row."""
-    vec = state_vector(psi, dim=6)
-    return np.concatenate([vec, np.zeros(vec.shape[:-1] + (3,), dtype=complex)], axis=-1)
-
-
 @dataclass(frozen=True)
 class GateOp:
     """One gate application: a 3^s x 3^s matrix, or a stack of them, on s consecutive registers."""
@@ -148,15 +125,13 @@ class CircuitSpec:
 def run_circuit(spec: CircuitSpec) -> np.ndarray:
     """Simulate a circuit exactly from every register in |0>, returning a (k, 3^registers) stack.
 
-    An op's matrix may be a (k, d, d) stack, one gate per row; the circuit
-    then runs k rows at once, row r applying entry r of every stacked op
-    and the one matrix of every other op.  With no stacked op, k = 1.
-    Every gate must be unitary within 1e-10 and the norm is re-checked
-    after each application, row by row.  A register named ``alice`` starts
-    with its level 2 empty and must keep it empty after every gate; a
-    breach raises RuntimeError since it means the circuit left the
-    protocol's qubit subspace.  Both checks fail on NaN, and every error
-    names the op and the first failing row, or entry of a stacked gate.
+    An op's matrix may be a (k, d, d) stack: row r then applies entry r of
+    every stacked op and the one matrix of every other op (k = 1 with none).
+    Every gate must be unitary within 1e-10, and after each gate every row's
+    norm is re-checked and a register named ``alice`` must keep its level 2
+    empty, as the protocol's qubit needs; a breach raises RuntimeError.  Both
+    checks fail on NaN, and every error names the op and the first failing
+    row, or entry of a stacked gate.
     """
     n_reg = len(spec.registers)
     dim = 3 ** n_reg
@@ -230,9 +205,12 @@ class FourierTestReport:
 def estimators(probs) -> np.ndarray:
     """Estimators (combined, from_p0, from_p1) along the last axis of a (..., 3) stack."""
     p0, p1, p2 = np.moveaxis(np.asarray(probs, dtype=float), -1, 0)
-    return np.stack(((9.0 * (p0 - p1 - p2) - 1.0) / 8.0,
-                     (9.0 * p0 - 5.0) / 4.0,
-                     (2.0 - 9.0 * p1) / 2.0), axis=-1)
+    return np.stack(((9.0 * (p0 - p1 - p2) - 1.0) / 8.0, from_p0(p0), (2.0 - 9.0 * p1) / 2.0), -1)
+
+
+def from_p0(p0):
+    """The estimator (9 P(0) - 5)/4 of <U>, which reads outcome 0 alone."""
+    return (9.0 * p0 - 5.0) / 4.0
 
 
 def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:
@@ -241,9 +219,8 @@ def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:
     ``states`` is (c, 6), ``alice_ops`` (c, t, 2, 2) or any leading shape that broadcasts to
     (c, t), such as one (1, 1, 2, 2) matrix, and ``bob_ops`` a (t, 3, 3) bank.  The shapes are
     checked first (``DimensionMismatch``), then each factor as given, once, Hermiticity then
-    unitarity, then each state's norm.  A product of two such factors is a Hermitian unitary, so
-    no product is checked.  Each A is embedded and multiplied at its own shape, never copied per
-    cell, and the grid is simulated in stacks of ``max(1, BLOCK_TERMS // t)`` cells.
+    unitarity, then each state's norm.  No product of the two is checked or formed: each acts
+    on the 2x3 states at its own shape, in stacks of ``max(1, BLOCK_TERMS // t)`` cells.
     """
     states, alice, bob = (np.asarray(x, dtype=complex) for x in (states, alice_ops, bob_ops))
     if (states.shape[1:] != (6,) or bob.shape[1:] != (3, 3) or alice.shape
@@ -252,26 +229,32 @@ def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:
                                 f"factors, got {states.shape}, {alice.shape} and {bob.shape}")
     _check_ops(alice, "Alice factor", hermitian=True)
     _check_ops(bob, "Bob factor", hermitian=True)
-    vec = state_vector(embed_joint_state(states), dim=9, require_normalized=True)
+    psi = state_vector(states, dim=6, require_normalized=True).reshape(-1, 1, 2, 3)
     step = max(1, BLOCK_TERMS // max(len(bob), 1))
     probs = np.empty((len(states), len(bob), 3))
     for cells in (slice(first, first + step) for first in range(0, len(states), step)):
         a = alice[cells] if len(alice) > 1 else alice  # one shared A serves every cell
-        ops = np.einsum("ctij,tab->ctiajb", embed_alice(a), bob)
-        probs[cells] = _readout(ops.reshape(ops.shape[:2] + (9, 9)), vec[cells, None])
+        probs[cells] = _readout(a, psi[cells], bob)
     return probs
 
 
-def _readout(ops, vec) -> np.ndarray:
-    """Ancilla distributions of checked (..., d, d) ops and (..., d) states, broadcast together."""
-    fourier = f3()
-    # F3 on ancilla |0>: block a of every test is F3[a, 0] times its state.
-    grid = np.broadcast_shapes(ops.shape[:-2], vec.shape[:-1]) + (3, vec.shape[-1])
-    state = np.broadcast_to(fourier[:, 0, None] * vec[..., None, :], grid).copy()
-    state[..., 1, :] = (ops @ state[..., 1, :, None])[..., 0]
-    state[..., 2, :] = ((ops @ ops) @ state[..., 2, :, None])[..., 0]
-    state = np.einsum("ab,...bi->...ai", fourier.conj().T, state)
-    return np.sum(np.abs(state) ** 2, axis=-1)
+def _readout(alice, psi, bob) -> np.ndarray:
+    """Ancilla distributions of checked A (..., 2, 2) and B (..., 3, 3) on 2x3 states Psi, all
+    broadcast: (A (x) B) psi is A Psi B^T, written out so every entry is computed alike at any
+    stack shape, and summed over one axis of 6, whose order memory layout cannot change."""
+    b = bob[..., None, :, :]
+
+    def act(x):
+        ax = (alice[..., :, 0, None] * x[..., None, 0, :]
+              + alice[..., :, 1, None] * x[..., None, 1, :])
+        return (ax[..., :, None, 0] * b[..., 0] + ax[..., :, None, 1] * b[..., 1]
+                + ax[..., :, None, 2] * b[..., 2])
+
+    once = act(psi)
+    w = _ANCILLA_WEIGHTS
+    amps = (w[:, 0] * psi[..., None, :, :] + w[:, 1] * once[..., None, :, :]
+            + w[:, 2] * act(once)[..., None, :, :])
+    return np.sum(np.abs(amps.reshape(amps.shape[:-2] + (6,))) ** 2, axis=-1)
 
 
 def check_shots(shots) -> int:
@@ -281,23 +264,36 @@ def check_shots(shots) -> int:
     return int(shots)
 
 
-def sample_shot_stack(probs, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Multinomial counts of an (m, k, 3) stack: m cells of k ancilla distributions each.
+def sample_outcome0(p0, shots: int, seeds) -> np.ndarray:
+    """Outcome-0 counts of an (m, k) stack of P(0)s: m cells of k Fourier tests each.
 
-    ``seeds`` holds m seeds or generators, and cell i is one
-    ``np.random.default_rng(seeds[i]).multinomial`` draw of its rows,
-    clipped at zero and normalised.  That equals its rows drawn in turn
-    from one generator, so blocks of a cell drawn in turn from one
-    generator give the same counts.  Returns the counts and the estimators
-    (combined, from_p0, from_p1), both of the shape of ``probs``.
+    Cell i is one ``np.random.default_rng(seeds[i]).binomial(shots, p0[i])`` call on
+    P(0)s clipped to [0, 1], for m seeds or generators; blocks of a cell's tests
+    drawn in turn from one generator give the counts of one call.
     """
     shots = check_shots(shots)
-    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    p0 = np.clip(np.asarray(p0, dtype=float), 0.0, 1.0)
+    if p0.ndim != 2:
+        raise DimensionMismatch(f"outcome-0 sampling needs an (m, k) stack, got shape {p0.shape}")
+    return np.stack([np.random.default_rng(seed).binomial(shots, cell)
+                     for seed, cell in zip(seeds, p0, strict=True)])
+
+
+def sample_shot_stack(probs, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and estimators (combined, from_p0, from_p1) of an (m, k, 3) stack.
+
+    Cell i draws from ``np.random.default_rng(seeds[i])`` its outcome-0 counts by
+    :func:`sample_outcome0`, then in one more call how each test's other shots
+    split between outcomes 1 and 2, at exactly 1/2 since P(1) = P(2).  Only P(0)
+    is read, so no last-bit change in P(1) or P(2) moves a count.
+    """
+    probs = np.asarray(probs, dtype=float)
     if probs.ndim != 3 or probs.shape[-1] != 3:
         raise DimensionMismatch(f"shot sampling needs an (m, k, 3) stack, got shape {probs.shape}")
-    probs /= probs.sum(axis=-1, keepdims=True)
-    counts = np.stack([np.random.default_rng(seed).multinomial(shots, cell)
-                       for seed, cell in zip(seeds, probs, strict=True)])
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    first = sample_outcome0(probs[..., 0], shots, generators)  # checks the shot count
+    second = np.stack([rng.binomial(rest, 0.5) for rng, rest in zip(generators, shots - first)])
+    counts = np.stack([first, second, shots - first - second], axis=-1)
     return counts, estimators(counts / float(shots))
 
 
@@ -305,8 +301,8 @@ def estimator_stddev(report: FourierTestReport, shots: int) -> float:
     """Shot-noise standard deviation of the combined estimator.
 
     The combined estimator is an affine map of the frequency difference
-    f0 - f1 - f2, whose multinomial variance is (1 - (p0 - p1 - p2)^2)/shots
-    because the outcome weights (+1, -1, -1) all square to one.
+    f0 - f1 - f2 = 2 f0 - 1, whose binomial variance 4 p0 (1 - p0)/shots is
+    (1 - (p0 - p1 - p2)^2)/shots while the three probabilities sum to one.
     """
     shots = check_shots(shots)
     mean = report.p0 - report.p1 - report.p2

@@ -328,8 +328,7 @@ def _run_scaling(args) -> int:
 
 def _run_fourier_test(args) -> int:
     experiments.check_theta_deg(args.theta)
-    theta = math.radians(args.theta)
-    phi = math.radians(args.phi)
+    theta, phi = math.radians(args.theta), float(experiments.phi_radians(args.phi))
     psi = analytic.state1(theta, phi)
     coeff = analytic.chsh_coefficients(psi, args.n)
     alice = {"w0": observables.alice_rotation(coeff.omega0),

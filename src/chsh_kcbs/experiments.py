@@ -19,8 +19,8 @@ from .errors import ChshKcbsError, EmptyGrid, NoIntersection
 from .linalg import expectation, tensor
 
 RESIDUAL_TOL = 1e-9
-# Circuit landscape metadata: scheme 2 draws all of a cell's terms from one generator.
-SEED_SCHEME = 2
+# Circuit landscape metadata: scheme 3 draws each term's outcome-0 count, one binomial per term.
+SEED_SCHEME = 3
 
 
 def _cell_seed(master_seed: int, cell_index: int) -> int:
@@ -36,34 +36,31 @@ def _alice_rotations(co) -> np.ndarray:
 
 
 def _term_sums(n: int, thetas, phis, seeds, shots) -> tuple[np.ndarray, np.ndarray]:
-    """Running CHSH and KCBS sums of a group of cells, each over its terms in order.
+    """Running CHSH and KCBS sums of a group of at most ``circuits.BLOCK_TERMS`` cells.
 
-    The group, at most ``circuits.BLOCK_TERMS`` cells, is prepared in one run and reduced to
-    its CHSH settings once.  Its 4 CHSH terms are one (cell, term) grid: Alice's R(omega2),
-    R(omega2), R(omega0), R(omega0) against B_m B_{m+1}, B_0, B_m B_{m+1}, B_0, the fourth
-    taken with a minus sign.  Its n KCBS pairs follow in blocks of at most ``BLOCK_TERMS``,
-    each one grid of one (1, 1) identity for Alice against the block's products B_j B_{j+1},
-    the wraparound pair with a minus sign.  Each grid is one shot draw, and each cell draws in
-    turn from one generator seeded by its cell seed: its stream and sums carry across grids.
+    The group is prepared in one run.  Its 4 CHSH terms are one (cell, term) grid, Alice's
+    R(omega2), R(omega2), R(omega0), R(omega0) against B_m B_{m+1}, B_0, B_m B_{m+1}, B_0, the
+    fourth with a minus sign; its n KCBS pairs follow in blocks of at most ``BLOCK_TERMS``, each
+    one grid of one (1, 1) identity against the products B_j B_{j+1}, the wraparound pair with
+    a minus sign.  Each cell draws its outcome-0 counts in term order from one generator seeded
+    by its cell seed, the CHSH terms with the first block, and sums their from_p0 estimates.
     """
     states = circuits.prepare_state1(thetas, phis)
     rotations = _alice_rotations(analytic.chsh_coefficients(states, n))
     generators = [np.random.default_rng(seed) for seed in seeds]
-
-    def signed(alice, bob, sign):
-        """The group's signed combined estimates on one (cell, term) grid, from one shot draw."""
-        probs = circuits.run_hybrid_tests(states, alice, bob)
-        return sign * circuits.sample_shot_stack(probs, shots, generators)[1][..., 0]
-
     bm, b0 = observables.bm_bm1_closed_form(n).matrix, observables.b0_closed_form(n).matrix
-    chsh = _running_sums(np.zeros(len(states)), signed(rotations, np.array([bm, b0, bm, b0]),
-                                                       np.array([1.0, 1.0, 1.0, -1.0])))
-    kcbs = np.zeros(len(states))
+    p0 = circuits.run_hybrid_tests(states, rotations, np.array([bm, b0, bm, b0]))[..., 0]
+    chsh = kcbs = np.zeros(len(states))
+    sign = np.array([1.0, 1.0, 1.0, -1.0])  # the CHSH terms lead the first block's draw
     for start in range(0, n, circuits.BLOCK_TERMS):
         stop = min(start + circuits.BLOCK_TERMS, n)
-        pairs = observables.kcbs_pairs(n, start, stop)
-        sign = np.where(np.arange(start, stop) == n - 1, -1.0, 1.0)
-        kcbs = _running_sums(kcbs, signed(np.eye(2)[None, None], pairs, sign))
+        probs = circuits.run_hybrid_tests(states, np.eye(2)[None, None],
+                                          observables.kcbs_pairs(n, start, stop))
+        p0 = np.hstack([p0, probs[..., 0]])
+        sign = np.append(sign, np.where(np.arange(start, stop) == n - 1, -1.0, 1.0))
+        terms = sign * circuits.from_p0(circuits.sample_outcome0(p0, shots, generators) / shots)
+        chsh = _running_sums(chsh, terms[:, :start - stop])  # no CHSH term after the first
+        kcbs, p0, sign = _running_sums(kcbs, terms[:, start - stop:]), p0[:, :0], sign[:0]
     return chsh, kcbs
 
 
@@ -77,14 +74,11 @@ def _running_sums(sums, terms) -> np.ndarray:
 class LandscapeTable:
     """Margins of the minimal state over a (theta, phi) grid, as columns.
 
-    Cells run theta-major, phi-minor, and ``len`` is the cell count.  The margins are
-    computed as the table is iterated, one block of at most ``serialize.BLOCK_CELLS``
-    cells at a time, so a pass costs O(block) memory however large the grid.
-    :meth:`blocks` is the one read path, for the writer and a caller alike.  Circuit mode
-    sums a block's cells in groups by :func:`_term_sums`, one grid of a group's CHSH terms
-    and one per block of its KCBS pairs, so a pass holds O(``circuits.BLOCK_TERMS``) rows
-    however large n is, no value depends on the blocking, and every pass samples again
-    from the same seeds.
+    Cells run theta-major, phi-minor, and ``len`` is the cell count.  :meth:`blocks`, the
+    one read path, computes the margins of at most ``serialize.BLOCK_CELLS`` cells at a time,
+    so a pass costs O(block) memory however large the grid; circuit cells are summed by
+    :func:`_term_sums` in O(``circuits.BLOCK_TERMS``) rows however large n is, no value
+    depends on the blocking, and every pass samples again from the same seeds.
     """
 
     n: int
@@ -112,10 +106,8 @@ class LandscapeTable:
 
     def _margins(self, rows: slice, cells: slice):
         """CHSH margins, KCBS margins and seeds of a block as (theta, phi) arrays, but in
-        analytic mode no seed and the KCBS margin, a function of theta alone, as (theta, 1).
-        Circuit cells are summed by :func:`_term_sums` in groups of ``circuits.BLOCK_TERMS``.
-        """
-        thetas, phis = np.deg2rad(self.thetas_deg[rows]), np.deg2rad(self.phis_deg[cells])
+        analytic mode no seed and the KCBS margin, a function of theta alone, as (theta, 1)."""
+        thetas, phis = np.deg2rad(self.thetas_deg[rows]), phi_radians(self.phis_deg[cells])
         if self.mode == "analytic":
             chsh, kcbs = analytic.state1_margins(thetas[:, None], phis[None, :], self.n)
             return chsh, kcbs[:, :1], None
@@ -135,6 +127,11 @@ def check_theta_deg(thetas_deg) -> None:
     outside = thetas[~((thetas >= 0.0) & (thetas <= 180.0))]
     if outside.size:
         raise ValueError(f"theta must lie in [0, 180] degrees, got {float(outside[0])!r}")
+
+
+def phi_radians(phi_deg):
+    """phi in radians, reduced mod 360 degrees first, exactly, so a huge phi names its angle."""
+    return np.deg2rad(np.fmod(phi_deg, 360.0))
 
 
 def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,12 @@ class CycleGeometry:
     m: int | np.ndarray
     s_plus: float | np.ndarray
     s_minus: float | np.ndarray
+
+    @cached_property
+    def chsh_constants(self):
+        """``analytic._chsh_margin``'s per-size constants, formed once for all its calls."""
+        c, branches = self.c, ((2.0 * self.c, self.s_minus), (4.0 * self.c - 2.0, self.s_plus))
+        return -8.0 * (self.s2 * self.s2), 1 + c, tuple((a, a * a, k * k) for a, k in branches)
 
 
 def cycle_geometry(n) -> CycleGeometry:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from chsh_kcbs.analytic import _chsh_margin, _kcbs_line
-from chsh_kcbs.circuits import (CircuitSpec, GateOp, controlled_power, embed_alice, f3, phase_gate,
-                                rotation, run_circuit, x02)
+from chsh_kcbs.circuits import (CircuitSpec, GateOp, controlled_power, f3, phase_gate, rotation,
+                                run_circuit, x02)
 from chsh_kcbs.linalg import tensor
 from chsh_kcbs.observables import cycle_geometry
 
@@ -114,12 +114,17 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]], dict]:
 
 
 def three_register_probabilities(theta, phi, a2, b3):
-    """Ancilla distribution of the whole protocol as one (ancilla, alice, bob) circuit."""
+    """Ancilla distribution of the whole protocol as one (ancilla, alice, bob) circuit.
+
+    Alice's qubit factor acts on her qutrit as a direct sum with 1 on the empty level 2.
+    """
+    a3 = np.eye(3, dtype=complex)
+    a3[:2, :2] = a2
     ops = (GateOp("R01y", rotation(math.pi - theta), 1),
            GateOp("D(phi,0)", phase_gate(phi), 1),
            GateOp("CX02", controlled_power(x02()), 1),
            GateOp("F3", f3(), 0),
-           GateOp("C-U^a", controlled_power(tensor(embed_alice(a2), b3)), 0),
+           GateOp("C-U^a", controlled_power(tensor(a3, b3)), 0),
            GateOp("F3_inv", f3().conj().T, 0))
     final = run_circuit(CircuitSpec(("ancilla", "alice", "bob"), ops))[0]
     return [float(np.sum(np.abs(final[a * 9:(a + 1) * 9]) ** 2)) for a in range(3)]

@@ -126,8 +126,9 @@ def test_landscape_circuit_mode_columns(tmp_path):
 
 def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
     # The CSV of a seeded circuit landscape, rebuilt one Fourier test at a
-    # time: each term as a one-cell, one-term run_hybrid_tests grid, its shots drawn in term
-    # order from one generator seeded by the cell seed.  At n = 101 a cell's KCBS
+    # time: each term as a one-cell, one-term run_hybrid_tests grid, its outcome-0 count
+    # drawn in term order from one generator seeded by the cell seed (scheme 3) and read
+    # through the from_p0 estimator.  At n = 101 a cell's KCBS
     # pairs span two blocks of the default BLOCK_TERMS, the wraparound pair alone
     # in the second.
     shots, master_seed = 500, 11
@@ -155,9 +156,9 @@ def _check_term_by_term(tmp_path, n, thetas, phis, shots, master_seed):
         rng = np.random.default_rng(cell_seed)
         estimates = []
         for alice, bob in terms:
-            probs = np.clip(run_hybrid_tests(state, alice[None, None], bob[None])[0, 0], 0.0, None)
-            f0, f1, f2 = rng.multinomial(shots, probs / probs.sum()) / shots
-            estimates.append((9.0 * (f0 - f1 - f2) - 1.0) / 8.0)
+            p0 = run_hybrid_tests(state, alice[None, None], bob[None])[0, 0, 0]
+            f0 = rng.binomial(shots, min(max(p0, 0.0), 1.0)) / shots
+            estimates.append((9.0 * f0 - 5.0) / 4.0)
         chsh = estimates[0] + estimates[1] + estimates[2] - estimates[3] - 2.0
         kcbs = 0.0
         for j in range(n):
@@ -176,7 +177,7 @@ def test_circuit_landscape_records_its_seed_scheme(tmp_path):
     assert run_cli("landscape", *grid, "--mode", "circuit", "--shots", "10",
                    "--out", str(circuit)) == 0
     assert run_cli("landscape", *grid, "--out", str(analytic)) == 0
-    assert read_csv(str(circuit))[2]["seed_scheme"] == "2"
+    assert read_csv(str(circuit))[2]["seed_scheme"] == "3"
     assert "seed_scheme" not in read_csv(str(analytic))[2]
 
 
@@ -379,13 +380,14 @@ def test_fourier_test_exact_output(tmp_path):
     assert payload["shots"] is None
     assert payload["estimators"]["combined"] == pytest.approx(payload["exact_value"], abs=1e-10)
     assert payload["estimators"]["from_p0"] == pytest.approx(payload["exact_value"], abs=1e-10)
-    # The written probabilities are the whole protocol run as one circuit, to the bit,
+    # The written probabilities are the whole protocol run as one circuit, within 1e-15,
     # and the estimators are their stacked readout.
     theta = math.radians(49.605)
     alice = alice_rotation(chsh_coefficients(state1(theta, 0.0), 5).omega0).matrix
     expected = three_register_probabilities(theta, 0.0, alice, bm_bm1_closed_form(5).matrix)
-    assert list(probs.values()) == expected
-    assert list(payload["estimators"].values()) == estimators([expected])[0].tolist()
+    assert np.max(np.abs(np.array(list(probs.values())) - expected)) <= 1e-15
+    written = list(probs.values())
+    assert list(payload["estimators"].values()) == estimators([written])[0].tolist()
 
 
 def test_fourier_test_sampled_output(tmp_path):
@@ -406,6 +408,70 @@ def test_fourier_test_sampled_output(tmp_path):
     assert payload["counts"] == counts[0, 0].tolist()
     assert list(payload["estimators"].values()) == estimates[0, 0].tolist()
     assert list(payload["probabilities"].values()) == probs[0, 0].tolist()
+
+
+@pytest.mark.parametrize("theta, phi, change", [("31", "21", "swap"), ("31", "21", "p1 up one ulp"),
+                                               ("59", "0", "p2 down one ulp")])
+def test_fourier_test_counts_read_outcome_0_alone(tmp_path, monkeypatch, theta, phi, change):
+    # P(1) = P(2) up to rounding.  Swapping them, or moving either by one ulp, moves no
+    # count and no estimator: outcome 0 is drawn, then the other shots split at exactly 1/2.
+    # At these inputs a multinomial draw of the three outcomes moves its counts.
+    argv = ("fourier-test", "--n", "5", "--theta", theta, "--phi", phi, "--alice", "w0",
+            "--bob", "pair:3", "--shots", "1000", "--seed", "4", "--no-timestamp", "--out")
+    assert run_cli(*argv, str(tmp_path / "base.json")) == 0
+    run = cli.circuits.run_hybrid_tests
+
+    def changed(states, alice_ops, bob_ops):
+        probs = run(states, alice_ops, bob_ops)
+        p1, p2 = probs[..., 1].copy(), probs[..., 2].copy()
+        if change == "swap":
+            probs[..., 1], probs[..., 2] = p2, p1
+        elif change == "p1 up one ulp":
+            probs[..., 1] = np.nextafter(p1, 1.0)
+        else:
+            probs[..., 2] = np.nextafter(p2, 0.0)
+        return probs
+
+    monkeypatch.setattr(cli.circuits, "run_hybrid_tests", changed)
+    assert run_cli(*argv, str(tmp_path / "changed.json")) == 0
+    base, got = (json.loads((tmp_path / name).read_text())
+                 for name in ("base.json", "changed.json"))
+    assert got["probabilities"] != base["probabilities"]
+    assert got["counts"] == base["counts"] and got["estimators"] == base["estimators"]
+
+
+@pytest.mark.parametrize("mode", [(), ("--mode", "circuit", "--shots", "100", "--seed", "2")],
+                         ids=["analytic", "circuit"])
+def test_a_huge_phi_writes_the_margins_of_the_angle_it_names(tmp_path, mode):
+    # phi is reduced modulo 360 degrees, exactly, before it becomes radians, so each huge
+    # phi writes the margin columns of its reduced angle byte for byte; the phi column and
+    # the echo keep phi as given.
+    def landscape(phi):
+        out = tmp_path / "landscape.csv"
+        assert run_cli("landscape", "--n", "5", "--theta", "0:180:7", f"--phi={phi}", *mode,
+                       "--no-timestamp", "--out", str(out)) == 0
+        _, rows, metadata = read_csv(str(out))
+        return [row[3:] for row in rows], {row[2] for row in rows}, metadata["phi"]
+
+    for given, reduced in (("10000000030", "310"), ("1e15", "280"), ("1e300", "0"),
+                           ("-1e300", "0")):
+        margins, phis, echo = landscape(given)
+        assert margins == landscape(reduced)[0], given
+        assert phis == {"%.9g" % float(given)} and float(echo) == float(given)
+
+
+@pytest.mark.parametrize("shots", [(), ("--shots", "1000", "--seed", "4")], ids=["exact", "shots"])
+def test_fourier_test_at_a_huge_phi_writes_the_values_of_the_angle_it_names(tmp_path, shots):
+    payloads = []
+    for phi in ("1e300", "0"):
+        out = tmp_path / f"fourier-{phi}.json"
+        assert run_cli("fourier-test", "--n", "5", "--theta", "90", f"--phi={phi}", "--alice",
+                       "w0", "--bob", "b0", *shots, "--out", str(out)) == 0
+        payloads.append(json.loads(out.read_text()))
+    huge, zero = payloads
+    for key in ("probabilities", "counts", "estimators", "exact_value"):
+        assert huge[key] == zero[key], key
+    assert huge["phi_deg"] == 1e300
 
 
 @pytest.mark.parametrize("n, j", [(3037000501, 3037000499), (10**30 + 1, 10**30 - 1)],

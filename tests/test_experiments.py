@@ -240,9 +240,9 @@ def _spy_on_circuit_blocks(monkeypatch):
 
     ``measured`` holds each grid's states and Bob bank; ``stacks`` holds the (cells, terms)
     shape and the states of each stack that ``run_hybrid_tests`` hands to the readout, and
-    ``products`` the (cells, terms) shape of its product stack, which the states broadcast over.
+    ``alice`` the (cells, terms) shape of the Alice factor it reads, which broadcasts.
     """
-    calls = {"prepared": [], "measured": [], "stacks": [], "products": [], "cycle_rows": []}
+    calls = {"prepared": [], "measured": [], "stacks": [], "alice": [], "cycle_rows": []}
     prepare, stacked = experiments.circuits.prepare_state1, experiments.circuits.run_hybrid_tests
     cycle, readout = experiments.observables.kcbs_observables, experiments.circuits._readout
 
@@ -254,11 +254,11 @@ def _spy_on_circuit_blocks(monkeypatch):
         calls["measured"].append((np.array(state), np.array(bob_ops)))
         return stacked(state, alice_ops, bob_ops)
 
-    def readout_spy(ops, vec):
-        shape = np.broadcast_shapes(ops.shape[:-2], vec.shape[:-1])
-        calls["stacks"].append((shape, np.array(vec[:, 0, :6])))
-        calls["products"].append(ops.shape[:2])
-        return readout(ops, vec)
+    def readout_spy(alice, psi, bob):
+        shape = np.broadcast_shapes(alice.shape[:-2], psi.shape[:-2], bob.shape[:-2])
+        calls["stacks"].append((shape, psi.reshape(len(psi), 6)))
+        calls["alice"].append(alice.shape[:2])
+        return readout(alice, psi, bob)
 
     def cycle_spy(n, rows=None):
         calls["cycle_rows"].append((n, None if rows is None else np.array(rows).tolist()))
@@ -304,10 +304,10 @@ def test_circuit_landscape_prepares_each_cell_once(monkeypatch):
     assert len(calls["stacks"]) == len(expected) == 2 * (4 + 2) + 2
     assert all(shape == (len(want), terms) and np.array_equal(got, want)
                for (shape, got), (want, terms, _) in zip(calls["stacks"], expected))
-    # A CHSH stack multiplies each of its cells' rotations; a KCBS stack forms its
-    # pairs' products once, from the one shared identity, for all its cells.
-    assert calls["products"] == [(len(want), terms) if chsh else (1, terms)
-                                 for want, terms, chsh in expected]
+    # A CHSH stack reads each of its cells' rotations; a KCBS stack reads the one
+    # shared identity for all its cells and pairs, never a copy.
+    assert calls["alice"] == [(len(want), terms) if chsh else (1, 1)
+                              for want, terms, chsh in expected]
 
 
 @pytest.mark.parametrize("block_terms", [4, 5, 8, 9, 10, 19, 100])
@@ -462,13 +462,14 @@ def _term_by_term_margins(n, cells, shots, master_seed):
         r0, r2 = alice_rotation(co.omega0).matrix, alice_rotation(co.omega2).matrix
         terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
         terms += [(np.eye(2), kcbs_pair(n, j).matrix) for j in range(n)]
-        # Every term draws in turn from one generator seeded by the cell seed.
+        # Scheme 3: every term draws its outcome-0 count in turn from one generator
+        # seeded by the cell seed, and reads it through the from_p0 estimator.
         rng = np.random.default_rng(experiments._cell_seed(master_seed, cell))
         estimates = []
         for a, b in terms:
-            probs = np.clip(run_hybrid_tests(state, a[None, None], b[None])[0, 0], 0.0, None)
-            f0, f1, f2 = rng.multinomial(shots, probs / probs.sum()) / shots
-            estimates.append((9.0 * (f0 - f1 - f2) - 1.0) / 8.0)
+            p0 = run_hybrid_tests(state, a[None, None], b[None])[0, 0, 0]
+            f0 = rng.binomial(shots, min(max(p0, 0.0), 1.0)) / shots
+            estimates.append((9.0 * f0 - 5.0) / 4.0)
         kcbs = 0.0
         for j in range(n):
             kcbs += (-1.0 if j == n - 1 else 1.0) * estimates[4 + j]
