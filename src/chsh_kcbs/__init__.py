@@ -22,9 +22,7 @@ from .analytic import (
     theta_opt_asymptotic,
 )
 from .circuits import (
-    CircuitSpec,
     FourierTestReport,
-    GateOp,
     controlled_power,
     estimator_stddev,
     estimators,

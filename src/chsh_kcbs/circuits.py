@@ -35,8 +35,10 @@ FOURIER_INPUT_TOL = 1e-10
 DEAD_LEVEL_TOL = 1e-12
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a binomial draw takes: its count is an int64
 # Rows per circuit simulation: cells per preparation group, pairs per KCBS block and (cell,
-# term) rows per stack of run_hybrid_tests, so memory is bounded in n and in the grid.  At 100
-# rows a stack's ancilla blocks, (rows, 3, 2, 3) complex, take under 32 KiB.
+# term) rows per stack of run_hybrid_tests, so memory is bounded in n and in the grid.  Larger
+# stacks buy nothing: reading a group's whole (cells, terms) grid in one readout kept every
+# byte, but raised the peak RSS of the n = 21 10x10 grid at 1000 shots from 36.5 to 38.2 MiB
+# and of the n = 97 11x11 grid from 36.8 to 44.7 MiB, and the 181x181 n = 5 grid ran no faster.
 BLOCK_TERMS = 100
 
 
@@ -105,52 +107,38 @@ def controlled_power(u) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """One gate application: a 3^s x 3^s matrix, or a stack of them, on s consecutive registers."""
-
-    label: str
-    matrix: np.ndarray
-    first_register: int
-
-
-@dataclass(frozen=True)
-class CircuitSpec:
-    """Ordered registers plus an ordered list of gate applications."""
-
-    registers: tuple[str, ...]
-    ops: tuple[GateOp, ...]
-
-
-def run_circuit(spec: CircuitSpec) -> np.ndarray:
+def run_circuit(registers, ops) -> np.ndarray:
     """Simulate a circuit exactly from every register in |0>, returning a (k, 3^registers) stack.
 
-    An op's matrix may be a (k, d, d) stack: row r then applies entry r of
-    every stacked op and the one matrix of every other op (k = 1 with none).
-    Every gate must be unitary within 1e-10, and after each gate every row's
-    norm is re-checked and a register named ``alice`` must keep its level 2
-    empty, as the protocol's qubit needs; a breach raises RuntimeError.  Both
-    checks fail on NaN, and every error names the op and the first failing
+    ``registers`` names the qutrit registers in order and ``ops`` is an ordered
+    list of ``(label, gate, first_register)`` triples, each gate a 3^s x 3^s
+    matrix on s consecutive registers from ``first_register``.  A gate may be
+    a (k, d, d) stack: row r then applies entry r of every stacked gate and
+    the one matrix of every other gate (k = 1 with none).  Every gate must be
+    unitary within 1e-10, and after each gate every row's norm is re-checked
+    and a register named ``alice`` must keep its level 2 empty, as the
+    protocol's qubit needs; a breach raises RuntimeError.  Both checks fail
+    on NaN, and every error names the gate's label and the first failing
     row, or entry of a stacked gate.
     """
-    n_reg = len(spec.registers)
+    n_reg = len(registers)
     dim = 3 ** n_reg
-    gates = [np.asarray(op.matrix, dtype=complex) for op in spec.ops]
-    sizes = {gate.shape[0] for gate in gates if gate.ndim == 3}
+    ops = [(label, np.asarray(gate, dtype=complex), first) for label, gate, first in ops]
+    sizes = {gate.shape[0] for _, gate, _ in ops if gate.ndim == 3}
     if len(sizes) > 1:
         raise ValueError(f"stacked gates must share one stack size, got {sorted(sizes)}")
     rows = sizes.pop() if sizes else 1
     state = np.zeros((rows, dim), dtype=complex)
     state[:, 0] = 1.0
-    alice = spec.registers.index("alice") if "alice" in spec.registers else None
+    alice = registers.index("alice") if "alice" in registers else None
 
-    for op, gate in zip(spec.ops, gates):
-        _check_ops(gate, f"gate {op.label!r}")
+    for label, gate, first in ops:
+        _check_ops(gate, f"gate {label!r}")
         size = gate.shape[-1]
         span = round(math.log(size, 3))
-        if 3 ** span != size or op.first_register + span > n_reg:
-            raise ValueError(f"gate {op.label!r} does not fit the register layout")
-        pre = 3 ** op.first_register
+        if 3 ** span != size or first + span > n_reg:
+            raise ValueError(f"gate {label!r} does not fit the register layout")
+        pre = 3 ** first
         view = state.reshape(rows, pre, size, dim // (pre * size))
         subscripts = "kij,kajb->kaib" if gate.ndim == 3 else "ij,kajb->kaib"
         state = np.einsum(subscripts, gate, view).reshape(rows, dim)
@@ -159,13 +147,13 @@ def run_circuit(spec: CircuitSpec) -> np.ndarray:
         if not ok.all():
             bad = np.argmin(ok)
             raise RuntimeError(f"norm drifted to {float(norm[bad])!r} in row {bad} "
-                               f"after gate {op.label!r}")
+                               f"after gate {label!r}")
         if alice is not None:
             level2 = np.take(state.reshape((rows,) + (3,) * n_reg), 2, axis=1 + alice)
             ok = np.max(np.abs(level2.reshape(rows, -1)), axis=1) <= DEAD_LEVEL_TOL
             if not ok.all():
                 raise RuntimeError(f"alice level 2 became populated in row {np.argmin(ok)} "
-                                   f"after gate {op.label!r}")
+                                   f"after gate {label!r}")
     return state
 
 
@@ -180,12 +168,9 @@ def prepare_state1(theta, phi) -> np.ndarray:
     outside = thetas[~((thetas >= 0.0) & (thetas <= math.pi))]
     if outside.size:
         raise ValueError(f"theta must be in [0, pi], got {float(outside[0])!r}")
-    spec = CircuitSpec(registers=("alice", "bob"), ops=(
-        GateOp("R01y", rotation(math.pi - thetas), 0),
-        GateOp("D(phi,0)", phase_gate(phi), 0),
-        GateOp("CX02", controlled_power(x02()), 0),
-    ))
-    states = run_circuit(spec)[:, :6]
+    states = run_circuit(("alice", "bob"), [("R01y", rotation(math.pi - thetas), 0),
+                                            ("D(phi,0)", phase_gate(phi), 0),
+                                            ("CX02", controlled_power(x02()), 0)])[:, :6]
     check_normalized(states, STATE_BUILD_TOL)
     return states
 

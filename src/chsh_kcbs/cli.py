@@ -107,7 +107,7 @@ def bob_selector(text: str) -> str:
 
 
 def build_parser():
-    """Build the parser plus, per command, its subparser, required flags and flag actions.
+    """Build the parser plus, per command, its subparser, required flags, flag actions and runner.
 
     Required flags are validated after the optional config file merges in,
     so they are declared optional here and tracked separately.  The flag
@@ -120,10 +120,10 @@ def build_parser():
                "(also a size too large for a float or for memory), 4 I/O error.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, tuple[argparse.ArgumentParser, tuple[str, ...], dict]] = {}
+    commands: dict[str, tuple[argparse.ArgumentParser, tuple[str, ...], dict, object]] = {}
 
-    def command(name, requires=(), **kwargs):
-        """Add a subcommand and return its flag adder, which records each flag's action."""
+    def command(name, run, requires=(), **kwargs):
+        """Add a subcommand that ``run(args)`` runs; return its flag adder, which keeps actions."""
         sub = subparsers.add_parser(name, **kwargs)
         # After a space, a value such as -90:90:3, -45,45 or -1e-3 is the flag's value, as in
         # the = form.  argparse's default pattern takes only -N and -N.N for a value, and this
@@ -132,7 +132,7 @@ def build_parser():
         sub.add_argument("--config", default=None,
                          help="JSON file with default values for this command's flags")
         actions = {}
-        commands[name] = (sub, tuple(requires), actions)
+        commands[name] = (sub, tuple(requires), actions, run)
 
         def flag(*names, **options):
             action = sub.add_argument(*names, **options)
@@ -142,16 +142,16 @@ def build_parser():
              help="omit the timestamp line from output files")
         return flag
 
-    flag = command("observables", requires=("n", "out"),
+    flag = command("observables", _run_observables, requires=("n", "out"),
                    help="dump the n-cycle vectors and observables as JSON")
     flag("--n", type=int, help="odd cycle size >= 5")
     flag("--out", help="output JSON path")
 
-    flag = command("threshold", requires=("n",),
+    flag = command("threshold", _run_threshold, requires=("n",),
                    help="print the KCBS-violating population threshold")
     flag("--n", type=int, help="odd cycle size >= 5")
 
-    flag = command("landscape", requires=("n", "theta", "phi", "out"),
+    flag = command("landscape", _run_landscape, requires=("n", "theta", "phi", "out"),
                    help="scan the minimal-state margins over a (theta, phi) grid")
     flag("--n", type=int, help="odd cycle size >= 5")
     flag("--theta", type=angle_grid, help="theta grid in degrees, start:stop:count or a list")
@@ -161,17 +161,18 @@ def build_parser():
     flag("--seed", type=seed_int, default=None, help="master seed (circuit mode)")
     flag("--out", help="output CSV path")
 
-    flag = command("coexist", requires=("n", "out"),
+    flag = command("coexist", _run_coexist, requires=("n", "out"),
                    help="solve the margin crossing for each cycle size")
     flag("--n", type=cycle_range, help="cycle sizes, N, N,N,... or start:stop:step")
     flag("--out", help="output CSV path")
 
-    flag = command("scaling", requires=("n", "out"),
+    flag = command("scaling", _run_scaling, requires=("n", "out"),
                    help="coexistence scaling plus the scaling-family margins")
     flag("--n", type=cycle_range, help="cycle sizes, N, N,N,... or start:stop:step")
     flag("--out", help="output CSV path")
 
-    flag = command("fourier-test", requires=("n", "theta", "phi", "alice", "bob", "out"),
+    flag = command("fourier-test", _run_fourier_test,
+                   requires=("n", "theta", "phi", "alice", "bob", "out"),
                    help="run one Fourier-test correlator on the minimal state")
     flag("--n", type=int, help="odd cycle size >= 5")
     flag("--theta", type=finite_float, help="theta in degrees")
@@ -183,7 +184,7 @@ def build_parser():
     flag("--seed", type=seed_int, default=0, help="sampling seed")
     flag("--out", help="output JSON path")
 
-    command("validate", help="run the invariant suite; exit 0 iff everything passes")
+    command("validate", _run_validate, help="run the invariant suite; exit 0 iff everything passes")
 
     return parser, commands
 
@@ -367,22 +368,11 @@ def _run_validate(args) -> int:
     return EXIT_OK if passed == len(rows) else EXIT_VALIDATION
 
 
-_RUNNERS = {
-    "observables": _run_observables,
-    "threshold": _run_threshold,
-    "landscape": _run_landscape,
-    "coexist": _run_coexist,
-    "scaling": _run_scaling,
-    "fourier-test": _run_fourier_test,
-    "validate": _run_validate,
-}
-
-
 def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-        sub, requires, actions = commands[args.command]
+        sub, requires, actions, run = commands[args.command]
         if args.config:
             args = _apply_config(args, parser, sub, actions, argv)
         for dest in requires:
@@ -392,7 +382,7 @@ def main(argv=None) -> int:
             sub.error("--mode circuit requires --shots")
         if "out" in requires:  # refused before anything is computed
             serialize.out_directory(args.out)
-        return _RUNNERS[args.command](args)
+        return run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ChshKcbsError, ValueError, MemoryError) as exc:  # MemoryError: a size too large

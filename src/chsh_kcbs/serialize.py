@@ -16,6 +16,7 @@ never leaves a partial output.
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import os
 import tempfile
@@ -169,6 +170,13 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
 
 
 def write_json(path: str, payload: dict, metadata: dict | None = None):
-    """Write JSON with the ``metadata`` block, if any, as its last key, atomically."""
+    """Write JSON with the ``metadata`` block, if any, as its last key, atomically.
+
+    The text goes out in pieces of 256 encoder chunks, never whole in memory (a write per
+    chunk costs more than the pieces' joins); they join to ``json.dumps(body, indent=2)``,
+    then a newline ends the file.
+    """
     body = {**payload, "metadata": metadata} if metadata else payload
-    _atomic_write(path, [json.dumps(body, indent=2) + "\n"])
+    chunks = json.JSONEncoder(indent=2).iterencode(body)
+    pieces = iter(lambda: "".join(itertools.islice(chunks, 256)), "")  # "" once chunks run out
+    _atomic_write(path, itertools.chain(pieces, "\n"))

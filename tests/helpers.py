@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from chsh_kcbs.analytic import _chsh_margin, _kcbs_line
-from chsh_kcbs.circuits import (CircuitSpec, GateOp, controlled_power, f3, phase_gate, rotation,
-                                run_circuit, x02)
+from chsh_kcbs.circuits import controlled_power, f3, phase_gate, rotation, run_circuit, x02
 from chsh_kcbs.linalg import tensor
 from chsh_kcbs.observables import cycle_geometry
 
@@ -120,13 +119,13 @@ def three_register_probabilities(theta, phi, a2, b3):
     """
     a3 = np.eye(3, dtype=complex)
     a3[:2, :2] = a2
-    ops = (GateOp("R01y", rotation(math.pi - theta), 1),
-           GateOp("D(phi,0)", phase_gate(phi), 1),
-           GateOp("CX02", controlled_power(x02()), 1),
-           GateOp("F3", f3(), 0),
-           GateOp("C-U^a", controlled_power(tensor(a3, b3)), 0),
-           GateOp("F3_inv", f3().conj().T, 0))
-    final = run_circuit(CircuitSpec(("ancilla", "alice", "bob"), ops))[0]
+    ops = [("R01y", rotation(math.pi - theta), 1),
+           ("D(phi,0)", phase_gate(phi), 1),
+           ("CX02", controlled_power(x02()), 1),
+           ("F3", f3(), 0),
+           ("C-U^a", controlled_power(tensor(a3, b3)), 0),
+           ("F3_inv", f3().conj().T, 0)]
+    final = run_circuit(("ancilla", "alice", "bob"), ops)[0]
     return [float(np.sum(np.abs(final[a * 9:(a + 1) * 9]) ** 2)) for a in range(3)]
 
 
@@ -148,10 +147,10 @@ def fourier_test_circuit(u, psi) -> list:
     w = np.eye(size)[0] - np.conj(phase) * target
     reflect = 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real if w.any() else 0.0
     prepare = phase * (np.eye(size) - reflect)
-    ops = (GateOp("prepare", prepare, 1),
-           GateOp("F3", f3(), 0),
-           GateOp("C-U^a", controlled_power(padded), 0),
-           GateOp("F3_inv", f3().conj().T, 0))
+    ops = [("prepare", prepare, 1),
+           ("F3", f3(), 0),
+           ("C-U^a", controlled_power(padded), 0),
+           ("F3_inv", f3().conj().T, 0)]
     names = ("ancilla",) + tuple(f"system{r}" for r in range(registers))
-    final = run_circuit(CircuitSpec(names, ops))[0]
+    final = run_circuit(names, ops)[0]
     return [float(np.sum(np.abs(final[a * size:(a + 1) * size]) ** 2)) for a in range(3)]

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from chsh_kcbs import (
-    CircuitSpec,
     DimensionMismatch,
     FourierTestReport,
-    GateOp,
     NotHermitian,
     NotNormalized,
     NotUnitary,
@@ -141,8 +139,7 @@ def test_prepare_state1_fidelity(theta, phi):
 
 def test_run_circuit_targets_named_register():
     # X02 applied to the second register of |00> lifts only Bob's level.
-    spec = CircuitSpec(("alice", "bob"), (GateOp("swap", x02(), 1),))
-    final = run_circuit(spec)
+    final = run_circuit(("alice", "bob"), [("swap", x02(), 1)])
     assert final.shape == (1, 9)
     expected = np.zeros(9, dtype=complex)
     expected[2] = 1.0
@@ -150,23 +147,22 @@ def test_run_circuit_targets_named_register():
 
 
 def test_run_circuit_guards():
-    bad_gate = GateOp("broken", np.ones((3, 3), dtype=complex), 0)
-    with pytest.raises(NotUnitary):
-        run_circuit(CircuitSpec(("alice",), (bad_gate,)))
+    with pytest.raises(NotUnitary, match="gate 'broken' is not unitary"):
+        run_circuit(("alice",), [("broken", np.ones((3, 3), dtype=complex), 0)])
+    # A gate wider than the registers after its first does not fit.
+    with pytest.raises(ValueError, match="gate 'wide' does not fit the register layout"):
+        run_circuit(("alice", "bob"), [("wide", np.eye(9), 1)])
     # A swap into Alice's level 2 must trip the dead-level guard.
-    leak = GateOp("leak", x02(), 0)
-    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation(1.0), 0), leak))
     with pytest.raises(RuntimeError, match="alice level 2 became populated"):
-        run_circuit(spec)
+        run_circuit(("alice", "bob"), [("lift", rotation(1.0), 0), ("leak", x02(), 0)])
 
 
 def test_run_circuit_norm_guard_rejects_nan(monkeypatch):
     # Past a unitarity check that let it through, a NaN gate leaves a NaN norm,
     # which the norm-drift guard refuses.
     monkeypatch.setattr(circuits, "unitarity_check", lambda gate, tol: True)
-    nan_gate = GateOp("nan", np.full((3, 3), np.nan, dtype=complex), 0)
     with pytest.raises(RuntimeError, match="norm drifted"):
-        run_circuit(CircuitSpec(("alice", "bob"), (nan_gate,)))
+        run_circuit(("alice", "bob"), [("nan", np.full((3, 3), np.nan, dtype=complex), 0)])
 
 
 def test_stacked_prepare_state1_equals_per_angle_calls_to_the_bit():
@@ -195,32 +191,27 @@ def test_stacked_run_circuit_names_the_failing_op_and_entry():
     gates = rotation(np.array([0.1, 0.2, 0.3, 0.4]))
     assert gates.shape == (4, 3, 3)
     gates[2, 0, 0] = 2.0
-    spec = CircuitSpec(("alice", "bob"), (GateOp("swap", x02(), 1), GateOp("R", gates, 0)))
     with pytest.raises(NotUnitary, match="gate 'R' entry 2 is not unitary"):
-        run_circuit(spec)
-    # Stacked ops must agree on the number of rows.
-    spec = CircuitSpec(("alice",), (GateOp("a", gates[:2], 0), GateOp("b", gates[:3], 0)))
+        run_circuit(("alice", "bob"), [("swap", x02(), 1), ("R", gates, 0)])
+    # Stacked gates must agree on the number of rows.
     with pytest.raises(ValueError, match="one stack size"):
-        run_circuit(spec)
+        run_circuit(("alice",), [("a", gates[:2], 0), ("b", gates[:3], 0)])
 
 
 def test_stacked_run_circuit_guards_fire_per_row(monkeypatch):
     # A swap into Alice's level 2 in row 2 trips the dead-level guard for that row alone.
     leaks = np.array([np.eye(3), np.eye(3), x02(), np.eye(3)])
-    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation(1.0), 0),
-                                          GateOp("leak", leaks, 0)))
     with pytest.raises(RuntimeError,
                        match="alice level 2 became populated in row 2 after gate 'leak'"):
-        run_circuit(spec)
-    spec = CircuitSpec(("alice", "bob"), (GateOp("lift", rotation(1.0), 0),
-                                          GateOp("leak", np.array([np.eye(3)] * 4), 0)))
-    assert run_circuit(spec).shape == (4, 9)
+        run_circuit(("alice", "bob"), [("lift", rotation(1.0), 0), ("leak", leaks, 0)])
+    ops = [("lift", rotation(1.0), 0), ("leak", np.array([np.eye(3)] * 4), 0)]
+    assert run_circuit(("alice", "bob"), ops).shape == (4, 9)
     # Past a unitarity check that let it through, a NaN gate in row 1 leaves a NaN norm there.
     monkeypatch.setattr(circuits, "unitarity_check",
                         lambda gate, tol: np.ones(gate.shape[:-2], bool))
     gates = np.array([np.eye(3), np.full((3, 3), np.nan), np.eye(3)], dtype=complex)
     with pytest.raises(RuntimeError, match="norm drifted to nan in row 1 after gate 'nan'"):
-        run_circuit(CircuitSpec(("alice", "bob"), (GateOp("nan", gates, 0),)))
+        run_circuit(("alice", "bob"), [("nan", gates, 0)])
 
 
 def test_shot_stack_refuses_a_stack_that_is_not_cells_of_tests():

@@ -89,6 +89,21 @@ def test_observables_dump_round_trips(tmp_path):
     assert payload["metadata"]["command"] == "observables"
 
 
+_FOURIER_TEST = ("fourier-test", "--n", "7", "--theta", "120", "--phi", "21", "--alice", "w0",
+                 "--bob", "pair:3")
+
+
+@pytest.mark.parametrize("argv", [("observables", "--n", "7"), _FOURIER_TEST,
+                                  (*_FOURIER_TEST, "--shots", "1000", "--seed", "4")],
+                         ids=["observables", "fourier-test-exact", "fourier-test-sampled"])
+def test_a_streamed_json_file_is_the_text_of_json_dumps(tmp_path, argv):
+    # The writer streams the encoder's chunks; they must join to the one-shot text.
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--out", str(out), "--no-timestamp") == 0
+    text = out.read_bytes().decode("utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_landscape_csv_round_trip(tmp_path):
     out = tmp_path / "landscape.csv"
     assert run_cli("landscape", "--n", "5", "--theta", "0:180:5", "--phi", "0:360:5",
@@ -318,7 +333,7 @@ def test_shots_must_be_positive(tmp_path, capsys, shots):
     ("landscape", ["--n", "5", "--theta", "40:90:2", "--phi", "0:0:1", "--mode", "circuit"]),
     ("fourier-test", ["--n", "5", "--theta", "90", "--phi", "0", "--alice", "id", "--bob", "b0"]),
 ])
-def test_shots_above_the_multinomial_limit_are_a_usage_error(tmp_path, capsys, command, args):
+def test_shots_above_the_binomial_count_limit_are_a_usage_error(tmp_path, capsys, command, args):
     out = tmp_path / "out"
     for shots in (2**63, 10**20):
         assert run_cli(command, *args, "--shots", str(shots), "--out", str(out)) == cli.EXIT_USAGE

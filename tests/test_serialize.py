@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,22 @@ def test_write_is_atomic(tmp_path):
     assert leftovers == []
     _, _, metadata = read_csv(str(path))
     assert metadata == {"timestamp": "2026-01-01T00:00:00+00:00"}
+
+
+def test_json_is_written_without_holding_its_text(tmp_path):
+    # About 4 MB of JSON: the encoder's chunks go to the file in small pieces as they come,
+    # so the writer's peak stays far below the size of the text.
+    body = {"rows": [f"{i:0200d}" for i in range(20000)], "values": [i / 7 for i in range(20000)]}
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        serialize.write_json(str(path), body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4_000_000 and peak < size / 4
+    assert path.read_text(encoding="utf-8") == json.dumps(body, indent=2) + "\n"
 
 
 @pytest.fixture
