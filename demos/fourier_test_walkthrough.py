@@ -29,8 +29,7 @@ theta = math.radians(49.605)
 phi = 0.0
 circuit_state = prepare_state1(theta, phi)
 target = state1(theta, phi)
-overlap = abs(sum(a.conjugate() * b for a, b in
-                  zip(target.amplitudes, circuit_state[0])))
+overlap = abs(sum(a.conjugate() * b for a, b in zip(target, circuit_state[0])))
 print(f"preparation fidelity: {overlap:.15f}")
 
 # ------------------------------------------------------------------

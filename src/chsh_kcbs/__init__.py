@@ -55,7 +55,7 @@ from .experiments import (
     run_validation,
     scaling_study,
 )
-from .linalg import JointState, Observable, expectation, hermiticity_check, tensor, unitarity_check
+from .linalg import Observable, expectation, hermiticity_check, tensor, unitarity_check
 from .observables import (
     CycleGeometry,
     alice_rotation,

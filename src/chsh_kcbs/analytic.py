@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import JointState, state_vector
+from .errors import DimensionMismatch
+from .linalg import STATE_BUILD_TOL, check_normalized, state_vector
 from .observables import cycle_geometry
 
 
@@ -45,7 +46,6 @@ class KcbsReport:
 
     s_kcbs: float
     p2: float
-    classical_bound: float
     margin: float
 
 
@@ -103,11 +103,16 @@ def chsh_value(state, n: int, omega0: float, omega2: float) -> float:
 
 
 def kcbs_value(state, n: int) -> KcbsReport:
-    """KCBS cycle sum of a state, read through the sum of its four weights off level 2."""
+    """KCBS cycle sum of one state, read through the sum of its four weights off level 2.
+
+    A (k, 6) stack, a one-row one included, raises DimensionMismatch.
+    """
+    if np.ndim(state) != 1:
+        raise DimensionMismatch(f"kcbs_value reads one state vector, got shape {np.shape(state)}")
     (intercept, slope), bound = _kcbs_line(cycle_geometry(n)), float(int(n) - 2)
-    w00, w01, w02, w10, w11, w12 = np.abs(state_vector(state, dim=6, require_normalized=True)) ** 2
+    w00, w01, w02, w10, w11, w12 = np.abs(state_vector(state, dim=6)) ** 2
     margin = float(intercept - slope * (w00 + w01 + w10 + w11))
-    return KcbsReport(bound + margin, float(w02 + w12), bound, margin)
+    return KcbsReport(bound + margin, float(w02 + w12), margin)
 
 
 def p2_threshold(n: int) -> float:
@@ -136,18 +141,16 @@ def _psi_n_kcbs_margin(geo):
     return (8.0 - 4.0 * (n * s2) * (s2 * (n + 1.0)) / (1 + geo.c)) / (n + 4.0)
 
 
-def state1(theta: float, phi: float) -> JointState:
-    """Minimal two-parameter state: sin(theta/2)|00> + cos(theta/2) e^{i phi}|12>.
+def state1(theta: float, phi: float) -> np.ndarray:
+    """Minimal two-parameter state sin(theta/2)|00> + cos(theta/2) e^{i phi}|12>, read-only (6,).
 
     theta must lie in [0, pi]; phi is taken as given, as ``circuits.prepare_state1`` takes it.
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must be in [0, pi], got {theta!r}")
     phi = phi if math.isfinite(phi) else math.nan  # a NaN state fails the norm check
-    amps = np.zeros(6, dtype=complex)
-    amps[0] = math.sin(theta / 2)
-    amps[5] = math.cos(theta / 2) * complex(math.cos(phi), math.sin(phi))
-    return JointState(amps)
+    return _built_state(math.sin(theta / 2),
+                        math.cos(theta / 2) * complex(math.cos(phi), math.sin(phi)))
 
 
 def state1_margins(theta, phi, n):
@@ -195,7 +198,7 @@ def decompose(state, n: int) -> ResourceDecomposition:
     array, every row computed as that state alone would be.
     """
     geo = cycle_geometry(n)
-    amps = state_vector(state, dim=6, require_normalized=True)
+    amps = state_vector(state, dim=6)
     columns = np.atleast_2d(amps).T
     c00, c01, c02, c10, c11, c12 = columns
     w00, w01, w02, w10, w11, w12 = np.abs(columns) ** 2
@@ -209,13 +212,20 @@ def decompose(state, n: int) -> ResourceDecomposition:
     return ResourceDecomposition(*parts, c=geo.c, s_plus=geo.s_plus, s_minus=geo.s_minus)
 
 
-def psi_n_state(n: int, k: int = 0) -> JointState:
-    """Member of the scaling family: sqrt(2/(n+4))|00> + sqrt((n+2)/(n+4)) (-1)^k |12>."""
+def psi_n_state(n: int, k: int = 0) -> np.ndarray:
+    """Scaling-family member sqrt(2/(n+4))|00> + sqrt((n+2)/(n+4)) (-1)^k |12>, read-only (6,)."""
     cycle_geometry(n)
+    return _built_state(math.sqrt(2.0 / (n + 4)), math.sqrt((n + 2.0) / (n + 4)) * (-1) ** int(k))
+
+
+def _built_state(a00, a12) -> np.ndarray:
+    """The state a00|00> + a12|12> as a read-only (6,) complex array, normalized within
+    ``STATE_BUILD_TOL`` or refused with NotNormalized."""
     amps = np.zeros(6, dtype=complex)
-    amps[0] = math.sqrt(2.0 / (n + 4))
-    amps[5] = math.sqrt((n + 2.0) / (n + 4)) * (-1) ** int(k)
-    return JointState(amps)
+    amps[0], amps[5] = a00, a12
+    check_normalized(amps, STATE_BUILD_TOL)
+    amps.setflags(write=False)
+    return amps
 
 
 def asymptotic_margins(n):

@@ -214,7 +214,7 @@ def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:
                                 f"factors, got {states.shape}, {alice.shape} and {bob.shape}")
     _check_ops(alice, "Alice factor", hermitian=True)
     _check_ops(bob, "Bob factor", hermitian=True)
-    psi = state_vector(states, dim=6, require_normalized=True).reshape(-1, 1, 2, 3)
+    psi = state_vector(states, dim=6).reshape(-1, 1, 2, 3)
     step = max(1, BLOCK_TERMS // max(len(bob), 1))
     probs = np.empty((len(states), len(bob), 3))
     for cells in (slice(first, first + step) for first in range(0, len(states), step)):

@@ -1,11 +1,13 @@
 """Dense complex linear algebra at the small fixed dimensions used here.
 
-Matrices are plain numpy arrays or a checked :class:`Observable`, states
-are numpy vectors or a checked :class:`JointState`, and every operation
-is a pure function over double-precision values.  The joint
-qubit-qutrit index convention is ``3*j + k`` with ``j`` the qubit level
-and ``k`` the qutrit level; every tensor product in the package uses the
-same left-major block ordering.
+Matrices are plain numpy arrays or a checked :class:`Observable`, and
+states are plain complex vectors: a builder checks the norm of what it
+builds within ``STATE_BUILD_TOL``, and every reader checks the norm of
+what it reads within ``STATE_INPUT_TOL``.  Every operation is a pure
+function over double-precision values.  The joint qubit-qutrit index
+convention is ``3*j + k`` with ``j`` the qubit level and ``k`` the
+qutrit level; every tensor product in the package uses the same
+left-major block ordering.
 """
 
 from __future__ import annotations
@@ -67,26 +69,6 @@ def _within(m, residual, tol: float):
 
 
 @dataclass(frozen=True)
-class JointState:
-    """Pure state of the qubit (x) qutrit pair.
-
-    ``amplitudes[3*j + k]`` is the amplitude on qubit level ``j`` and
-    qutrit level ``k``.  The vector must be normalized to 1 within
-    ``STATE_BUILD_TOL``; the stored array is read-only.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 6:
-            raise DimensionMismatch(f"joint state needs 6 amplitudes, got {amps.size}")
-        check_normalized(amps, STATE_BUILD_TOL)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
 class Observable:
     """A labelled Hermitian matrix; the matrix is stored read-only."""
 
@@ -115,40 +97,38 @@ def check_normalized(vectors, tol: float) -> None:
             f"|psi|^2 = {float(norm_sq.flat[bad[0]])!r}{row} is not 1 within {tol:g}")
 
 
-def state_vector(psi, dim: int, require_normalized: bool = False) -> np.ndarray:
-    """Coerce a JointState or array-like into a complex vector of length ``dim``.
+def state_vector(psi, dim: int) -> np.ndarray:
+    """Coerce an array-like state into a complex vector of length ``dim`` and check its norm.
 
     A two-dimensional array is a stack of states and keeps its rows: it
-    must have shape (k, ``dim``).  ``require_normalized`` additionally
-    checks each squared norm against 1 within ``STATE_INPUT_TOL``.
+    must have shape (k, ``dim``).  Each squared norm must be 1 within
+    ``STATE_INPUT_TOL`` (``NotNormalized``).
     """
-    if isinstance(psi, JointState):
-        vec = np.array(psi.amplitudes, dtype=complex)
-    else:
-        vec = np.array(psi, dtype=complex)
-        if vec.ndim != 2:
-            vec = vec.reshape(-1)
+    vec = np.array(psi, dtype=complex)
+    if vec.ndim != 2:
+        vec = vec.reshape(-1)
     if vec.shape[-1] != dim:
         raise DimensionMismatch(f"expected a vector of length {dim}, got {vec.shape[-1]}")
-    if require_normalized:
-        check_normalized(vec, STATE_INPUT_TOL)
+    check_normalized(vec, STATE_INPUT_TOL)
     return vec
 
 
 def expectation(psi, op) -> float:
-    """Expectation value <psi|op|psi> of a Hermitian operator, as a real number.
+    """Expectation value <psi|op|psi> of one state and a Hermitian matrix, as a real number.
 
-    An :class:`Observable` was checked when it was built; a raw matrix
-    raises NotHermitian if it fails the 1e-12 Hermiticity tolerance.
-    Raises DimensionMismatch on shape problems and ImaginaryResidue if the
-    raw value has an imaginary part above 1e-10 in magnitude.
+    Raises DimensionMismatch if ``psi`` is not one vector (a (k, d) stack
+    included) or ``op`` not a square matrix of its length, NotNormalized
+    if ``|psi|^2`` is not 1 within 1e-9, NotHermitian if ``op`` fails the
+    1e-12 Hermiticity tolerance, and ImaginaryResidue if the raw value has
+    an imaginary part above 1e-10 in magnitude.
     """
-    checked = isinstance(op, Observable)
-    mat = op.matrix if checked else np.asarray(op, dtype=complex)
+    if np.ndim(psi) != 1:
+        raise DimensionMismatch(f"expectation reads one state vector, got shape {np.shape(psi)}")
+    mat = np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
     vec = state_vector(psi, dim=mat.shape[0])
-    if not checked and not hermiticity_check(mat):
+    if not hermiticity_check(mat):
         raise NotHermitian(f"operator is not Hermitian within {HERMITIAN_TOL:g}")
     value = complex(vec.conj() @ (mat @ vec))
     if abs(value.imag) > IMAG_RESIDUE_TOL:

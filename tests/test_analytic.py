@@ -191,14 +191,13 @@ def test_p2_threshold_matches_50_digit_reference(n):
 
 
 def test_state1_construction():
-    assert np.allclose(state1(math.pi, 0.0).amplitudes,
-                       [1, 0, 0, 0, 0, 0], atol=1e-12)
+    assert np.allclose(state1(math.pi, 0.0), [1, 0, 0, 0, 0, 0], atol=1e-12)
     zero_theta = state1(0.0, 0.9)
-    assert abs(zero_theta.amplitudes[5]) == pytest.approx(1.0, abs=1e-12)
-    assert np.angle(zero_theta.amplitudes[5]) == pytest.approx(0.9, abs=1e-12)
+    assert abs(zero_theta[5]) == pytest.approx(1.0, abs=1e-12)
+    assert np.angle(zero_theta[5]) == pytest.approx(0.9, abs=1e-12)
     half = state1(math.pi / 2, 0.0)
-    assert half.amplitudes[0] == pytest.approx(0.707107, abs=1e-6)
-    assert half.amplitudes[5] == pytest.approx(0.707107, abs=1e-6)
+    assert half[0] == pytest.approx(0.707107, abs=1e-6)
+    assert half[5] == pytest.approx(0.707107, abs=1e-6)
     with pytest.raises(ValueError):
         state1(-0.1, 0.0)
     with pytest.raises(ValueError):
@@ -303,7 +302,7 @@ def test_kcbs_value_and_threshold_match_50_digit_references_at_a_large_size():
     with mp.workdps(50):
         c = mp.cos(mp.pi / n)
         floor, ceiling = n * (1 - c) / (1 + c), n * (3 * c - 1) / (1 + c)
-        weight = mp.mpf(psi_n_state(n).amplitudes[0].real) ** 2
+        weight = mp.mpf(psi_n_state(n)[0].real) ** 2
         exact = floor * weight + ceiling * (1 - weight) - (n - 2)
         assert _within_accuracy_bound(mp.mpf(kcbs_value(psi_n_state(n), n).margin), exact)
         exact = (n - 2 - floor) / (ceiling - floor)
@@ -353,8 +352,8 @@ def test_stacked_reduction_equals_each_state_alone_to_the_bit(n):
     # A (k, 6) stack gives each field as a length-k array whose rows are the
     # one-state floats, so a cell's settings do not depend on its stack.
     rng = np.random.default_rng(43)
-    minimal = [state1(t, p).amplitudes for t, p in zip(rng.uniform(0, math.pi, 20),
-                                                        rng.uniform(0, 2 * math.pi, 20))]
+    minimal = [state1(t, p) for t, p in zip(rng.uniform(0, math.pi, 20),
+                                             rng.uniform(0, 2 * math.pi, 20))]
     stack = np.array(list(random_states(rng, 20)) + minimal)
     parts, co = decompose(stack, n), chsh_coefficients(stack, n)
     for row, psi in enumerate(stack):
@@ -373,10 +372,10 @@ def test_stacked_reduction_equals_each_state_alone_to_the_bit(n):
 
 def test_psi_n_state_amplitudes_and_margins():
     psi = psi_n_state(5, 0)
-    assert psi.amplitudes[0] == pytest.approx(math.sqrt(2 / 9), abs=1e-12)
-    assert psi.amplitudes[5] == pytest.approx(math.sqrt(7 / 9), abs=1e-12)
-    assert psi.amplitudes[0] == pytest.approx(0.471405, abs=1e-6)
-    assert psi.amplitudes[5] == pytest.approx(0.881917, abs=1e-6)
+    assert psi[0] == pytest.approx(math.sqrt(2 / 9), abs=1e-12)
+    assert psi[5] == pytest.approx(math.sqrt(7 / 9), abs=1e-12)
+    assert psi[0] == pytest.approx(0.471405, abs=1e-6)
+    assert psi[5] == pytest.approx(0.881917, abs=1e-6)
 
     theta = 2 * math.acos(math.sqrt(7 / 9))
     chsh_margin, kcbs_margin = state1_margins(theta, 0.0, 5)

@@ -132,7 +132,7 @@ def test_prepare_state1_gate_by_gate_oracle():
 
 @pytest.mark.parametrize("theta,phi", [(0.3, 0.0), (1.2, 2.0), (2.8, 5.5)])
 def test_prepare_state1_fidelity(theta, phi):
-    target = state1(theta, phi).amplitudes
+    target = state1(theta, phi)
     prepared = prepare_state1(theta, phi)[0]
     assert abs(np.vdot(target, prepared)) == pytest.approx(1.0, abs=1e-12)
 
@@ -513,7 +513,7 @@ def test_a_shared_alice_factor_gives_the_bits_of_its_materialised_grid(monkeypat
 def test_a_shared_non_unitary_alice_factor_is_refused_before_any_state_is_read(monkeypatch):
     # The one (1, 1) factor is checked as given, so its error names entry 0, and
     # no state is read or normalised: bad states do not change the error.
-    def no_state(psi, dim, require_normalized=False):
+    def no_state(psi, dim):
         raise AssertionError("a state was read before the factors were checked")
 
     monkeypatch.setattr(circuits, "state_vector", no_state)
@@ -618,7 +618,7 @@ def test_a_product_acts_on_the_2x3_state_as_a_psi_b_transpose():
         theta = float(rng.uniform(0, math.pi))
         phi = float(rng.uniform(0, 2 * math.pi))
         omega = float(rng.uniform(0, 2 * math.pi))
-        psi6 = state1(theta, phi).amplitudes
+        psi6 = state1(theta, phi)
         a2 = alice_rotation(omega).matrix
         b3 = kcbs_pair(7, int(rng.integers(0, 7))).matrix
         psi = psi6.reshape(2, 3)

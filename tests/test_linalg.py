@@ -1,13 +1,13 @@
 """Tests for the dense linear algebra layer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from chsh_kcbs import (
     DimensionMismatch,
-    JointState,
     NotHermitian,
     NotNormalized,
     expectation,
@@ -16,7 +16,8 @@ from chsh_kcbs import (
     unitarity_check,
 )
 from chsh_kcbs import linalg
-from chsh_kcbs.analytic import decompose, kcbs_value, state1
+from chsh_kcbs.analytic import decompose, kcbs_value, psi_n_state, state1
+from chsh_kcbs.circuits import prepare_state1
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, s_operator
 
 
@@ -98,11 +99,44 @@ def test_expectation_normalization_and_cycle_eigenvalues():
     assert expectation(ket00, op) == pytest.approx(0.527864, abs=1e-6)
 
 
-def test_expectation_accepts_joint_state_and_observable():
-    state = JointState(np.array([1, 0, 0, 0, 0, 0], dtype=complex))
+def test_expectation_accepts_read_only_arrays_and_lists():
+    state = np.array([1, 0, 0, 0, 0, 0], dtype=complex)
+    state.setflags(write=False)
     op = tensor(np.eye(2), s_operator(5).matrix)
+    op.setflags(write=False)
     assert expectation(state, op) == pytest.approx(5 - 2 * math.sqrt(5), abs=1e-12)
     assert expectation([0, 0, 0, 0, 0, 1], tensor(np.eye(2), s_operator(5).matrix)) > 3.9
+
+
+def test_expectation_of_an_unnormalized_vector_raises():
+    op = tensor(np.eye(2), s_operator(5).matrix)
+    with pytest.raises(NotNormalized, match="is not 1 within 1e-09"):
+        expectation([2, 0, 0, 0, 0, 0], op)
+    with pytest.raises(NotNormalized):
+        expectation(np.zeros(6), op)
+    with pytest.raises(NotNormalized):
+        expectation([1 + 2e-9, 0, 0, 0, 0, 0], op)
+    assert expectation([1 + 4e-10, 0, 0, 0, 0, 0], np.eye(6)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_one_state_readers_refuse_a_stack_before_any_other_check():
+    # prepare_state1 returns a one-row (1, 6) stack, not one state.
+    stack = prepare_state1(1.0, 0.3)
+    assert stack.shape == (1, 6)
+    skew = np.triu(np.ones((6, 6)))
+    for psi in (stack, 2 * stack, np.vstack([stack, stack])):
+        shape = str(np.shape(psi))
+        with pytest.raises(DimensionMismatch, match=re.escape(shape)):
+            expectation(psi, np.eye(6))
+        with pytest.raises(DimensionMismatch, match=re.escape(shape)):
+            expectation(psi, skew)
+        with pytest.raises(DimensionMismatch, match=re.escape(shape)):
+            kcbs_value(psi, 5)
+        with pytest.raises(DimensionMismatch, match=re.escape(shape)):
+            kcbs_value(psi, 4)
+    # The same row as one state reads through.
+    assert expectation(stack[0], np.eye(6)) == pytest.approx(1.0, abs=1e-12)
+    assert kcbs_value(stack[0], 5).p2 == decompose(stack, 5).p2[0]
 
 
 def test_expectation_is_linear():
@@ -167,30 +201,40 @@ def test_checks_run_per_entry_over_a_stack():
     assert unitarity_check(np.ones((4, 2, 3))).tolist() == [False] * 4
 
 
-def test_expectation_rechecks_only_raw_matrices(monkeypatch):
-    # An Observable was checked when it was built; a raw matrix is checked per call.
+def test_expectation_checks_every_matrix(monkeypatch):
+    # An Observable's matrix was checked when it was built; expectation checks it again.
     psi = np.zeros(3, dtype=complex)
     psi[2] = 1.0
     op = s_operator(5)
     checked = []
     monkeypatch.setattr(linalg, "hermiticity_check", lambda m, *tol: checked.append(m) or True)
-    assert expectation(psi, op) == op.matrix[2, 2].real
-    assert checked == []
+    assert expectation(psi, op.matrix) == op.matrix[2, 2].real
     assert expectation(psi, np.array(op.matrix)) == op.matrix[2, 2].real
-    assert len(checked) == 1
+    assert len(checked) == 2
+    assert all(np.array_equal(m, op.matrix) for m in checked)
 
 
-def test_joint_state_validation():
+@pytest.mark.parametrize("state", [state1(math.pi, 0.0), state1(1.1, 0.4), psi_n_state(7, 1)])
+def test_built_states_are_read_only_complex_vectors(state):
+    assert state.shape == (6,)
+    assert state.dtype == complex
+    with pytest.raises(ValueError):
+        state[0] = 0.5
+    assert np.count_nonzero(state[1:5]) == 0
+
+
+def test_state_readers_check_what_they_read():
     amps = np.zeros(6, dtype=complex)
     amps[0] = 1.0
-    state = JointState(amps)
-    assert decompose(state, 5).p2 == 0.0
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 0.5
-    with pytest.raises(NotNormalized):
-        JointState(2 * amps)
-    with pytest.raises(DimensionMismatch):
-        JointState(np.ones(5))
+    # cos(pi/2) leaves 6.1e-17 on |12>, so p2 is about 3.7e-33.
+    assert decompose(state1(math.pi, 0.0), 5).p2 == pytest.approx(0.0, abs=1e-30)
+    assert decompose(amps, 5).p2 == 0.0
+    for reader in (lambda psi: decompose(psi, 5), lambda psi: kcbs_value(psi, 5),
+                   lambda psi: linalg.state_vector(psi, dim=6)):
+        with pytest.raises(NotNormalized):
+            reader(2 * amps)
+        with pytest.raises(DimensionMismatch):
+            reader(np.ones(5))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
@@ -199,18 +243,18 @@ def test_non_finite_amplitudes_are_not_normalized(bad):
     amps = np.zeros(6, dtype=complex)
     amps[0] = bad
     with pytest.raises(NotNormalized):
-        JointState(amps)
+        linalg.state_vector(amps, dim=6)
     with pytest.raises(NotNormalized):
-        linalg.state_vector(amps, dim=6, require_normalized=True)
+        expectation(amps, np.eye(6))
     with pytest.raises(NotNormalized):
         state1(0.5, bad.real)
 
 
-def test_joint_state_p2():
+def test_state_p2():
     amps = np.zeros(6, dtype=complex)
     amps[2] = math.sqrt(0.25)
     amps[5] = math.sqrt(0.35)
     amps[0] = math.sqrt(0.40)
-    # The level-2 population is read from the state in one place, the decomposition.
-    assert decompose(JointState(amps), 5).p2 == pytest.approx(0.6, abs=1e-12)
-    assert kcbs_value(JointState(amps), 5).p2 == decompose(amps, 5).p2
+    # kcbs_value sums its own weights on level 2, so it and the decomposition must agree.
+    assert decompose(amps, 5).p2 == pytest.approx(0.6, abs=1e-12)
+    assert kcbs_value(amps, 5).p2 == decompose(amps, 5).p2
