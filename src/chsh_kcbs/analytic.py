@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import STATE_BUILD_TOL, check_normalized, state_vector
+from .linalg import STATE_BUILD_TOL, check_normalized, check_one_state, state_vector
 from .observables import cycle_geometry
 
 
@@ -96,7 +95,8 @@ def chsh_coefficients(state, n: int) -> ChshCoefficients:
 
 
 def chsh_value(state, n: int, omega0: float, omega2: float) -> float:
-    """CHSH functional of a state at explicit measurement angles."""
+    """CHSH functional of one state (a stack raises) at explicit measurement angles."""
+    check_one_state(state, "chsh_value")
     co = chsh_coefficients(state, n)
     return (co.x0 * math.cos(omega0) + co.y0 * math.sin(omega0)
             + co.x2 * math.cos(omega2) + co.y2 * math.sin(omega2))
@@ -107,8 +107,7 @@ def kcbs_value(state, n: int) -> KcbsReport:
 
     A (k, 6) stack, a one-row one included, raises DimensionMismatch.
     """
-    if np.ndim(state) != 1:
-        raise DimensionMismatch(f"kcbs_value reads one state vector, got shape {np.shape(state)}")
+    check_one_state(state, "kcbs_value")
     (intercept, slope), bound = _kcbs_line(cycle_geometry(n)), float(int(n) - 2)
     w00, w01, w02, w10, w11, w12 = np.abs(state_vector(state, dim=6)) ** 2
     margin = float(intercept - slope * (w00 + w01 + w10 + w11))

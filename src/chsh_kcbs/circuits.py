@@ -6,11 +6,13 @@ swap X02, the Fourier transform F3 and the controlled power gate
 ``|a>|psi> -> |a> U^a |psi>``.  Past the gates, every function takes and
 returns stacks with leading row axes (one state, test or distribution is a
 one-row stack), and a gate may be a (k, d, d) stack, so one run on an ordered
-list of qutrit registers simulates k circuits.  The minimal state is prepared
-on the (alice, bob) pair, Alice's level 2 left empty.  :func:`run_hybrid_tests`,
-the one Fourier-test entry point, reads out the tests of A[i, j] (x) B[j] over
-a (cell, term) grid on the state reshaped to 2x3, Psi: ancilla block a is
-F3[a, 0] times Psi, A Psi B^T and A (A Psi B^T) B^T, then the inverse F3 acts.
+list of qutrit registers simulates k circuits.  Every gate and factor is checked
+within 1e-10 by ``linalg.check_operators``, the package's one raising operator
+check.  The minimal state is prepared on the (alice, bob) pair, Alice's level 2
+left empty.  :func:`run_hybrid_tests`, the one Fourier-test entry point, reads
+out the tests of A[i, j] (x) B[j] over a (cell, term) grid on the state reshaped
+to 2x3, Psi: ancilla block a is F3[a, 0] times Psi, A Psi B^T and
+A (A Psi B^T) B^T, then the inverse F3 acts.
 
 With U^2 = I the Fourier test of U measures P(0) = (5 + 4<U>)/9 and P(1) = P(2) =
 (2 - 2<U>)/9, inverted by the estimators (9 P0 - 5)/4, (2 - 9 P1)/2 and
@@ -26,9 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotUnitary
-from .linalg import (STATE_BUILD_TOL, check_normalized, hermiticity_check, state_vector,
-                     unitarity_check)
+from .errors import DimensionMismatch
+from .linalg import STATE_BUILD_TOL, check_normalized, check_operators, state_vector
+# Bound only for bench/tracer.py and bench/test_harness.py::test_tracer_self_time_and_restore,
+# which read them from this module (ROADMAP item 4); nothing here calls them.
+from .linalg import hermiticity_check, unitarity_check  # noqa: F401
 
 GATE_UNITARY_TOL = 1e-10
 FOURIER_INPUT_TOL = 1e-10
@@ -80,25 +84,10 @@ def x02() -> np.ndarray:
     return np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
 
 
-def _check_ops(ops, name: str, hermitian: bool = False) -> None:
-    """Refuse a matrix or stack that is not Hermitian (if asked, checked first) and unitary.
-
-    The error names the operator and a stack's first failing entry, in row-major order.
-    """
-    checks = [(unitarity_check, GATE_UNITARY_TOL, NotUnitary, "unitary")]
-    if hermitian:
-        checks.insert(0, (hermiticity_check, FOURIER_INPUT_TOL, NotHermitian, "Hermitian"))
-    for check, tol, error, what in checks:
-        ok = np.asarray(check(ops, tol))
-        if not ok.all():
-            entry = f" entry {np.flatnonzero(~ok)[0]}" if ok.ndim else ""
-            raise error(f"{name}{entry} is not {what} within {tol:g}")
-
-
 def controlled_power(u) -> np.ndarray:
     """Controlled power gate: block diagonal (I, U, U^2) in control-level order."""
     u = np.asarray(u, dtype=complex)
-    _check_ops(u, "controlled gate")
+    check_operators(u, "controlled gate", unitary=GATE_UNITARY_TOL)
     d = u.shape[0]
     out = np.zeros((3 * d, 3 * d), dtype=complex)
     out[:d, :d] = np.eye(d)
@@ -133,7 +122,7 @@ def run_circuit(registers, ops) -> np.ndarray:
     alice = registers.index("alice") if "alice" in registers else None
 
     for label, gate, first in ops:
-        _check_ops(gate, f"gate {label!r}")
+        check_operators(gate, f"gate {label!r}", unitary=GATE_UNITARY_TOL)
         size = gate.shape[-1]
         span = round(math.log(size, 3))
         if 3 ** span != size or first + span > n_reg:
@@ -212,8 +201,8 @@ def run_hybrid_tests(states, alice_ops, bob_ops) -> np.ndarray:
             not in [(c, t, 2, 2) for c in {1, len(states)} for t in {1, len(bob)}]):
         raise DimensionMismatch(f"hybrid tests need (c, 6) states, (c, t, 2, 2) and (t, 3, 3) "
                                 f"factors, got {states.shape}, {alice.shape} and {bob.shape}")
-    _check_ops(alice, "Alice factor", hermitian=True)
-    _check_ops(bob, "Bob factor", hermitian=True)
+    for ops, name in ((alice, "Alice factor"), (bob, "Bob factor")):
+        check_operators(ops, name, hermitian=FOURIER_INPUT_TOL, unitary=GATE_UNITARY_TOL)
     psi = state_vector(states, dim=6).reshape(-1, 1, 2, 3)
     step = max(1, BLOCK_TERMS // max(len(bob), 1))
     probs = np.empty((len(states), len(bob), 3))

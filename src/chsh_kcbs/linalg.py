@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ImaginaryResidue, NotHermitian, NotNormalized
+from .errors import DimensionMismatch, ImaginaryResidue, NotHermitian, NotNormalized, NotUnitary
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -68,6 +68,20 @@ def _within(m, residual, tol: float):
     return bool(ok) if m.ndim == 2 else ok
 
 
+def check_operators(ops, name: str, hermitian=None, unitary=None) -> None:
+    """Refuse a matrix or stack not Hermitian within tolerance ``hermitian`` (checked first) or
+    not unitary within ``unitary``; a property whose tolerance is None is not checked.
+
+    The error names the operator and a stack's first failing entry, in row-major order.
+    """
+    for check, tol, error, what in ((hermiticity_check, hermitian, NotHermitian, "Hermitian"),
+                                    (unitarity_check, unitary, NotUnitary, "unitary")):
+        ok = np.asarray(tol is None or check(ops, tol))
+        if not ok.all():
+            entry = f" entry {np.flatnonzero(~ok)[0]}" if ok.ndim else ""
+            raise error(f"{name}{entry} is not {what} within {tol:g}")
+
+
 @dataclass(frozen=True)
 class Observable:
     """A labelled Hermitian matrix; the matrix is stored read-only."""
@@ -77,9 +91,10 @@ class Observable:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
-        if not hermiticity_check(mat, HERMITIAN_TOL):
-            raise NotHermitian(
-                f"observable {self.label!r} is not Hermitian within {HERMITIAN_TOL:g}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise DimensionMismatch(f"observable {self.label!r} must be one square matrix, "
+                                    f"got shape {mat.shape}")
+        check_operators(mat, f"observable {self.label!r}", hermitian=HERMITIAN_TOL)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -97,18 +112,23 @@ def check_normalized(vectors, tol: float) -> None:
             f"|psi|^2 = {float(norm_sq.flat[bad[0]])!r}{row} is not 1 within {tol:g}")
 
 
+def check_one_state(psi, reader: str) -> None:
+    """Refuse for ``reader`` anything but one state vector, a one-row (1, d) stack included."""
+    if np.ndim(psi) != 1:
+        raise DimensionMismatch(f"{reader} reads one state vector, got shape {np.shape(psi)}")
+
+
 def state_vector(psi, dim: int) -> np.ndarray:
     """Coerce an array-like state into a complex vector of length ``dim`` and check its norm.
 
-    A two-dimensional array is a stack of states and keeps its rows: it
-    must have shape (k, ``dim``).  Each squared norm must be 1 within
-    ``STATE_INPUT_TOL`` (``NotNormalized``).
+    A two-dimensional array is a stack of states and keeps its rows; any shape but
+    (``dim``,) and (k, ``dim``) raises DimensionMismatch.  Each squared norm must be 1
+    within ``STATE_INPUT_TOL`` (``NotNormalized``).
     """
     vec = np.array(psi, dtype=complex)
-    if vec.ndim != 2:
-        vec = vec.reshape(-1)
-    if vec.shape[-1] != dim:
-        raise DimensionMismatch(f"expected a vector of length {dim}, got {vec.shape[-1]}")
+    if vec.ndim not in (1, 2) or vec.shape[-1] != dim:
+        raise DimensionMismatch(f"expected a vector of length {dim} or a (k, {dim}) stack, "
+                                f"got shape {vec.shape}")
     check_normalized(vec, STATE_INPUT_TOL)
     return vec
 
@@ -122,14 +142,12 @@ def expectation(psi, op) -> float:
     1e-12 Hermiticity tolerance, and ImaginaryResidue if the raw value has
     an imaginary part above 1e-10 in magnitude.
     """
-    if np.ndim(psi) != 1:
-        raise DimensionMismatch(f"expectation reads one state vector, got shape {np.shape(psi)}")
+    check_one_state(psi, "expectation")
     mat = np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
     vec = state_vector(psi, dim=mat.shape[0])
-    if not hermiticity_check(mat):
-        raise NotHermitian(f"operator is not Hermitian within {HERMITIAN_TOL:g}")
+    check_operators(mat, "operator", hermitian=HERMITIAN_TOL)
     value = complex(vec.conj() @ (mat @ vec))
     if abs(value.imag) > IMAG_RESIDUE_TOL:
         raise ImaginaryResidue(f"imaginary residue {value.imag!r} exceeds {IMAG_RESIDUE_TOL:g}")

@@ -31,7 +31,7 @@ from chsh_kcbs import (
     tensor,
     x02,
 )
-from chsh_kcbs import circuits
+from chsh_kcbs import circuits, linalg
 from chsh_kcbs.observables import (alice_rotation, b0_closed_form, bm_bm1_closed_form, kcbs_pair,
                                    kcbs_pairs)
 from helpers import fourier_test_circuit, three_register_probabilities
@@ -160,7 +160,7 @@ def test_run_circuit_guards():
 def test_run_circuit_norm_guard_rejects_nan(monkeypatch):
     # Past a unitarity check that let it through, a NaN gate leaves a NaN norm,
     # which the norm-drift guard refuses.
-    monkeypatch.setattr(circuits, "unitarity_check", lambda gate, tol: True)
+    monkeypatch.setattr(linalg, "unitarity_check", lambda gate, tol: True)
     with pytest.raises(RuntimeError, match="norm drifted"):
         run_circuit(("alice", "bob"), [("nan", np.full((3, 3), np.nan, dtype=complex), 0)])
 
@@ -207,7 +207,7 @@ def test_stacked_run_circuit_guards_fire_per_row(monkeypatch):
     ops = [("lift", rotation(1.0), 0), ("leak", np.array([np.eye(3)] * 4), 0)]
     assert run_circuit(("alice", "bob"), ops).shape == (4, 9)
     # Past a unitarity check that let it through, a NaN gate in row 1 leaves a NaN norm there.
-    monkeypatch.setattr(circuits, "unitarity_check",
+    monkeypatch.setattr(linalg, "unitarity_check",
                         lambda gate, tol: np.ones(gate.shape[:-2], bool))
     gates = np.array([np.eye(3), np.full((3, 3), np.nan), np.eye(3)], dtype=complex)
     with pytest.raises(RuntimeError, match="norm drifted to nan in row 1 after gate 'nan'"):
@@ -429,14 +429,14 @@ def test_a_circuit_landscape_checks_each_factor_stack_once_per_term_block(monkey
     # (group, grid) checks its Alice factor and its Bob bank once, however many
     # stacks it simulates: a CHSH grid its (c, 4) rotations, a KCBS grid one
     # shared identity, never a copy per cell or pair.
-    checked, check = [], circuits._check_ops
+    checked, check = [], circuits.check_operators
 
-    def check_spy(ops, name, hermitian=False):
+    def check_spy(ops, name, **tols):
         if name.endswith("factor"):
             checked.append((name, np.shape(ops)))
-        return check(ops, name, hermitian)
+        return check(ops, name, **tols)
 
-    monkeypatch.setattr(circuits, "_check_ops", check_spy)
+    monkeypatch.setattr(circuits, "check_operators", check_spy)
     table = landscape_scan(97, np.linspace(0, 180, 11), np.linspace(0, 360, 11), mode="circuit",
                            shots=100, seed=3)
     assert sum(len(block) for block in table.blocks()) == 121

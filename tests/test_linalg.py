@@ -10,14 +10,16 @@ from chsh_kcbs import (
     DimensionMismatch,
     NotHermitian,
     NotNormalized,
+    NotUnitary,
+    Observable,
     expectation,
     hermiticity_check,
     tensor,
     unitarity_check,
 )
 from chsh_kcbs import linalg
-from chsh_kcbs.analytic import decompose, kcbs_value, psi_n_state, state1
-from chsh_kcbs.circuits import prepare_state1
+from chsh_kcbs.analytic import chsh_value, decompose, kcbs_value, psi_n_state, state1
+from chsh_kcbs.circuits import controlled_power, prepare_state1, run_circuit, run_hybrid_tests
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, s_operator
 
 
@@ -134,9 +136,66 @@ def test_one_state_readers_refuse_a_stack_before_any_other_check():
             kcbs_value(psi, 5)
         with pytest.raises(DimensionMismatch, match=re.escape(shape)):
             kcbs_value(psi, 4)
+        with pytest.raises(DimensionMismatch, match=re.escape(f"chsh_value reads one state "
+                                                              f"vector, got shape {shape}")):
+            chsh_value(psi, 4, 0.1, 0.2)
     # The same row as one state reads through.
     assert expectation(stack[0], np.eye(6)) == pytest.approx(1.0, abs=1e-12)
     assert kcbs_value(stack[0], 5).p2 == decompose(stack, 5).p2[0]
+    assert isinstance(chsh_value(stack[0], 5, 0.1, 0.2), float)
+
+
+def test_state_vector_reads_one_state_or_a_stack_and_nothing_else():
+    # A (1, 1, 6) array is neither one state nor a stack of states, in any reader.
+    nested = prepare_state1(1.0, 0.3)[None]
+    for reader in (lambda psi: linalg.state_vector(psi, dim=6), lambda psi: decompose(psi, 5)):
+        with pytest.raises(DimensionMismatch, match=re.escape("got shape (1, 1, 6)")):
+            reader(nested)
+    with pytest.raises(DimensionMismatch, match=re.escape("got shape ()")):
+        linalg.state_vector(1.0, dim=1)
+    assert linalg.state_vector(nested[0], dim=6).shape == (1, 6)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2), (2, 2, 2), (2, 3), (2,)])
+def test_an_observable_is_one_square_matrix(shape):
+    # Only one square matrix is an observable: not a stack of Hermitian
+    # matrices, even a one-entry one, nor a non-square array.
+    with pytest.raises(DimensionMismatch, match=re.escape(f"got shape {shape}")):
+        Observable(np.broadcast_to(np.eye(2), shape) if len(shape) == 3 else np.ones(shape), "I")
+
+
+def test_every_operator_error_keeps_its_text():
+    # Each raising operator check names its operator, a stack's first failing
+    # entry and the tolerance, in these exact words.
+    skew, halved = np.triu(np.ones((2, 2))), np.diag([1.0, 0.5])
+    psi = np.array([1.0, 0.0], dtype=complex)
+    states, bob = prepare_state1([0.3, 1.2], [0.0, 0.5]), np.array([np.eye(3)] * 3)
+    alice = np.array([[np.eye(2), skew, np.eye(2)]] * 2)
+    cases = [
+        (NotHermitian, "observable 'T' is not Hermitian within 1e-12",
+         lambda: Observable(skew, "T")),
+        (NotHermitian, "operator is not Hermitian within 1e-12", lambda: expectation(psi, skew)),
+        (NotUnitary, "gate 'R' entry 1 is not unitary within 1e-10",
+         lambda: run_circuit(("alice",), [("R", np.array([np.eye(3), 2 * np.eye(3)]), 0)])),
+        (NotUnitary, "gate 'X' is not unitary within 1e-10",
+         lambda: run_circuit(("alice",), [("X", np.ones((3, 3)), 0)])),
+        (NotUnitary, "controlled gate is not unitary within 1e-10",
+         lambda: controlled_power(np.ones((3, 3)))),
+        (NotHermitian, "Alice factor entry 1 is not Hermitian within 1e-10",
+         lambda: run_hybrid_tests(states, alice, bob)),
+        (NotUnitary, "Alice factor entry 0 is not unitary within 1e-10",
+         lambda: run_hybrid_tests(states, halved[None, None], bob)),
+        (NotHermitian, "Bob factor entry 2 is not Hermitian within 1e-10",
+         lambda: run_hybrid_tests(states, np.eye(2)[None, None],
+                                  np.array([np.eye(3), np.eye(3), np.triu(np.ones((3, 3)))]))),
+        (NotUnitary, "Bob factor entry 1 is not unitary within 1e-10",
+         lambda: run_hybrid_tests(states, np.eye(2)[None, None],
+                                  np.array([np.eye(3), np.diag([1.0, 1.0, 0.5]), np.eye(3)]))),
+    ]
+    for error, text, call in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == text
 
 
 def test_expectation_is_linear():

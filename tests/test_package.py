@@ -62,3 +62,14 @@ def test_importing_the_package_loads_no_writer():
                             env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_only_linalg_raises_the_operator_errors():
+    # linalg.check_operators is the one raising operator check: no other module
+    # names NotHermitian or NotUnitary, by import or by attribute.
+    errors = {"NotHermitian", "NotUnitary"}
+    naming = {path.name for path in PACKAGE
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.alias) and node.name in errors
+              or isinstance(node, ast.Attribute) and node.attr in errors}
+    assert naming <= {"linalg.py", "errors.py", "__init__.py"}
