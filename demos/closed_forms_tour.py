@@ -24,7 +24,7 @@ from chsh_kcbs.observables import b0_closed_form, bm_bm1_closed_form, s_operator
 #    and its quantum ceiling (level 2).
 # ------------------------------------------------------------------
 for n in (5, 7, 9, 11):
-    floor, _, ceiling = np.diag(s_operator(n).matrix).real
+    floor, _, ceiling = np.diag(s_operator(n)).real
     print(f"n = {n:2d}: c = {cycle_geometry(n).c:.6f}  floor = {floor:.6f}  "
           f"ceiling = {ceiling:.6f}  classical bound = {n - 2}")
 
@@ -42,7 +42,7 @@ for n in (5, 7, 9, 11, 21, 101):
 np.set_printoptions(precision=6, suppress=True)
 print("\nB_0 at n = 5:\n", b0_closed_form(5).matrix.real)
 print("B_m B_m+1 at n = 5:\n", bm_bm1_closed_form(5).matrix.real)
-print("cycle operator S:\n", s_operator(5).matrix.real)
+print("cycle operator S:\n", s_operator(5).real)
 
 # ------------------------------------------------------------------
 # 4. The minimal state sin(theta/2)|00> + cos(theta/2) e^{i phi}|12>

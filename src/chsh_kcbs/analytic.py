@@ -165,13 +165,19 @@ def state1_margins(theta, phi, n):
     # Squares multiply: numpy scalars would square through libm pow, which
     # can differ from an array's exact square in the last bit.
     sin_half, sin_theta, cos_phi = np.sin(np.divide(theta, 2)), np.sin(theta), np.cos(phi)
-    geo = cycle_geometry(n)
-    intercept, slope = _kcbs_line(geo)
-    chsh = _chsh_margin((sin_theta * sin_theta) * (cos_phi * cos_phi), geo)
-    kcbs = np.broadcast_to(intercept - slope * (sin_half * sin_half), np.shape(chsh))
+    weight = (sin_theta * sin_theta) * (cos_phi * cos_phi)
+    chsh, kcbs = _weight_margins(sin_half * sin_half, weight, cycle_geometry(n))
+    kcbs = np.broadcast_to(kcbs, np.shape(chsh))
     if chsh.ndim == 0:
         return float(chsh), float(kcbs)
     return chsh, kcbs
+
+
+def _weight_margins(population, weight, geo):
+    """CHSH and KCBS margins of the minimal state at the population sin^2(theta/2) off level 2
+    and the interference weight sin^2(theta) cos^2(phi), on checked sizes."""
+    intercept, slope = _kcbs_line(geo)
+    return _chsh_margin(weight, geo), intercept - slope * population
 
 
 def _chsh_margin(weight, geo):

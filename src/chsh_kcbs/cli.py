@@ -288,7 +288,7 @@ def _run_observables(args) -> int:
                              for j, matrix in enumerate(cycle)],
         "b0": serialize.matrix_to_json(observables.b0_closed_form(n).matrix),
         "bm_bm1": serialize.matrix_to_json(observables.bm_bm1_closed_form(n).matrix),
-        "s_operator": serialize.matrix_to_json(observables.s_operator(n).matrix),
+        "s_operator": serialize.matrix_to_json(observables.s_operator(n)),
     }
     serialize.write_json(args.out, payload, metadata=_metadata(args))
     return EXIT_OK

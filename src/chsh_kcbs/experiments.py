@@ -107,10 +107,15 @@ class LandscapeTable:
     def _margins(self, rows: slice, cells: slice):
         """CHSH margins, KCBS margins and seeds of a block as (theta, phi) arrays, but in
         analytic mode no seed and the KCBS margin, a function of theta alone, as (theta, 1)."""
-        thetas, phis = np.deg2rad(self.thetas_deg[rows]), phi_radians(self.phis_deg[cells])
         if self.mode == "analytic":
-            chsh, kcbs = analytic.state1_margins(thetas[:, None], phis[None, :], self.n)
-            return chsh, kcbs[:, :1], None
+            thetas = self.thetas_deg[rows, None]
+            sin_half, sin_theta = sincos_deg(thetas / 2)[0], sincos_deg(thetas)[0]
+            cos_phi = sincos_deg(self.phis_deg[cells])[1]
+            weight = (sin_theta * sin_theta) * (cos_phi * cos_phi)
+            chsh, kcbs = analytic._weight_margins(sin_half * sin_half, weight,
+                                                  observables.cycle_geometry(self.n))
+            return chsh, kcbs, None
+        thetas, phis = np.deg2rad(self.thetas_deg[rows]), phi_radians(self.phis_deg[cells])
         n, shape, group = self.n, (thetas.size, phis.size), circuits.BLOCK_TERMS
         first = rows.start * self.phis_deg.size + cells.start
         seeds = [_cell_seed(self.master_seed, first + k) for k in range(thetas.size * phis.size)]
@@ -132,6 +137,21 @@ def check_theta_deg(thetas_deg) -> None:
 def phi_radians(phi_deg):
     """phi in radians, reduced mod 360 degrees first, exactly, so a huge phi names its angle."""
     return np.deg2rad(np.fmod(phi_deg, 360.0))
+
+
+def sincos_deg(x_deg):
+    """Sine and cosine of angles in degrees, exact wherever they are 0 or +-1.
+
+    x is reduced mod 360 degrees with ``fmod`` and split as 90 q + r, q = rint(x / 90), both
+    exactly; the sine and cosine of ``deg2rad(r)``, r in [-45, 45], are then swapped and
+    negated by the quadrant q, so no multiple of 90 degrees leaves a conversion residue.
+    """
+    x = np.fmod(x_deg, 360.0)
+    quarters = np.rint(x / 90.0)
+    r = np.deg2rad(x - 90.0 * quarters)
+    sin, cos, quadrant = np.sin(r), np.cos(r), quarters.astype(int) % 4
+    return (np.choose(quadrant, (sin, cos, -sin, -cos)),
+            np.choose(quadrant, (cos, -sin, -cos, sin)))
 
 
 def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
@@ -274,7 +294,7 @@ def run_validation() -> list[tuple[str, float, float, bool]]:
         vectors, cycle = observables.kcbs_vectors(n), observables.kcbs_observables(n)
         next_vectors, next_cycle = np.roll(vectors, -1, axis=0), np.roll(cycle, -1, axis=0)
         pairs = cycle @ next_cycle
-        s_mat = observables.s_operator(n).matrix
+        s_mat = observables.s_operator(n)
         projector_sum = np.sum(vectors[:, :, None] * vectors[:, None, :], axis=0)
         family = np.concatenate([cycle, [observables.b0_closed_form(n).matrix,
                                          observables.bm_bm1_closed_form(n).matrix]])
@@ -291,7 +311,7 @@ def run_validation() -> list[tuple[str, float, float, bool]]:
     # Closed form versus direct matrix expectations on random states.
     chsh_gaps, kcbs_gaps = [], []
     for n in (5, 7, 9):
-        s_mat = tensor(np.eye(2), observables.s_operator(n).matrix)
+        s_mat = tensor(np.eye(2), observables.s_operator(n))
         for amps in _random_states(rng, 50):
             om0, om2 = rng.uniform(0, 2 * math.pi, size=2)
             direct = expectation(amps, _chsh_operator(n, om0, om2))
@@ -317,7 +337,7 @@ def run_validation() -> list[tuple[str, float, float, bool]]:
     # KCBS range and threshold consistency.
     excursions, mismatches = [], []
     for n in (5, 7, 9):
-        floor, _, ceiling = np.diag(observables.s_operator(n).matrix).real
+        floor, _, ceiling = np.diag(observables.s_operator(n)).real
         threshold = analytic.p2_threshold(n)
         for amps in _random_states(rng, 50):
             kcbs = analytic.kcbs_value(amps, n)

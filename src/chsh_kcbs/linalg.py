@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DimensionMismatch, ImaginaryResidue, NotHermitian, NotNormalized, NotUnitary
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
 STATE_BUILD_TOL = 1e-12
 # Looser than the construction tolerance so states deserialized from text
@@ -36,7 +35,7 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def hermiticity_check(m, tol: float = HERMITIAN_TOL):
+def hermiticity_check(m, tol: float):
     """True iff ``m`` is square and equals its adjoint within ``tol`` (max norm).
 
     A stack of matrices is checked entry by entry over its last two axes,
@@ -45,7 +44,7 @@ def hermiticity_check(m, tol: float = HERMITIAN_TOL):
     return _within(m, lambda sq: sq - _adjoint(sq), tol)
 
 
-def unitarity_check(m, tol: float = UNITARY_TOL):
+def unitarity_check(m, tol: float):
     """True iff ``m`` is square and ``m m^dag = I`` within ``tol`` (max norm).
 
     A stack of matrices is checked entry by entry over its last two axes,

@@ -155,9 +155,12 @@ def alice_rotation(omega: float) -> Observable:
     return Observable(matrix=np.array([[co, si], [si, -co]]), label=f"R({omega:.6g})")
 
 
-def s_operator(n: int) -> Observable:
-    """Diagonal cycle operator S: floor n (1 - c)/(1 + c) twice, then ceiling n (3c - 1)/(1 + c)."""
+def s_operator(n: int) -> np.ndarray:
+    """Diagonal cycle operator S as a read-only complex (3, 3) matrix: floor n (1 - c)/(1 + c)
+    twice, then ceiling n (3c - 1)/(1 + c)."""
     geo = cycle_geometry(n)
     # 1 - c as 2 s2^2; n multiplies each ratio, so neither overflows.
     floor, ceiling = (geo.n * (x / (1 + geo.c)) for x in (2 * geo.s2 * geo.s2, 3 * geo.c - 1))
-    return Observable(matrix=np.diag([floor, floor, ceiling]), label="S")
+    mat = np.diag([floor, floor, ceiling]).astype(complex)
+    mat.setflags(write=False)
+    return mat

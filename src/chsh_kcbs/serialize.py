@@ -8,7 +8,8 @@ data rows.  A value's format comes from its type: floats, in the rows
 and on metadata lines alike, get 9 significant digits, a None cell is
 empty, and anything else is its ``str``.  Rows come in :class:`Columns`
 blocks, grids of at most ``BLOCK_CELLS`` rows written with one template
-per grid row, so writing costs O(block) memory.
+per grid row, filled ``RUN_CELLS`` cells at a time, so writing costs
+O(block) memory.
 All writes go through a temp file and an atomic rename so a failure
 never leaves a partial output.
 """
@@ -71,6 +72,7 @@ def _atomic_write(path: str, chunks):
 
 FLOAT_FIELD = "%.9g"
 BLOCK_CELLS = 65536  # rows per formatted block and cells per landscape block
+RUN_CELLS = 4096  # cells formatted per % call
 _SEQUENCES = (list, np.ndarray)
 
 
@@ -124,11 +126,19 @@ def _cut(column, rows: slice, cells: slice):
 
 
 def _format_block(header, block: Columns):
-    """A block's rows: each grid row's template, constants and by-row values in, repeated."""
+    """A block's rows: each grid row's template, constants and by-row values in, repeated over
+    ``RUN_CELLS`` cells per ``%`` call.  A block one cell wide is laid out as one grid row of
+    cells, as a table of 1-D columns is, so it costs no ``%`` call per row."""
     if len(header) != len(block.data):
         raise ValueError(f"{len(header)} header fields for {len(block.data)} data columns")
-    (rows, width), fields, by_row, by_cell = block.shape, [], [], []
-    for value in block.data:
+    (rows, width), data, fields, by_row, by_cell = block.shape, block.data, [], [], []
+    if width == 1 < rows:
+        data = [value.ravel() if isinstance(value, np.ndarray) and value.ndim == 2
+                else value * rows if isinstance(value, list)
+                else np.tile(value, rows) if isinstance(value, np.ndarray) else value
+                for value in data]
+        rows, width = 1, rows
+    for value in data:
         field = FLOAT_FIELD if isinstance(value, np.ndarray) and value.dtype.kind == "f" else "%s"
         if isinstance(value, np.ndarray) and value.shape[1:] == (1,):  # by row
             fields.append(field)  # a text passes on into the cell fields, so % is escaped
@@ -136,15 +146,19 @@ def _format_block(header, block: Columns):
             by_row.append(texts if field != "%s" else [str(v).replace("%", "%%") for v in texts])
         elif isinstance(value, _SEQUENCES):
             fields.append("%" + field)  # a cell field, once the row's values are in
-            by_cell.append(map(np.ndarray.tolist, value) if getattr(value, "ndim", 1) == 2
-                           else [value.tolist() if isinstance(value, np.ndarray) else value] * rows)
+            by_cell.append(value if getattr(value, "ndim", 1) == 2 else [value] * rows)
         else:
             fields.append("" if value is None else _text(value).replace("%", "%%%%"))
-    template, values = ",".join(fields) + "\n", [None] * (width * len(by_cell))
+    template = ",".join(fields) + "\n"
     for head, *cells in zip(zip(*by_row) if by_row else [()] * rows, *by_cell):
-        for k, column in enumerate(cells):  # a row's cells at a time, as the row is written
-            values[k::len(cells)] = column  # an extended slice: another length raises
-        yield (template % head) * width % tuple(values)
+        line = template % head
+        for start in range(0, width, RUN_CELLS):  # a run of a row's cells at a time
+            count, stop = min(RUN_CELLS, width - start), start + RUN_CELLS
+            values = [None] * (count * len(cells))
+            for k, column in enumerate(cells):  # an extended slice: a short column raises
+                run = column[start:stop]
+                values[k::len(cells)] = run.tolist() if isinstance(run, np.ndarray) else run
+            yield line * count % tuple(values)
 
 
 def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):

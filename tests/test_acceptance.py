@@ -108,7 +108,7 @@ def test_criterion_3_cycle_operator_identity():
     for n in range(5, 23, 2):
         assembled = sum(kcbs_pair(n, j).matrix for j in range(n - 1))
         assembled = assembled - kcbs_pair(n, n - 1).matrix
-        worst = max(worst, float(np.max(np.abs(assembled - s_operator(n).matrix))))
+        worst = max(worst, float(np.max(np.abs(assembled - s_operator(n)))))
     ok = worst <= 1e-10
     report(3, ok, f"odd n in [5, 21], max entrywise gap = {worst:.2e}")
     assert ok
@@ -120,7 +120,7 @@ def test_criterion_4_closed_form_matrix_equivalence():
     for n in (5, 7, 9):
         b0 = b0_closed_form(n).matrix
         bm = bm_bm1_closed_form(n).matrix
-        s_mat = tensor(np.eye(2), s_operator(n).matrix)
+        s_mat = tensor(np.eye(2), s_operator(n))
         for psi in random_states(rng, 200):
             omega0, omega2 = rng.uniform(0, 2 * math.pi, 2)
             operator = (tensor(alice_rotation(omega0).matrix, bm - b0)

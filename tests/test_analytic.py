@@ -131,8 +131,8 @@ def test_chsh_value_examples_and_periodicity():
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_kcbs_value_matches_matrix_expectation(n):
     rng = np.random.default_rng(17 + n)
-    op = tensor(np.eye(2), s_operator(n).matrix)
-    floor, _, ceiling = np.diag(s_operator(n).matrix).real
+    op = tensor(np.eye(2), s_operator(n))
+    floor, _, ceiling = np.diag(s_operator(n)).real
     for psi in random_states(rng, 40):
         report = kcbs_value(psi, n)
         assert report.s_kcbs == pytest.approx(expectation(psi, op), abs=1e-10)

@@ -83,7 +83,7 @@ def test_observables_dump_round_trips(tmp_path):
     b0 = matrix_from_json(payload["b0"])
     assert np.allclose(b0, b0_closed_form(5).matrix, atol=1e-12)
     s = matrix_from_json(payload["s_operator"])
-    assert np.allclose(s, s_operator(5).matrix, atol=1e-12)
+    assert np.allclose(s, s_operator(5), atol=1e-12)
     labels = [entry["label"] for entry in payload["kcbs_observables"]]
     assert labels == [f"B_{j}" for j in range(5)]
     assert payload["metadata"]["command"] == "observables"

@@ -214,10 +214,10 @@ def _margin_misses(path, absolute: float) -> list:
 
 def _check_values(argv, path) -> None:
     """An analytic landscape's margins agree with the textbook forms to 9 digits, or within
-    1e-30 for the residue of CHANGES.md's FOUND on deg2rad; a Fourier test's estimator from
-    its exact probabilities is within 1e-12 of its exact value."""
+    the smallest normal float where they underflow (about 1e-614 at n = 2**1020 + 1); a Fourier
+    test's estimator from its exact probabilities is within 1e-12 of its exact value."""
     if argv[0] == "landscape" and "circuit" not in argv:
-        assert _margin_misses(path, absolute=1e-30) == []
+        assert _margin_misses(path, absolute=sys.float_info.min) == []
     elif argv[0] == "fourier-test":
         payload = json.loads(path.read_text(encoding="utf-8"))
         p0, p1, p2 = payload["probabilities"].values()
@@ -264,10 +264,20 @@ def test_every_command_keeps_the_exit_contract_on_edge_inputs(tmp_path, monkeypa
         assert re.search(rf"(?<![\d.]){re.escape(str(value))}(?![\d.])", captured.err), captured.err
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: sin(deg2rad(180)) is 1.2e-16, so "
-                   "theta = 180 writes a CHSH margin of -1.0665e-31 for -1.2165e-31")
 def test_the_chsh_margin_at_theta_180_is_right_to_nine_digits_at_n_2_53_plus_1(tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main(["landscape", "--n", str(2**53 + 1), "--theta", "180", "--phi", "0",
                      "--out", str(out), "--no-timestamp"]) == 0
     assert _margin_misses(out, absolute=0.0) == []
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 10**17 + 1])
+@pytest.mark.parametrize("theta, phi", [("180", "0"), ("90", "90"), ("90", "-90")])
+def test_margins_where_the_weight_vanishes_match_mpmath_with_their_sign(tmp_path, n, theta, phi):
+    # The interference weight sin^2(theta) cos^2(phi) is exactly 0 here.  A degree-to-radian
+    # residue of 1e-32 in it wrote +1.40106374e-32, a false violation, at n = 10**17 + 1.
+    out = tmp_path / "out.csv"
+    assert cli.main(["landscape", "--n", str(n), "--theta", theta, f"--phi={phi}",
+                     "--out", str(out), "--no-timestamp"]) == 0
+    assert _margin_misses(out, absolute=0.0) == []
+    assert float(read_csv(str(out))[1][0][3]) < 0

@@ -85,11 +85,27 @@ def test_landscape_matches_margin_function():
     phis = np.linspace(0, 360, 5)
     records = _cells(landscape_scan(7, thetas, phis, mode="analytic"))
     for record in records:
-        # Every phi of this grid is exact in its written text.
+        # Every phi of this grid is exact in its written text.  The landscape takes the sine
+        # and cosine of degrees exactly at multiples of 90, so it may differ in the last bits.
         chsh, kcbs = state1_margins(math.radians(record["theta_deg"]),
                                     math.radians(float(record["phi_deg"])), 7)
-        assert record["chsh_margin"] == pytest.approx(chsh, abs=0)
-        assert record["kcbs_margin"] == pytest.approx(kcbs, abs=0)
+        assert record["chsh_margin"] == pytest.approx(chsh, abs=1e-15)
+        assert record["kcbs_margin"] == pytest.approx(kcbs, abs=1e-15)
+
+
+def test_sincos_deg_is_exact_at_quarter_turns_and_within_an_ulp_elsewhere():
+    quarters = np.arange(-8, 9)
+    sin, cos = experiments.sincos_deg(np.append(90.0 * quarters, 90.0 * 2**60))
+    assert sin.tolist() == [[0.0, 1.0, 0.0, -1.0][k % 4] for k in quarters] + [0.0]
+    assert cos.tolist() == [[1.0, 0.0, -1.0, 0.0][k % 4] for k in quarters] + [1.0]
+    # Elsewhere within about an ulp of the exact values, here from mpmath at 40 digits.
+    mp = pytest.importorskip("mpmath").mp
+    angles = np.random.default_rng(5).uniform(-720.0, 720.0, 2000)
+    sin, cos = experiments.sincos_deg(angles)
+    with mp.workdps(40):
+        radians = [mp.mpf(x) * mp.pi / 180 for x in angles.tolist()]
+        assert max(abs(s - mp.sin(x)) for s, x in zip(sin.tolist(), radians)) <= 2.3e-16
+        assert max(abs(c - mp.cos(x)) for c, x in zip(cos.tolist(), radians)) <= 2.3e-16
 
 
 def test_landscape_input_validation():
@@ -130,16 +146,16 @@ def test_landscape_input_validation():
 
 
 def _spy_on_margins(monkeypatch):
-    """Record the cell count of every state1_margins call the landscape makes."""
+    """Record the cell count of every margin kernel call the landscape makes."""
     sizes = []
-    kernel = experiments.analytic.state1_margins
+    kernel = experiments.analytic._weight_margins
 
-    def spy(theta, phi, n):
-        chsh, kcbs = kernel(theta, phi, n)
+    def spy(population, weight, geo):
+        chsh, kcbs = kernel(population, weight, geo)
         sizes.append(np.size(chsh))
         return chsh, kcbs
 
-    monkeypatch.setattr(experiments.analytic, "state1_margins", spy)
+    monkeypatch.setattr(experiments.analytic, "_weight_margins", spy)
     return sizes
 
 
@@ -168,11 +184,12 @@ def test_landscape_blocks_are_bounded_and_match_full_grid(monkeypatch, block, th
     assert [len(b) for b in blocks] == sizes[:len(blocks)]
     assert all(b.shape[0] == 1 or b.shape[1] == phis.size for b in blocks)
 
-    chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], 5)
+    # The whole grid as one kernel block gives the same bits.
+    chsh, kcbs, _ = table._margins(slice(None), slice(None))
     assert np.array_equal(columns["theta_deg"], np.repeat(thetas, phis.size))
     assert columns["phi_deg"].tolist() == ["%.9g" % phi for phi in phis] * thetas.size
     assert np.array_equal(columns["chsh_margin"], chsh.ravel())
-    assert np.array_equal(columns["kcbs_margin"], kcbs.ravel())
+    assert np.array_equal(columns["kcbs_margin"], np.repeat(kcbs, phis.size))
 
 
 @pytest.mark.parametrize("mode", ["analytic", "circuit"])

@@ -89,7 +89,7 @@ def test_expectation_normalization_and_cycle_eigenvalues():
     psi = random_state(rng)
     assert expectation(psi, np.eye(6)) == pytest.approx(1.0, abs=1e-12)
 
-    op = tensor(np.eye(2), s_operator(5).matrix)
+    op = tensor(np.eye(2), s_operator(5))
     ket12 = np.zeros(6, dtype=complex)
     ket12[5] = 1.0
     ket00 = np.zeros(6, dtype=complex)
@@ -104,14 +104,14 @@ def test_expectation_normalization_and_cycle_eigenvalues():
 def test_expectation_accepts_read_only_arrays_and_lists():
     state = np.array([1, 0, 0, 0, 0, 0], dtype=complex)
     state.setflags(write=False)
-    op = tensor(np.eye(2), s_operator(5).matrix)
+    op = tensor(np.eye(2), s_operator(5))
     op.setflags(write=False)
     assert expectation(state, op) == pytest.approx(5 - 2 * math.sqrt(5), abs=1e-12)
-    assert expectation([0, 0, 0, 0, 0, 1], tensor(np.eye(2), s_operator(5).matrix)) > 3.9
+    assert expectation([0, 0, 0, 0, 0, 1], tensor(np.eye(2), s_operator(5))) > 3.9
 
 
 def test_expectation_of_an_unnormalized_vector_raises():
-    op = tensor(np.eye(2), s_operator(5).matrix)
+    op = tensor(np.eye(2), s_operator(5))
     with pytest.raises(NotNormalized, match="is not 1 within 1e-09"):
         expectation([2, 0, 0, 0, 0, 0], op)
     with pytest.raises(NotNormalized):
@@ -234,43 +234,47 @@ def test_expectation_errors():
 
 
 def test_hermiticity_and_unitarity_checks():
-    assert hermiticity_check(np.eye(3))
-    assert unitarity_check(np.eye(3))
+    assert hermiticity_check(np.eye(3), 1e-12)
+    assert unitarity_check(np.eye(3), 1e-12)
     # The antisymmetric Gell-Mann generator is Hermitian but has a zero row.
     pauli_like = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
-    assert hermiticity_check(pauli_like)
-    assert not unitarity_check(pauli_like)
+    assert hermiticity_check(pauli_like, 1e-12)
+    assert not unitarity_check(pauli_like, 1e-12)
     b0 = b0_closed_form(5).matrix
-    assert hermiticity_check(b0)
-    assert unitarity_check(b0)
-    assert not hermiticity_check(np.ones((2, 3)))
+    assert hermiticity_check(b0, 1e-12)
+    assert unitarity_check(b0, 1e-12)
+    assert not hermiticity_check(np.ones((2, 3)), 1e-12)
+    # Every caller names its tolerance; neither check has a default.
+    for check in (hermiticity_check, unitarity_check):
+        with pytest.raises(TypeError):
+            check(np.eye(3))
 
 
 def test_checks_run_per_entry_over_a_stack():
     b0 = b0_closed_form(5).matrix
     stack = np.array([np.eye(3), b0, np.diag([1.0, 0.0, 1.0]), np.triu(np.ones((3, 3)))])
-    assert hermiticity_check(stack).tolist() == [True, True, True, False]
-    assert unitarity_check(stack).tolist() == [True, True, False, False]
+    assert hermiticity_check(stack, 1e-12).tolist() == [True, True, True, False]
+    assert unitarity_check(stack, 1e-12).tolist() == [True, True, False, False]
     # Every entry gets the same verdict as when checked alone.
     nested = stack.reshape(2, 2, 3, 3)
-    assert hermiticity_check(nested).tolist() == [[True, True], [True, False]]
-    assert [unitarity_check(m) for m in stack] == unitarity_check(stack).tolist()
+    assert hermiticity_check(nested, 1e-12).tolist() == [[True, True], [True, False]]
+    assert [unitarity_check(m, 1e-12) for m in stack] == unitarity_check(stack, 1e-12).tolist()
     # A stack of non-square matrices fails entry by entry.
-    assert hermiticity_check(np.ones((4, 2, 3))).tolist() == [False] * 4
-    assert unitarity_check(np.ones((4, 2, 3))).tolist() == [False] * 4
+    assert hermiticity_check(np.ones((4, 2, 3)), 1e-12).tolist() == [False] * 4
+    assert unitarity_check(np.ones((4, 2, 3)), 1e-12).tolist() == [False] * 4
 
 
 def test_expectation_checks_every_matrix(monkeypatch):
-    # An Observable's matrix was checked when it was built; expectation checks it again.
+    # A built operator, read-only or copied, is checked by the reader each time it is read.
     psi = np.zeros(3, dtype=complex)
     psi[2] = 1.0
     op = s_operator(5)
     checked = []
-    monkeypatch.setattr(linalg, "hermiticity_check", lambda m, *tol: checked.append(m) or True)
-    assert expectation(psi, op.matrix) == op.matrix[2, 2].real
-    assert expectation(psi, np.array(op.matrix)) == op.matrix[2, 2].real
+    monkeypatch.setattr(linalg, "hermiticity_check", lambda m, tol: checked.append(m) or True)
+    assert expectation(psi, op) == op[2, 2].real
+    assert expectation(psi, np.array(op)) == op[2, 2].real
     assert len(checked) == 2
-    assert all(np.array_equal(m, op.matrix) for m in checked)
+    assert all(np.array_equal(m, op) for m in checked)
 
 
 @pytest.mark.parametrize("state", [state1(math.pi, 0.0), state1(1.1, 0.4), psi_n_state(7, 1)])

@@ -31,14 +31,14 @@ def test_cycle_geometry_values():
     assert geo.s2 == pytest.approx(0.309017, abs=1e-6)
     assert geo.m == 2
     # The cycle sum's floor and ceiling are the diagonal of S.
-    floor, _, ceiling = np.diag(s_operator(5).matrix).real
+    floor, _, ceiling = np.diag(s_operator(5)).real
     assert floor == pytest.approx(5 - 2 * math.sqrt(5), abs=1e-12)
     assert ceiling == pytest.approx(4 * math.sqrt(5) - 5, abs=1e-12)
 
     geo7 = cycle_geometry(7)
     assert geo7.c == pytest.approx(0.900969, abs=1e-6)
     assert geo7.m == 3
-    floor7, _, ceiling7 = np.diag(s_operator(7).matrix).real
+    floor7, _, ceiling7 = np.diag(s_operator(7)).real
     assert ceiling7 > floor7 > 0
 
 
@@ -262,7 +262,10 @@ def test_alice_rotation_limits_and_involution():
 
 
 def test_s_operator_diagonal_values():
-    mat = s_operator(5).matrix
+    mat = s_operator(5)
+    assert mat.shape == (3, 3) and mat.dtype == complex
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0.0
     assert np.allclose(np.diag(mat), [0.527864, 0.527864, 3.944272], atol=1e-6)
     c = cycle_geometry(5).c
     assert np.trace(mat).real == pytest.approx(5 * (2 * (1 - c) + 3 * c - 1) / (1 + c), abs=1e-12)
@@ -273,7 +276,7 @@ def test_cycle_operator_identity(n):
     # Assemble the cyclic sum from the observable constructors and compare
     # against both the diagonal closed form and 4 * sum(P_j) - n I.
     assembled = sum(kcbs_pair(n, j).matrix for j in range(n - 1)) - kcbs_pair(n, n - 1).matrix
-    diag = s_operator(n).matrix
+    diag = s_operator(n)
     assert np.max(np.abs(assembled - diag)) <= 1e-10
     projectors = sum(np.outer(v, v) for v in kcbs_vectors(n))
     assert np.max(np.abs(4 * projectors - n * np.eye(3) - diag)) <= 1e-10

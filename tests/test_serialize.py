@@ -163,6 +163,24 @@ def test_a_grid_block_writes_each_row_value_once_per_row(monkeypatch, tmp_path, 
             len(serialize.Columns(data))
 
 
+def test_a_one_cell_wide_block_is_written_in_runs_of_cells(tmp_path):
+    # Grid rows one cell wide are laid out as one row of cells and formatted RUN_CELLS cells
+    # at a time; the bytes are those of formatting every field of every row alone.
+    rows = 2 * serialize.RUN_CELLS + 5
+    thetas = (np.arange(rows) / 7)[:, None]
+    index = (np.arange(rows) * 10**9 - 3)[:, None]  # ints, by row
+    tags = np.array([f"t{i}%" for i in range(rows)], dtype=object)[:, None]
+    table = serialize.Columns((5, thetas, ["p%d"], np.array([0.25]), index, tags, "k%", None))
+    assert table.shape == (rows, 1)
+    header = list("ntpqigkz")
+    assert len(list(serialize._format_block(header, table))) == 3
+    path = tmp_path / "narrow.csv"
+    serialize.write_csv(str(path), header, table)
+    expected = "".join(f"5,{'%.9g' % t},p%d,0.25,{i},{g},k%,\n"
+                       for t, i, g in zip(thetas[:, 0].tolist(), index[:, 0].tolist(), tags[:, 0]))
+    assert path.read_text() == "n,t,p,q,i,g,k,z\n" + expected
+
+
 def test_block_needs_a_varying_column(tmp_path):
     path = tmp_path / "table.csv"
     constants = serialize.Columns((5, 0.5))
