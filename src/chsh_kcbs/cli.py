@@ -1,8 +1,9 @@
 """Command-line surface for the package.
 
 Subcommands: observables, threshold, landscape, coexist, scaling,
-fourier-test, validate.  Angles are degrees on the command line and
-radians internally; angle grids are ``start:stop:count`` with inclusive
+fourier-test, validate.  Angles are degrees on the command line and in
+output files, and the analytic landscape computes in degrees, exactly
+(circuits take radians); angle grids are ``start:stop:count`` with inclusive
 endpoints, cycle ranges are ``start:stop:step``, and both also take a
 comma list.  A JSON config file can supply defaults for any flag of the
 chosen subcommand (a list as the flag's comma list); explicit flags win.

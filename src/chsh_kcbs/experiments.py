@@ -19,6 +19,7 @@ from .errors import ChshKcbsError, EmptyGrid, NoIntersection
 from .linalg import expectation, tensor
 
 RESIDUAL_TOL = 1e-9
+BLOCK_CELLS = 65536  # cells per landscape block
 # Circuit landscape metadata: scheme 3 draws each term's outcome-0 count, one binomial per term.
 SEED_SCHEME = 3
 
@@ -72,11 +73,11 @@ def _running_sums(sums, terms) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LandscapeTable:
-    """Margins of the minimal state over a (theta, phi) grid, as columns.
+    """Margins of the minimal state over a (theta, phi) grid, read in blocks of plain columns.
 
     Cells run theta-major, phi-minor, and ``len`` is the cell count.  :meth:`blocks`, the
-    one read path, computes the margins of at most ``serialize.BLOCK_CELLS`` cells at a time,
-    so a pass costs O(block) memory however large the grid; circuit cells are summed by
+    one read path, computes the margins of at most ``BLOCK_CELLS`` cells at a time, so a
+    pass costs O(block) memory however large the grid; circuit cells are summed by
     :func:`_term_sums` in O(``circuits.BLOCK_TERMS``) rows however large n is, no value
     depends on the blocking, and every pass samples again from the same seeds.
     """
@@ -94,15 +95,17 @@ class LandscapeTable:
         return self.thetas_deg.size * self.phis_deg.size
 
     def blocks(self):
-        """Yield the rows in cell order as ``serialize.Columns``, one per kernel block: n, mode
-        and shots constant, theta (theta, 1), the phi texts every row's list, the margins and
-        seeds (theta, phi), but in analytic mode the KCBS margin (theta, 1) and no seed."""
-        from .serialize import FLOAT_FIELD, Columns, grid_blocks  # here: no writer on import
-        phi_texts = [FLOAT_FIELD % phi for phi in self.phis_deg.tolist()]
-        for rows, cells in grid_blocks(self.thetas_deg.size, self.phis_deg.size):
-            chsh, kcbs, seeds = self._margins(rows, cells)
-            yield Columns((self.n, self.thetas_deg[rows, None], phi_texts[cells], chsh, kcbs,
-                           self.mode, self.shots, seeds))
+        """Yield the rows in cell order as tuples of column values, one per kernel block: n,
+        mode and shots constant, theta (theta, 1), phi the 1-D slice every theta row shares,
+        the margins and seeds (theta, phi), but in analytic mode the KCBS margin (theta, 1)
+        and no seed.  A block is whole theta rows, or a slice of a row wider than a block."""
+        width = self.phis_deg.size
+        step, span = max(1, BLOCK_CELLS // width), min(width, BLOCK_CELLS)
+        for rows in (slice(i, i + step) for i in range(0, self.thetas_deg.size, step)):
+            for cells in (slice(j, j + span) for j in range(0, width, span)):
+                chsh, kcbs, seeds = self._margins(rows, cells)
+                yield (self.n, self.thetas_deg[rows, None], self.phis_deg[cells], chsh, kcbs,
+                       self.mode, self.shots, seeds)
 
     def _margins(self, rows: slice, cells: slice):
         """CHSH margins, KCBS margins and seeds of a block as (theta, phi) arrays, but in

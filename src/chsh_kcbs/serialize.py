@@ -6,9 +6,9 @@ take finished metadata and decide nothing about it: CSV files start with
 one ``# key: value`` line per metadata entry, then the header row, then
 data rows.  A value's format comes from its type: floats, in the rows
 and on metadata lines alike, get 9 significant digits, a None cell is
-empty, and anything else is its ``str``.  Rows come in :class:`Columns`
-blocks, grids of at most ``BLOCK_CELLS`` rows written with one template
-per grid row, filled ``RUN_CELLS`` cells at a time, so writing costs
+empty, and anything else is its ``str``.  Rows come in blocks, tuples
+of column values on a grid of rows of cells, written with one template
+per grid row filled ``RUN_CELLS`` cells at a time, so writing costs
 O(block) memory.
 All writes go through a temp file and an atomic rename so a failure
 never leaves a partial output.
@@ -71,7 +71,6 @@ def _atomic_write(path: str, chunks):
 
 
 FLOAT_FIELD = "%.9g"
-BLOCK_CELLS = 65536  # rows per formatted block and cells per landscape block
 RUN_CELLS = 4096  # cells formatted per % call
 _SEQUENCES = (list, np.ndarray)
 
@@ -82,64 +81,51 @@ def _text(value) -> str:
 
 @dataclass(frozen=True)
 class Columns:
-    """Rows held in memory as columns, for :func:`write_csv`.
-
-    ``data`` holds one entry per CSV column of a grid of rows of cells: a ``(rows, cells)``
-    array, or a list or 1-D array that every row shares, varies by cell, a ``(rows, 1)``
-    array by row, and any other value is a constant.  Floats and float arrays get 9
-    significant digits, None is empty, the rest is its ``str``.  ``len`` counts CSV rows.
-    """
+    """One block held in memory as a sized table for :func:`write_csv`, such as the 1-D
+    columns of a ``coexist`` or ``scaling`` table; ``len`` counts CSV rows."""
 
     data: tuple
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(grid rows, cells per row); 1-D columns alone are one grid row."""
-        shapes = [c.shape if isinstance(c, np.ndarray) else (len(c),) for c in self.data
-                  if isinstance(c, _SEQUENCES)]
-        rows = {shape[0] for shape in shapes if len(shape) == 2}
-        widths = {shape[-1] for shape in shapes if shape[1:] != (1,)}  # (rows, 1): by row
-        if not shapes or len(rows) > 1 or len(widths) > 1:
-            raise ValueError(f"a block needs varying columns, all of one length, got {shapes}")
-        return max(rows, default=1), max(widths, default=1)
-
     def __len__(self) -> int:
-        return int(np.prod(self.shape))
+        return int(np.prod(_shape(self.data)))
 
     def blocks(self):
-        for rows, cells in grid_blocks(*self.shape):
-            yield Columns(tuple(_cut(column, rows, cells) for column in self.data))
+        yield self.data
 
 
-def grid_blocks(rows: int, width: int):
-    """(row, cell) slices of each block: whole rows of at most ``BLOCK_CELLS`` cells, or a slice."""
-    step, span = max(1, BLOCK_CELLS // max(width, 1)), min(width, BLOCK_CELLS) or 1
-    for i in range(0, rows, step):
-        for j in range(0, width or 1, span):  # an empty grid is one empty block
-            yield slice(i, i + step), slice(j, j + span)
+def _shape(block) -> tuple[int, int]:
+    """(grid rows, cells per row) of a block; 1-D columns alone are one grid row."""
+    shapes = [c.shape if isinstance(c, np.ndarray) else (len(c),) for c in block
+              if isinstance(c, _SEQUENCES)]
+    rows = {shape[0] for shape in shapes if len(shape) == 2}
+    widths = {shape[-1] for shape in shapes if shape[1:] != (1,)}  # (rows, 1): by row
+    if not shapes or len(rows) > 1 or len(widths) > 1:
+        raise ValueError(f"a block needs varying columns, all of one length, got {shapes}")
+    return max(rows, default=1), max(widths, default=1)
 
 
-def _cut(column, rows: slice, cells: slice):
-    if isinstance(column, np.ndarray) and column.ndim == 2:
-        return column[rows, cells] if column.shape[1] > 1 else column[rows]
-    return column[cells] if isinstance(column, _SEQUENCES) else column
+def _field(value) -> str:
+    return FLOAT_FIELD if isinstance(value, np.ndarray) and value.dtype.kind == "f" else "%s"
 
 
-def _format_block(header, block: Columns):
+def _format_block(header, block):
     """A block's rows: each grid row's template, constants and by-row values in, repeated over
-    ``RUN_CELLS`` cells per ``%`` call.  A block one cell wide is laid out as one grid row of
-    cells, as a table of 1-D columns is, so it costs no ``%`` call per row."""
-    if len(header) != len(block.data):
-        raise ValueError(f"{len(header)} header fields for {len(block.data)} data columns")
-    (rows, width), data, fields, by_row, by_cell = block.shape, block.data, [], [], []
+    ``RUN_CELLS`` cells per ``%`` call.  A list or 1-D column that several grid rows share is
+    formatted once, and a block one cell wide is laid out as one grid row of cells, as a table
+    of 1-D columns is, so it costs no ``%`` call per row."""
+    if len(header) != len(block):
+        raise ValueError(f"{len(header)} header fields for {len(block)} data columns")
+    (rows, width), data, fields, by_row, by_cell = _shape(block), list(block), [], [], []
+    for k, value in enumerate(block):  # shared by every grid row: its texts, formatted once
+        if rows > 1 and (isinstance(value, list) or getattr(value, "ndim", 0) == 1):
+            field, cells = _field(value), value.tolist() if isinstance(value, np.ndarray) else value
+            data[k] = [field % (v,) for v in cells]
     if width == 1 < rows:
-        data = [value.ravel() if isinstance(value, np.ndarray) and value.ndim == 2
-                else value * rows if isinstance(value, list)
-                else np.tile(value, rows) if isinstance(value, np.ndarray) else value
-                for value in data]
+        data = [value.ravel() if isinstance(value, np.ndarray)
+                else value * rows if isinstance(value, list) else value for value in data]
         rows, width = 1, rows
     for value in data:
-        field = FLOAT_FIELD if isinstance(value, np.ndarray) and value.dtype.kind == "f" else "%s"
+        field = _field(value)
         if isinstance(value, np.ndarray) and value.shape[1:] == (1,):  # by row
             fields.append(field)  # a text passes on into the cell fields, so % is escaped
             texts = value.ravel().tolist()
@@ -165,8 +151,10 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
     """Write a CSV with a commented line per ``metadata`` entry, atomically.
 
     ``rows`` is a sized table, such as :class:`Columns` or a landscape, whose ``blocks()``
-    yields its ``len(rows)`` rows as :class:`Columns` of at most ``BLOCK_CELLS`` rows,
-    each with a data entry per header field, so memory stays O(block).
+    yields its ``len(rows)`` rows as blocks, tuples with a value per header field on a grid of
+    rows of cells: a ``(rows, cells)`` array, or a list or 1-D array that every grid row
+    shares, varies by cell, a ``(rows, 1)`` array by row, and any other value is a constant.
+    Memory stays O(block).
     """
     lines = [f"# {key}: {_text(value)}" for key, value in (metadata or {}).items()]
     lines.append(",".join(header))
@@ -176,7 +164,7 @@ def write_csv(path: str, header: list[str], rows, metadata: dict | None = None):
         written = 0
         for block in rows.blocks():
             yield from _format_block(header, block)
-            written += len(block)
+            written += int(np.prod(_shape(block)))
         if written != len(rows):
             raise ValueError(f"table yielded {written} rows, expected {len(rows)}")
 

@@ -235,8 +235,8 @@ def test_criterion_9_landscape_structure():
     phis = np.arange(0.0, 360.0, 1.0)
     blocks = list(landscape_scan(5, thetas, phis, mode="analytic").blocks())
     # The margins as written: a block's KCBS margin is one number per theta row of its grid.
-    chsh = np.concatenate([b.data[3].ravel() for b in blocks]).reshape(thetas.size, phis.size)
-    kcbs = np.concatenate([np.broadcast_to(b.data[4], b.shape).ravel()
+    chsh = np.concatenate([b[3].ravel() for b in blocks]).reshape(thetas.size, phis.size)
+    kcbs = np.concatenate([np.broadcast_to(b[4], b[3].shape).ravel()
                            for b in blocks]).reshape(thetas.size, phis.size)
 
     peak = chsh.max()

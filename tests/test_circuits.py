@@ -439,7 +439,7 @@ def test_a_circuit_landscape_checks_each_factor_stack_once_per_term_block(monkey
     monkeypatch.setattr(circuits, "check_operators", check_spy)
     table = landscape_scan(97, np.linspace(0, 180, 11), np.linspace(0, 360, 11), mode="circuit",
                            shots=100, seed=3)
-    assert sum(len(block) for block in table.blocks()) == 121
+    assert sum(block[3].size for block in table.blocks()) == 121
     assert checked == [check for c in (100, 21) for t, alice in ((4, (c, 4)), (97, (1, 1)))
                        for check in (("Alice factor", alice + (2, 2)), ("Bob factor", (t, 3, 3)))]
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from chsh_kcbs import cli, experiments, serialize
+from chsh_kcbs import cli, experiments
 from chsh_kcbs.analytic import chsh_coefficients
 from chsh_kcbs.circuits import estimators, prepare_state1, run_hybrid_tests, sample_shot_stack
 from chsh_kcbs.analytic import state1, state1_margins
@@ -136,7 +136,7 @@ def test_landscape_circuit_mode_columns(tmp_path):
         assert int(row[7]) >= 0
         # Both integer columns are written verbatim: the shot count and the cell seed.
         assert row[6] == "2000"
-        assert row[7] == str(experiments._cell_seed(3, cell))
+        assert row[7] == str(np.random.SeedSequence((3, cell)).generate_state(1)[0])
 
 
 def test_circuit_landscape_matches_term_by_term_protocol_runs(tmp_path):
@@ -167,7 +167,7 @@ def _check_term_by_term(tmp_path, n, thetas, phis, shots, master_seed):
         r0, r2 = alice_rotation(co.omega0).matrix, alice_rotation(co.omega2).matrix
         terms = [(r2, bm), (r2, b0), (r0, bm), (r0, b0)]
         terms += [(np.eye(2), kcbs_pair(n, j).matrix) for j in range(n)]
-        cell_seed = experiments._cell_seed(master_seed, cell)
+        cell_seed = np.random.SeedSequence((master_seed, cell)).generate_state(1)[0]
         rng = np.random.default_rng(cell_seed)
         estimates = []
         for alice, bob in terms:
@@ -198,7 +198,7 @@ def test_circuit_landscape_records_its_seed_scheme(tmp_path):
 
 def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
     thetas, phis = np.linspace(0, 180, 67), np.linspace(0, 360, 1001)
-    assert thetas.size * phis.size > serialize.BLOCK_CELLS
+    assert thetas.size * phis.size > experiments.BLOCK_CELLS
     out = tmp_path / "landscape.csv"
     assert run_cli("landscape", "--n", "7", "--theta", "0:180:67", "--phi", "0:360:1001",
                    "--out", str(out), "--no-timestamp") == 0
@@ -218,10 +218,10 @@ def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
     (None, 7, "0,12.5,180", "-90,-1e-7,0,45"),  # negative phi and comma lists
 ])
 def test_landscape_bytes_match_per_field_formatting(monkeypatch, tmp_path, block, n, theta, phi):
-    # The writer formats theta and KCBS once per row and phi once per pass;
+    # The writer formats theta and KCBS once per row and phi once per block;
     # the bytes must be those of formatting every field of every cell alone.
     if block is not None:
-        monkeypatch.setattr(serialize, "BLOCK_CELLS", block)
+        monkeypatch.setattr(experiments, "BLOCK_CELLS", block)
     out = tmp_path / "landscape.csv"
     assert run_cli("landscape", "--n", str(n), f"--theta={theta}", f"--phi={phi}",
                    "--out", str(out), "--no-timestamp") == 0
@@ -245,7 +245,7 @@ def test_circuit_landscape_bytes_do_not_depend_on_the_block_size(monkeypatch, tm
             "--mode", "circuit", "--shots", "200", "--seed", "4", "--no-timestamp", "--out")
     whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
     assert run_cli(*argv, str(whole)) == 0
-    monkeypatch.setattr(serialize, "BLOCK_CELLS", 7)
+    monkeypatch.setattr(experiments, "BLOCK_CELLS", 7)
     assert run_cli(*argv, str(split)) == 0
     assert split.read_bytes() == whole.read_bytes()
     assert len(read_csv(str(whole))[1]) == 3 * 16

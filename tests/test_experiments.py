@@ -31,11 +31,10 @@ TABLE_POINTS = {5: (49.605, 0.343069), 23: (30.381, 0.227717), 55: (20.815, 0.11
 def _columns(table):
     """The table's columns over the whole grid, keyed by header field, read from its blocks.
 
-    These are the ``serialize.Columns`` the writer formats: a block's
-    constants and by-row values are repeated over its (row, cell) grid, and
-    phi is its written text.
+    These are the blocks the writer formats: a block's constants, by-row
+    values and phi slice are repeated over its (row, cell) grid.
     """
-    blocks = [[np.broadcast_to(value, block.shape).ravel() for value in block.data]
+    blocks = [[np.broadcast_to(value, serialize._shape(block)).ravel() for value in block]
               for block in table.blocks()]
     return {name: np.concatenate(parts) for name, *parts in zip(table.header, *blocks)}
 
@@ -60,24 +59,24 @@ def test_landscape_analytic_reference_cells():
     table = landscape_scan(5, [90.0, 0.0], [0.0, 45.0], mode="analytic")
     records = _cells(table)
     by_cell = {(r["theta_deg"], r["phi_deg"]): r for r in records}
-    peak = by_cell[(90.0, "0")]
+    peak = by_cell[(90.0, 0.0)]
     assert peak["chsh_margin"] == pytest.approx(0.7198, abs=1e-4)
     assert peak["kcbs_margin"] < 0
-    flat = by_cell[(0.0, "0")]
+    flat = by_cell[(0.0, 0.0)]
     assert flat["kcbs_margin"] == pytest.approx(0.944272, abs=1e-6)
     assert flat["chsh_margin"] < 0
-    assert flat["kcbs_margin"] == pytest.approx(by_cell[(0.0, "45")]["kcbs_margin"], abs=1e-12)
+    assert flat["kcbs_margin"] == pytest.approx(by_cell[(0.0, 45.0)]["kcbs_margin"], abs=1e-12)
     # mode, shots and seed are constants of every block: "analytic" and two empty fields.
     assert len(table) == len(records) == 4
-    assert all(block.data[5:] == ("analytic", None, None) for block in table.blocks())
+    assert all(block[5:] == ("analytic", None, None) for block in table.blocks())
     assert all(r["seed"] is None for r in records)
 
 
 def test_landscape_record_order_is_theta_major():
     records = _cells(landscape_scan(5, [10.0, 20.0], [0.0, 90.0, 180.0], mode="analytic"))
     cells = [(r["theta_deg"], r["phi_deg"]) for r in records]
-    assert cells == [(10.0, "0"), (10.0, "90"), (10.0, "180"),
-                     (20.0, "0"), (20.0, "90"), (20.0, "180")]
+    assert cells == [(10.0, 0.0), (10.0, 90.0), (10.0, 180.0),
+                     (20.0, 0.0), (20.0, 90.0), (20.0, 180.0)]
 
 
 def test_landscape_matches_margin_function():
@@ -85,10 +84,10 @@ def test_landscape_matches_margin_function():
     phis = np.linspace(0, 360, 5)
     records = _cells(landscape_scan(7, thetas, phis, mode="analytic"))
     for record in records:
-        # Every phi of this grid is exact in its written text.  The landscape takes the sine
-        # and cosine of degrees exactly at multiples of 90, so it may differ in the last bits.
+        # The landscape takes the sine and cosine of degrees exactly at multiples of 90, so
+        # it may differ from the radian margins in the last bits.
         chsh, kcbs = state1_margins(math.radians(record["theta_deg"]),
-                                    math.radians(float(record["phi_deg"])), 7)
+                                    math.radians(record["phi_deg"]), 7)
         assert record["chsh_margin"] == pytest.approx(chsh, abs=1e-15)
         assert record["kcbs_margin"] == pytest.approx(kcbs, abs=1e-15)
 
@@ -160,34 +159,34 @@ def _spy_on_margins(monkeypatch):
 
 
 @pytest.mark.parametrize("block, thetas, phis", [
-    (serialize.BLOCK_CELLS, np.linspace(0, 180, 97), np.linspace(0, 360, 1001)),
+    (experiments.BLOCK_CELLS, np.linspace(0, 180, 97), np.linspace(0, 360, 1001)),
     (7, np.linspace(0, 180, 5), np.linspace(-30, 330, 16)),
     (7, np.linspace(0, 180, 9), np.linspace(0, 360, 3)),
     (7, np.array([45.0]), np.array([0.0])),
     # phi counts 1, 2 and 10, the last a row wider than a block.
     (7, np.linspace(0, 180, 23), np.array([10.0])),
     (7, np.linspace(0, 180, 8), np.array([0.0, 90.0])),
-    (serialize.BLOCK_CELLS, np.linspace(0, 180, 40), np.linspace(0, 360, 10)),
+    (experiments.BLOCK_CELLS, np.linspace(0, 180, 40), np.linspace(0, 360, 10)),
     (4, np.linspace(0, 180, 3), np.linspace(0, 360, 10)),
 ])
 def test_landscape_blocks_are_bounded_and_match_full_grid(monkeypatch, block, thetas, phis):
-    monkeypatch.setattr(serialize, "BLOCK_CELLS", block)
+    monkeypatch.setattr(experiments, "BLOCK_CELLS", block)
     sizes = _spy_on_margins(monkeypatch)
     table = landscape_scan(5, thetas, phis, mode="analytic")
     assert sizes == []  # nothing is computed before the table is iterated
     columns = _columns(table)
     assert sizes and max(sizes) <= block
     assert sum(sizes) == len(table) == thetas.size * phis.size
-    # Analytic blocks are serialize.Columns, one per kernel block: whole theta rows, or a
+    # Analytic blocks are column tuples, one per kernel block: whole theta rows, or a
     # slice of one row when a row is wider than a block.
-    blocks = list(table.blocks())
-    assert [len(b) for b in blocks] == sizes[:len(blocks)]
-    assert all(b.shape[0] == 1 or b.shape[1] == phis.size for b in blocks)
+    shapes = [serialize._shape(block) for block in table.blocks()]
+    assert [rows * cells for rows, cells in shapes] == sizes[:len(shapes)]
+    assert all(rows == 1 or cells == phis.size for rows, cells in shapes)
 
     # The whole grid as one kernel block gives the same bits.
     chsh, kcbs, _ = table._margins(slice(None), slice(None))
     assert np.array_equal(columns["theta_deg"], np.repeat(thetas, phis.size))
-    assert columns["phi_deg"].tolist() == ["%.9g" % phi for phi in phis] * thetas.size
+    assert np.array_equal(columns["phi_deg"], np.tile(phis, thetas.size))
     assert np.array_equal(columns["chsh_margin"], chsh.ravel())
     assert np.array_equal(columns["kcbs_margin"], np.repeat(kcbs, phis.size))
 
@@ -200,7 +199,7 @@ def test_landscape_rows_are_formatted_once_per_kernel_block(monkeypatch, tmp_pat
     format_block = serialize._format_block
 
     def spy(header, block):
-        calls.append(len(block))
+        calls.append(math.prod(serialize._shape(block)))
         return format_block(header, block)
 
     monkeypatch.setattr(serialize, "_format_block", spy)
@@ -218,20 +217,20 @@ def _layout(value):
 def test_both_modes_yield_blocks_of_one_layout():
     # The writer takes each column's format from its values, so the mode may
     # make a float column vary or leave shots and seed empty, but it never
-    # turns a float column into ints or text, or phi's texts into numbers.
+    # turns a float column into ints or text.
     analytic = landscape_scan(5, [0.0, 90.0], [0.0, 45.0, 90.0])
     circuit = landscape_scan(5, [0.0, 90.0], [0.0, 45.0], mode="circuit", shots=10, seed=1)
-    layouts = [{tuple(map(_layout, block.data)) for block in table.blocks()}
+    layouts = [{tuple(map(_layout, block)) for block in table.blocks()}
                for table in (analytic, circuit)]
-    assert layouts == [{("int", "ndarray[f]", "list", "ndarray[f]", "ndarray[f]", "str",
+    assert layouts == [{("int", "ndarray[f]", "ndarray[f]", "ndarray[f]", "ndarray[f]", "str",
                          "NoneType", "NoneType")},
-                       {("int", "ndarray[f]", "list", "ndarray[f]", "ndarray[f]", "str", "int",
-                         "ndarray[i]")}]
+                       {("int", "ndarray[f]", "ndarray[f]", "ndarray[f]", "ndarray[f]", "str",
+                         "int", "ndarray[i]")}]
     # Theta, and the analytic KCBS margin, vary by theta row alone: (rows, 1) arrays.
-    assert [block.data[1].shape for block in circuit.blocks()] == [(2, 1)]
-    assert [block.data[4].shape for block in analytic.blocks()] == [(2, 1)]
-    assert all(isinstance(phi, str) for table in (analytic, circuit)
-               for block in table.blocks() for phi in block.data[2])
+    assert [block[1].shape for block in circuit.blocks()] == [(2, 1)]
+    assert [block[4].shape for block in analytic.blocks()] == [(2, 1)]
+    # Phi is the 1-D slice of the grid's phis that every theta row of a block shares.
+    assert [block[2].tolist() for block in circuit.blocks()] == [[0.0, 45.0]]
 
 
 def _propagated_margin_stddev(n, theta, phi, shots):
@@ -481,7 +480,8 @@ def _term_by_term_margins(n, cells, shots, master_seed):
         terms += [(np.eye(2), kcbs_pair(n, j).matrix) for j in range(n)]
         # Scheme 3: every term draws its outcome-0 count in turn from one generator
         # seeded by the cell seed, and reads it through the from_p0 estimator.
-        rng = np.random.default_rng(experiments._cell_seed(master_seed, cell))
+        rng = np.random.default_rng(
+            np.random.SeedSequence((master_seed, cell)).generate_state(1)[0])
         estimates = []
         for a, b in terms:
             p0 = run_hybrid_tests(state, a[None, None], b[None])[0, 0, 0]
@@ -596,7 +596,7 @@ def test_landscape_circuit_mode_agrees_with_analytic():
     assert noisy.shots == shots
     for got, want in zip(_cells(noisy), _cells(clean), strict=True):
         chsh_sd, kcbs_sd = _propagated_margin_stddev(
-            5, math.radians(got["theta_deg"]), math.radians(float(got["phi_deg"])), shots)
+            5, math.radians(got["theta_deg"]), math.radians(got["phi_deg"]), shots)
         assert abs(got["chsh_margin"] - want["chsh_margin"]) <= 5 * chsh_sd
         assert abs(got["kcbs_margin"] - want["kcbs_margin"]) <= 5 * kcbs_sd
         assert got["seed"] is not None
@@ -620,11 +620,24 @@ def test_landscape_circuit_seeds_follow_the_cell_index(monkeypatch):
     # Seeds depend on (master seed, cell index) only, not on how cells are blocked.
     whole = _columns(landscape_scan(5, [30.0, 60.0], [0.0, 90.0, 180.0], mode="circuit",
                                     shots=200, seed=3))
-    monkeypatch.setattr(serialize, "BLOCK_CELLS", 2)
+    monkeypatch.setattr(experiments, "BLOCK_CELLS", 2)
     split = _columns(landscape_scan(5, [30.0, 60.0], [0.0, 90.0, 180.0], mode="circuit",
                                     shots=200, seed=3))
     assert _same_columns(whole, split)
-    assert whole["seed"].tolist() == [experiments._cell_seed(3, cell) for cell in range(6)]
+    assert whole["seed"].tolist() == [np.random.SeedSequence((3, cell)).generate_state(1)[0]
+                                      for cell in range(6)]
+
+
+def test_cell_seed_is_the_first_seed_sequence_word_of_master_and_cell():
+    # NEP 19 keeps SeedSequence's words stable across numpy versions, so the cell seeds, and
+    # the circuit bytes, are too; a master or cell index of 2**32 or more is several words.
+    for master in (0, 2**32 - 1, 2**32, 2**64):
+        for cell in (0, 1, 2**32):
+            seed = experiments._cell_seed(master, cell)
+            assert type(seed) is int
+            assert seed == np.random.SeedSequence((master, cell)).generate_state(1)[0]
+    assert experiments._cell_seed(0, 0) == 2968811710
+    assert experiments._cell_seed(2**64, 2**32) == 1310249577
 
 
 @pytest.mark.parametrize("n", sorted(TABLE_POINTS))
@@ -770,8 +783,6 @@ def test_phi_symmetry_of_landscape():
     thetas = np.linspace(0, 180, 13)
     phis = np.linspace(0, 360, 25)
     records = _cells(landscape_scan(5, thetas, phis, mode="analytic"))
-    for r in records:
-        r["phi_deg"] = float(r["phi_deg"])  # multiples of 15 degrees, exact in the written text
     grid = {}
     for r in records:
         grid[(round(r["theta_deg"], 6), round(r["phi_deg"], 6))] = r

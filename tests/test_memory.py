@@ -56,7 +56,7 @@ def test_large_n_kcbs_pair_runs_in_bounded_memory(tmp_path):
 
 @needs_wait4
 def test_multi_block_analytic_landscape_runs_in_bounded_memory(tmp_path):
-    # 2001 x 721 = 1442721 cells, 23 kernel blocks of at most serialize.BLOCK_CELLS
+    # 2001 x 721 = 1442721 cells, 23 kernel blocks of at most experiments.BLOCK_CELLS
     # cells, each formatted and written before the next is computed.
     peak = _peak_mib(tmp_path, "landscape", "--n", "5", "--theta", "0:180:2001",
                      "--phi", "0:360:721", "--out", "grid.csv")
@@ -65,8 +65,8 @@ def test_multi_block_analytic_landscape_runs_in_bounded_memory(tmp_path):
 
 @needs_wait4
 def test_narrow_theta_scan_runs_in_bounded_memory(tmp_path):
-    # 200001 theta rows of one cell: 4 kernel blocks, each one Columns laid out as one row of
-    # cells and formatted serialize.RUN_CELLS cells at a time; peaked at 40.8 MiB on x86-64
+    # 200001 theta rows of one cell: 4 kernel blocks, each laid out as one row of cells
+    # and formatted serialize.RUN_CELLS cells at a time; peaked at 40.8 MiB on x86-64
     # Linux, Python 3.11, numpy 2.4, against 45.2 MiB when each theta row was formatted alone.
     peak = _peak_mib(tmp_path, "landscape", "--n", "5", "--theta", "0:180:200001", "--phi", "0",
                      "--out", "scan.csv")
@@ -75,9 +75,9 @@ def test_narrow_theta_scan_runs_in_bounded_memory(tmp_path):
 
 @needs_wait4
 def test_many_size_scaling_table_is_written_in_bounded_blocks(tmp_path):
-    # 200000 sizes: formatting all rows as one block peaked at 170 MiB (x86-64 Linux,
-    # Python 3.11, numpy 2.4), and blocks of at most serialize.BLOCK_CELLS rows at
-    # 99-106 MiB.  The rest is the size list and the bisection's arrays, which still
-    # grow with the size count.
+    # 200000 sizes: formatting all rows in one % call peaked at 170 MiB (x86-64 Linux,
+    # Python 3.11, numpy 2.4); runs of serialize.RUN_CELLS cells per % call bound the
+    # writer, and the one block of the whole table peaks at 92.3 MiB.  The rest is the
+    # size list and the bisection's arrays, which still grow with the size count.
     peak = _peak_mib(tmp_path, "scaling", "--n", "5:400001:2", "--out", "scaling.csv")
     assert peak < 135

@@ -53,8 +53,8 @@ def test_every_field_of_a_public_class_is_used_outside_its_class_and_the_tests()
 
 
 def test_importing_the_package_loads_no_writer():
-    # The writers and json load with the CLI; a landscape pass imports
-    # serialize only when its rows are written.
+    # The writers and json load with the CLI alone: a landscape pass hands the
+    # writer plain columns and never loads it.
     code = ("import sys, chsh_kcbs; "
             "print(sorted({'json', 'chsh_kcbs.serialize', 'chsh_kcbs.cli'} & set(sys.modules)))")
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
@@ -73,3 +73,14 @@ def test_only_linalg_raises_the_operator_errors():
               if isinstance(node, ast.alias) and node.name in errors
               or isinstance(node, ast.Attribute) and node.attr in errors}
     assert naming <= {"linalg.py", "errors.py", "__init__.py"}
+
+
+def test_only_cli_imports_the_writer():
+    # serialize lays out and formats the rows; every other module hands it plain columns
+    # through cli and names it in no import.
+    importing = {path.name for path in PACKAGE
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Import | ast.ImportFrom)
+                 and any(name.split(".")[-1] == "serialize" for name in
+                         [getattr(node, "module", None) or "", *(a.name for a in node.names)])}
+    assert importing == {"cli.py"}

@@ -67,7 +67,7 @@ def test_write_csv_cells_and_metadata(tmp_path):
 
 
 class _Table:
-    """A table that yields the given ``Columns`` blocks, then raises ``error`` if one is given."""
+    """A table that yields the given blocks, then raises ``error`` if one is given."""
 
     def __init__(self, length, blocks, error=None):
         self.length, self._blocks, self._error = length, blocks, error
@@ -85,10 +85,10 @@ def test_write_csv_formats_nine_digits_across_blocks(tmp_path):
     values = [0.1, -2.4721359549995794, 1e-300, 12345678912.0, -0.0, float("nan"), 7.0]
     index = list(range(len(values)))
     # Each block brings its own columns and constants; the last has a float and a text constant.
-    blocks = [serialize.Columns((np.array(values[:3]), np.array(index[:3]), "m%d")),
-              serialize.Columns((np.array(values[3:6]), np.array(index[3:6]), "m%d")),
-              serialize.Columns((np.array(values[6:]), [str(i) for i in index[6:]], "m%d")),
-              serialize.Columns((["a", "b"], 1 / 3, "k%"))]
+    blocks = [(np.array(values[:3]), np.array(index[:3]), "m%d"),
+              (np.array(values[3:6]), np.array(index[3:6]), "m%d"),
+              (np.array(values[6:]), [str(i) for i in index[6:]], "m%d"),
+              (["a", "b"], 1 / 3, "k%")]
     path = tmp_path / "table.csv"
     serialize.write_csv(str(path), ["x", "i", "tag"], _Table(9, blocks))
     _, rows, _ = read_csv(str(path))
@@ -123,34 +123,36 @@ def test_one_block_of_every_value_type_writes_fixed_bytes(tmp_path):
         "1e-300,3194799977,3,c d,0.333333333,12345678901234567890,-9,100% sure,\n")
 
 
-def test_columns_are_written_in_blocks_of_at_most_block_cells_rows(monkeypatch, tmp_path):
-    monkeypatch.setattr(serialize, "BLOCK_CELLS", 4)
-    size = 2 * serialize.BLOCK_CELLS + 3
+def test_columns_are_one_block_written_whole(tmp_path):
+    # The table is its one block, formatted RUN_CELLS cells per % call.
+    size = 2 * serialize.RUN_CELLS + 3
     values, index = np.linspace(-1.0, 1.0, size) / 3, np.arange(size) * 10**9
     texts = [f"t{i}%" for i in range(size)]
     table = serialize.Columns((values, index, texts, 2 / 3, None, "k%d"))
-    assert [len(block) for block in table.blocks()] == [4, 4, 3]
+    assert [block is table.data for block in table.blocks()] == [True] and len(table) == size
     path = tmp_path / "table.csv"
     serialize.write_csv(str(path), ["x", "i", "t", "c", "gap", "k"], table)
     expected = "".join(f"{'%.9g' % x},{i},{t},{'%.9g' % (2 / 3)},,k%d\n"
                        for x, i, t in zip(values.tolist(), index.tolist(), texts))
     assert path.read_text() == "x,i,t,c,gap,k\n" + expected
-    # A longer second column is refused, not cut at the first column's last block.
+    # A longer second column is refused.
     with pytest.raises(ValueError, match="one length"):
-        list(serialize.Columns((np.arange(4.0), np.arange(8.0))).blocks())
+        len(serialize.Columns((np.arange(4.0), np.arange(8.0))))
 
 
-@pytest.mark.parametrize("block", [serialize.BLOCK_CELLS, 7, 2])
-def test_a_grid_block_writes_each_row_value_once_per_row(monkeypatch, tmp_path, block):
-    # A (rows, 1) array varies by grid row, a (rows, cells) array by cell, and a list is
-    # every row's cells; the bytes are those of formatting every field of every row alone,
-    # and blocks() cuts the grid into whole rows, or row slices, of at most BLOCK_CELLS.
-    monkeypatch.setattr(serialize, "BLOCK_CELLS", block)
+@pytest.mark.parametrize("shared, texts", [
+    (["p0", "p%d", "p2", "p3"], ["p0", "p%d", "p2", "p3"]),
+    (np.array(["p0", "p%d", 2**64, -7], object), ["p0", "p%d", "18446744073709551616", "-7"]),
+    (np.array([0.5, 1 / 3, -2e-300, 7.0]), ["0.5", "0.333333333", "-2e-300", "7"]),
+])
+def test_a_grid_block_writes_each_row_value_once_per_row(tmp_path, shared, texts):
+    # A (rows, 1) array varies by grid row, a (rows, cells) array by cell, and a list or 1-D
+    # array is every row's cells, its texts formatted once; the bytes are those of formatting
+    # every field of every row alone.
     thetas, tags = np.array([[0.5], [1 / 3], [-2.0]]), np.array([["a%"], ["b"], ["%s"]], object)
-    margins, texts = np.arange(12.0).reshape(3, 4) / 7, ["p0", "p%d", "p2", "p3"]
-    table = serialize.Columns((5, thetas, texts, margins, tags, "k%", None))
-    assert table.shape == (3, 4) and len(table) == 12
-    assert all(len(b) <= block for b in table.blocks())
+    margins = np.arange(12.0).reshape(3, 4) / 7
+    table = serialize.Columns((5, thetas, shared, margins, tags, "k%", None))
+    assert serialize._shape(table.data) == (3, 4) and len(table) == 12
     path = tmp_path / "grid.csv"
     serialize.write_csv(str(path), list("ntpmgkz"), table)
     expected = "".join(f"5,{'%.9g' % t},{p},{'%.9g' % m},{g},k%,\n"
@@ -158,7 +160,7 @@ def test_a_grid_block_writes_each_row_value_once_per_row(monkeypatch, tmp_path, 
                        for p, m in zip(texts, row))
     assert path.read_text() == "n,t,p,m,g,k,z\n" + expected
     # A list longer than the rows' cells, or rows of two lengths, are refused.
-    for data in ((thetas, texts + ["p4"], margins), (thetas[:2], margins)):
+    for data in ((thetas, list(shared) + ["p4"], margins), (thetas[:2], margins)):
         with pytest.raises(ValueError, match="one length"):
             len(serialize.Columns(data))
 
@@ -171,9 +173,9 @@ def test_a_one_cell_wide_block_is_written_in_runs_of_cells(tmp_path):
     index = (np.arange(rows) * 10**9 - 3)[:, None]  # ints, by row
     tags = np.array([f"t{i}%" for i in range(rows)], dtype=object)[:, None]
     table = serialize.Columns((5, thetas, ["p%d"], np.array([0.25]), index, tags, "k%", None))
-    assert table.shape == (rows, 1)
+    assert serialize._shape(table.data) == (rows, 1)
     header = list("ntpqigkz")
-    assert len(list(serialize._format_block(header, table))) == 3
+    assert len(list(serialize._format_block(header, table.data))) == 3
     path = tmp_path / "narrow.csv"
     serialize.write_csv(str(path), header, table)
     expected = "".join(f"5,{'%.9g' % t},p%d,0.25,{i},{g},k%,\n"
@@ -183,11 +185,10 @@ def test_a_one_cell_wide_block_is_written_in_runs_of_cells(tmp_path):
 
 def test_block_needs_a_varying_column(tmp_path):
     path = tmp_path / "table.csv"
-    constants = serialize.Columns((5, 0.5))
     with pytest.raises(ValueError, match="varying column"):
-        len(constants)
+        len(serialize.Columns((5, 0.5)))
     with pytest.raises(ValueError, match="varying column"):
-        serialize.write_csv(str(path), ["n", "x"], _Table(1, [constants]))
+        serialize.write_csv(str(path), ["n", "x"], _Table(1, [(5, 0.5)]))
     assert os.listdir(tmp_path) == []
 
 
@@ -260,23 +261,20 @@ def test_failed_or_short_table_leaves_no_file(tmp_path):
     path = tmp_path / "out.csv"
     with pytest.raises(RuntimeError):
         serialize.write_csv(str(path), ["x"], _Table(
-            3, [serialize.Columns((np.array([1.0]),)), serialize.Columns((np.array([2.0]),))],
-            RuntimeError("third block failed")))
+            3, [(np.array([1.0]),), (np.array([2.0]),)], RuntimeError("third block failed")))
     with pytest.raises(ValueError):
-        serialize.write_csv(str(path), ["x"],
-                            _Table(3, [serialize.Columns((np.array([1.0, 2.0]),))]))
+        serialize.write_csv(str(path), ["x"], _Table(3, [(np.array([1.0, 2.0]),)]))
     # Columns of different lengths, or more data columns than header fields, are refused.
     with pytest.raises(ValueError):
         serialize.write_csv(str(path), ["x", "y"],
                             serialize.Columns((np.array([1.0, 2.0]), np.array([3.0]))))
     with pytest.raises(ValueError):  # a block a table yields is held to one length too
         serialize.write_csv(str(path), ["x", "y"], _Table(
-            2, [serialize.Columns((np.array([1.0, 2.0]), np.array([3.0])))]))
+            2, [(np.array([1.0, 2.0]), np.array([3.0]))]))
     with pytest.raises(ValueError):
         serialize.write_csv(str(path), ["x"],
                             serialize.Columns((np.array([1.0]), np.array([2.0]))))
     with pytest.raises(ValueError):  # a later block's columns are held to the header too
         serialize.write_csv(str(path), ["x"], _Table(
-            2, [serialize.Columns((np.array([1.0]),)),
-                serialize.Columns((np.array([1.0]), np.array([2.0])))]))
+            2, [(np.array([1.0]),), (np.array([1.0]), np.array([2.0]))]))
     assert os.listdir(tmp_path) == []
