@@ -5,8 +5,9 @@ fourier-test, validate.  Angles are degrees on the command line and in
 output files, and the analytic landscape computes in degrees, exactly
 (circuits take radians); angle grids are ``start:stop:count`` with inclusive
 endpoints, cycle ranges are ``start:stop:step``, and both also take a
-comma list.  A JSON config file can supply defaults for any flag of the
-chosen subcommand (a list as the flag's comma list); explicit flags win.
+comma list.  A JSON config file's settings are read as ``--flag=value``
+text ahead of the command line (a list as the flag's comma list), so
+explicit flags win and each flag's own type and choices check them.
 This module alone decides what an output file records: the effective
 flags, echoed as text that reads back as the same run, the command's
 own keys, then a timestamp unless ``--no-timestamp`` is given.
@@ -108,11 +109,10 @@ def bob_selector(text: str) -> str:
 
 
 def build_parser():
-    """Build the parser plus, per command, its subparser, required flags, flag actions and runner.
+    """Build the parser plus, per command, its subparser, flag actions and runner.
 
-    Required flags are validated after the optional config file merges in,
-    so they are declared optional here and tracked separately.  The flag
-    actions are the keys a config file may set; ``--config`` is not one.
+    The flag actions are the keys a config file may set; ``--config`` is not
+    one.  A flag no run can leave out is ``required``: ``--help`` shows it bare.
     """
     parser = argparse.ArgumentParser(
         prog="chsh-kcbs",
@@ -121,9 +121,9 @@ def build_parser():
                "(also a size too large for a float or for memory), 4 I/O error.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, tuple[argparse.ArgumentParser, tuple[str, ...], dict, object]] = {}
+    commands: dict[str, tuple[argparse.ArgumentParser, dict, object]] = {}
 
-    def command(name, run, requires=(), **kwargs):
+    def command(name, run, **kwargs):
         """Add a subcommand that ``run(args)`` runs; return its flag adder, which keeps actions."""
         sub = subparsers.add_parser(name, **kwargs)
         # After a space, a value such as -90:90:3, -45,45 or -1e-3 is the flag's value, as in
@@ -131,9 +131,9 @@ def build_parser():
         # private attribute is the pattern it tests.
         sub._negative_number_matcher = re.compile(r"-\.?\d")
         sub.add_argument("--config", default=None,
-                         help="JSON file with default values for this command's flags")
+                         help="JSON file of this command's flag values; explicit flags win")
         actions = {}
-        commands[name] = (sub, tuple(requires), actions, run)
+        commands[name] = (sub, actions, run)
 
         def flag(*names, **options):
             action = sub.add_argument(*names, **options)
@@ -143,69 +143,70 @@ def build_parser():
              help="omit the timestamp line from output files")
         return flag
 
-    flag = command("observables", _run_observables, requires=("n", "out"),
+    flag = command("observables", _run_observables,
                    help="dump the n-cycle vectors and observables as JSON")
-    flag("--n", type=int, help="odd cycle size >= 5")
-    flag("--out", help="output JSON path")
+    flag("--n", type=int, required=True, help="odd cycle size >= 5")
+    flag("--out", required=True, help="output JSON path")
 
-    flag = command("threshold", _run_threshold, requires=("n",),
+    flag = command("threshold", _run_threshold,
                    help="print the KCBS-violating population threshold")
-    flag("--n", type=int, help="odd cycle size >= 5")
+    flag("--n", type=int, required=True, help="odd cycle size >= 5")
 
-    flag = command("landscape", _run_landscape, requires=("n", "theta", "phi", "out"),
+    flag = command("landscape", _run_landscape,
                    help="scan the minimal-state margins over a (theta, phi) grid")
-    flag("--n", type=int, help="odd cycle size >= 5")
-    flag("--theta", type=angle_grid, help="theta grid in degrees, start:stop:count or a list")
-    flag("--phi", type=angle_grid, help="phi grid in degrees, start:stop:count or a list")
+    flag("--n", type=int, required=True, help="odd cycle size >= 5")
+    flag("--theta", type=angle_grid, required=True,
+         help="theta grid in degrees, start:stop:count or a list")
+    flag("--phi", type=angle_grid, required=True,
+         help="phi grid in degrees, start:stop:count or a list")
     flag("--mode", choices=("analytic", "circuit"), default="analytic")
     flag("--shots", type=shot_count, default=None, help="shots per correlator (circuit mode)")
     flag("--seed", type=seed_int, default=None, help="master seed (circuit mode)")
-    flag("--out", help="output CSV path")
+    flag("--out", required=True, help="output CSV path")
 
-    flag = command("coexist", _run_coexist, requires=("n", "out"),
+    flag = command("coexist", _run_coexist,
                    help="solve the margin crossing for each cycle size")
-    flag("--n", type=cycle_range, help="cycle sizes, N, N,N,... or start:stop:step")
-    flag("--out", help="output CSV path")
+    flag("--n", type=cycle_range, required=True, help="cycle sizes, N, N,N,... or start:stop:step")
+    flag("--out", required=True, help="output CSV path")
 
-    flag = command("scaling", _run_scaling, requires=("n", "out"),
+    flag = command("scaling", _run_scaling,
                    help="coexistence scaling plus the scaling-family margins")
-    flag("--n", type=cycle_range, help="cycle sizes, N, N,N,... or start:stop:step")
-    flag("--out", help="output CSV path")
+    flag("--n", type=cycle_range, required=True, help="cycle sizes, N, N,N,... or start:stop:step")
+    flag("--out", required=True, help="output CSV path")
 
     flag = command("fourier-test", _run_fourier_test,
-                   requires=("n", "theta", "phi", "alice", "bob", "out"),
                    help="run one Fourier-test correlator on the minimal state")
-    flag("--n", type=int, help="odd cycle size >= 5")
-    flag("--theta", type=finite_float, help="theta in degrees")
-    flag("--phi", type=finite_float, help="phi in degrees")
-    flag("--alice", choices=("w0", "w2", "id"),
+    flag("--n", type=int, required=True, help="odd cycle size >= 5")
+    flag("--theta", type=finite_float, required=True, help="theta in degrees")
+    flag("--phi", type=finite_float, required=True, help="phi in degrees")
+    flag("--alice", choices=("w0", "w2", "id"), required=True,
          help="Alice setting: optimal R(omega0), optimal R(omega2), or identity")
-    flag("--bob", type=bob_selector, help="Bob observable: b0, bmbm1, or pair:J for B_J B_J+1")
+    flag("--bob", type=bob_selector, required=True,
+         help="Bob observable: b0, bmbm1, or pair:J for B_J B_J+1")
     flag("--shots", type=shot_count, default=None, help="sample this many shots")
     flag("--seed", type=seed_int, default=0, help="sampling seed")
-    flag("--out", help="output JSON path")
+    flag("--out", required=True, help="output JSON path")
 
     command("validate", _run_validate, help="run the invariant suite; exit 0 iff everything passes")
 
     return parser, commands
 
 
-def _apply_config(args, parser, sub, actions, argv):
-    """Reparse with config-file values as defaults; explicit flags still win.
+def _config_flags(path: str, sub, actions) -> list[str]:
+    """The config file's settings as ``--flag=value`` text; a key not in ``actions`` is refused.
 
-    ``actions`` maps each flag's dest to its argparse action; any other key
-    is a usage error.
+    Only the JSON is checked here: the one parse checks each value as it checks a typed flag.
     """
     try:
-        with open(args.config, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        sub.error(f"config file {args.config!r} is not valid JSON: {exc}")
+        sub.error(f"config file {path!r} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
-        sub.error(f"config file {args.config!r} must hold a JSON object")
+        sub.error(f"config file {path!r} must hold a JSON object")
+    flags = []
     for key, value in payload.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
+        action = actions.get(key.replace("-", "_"))
         if action is None:
             sub.error(f"config key {key!r} is not a flag of this command")
         if isinstance(value, list):  # the flag's comma-list text, parsed by the flag's type
@@ -219,15 +220,11 @@ def _apply_config(args, parser, sub, actions, argv):
         elif action.type is None and type(value) is not (bool if action.nargs == 0 else str):
             sub.error(f"config key {key!r} takes "
                       + ("true or false" if action.nargs == 0 else "a string"))
-        if action.type is not None:
-            try:
-                value = action.type(str(value))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                sub.error(f"config key {key!r}: {exc}")
-        if action.choices is not None and value not in action.choices:
-            sub.error(f"config key {key!r} must be one of {tuple(action.choices)}")
-        sub.set_defaults(**{dest: value})
-    return parser.parse_args(argv)
+        if action.nargs != 0:  # the = form, so a negative value is the flag's value
+            flags.append(f"{action.option_strings[0]}={value}")
+        elif value:
+            flags.append(action.option_strings[0])
+    return flags
 
 
 # Parsed values that are not echoed as flags: the command leads the echo.
@@ -371,17 +368,18 @@ def _run_validate(args) -> int:
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv and argv[0] in commands:  # config flags lead the command's own, which win
+            find_config = argparse.ArgumentParser(add_help=False)
+            find_config.add_argument("--config", nargs="?")  # a bare --config: the parse's error
+            path = find_config.parse_known_args(argv[1:])[0].config
+            argv[1:1] = _config_flags(path, *commands[argv[0]][:2]) if path else []
         args = parser.parse_args(argv)
-        sub, requires, actions, run = commands[args.command]
-        if args.config:
-            args = _apply_config(args, parser, sub, actions, argv)
-        for dest in requires:
-            if getattr(args, dest, None) is None:
-                sub.error(f"the following arguments are required: --{dest}")
+        sub, actions, run = commands[args.command]
         if getattr(args, "mode", None) == "circuit" and args.shots is None:
             sub.error("--mode circuit requires --shots")
-        if "out" in requires:  # refused before anything is computed
+        if "out" in actions:  # refused before anything is computed
             serialize.out_directory(args.out)
         return run(args)
     except SystemExit as exc:

@@ -47,6 +47,14 @@ def test_help_exits_cleanly(capsys):
     capsys.readouterr()
 
 
+def test_help_shows_required_flags_without_brackets(capsys):
+    assert run_cli("landscape", "--help") == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    for flag in ("--n N", "--theta THETA", "--phi PHI", "--out OUT"):
+        assert f" {flag}" in usage and f"[{flag}]" not in usage
+    assert "[--mode {analytic,circuit}] [--shots SHOTS] [--seed SEED]" in usage
+
+
 def test_coexist_single_row(tmp_path):
     out = tmp_path / "coexist.csv"
     assert run_cli("coexist", "--n", "5:5:1", "--out", str(out)) == 0
@@ -342,7 +350,7 @@ def test_shots_above_the_binomial_count_limit_are_a_usage_error(tmp_path, capsys
         config.write_text(json.dumps({"shots": shots}))
         assert run_cli(command, *args, "--config", str(config),
                        "--out", str(out)) == cli.EXIT_USAGE
-        assert "'shots'" in capsys.readouterr().err
+        assert "argument --shots: must be a positive integer" in capsys.readouterr().err
     assert not out.exists()
     assert run_cli(command, *args, "--shots", str(2**63 - 1), "--out", str(out),
                    "--no-timestamp") == 0
@@ -603,7 +611,7 @@ def test_config_lists_for_grid_flags(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
     config.write_text(json.dumps({"n": [5, 7.0]}))
     assert run_cli("coexist", "--config", str(config), "--out", str(out)) == cli.EXIT_USAGE
-    assert "'n'" in capsys.readouterr().err
+    assert "argument --n: invalid literal for int()" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -663,12 +671,32 @@ def test_echoed_metadata_reads_back_as_the_same_run(tmp_path, name):
         metadata = json.loads(first.read_text())["metadata"]
     else:
         metadata = read_csv(str(first))[2]
-    flags = cli.build_parser()[1][metadata.pop("command")][2]
+    flags = cli.build_parser()[1][metadata.pop("command")][1]
     assert set(metadata) - set(flags) <= {"seed_scheme", "loglog_slope"}
     rebuilt = [f"--{key.replace('_', '-')}={value}" for key, value in metadata.items()
                if key in flags and value != ""]
     assert run_cli(argv[0], *rebuilt, "--out", str(second), "--no-timestamp") == 0
     assert second.read_bytes() == first.read_bytes()
+
+
+# Each README command with an output file, and a negative phi grid, which a config gives as text.
+_CONFIG_RUNS = {name: argv for name, argv in _README_RUNS.items() if not isinstance(argv[-1], dict)}
+_CONFIG_RUNS["landscape-negative-phi"] = ["landscape", "--n", "5", "--theta", "0:180:3",
+                                          "--phi", "-90:90:5"]
+
+
+@pytest.mark.parametrize("name", _CONFIG_RUNS)
+def test_a_config_file_holding_every_flag_writes_the_bytes_of_the_flags(tmp_path, name):
+    command, *flags = _CONFIG_RUNS[name]
+    by_flags, by_config = tmp_path / "flags.out", tmp_path / "config.out"
+    assert run_cli(command, *flags, "--no-timestamp", "--out", str(by_flags)) == 0
+    settings = {"no-timestamp": True, "out": str(by_config)}
+    for flag, text in zip(flags[::2], flags[1::2]):
+        settings[flag.removeprefix("--")] = int(text) if text.isdigit() else text
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    assert run_cli(command, "--config", str(config)) == 0
+    assert by_config.read_bytes() == by_flags.read_bytes()
 
 
 def test_a_size_too_large_for_memory_is_a_domain_error(tmp_path, capsys):
@@ -917,7 +945,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, args):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": -1}))
     assert run_cli(command, *args, "--config", str(config), "--out", str(out)) == cli.EXIT_USAGE
-    assert "'seed'" in capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
     assert run_cli(command, *args, "--seed", "0", "--out", str(out), "--no-timestamp") == 0
 
