@@ -68,5 +68,5 @@ print(f"decomposition: q0 = {parts.q0:.3f}, r3 = {parts.r3:.3f}, "
 # ------------------------------------------------------------------
 print("\n theta(deg)   CHSH margin   KCBS margin")
 for theta_deg in (0, 20, 40, 49.605, 60, 90):
-    chsh_m, kcbs_m = state1_margins(math.radians(theta_deg), 0.0, 5)
+    chsh_m, kcbs_m = state1_margins(theta_deg, 0.0, 5)
     print(f"   {theta_deg:7.3f}   {chsh_m:+.6f}    {kcbs_m:+.6f}")

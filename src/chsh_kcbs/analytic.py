@@ -5,7 +5,8 @@ from populations and coherences of the joint state; the optimum over the
 two measurement angles is then the sum of two Euclidean norms.  The KCBS
 side depends on a single population parameter p2, the weight on the
 qutrit level 2.  Both reductions are exact, and the module also carries
-the minimal two-parameter state family, its violation margins, the
+the minimal two-parameter state family, its violation margins at angles
+in degrees (sines and cosines exact at quarter turns), the
 population/coherence/geometry decomposition, and the large-n laws.
 """
 
@@ -152,32 +153,42 @@ def state1(theta: float, phi: float) -> np.ndarray:
                         math.cos(theta / 2) * complex(math.cos(phi), math.sin(phi)))
 
 
-def state1_margins(theta, phi, n):
-    """Closed-form violation margins of the minimal state family.
+def state1_margins(theta_deg, phi_deg, n):
+    """Closed-form violation margins of the minimal state family, at angles in degrees.
 
     Returns ``(chsh_margin, kcbs_margin)``.  The angles and the cycle size ``n`` all
     broadcast, so a grid of angles at one size, or one angle per size over an array of
     sizes, evaluates in one call, once :func:`cycle_geometry` has checked every size.  The
-    CHSH margin grows with the interference weight sin^2(theta) cos^2(phi); the KCBS margin
-    depends on theta only, through the population sin^2(theta/2) off level 2; as an array it
-    is a read-only broadcast view of the CHSH margin's shape.
+    CHSH margin grows with the interference weight sin^2(theta) cos^2(phi) and takes the
+    shape of all three; the KCBS margin depends on theta only, through the population
+    sin^2(theta/2) off level 2, and takes the shape of theta and n alone.  Sines and cosines
+    come from :func:`sincos_deg`, exact at quarter turns.  A 0-d margin is a float.
     """
+    geo = cycle_geometry(n)
     # Squares multiply: numpy scalars would square through libm pow, which
     # can differ from an array's exact square in the last bit.
-    sin_half, sin_theta, cos_phi = np.sin(np.divide(theta, 2)), np.sin(theta), np.cos(phi)
+    sin_half, sin_theta = sincos_deg(np.divide(theta_deg, 2))[0], sincos_deg(theta_deg)[0]
+    cos_phi = sincos_deg(phi_deg)[1]
     weight = (sin_theta * sin_theta) * (cos_phi * cos_phi)
-    chsh, kcbs = _weight_margins(sin_half * sin_half, weight, cycle_geometry(n))
-    kcbs = np.broadcast_to(kcbs, np.shape(chsh))
-    if chsh.ndim == 0:
-        return float(chsh), float(kcbs)
-    return chsh, kcbs
-
-
-def _weight_margins(population, weight, geo):
-    """CHSH and KCBS margins of the minimal state at the population sin^2(theta/2) off level 2
-    and the interference weight sin^2(theta) cos^2(phi), on checked sizes."""
     intercept, slope = _kcbs_line(geo)
-    return _chsh_margin(weight, geo), intercept - slope * population
+    margins = _chsh_margin(weight, geo), intercept - slope * (sin_half * sin_half)
+    return tuple(float(margin) if np.ndim(margin) == 0 else margin for margin in margins)
+
+
+def sincos_deg(x_deg):
+    """Sine and cosine of angles in degrees, exact wherever they are 0 or +-1.
+
+    x is reduced mod 360 degrees with ``fmod`` and split as 90 q + r, q = rint(x / 90), both
+    exactly; the sine and cosine of ``deg2rad(r)``, r in [-45, 45], are then swapped and
+    negated by the quadrant q, so no multiple of 90 degrees leaves a conversion residue.
+    A NaN angle gives NaN, quietly, as ``np.sin`` does.
+    """
+    x = np.fmod(x_deg, 360.0)
+    quarters = np.rint(x / 90.0)
+    r = np.deg2rad(x - 90.0 * quarters)
+    sin, cos, quadrant = np.sin(r), np.cos(r), np.nan_to_num(quarters).astype(int) % 4
+    return (np.choose(quadrant, (sin, cos, -sin, -cos)),
+            np.choose(quadrant, (cos, -sin, -cos, sin)))
 
 
 def _chsh_margin(weight, geo):

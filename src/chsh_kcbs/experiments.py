@@ -1,7 +1,8 @@
 """Experiment drivers: violation landscapes, coexistence points, scaling laws.
 
 Analytic mode evaluates the closed-form margins of the minimal state
-family; circuit mode re-derives every correlator from sampled Fourier
+family, one ``analytic.state1_margins`` call per block on the degrees as
+given; circuit mode re-derives every correlator from sampled Fourier
 tests so the two can be compared cell by cell.  The coexistence point at
 cycle size n is where the CHSH and KCBS margins cross at phi = 0: one
 bisection for the overlap steps every size in lockstep on one geometry.
@@ -111,12 +112,8 @@ class LandscapeTable:
         """CHSH margins, KCBS margins and seeds of a block as (theta, phi) arrays, but in
         analytic mode no seed and the KCBS margin, a function of theta alone, as (theta, 1)."""
         if self.mode == "analytic":
-            thetas = self.thetas_deg[rows, None]
-            sin_half, sin_theta = sincos_deg(thetas / 2)[0], sincos_deg(thetas)[0]
-            cos_phi = sincos_deg(self.phis_deg[cells])[1]
-            weight = (sin_theta * sin_theta) * (cos_phi * cos_phi)
-            chsh, kcbs = analytic._weight_margins(sin_half * sin_half, weight,
-                                                  observables.cycle_geometry(self.n))
+            chsh, kcbs = analytic.state1_margins(self.thetas_deg[rows, None],
+                                                 self.phis_deg[cells], self.n)
             return chsh, kcbs, None
         thetas, phis = np.deg2rad(self.thetas_deg[rows]), phi_radians(self.phis_deg[cells])
         n, shape, group = self.n, (thetas.size, phis.size), circuits.BLOCK_TERMS
@@ -140,21 +137,6 @@ def check_theta_deg(thetas_deg) -> None:
 def phi_radians(phi_deg):
     """phi in radians, reduced mod 360 degrees first, exactly, so a huge phi names its angle."""
     return np.deg2rad(np.fmod(phi_deg, 360.0))
-
-
-def sincos_deg(x_deg):
-    """Sine and cosine of angles in degrees, exact wherever they are 0 or +-1.
-
-    x is reduced mod 360 degrees with ``fmod`` and split as 90 q + r, q = rint(x / 90), both
-    exactly; the sine and cosine of ``deg2rad(r)``, r in [-45, 45], are then swapped and
-    negated by the quadrant q, so no multiple of 90 degrees leaves a conversion residue.
-    """
-    x = np.fmod(x_deg, 360.0)
-    quarters = np.rint(x / 90.0)
-    r = np.deg2rad(x - 90.0 * quarters)
-    sin, cos, quadrant = np.sin(r), np.cos(r), quarters.astype(int) % 4
-    return (np.choose(quadrant, (sin, cos, -sin, -cos)),
-            np.choose(quadrant, (cos, -sin, -cos, sin)))
 
 
 def landscape_scan(n, theta_grid_deg, phi_grid_deg, mode="analytic",
@@ -401,9 +383,8 @@ def run_validation() -> list[tuple[str, float, float, bool]]:
           abs(math.radians(points["theta_opt_deg"][-1]) * math.sqrt(n) - math.sqrt(8.0)), 1e-10)
 
     # Landscape symmetry in phi.
-    thetas = np.deg2rad(np.linspace(0, 180, 13))
-    phis = np.deg2rad(np.linspace(0, 360, 25))
-    chsh, kcbs = analytic.state1_margins(thetas[:, None], phis[None, :], 5)
+    chsh, kcbs = analytic.state1_margins(np.linspace(0, 180, 13)[:, None],
+                                         np.linspace(0, 360, 25), 5)
     check("phi reflection symmetry, max CHSH margin asymmetry",
           np.abs(chsh - chsh[:, ::-1]), 1e-12)
     check("KCBS margin vs phi, max variation", np.abs(kcbs - kcbs[:, :1]), 1e-12)

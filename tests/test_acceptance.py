@@ -213,7 +213,7 @@ def test_criterion_8_scaling_properties():
     min_margin = math.inf
     for n in range(5, 1000, 2):
         theta_n = 2 * math.acos(math.sqrt((n + 2) / (n + 4)))
-        chsh_margin, kcbs_margin = state1_margins(theta_n, 0.0, n)
+        chsh_margin, kcbs_margin = state1_margins(math.degrees(theta_n), 0.0, n)
         min_margin = min(min_margin, chsh_margin, kcbs_margin)
     positive_ok = min_margin > 0
 

@@ -22,6 +22,7 @@ from chsh_kcbs import (
     tensor,
     theta_opt_asymptotic,
 )
+from chsh_kcbs import analytic
 from chsh_kcbs.observables import alice_rotation, b0_closed_form, bm_bm1_closed_form, s_operator
 from helpers import textbook_margins
 
@@ -208,21 +209,21 @@ def test_state1_margins_match_coefficient_paths():
     rng = np.random.default_rng(23)
     for _ in range(30):
         n = int(rng.choice([5, 7, 9]))
-        theta = float(rng.uniform(0, math.pi))
-        phi = float(rng.uniform(0, 2 * math.pi))
+        theta = float(rng.uniform(0, 180))
+        phi = float(rng.uniform(0, 360))
         chsh_margin, kcbs_margin = state1_margins(theta, phi, n)
-        psi = state1(theta, phi)
+        psi = state1(math.radians(theta), math.radians(phi))
         assert chsh_margin == pytest.approx(chsh_coefficients(psi, n).s_opt - 2, abs=1e-10)
         assert kcbs_margin == pytest.approx(kcbs_value(psi, n).margin, abs=1e-10)
 
 
 def test_state1_margins_reference_points():
-    chsh_margin, kcbs_margin = state1_margins(math.radians(49.605), 0.0, 5)
+    chsh_margin, kcbs_margin = state1_margins(49.605, 0.0, 5)
     assert chsh_margin == pytest.approx(0.3431, abs=2e-4)
     assert kcbs_margin == pytest.approx(0.3431, abs=2e-4)
     assert abs(chsh_margin - kcbs_margin) <= 2e-4
 
-    chsh_margin, kcbs_margin = state1_margins(math.pi / 2, 0.0, 5)
+    chsh_margin, kcbs_margin = state1_margins(90.0, 0.0, 5)
     geo = cycle_geometry(5)
     assert chsh_margin == pytest.approx(0.71980, abs=1e-4)
     expected = 5 / (1 + geo.c) * ((4 * geo.c - 2) * 0.5 - 2 * geo.c) + 2
@@ -231,20 +232,53 @@ def test_state1_margins_reference_points():
 
 
 def test_kcbs_margin_independent_of_phi():
-    phis = np.linspace(0.0, 2 * math.pi, 91)
-    _, kcbs = state1_margins(1.1, phis, 5)
-    assert np.max(np.abs(kcbs - kcbs[0])) <= 1e-12
+    # One theta over a phi grid: a CHSH margin per phi, one KCBS margin for them all.
+    chsh, kcbs = state1_margins(63.0, np.linspace(0.0, 360.0, 91), 5)
+    assert chsh.shape == (91,) and isinstance(kcbs, float)
+    assert kcbs == state1_margins(63.0, 0.0, 5)[1]
+
+
+def test_a_nan_angle_gives_nan_margins_without_a_warning():
+    chsh, kcbs = state1_margins(math.nan, 0.0, 5)
+    assert math.isnan(chsh) and math.isnan(kcbs)
+    chsh, kcbs = state1_margins(90.0, math.nan, 5)
+    assert math.isnan(chsh) and kcbs == state1_margins(90.0, 0.0, 5)[1]
+
+
+def test_kcbs_margin_has_the_shape_of_theta_and_matches_kcbs_value_at_every_phi():
+    # The paper's separation at the API: CHSH reads the phase phi, KCBS the population alone.
+    thetas, phis, n = np.linspace(0.0, 180.0, 13), np.linspace(-90.0, 270.0, 17), 7
+    chsh, kcbs = state1_margins(thetas[:, None], phis, n)
+    assert chsh.shape == (13, 17) and kcbs.shape == (13, 1)
+    assert np.ptp(chsh[6]) > 0.1  # at theta = 90 the CHSH margin moves with phi
+    for i, theta in enumerate(thetas.tolist()):
+        for phi in phis.tolist():
+            psi = state1(math.radians(theta), math.radians(phi))
+            assert kcbs[i, 0] == pytest.approx(kcbs_value(psi, n).margin, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 10**17 + 1])
+@pytest.mark.parametrize("theta, phi", [(180.0, 0.0), (90.0, 90.0), (90.0, -90.0)])
+def test_margins_at_quarter_turns_match_50_digit_references_in_9_digits(n, theta, phi):
+    # Each of these cells has an interference weight of exactly 0, so the CHSH margin is
+    # -4(1 - c)/(1 + c), about -pi^2/n^2: a float residue in cos(phi) or sin(theta) of
+    # about 1e-16 would outweigh it and could turn its sign.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        exact = textbook_margins(mp, n, mp.radians(theta), mp.radians(phi))
+        want = ["%.9g" % float(margin) for margin in exact]
+    assert ["%.9g" % margin for margin in state1_margins(theta, phi, n)] == want
 
 
 @pytest.mark.parametrize("n", [5, 21, 100000001])
 def test_kcbs_margin_is_the_same_bits_along_each_theta_row(n):
-    # The landscape writer formats one KCBS value per theta row, so every
-    # phi of a row must give the very same float, not merely a close one.
-    thetas = np.deg2rad(np.concatenate([[0.0, 180.0], np.linspace(0.0, 180.0, 37)]))
-    phis = np.deg2rad(np.concatenate([[-720.0, -1e-300, 1e300], np.linspace(-30, 330, 101)]))
-    _, kcbs = state1_margins(thetas[:, None], phis[None, :], n)
-    for row in kcbs:
-        assert row.tobytes() == np.repeat(row[:1], row.size).tobytes()
+    # The landscape writer formats one KCBS value per theta row: the margin comes as
+    # one column, each row the very float of that theta alone, not merely a close one.
+    thetas = np.concatenate([[0.0, 180.0], np.linspace(0.0, 180.0, 37)])
+    phis = np.concatenate([[-720.0, -1e-300, 1e300], np.linspace(-30, 330, 101)])
+    _, kcbs = state1_margins(thetas[:, None], phis, n)
+    assert kcbs.shape == (thetas.size, 1)
+    assert kcbs.ravel().tolist() == [state1_margins(t, 0.0, n)[1] for t in thetas.tolist()]
 
 
 @pytest.mark.parametrize("n", [5, 21])
@@ -252,8 +286,8 @@ def test_state1_margins_scalar_call_equals_array_call(n):
     # Squares multiply in both paths, so one cell alone is the same to the
     # bit as that cell inside an array.
     rng = np.random.default_rng(n)
-    thetas = rng.uniform(0.0, math.pi, 5000)
-    phis = rng.uniform(0.0, 2 * math.pi, 5000)
+    thetas = rng.uniform(0.0, 180.0, 5000)
+    phis = rng.uniform(0.0, 360.0, 5000)
     chsh, kcbs = state1_margins(thetas, phis, n)
     scalar = [state1_margins(t, p, n) for t, p in zip(thetas.tolist(), phis.tolist())]
     assert [c for c, _ in scalar] == chsh.tolist()
@@ -261,16 +295,31 @@ def test_state1_margins_scalar_call_equals_array_call(n):
 
 
 def test_state1_margins_broadcast_over_cycle_sizes():
-    thetas = np.linspace(0.0, math.pi, 7)
+    thetas = np.linspace(0.0, 180.0, 7)
     sizes = np.array([5, 9, 101])
-    chsh, kcbs = state1_margins(thetas[:, None], 0.3, sizes[None, :])
+    chsh, kcbs = state1_margins(thetas[:, None], 17.0, sizes[None, :])
     assert chsh.shape == kcbs.shape == (7, 3)
     for column, n in enumerate(sizes.tolist()):
-        alone = state1_margins(thetas, 0.3, n)
+        alone = state1_margins(thetas, 17.0, n)
         assert np.array_equal(chsh[:, column], alone[0])
         assert np.array_equal(kcbs[:, column], alone[1])
     with pytest.raises(InvalidCycle):
-        state1_margins(0.5, 0.0, np.array([5, 6]))
+        state1_margins(30.0, 0.0, np.array([5, 6]))
+
+
+def test_sincos_deg_is_exact_at_quarter_turns_and_within_an_ulp_elsewhere():
+    quarters = np.arange(-8, 9)
+    sin, cos = analytic.sincos_deg(np.append(90.0 * quarters, 90.0 * 2**60))
+    assert sin.tolist() == [[0.0, 1.0, 0.0, -1.0][k % 4] for k in quarters] + [0.0]
+    assert cos.tolist() == [[1.0, 0.0, -1.0, 0.0][k % 4] for k in quarters] + [1.0]
+    # Elsewhere within about an ulp of the exact values, here from mpmath at 40 digits.
+    mp = pytest.importorskip("mpmath").mp
+    angles = np.random.default_rng(5).uniform(-720.0, 720.0, 2000)
+    sin, cos = analytic.sincos_deg(angles)
+    with mp.workdps(40):
+        radians = [mp.mpf(x) * mp.pi / 180 for x in angles.tolist()]
+        assert max(abs(s - mp.sin(x)) for s, x in zip(sin.tolist(), radians)) <= 2.3e-16
+        assert max(abs(c - mp.cos(x)) for c, x in zip(cos.tolist(), radians)) <= 2.3e-16
 
 
 def _within_accuracy_bound(got, exact) -> bool:
@@ -281,17 +330,17 @@ def _within_accuracy_bound(got, exact) -> bool:
 
 def test_margins_match_50_digit_references_at_a_large_size():
     # At n = 1e8 + 1 a margin written as a difference of nearly equal terms loses about
-    # n^2 eps.  Theta runs log-uniformly from 1e-7 to pi, past the KCBS crossing near
-    # 2.8e-4, with theta = pi and pi - 1e-9 among the points.
+    # n^2 eps.  Theta runs log-uniformly from 1e-5 to 180 degrees, past the KCBS crossing
+    # near 0.016 degrees, with theta = 180 and 180 - 1e-7 among the points.
     mp = pytest.importorskip("mpmath")
     n, rng = 10**8 + 1, np.random.default_rng(2026)
-    thetas = np.exp(rng.uniform(math.log(1e-7), math.log(math.pi), 600))
-    thetas[:3] = (1e-7, math.pi, math.pi - 1e-9)
-    phis = rng.uniform(0, 2 * math.pi, thetas.size)
+    thetas = np.exp(rng.uniform(math.log(1e-5), math.log(180.0), 600))
+    thetas[:3] = (1e-5, 180.0, 180.0 - 1e-7)
+    phis = rng.uniform(0, 360.0, thetas.size)
     chsh, kcbs = state1_margins(thetas, phis, n)
     with mp.workdps(50):
         for i, (theta, phi) in enumerate(zip(thetas.tolist(), phis.tolist())):
-            exact = textbook_margins(mp, n, mp.mpf(theta), mp.mpf(phi))
+            exact = textbook_margins(mp, n, mp.radians(theta), mp.radians(phi))
             assert _within_accuracy_bound(mp.mpf(chsh[i]), exact[0]), (theta, phi)
             assert _within_accuracy_bound(mp.mpf(kcbs[i]), exact[1]), (theta, phi)
 
@@ -377,7 +426,7 @@ def test_psi_n_state_amplitudes_and_margins():
     assert psi[0] == pytest.approx(0.471405, abs=1e-6)
     assert psi[5] == pytest.approx(0.881917, abs=1e-6)
 
-    theta = 2 * math.acos(math.sqrt(7 / 9))
+    theta = math.degrees(2 * math.acos(math.sqrt(7 / 9)))
     chsh_margin, kcbs_margin = state1_margins(theta, 0.0, 5)
     assert chsh_margin > 0 and kcbs_margin > 0
     assert kcbs_margin == pytest.approx(0.18506, abs=1e-3)

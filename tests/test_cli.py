@@ -123,8 +123,7 @@ def test_landscape_csv_round_trip(tmp_path):
     for row in rows:
         assert row[5] == "analytic"
         assert row[6] == "" and row[7] == ""
-        chsh, kcbs = state1_margins(math.radians(float(row[1])),
-                                    math.radians(float(row[2])), 5)
+        chsh, kcbs = state1_margins(float(row[1]), float(row[2]), 5)
         # Nine significant digits must re-parse to within one unit in the
         # ninth digit of the in-memory value.
         assert float(row[3]) == pytest.approx(chsh, rel=1e-8, abs=1e-12)
@@ -211,11 +210,11 @@ def test_multi_block_landscape_matches_one_kernel_call(tmp_path):
     assert run_cli("landscape", "--n", "7", "--theta", "0:180:67", "--phi", "0:360:1001",
                    "--out", str(out), "--no-timestamp") == 0
     _, rows, _ = read_csv(str(out))
-    chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], 7)
+    chsh, kcbs = state1_margins(thetas[:, None], phis, 7)
     expected = [["7", "%.9g" % t, "%.9g" % p, "%.9g" % c, "%.9g" % k, "analytic", "", ""]
                 for t, p, c, k in zip(np.repeat(thetas, phis.size).tolist(),
-                                      np.tile(phis, thetas.size).tolist(),
-                                      chsh.ravel().tolist(), kcbs.ravel().tolist())]
+                                      np.tile(phis, thetas.size).tolist(), chsh.ravel().tolist(),
+                                      np.repeat(kcbs, phis.size).tolist())]
     assert rows == expected
 
 
@@ -234,12 +233,12 @@ def test_landscape_bytes_match_per_field_formatting(monkeypatch, tmp_path, block
     assert run_cli("landscape", "--n", str(n), f"--theta={theta}", f"--phi={phi}",
                    "--out", str(out), "--no-timestamp") == 0
     thetas, phis = np.array(cli.angle_grid(theta)), np.array(cli.angle_grid(phi))
-    chsh, kcbs = state1_margins(np.deg2rad(thetas)[:, None], np.deg2rad(phis)[None, :], n)
+    chsh, kcbs = state1_margins(thetas[:, None], phis, n)
     expected = "".join(
         f"{n},{'%.9g' % t},{'%.9g' % p},{'%.9g' % c},{'%.9g' % k},analytic,,\n"
         for t, p, c, k in zip(np.repeat(thetas, phis.size).tolist(),
-                              np.tile(phis, thetas.size).tolist(),
-                              chsh.ravel().tolist(), kcbs.ravel().tolist()))
+                              np.tile(phis, thetas.size).tolist(), chsh.ravel().tolist(),
+                              np.repeat(kcbs, phis.size).tolist()))
     header = ",".join(experiments.LandscapeTable.header)
     assert out.read_text().endswith(f"\n{header}\n{expected}")
     if n == 100000001:

@@ -84,27 +84,9 @@ def test_landscape_matches_margin_function():
     phis = np.linspace(0, 360, 5)
     records = _cells(landscape_scan(7, thetas, phis, mode="analytic"))
     for record in records:
-        # The landscape takes the sine and cosine of degrees exactly at multiples of 90, so
-        # it may differ from the radian margins in the last bits.
-        chsh, kcbs = state1_margins(math.radians(record["theta_deg"]),
-                                    math.radians(record["phi_deg"]), 7)
-        assert record["chsh_margin"] == pytest.approx(chsh, abs=1e-15)
-        assert record["kcbs_margin"] == pytest.approx(kcbs, abs=1e-15)
-
-
-def test_sincos_deg_is_exact_at_quarter_turns_and_within_an_ulp_elsewhere():
-    quarters = np.arange(-8, 9)
-    sin, cos = experiments.sincos_deg(np.append(90.0 * quarters, 90.0 * 2**60))
-    assert sin.tolist() == [[0.0, 1.0, 0.0, -1.0][k % 4] for k in quarters] + [0.0]
-    assert cos.tolist() == [[1.0, 0.0, -1.0, 0.0][k % 4] for k in quarters] + [1.0]
-    # Elsewhere within about an ulp of the exact values, here from mpmath at 40 digits.
-    mp = pytest.importorskip("mpmath").mp
-    angles = np.random.default_rng(5).uniform(-720.0, 720.0, 2000)
-    sin, cos = experiments.sincos_deg(angles)
-    with mp.workdps(40):
-        radians = [mp.mpf(x) * mp.pi / 180 for x in angles.tolist()]
-        assert max(abs(s - mp.sin(x)) for s, x in zip(sin.tolist(), radians)) <= 2.3e-16
-        assert max(abs(c - mp.cos(x)) for c, x in zip(cos.tolist(), radians)) <= 2.3e-16
+        # A cell alone is the same to the bit as that cell inside the landscape's block.
+        chsh, kcbs = state1_margins(record["theta_deg"], record["phi_deg"], 7)
+        assert (record["chsh_margin"], record["kcbs_margin"]) == (chsh, kcbs)
 
 
 def test_landscape_input_validation():
@@ -147,14 +129,14 @@ def test_landscape_input_validation():
 def _spy_on_margins(monkeypatch):
     """Record the cell count of every margin kernel call the landscape makes."""
     sizes = []
-    kernel = experiments.analytic._weight_margins
+    kernel = experiments.analytic.state1_margins
 
-    def spy(population, weight, geo):
-        chsh, kcbs = kernel(population, weight, geo)
+    def spy(theta_deg, phi_deg, n):
+        chsh, kcbs = kernel(theta_deg, phi_deg, n)
         sizes.append(np.size(chsh))
         return chsh, kcbs
 
-    monkeypatch.setattr(experiments.analytic, "_weight_margins", spy)
+    monkeypatch.setattr(experiments.analytic, "state1_margins", spy)
     return sizes
 
 
@@ -546,7 +528,7 @@ def test_margin_kernel_builds_the_cycle_constants_once_per_call(monkeypatch):
 
     monkeypatch.setattr(experiments.analytic, "_chsh_margin", kernel_spy)
     monkeypatch.setattr(experiments.observables, "CycleGeometry", build_spy)
-    state1_margins(0.3, 0.0, np.arange(5, 200, 2))
+    state1_margins(17.0, 0.0, np.arange(5, 200, 2))
     assert builds == [len(range(5, 200, 2))] and kernel_calls == builds
     counts, steps = [], []
     for sizes in (range(5, 200, 2), range(5, 2000, 2), range(5, 50, 2)):
@@ -659,7 +641,7 @@ def test_coexistence_reference_points(n):
 
 def test_coexistence_margins_match_at_solution():
     record = _point(9)
-    chsh, kcbs = state1_margins(math.radians(record["theta_opt_deg"]), 0.0, 9)
+    chsh, kcbs = state1_margins(record["theta_opt_deg"], 0.0, 9)
     assert abs(chsh - kcbs) <= 1e-9
     assert chsh > 0 and kcbs > 0
     assert record["overlap"] == pytest.approx(0.5 * (chsh + kcbs), abs=1e-12)
